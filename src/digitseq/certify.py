@@ -80,10 +80,10 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
                           method: str | None = None) -> Certificate:
     """Verify the output-equality family of a pair and package it.
 
-    For each level l = 0..depth, checks position k^l*n + i + 1 against
-    k^l*n' + i + 1 for all 0 <= i < k^l, materializes the corresponding
-    witness, and re-checks it through the generic repetition verifier. A
-    single mismatch refutes this pair (and only this pair).
+    For each level l = 0..depth, the level-l witness checks position
+    k^l*n + i + 1 against k^l*n' + i + 1 for all 0 <= i < k^l through the
+    generic repetition verifier. A single mismatch refutes this pair (and
+    only this pair) and is reported at its first offset i.
     """
     if not (0 < n < n_prime):
         raise ValueError("pair must satisfy 0 < n < n'")
@@ -96,16 +96,12 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     data = prefix.data
     witnesses = []
     for level in range(depth + 1):
-        scale = k ** level
-        base_n = scale * n
-        base_np = scale * n_prime
-        if data[base_n:base_n + scale] != data[base_np:base_np + scale]:
-            for i in range(scale):
-                if data[base_n + i] != data[base_np + i]:
-                    raise PairRefutedError(n, n_prime, level, i)
         w = _pair_witness(n, n_prime, k, level)
         if not verify_repetition(prefix, w):
-            raise PairRefutedError(n, n_prime, level, -1)
+            scale = k ** level
+            offset = next(i for i in range(scale)
+                          if data[scale * n + i] != data[scale * n_prime + i])
+            raise PairRefutedError(n, n_prime, level, offset)
         witnesses.append(w)
     return Certificate(
         kind=kind,
@@ -136,13 +132,12 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
             break
         seen[state] = n
     assert pair is not None  # pigeonhole on |Q| states
-    source = dfao_mod.sequence_source(m, machine_ref or "dfao")
-    cert = certificate_from_pair(
+    source = m.source(machine_ref or "dfao")
+    return certificate_from_pair(
         source, pair[0], pair[1], m.k, depth,
         machine_ref=machine_ref or source.source_id,
         kind="dfao-pigeonhole", method="exact",
     )
-    return cert
 
 
 def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
@@ -204,7 +199,7 @@ def certify_pda(m, n_max: int = 10_000, height_cap: int = 64,
             f"{height_cap}; raising the budget may still find one"
         )
     n, n_prime, method = found
-    source = pda_mod.sequence_source(m, machine_ref or "dpao")
+    source = m.source(machine_ref or "dpao")
     return certificate_from_pair(
         source, n, n_prime, m.k, depth,
         machine_ref=machine_ref or source.source_id,

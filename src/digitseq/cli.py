@@ -17,9 +17,9 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from . import catalog as catalog_mod
 from . import certify as certify_mod
-from . import dfao as dfao_mod
 from . import morphic as morphic_mod
 from . import numbers as numbers_mod
 from . import pda as pda_mod
@@ -44,29 +44,39 @@ def _die(code: int, message: str) -> None:
 
 
 def _parse_number(token: str) -> int:
-    token = token.strip()
-    if "^" in token:
-        base, _, exp = token.partition("^")
-        return int(base) ** int(exp)
-    return int(token)
+    """An integer or a power such as 2^14; anything else exits 2."""
+    base_s, caret, exp_s = token.strip().partition("^")
+    try:
+        base, exp = int(base_s), int(exp_s) if caret else 1
+    except ValueError:
+        exp = -1
+    if exp < 0:
+        _die(EXIT_INVALID, f"not an integer or a power b^e: {token!r}")
+    return base ** exp
 
 
 def _parse_lengths(expr: str) -> list[int]:
-    """"1..64" is an arithmetic range; "2^4..2^14" steps by the power base."""
-    if ".." not in expr:
-        return [_parse_number(expr)]
-    lo_s, _, hi_s = expr.partition("..")
-    lo, hi = _parse_number(lo_s), _parse_number(hi_s)
-    if "^" in lo_s or "^" in hi_s:
-        base_s = (lo_s if "^" in lo_s else hi_s).partition("^")[0]
-        step = int(base_s)
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v *= step
-        return vals
-    return list(range(lo, hi + 1))
+    """"1..64" is an arithmetic range; "2^4..2^14" steps by the power base.
+
+    Lengths are positive and a range ascends; a power base below 2 never
+    reaches the upper end. Each of these exits 2.
+    """
+    lo_s, dots, hi_s = expr.partition("..")
+    lo = _parse_number(lo_s)
+    hi = _parse_number(hi_s) if dots else lo
+    if not 1 <= lo <= hi:
+        _die(EXIT_INVALID, f"lengths must be positive and ascending: {expr!r}")
+    if not dots or "^" not in expr:
+        return list(range(lo, hi + 1))
+    step = int((lo_s if "^" in lo_s else hi_s).partition("^")[0])
+    if step < 2:
+        _die(EXIT_INVALID, f"power base must be at least 2: {expr!r}")
+    vals = []
+    v = lo
+    while v <= hi:
+        vals.append(v)
+        v *= step
+    return vals
 
 
 def _load_machine_or_die(path: str):
@@ -76,30 +86,16 @@ def _load_machine_or_die(path: str):
         _die(EXIT_INVALID, f"machine file not found: {path}")
     except (ValueError, ValidationError, json.JSONDecodeError, KeyError) as exc:
         _die(EXIT_INVALID, f"cannot load machine {path}: {exc}")
-    report = _validate(machine)
+    report = machine.validate()
     if not report.ok:
         _die(EXIT_INVALID, f"machine {path} invalid:\n{report.summary()}")
     return machine
 
 
-def _validate(machine):
-    if isinstance(machine, Dfao):
-        return dfao_mod.validate_dfao(machine)
-    if isinstance(machine, MorphicSpec):
-        return morphic_mod.validate_morphic(machine)
-    if isinstance(machine, Dpao):
-        return pda_mod.validate_dpao(machine)
-    raise TypeError(type(machine).__name__)
-
-
-def _machine_source(machine, ref: str):
-    if isinstance(machine, Dfao):
-        return dfao_mod.sequence_source(machine, ref)
-    if isinstance(machine, MorphicSpec):
-        return morphic_mod.sequence_source(machine, ref)
-    if isinstance(machine, Dpao):
-        return pda_mod.sequence_source(machine, ref)
-    raise TypeError(type(machine).__name__)
+def _parse_pair(pair: str) -> tuple[int, int]:
+    """"n,n'" as two integers; ValueError when malformed."""
+    n_str, _, np_str = pair.partition(",")
+    return int(n_str), int(np_str)
 
 
 def _file_hash(path: str) -> str:
@@ -119,7 +115,7 @@ def _resolve_source(machine_path: str | None, stream: str | None,
         _die(EXIT_INVALID, "exactly one of --machine or --stream is required")
     if machine_path is not None:
         machine = _load_machine_or_die(machine_path)
-        return machine, _machine_source(machine, _file_hash(machine_path))
+        return machine, machine.source(_file_hash(machine_path))
     return None, _stream_or_die(stream, base)
 
 
@@ -147,7 +143,7 @@ def _fmt_approx(f: Fraction) -> str:
 
 
 @click.group()
-@click.version_option(package_name="digitseq")
+@click.version_option(version=__version__)
 def main() -> None:
     """Digit-sequence generators and repetition certificates."""
 
@@ -239,9 +235,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                 _die(EXIT_INVALID,
                      "--dilation/--growth need a morphic or tag machine")
             if dilation_n:
-                prof = tag_mod.dilation_profile(
-                    tag_mod.TagMachine(machine), _parse_number(dilation_n)
-                )
+                prof = tag_mod.dilation_profile(machine, _parse_number(dilation_n))
                 doc["dilation"] = {
                     "minRatio": _fmt_fraction(prof.min_ratio),
                     "argmin": prof.argmin,
@@ -325,8 +319,7 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
         _die(EXIT_INVALID, "need --machine or --pair with --stream")
     try:
         if pair is not None:
-            n_str, _, np_str = pair.partition(",")
-            n, n_prime = int(n_str), int(np_str)
+            n, n_prime = _parse_pair(pair)
             if stream is None:
                 _die(EXIT_INVALID, "--pair certificates need --stream")
             source = _stream_or_die(stream, base)
@@ -340,11 +333,6 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
                 cert = certify_mod.certify_dfao(machine, depth=depth,
                                                 machine_ref=ref)
             elif isinstance(machine, MorphicSpec):
-                if not morphic_mod.exponential_growth(machine):
-                    _die(EXIT_INVALID,
-                         "morphic certificates require exponential growth; "
-                         "this spec grows polynomially, so the "
-                         "self-similarity argument does not apply")
                 cert = certify_mod.certify_morphic(
                     machine, depth=depth, scan_len=scan_len, machine_ref=ref
                 )
@@ -448,9 +436,7 @@ def dilation(machine_path, count):
     machine = _load_machine_or_die(machine_path)
     if not isinstance(machine, MorphicSpec):
         _die(EXIT_INVALID, "dilation profiles need a morphic or tag machine")
-    prof = tag_mod.dilation_profile(
-        tag_mod.TagMachine(machine), _parse_number(count)
-    )
+    prof = tag_mod.dilation_profile(machine, _parse_number(count))
     for n, r in prof.samples:
         click.echo(f"n={n}: {_fmt_approx(r)}")
     click.echo(
@@ -481,8 +467,11 @@ def equiv(machine_path, pair, depth):
         machine = pda_mod.from_dfao(machine)
     elif not isinstance(machine, Dpao):
         _die(EXIT_INVALID, "equiv needs a dpao or dfao machine")
-    n_str, _, np_str = pair.partition(",")
-    result = pda_mod.bounded_distinguish(machine, int(n_str), int(np_str), depth)
+    try:
+        n, n_prime = _parse_pair(pair)
+        result = pda_mod.bounded_distinguish(machine, n, n_prime, depth)
+    except ValueError as exc:
+        _die(EXIT_INVALID, str(exc))
     click.echo(result.describe())
     if not result.distinguished:
         click.echo("note: exhausting the depth proves nothing by itself")

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ValidationError
 from .validation import ValidationReport
-from .words import Alphabet, SequencePrefix, SequenceSource, encode_base_k
+from .words import Alphabet, SequenceSource, encode_base_k
 
-__all__ = ["Dfao", "validate_dfao", "run_word", "run", "prefix", "sequence_source"]
+__all__ = ["Dfao", "run_word", "run"]
 
 
 @dataclass(frozen=True)
@@ -42,57 +41,70 @@ class Dfao:
     def state_count(self) -> int:
         return len(self.states)
 
+    def validate(self) -> ValidationReport:
+        """Check totality of the transition table and membership of all names.
 
-def validate_dfao(m: Dfao) -> ValidationReport:
-    """Check totality of the transition table and membership of all names.
-
-    Unreachable states are warnings, not errors.
-    """
-    report = ValidationReport()
-    if m.k < 2:
-        report.error("invalid-base", f"input base must be >= 2, got {m.k}")
-    if len(set(m.states)) != len(m.states):
-        report.error("duplicate-state", "state names must be distinct")
-    known = set(m.states)
-    if m.initial not in known:
-        report.error("unknown-state", f"initial state {m.initial!r} not declared")
-    for q in m.states:
-        row = m.delta.get(q)
-        if row is None:
-            report.error("missing-transition", f"no transitions for state {q!r}")
-            continue
-        if len(row) != max(m.k, 0):
-            report.error(
-                "missing-transition",
-                f"state {q!r} defines {len(row)} of {m.k} digit transitions",
-            )
-        for d, tgt in enumerate(row):
-            if tgt not in known:
+        Unreachable states are warnings, not errors.
+        """
+        report = ValidationReport()
+        if self.k < 2:
+            report.error("invalid-base", f"input base must be >= 2, got {self.k}")
+        if len(set(self.states)) != len(self.states):
+            report.error("duplicate-state", "state names must be distinct")
+        known = set(self.states)
+        if self.initial not in known:
+            report.error("unknown-state",
+                         f"initial state {self.initial!r} not declared")
+        for q in self.states:
+            row = self.delta.get(q)
+            if row is None:
+                report.error("missing-transition", f"no transitions for state {q!r}")
+                continue
+            if len(row) != max(self.k, 0):
                 report.error(
-                    "unknown-state", f"delta({q!r}, {d}) targets unknown {tgt!r}"
+                    "missing-transition",
+                    f"state {q!r} defines {len(row)} of {self.k} digit transitions",
                 )
-    for q in m.delta:
-        if q not in known:
-            report.error("unknown-state", f"transition row for unknown state {q!r}")
-    for q in m.states:
-        if q not in m.output:
-            report.error("missing-output", f"state {q!r} has no output symbol")
-    for q in m.output:
-        if q not in known:
-            report.error("unknown-state", f"output for unknown state {q!r}")
-    if not report.errors:
-        reached = {m.initial}
-        frontier = [m.initial]
-        while frontier:
-            q = frontier.pop()
-            for tgt in m.delta[q]:
-                if tgt not in reached:
-                    reached.add(tgt)
-                    frontier.append(tgt)
-        for q in m.states:
-            if q not in reached:
-                report.warn("unreachable-state", f"state {q!r} is unreachable")
-    return report
+            for d, tgt in enumerate(row):
+                if tgt not in known:
+                    report.error(
+                        "unknown-state",
+                        f"delta({q!r}, {d}) targets unknown {tgt!r}",
+                    )
+        for q in self.delta:
+            if q not in known:
+                report.error("unknown-state",
+                             f"transition row for unknown state {q!r}")
+        for q in self.states:
+            if q not in self.output:
+                report.error("missing-output", f"state {q!r} has no output symbol")
+        for q in self.output:
+            if q not in known:
+                report.error("unknown-state", f"output for unknown state {q!r}")
+        if not report.errors:
+            reached = {self.initial}
+            frontier = [self.initial]
+            while frontier:
+                q = frontier.pop()
+                for tgt in self.delta[q]:
+                    if tgt not in reached:
+                        reached.add(tgt)
+                        frontier.append(tgt)
+            for q in self.states:
+                if q not in reached:
+                    report.warn("unreachable-state", f"state {q!r} is unreachable")
+        return report
+
+    def source(self, source_id: str) -> SequenceSource:
+        """The output sequence, n = 0, 1, 2, ...; validates first."""
+        self.validate().require()
+        alphabet = self.output_alphabet()
+        out = self.output
+
+        def gen(n: int) -> bytes:
+            return bytes(alphabet.index(out[q]) for q in _state_table(self, n))
+
+        return SequenceSource(source_id, alphabet, gen)
 
 
 def run_word(m: Dfao, digits) -> str:
@@ -117,24 +129,3 @@ def _state_table(m: Dfao, count: int) -> list[str]:
     for n in range(1, count):
         states[n] = m.delta[states[n // m.k]][n % m.k]
     return states
-
-
-def prefix(m: Dfao, count: int) -> SequencePrefix:
-    """Outputs for n = 0 .. count-1 as a sequence prefix."""
-    alphabet = m.output_alphabet()
-    out = m.output
-    data = bytes(alphabet.index(out[q]) for q in _state_table(m, count))
-    return SequencePrefix(f"dfao:{m.initial}@{id(m):x}", alphabet, data)
-
-
-def sequence_source(m: Dfao, source_id: str) -> SequenceSource:
-    report = validate_dfao(m)
-    if not report.ok:
-        raise ValidationError(report)
-    alphabet = m.output_alphabet()
-    out = m.output
-
-    def gen(n: int) -> bytes:
-        return bytes(alphabet.index(out[q]) for q in _state_table(m, n))
-
-    return SequenceSource(source_id, alphabet, gen)

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .dfao import Dfao
-from .errors import BudgetExceededError, NumericError, ValidationError
+from .errors import BudgetExceededError, NumericError
 from .validation import ValidationReport
 from .words import Alphabet, SequencePrefix, SequenceSource
 
@@ -28,15 +28,11 @@ __all__ = [
     "GrowthReport",
     "LetterGrowth",
     "RepetitionSeed",
-    "validate_morphic",
-    "require_valid",
     "incidence",
     "exponential_growth",
     "spectral_radius_estimate",
     "growth_report",
     "fixed_point_prefix",
-    "sequence_source",
-    "internal_source",
     "image_length",
     "iterated_length",
     "repetition_seed",
@@ -72,72 +68,77 @@ class MorphicSpec:
         lengths = {len(img) for img in self.rules.values()}
         return lengths.pop() if len(lengths) == 1 else None
 
+    def validate(self) -> ValidationReport:
+        """Declared names, non-erasing rules, a prolongable start letter.
 
-def validate_morphic(spec: MorphicSpec) -> ValidationReport:
-    report = ValidationReport()
-    letters = set(spec.internal)
-    if len(letters) != len(spec.internal):
-        report.error("duplicate-letter", "internal letters must be distinct")
-    if len(set(spec.external)) != len(spec.external):
-        report.error("duplicate-letter", "external letters must be distinct")
-    if spec.start not in letters:
-        report.error("unknown-letter", f"start letter {spec.start!r} not declared")
-    for a in spec.internal:
-        img = spec.rules.get(a)
-        if img is None:
-            report.error("missing-rule", f"letter {a!r} has no image")
-            continue
-        if len(img) == 0:
+        Letters that never occur in the fixed point are warnings."""
+        report = ValidationReport()
+        letters = set(self.internal)
+        if len(letters) != len(self.internal):
+            report.error("duplicate-letter", "internal letters must be distinct")
+        if len(set(self.external)) != len(self.external):
+            report.error("duplicate-letter", "external letters must be distinct")
+        if self.start not in letters:
+            report.error("unknown-letter", f"start letter {self.start!r} not declared")
+        for a in self.internal:
+            img = self.rules.get(a)
+            if img is None:
+                report.error("missing-rule", f"letter {a!r} has no image")
+                continue
+            if len(img) == 0:
+                report.error(
+                    "unsupported-erasing",
+                    f"letter {a!r} maps to the empty word; erasing morphisms "
+                    "are rejected, not normalized",
+                )
+            for b in img:
+                if b not in letters:
+                    report.error("unknown-letter", f"image of {a!r} uses {b!r}")
+        for a in self.rules:
+            if a not in letters:
+                report.error("unknown-letter", f"rule for undeclared letter {a!r}")
+        for a in self.internal:
+            c = self.coding.get(a)
+            if c is None:
+                report.error("missing-coding", f"letter {a!r} has no coding")
+            elif c not in set(self.external):
+                report.error("unknown-letter", f"coding of {a!r} is {c!r}")
+        if report.errors:
+            return report
+        img = self.rules[self.start]
+        # non-erasing images make |sigma^n(start)| -> infinity automatic once
+        # sigma(start) = start W with W non-empty
+        if img[0] != self.start or len(img) < 2:
             report.error(
-                "unsupported-erasing",
-                f"letter {a!r} maps to the empty word; erasing morphisms "
-                "are rejected, not normalized",
+                "not-prolongable",
+                f"image of start must be {self.start!r} followed by at least "
+                f"one letter, got {''.join(img)!r}",
             )
-        for b in img:
-            if b not in letters:
-                report.error("unknown-letter", f"image of {a!r} uses {b!r}")
-    for a in spec.rules:
-        if a not in letters:
-            report.error("unknown-letter", f"rule for undeclared letter {a!r}")
-    for a in spec.internal:
-        c = spec.coding.get(a)
-        if c is None:
-            report.error("missing-coding", f"letter {a!r} has no coding")
-        elif c not in set(spec.external):
-            report.error("unknown-letter", f"coding of {a!r} is {c!r}")
-    if report.errors:
+            return report
+        reached = {self.start}
+        frontier = [self.start]
+        while frontier:
+            a = frontier.pop()
+            for b in self.rules[a]:
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        for a in self.internal:
+            if a not in reached:
+                report.warn(
+                    "unreachable-letter",
+                    f"letter {a!r} never occurs in the fixed point",
+                )
         return report
-    img = spec.rules[spec.start]
-    # non-erasing images make |sigma^n(start)| -> infinity automatic once
-    # sigma(start) = start W with W non-empty
-    if img[0] != spec.start or len(img) < 2:
-        report.error(
-            "not-prolongable",
-            f"image of start must be {spec.start!r} followed by at least "
-            f"one letter, got {''.join(img)!r}",
+
+    def source(self, source_id: str) -> SequenceSource:
+        """The coded fixed point over the external alphabet; validates first."""
+        self.validate().require()
+        ext_alpha = self.external_alphabet()
+        table = _coding_table(self, ext_alpha)
+        return SequenceSource(
+            source_id, ext_alpha, lambda n: _expand_indices(self, n).translate(table)
         )
-        return report
-    reached = {spec.start}
-    frontier = [spec.start]
-    while frontier:
-        a = frontier.pop()
-        for b in spec.rules[a]:
-            if b not in reached:
-                reached.add(b)
-                frontier.append(b)
-    for a in spec.internal:
-        if a not in reached:
-            report.warn(
-                "unreachable-letter",
-                f"letter {a!r} never occurs in the fixed point",
-            )
-    return report
-
-
-def require_valid(spec: MorphicSpec) -> None:
-    report = validate_morphic(spec)
-    if not report.ok:
-        raise ValidationError(report)
 
 
 def incidence(spec: MorphicSpec) -> list[list[int]]:
@@ -241,7 +242,7 @@ def _component_has_cycle(comp: tuple[str, ...],
 def exponential_growth(spec: MorphicSpec) -> bool:
     """Exact combinatorial test for spectral radius of the incidence
     matrix exceeding 1. No floating point is involved."""
-    require_valid(spec)
+    spec.validate().require()
     edges = _edges(spec)
     return any(_component_is_exponential(c, edges) for c in _sccs(spec))
 
@@ -253,7 +254,7 @@ def spectral_radius_estimate(spec: MorphicSpec, tol: float = 1e-9) -> float:
     accurate far below tol even for the defective radius-1 matrices that
     defeat plain power iteration. Consistent with exponential_growth.
     """
-    require_valid(spec)
+    spec.validate().require()
     m = np.array(incidence(spec), dtype=float)
     try:
         eigenvalues = np.linalg.eigvals(m)
@@ -308,7 +309,7 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
     chain of theta-achieving components on a reachability path. The
     convention is validated against direct iteration in the test suite.
     """
-    require_valid(spec)
+    spec.validate().require()
     edges = _edges(spec)
     comps = _sccs(spec)
     comp_of = {a: ci for ci, comp in enumerate(comps) for a in comp}
@@ -403,7 +404,7 @@ def fixed_point_prefix(spec: MorphicSpec, count: int
     Streaming expansion: the fixed point is sigma(start) followed by the
     images of its own letters in order, so one growing buffer suffices.
     """
-    require_valid(spec)
+    spec.validate().require()
     internal = _expand_indices(spec, count)
     ext_alpha = spec.external_alphabet()
     coded = internal.translate(_coding_table(spec, ext_alpha))
@@ -411,24 +412,6 @@ def fixed_point_prefix(spec: MorphicSpec, count: int
     return (
         SequencePrefix(sid, ext_alpha, coded),
         SequencePrefix(sid + ":internal", spec.internal_alphabet(), internal),
-    )
-
-
-def sequence_source(spec: MorphicSpec, source_id: str) -> SequenceSource:
-    require_valid(spec)
-    ext_alpha = spec.external_alphabet()
-    table = _coding_table(spec, ext_alpha)
-
-    def gen(n: int) -> bytes:
-        return _expand_indices(spec, n).translate(table)
-
-    return SequenceSource(source_id, ext_alpha, gen)
-
-
-def internal_source(spec: MorphicSpec, source_id: str) -> SequenceSource:
-    require_valid(spec)
-    return SequenceSource(
-        source_id, spec.internal_alphabet(), lambda n: _expand_indices(spec, n)
     )
 
 
@@ -472,7 +455,8 @@ def repetition_seed(spec: MorphicSpec, scan_len: int = 4096) -> RepetitionSeed:
     """
     if not exponential_growth(spec):
         raise ValueError(
-            "repetition seeds require a morphism with exponential growth"
+            "morphic certificates require exponential growth; this spec grows "
+            "polynomially, so the self-similarity argument does not apply"
         )
     maximal = set(growth_report(spec).maximal)
     word = _expand_indices(spec, scan_len)
@@ -502,7 +486,7 @@ def to_dfao(spec: MorphicSpec) -> Dfao:
     digit-i transition, and the coding becomes the output table. Outputs
     agree with the fixed point for every n.
     """
-    require_valid(spec)
+    spec.validate().require()
     k = spec.is_uniform()
     if k is None:
         raise ValueError("only uniform morphisms convert to an automaton")
@@ -535,5 +519,5 @@ def from_dfao(m: Dfao) -> MorphicSpec:
         external=tuple(sorted(set(m.output.values()))),
         coding=dict(m.output),
     )
-    require_valid(spec)
+    spec.validate().require()
     return spec

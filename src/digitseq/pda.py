@@ -26,27 +26,22 @@ from typing import Mapping
 from .dfao import Dfao
 from .errors import ValidationError
 from .validation import ValidationReport
-from .words import Alphabet, SequencePrefix, SequenceSource, encode_base_k
+from .words import Alphabet, SequenceSource, encode_base_k
 
 __all__ = [
     "BOTTOM",
     "Dpao",
     "StackConfig",
     "DistinguishResult",
-    "validate_dpao",
-    "require_valid",
     "initial_config",
     "step_input",
     "run_word",
     "config_of",
     "output_of_config",
     "output_at",
-    "prefix",
-    "sequence_source",
     "pop_table",
     "find_equivalent_pair",
     "bounded_distinguish",
-    "size",
     "from_dfao",
 ]
 
@@ -77,6 +72,98 @@ class Dpao:
     def output_alphabet(self) -> Alphabet:
         return Alphabet(tuple(sorted(set(self.output.values()))))
 
+    def validate(self) -> ValidationReport:
+        """Determinism, decreasing epsilon moves, and per-row completeness.
+
+        A (state, top) row with no transitions at all is reported as a warning
+        (it may be unreachable, like the (initial, symbol) rows of machines
+        that only touch the stack elsewhere); a partially filled digit row is
+        an error.
+        """
+        report = ValidationReport()
+        if self.k < 2:
+            report.error("invalid-base", f"input base must be >= 2, got {self.k}")
+        states = set(self.states)
+        symbols = set(self.stack_symbols)
+        if BOTTOM in symbols:
+            report.error("unknown-symbol", "'#' is reserved for the stack bottom")
+        if self.initial not in states:
+            report.error("unknown-state",
+                         f"initial state {self.initial!r} not declared")
+        tops = symbols | {BOTTOM}
+        for (q, a, inp), (to, push) in self.transitions.items():
+            if q not in states:
+                report.error("unknown-state", f"transition from unknown state {q!r}")
+            if a not in tops:
+                report.error("unknown-symbol", f"transition on unknown top {a!r}")
+            if to not in states:
+                report.error("unknown-state", f"transition into unknown state {to!r}")
+            for s in push:
+                if s not in symbols:
+                    report.error("unknown-symbol", f"push of unknown symbol {s!r}")
+            if inp is None:
+                if push:
+                    report.error(
+                        "increasing-epsilon",
+                        f"epsilon move at ({q!r}, {a!r}) pushes "
+                        f"{''.join(push)!r}; epsilon moves must pop exactly "
+                        "one symbol",
+                    )
+                if a == BOTTOM:
+                    report.error(
+                        "epsilon-on-bottom",
+                        f"epsilon move at ({q!r}, '#'); the bottom marker "
+                        "cannot be decreased",
+                    )
+            elif not (0 <= inp < self.k):
+                report.error("invalid-digit", f"input digit {inp} out of range")
+        if report.errors:
+            return report
+        for q in self.states:
+            for a in sorted(tops):
+                has_eps = (q, a, None) in self.transitions
+                digits = [d for d in range(self.k) if (q, a, d) in self.transitions]
+                if has_eps and digits:
+                    report.error(
+                        "determinism-conflict",
+                        f"({q!r}, {a!r}) has both an epsilon move and digit "
+                        "transitions",
+                    )
+                elif not has_eps and digits and len(digits) != self.k:
+                    report.error(
+                        "incompleteness",
+                        f"({q!r}, {a!r}) defines digits {digits}, needs all "
+                        f"of 0..{self.k - 1}",
+                    )
+                elif not has_eps and not digits:
+                    report.warn(
+                        "dead-row",
+                        f"({q!r}, {a!r}) has no transitions; only valid if "
+                        "unreachable",
+                    )
+                if (q, a) not in self.output:
+                    report.error(
+                        "missing-output", f"no output symbol for ({q!r}, {a!r})"
+                    )
+        for (q, a) in self.output:
+            if q not in states or a not in tops:
+                report.error("unknown-symbol",
+                             f"output for unknown pair ({q!r}, {a!r})")
+        return report
+
+    def source(self, source_id: str) -> SequenceSource:
+        """The output sequence, n = 0, 1, 2, ...; validates first."""
+        self.validate().require()
+        alphabet = self.output_alphabet()
+
+        def gen(n: int) -> bytes:
+            return bytes(
+                alphabet.index(output_of_config(self, c))
+                for c in _config_table(self, n)
+            )
+
+        return SequenceSource(source_id, alphabet, gen)
+
 
 @dataclass(frozen=True)
 class StackConfig:
@@ -93,90 +180,6 @@ class StackConfig:
     @property
     def top(self) -> str:
         return self.stack[-1] if self.stack else BOTTOM
-
-
-def validate_dpao(m: Dpao) -> ValidationReport:
-    """Determinism, decreasing epsilon moves, and per-row completeness.
-
-    A (state, top) row with no transitions at all is reported as a warning
-    (it may be unreachable, like the (initial, symbol) rows of machines
-    that only touch the stack elsewhere); a partially filled digit row is
-    an error.
-    """
-    report = ValidationReport()
-    if m.k < 2:
-        report.error("invalid-base", f"input base must be >= 2, got {m.k}")
-    states = set(m.states)
-    symbols = set(m.stack_symbols)
-    if BOTTOM in symbols:
-        report.error("unknown-symbol", "'#' is reserved for the stack bottom")
-    if m.initial not in states:
-        report.error("unknown-state", f"initial state {m.initial!r} not declared")
-    tops = symbols | {BOTTOM}
-    for (q, a, inp), (to, push) in m.transitions.items():
-        if q not in states:
-            report.error("unknown-state", f"transition from unknown state {q!r}")
-        if a not in tops:
-            report.error("unknown-symbol", f"transition on unknown top {a!r}")
-        if to not in states:
-            report.error("unknown-state", f"transition into unknown state {to!r}")
-        for s in push:
-            if s not in symbols:
-                report.error("unknown-symbol", f"push of unknown symbol {s!r}")
-        if inp is None:
-            if push:
-                report.error(
-                    "increasing-epsilon",
-                    f"epsilon move at ({q!r}, {a!r}) pushes "
-                    f"{''.join(push)!r}; epsilon moves must pop exactly "
-                    "one symbol",
-                )
-            if a == BOTTOM:
-                report.error(
-                    "epsilon-on-bottom",
-                    f"epsilon move at ({q!r}, '#'); the bottom marker "
-                    "cannot be decreased",
-                )
-        elif not (0 <= inp < m.k):
-            report.error("invalid-digit", f"input digit {inp} out of range")
-    if report.errors:
-        return report
-    for q in m.states:
-        for a in sorted(tops):
-            has_eps = (q, a, None) in m.transitions
-            digits = [d for d in range(m.k) if (q, a, d) in m.transitions]
-            if has_eps and digits:
-                report.error(
-                    "determinism-conflict",
-                    f"({q!r}, {a!r}) has both an epsilon move and digit "
-                    "transitions",
-                )
-            elif not has_eps and digits and len(digits) != m.k:
-                report.error(
-                    "incompleteness",
-                    f"({q!r}, {a!r}) defines digits {digits}, needs all "
-                    f"of 0..{m.k - 1}",
-                )
-            elif not has_eps and not digits:
-                report.warn(
-                    "dead-row",
-                    f"({q!r}, {a!r}) has no transitions; only valid if "
-                    "unreachable",
-                )
-            if (q, a) not in m.output:
-                report.error(
-                    "missing-output", f"no output symbol for ({q!r}, {a!r})"
-                )
-    for (q, a) in m.output:
-        if q not in states or a not in tops:
-            report.error("unknown-symbol", f"output for unknown pair ({q!r}, {a!r})")
-    return report
-
-
-def require_valid(m: Dpao) -> None:
-    report = validate_dpao(m)
-    if not report.ok:
-        raise ValidationError(report)
 
 
 def _closure(m: Dpao, state: str, stack: tuple[str, ...]
@@ -250,27 +253,6 @@ def _config_table(m: Dpao, count: int) -> list[StackConfig]:
     return configs
 
 
-def prefix(m: Dpao, count: int) -> SequencePrefix:
-    """Outputs for n = 0 .. count-1."""
-    alphabet = m.output_alphabet()
-    data = bytes(
-        alphabet.index(output_of_config(m, c)) for c in _config_table(m, count)
-    )
-    return SequencePrefix(f"dpao:{m.initial}@{id(m):x}", alphabet, data)
-
-
-def sequence_source(m: Dpao, source_id: str) -> SequenceSource:
-    require_valid(m)
-    alphabet = m.output_alphabet()
-
-    def gen(n: int) -> bytes:
-        return bytes(
-            alphabet.index(output_of_config(m, c)) for c in _config_table(m, n)
-        )
-
-    return SequenceSource(source_id, alphabet, gen)
-
-
 def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
     """For each (state, stack symbol): the states reachable at the moment
     that symbol's slot is first emptied, starting with it on top.
@@ -282,7 +264,7 @@ def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
     landed, and so on down to x_1. An empty set means the symbols below z
     are never read or removed from state q.
     """
-    require_valid(m)
+    m.validate().require()
     pop: dict[tuple[str, str], set[str]] = {
         (q, z): set() for q in m.states for z in m.stack_symbols
     }
@@ -319,7 +301,7 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
     scan order minimizes n', then n; returns None when the budget runs out
     (which proves nothing).
     """
-    require_valid(m)
+    m.validate().require()
     pops = pop_table(m)
     exact_seen: dict[StackConfig, int] = {}
     protected_seen: dict[tuple[str, str], int] = {}
@@ -369,7 +351,7 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
     nothing and is reported as such. Configuration pairs already seen are
     skipped, since outputs depend only on the configurations.
     """
-    require_valid(m)
+    m.validate().require()
     start = (config_of(m, n), config_of(m, n_prime))
     seen = {start}
     frontier: list[tuple[StackConfig, StackConfig, tuple[int, ...]]] = [
@@ -389,14 +371,6 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
                     next_frontier.append((pair[0], pair[1], word + (d,)))
         frontier = next_frontier
     return DistinguishResult(False, None, depth)
-
-
-def size(m: Dpao) -> int:
-    """States + stack symbols + longest pushed word."""
-    longest_push = max(
-        (len(push) for _to, push in m.transitions.values()), default=0
-    )
-    return len(m.states) + len(m.stack_symbols) + longest_push
 
 
 def from_dfao(a: Dfao) -> Dpao:

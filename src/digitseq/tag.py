@@ -15,18 +15,7 @@ from fractions import Fraction
 from . import morphic
 from .morphic import MorphicSpec
 
-__all__ = ["TagMachine", "DilationProfile", "size", "dilation_profile",
-           "dilation_exceeds_one"]
-
-
-@dataclass(frozen=True)
-class TagMachine:
-    spec: MorphicSpec
-
-
-def size(t: TagMachine) -> int:
-    """Internal alphabet size plus the longest image length."""
-    return len(t.spec.internal) + morphic.image_length(t.spec)
+__all__ = ["DilationProfile", "dilation_profile"]
 
 
 @dataclass(frozen=True)
@@ -37,12 +26,10 @@ class DilationProfile:
     exceeds_one: bool
 
 
-def dilation_profile(t: TagMachine, n_limit: int) -> DilationProfile:
+def dilation_profile(spec: MorphicSpec, n_limit: int) -> DilationProfile:
     """Exact W(n)/n at n = 1, 2, 4, ... up to n_limit, plus the overall
     minimum over all n <= n_limit. Single pass: W grows by one image
     length per letter read."""
-    spec = t.spec
-    morphic.require_valid(spec)
     if n_limit < 1:
         raise ValueError("profile length must be positive")
     _, internal = morphic.fixed_point_prefix(spec, n_limit)
@@ -67,10 +54,5 @@ def dilation_profile(t: TagMachine, n_limit: int) -> DilationProfile:
         samples=tuple(samples),
         min_ratio=min_ratio,
         argmin=argmin,
-        exceeds_one=dilation_exceeds_one(t),
+        exceeds_one=morphic.exponential_growth(spec),
     )
-
-
-def dilation_exceeds_one(t: TagMachine) -> bool:
-    """Exact decision, delegated to the combinatorial growth test."""
-    return morphic.exponential_growth(t.spec)

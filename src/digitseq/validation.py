@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ValidationError
+
 __all__ = ["ValidationReport"]
 
 
@@ -21,6 +23,11 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    def require(self) -> None:
+        """Raise ValidationError carrying this report if it has errors."""
+        if self.errors:
+            raise ValidationError(self)
 
     def error_kinds(self) -> set[str]:
         return {kind for kind, _ in self.errors}

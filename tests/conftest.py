@@ -106,7 +106,6 @@ def random_morphic(rng: random.Random, require_reachable: bool = True
                    ) -> MorphicSpec:
     """A valid spec with |A| <= 4 and image lengths <= 3; all letters
     reachable from the start when require_reachable is set."""
-    from digitseq.morphic import validate_morphic
     while True:
         d = rng.randint(1, 4)
         letters = LETTERS[:d]
@@ -124,7 +123,7 @@ def random_morphic(rng: random.Random, require_reachable: bool = True
             external=tuple(letters),
             coding={a: a for a in letters},
         )
-        report = validate_morphic(spec)
+        report = spec.validate()
         if not report.ok:
             continue
         if require_reachable and report.warnings:

@@ -27,7 +27,7 @@ from pathlib import Path
 from conftest import (balance_oracle, brute_force_best, legendre_oracle,
                       morphic_growth_oracle, parity_oracle, random_dpao,
                       random_morphic, simulate_pop_states)
-from digitseq import certify, dfao, morphic, numbers, pda, tag, words
+from digitseq import certify, morphic, numbers, pda, tag, words
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -48,13 +48,13 @@ def ok(msg: str) -> None:
 
 
 def test_c01_xi2_golden_vector(xi2):
-    assert pda.prefix(xi2, 40).text() == XI2_GOLDEN_40
+    assert xi2.source("test").prefix(40).text() == XI2_GOLDEN_40
     ok("criterion 1: pushdown transducer reproduces the 40-digit golden "
        "vector exactly")
 
 
 def test_c02_xi2_oracle_equivalence(xi2):
-    text = pda.prefix(xi2, 10 ** 5).text()
+    text = xi2.source("test").prefix(10 ** 5).text()
     for n in range(10 ** 5):
         assert text[n] == balance_oracle(n), n
     ok("criterion 2: pushdown outputs equal the digit-balance oracle for "
@@ -79,7 +79,7 @@ def test_c03_xi1_golden_prefix(xi1):
 
 
 def test_c04_three_squares_oracle(three_squares):
-    text = dfao.prefix(three_squares, 10 ** 4).text()
+    text = three_squares.source("test").prefix(10 ** 4).text()
     for n in range(10 ** 4):
         assert text[n] == legendre_oracle(n), n
     fractional = text[1:40]
@@ -106,7 +106,7 @@ def test_c06_pda_certificate(xi2, tmp_path):
     assert cert.pair == (1, 5) and cert.method == "exact"
     assert cert.dio_lower_bound == Fraction(5, 4)
     assert len(cert.witnesses) == 13  # levels 0..12
-    source = pda.sequence_source(xi2, "xi2")
+    source = xi2.source("xi2")
     assert source.prefix(2 ** 12 * 6)  # prefix scale ~ 5 * 2^12
     report = certify.verify_certificate(source, cert)
     assert report.valid
@@ -149,7 +149,7 @@ def test_c08_dfao_certificates(tm_dfao, three_squares):
         cert = certify.certify_dfao(m, depth=10)
         assert cert.pair[1] <= m.state_count() + 1
         assert cert.verified_depth == 10
-        source = dfao.sequence_source(m, "m")
+        source = m.source("m")
         assert certify.verify_certificate(source, cert).valid
     ok("criterion 8: pigeonhole certificates for both catalog automata, "
        "n' within state count + 1, verified to depth 10")
@@ -166,10 +166,10 @@ def test_c09_xi3_sequence_pair():
 
 def test_c10_dio_cap_property(tm_morphic, xi1):
     lengths = [2 ** e for e in range(4, 15)]
-    tm_src = morphic.sequence_source(tm_morphic, "tm")
+    tm_src = tm_morphic.source("tm")
     for ell, ratio in words.dio_profile(tm_src, lengths, v_max=max(lengths)):
         assert ratio <= 3, ell
-    xi1_src = morphic.sequence_source(xi1, "xi1")
+    xi1_src = xi1.source("xi1")
     for ell, ratio in words.dio_profile(xi1_src, lengths, v_max=max(lengths)):
         assert ratio <= 4, ell
     ok("criterion 10: repetition ratios capped by (image length + 1): "
@@ -179,7 +179,7 @@ def test_c10_dio_cap_property(tm_morphic, xi1):
 def test_c11_complexity_bounds(tm_dfao, three_squares, xi1, xi2):
     # automatic words: p(n) <= k M^2 n
     for m in (tm_dfao, three_squares):
-        pre = dfao.prefix(m, 2 ** 16)
+        pre = m.source("test").prefix(2 ** 16)
         profile = words.factor_complexity_profile(pre, 256)
         bound = m.k * m.state_count() ** 2
         for n in range(1, 257):
@@ -200,7 +200,7 @@ def test_c11_complexity_bounds(tm_dfao, three_squares, xi1, xi2):
     # balance word: a complexity jump above 10 well before 2^12, while
     # p(n) stays at or below n^2 from n = 30 on (the n log^2 n regime is
     # reported, not asserted asymptotically)
-    xpre = pda.prefix(xi2, 2 ** 16)
+    xpre = xi2.source("test").prefix(2 ** 16)
     x2p = words.factor_complexity_profile(xpre, 300)
     jump_at = 4
     assert jump_at <= 2 ** 12
@@ -233,23 +233,23 @@ def test_c12_sqrt2_digits():
 
 def test_c13_dilation_consistency(tm_morphic, xi1, squares):
     for spec in (tm_morphic, xi1, squares):
-        assert tag.dilation_exceeds_one(tag.TagMachine(spec)) == \
-            morphic.exponential_growth(spec)
+        assert tag.dilation_profile(spec, 64).exceeds_one == \
+            morphic_growth_oracle(spec)
     rng = random.Random(1313)
     for _ in range(500):
         spec = random_morphic(rng)
-        exact = tag.dilation_exceeds_one(tag.TagMachine(spec))
+        exact = tag.dilation_profile(spec, 64).exceeds_one
         assert exact == morphic.exponential_growth(spec)
         assert exact == (morphic.spectral_radius_estimate(spec) > 1 + 1e-6)
         assert exact == morphic_growth_oracle(spec)
-    prof = tag.dilation_profile(tag.TagMachine(tm_morphic), 2 ** 10)
+    prof = tag.dilation_profile(tm_morphic, 2 ** 10)
     assert all(r == 2 for _, r in prof.samples) and prof.min_ratio == 2
-    sq4 = tag.dilation_profile(tag.TagMachine(squares), 10 ** 4)
+    sq4 = tag.dilation_profile(squares, 10 ** 4)
     assert sq4.min_ratio == Fraction(10199, 10000)  # exact minimum, frozen
-    sq16 = tag.dilation_profile(tag.TagMachine(squares), 2 ** 16)
+    sq16 = tag.dilation_profile(squares, 2 ** 16)
     assert sq16.min_ratio == Fraction(66047, 65536)
     assert sq16.min_ratio <= Fraction(101, 100)
-    xi1_prof = tag.dilation_profile(tag.TagMachine(xi1), 10 ** 4)
+    xi1_prof = tag.dilation_profile(xi1, 10 ** 4)
     assert xi1_prof.min_ratio == 2 >= 1 + Fraction(1, 2)
     ok("criterion 13: dilation boolean agrees with growth on catalog and "
        "500 random specs (three routes); uniform profile constant 2; "
@@ -288,7 +288,7 @@ def test_c15_conversion_round_trip(tm_morphic, tm_dfao):
     converted = morphic.to_dfao(tm_morphic)
     assert converted == tm_dfao
     assert morphic.from_dfao(tm_dfao) == tm_morphic
-    auto = dfao.prefix(tm_dfao, 10 ** 4).text()
+    auto = tm_dfao.source("test").prefix(10 ** 4).text()
     word, _ = morphic.fixed_point_prefix(tm_morphic, 10 ** 4)
     assert auto == word.text()
     for n in range(10 ** 4):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import periodic_source
-from digitseq import dfao, morphic, numbers, pda
+from digitseq import dfao, numbers, pda
 from digitseq.certify import (Certificate, certificate_from_json,
                               certificate_from_pair, certificate_to_json,
                               certify_dfao, certify_morphic, certify_pda,
@@ -14,7 +14,7 @@ from digitseq.words import RepetitionWitness, verify_repetition
 
 @pytest.fixture(scope="module")
 def xi2_source(xi2):
-    return pda.sequence_source(xi2, "dpao:xi2")
+    return xi2.source("dpao:xi2")
 
 
 class TestPairCertificates:
@@ -35,7 +35,7 @@ class TestPairCertificates:
 
     def test_witnesses_verify_against_fresh_prefix(self, xi2, xi2_source):
         cert = certificate_from_pair(xi2_source, 1, 5, 2, depth=8)
-        fresh = pda.prefix(xi2, 2 ** 8 * 6)
+        fresh = xi2.source("test").prefix(2 ** 8 * 6)
         assert all(verify_repetition(fresh, w) for w in cert.witnesses)
 
     def test_length_growth_is_exactly_k(self, xi2_source):
@@ -51,10 +51,13 @@ class TestPairCertificates:
         assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_non_equivalent_pair_is_refuted_with_location(self, tm_dfao):
-        src = dfao.sequence_source(tm_dfao, "tm")
+        src = tm_dfao.source("tm")
         with pytest.raises(PairRefutedError) as info:
             certificate_from_pair(src, 1, 3, 2, depth=4)
         assert info.value.level == 0 and info.value.offset == 0
+        with pytest.raises(PairRefutedError) as info:
+            certificate_from_pair(numbers.xi3_source(), 3, 6, 2, depth=6)
+        assert (info.value.level, info.value.offset) == (3, 2)
 
     def test_pair_must_be_positive_and_ordered(self, xi2_source):
         with pytest.raises(ValueError):
@@ -110,7 +113,7 @@ class TestMorphicCertificates:
 
     def test_witnesses_hold_on_coded_word_too(self, xi1):
         cert = certify_morphic(xi1, depth=6)
-        src = morphic.sequence_source(xi1, "xi1")
+        src = xi1.source("xi1")
         report = verify_certificate(src, cert)
         assert report.valid
 
@@ -141,9 +144,9 @@ class TestVerification:
         for cert, src in (
             (certify_pda(xi2, depth=8), xi2_source),
             (certify_dfao(tm_dfao, depth=8),
-             dfao.sequence_source(tm_dfao, "tm")),
+             tm_dfao.source("tm")),
             (certify_morphic(xi1, depth=6),
-             morphic.sequence_source(xi1, "xi1")),
+             xi1.source("xi1")),
         ):
             report = verify_certificate(src, cert, extra_depth=1)
             assert report.valid, report.failures
@@ -165,7 +168,7 @@ class TestVerification:
 
     def test_wrong_source_is_invalid(self, xi2_source, tm_dfao):
         cert = certificate_from_pair(xi2_source, 1, 5, 2, depth=4)
-        report = verify_certificate(dfao.sequence_source(tm_dfao, "tm"), cert)
+        report = verify_certificate(tm_dfao.source("tm"), cert)
         assert not report.valid
 
     def test_inflated_bound_is_invalid(self, xi2_source):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from digitseq import catalog
+from digitseq import __version__, catalog
 from digitseq.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -94,6 +95,19 @@ class TestAnalyze:
         assert r.exit_code == 0
         assert "stays above 1: False" in r.output
         assert "exponential growth: False" in r.output
+
+    @pytest.mark.parametrize("option, lengths", [
+        ("--dio", "1^2..1^3"),        # power base 1 never reaches the end
+        ("--complexity", "5..1"),     # descending range
+        ("--right-special", "0..3"),  # block length 0
+        ("--dio", "2^4..2^x"),        # not a number
+    ])
+    def test_bad_lengths_exit_2(self, runner, machines, option, lengths):
+        r = run_cli(runner, ["analyze", "--machine",
+                             str(machines / "thue-morse.json"), option, lengths,
+                             "--prefix-length", "2^10"])
+        assert r.exit_code == 2
+        assert r.output.startswith("error: ")
 
     def test_right_special_table(self, runner, machines):
         r = run_cli(runner, ["analyze", "--machine",
@@ -219,6 +233,13 @@ class TestOtherCommands:
                              "--depth", "4"])
         assert "distinguished" in r.output
 
+    @pytest.mark.parametrize("pair", ["1", "a,5", "-1,5"])
+    def test_equiv_bad_pair_exits_2(self, runner, machines, pair):
+        r = run_cli(runner, ["equiv", "--machine",
+                             str(machines / "xi2.json"), "--pair", pair])
+        assert r.exit_code == 2
+        assert r.output.startswith("error: ")
+
     def test_imitate(self, runner):
         r = run_cli(runner, ["imitate", "--stream", "rational:1/3",
                              "--base", "2", "--states", "2", "--len", "64"])
@@ -262,3 +283,16 @@ class TestDeterminism:
                 capture_output=True, env=env, check=True)
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestVersion:
+    def test_version_needs_no_install_metadata(self, tmp_path):
+        # the package sources alone, with no distribution metadata beside them
+        shutil.copytree(Path(SRC) / "digitseq", tmp_path / "digitseq",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        r = subprocess.run([sys.executable, "-m", "digitseq", "--version"],
+                           capture_output=True, text=True, env=env,
+                           cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == f"python -m digitseq, version {__version__}\n"

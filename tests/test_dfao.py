@@ -2,36 +2,35 @@ import pytest
 
 from conftest import legendre_oracle, parity_oracle
 from digitseq import words
-from digitseq.dfao import (Dfao, prefix, run, run_word, sequence_source,
-                           validate_dfao)
+from digitseq.dfao import Dfao, run, run_word
 
 
 class TestValidation:
     def test_catalog_machines_are_valid(self, tm_dfao, three_squares):
-        assert validate_dfao(tm_dfao).ok
-        assert validate_dfao(three_squares).ok
+        assert tm_dfao.validate().ok
+        assert three_squares.validate().ok
 
     def test_missing_transition(self):
         m = Dfao(k=2, states=("q0",), initial="q0", delta={"q0": ("q0",)},
                  output={"q0": "a"})
-        report = validate_dfao(m)
+        report = m.validate()
         assert "missing-transition" in report.error_kinds()
 
     def test_invalid_base(self):
         m = Dfao(k=1, states=("q0",), initial="q0", delta={"q0": ("q0",)},
                  output={"q0": "a"})
-        assert "invalid-base" in validate_dfao(m).error_kinds()
+        assert "invalid-base" in m.validate().error_kinds()
 
     def test_unknown_target(self):
         m = Dfao(k=2, states=("q0",), initial="q0",
                  delta={"q0": ("q0", "q9")}, output={"q0": "a"})
-        assert "unknown-state" in validate_dfao(m).error_kinds()
+        assert "unknown-state" in m.validate().error_kinds()
 
     def test_unreachable_state_is_a_warning(self):
         m = Dfao(k=2, states=("q0", "q1"), initial="q0",
                  delta={"q0": ("q0", "q0"), "q1": ("q0", "q0")},
                  output={"q0": "a", "q1": "b"})
-        report = validate_dfao(m)
+        report = m.validate()
         assert report.ok
         assert "unreachable-state" in report.warning_kinds()
 
@@ -48,28 +47,28 @@ class TestRun:
         assert run(three_squares, 7) == "0"
 
     def test_parity_oracle_range(self, tm_dfao):
-        text = prefix(tm_dfao, 2000).text()
+        text = tm_dfao.source("test").prefix(2000).text()
         assert all(text[n] == parity_oracle(n) for n in range(2000))
 
     def test_legendre_oracle_range(self, three_squares):
-        text = prefix(three_squares, 2000).text()
+        text = three_squares.source("test").prefix(2000).text()
         assert all(text[n] == legendre_oracle(n) for n in range(2000))
 
 
 class TestPrefix:
     def test_thue_morse_eight(self, tm_dfao):
-        assert prefix(tm_dfao, 8).text() == "01101001"
+        assert tm_dfao.source("test").prefix(8).text() == "01101001"
 
     def test_three_squares_eight(self, three_squares):
-        assert prefix(three_squares, 8).text() == "11111110"
+        assert three_squares.source("test").prefix(8).text() == "11111110"
 
     def test_single_state_machine(self):
         m = Dfao(k=2, states=("q",), initial="q", delta={"q": ("q", "q")},
                  output={"q": "c"})
-        assert prefix(m, 5).text() == "ccccc"
+        assert m.source("test").prefix(5).text() == "ccccc"
 
     def test_prefix_agrees_with_run(self, three_squares):
-        text = prefix(three_squares, 300).text()
+        text = three_squares.source("test").prefix(300).text()
         assert all(text[n] == run(three_squares, n) for n in range(300))
 
 
@@ -89,7 +88,7 @@ class TestComplexityBound:
     def test_automatic_bound_small(self, tm_dfao, three_squares):
         # p(n) <= k * M^2 * n, spot-checked at modest prefix scale here
         for m in (tm_dfao, three_squares):
-            pre = prefix(m, 2 ** 12)
+            pre = m.source("test").prefix(2 ** 12)
             bound = m.k * m.state_count() ** 2
             profile = words.factor_complexity_profile(pre, 32)
             assert all(profile[n - 1] <= bound * n for n in range(1, 33))
@@ -97,7 +96,7 @@ class TestComplexityBound:
 
 class TestSource:
     def test_source_is_deterministic(self, tm_dfao):
-        src = sequence_source(tm_dfao, "tm")
+        src = tm_dfao.source("tm")
         a = src.prefix(64).text()
         b = src.prefix(128).text()
         assert b.startswith(a)
@@ -107,4 +106,4 @@ class TestSource:
                    output={"q0": "a"})
         from digitseq.errors import ValidationError
         with pytest.raises(ValidationError):
-            sequence_source(bad, "bad")
+            bad.source("bad")

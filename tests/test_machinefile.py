@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from digitseq import catalog, dfao, morphic, pda
+from digitseq import catalog, dfao, morphic
 from digitseq.errors import ValidationError
 from digitseq.machinefile import (load_machine, loads_machine,
                                   machine_to_dict, save_machine)
@@ -93,7 +93,7 @@ class TestEncodings:
         }
         m = loads_machine(json.dumps(doc))
         assert (("q", "X", None) in m.transitions)
-        assert pda.validate_dpao(m).ok
+        assert m.validate().ok
         # round trip keeps the eps row
         back = loads_machine(json.dumps(machine_to_dict(m)))
         assert back == m

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from conftest import morphic_growth_oracle, random_morphic
-from digitseq import dfao, words
+from digitseq import dfao, pda, words
 from digitseq.morphic import (MorphicSpec, exponential_growth,
                               fixed_point_prefix, from_dfao, growth_report,
                               incidence, iterated_length, repetition_seed,
-                              sequence_source, spectral_radius_estimate,
-                              to_dfao, validate_morphic)
+                              spectral_radius_estimate, to_dfao)
 
 
 def make_spec(rules: dict[str, str], start: str = "a") -> MorphicSpec:
@@ -28,22 +27,22 @@ FIB = make_spec({"a": "ab", "b": "a"})
 class TestValidation:
     def test_catalog_specs_are_valid(self, xi1, squares, tm_morphic):
         for spec in (xi1, squares, tm_morphic):
-            assert validate_morphic(spec).ok
+            assert spec.validate().ok
 
     def test_not_prolongable(self):
-        report = validate_morphic(make_spec({"a": "a"}))
+        report = make_spec({"a": "a"}).validate()
         assert "not-prolongable" in report.error_kinds()
 
     def test_erasing_rejected_not_normalized(self):
-        report = validate_morphic(make_spec({"a": "ab", "b": ""}))
+        report = make_spec({"a": "ab", "b": ""}).validate()
         assert "unsupported-erasing" in report.error_kinds()
 
     def test_start_must_lead_its_image(self):
-        report = validate_morphic(make_spec({"a": "ba", "b": "ab"}))
+        report = make_spec({"a": "ba", "b": "ab"}).validate()
         assert "not-prolongable" in report.error_kinds()
 
     def test_unreachable_letter_warns(self):
-        report = validate_morphic(make_spec({"a": "aa", "b": "ab"}))
+        report = make_spec({"a": "aa", "b": "ab"}).validate()
         assert report.ok
         assert "unreachable-letter" in report.warning_kinds()
 
@@ -217,9 +216,28 @@ class TestConversion:
 
     def test_outputs_agree(self, tm_morphic):
         machine = to_dfao(tm_morphic)
-        auto = dfao.prefix(machine, 3000).text()
+        auto = machine.source("test").prefix(3000).text()
         word, _ = fixed_point_prefix(tm_morphic, 3000)
         assert auto == word.text()
+
+    def test_three_models_agree_on_random_uniform_specs(self):
+        # a k-uniform spec, its automaton and that automaton recast as a
+        # stack-free pushdown transducer must emit byte-identical prefixes
+        rng = random.Random(2718)
+        for _ in range(30):
+            k = rng.choice((2, 3))
+            letters = "abcd"[:rng.randint(1, 4)]
+            rules = {a: tuple(rng.choice(letters) for _ in range(k))
+                     for a in letters}
+            rules["a"] = ("a",) + rules["a"][1:]
+            coding = {a: rng.choice("012") for a in letters}
+            spec = MorphicSpec(internal=tuple(letters), rules=rules, start="a",
+                               external=tuple(sorted(set(coding.values()))),
+                               coding=coding)
+            automaton = to_dfao(spec)
+            prefixes = [m.source("uniform").prefix(2 ** 12)
+                        for m in (spec, automaton, pda.from_dfao(automaton))]
+            assert prefixes[0] == prefixes[1] == prefixes[2], spec
 
 
 class TestDioCapProperty:
@@ -227,6 +245,6 @@ class TestDioCapProperty:
         # aperiodic purely morphic word: exponent stays below
         # (longest image) + 1, checked on sampled profile lengths
         for spec, cap in ((tm_morphic, 3), (xi1, 4)):
-            src = sequence_source(spec, "t")
+            src = spec.source("t")
             for _, ratio in words.dio_profile(src, [64, 256, 1024]):
                 assert ratio <= cap

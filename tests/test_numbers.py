@@ -147,10 +147,9 @@ class TestAgreement:
         assert longest_agreement(a, b, 100) == (100, True)
 
     def test_machine_vs_oracle_stream(self, xi2):
-        from digitseq import pda
         from digitseq.words import SequenceSource, digit_alphabet
         from conftest import balance_oracle
-        machine = pda.sequence_source(xi2, "m")
+        machine = xi2.source("m")
         oracle = SequenceSource(
             "oracle", digit_alphabet(2),
             lambda n: bytes(int(balance_oracle(i)) for i in range(n)),
@@ -182,8 +181,7 @@ class TestImitation:
         stream = parse_stream_spec("rational:1/3", 2, expansion=True)
         agree, censored, best = imitation_index(stream, 2, 2, 64)
         assert (agree, censored) == (64, True)
-        from digitseq import dfao
-        assert dfao.prefix(best, 64).text() == \
+        assert best.source("test").prefix(64).text() == \
             rational_digits(1, 3, 2, 64).text()
 
     def test_more_states_never_hurt(self):

@@ -6,8 +6,7 @@ from conftest import balance_oracle, random_dpao, simulate_pop_states
 from digitseq.errors import ValidationError
 from digitseq.pda import (BOTTOM, Dpao, StackConfig, bounded_distinguish,
                           config_of, find_equivalent_pair, from_dfao,
-                          initial_config, output_at, pop_table, prefix,
-                          size, step_input, validate_dpao)
+                          initial_config, output_at, pop_table, step_input)
 
 XI2_GOLDEN = "1110111001101000011111101110100000010110"
 
@@ -22,7 +21,7 @@ def tiny(transitions, states=("p", "q"), symbols=("X",), outputs=None):
 
 class TestValidation:
     def test_xi2_valid_with_dead_row_warning(self, xi2):
-        report = validate_dpao(xi2)
+        report = xi2.validate()
         assert report.ok
         # the (q0, X) row is absent in the printed table; it is unreachable
         assert "dead-row" in report.warning_kinds()
@@ -34,7 +33,7 @@ class TestValidation:
             ("p", BOTTOM, 0): ("p", ()),
             ("p", BOTTOM, 1): ("p", ()),
         }
-        report = validate_dpao(tiny(t, states=("p",)))
+        report = tiny(t, states=("p",)).validate()
         assert "determinism-conflict" in report.error_kinds()
 
     def test_increasing_epsilon(self):
@@ -43,14 +42,14 @@ class TestValidation:
             ("p", BOTTOM, 0): ("p", ()),
             ("p", BOTTOM, 1): ("p", ()),
         }
-        report = validate_dpao(tiny(t, states=("p",)))
+        report = tiny(t, states=("p",)).validate()
         assert "increasing-epsilon" in report.error_kinds()
 
     def test_epsilon_on_bottom(self):
         t = {
             ("p", BOTTOM, None): ("p", ()),
         }
-        report = validate_dpao(tiny(t, states=("p",)))
+        report = tiny(t, states=("p",)).validate()
         assert "epsilon-on-bottom" in report.error_kinds()
 
     def test_partial_digit_row_is_incomplete(self):
@@ -59,7 +58,7 @@ class TestValidation:
             ("p", BOTTOM, 1): ("p", ()),
             ("p", "X", 0): ("p", ()),
         }
-        report = validate_dpao(tiny(t, states=("p",)))
+        report = tiny(t, states=("p",)).validate()
         assert "incompleteness" in report.error_kinds()
 
     def test_unknown_symbols(self):
@@ -67,7 +66,7 @@ class TestValidation:
             ("p", BOTTOM, 0): ("p", ("Z",)),
             ("p", BOTTOM, 1): ("p", ()),
         }
-        report = validate_dpao(tiny(t, states=("p",)))
+        report = tiny(t, states=("p",)).validate()
         assert "unknown-symbol" in report.error_kinds()
 
 
@@ -104,7 +103,7 @@ class TestStep:
             ("q", BOTTOM, 1): ("q", ()),
         }
         m = tiny(t)
-        assert validate_dpao(m).ok
+        assert m.validate().ok
         for n in range(128):
             c = config_of(m, n)
             assert (c.state, c.top, None) not in m.transitions
@@ -144,14 +143,14 @@ class TestConfig:
 
 class TestOutputs:
     def test_golden_forty(self, xi2):
-        assert prefix(xi2, 40).text() == XI2_GOLDEN
+        assert xi2.source("test").prefix(40).text() == XI2_GOLDEN
 
     def test_single_outputs(self, xi2):
         assert output_at(xi2, 0) == "1"
         assert output_at(xi2, 3) == "0"
 
     def test_balance_oracle_range(self, xi2):
-        text = prefix(xi2, 5000).text()
+        text = xi2.source("test").prefix(5000).text()
         assert all(text[n] == balance_oracle(n) for n in range(5000))
 
 
@@ -274,16 +273,10 @@ class TestBoundedDistinguish:
 
 
 class TestSize:
-    def test_xi2_size(self, xi2):
-        assert size(xi2) == 3 + 1 + 2
-
-    def test_stack_free(self, tm_dfao):
-        assert size(from_dfao(tm_dfao)) == 2
-
     def test_recast_outputs_match(self, tm_dfao):
-        from digitseq import dfao as dfao_mod
         m = from_dfao(tm_dfao)
-        assert prefix(m, 500).text() == dfao_mod.prefix(tm_dfao, 500).text()
+        assert m.source("test").prefix(500).text() == \
+            tm_dfao.source("test").prefix(500).text()
 
 
 class TestRuntimeHole:

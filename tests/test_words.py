@@ -262,10 +262,8 @@ class TestDifferenceIdentityOnCatalogWords:
     def test_binary_catalog_words(self, tm_dfao, xi2):
         # on long binary prefixes the complexity increments are exactly
         # the right-special counts, up to n = 64
-        from digitseq import dfao as dfao_mod
-        from digitseq import pda as pda_mod
-        for pre in (dfao_mod.prefix(tm_dfao, 2 ** 14),
-                    pda_mod.prefix(xi2, 2 ** 14)):
+        for pre in (tm_dfao.source("test").prefix(2 ** 14),
+                    xi2.source("test").prefix(2 ** 14)):
             profile = factor_complexity_profile(pre, 65)
             for n in range(1, 65):
                 assert profile[n] - profile[n - 1] == \
