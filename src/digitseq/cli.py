@@ -159,6 +159,8 @@ def main() -> None:
 @click.option("--output", type=str, default=None, help="Write here instead of stdout.")
 def digits(machine_path, stream, base, count, output):
     """Print the first COUNT symbols of a source."""
+    if count < 0:
+        _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
     _, source = _resolve_source(machine_path, stream, base)
     try:
         prefix = source.prefix(count)
@@ -235,7 +237,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                 _die(EXIT_INVALID,
                      "--dilation/--growth need a morphic or tag machine")
             if dilation_n:
-                prof = tag_mod.dilation_profile(machine, _parse_number(dilation_n))
+                prof = _dilation_or_die(machine, dilation_n)
                 doc["dilation"] = {
                     "minRatio": _fmt_fraction(prof.min_ratio),
                     "argmin": prof.argmin,
@@ -260,6 +262,13 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" \
         else "\n".join(lines) + "\n"
     _emit(text, output)
+
+
+def _dilation_or_die(spec: MorphicSpec, count: str):
+    try:
+        return tag_mod.dilation_profile(spec, _parse_number(count))
+    except ValueError as exc:
+        _die(EXIT_INVALID, str(exc))
 
 
 def _growth_dict(spec: MorphicSpec) -> dict:
@@ -436,7 +445,7 @@ def dilation(machine_path, count):
     machine = _load_machine_or_die(machine_path)
     if not isinstance(machine, MorphicSpec):
         _die(EXIT_INVALID, "dilation profiles need a morphic or tag machine")
-    prof = tag_mod.dilation_profile(machine, _parse_number(count))
+    prof = _dilation_or_die(machine, count)
     for n, r in prof.samples:
         click.echo(f"n={n}: {_fmt_approx(r)}")
     click.echo(
@@ -495,6 +504,8 @@ def imitate(stream, base, k, states, max_len, output):
         )
     except EnumerationCapError as exc:
         _die(EXIT_CAP, f"{exc}; lower --states or --len")
+    except ValueError as exc:
+        _die(EXIT_INVALID, str(exc))
     suffix = " (censored: no disagreement found)" if censored else ""
     click.echo(f"imitation index: {agree}{suffix}")
     if output:
@@ -508,6 +519,8 @@ def imitate(stream, base, k, states, max_len, output):
               help="Partial quotients to print as a sequence.")
 def cf(radicand, count):
     """Periodic continued fraction of a quadratic surd."""
+    if count < 0:
+        _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
     try:
         expansion = numbers_mod.cf_quadratic(radicand)
     except ValueError as exc:

@@ -4,6 +4,11 @@ A machine reads the base-k digits of n most-significant first and emits
 the output symbol of the state it lands in. Output indexing starts at
 n = 0: the empty input (the expansion of 0) yields the initial state's
 output, and sequence position p (1-based) corresponds to n = p - 1.
+
+Sources generate level by level: the expansion of n is the expansion of
+n // k followed by n % k, so the states of a whole block [k^l, k^(l+1))
+are one numpy gather from the block below. `run` and `run_word` read the
+digits of a single n one at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .validation import ValidationReport
-from .words import Alphabet, SequenceSource, encode_base_k
+from .words import Alphabet, SequenceSource, _digit_levels, encode_base_k
 
 __all__ = ["Dfao", "run_word", "run"]
 
@@ -96,13 +103,25 @@ class Dfao:
         return report
 
     def source(self, source_id: str) -> SequenceSource:
-        """The output sequence, n = 0, 1, 2, ...; validates first."""
+        """The output sequence, n = 0, 1, 2, ...; validates first.
+
+        The machine compiles once to a states x k table of state indices,
+        and the table of states fills one base-k level at a time.
+        """
         self.validate().require()
         alphabet = self.output_alphabet()
-        out = self.output
+        index = {q: i for i, q in enumerate(self.states)}
+        delta = np.array([[index[t] for t in self.delta[q]]
+                          for q in self.states], dtype=np.int32)
+        out = np.array([alphabet.index(self.output[q]) for q in self.states],
+                       dtype=np.uint8)
+        initial = index[self.initial]
 
         def gen(n: int) -> bytes:
-            return bytes(alphabet.index(out[q]) for q in _state_table(self, n))
+            states = np.full(n, initial, dtype=np.int32)
+            for lo, hi, parents, digits in _digit_levels(self.k, n):
+                states[lo:hi] = delta[states[parents], digits]
+            return out[states].tobytes()
 
         return SequenceSource(source_id, alphabet, gen)
 
@@ -121,11 +140,3 @@ def run(m: Dfao, n: int) -> str:
         raise ValueError("input integer must be nonnegative")
     return m.output[run_word(m, encode_base_k(n, m.k).indices)]
 
-
-def _state_table(m: Dfao, count: int) -> list[str]:
-    # <n>_k = <n // k>_k followed by n % k for n >= 1, so states fill in
-    # one pass without re-reading digit strings
-    states = [m.initial] * count
-    for n in range(1, count):
-        states[n] = m.delta[states[n // m.k]][n % m.k]
-    return states

@@ -2,6 +2,8 @@
 
 Everything here runs on arbitrary-precision integers; floating point is
 banned in this module so that fixtures and certificates stay exact.
+Rational digits come from one period of long division, tiled; the xi3
+word from a level-by-level parity table.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .dfao import Dfao
 from .errors import EnumerationCapError
-from .words import Alphabet, SequencePrefix, SequenceSource, digit_alphabet
+from .words import (Alphabet, SequencePrefix, SequenceSource, _digit_levels,
+                    digit_alphabet)
 
 __all__ = [
     "CFExpansion",
@@ -55,19 +60,38 @@ def _check_surd(d: int) -> None:
 
 
 def rational_digits(p: int, q: int, b: int, count: int) -> SequencePrefix:
-    """First `count` base-b digits of p/q (0 <= p < q), by long division."""
+    """First `count` base-b digits of p/q (0 <= p < q), by long division.
+
+    The digits are eventually periodic, so the division runs only until
+    its remainder returns to the first one inside the period, at most q
+    steps, and the period is then tiled. That remainder is the one after
+    `pre` digits, where pre counts the divisions by gcd(q', b) that leave
+    the reduced denominator q' coprime to b.
+    """
     _check_base(b)
     if q < 1:
         raise ValueError("denominator must be positive")
     if not (0 <= p < q):
         raise ValueError("need 0 <= p < q")
     alphabet = digit_alphabet(b)
+    pre, rest = 0, q // math.gcd(p, q)
+    while (g := math.gcd(rest, b)) > 1:
+        rest //= g
+        pre += 1
     out = bytearray()
-    r = p
-    for _ in range(count):
+    r, mark = p, None
+    while len(out) < count:
+        if len(out) == pre:
+            mark = r
         r *= b
         d, r = divmod(r, q)
         out.append(d)
+        if r == mark:
+            break
+    need = count - len(out)
+    if need > 0:
+        period = bytes(out[pre:])
+        out += (period * (need // len(period) + 1))[:need]
     return SequencePrefix(f"rational:{p}/{q}:base{b}", alphabet, bytes(out))
 
 
@@ -173,9 +197,21 @@ _XI3_ALPHABET = Alphabet(("0", "1", "2"))
 
 
 def xi3_sequence(count: int) -> SequencePrefix:
-    """First `count` values; position p holds the value for n = p."""
-    data = bytes(xi3_value(n) for n in range(1, count + 1))
-    return SequencePrefix("xi3", _XI3_ALPHABET, data)
+    """First `count` values; position p holds the value for n = p.
+
+    The parity of the number of ones fills level by level, as
+    p[n] = p[n // 2] ^ (n % 2); the value 2 sits only at the O(log count)
+    indices (2^j - 1)(2^(2j) + 1), whose binary expansion is
+    ones^j zeros^j ones^j.
+    """
+    parity = np.zeros(max(count, 0) + 1, dtype=np.uint8)
+    for lo, hi, parents, digits in _digit_levels(2, count + 1):
+        parity[lo:hi] = parity[parents] ^ digits
+    j = 1
+    while (n := (2 ** j - 1) * (2 ** (2 * j) + 1)) <= count:
+        parity[n] = 2
+        j += 1
+    return SequencePrefix("xi3", _XI3_ALPHABET, parity[1:].tobytes())
 
 
 def xi3_source() -> SequenceSource:

@@ -16,6 +16,12 @@ Conventions, fixed here and relied on everywhere else:
   matching the automaton modules: sequence position p is input n = p - 1.
 - The output table is read at the top symbol only: tau(q, s_1..s_j) =
   tau(q, s_j), and an empty stack reads the '#' column.
+
+Sources generate level by level, like the automata: the configuration
+after n is one digit step from the configuration after n // k, so a whole
+block [k^l, k^(l+1)) steps at once on integer arrays. `StackConfig`,
+`step_input` and `config_of` are the one-input-at-a-time path that the
+searches use.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .dfao import Dfao
 from .errors import ValidationError
 from .validation import ValidationReport
-from .words import Alphabet, SequenceSource, encode_base_k
+from .words import Alphabet, SequenceSource, _digit_levels, encode_base_k
 
 __all__ = [
     "BOTTOM",
@@ -152,15 +160,83 @@ class Dpao:
         return report
 
     def source(self, source_id: str) -> SequenceSource:
-        """The output sequence, n = 0, 1, 2, ...; validates first."""
+        """The output sequence, n = 0, 1, 2, ...; validates first.
+
+        The machine compiles once to dense tables over (state, top,
+        digit), and the configurations fill one base-k level at a time.
+        Stacks are persistent lists in two node arrays: node 0 is the
+        bare bottom, node i holds parent[i] and sym[i]. A configuration
+        is then a pair of ints, a state and a node.
+        """
         self.validate().require()
         alphabet = self.output_alphabet()
+        k = self.k
+        tops = self.stack_symbols + (BOTTOM,)
+        bottom = len(tops) - 1
+        state_ix = {q: i for i, q in enumerate(self.states)}
+        top_ix = {a: i for i, a in enumerate(tops)}
+        shape = (len(self.states), len(tops))
+        eps_to = np.full(shape, -1, dtype=np.int32)
+        # a digit row is (state * len(tops) + top) * k + digit
+        dig_to = np.full(shape[0] * shape[1] * k, -1, dtype=np.int32)
+        dig_len = np.zeros_like(dig_to)
+        dig_start = np.zeros_like(dig_to)
+        pushed: list[int] = []
+        for (q, a, inp), (to, push) in self.transitions.items():
+            if inp is None:
+                eps_to[state_ix[q], top_ix[a]] = state_ix[to]
+                continue
+            row = (state_ix[q] * shape[1] + top_ix[a]) * k + inp
+            dig_to[row] = state_ix[to]
+            dig_len[row] = len(push)
+            dig_start[row] = len(pushed)
+            pushed.extend(top_ix[z] for z in push)
+        pushed_sym = np.array(pushed, dtype=np.int32)
+        out = np.array([[alphabet.index(self.output[(q, a)]) for a in tops]
+                        for q in self.states], dtype=np.uint8)
+        initial = state_ix[self.initial]
 
         def gen(n: int) -> bytes:
-            return bytes(
-                alphabet.index(output_of_config(self, c))
-                for c in _config_table(self, n)
-            )
+            state = np.full(n, initial, dtype=np.int32)
+            node = np.zeros(n, dtype=np.int32)
+            parent = np.zeros(1, dtype=np.int32)
+            sym = np.full(1, bottom, dtype=np.int32)
+            for lo, hi, parents, digits in _digit_levels(k, n):
+                st, nd = state[parents], node[parents]
+                top = sym[nd]
+                row = (st * shape[1] + top) * k + digits
+                to = dig_to[row]
+                if (to < 0).any():
+                    i = int(np.argmax(to < 0))
+                    raise _hole_error(self.states[st[i]], tops[top[i]],
+                                      int(digits[i]))
+                # the digit move replaces the top; at the bottom it only pushes
+                base = np.where(top == bottom, nd, parent[nd])
+                # push: the block's pushed words become new nodes, chained
+                # from base up to the new top
+                length = dig_len[row]
+                ends = np.cumsum(length)
+                owner = np.repeat(np.arange(len(row)), length)
+                offset = np.arange(len(owner)) - (ends - length)[owner]
+                first = len(sym)
+                new_parent = np.arange(first - 1, first - 1 + len(owner),
+                                       dtype=np.int32)
+                heads = offset == 0
+                new_parent[heads] = base[owner[heads]]
+                sym = np.concatenate(
+                    [sym, pushed_sym[dig_start[row][owner] + offset]])
+                parent = np.concatenate([parent, new_parent])
+                nd = np.where(length > 0, first + ends - 1, base)
+                # epsilon closure: each pass pops one symbol where a move fires
+                st = to
+                live = np.arange(len(st))
+                while live.size:
+                    eps = eps_to[st[live], sym[nd[live]]]
+                    live, eps = live[eps >= 0], eps[eps >= 0]
+                    st[live] = eps
+                    nd[live] = parent[nd[live]]
+                state[lo:hi], node[lo:hi] = st, nd
+            return out[state, sym[node]].tobytes()
 
         return SequenceSource(source_id, alphabet, gen)
 
@@ -242,15 +318,6 @@ def output_of_config(m: Dpao, config: StackConfig) -> str:
 
 def output_at(m: Dpao, n: int) -> str:
     return output_of_config(m, config_of(m, n))
-
-
-def _config_table(m: Dpao, count: int) -> list[StackConfig]:
-    # <n>_k extends <n // k>_k by one digit, so configurations fill in
-    # one pass
-    configs = [initial_config(m)] * count
-    for n in range(1, count):
-        configs[n] = step_input(m, configs[n // m.k], n % m.k)
-    return configs
 
 
 def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:

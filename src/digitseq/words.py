@@ -161,6 +161,8 @@ class SequenceSource:
         self._cache = b""
 
     def prefix(self, n: int) -> SequencePrefix:
+        if n < 0:
+            raise ValueError(f"prefix length must be nonnegative, got {n}")
         if n > len(self._cache):
             data = self._generate(n)
             if len(data) < n:
@@ -234,6 +236,23 @@ def encode_base_k(n: int, k: int) -> Word:
         digits.append(r)
     digits.reverse()
     return Word(alphabet, tuple(digits))
+
+
+def _digit_levels(k: int, count: int):
+    """Blocks of n in [1, count) whose parents n // k lie in the block
+    before: [1, k) with parent 0, then [k^l, k^(l+1)) cut at count.
+
+    Yields (lo, hi, parents, digits) with the last two as arrays over the
+    block. The base-k expansion of n is that of n // k followed by n % k,
+    so a table indexed by n fills one block at a time, each a single
+    gather from the block below; n = 0 is the caller's initial entry.
+    """
+    lo = 1
+    while lo < count:
+        hi = min(count, lo * k)
+        parents, digits = np.divmod(np.arange(lo, hi), k)
+        yield lo, hi, parents, digits
+        lo = hi
 
 
 def decode_base_k(word: Word | Sequence[int], k: int) -> int:

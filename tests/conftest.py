@@ -3,6 +3,9 @@
 Oracles here deliberately avoid the library's own code paths: repetition
 search by triple loop, digit parity by string counting, the three-squares
 predicate by direct arithmetic, morphic growth by big-integer iteration.
+The generation oracles are the one-step-per-symbol loops that the
+level-by-level numpy cores replaced: dictionary lookups per n, stacks as
+tuples, xi3 value by value, rationals by plain long division.
 """
 
 from __future__ import annotations
@@ -13,8 +16,11 @@ from fractions import Fraction
 import pytest
 
 from digitseq import catalog
+from digitseq.dfao import Dfao
 from digitseq.morphic import MorphicSpec
-from digitseq.pda import BOTTOM, Dpao
+from digitseq.numbers import xi3_value
+from digitseq.pda import (BOTTOM, Dpao, StackConfig, initial_config,
+                          output_of_config, step_input)
 from digitseq.words import Alphabet, SequencePrefix, SequenceSource
 
 
@@ -72,6 +78,49 @@ def xi3_oracle(n: int) -> int:
     if m and len(m.group(1)) == len(m.group(2)) == len(m.group(3)):
         return 2
     return w.count("1") % 2
+
+
+# --- generation oracles ----------------------------------------------------
+
+def state_table(m: Dfao, count: int) -> list[str]:
+    """States after n = 0..count-1: <n>_k is <n // k>_k then n % k."""
+    states = [m.initial] * count
+    for n in range(1, count):
+        states[n] = m.delta[states[n // m.k]][n % m.k]
+    return states
+
+
+def dfao_prefix(m: Dfao, count: int) -> bytes:
+    alphabet = m.output_alphabet()
+    return bytes(alphabet.index(m.output[q]) for q in state_table(m, count))
+
+
+def config_table(m: Dpao, count: int) -> list[StackConfig]:
+    """Configurations after n = 0..count-1, one digit step per n."""
+    configs = [initial_config(m)] * count
+    for n in range(1, count):
+        configs[n] = step_input(m, configs[n // m.k], n % m.k)
+    return configs
+
+
+def dpao_prefix(m: Dpao, count: int) -> bytes:
+    alphabet = m.output_alphabet()
+    return bytes(alphabet.index(output_of_config(m, c))
+                 for c in config_table(m, count))
+
+
+def xi3_prefix(count: int) -> bytes:
+    return bytes(xi3_value(n) for n in range(1, count + 1))
+
+
+def long_division(p: int, q: int, b: int, count: int) -> bytes:
+    out = bytearray()
+    r = p
+    for _ in range(count):
+        r *= b
+        d, r = divmod(r, q)
+        out.append(d)
+    return bytes(out)
 
 
 # --- brute-force repetition search ----------------------------------------

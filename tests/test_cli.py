@@ -259,6 +259,35 @@ class TestOtherCommands:
             assert name in r.output
 
 
+class TestBadCounts:
+    @pytest.mark.parametrize("args, message", [
+        (["analyze", "--machine", "xi1.json", "--dilation", "0"],
+         "profile length must be positive"),
+        (["dilation", "--machine", "xi1.json", "--count", "0"],
+         "profile length must be positive"),
+        (["imitate", "--stream", "surd:2", "--base", "2", "--states", "0"],
+         "need at least one state"),
+        (["imitate", "--stream", "surd:2", "--base", "2", "--states", "1",
+          "--len", "-3"], "prefix length must be nonnegative"),
+        (["digits", "--machine", "xi1.json", "--count", "-5"],
+         "--count must be nonnegative"),
+        (["digits", "--stream", "xi3", "--count", "-1"],
+         "--count must be nonnegative"),
+        (["cf", "--d", "7", "--count", "-1"], "--count must be nonnegative"),
+    ])
+    def test_exit_2_with_message(self, runner, machines, args, message):
+        args = [str(machines / a) if a.endswith(".json") else a for a in args]
+        r = run_cli(runner, args)
+        assert r.exit_code == 2
+        assert r.output.startswith(f"error: {message}")
+
+    def test_zero_count_prints_an_empty_line(self, runner, machines):
+        r = run_cli(runner, ["digits", "--machine",
+                             str(machines / "xi2.json"), "--count", "0"])
+        assert r.exit_code == 0
+        assert r.output == "\n"
+
+
 class TestDeterminism:
     def test_byte_identical_runs_in_separate_processes(self, machines):
         env = {**os.environ, "PYTHONPATH": SRC}

@@ -1,0 +1,195 @@
+"""The level-by-level generation cores against the one-step loops.
+
+Each core fills a table indexed by n one base-k level at a time; the
+oracles in conftest step once per n. Counts sit on the level edges,
+where a block of the core starts or is cut short.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from conftest import (dfao_prefix, dpao_prefix, long_division, random_dpao,
+                      xi3_prefix)
+from digitseq import catalog
+from digitseq.dfao import Dfao
+from digitseq.errors import ValidationError
+from digitseq.numbers import rational_digits, xi3_sequence, xi3_value
+from digitseq.pda import BOTTOM, Dpao
+
+
+def edge_counts(k: int, top: int) -> list[int]:
+    counts = {0, 1, k - 1, k, k + 1}
+    for level in range(2, top + 1):
+        counts |= {k ** level - 1, k ** level, k ** level + 1}
+    return sorted(counts)
+
+
+def random_dfao(rng: random.Random, k: int) -> Dfao:
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 6)))
+    return Dfao(k=k, states=states, initial=states[0],
+                delta={q: tuple(rng.choice(states) for _ in range(k))
+                       for q in states},
+                output={q: rng.choice("abc") for q in states})
+
+
+def random_deep_dpao(rng: random.Random, k: int) -> Dpao:
+    """Up to 3 states, 2 or 3 stack symbols, pushes of length 0..3, and
+    epsilon pops on a third of the non-bottom rows."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    symbols = ("X", "Y", "Z")[:rng.randint(2, 3)]
+    transitions = {}
+    for q in states:
+        for a in symbols + (BOTTOM,):
+            if a != BOTTOM and rng.random() < 0.33:
+                transitions[(q, a, None)] = (rng.choice(states), ())
+                continue
+            for d in range(k):
+                push = tuple(rng.choice(symbols)
+                             for _ in range(rng.randint(0, 3)))
+                transitions[(q, a, d)] = (rng.choice(states), push)
+    output = {(q, a): rng.choice("01")
+              for q in states for a in symbols + (BOTTOM,)}
+    return Dpao(k=k, states=states, initial=states[0], stack_symbols=symbols,
+                transitions=transitions, output=output)
+
+
+def outcome(make, count: int):
+    """The prefix bytes, or the message of the ValidationError raised."""
+    try:
+        return make(count)
+    except ValidationError as exc:
+        assert exc.report.error_kinds() == {"incompleteness"}
+        return str(exc)
+
+
+@pytest.mark.parametrize("k, top", [(2, 10), (3, 6), (5, 4)])
+def test_random_dfaos_match_the_state_loop(k, top):
+    rng = random.Random(7000 + k)
+    for _ in range(40):
+        m = random_dfao(rng, k)
+        for count in edge_counts(k, top):
+            assert m.source("t").prefix(count).data == dfao_prefix(m, count)
+
+
+@pytest.mark.parametrize("k, top", [(2, 9), (3, 6)])
+def test_random_dpaos_match_the_config_loop(k, top):
+    rng = random.Random(8000 + k)
+    for _ in range(60):
+        m = random_deep_dpao(rng, k)
+        assert m.validate().ok
+        for count in edge_counts(k, top):
+            assert m.source("t").prefix(count).data == dpao_prefix(m, count)
+
+
+def test_shallow_dpaos_match_the_config_loop():
+    rng = random.Random(8100)
+    for _ in range(100):
+        m = random_dpao(rng)
+        assert m.source("t").prefix(1025).data == dpao_prefix(m, 1025)
+
+
+def test_catalogue_machines_match_their_loops():
+    for name in catalog.names():
+        m = catalog.get(name)
+        oracle = {Dfao: dfao_prefix, Dpao: dpao_prefix}.get(type(m))
+        if oracle is None:
+            continue
+        for count in edge_counts(m.k, 11):
+            assert m.source("t").prefix(count).data == oracle(m, count), name
+
+
+def test_reachable_dead_row_raises_like_the_loop():
+    # (q, X) has no transitions; 1 pushes X in q, so n = 2 (binary 10)
+    # is the first input that reaches it
+    t = {
+        ("p", BOTTOM, 0): ("p", ()),
+        ("p", BOTTOM, 1): ("q", ("X",)),
+        ("q", BOTTOM, 0): ("p", ()),
+        ("q", BOTTOM, 1): ("p", ()),
+        ("p", "X", 0): ("p", ()),
+        ("p", "X", 1): ("p", ()),
+    }
+    m = Dpao(k=2, states=("p", "q"), initial="p", stack_symbols=("X",),
+             transitions=t,
+             output={(q, a): "0" for q in "pq" for a in ("X", BOTTOM)})
+    report = m.validate()
+    assert report.ok and "dead-row" in report.warning_kinds()
+    assert m.source("t").prefix(2).data == dpao_prefix(m, 2)
+    expected = ("incompleteness: reached ('q', 'X') with digit 0 but no "
+                "transition is defined")
+    with pytest.raises(ValidationError) as loop_exc:
+        dpao_prefix(m, 3)
+    with pytest.raises(ValidationError) as core_exc:
+        m.source("t").prefix(3)
+    assert str(loop_exc.value) == str(core_exc.value) == expected
+    assert core_exc.value.report.error_kinds() == {"incompleteness"}
+
+
+def test_random_dead_rows_raise_at_the_same_input():
+    """Machines with whole digit rows removed: both paths give the same
+    bytes or fail on the same smallest n with the same message."""
+    rng = random.Random(8200)
+    raised = 0
+    for _ in range(80):
+        m = random_deep_dpao(rng, 2)
+        rows = sorted({(q, a) for (q, a, inp) in m.transitions
+                       if inp is not None})
+        dead = set(rng.sample(rows, min(len(rows), rng.randint(1, 2))))
+        m = Dpao(k=2, states=m.states, initial=m.initial,
+                 stack_symbols=m.stack_symbols,
+                 transitions={key: val for key, val in m.transitions.items()
+                              if key[:2] not in dead},
+                 output=m.output)
+        assert m.validate().ok
+        for count in (1, 2, 3, 64, 65, 300):
+            want = outcome(lambda c: dpao_prefix(m, c), count)
+            assert outcome(lambda c: m.source("t").prefix(c).data,
+                           count) == want
+            raised += isinstance(want, str)
+    assert raised > 0
+
+
+def test_xi3_matches_value_by_value():
+    count = 2 ** 16
+    data = xi3_sequence(count).data
+    assert data == xi3_prefix(count)
+    for n in (5, 51, 455):
+        assert data[n - 1] == 2 == xi3_value(n)
+    assert data.count(2) == 5  # j = 1..5: n = 5, 51, 455, 3855, 31775
+    for count in edge_counts(2, 10):
+        assert xi3_sequence(count).data == xi3_prefix(count)
+
+
+@pytest.mark.parametrize("p, q, b", [
+    (1, 6, 10), (1, 12, 2), (5, 12, 10), (1, 7, 10), (3, 8, 2), (0, 5, 3),
+    (22, 23, 7), (4, 6, 10), (9, 10, 10), (1, 97, 2), (123, 4000, 10),
+])
+def test_rational_tiling_matches_long_division(p, q, b):
+    for count in (0, 1, 2, 3, 5, 17, 400):
+        assert rational_digits(p, q, b, count).data == \
+            long_division(p, q, b, count)
+
+
+def test_rational_tiling_on_every_small_fraction():
+    for b in (2, 3, 6, 10):
+        for q in range(1, 40):
+            for p in range(q):
+                assert rational_digits(p, q, b, 120).data == \
+                    long_division(p, q, b, 120)
+
+
+def test_xi2_prefix_memory_stays_bounded(xi2):
+    """2^18 symbols of xi2 peak near 16 MiB; the one-step loop with its
+    per-n tuples peaks at 34 MiB."""
+    source = xi2.source("t")
+    tracemalloc.start()
+    try:
+        source.prefix(2 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import balance_oracle, random_dpao, simulate_pop_states
+from conftest import (balance_oracle, config_table, random_dpao,
+                      simulate_pop_states)
 from digitseq.errors import ValidationError
 from digitseq.pda import (BOTTOM, Dpao, StackConfig, bounded_distinguish,
                           config_of, find_equivalent_pair, from_dfao,
@@ -131,8 +132,7 @@ class TestConfig:
         assert config_of(xi2, 0) == StackConfig("q0", ())
 
     def test_config_table_matches_direct_walk(self, xi2):
-        from digitseq.pda import _config_table
-        table = _config_table(xi2, 200)
+        table = config_table(xi2, 200)
         assert all(table[n] == config_of(xi2, n) for n in range(200))
 
     def test_height_is_a_pure_function(self, xi2):
