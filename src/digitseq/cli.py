@@ -25,6 +25,7 @@ from . import numbers as numbers_mod
 from . import pda as pda_mod
 from . import tag as tag_mod
 from . import words as words_mod
+from .certify import _fraction_str
 from .dfao import Dfao
 from .errors import (BudgetExceededError, EnumerationCapError,
                      InsufficientDataError, PairRefutedError, ValidationError)
@@ -127,19 +128,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _render_prefix(prefix) -> str:
-    if prefix.alphabet.single_char:
-        return prefix.text() + "\n"
-    return "\n".join(
-        prefix.alphabet.symbols[b] for b in prefix.data
-    ) + "\n"
-
-
-def _fmt_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return prefix.text("" if prefix.alphabet.single_char else "\n") + "\n"
 
 
 def _fmt_approx(f: Fraction) -> str:
-    return f"{_fmt_fraction(f)} (~{float(f):.6g}, approximate)"
+    return f"{_fraction_str(f)} (~{float(f):.6g}, approximate)"
 
 
 @click.group()
@@ -199,36 +192,32 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             lengths = _parse_lengths(dio_range)
             profile = words_mod.dio_profile(source, lengths)
             doc["dio"] = [
-                {"length": n, "ratio": _fmt_fraction(r)} for n, r in profile
+                {"length": n, "ratio": _fraction_str(r)} for n, r in profile
             ]
             lines.append("repetition-ratio profile (exact, per target length):")
             for n, r in profile:
                 lines.append(f"  length {n}: best ratio {_fmt_approx(r)}")
         if complexity_range or rs_range:
-            need = []
-            if complexity_range:
-                need.extend(_parse_lengths(complexity_range))
-            if rs_range:
-                need.extend(n + 1 for n in _parse_lengths(rs_range))
+            p_ns = _parse_lengths(complexity_range) if complexity_range else []
+            rs_ns = _parse_lengths(rs_range) if rs_range else []
+            need = p_ns + [n + 1 for n in rs_ns]
             plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
             if plen < max(need) + 1:
                 _die(EXIT_INSUFFICIENT,
                      f"--prefix-length {plen} is too short for the "
                      f"requested block lengths")
             prefix = source.prefix(plen)
-            if complexity_range:
-                ns = _parse_lengths(complexity_range)
+            if p_ns:
                 doc["complexity"] = []
                 lines.append(f"factor complexity p(n) on a prefix of {plen}:")
-                profile = words_mod.factor_complexity_profile(prefix, max(ns))
-                for n in ns:
+                profile = words_mod.factor_complexity_profile(prefix, max(p_ns))
+                for n in p_ns:
                     doc["complexity"].append({"n": n, "p": profile[n - 1]})
                     lines.append(f"  p({n}) = {profile[n - 1]}")
-            if rs_range:
-                ns = _parse_lengths(rs_range)
+            if rs_ns:
                 doc["rightSpecial"] = []
                 lines.append("right-special factor counts:")
-                for n in ns:
+                for n in rs_ns:
                     c = words_mod.right_special_count(prefix, n)
                     doc["rightSpecial"].append({"n": n, "count": c})
                     lines.append(f"  rs({n}) = {c}")
@@ -239,11 +228,11 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             if dilation_n:
                 prof = _dilation_or_die(machine, dilation_n)
                 doc["dilation"] = {
-                    "minRatio": _fmt_fraction(prof.min_ratio),
+                    "minRatio": _fraction_str(prof.min_ratio),
                     "argmin": prof.argmin,
                     "exceedsOne": prof.exceeds_one,
                     "samples": [
-                        {"n": n, "ratio": _fmt_fraction(r)}
+                        {"n": n, "ratio": _fraction_str(r)}
                         for n, r in prof.samples
                     ],
                 }
@@ -255,10 +244,12 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                     f"stays above 1: {prof.exceeds_one}"
                 )
             if want_growth:
-                doc["growth"] = _growth_dict(machine)
-                lines.extend(_growth_lines(machine))
+                doc["growth"], growth_lines = _growth_report(machine)
+                lines.extend(growth_lines)
     except InsufficientDataError as exc:
         _die(EXIT_INSUFFICIENT, str(exc))
+    except ValueError as exc:
+        _die(EXIT_INVALID, str(exc))
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" \
         else "\n".join(lines) + "\n"
     _emit(text, output)
@@ -271,10 +262,12 @@ def _dilation_or_die(spec: MorphicSpec, count: str):
         _die(EXIT_INVALID, str(exc))
 
 
-def _growth_dict(spec: MorphicSpec) -> dict:
+def _growth_report(spec: MorphicSpec) -> tuple[dict, list[str]]:
+    """The growth report as a JSON object and as text lines."""
     report = morphic_mod.growth_report(spec)
-    return {
-        "radiusEstimate": morphic_mod.spectral_radius_estimate(spec),
+    radius = morphic_mod.spectral_radius_estimate(spec)
+    doc = {
+        "radiusEstimate": radius,
         "exponential": report.global_exponential,
         "maximalGrowth": list(report.maximal),
         "perLetter": {
@@ -286,11 +279,6 @@ def _growth_dict(spec: MorphicSpec) -> dict:
             for a, g in sorted(report.per_letter.items())
         },
     }
-
-
-def _growth_lines(spec: MorphicSpec) -> list[str]:
-    report = morphic_mod.growth_report(spec)
-    radius = morphic_mod.spectral_radius_estimate(spec)
     lines = [
         "growth report:",
         f"  spectral radius estimate {radius:.9f} (approximate)",
@@ -302,7 +290,7 @@ def _growth_lines(spec: MorphicSpec) -> list[str]:
             f"  letter {a}: theta ~ {g.theta:.6f}, polynomial degree "
             f"{g.poly_degree}, exponential {g.exponential}"
         )
-    return lines
+    return doc, lines
 
 
 @main.command()
@@ -380,9 +368,9 @@ def _cert_summary(cert) -> str:
             f"{cert.seed_positions[0]} and {cert.seed_positions[1]}"
         )
     lines.append(
-        f"repetition exponent lower bound {_fmt_fraction(cert.dio_lower_bound)} "
+        f"repetition exponent lower bound {_fraction_str(cert.dio_lower_bound)} "
         f"(> 1), verified to depth {cert.verified_depth}; consecutive witness "
-        f"lengths grow by at most {_fmt_fraction(cert.ratio_growth_bound)}"
+        f"lengths grow by at most {_fraction_str(cert.ratio_growth_bound)}"
     )
     lines.append(
         "consequence: a number whose digit stream repeats this strongly is "
@@ -461,7 +449,7 @@ def growth(machine_path):
     machine = _load_machine_or_die(machine_path)
     if not isinstance(machine, MorphicSpec):
         _die(EXIT_INVALID, "growth reports need a morphic or tag machine")
-    for line in _growth_lines(machine):
+    for line in _growth_report(machine)[1]:
         click.echo(line)
 
 

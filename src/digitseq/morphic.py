@@ -247,12 +247,13 @@ def exponential_growth(spec: MorphicSpec) -> bool:
     return any(_component_is_exponential(c, edges) for c in _sccs(spec))
 
 
-def spectral_radius_estimate(spec: MorphicSpec, tol: float = 1e-9) -> float:
+def spectral_radius_estimate(spec: MorphicSpec) -> float:
     """Numeric spectral radius of the incidence matrix.
 
-    Computed by a dense eigensolve of the small integer matrix, which is
-    accurate far below tol even for the defective radius-1 matrices that
-    defeat plain power iteration. Consistent with exponential_growth.
+    Computed by a dense eigensolve of the small integer matrix, which
+    handles the defective radius-1 matrices that defeat plain power
+    iteration. A radius on the wrong side of 1 +- 1e-6 from
+    exponential_growth's exact decision raises NumericError.
     """
     spec.validate().require()
     m = np.array(incidence(spec), dtype=float)

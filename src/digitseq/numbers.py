@@ -59,6 +59,14 @@ def _check_surd(d: int) -> None:
         )
 
 
+def _check_rational(p: int, q: int, b: int) -> None:
+    _check_base(b)
+    if q < 1:
+        raise ValueError("denominator must be positive")
+    if not (0 <= p < q):
+        raise ValueError("need 0 <= p < q")
+
+
 def rational_digits(p: int, q: int, b: int, count: int) -> SequencePrefix:
     """First `count` base-b digits of p/q (0 <= p < q), by long division.
 
@@ -68,11 +76,7 @@ def rational_digits(p: int, q: int, b: int, count: int) -> SequencePrefix:
     `pre` digits, where pre counts the divisions by gcd(q', b) that leave
     the reduced denominator q' coprime to b.
     """
-    _check_base(b)
-    if q < 1:
-        raise ValueError("denominator must be positive")
-    if not (0 <= p < q):
-        raise ValueError("need 0 <= p < q")
+    _check_rational(p, q, b)
     alphabet = digit_alphabet(b)
     pre, rest = 0, q // math.gcd(p, q)
     while (g := math.gcd(rest, b)) > 1:
@@ -96,6 +100,7 @@ def rational_digits(p: int, q: int, b: int, count: int) -> SequencePrefix:
 
 
 def rational_source(p: int, q: int, b: int) -> SequenceSource:
+    _check_rational(p, q, b)
     return SequenceSource(
         f"rational:{p}/{q}:base{b}", digit_alphabet(b),
         lambda n: rational_digits(p, q, b, n).data,
@@ -124,6 +129,7 @@ def surd_digits(d: int, b: int, count: int) -> tuple[int, SequencePrefix]:
 
 def surd_source(d: int, b: int) -> SequenceSource:
     """Fractional digits of sqrt(d) as an infinite source."""
+    _check_surd(d)
     return SequenceSource(
         f"surd:{d}:base{b}", digit_alphabet(b),
         lambda n: surd_digits(d, b, n)[1].data,

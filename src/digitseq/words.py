@@ -2,7 +2,9 @@
 
 Alphabets, finite words over an alphabet, prefixes of infinite sequences,
 base-k numeration, fractional powers, repetition witnesses and the search
-for them, factor complexity, and right-special factor counting.
+for them, factor complexity, and right-special factor counting. Both
+factor counts read one index: the windows of a prefix sorted once, with
+the common-prefix length of each adjacent pair.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -32,7 +34,6 @@ __all__ = [
     "verify_repetition",
     "best_repetition_at",
     "dio_profile",
-    "factor_complexity",
     "factor_complexity_profile",
     "right_special_count",
 ]
@@ -353,24 +354,32 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
     return out
 
 
-def factor_complexity(prefix: SequencePrefix, n: int) -> int:
-    """Number of distinct length-n blocks occurring in the prefix."""
-    if n < 1:
-        raise ValueError("block length must be positive")
-    if n > len(prefix):
-        raise InsufficientDataError(
-            f"block length {n} exceeds prefix of length {len(prefix)}"
-        )
-    data = prefix.data
-    return len({data[i:i + n] for i in range(len(data) - n + 1)})
+def _window_lcp(data: bytes, count: int, width: int) -> np.ndarray:
+    """Common-prefix lengths of adjacent windows in sorted order.
+
+    The windows are data[i:i + width] for i = 0..count-1, padded with
+    byte 255 past the end of data. They are sorted once, as a suffix
+    array truncated at `width` (Manber & Myers 1993), and the result
+    holds count - 1 lengths in 0..width: for every n, two windows share
+    their first n symbols exactly when every length between them in
+    sorted order is at least n.
+    """
+    padded = np.frombuffer(data + b"\xff" * (width - 1), dtype=np.uint8)
+    rows = np.lib.stride_tricks.sliding_window_view(padded, width)[:count]
+    rows = np.ascontiguousarray(rows)
+    rows = rows[np.argsort(rows.view(np.dtype((np.void, width))).ravel(),
+                           kind="stable")]
+    neq = rows[1:] != rows[:-1]
+    return np.where(neq.any(axis=1), neq.argmax(axis=1), width)
 
 
 def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
-    """factor_complexity(prefix, n) for every n = 1..n_max in one pass.
+    """Number of distinct length-n blocks in the prefix, for n = 1..n_max.
 
-    Sorts the length-n_max windows once (padded with a sentinel past the
-    prefix end) and reads all counts off the common-prefix lengths of
-    adjacent sorted rows. Equivalent to calling factor_complexity per n.
+    The length-n blocks are the n-prefixes of the sorted windows, so
+    p(n) is the window count less the adjacent pairs sharing n symbols.
+    The n - 1 windows that start in the last n - 1 positions are padded
+    with the sentinel 255 and pairwise distinct; they are not blocks.
     """
     if n_max < 1:
         raise ValueError("block length must be positive")
@@ -381,34 +390,28 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
         )
     if prefix.alphabet.size > 255:
         raise ValueError("profile requires a spare byte value as sentinel")
-    buf = np.frombuffer(prefix.data, dtype=np.uint8)
-    rows = np.full((total, n_max), 255, dtype=np.uint8)
-    for j in range(n_max):
-        rows[: total - j, j] = buf[j:]
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, n_max))).ravel()
-    order = np.argsort(keys, kind="stable")
-    srt = rows[order]
-    neq = srt[1:] != srt[:-1]
-    lcp = np.where(neq.any(axis=1), neq.argmax(axis=1), n_max)
-    counts = []
-    for n in range(1, n_max + 1):
-        distinct = total - int(np.count_nonzero(lcp >= n))
-        # rows starting in the last n-1 positions are sentinel-padded and
-        # pairwise distinct; they are not real windows
-        counts.append(distinct - (n - 1))
-    return counts
+    lcp = _window_lcp(prefix.data, total, n_max)
+    # shared[n] = number of adjacent pairs with lcp >= n
+    shared = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]
+    n = np.arange(1, n_max + 1)
+    return (total - shared[1:] - (n - 1)).tolist()
 
 
 def right_special_count(prefix: SequencePrefix, n: int) -> int:
-    """Number of distinct length-n blocks followed by >= 2 distinct symbols."""
+    """Number of distinct length-n blocks followed by >= 2 distinct symbols.
+
+    Sorted length-(n+1) windows that share n symbols form one group per
+    block that has a follower; the block is right-special when two
+    neighbours in its group differ exactly at the follower. Every window
+    lies inside the prefix, so no sentinel byte is needed.
+    """
     if n < 1:
         raise ValueError("block length must be positive")
     if n + 1 > len(prefix):
         raise InsufficientDataError(
             f"need a prefix of length at least {n + 1}, have {len(prefix)}"
         )
-    data = prefix.data
-    followers: dict[bytes, set[int]] = {}
-    for i in range(len(data) - n):
-        followers.setdefault(data[i:i + n], set()).add(data[i + n])
-    return sum(1 for s in followers.values() if len(s) >= 2)
+    lcp = _window_lcp(prefix.data, len(prefix) - n, n + 1)
+    # pairs in one group see the same number of group breaks before them
+    group = np.cumsum(lcp < n)[lcp == n]
+    return int(np.count_nonzero(np.diff(group))) + 1 if group.size else 0

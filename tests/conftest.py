@@ -5,7 +5,9 @@ search by triple loop, digit parity by string counting, the three-squares
 predicate by direct arithmetic, morphic growth by big-integer iteration.
 The generation oracles are the one-step-per-symbol loops that the
 level-by-level numpy cores replaced: dictionary lookups per n, stacks as
-tuples, xi3 value by value, rationals by plain long division.
+tuples, xi3 value by value, rationals by plain long division. The
+factor-count oracles are the set-of-slices and dict-of-sets scans that the
+sorted-window index replaced.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def long_division(p: int, q: int, b: int, count: int) -> bytes:
     return bytes(out)
 
 
-# --- brute-force repetition search ----------------------------------------
+# --- brute-force repetition search and factor counts -----------------------
 
 def brute_force_best(text: str, ell: int, v_max: int | None = None):
     """Cubic search over every (u, v); returns (ratio, v, u) or None."""
@@ -142,8 +144,17 @@ def brute_force_best(text: str, ell: int, v_max: int | None = None):
     return best
 
 
-def naive_complexity(text: str, n: int) -> int:
+def naive_complexity(text: str | bytes, n: int) -> int:
+    """Distinct length-n blocks, as a set of slices."""
     return len({text[i:i + n] for i in range(len(text) - n + 1)})
+
+
+def naive_right_special(data: bytes, n: int) -> int:
+    """Distinct length-n blocks with >= 2 followers, as a dict of sets."""
+    followers: dict[bytes, set[int]] = {}
+    for i in range(len(data) - n):
+        followers.setdefault(data[i:i + n], set()).add(data[i + n])
+    return sum(1 for s in followers.values() if len(s) >= 2)
 
 
 # --- random corpora --------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import naive_right_special
 from digitseq import __version__, catalog
 from digitseq.cli import main
 
@@ -49,6 +51,18 @@ class TestDigits:
         bad.write_text("{not json", encoding="utf-8")
         r = run_cli(runner, ["digits", "--machine", str(bad)])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ("rational:22/7", "need 0 <= p < q"),
+        ("rational:1/0", "denominator must be positive"),
+        ("surd:4", "4 is a perfect square"),
+        ("surd:-3", "surd radicand must be at least 2"),
+    ])
+    def test_bad_number_stream_exits_2(self, runner, spec, message):
+        r = run_cli(runner, ["digits", "--stream", spec, "--base", "10"])
+        assert r.exit_code == 2
+        assert r.output.startswith(
+            f"error: cannot open stream {spec!r}: {message}")
 
     def test_machine_and_stream_conflict(self, runner, machines):
         r = run_cli(runner, ["digits", "--machine",
@@ -108,6 +122,25 @@ class TestAnalyze:
                              "--prefix-length", "2^10"])
         assert r.exit_code == 2
         assert r.output.startswith("error: ")
+
+    def test_full_byte_alphabet_stream(self, runner, tmp_path):
+        # 256 distinct tokens leave no spare byte for the complexity
+        # sentinel; right-special counts need none
+        rng = random.Random(5)
+        tokens = [f"s{i}" for i in range(256)]
+        tokens += [rng.choice(tokens) for _ in range(300)]
+        stream = tmp_path / "bytes.txt"
+        stream.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        args = ["analyze", "--stream", f"file:{stream}",
+                "--prefix-length", str(len(tokens))]
+        r = run_cli(runner, args + ["--complexity", "1..3"])
+        assert r.exit_code == 2
+        assert r.output.startswith("error: profile requires a spare byte")
+        r = run_cli(runner, args + ["--right-special", "1..3"])
+        assert r.exit_code == 0
+        for n in (1, 2, 3):
+            rs = naive_right_special(tuple(tokens), n)
+            assert f"rs({n}) = {rs}" in r.output
 
     def test_right_special_table(self, runner, machines):
         r = run_cli(runner, ["analyze", "--machine",

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_best, naive_complexity, periodic_source,
-                      str_prefix, str_source)
+from conftest import (brute_force_best, naive_complexity, naive_right_special,
+                      periodic_source, str_prefix, str_source)
 from digitseq.errors import InsufficientDataError
-from digitseq.words import (Alphabet, RepetitionWitness, Word,
+from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix, Word,
                             best_repetition_at, decode_base_k, digit_alphabet,
-                            dio_profile, encode_base_k, factor_complexity,
+                            dio_profile, encode_base_k,
                             factor_complexity_profile, fractional_power,
                             right_special_count, verify_repetition)
 
@@ -194,19 +194,19 @@ class TestDioProfile:
 
 class TestFactorComplexity:
     def test_period_two(self):
-        assert factor_complexity(str_prefix("01010101"), 2) == 2
+        assert factor_complexity_profile(str_prefix("01010101"), 2)[1] == 2
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            factor_complexity(str_prefix("ab"), 3)
+            factor_complexity_profile(str_prefix("ab"), 3)
 
     @given(st.text(alphabet="ab", min_size=2, max_size=40),
            st.integers(1, 6))
     def test_matches_naive(self, text, n):
         if n > len(text):
             return
-        assert factor_complexity(str_prefix(text, symbols="ab"), n) == \
-            naive_complexity(text, n)
+        assert factor_complexity_profile(str_prefix(text, symbols="ab"),
+                                         n)[n - 1] == naive_complexity(text, n)
 
     @given(st.text(alphabet="abc", min_size=3, max_size=60))
     @settings(max_examples=60)
@@ -214,19 +214,20 @@ class TestFactorComplexity:
         p = str_prefix(text, symbols="abc")
         n_max = min(8, len(text))
         profile = factor_complexity_profile(p, n_max)
-        assert profile == [factor_complexity(p, n) for n in range(1, n_max + 1)]
+        assert profile == [naive_complexity(text, n)
+                           for n in range(1, n_max + 1)]
 
     @given(st.text(alphabet="ab", min_size=4, max_size=60),
            st.integers(1, 5))
     def test_monotone_in_prefix_and_submultiplicative(self, text, n):
         if n + 1 > len(text):
             return
-        shorter = factor_complexity(str_prefix(text[:-1], symbols="ab"), n) \
-            if n <= len(text) - 1 else 0
-        full = factor_complexity(str_prefix(text, symbols="ab"), n)
+        shorter = factor_complexity_profile(
+            str_prefix(text[:-1], symbols="ab"), n)[n - 1]
+        full, longer = factor_complexity_profile(
+            str_prefix(text, symbols="ab"), n + 1)[n - 1:]
         assert shorter <= full
-        assert factor_complexity(str_prefix(text, symbols="ab"), n + 1) \
-            <= 2 * full
+        assert longer <= 2 * full
 
 
 class TestRightSpecial:
@@ -248,7 +249,8 @@ class TestRightSpecial:
         if n + 1 >= len(text):
             return
         p = str_prefix(text, symbols="ab")
-        diff = factor_complexity(p, n + 1) - factor_complexity(p, n)
+        p_n, p_next = factor_complexity_profile(p, n + 1)[n - 1:]
+        diff = p_next - p_n
         rs = right_special_count(p, n)
         tail = text[len(text) - n:]
         tail_has_follower = tail in text[:-1] or len(tail) < n
@@ -256,6 +258,52 @@ class TestRightSpecial:
             assert diff == rs
         else:
             assert diff == rs - 1
+
+
+class TestWindowIndex:
+    """Both factor counts read one sorted-window index; the oracles are
+    the set and dict scans it replaced."""
+
+    def test_random_words_every_block_length(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            letters = "abcd"[:rng.randint(1, 4)]
+            text = "".join(rng.choice(letters)
+                           for _ in range(rng.randint(2, 40)))
+            p = str_prefix(text, symbols=letters)
+            assert factor_complexity_profile(p, len(text)) == [
+                naive_complexity(p.data, n) for n in range(1, len(text) + 1)]
+            for n in range(1, len(text)):
+                assert right_special_count(p, n) == \
+                    naive_right_special(p.data, n), (text, n)
+
+    def test_full_byte_alphabet_right_special(self):
+        # no sentinel is involved, so byte 255 is an ordinary letter
+        alphabet = Alphabet(tuple(f"s{i}" for i in range(256)))
+        rng = random.Random(7)
+        for _ in range(40):
+            data = bytes(rng.choice((0, 254, 255, rng.randrange(256)))
+                         for _ in range(rng.randint(2, 200)))
+            p = SequencePrefix("bytes", alphabet, data)
+            for n in range(1, len(data)):
+                assert right_special_count(p, n) == \
+                    naive_right_special(data, n), (data, n)
+        with pytest.raises(ValueError, match="sentinel"):
+            factor_complexity_profile(p, 1)
+
+    def test_last_block_occurs_once(self):
+        # the blocks ending at the last position have no follower and
+        # occur nowhere else: they count in p(n), never in rs(n)
+        p = str_prefix("aaab")
+        assert factor_complexity_profile(p, 4) == [2, 2, 2, 1]
+        assert [right_special_count(p, n) for n in (1, 2, 3)] == [1, 1, 0]
+        for text in ("abababc", "abcabcabd", "abaab"):
+            p = str_prefix(text)
+            assert factor_complexity_profile(p, len(text)) == [
+                naive_complexity(text, n) for n in range(1, len(text) + 1)]
+            assert [right_special_count(p, n) for n in range(1, len(text))] \
+                == [naive_right_special(p.data, n)
+                    for n in range(1, len(text))]
 
 
 class TestDifferenceIdentityOnCatalogWords:
