@@ -140,6 +140,14 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
     )
 
 
+def _witness_growth(witnesses) -> Fraction:
+    """Largest growth of u + v between consecutive witnesses; 1 for fewer
+    than two."""
+    return max((Fraction(b.u + b.v, a.u + a.v)
+                for a, b in zip(witnesses, witnesses[1:])),
+               default=Fraction(1))
+
+
 def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
                     machine_ref: str | None = None) -> Certificate:
     """Self-similarity certificate for an exponential-growth morphic spec.
@@ -171,17 +179,11 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
                 "this indicates a bug, not a property of the spec"
             )
         witnesses.append(w)
-    ratios = [w.ratio for w in witnesses]
-    growth = max(
-        Fraction(witnesses[i + 1].u + witnesses[i + 1].v,
-                 witnesses[i].u + witnesses[i].v)
-        for i in range(len(witnesses) - 1)
-    ) if len(witnesses) > 1 else Fraction(1)
     return Certificate(
         kind="morphic-witness",
         machine_ref=machine_ref or f"morphic:{spec.start}",
-        dio_lower_bound=min(ratios),
-        ratio_growth_bound=growth,
+        dio_lower_bound=min(w.ratio for w in witnesses),
+        ratio_growth_bound=_witness_growth(witnesses),
         verified_depth=depth,
         witnesses=tuple(witnesses),
         seed_letter=letter,
@@ -241,7 +243,12 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                        extra_depth: int = 0) -> VerificationReport:
     """Independently re-check every stored witness against the source.
 
-    For pair certificates the identity family is additionally extended
+    The declared bounds are recomputed too: for pair kinds the stored
+    witnesses must be the pair's family, the bound 1 + 1/(n'-1) and the
+    growth bound k; for the morphic kind the bound is the least witness
+    ratio and the growth bound the largest growth of u + v between
+    consecutive witnesses. For pair certificates the identity family is
+    additionally extended
     extra_depth levels past the recorded depth. The report lists, per
     witness, the rational-approximation statement it implies for the
     number whose digit stream the source is; the statement is symbolic
@@ -278,6 +285,24 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         if cert.dio_lower_bound != bound:
             failures.append(
                 f"declared bound {cert.dio_lower_bound} is not 1 + 1/(n'-1)"
+            )
+        if cert.ratio_growth_bound != cert.k:
+            failures.append(
+                f"declared growth bound {cert.ratio_growth_bound} is not "
+                f"k = {cert.k}"
+            )
+    elif cert.kind == "morphic-witness":
+        least = min((w.ratio for w in cert.witnesses), default=None)
+        if cert.dio_lower_bound != least:
+            failures.append(
+                f"declared bound {cert.dio_lower_bound} is not the least "
+                f"witness ratio {least}"
+            )
+        growth = _witness_growth(cert.witnesses)
+        if cert.ratio_growth_bound != growth:
+            failures.append(
+                f"declared growth bound {cert.ratio_growth_bound} is not the "
+                f"largest growth of u + v between witnesses, {growth}"
             )
     checked = 0
     for w in list(cert.witnesses) + extra_witnesses:
@@ -348,8 +373,14 @@ def certificate_from_json(text: str) -> Certificate:
     if doc["kind"] not in KINDS:
         raise ValueError(f"unknown certificate kind {doc['kind']!r}")
     pair = None
-    if "n" in doc or "nPrime" in doc:
+    if doc["kind"] != "morphic-witness" or "n" in doc or "nPrime" in doc:
+        if not {"n", "nPrime", "k"} <= doc.keys():
+            raise ValueError("a pair certificate needs 'n', 'nPrime' and "
+                             "the radix 'k'")
         pair = (int(doc["n"]), int(doc["nPrime"]))
+        if not (0 < pair[0] < pair[1]) or int(doc["k"]) < 2:
+            raise ValueError("a pair certificate needs 0 < n < nPrime "
+                             "and k >= 2")
     return Certificate(
         kind=doc["kind"],
         machine_ref=doc["machine"],

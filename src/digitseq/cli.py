@@ -217,8 +217,9 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             if rs_ns:
                 doc["rightSpecial"] = []
                 lines.append("right-special factor counts:")
+                counts = words_mod.right_special_count(prefix, max(rs_ns))
                 for n in rs_ns:
-                    c = words_mod.right_special_count(prefix, n)
+                    c = counts[n - 1]
                     doc["rightSpecial"].append({"n": n, "count": c})
                     lines.append(f"  rs({n}) = {c}")
         if dilation_n or want_growth:

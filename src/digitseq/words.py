@@ -4,7 +4,10 @@ Alphabets, finite words over an alphabet, prefixes of infinite sequences,
 base-k numeration, fractional powers, repetition witnesses and the search
 for them, factor complexity, and right-special factor counting. Both
 factor counts read one index: the windows of a prefix sorted once, with
-the common-prefix length of each adjacent pair.
+their start positions and the common-prefix length of each adjacent
+pair; one such sort serves every block length of a profile. The
+repetition search scans back from the target length for many periods
+at once, in numpy blocks of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -136,7 +139,10 @@ class SequencePrefix:
         return self.alphabet.symbols[self.data[position - 1]]
 
     def text(self, sep: str = "") -> str:
-        return sep.join(self.alphabet.symbols[b] for b in self.data)
+        """The symbols joined by sep: one `str.translate` of the bytes,
+        each symbol index mapped to its symbol followed by sep."""
+        table = {i: s + sep for i, s in enumerate(self.alphabet.symbols)}
+        return self.data.decode("latin-1").translate(table).removesuffix(sep)
 
     def head(self, n: int) -> "SequencePrefix":
         if n > len(self.data):
@@ -299,6 +305,14 @@ def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> boo
     return data[lo:end] == data[lo - witness.v:end - witness.v]
 
 
+# the backward scan compares at most _BLOCK_CELLS (period, position)
+# cells in one block, and the window index as many symbols of adjacent
+# windows at a time; each chunk of periods starts with _FIRST_BLOCK
+# positions
+_BLOCK_CELLS = 1 << 20
+_FIRST_BLOCK = 16
+
+
 def best_repetition_at(prefix: SequencePrefix, ell: int,
                        v_max: int | None = None) -> RepetitionWitness | None:
     """Best repetition witness whose extension ends exactly at position ell.
@@ -309,6 +323,16 @@ def best_repetition_at(prefix: SequencePrefix, ell: int,
     profiles do not need them; pass v_max=ell for the fully uncapped
     search. Returns None when no witness with ratio > 1 exists within the
     cap. Ties: smallest v, then smallest u.
+
+    For a period v the best u is last_bad(v) - v, where last_bad(v) is the
+    last 1-based position i with s_i != s_(i-v), so the cost u + v is
+    max(v, last_bad(v)). The scan walks back from ell for many periods at
+    once: blocks of positions that double in length, each compared with
+    the block v earlier. A period is finished at its last mismatch, or
+    when the block reaches position v. Periods at or above the cheapest
+    cost found so far cannot win and are dropped, and periods enter in
+    ascending chunks that double in size, so a periodic word stops after
+    its period. A block holds at most _BLOCK_CELLS comparisons.
     """
     if ell < 1:
         raise ValueError("target prefix length must be positive")
@@ -318,20 +342,36 @@ def best_repetition_at(prefix: SequencePrefix, ell: int,
         )
     s = np.frombuffer(prefix.data, dtype=np.uint8, count=ell)
     cap = ell // 2 if v_max is None else min(v_max, ell)
-    best = None  # (u + v, v, u), minimizing u + v maximizes the ratio
-    for v in range(1, cap + 1):
-        if best is not None and v >= best[0]:
-            break  # cost >= v from here on; cannot beat the incumbent
-        mism = np.flatnonzero(s[v:] != s[:-v])
-        last_bad = int(mism[-1]) + v + 1 if mism.size else 0  # 1-based
-        u = max(0, last_bad - v)
-        cost = u + v
-        if cost < ell and (best is None or cost < best[0]):
-            best = (cost, v, u)
-    if best is None:
+    best_cost, best_v = ell, 0  # a witness needs cost u + v < ell
+    first, size = 1, 1
+    while first <= min(cap, best_cost - 1):
+        vs = np.arange(first, min(cap, best_cost - 1, first + size - 1) + 1)
+        first = int(vs[-1]) + 1
+        size = min(2 * size, _BLOCK_CELLS // _FIRST_BLOCK)
+        hi, width = ell, _FIRST_BLOCK
+        while vs.size:
+            # 0-based positions lo..hi-1, none below any remaining period
+            lo = max(hi - width, int(vs[-1]))
+            earlier = np.lib.stride_tricks.sliding_window_view(
+                s[:hi], hi - lo)[lo - vs]
+            bad = earlier != s[lo:hi]
+            hit = bad.any(axis=1)
+            cost = np.where(hit, hi - bad[:, ::-1].argmax(axis=1), vs)
+            done = hit | (vs == lo)
+            if done.any():
+                c = int(cost[done].min())
+                v = int(vs[done & (cost == c)][0])
+                # (ell, v) never beats the start (ell, 0): ratio 1 is none
+                if (c, v) < (best_cost, best_v):
+                    best_cost, best_v = c, v
+            vs = vs[~done & (vs < best_cost)]
+            hi = lo
+            if vs.size:
+                width = min(2 * width, max(1, _BLOCK_CELLS // vs.size))
+    if best_v == 0:
         return None
-    _, v, u = best
-    return RepetitionWitness(u=u, v=v, ext=ell - u)
+    return RepetitionWitness(u=best_cost - best_v, v=best_v,
+                             ext=ell - best_cost + best_v)
 
 
 def dio_profile(source: SequenceSource, lengths: Sequence[int],
@@ -354,23 +394,33 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
     return out
 
 
-def _window_lcp(data: bytes, count: int, width: int) -> np.ndarray:
-    """Common-prefix lengths of adjacent windows in sorted order.
+def _window_lcp(data: bytes, count: int,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted window starts and the common-prefix length of each adjacent
+    pair.
 
     The windows are data[i:i + width] for i = 0..count-1, padded with
     byte 255 past the end of data. They are sorted once, as a suffix
-    array truncated at `width` (Manber & Myers 1993), and the result
-    holds count - 1 lengths in 0..width: for every n, two windows share
-    their first n symbols exactly when every length between them in
-    sorted order is at least n.
+    array truncated at `width` (Manber & Myers 1993). The result holds
+    the count starts in sorted order and count - 1 lengths in 0..width:
+    for every n, two windows share their first n symbols exactly when
+    every length between them in sorted order is at least n.
     """
     padded = np.frombuffer(data + b"\xff" * (width - 1), dtype=np.uint8)
-    rows = np.lib.stride_tricks.sliding_window_view(padded, width)[:count]
-    rows = np.ascontiguousarray(rows)
-    rows = rows[np.argsort(rows.view(np.dtype((np.void, width))).ravel(),
-                           kind="stable")]
-    neq = rows[1:] != rows[:-1]
-    return np.where(neq.any(axis=1), neq.argmax(axis=1), width)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)[:count]
+    keys = np.ascontiguousarray(windows).view(np.dtype((np.void, width)))
+    order = np.argsort(keys.ravel(), kind="stable")
+    del keys
+    # compare sorted neighbours a slice at a time, so that no second
+    # count x width matrix is built
+    lcp = np.empty(count - 1, dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // width)
+    for a in range(0, count - 1, step):
+        b = min(a + step, count - 1)
+        rows = windows[order[a:b + 1]]
+        neq = rows[1:] != rows[:-1]
+        lcp[a:b] = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
+    return order, lcp
 
 
 def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
@@ -390,28 +440,41 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
         )
     if prefix.alphabet.size > 255:
         raise ValueError("profile requires a spare byte value as sentinel")
-    lcp = _window_lcp(prefix.data, total, n_max)
+    _, lcp = _window_lcp(prefix.data, total, n_max)
     # shared[n] = number of adjacent pairs with lcp >= n
     shared = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]
     n = np.arange(1, n_max + 1)
     return (total - shared[1:] - (n - 1)).tolist()
 
 
-def right_special_count(prefix: SequencePrefix, n: int) -> int:
-    """Number of distinct length-n blocks followed by >= 2 distinct symbols.
+def right_special_count(prefix: SequencePrefix, n_max: int) -> list[int]:
+    """Number of distinct length-n blocks followed by >= 2 distinct
+    symbols, for n = 1..n_max.
 
-    Sorted length-(n+1) windows that share n symbols form one group per
-    block that has a follower; the block is right-special when two
-    neighbours in its group differ exactly at the follower. Every window
-    lies inside the prefix, so no sentinel byte is needed.
+    One sort of the length-(n_max+1) windows that start at 0..len-2
+    serves every n. A length-n block has a follower when it starts at
+    most at len-n-1; the at most n_max windows starting later are
+    dropped, and the common-prefix length of two neighbours that remain
+    is the least length between them. Kept windows that share n symbols
+    form one group per block; the block is right-special when two
+    neighbours in its group differ exactly at the follower. Dropped
+    windows never count, so the padding byte is immaterial and 256-letter
+    alphabets work.
     """
-    if n < 1:
+    if n_max < 1:
         raise ValueError("block length must be positive")
-    if n + 1 > len(prefix):
+    total = len(prefix)
+    if n_max + 1 > total:
         raise InsufficientDataError(
-            f"need a prefix of length at least {n + 1}, have {len(prefix)}"
+            f"need a prefix of length at least {n_max + 1}, have {total}"
         )
-    lcp = _window_lcp(prefix.data, len(prefix) - n, n + 1)
-    # pairs in one group see the same number of group breaks before them
-    group = np.cumsum(lcp < n)[lcp == n]
-    return int(np.count_nonzero(np.diff(group))) + 1 if group.size else 0
+    order, lcp = _window_lcp(prefix.data, total - 1, n_max + 1)
+    counts = []
+    for n in range(1, n_max + 1):
+        keep = np.flatnonzero(order < total - n)  # never empty
+        shared = np.minimum.reduceat(lcp[:keep[-1]], keep[:-1])
+        # pairs in one group see the same number of group breaks before them
+        group = np.cumsum(shared < n)[shared == n]
+        counts.append(int(np.count_nonzero(np.diff(group))) + 1
+                      if group.size else 0)
+    return counts

@@ -7,7 +7,8 @@ The generation oracles are the one-step-per-symbol loops that the
 level-by-level numpy cores replaced: dictionary lookups per n, stacks as
 tuples, xi3 value by value, rationals by plain long division. The
 factor-count oracles are the set-of-slices and dict-of-sets scans that the
-sorted-window index replaced.
+sorted-window index replaced, and the repetition search has the
+one-pass-per-period loop that the backward block scan replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from digitseq import catalog
@@ -23,7 +25,8 @@ from digitseq.morphic import MorphicSpec
 from digitseq.numbers import xi3_value
 from digitseq.pda import (BOTTOM, Dpao, StackConfig, initial_config,
                           output_of_config, step_input)
-from digitseq.words import Alphabet, SequencePrefix, SequenceSource
+from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix,
+                            SequenceSource)
 
 
 # --- prefix/source helpers -------------------------------------------------
@@ -142,6 +145,27 @@ def brute_force_best(text: str, ell: int, v_max: int | None = None):
                     or (ratio == best[0] and (v, u) < (best[1], best[2]))):
                 best = (ratio, v, u)
     return best
+
+
+def per_period_best(prefix: SequencePrefix, ell: int,
+                    v_max: int | None = None) -> RepetitionWitness | None:
+    """Best repetition witness ending at ell, one full numpy pass per
+    period v in ascending order, stopping once v reaches the best cost."""
+    s = np.frombuffer(prefix.data, dtype=np.uint8, count=ell)
+    cap = ell // 2 if v_max is None else min(v_max, ell)
+    best = None  # (u + v, v, u)
+    for v in range(1, cap + 1):
+        if best is not None and v >= best[0]:
+            break
+        mism = np.flatnonzero(s[v:] != s[:-v])
+        last_bad = int(mism[-1]) + v + 1 if mism.size else 0  # 1-based
+        u = max(0, last_bad - v)
+        if u + v < ell and (best is None or u + v < best[0]):
+            best = (u + v, v, u)
+    if best is None:
+        return None
+    _, v, u = best
+    return RepetitionWitness(u=u, v=v, ext=ell - u)
 
 
 def naive_complexity(text: str | bytes, n: int) -> int:

@@ -206,7 +206,7 @@ def test_c11_complexity_bounds(tm_dfao, three_squares, xi1, xi2):
     assert jump_at <= 2 ** 12
     assert x2p[jump_at] - x2p[jump_at - 1] == 12 > 10
     assert x2p[jump_at] - x2p[jump_at - 1] == \
-        words.right_special_count(xpre, jump_at)
+        words.right_special_count(xpre, jump_at)[jump_at - 1]
     for n in range(30, 299):
         assert x2p[n - 1] <= n * n, n
     ok("criterion 11: automatic k*M^2*n bound holds to n = 256; ternary "

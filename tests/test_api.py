@@ -50,3 +50,5 @@ def test_traced_benchmark_wraps_every_layer(monkeypatch, tmp_path):
     for span in ("words.dio", "words.best_repetition", "words.complexity",
                  "words.right_special"):
         assert tracer.stats[span]["calls"] > 0, span
+    # one sorted-window index serves the whole --right-special range
+    assert tracer.stats["words.right_special"]["calls"] == 1

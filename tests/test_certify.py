@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -183,6 +185,36 @@ class TestVerification:
         report = verify_certificate(xi2_source, inflated)
         assert not report.valid
 
+    def test_morphic_bounds_are_recomputed(self, xi1):
+        cert = certify_morphic(xi1, depth=6)
+        src = xi1.source("xi1")
+        assert cert.dio_lower_bound == min(w.ratio for w in cert.witnesses)
+        for dio, growth, flagged in (
+                (Fraction(100), Fraction(1, 1000), ("bound", "growth")),
+                (Fraction(100), cert.ratio_growth_bound, ("bound",)),
+                (cert.dio_lower_bound, Fraction(1, 1000), ("growth",)),
+                (cert.dio_lower_bound - Fraction(1, 100),
+                 cert.ratio_growth_bound, ("bound",))):
+            tampered = dataclasses.replace(cert, dio_lower_bound=dio,
+                                           ratio_growth_bound=growth)
+            report = verify_certificate(src, tampered)
+            assert not report.valid
+            assert len(report.failures) == len(flagged)
+            for failure, what in zip(report.failures, flagged):
+                assert f"declared {what}" in failure
+
+    def test_morphic_certificate_needs_a_witness(self, xi1):
+        cert = dataclasses.replace(certify_morphic(xi1, depth=2),
+                                   witnesses=())
+        assert not verify_certificate(xi1.source("xi1"), cert).valid
+
+    def test_pair_growth_bound_is_k(self, xi2_source):
+        cert = certificate_from_pair(xi2_source, 1, 5, 2, depth=4)
+        report = verify_certificate(
+            xi2_source, dataclasses.replace(cert, ratio_growth_bound=3))
+        assert not report.valid
+        assert report.failures == ("declared growth bound 3 is not k = 2",)
+
     def test_periodic_source_pair(self):
         src = periodic_source("01")
         cert = certificate_from_pair(src, 1, 3, 2, depth=5)
@@ -218,6 +250,32 @@ class TestJsonRoundTrip:
                 '{"kind": "magic", "machine": "m", "dioLowerBound": "5/4",'
                 ' "ratioGrowthBound": "2", "verifiedDepth": 0, "witnesses": []}'
             )
+
+    def test_pair_without_k_rejected(self, xi2, xi2_source):
+        doc = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3)))
+        del doc["k"]
+        with pytest.raises(ValueError, match="'k'"):
+            certificate_from_json(json.dumps(doc))
+
+    def test_pair_kind_without_pair_rejected(self, xi2_source):
+        # otherwise no declared bound of the certificate would be checked
+        doc = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3)))
+        for key in ("n", "nPrime", "k"):
+            del doc[key]
+        with pytest.raises(ValueError, match="'nPrime'"):
+            certificate_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("fields", [
+        {"n": 5, "nPrime": 5}, {"n": 0}, {"nPrime": 0}, {"k": 1}, {"k": 0},
+    ])
+    def test_bad_pair_fields_rejected(self, xi2_source, fields):
+        doc = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3)))
+        doc.update(fields)
+        with pytest.raises(ValueError, match="pair certificate"):
+            certificate_from_json(json.dumps(doc))
 
     def test_morphic_seed_round_trip(self, xi1):
         cert = certify_morphic(xi1, depth=4)

@@ -196,6 +196,49 @@ class TestCertifyVerify:
                              "--stream", "xi3"])
         assert v.exit_code == 0
 
+    def test_pair_certificate_without_k_exits_2(self, runner, tmp_path):
+        cert = tmp_path / "xi3.json"
+        run_cli(runner, ["certify", "--pair", "10,20", "--k", "2",
+                         "--stream", "xi3", "--depth", "10",
+                         "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        del doc["k"]
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", "xi3"])
+        assert v.exit_code == 2
+        assert "cannot load certificate" in v.output
+
+    @pytest.mark.parametrize("bounds", [
+        {"dioLowerBound": "100/1", "ratioGrowthBound": "1/1000"},
+        {"dioLowerBound": "100/1"},
+        {"ratioGrowthBound": "1/1000"},
+    ])
+    def test_morphic_declared_bounds_are_recomputed(self, runner, machines,
+                                                    tmp_path, bounds):
+        cert = tmp_path / "xi1.json"
+        run_cli(runner, ["certify", "--machine", str(machines / "xi1.json"),
+                         "--depth", "6", "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc.update(bounds)
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / "xi1.json")])
+        assert v.exit_code == 2
+        assert "certificate INVALID" in v.output
+
+    def test_pair_growth_bound_must_be_k(self, runner, machines, tmp_path):
+        cert = tmp_path / "cert.json"
+        run_cli(runner, ["certify", "--machine", str(machines / "xi2.json"),
+                         "--depth", "6", "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc["ratioGrowthBound"] = "3/1"
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / "xi2.json")])
+        assert v.exit_code == 2
+        assert "growth bound 3 is not k = 2" in v.output
+
     def test_refuted_pair_exits_1(self, runner, machines):
         r = run_cli(runner, ["certify", "--pair", "1,3", "--k", "2",
                              "--stream", "xi3", "--depth", "4"])

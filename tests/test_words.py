@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_best, naive_complexity, naive_right_special,
-                      periodic_source, str_prefix, str_source)
+                      per_period_best, periodic_source, str_prefix,
+                      str_source)
+from digitseq import catalog
 from digitseq.errors import InsufficientDataError
+from digitseq.numbers import xi3_sequence
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix, Word,
                             best_repetition_at, decode_base_k, digit_alphabet,
                             dio_profile, encode_base_k,
@@ -173,6 +177,110 @@ class TestBestRepetition:
                         assert (got.ratio, got.v, got.u) == want, (text, cap)
 
 
+def _caps(ell: int, rng: random.Random):
+    """The default cap, the uncapped search, cap 1 and a random cap."""
+    return (None, ell, 1, rng.randint(1, ell))
+
+
+class TestBackwardScan:
+    """best_repetition_at against the per-period loop it replaced and the
+    triple-loop search, on words built to end scans in unusual places."""
+
+    @staticmethod
+    def check(p, ell, caps, brute=False):
+        text = p.data.decode("latin-1")
+        for cap in caps:
+            got = best_repetition_at(p, ell, v_max=cap)
+            assert got == per_period_best(p, ell, v_max=cap), (ell, cap)
+            if brute:
+                # brute_force_best reads None as uncapped
+                want = brute_force_best(
+                    text, ell, v_max=ell // 2 if cap is None else cap)
+                assert (None if got is None else (got.ratio, got.v, got.u)) \
+                    == want, (text, ell, cap)
+
+    def test_constant_words(self):
+        rng = random.Random(1)
+        for ell in (1, 2, 3, 17, 64, 1000, 2 ** 12):
+            p = SequencePrefix("c", Alphabet(("a",)), bytes(ell))
+            self.check(p, ell, _caps(ell, rng), brute=ell <= 64)
+            if ell > 1:
+                assert best_repetition_at(p, ell) == \
+                    RepetitionWitness(u=0, v=1, ext=ell)
+
+    def test_periodic_run_ending_at_ell(self):
+        # a random head, then a run of period v that ends exactly at ell,
+        # then symbols that break the period
+        rng = random.Random(2)
+        for _ in range(300):
+            letters = "abc"[:rng.randint(2, 3)]
+            head = "".join(rng.choice(letters)
+                           for _ in range(rng.randint(0, 40)))
+            block = "".join(rng.choice(letters)
+                            for _ in range(rng.randint(1, 9)))
+            run = (block * 50)[:rng.randint(len(block), 200)]
+            tail = "".join(rng.choice(letters) for _ in range(5))
+            text = head + run + tail
+            ell = len(head) + len(run)
+            p = str_prefix(text, symbols=letters)
+            self.check(p, ell, _caps(ell, rng), brute=ell <= 40)
+
+    def test_periodic_word_with_one_far_defect(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            block = "".join(rng.choice("ab")
+                            for _ in range(rng.randint(1, 12)))
+            ell = rng.randint(2, 600)
+            text = list((block * (ell // len(block) + 2))[:ell])
+            at = rng.randrange(min(ell, 1 + ell // 8))  # far from ell
+            text[at] = "c"
+            p = str_prefix("".join(text), symbols="abc")
+            self.check(p, ell, _caps(ell, rng), brute=ell <= 40)
+
+    def test_random_words_against_brute_force(self):
+        rng = random.Random(4)
+        for _ in range(500):
+            letters = "abcd"[:rng.randint(1, 4)]
+            text = "".join(rng.choice(letters)
+                           for _ in range(rng.randint(1, 40)))
+            p = str_prefix(text, symbols=letters)
+            ell = rng.randint(1, len(text))
+            self.check(p, ell, _caps(ell, rng), brute=True)
+
+    def test_thue_morse_and_xi3_prefixes(self):
+        rng = random.Random(5)
+        for pre in (catalog.thue_morse_dfao().source("t").prefix(2 ** 12),
+                    xi3_sequence(2 ** 12)):
+            lengths = [2 ** j for j in range(1, 13)]
+            lengths += [rng.randint(1, 2 ** 12) for _ in range(10)]
+            for ell in lengths:
+                self.check(pre, ell, _caps(ell, rng), brute=ell <= 40)
+
+    @pytest.mark.parametrize("word", ["constant", "thue-morse", "one-defect"])
+    def test_memory_stays_bounded(self, word):
+        # a block holds at most 2^20 comparisons; a constant word must stop
+        # after its period instead of building an ell x ell/2 matrix, and
+        # in a^m b a^m every period v <= m agrees back to position m + v
+        ell = 2 ** 16
+        if word == "constant":
+            p = SequencePrefix("c", Alphabet(("a",)), bytes(ell))
+        elif word == "thue-morse":
+            p = catalog.thue_morse_dfao().source("t").prefix(ell)
+        else:
+            m = 2 ** 14
+            ell = 2 * m + 1
+            p = SequencePrefix("ab", Alphabet(("a", "b")),
+                               bytes(m) + b"\x01" + bytes(m))
+        tracemalloc.start()
+        try:
+            best_repetition_at(p, ell)
+            best_repetition_at(p, ell, v_max=ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
 class TestDioProfile:
     def test_periodic_doubles(self):
         src = periodic_source("01")
@@ -232,10 +340,10 @@ class TestFactorComplexity:
 
 class TestRightSpecial:
     def test_period_two_has_none(self):
-        assert right_special_count(str_prefix("01010101"), 2) == 0
+        assert right_special_count(str_prefix("01010101"), 2)[1] == 0
 
     def test_both_letters_special(self):
-        assert right_special_count(str_prefix("0011000111"), 1) == 2
+        assert right_special_count(str_prefix("0011000111"), 1) == [2]
 
     def test_needs_one_extra_symbol(self):
         with pytest.raises(InsufficientDataError):
@@ -251,7 +359,7 @@ class TestRightSpecial:
         p = str_prefix(text, symbols="ab")
         p_n, p_next = factor_complexity_profile(p, n + 1)[n - 1:]
         diff = p_next - p_n
-        rs = right_special_count(p, n)
+        rs = right_special_count(p, n)[n - 1]
         tail = text[len(text) - n:]
         tail_has_follower = tail in text[:-1] or len(tail) < n
         if tail_has_follower:
@@ -273,9 +381,26 @@ class TestWindowIndex:
             p = str_prefix(text, symbols=letters)
             assert factor_complexity_profile(p, len(text)) == [
                 naive_complexity(p.data, n) for n in range(1, len(text) + 1)]
-            for n in range(1, len(text)):
-                assert right_special_count(p, n) == \
-                    naive_right_special(p.data, n), (text, n)
+            assert right_special_count(p, len(text) - 1) == [
+                naive_right_special(p.data, n)
+                for n in range(1, len(text))], text
+
+    def test_one_call_serves_every_shorter_range(self):
+        # periodic words whose last blocks recur earlier, so the windows
+        # dropped for large n sort inside a group of kept ones, with and
+        # without a closing letter that occurs nowhere else
+        rng = random.Random(11)
+        for _ in range(150):
+            letters = "abc"[:rng.randint(1, 3)]
+            block = "".join(rng.choice(letters)
+                            for _ in range(rng.randint(1, 6)))
+            text = (block * 60)[:rng.randint(2, 150)] + rng.choice(("", "d"))
+            p = str_prefix(text, symbols="abcd")
+            full = right_special_count(p, len(text) - 1)
+            assert full == [naive_right_special(p.data, n)
+                            for n in range(1, len(text))], text
+            m = rng.randint(1, len(text) - 1)
+            assert right_special_count(p, m) == full[:m]
 
     def test_full_byte_alphabet_right_special(self):
         # no sentinel is involved, so byte 255 is an ordinary letter
@@ -285,9 +410,9 @@ class TestWindowIndex:
             data = bytes(rng.choice((0, 254, 255, rng.randrange(256)))
                          for _ in range(rng.randint(2, 200)))
             p = SequencePrefix("bytes", alphabet, data)
-            for n in range(1, len(data)):
-                assert right_special_count(p, n) == \
-                    naive_right_special(data, n), (data, n)
+            assert right_special_count(p, len(data) - 1) == [
+                naive_right_special(data, n)
+                for n in range(1, len(data))], data
         with pytest.raises(ValueError, match="sentinel"):
             factor_complexity_profile(p, 1)
 
@@ -296,14 +421,26 @@ class TestWindowIndex:
         # occur nowhere else: they count in p(n), never in rs(n)
         p = str_prefix("aaab")
         assert factor_complexity_profile(p, 4) == [2, 2, 2, 1]
-        assert [right_special_count(p, n) for n in (1, 2, 3)] == [1, 1, 0]
+        assert right_special_count(p, 3) == [1, 1, 0]
         for text in ("abababc", "abcabcabd", "abaab"):
             p = str_prefix(text)
             assert factor_complexity_profile(p, len(text)) == [
                 naive_complexity(text, n) for n in range(1, len(text) + 1)]
-            assert [right_special_count(p, n) for n in range(1, len(text))] \
-                == [naive_right_special(p.data, n)
-                    for n in range(1, len(text))]
+            assert right_special_count(p, len(text) - 1) == [
+                naive_right_special(p.data, n) for n in range(1, len(text))]
+
+
+    def test_index_memory_is_one_window_matrix(self, xi2):
+        # the sorted neighbours are compared a slice at a time: 2^16 x 256
+        # windows peak at one 16 MiB matrix, not a sorted second copy
+        pre = xi2.source("t").prefix(2 ** 16)
+        tracemalloc.start()
+        try:
+            factor_complexity_profile(pre, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
 
 class TestDifferenceIdentityOnCatalogWords:
@@ -313,9 +450,9 @@ class TestDifferenceIdentityOnCatalogWords:
         for pre in (tm_dfao.source("test").prefix(2 ** 14),
                     xi2.source("test").prefix(2 ** 14)):
             profile = factor_complexity_profile(pre, 65)
+            rs = right_special_count(pre, 64)
             for n in range(1, 65):
-                assert profile[n] - profile[n - 1] == \
-                    right_special_count(pre, n), n
+                assert profile[n] - profile[n - 1] == rs[n - 1], n
 
 
 class TestSequenceMachinery:
