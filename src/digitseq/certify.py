@@ -20,12 +20,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dfao as dfao_mod
 from . import morphic as morphic_mod
 from . import pda as pda_mod
 from .errors import BudgetExceededError, PairRefutedError
-from .words import (RepetitionWitness, SequenceSource, encode_base_k,
-                    verify_repetition)
+from .words import RepetitionWitness, SequenceSource, verify_repetition
 
 __all__ = [
     "Certificate",
@@ -121,20 +119,15 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
 
     Scanning n = 1, 2, ... the reached state repeats within |Q| + 1 steps;
     equal states mean equal configurations, so the pair is output-
-    equivalent and the identity family holds at every level.
+    equivalent and the identity family holds at every level. The scan is
+    the pushdown pair search on the stack-free recast.
     """
-    seen: dict[str, int] = {}
-    pair = None
-    for n in range(1, m.state_count() + 2):
-        state = dfao_mod.run_word(m, encode_base_k(n, m.k).indices)
-        if state in seen:
-            pair = (seen[state], n)
-            break
-        seen[state] = n
-    assert pair is not None  # pigeonhole on |Q| states
+    found = pda_mod.find_equivalent_pair(pda_mod.from_dfao(m),
+                                         n_max=m.state_count() + 1)
+    assert found is not None  # pigeonhole on |Q| states
     source = m.source(machine_ref or "dfao")
     return certificate_from_pair(
-        source, pair[0], pair[1], m.k, depth,
+        source, found[0], found[1], m.k, depth,
         machine_ref=machine_ref or source.source_id,
         kind="dfao-pigeonhole", method="exact",
     )
@@ -243,6 +236,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                        extra_depth: int = 0) -> VerificationReport:
     """Independently re-check every stored witness against the source.
 
+    The declared depth must be the number of witnesses minus one; a
+    certificate that fails this is rejected before any prefix is sized.
     The declared bounds are recomputed too: for pair kinds the stored
     witnesses must be the pair's family, the bound 1 + 1/(n'-1) and the
     growth bound k; for the morphic kind the bound is the least witness
@@ -255,6 +250,10 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     (the denominators are astronomically large) and nothing floating-
     point is asserted.
     """
+    if cert.verified_depth != len(cert.witnesses) - 1:
+        return VerificationReport(False, 0, None, (
+            f"declared verifiedDepth {cert.verified_depth} is not the "
+            f"{len(cert.witnesses)} witnesses minus one",), ())
     failures = []
     need = max((w.u + w.ext for w in cert.witnesses), default=0)
     extended = None

@@ -345,11 +345,7 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
         _die(EXIT_BUDGET, str(exc))
     except (ValueError, InsufficientDataError) as exc:
         _die(EXIT_INVALID, str(exc))
-    text = certify_mod.certificate_to_json(cert)
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
+    _emit(certify_mod.certificate_to_json(cert), output)
     click.echo(_cert_summary(cert), err=True)
 
 

@@ -7,8 +7,9 @@ output, and sequence position p (1-based) corresponds to n = p - 1.
 
 Sources generate level by level: the expansion of n is the expansion of
 n // k followed by n % k, so the states of a whole block [k^l, k^(l+1))
-are one numpy gather from the block below. `run` and `run_word` read the
-digits of a single n one at a time.
+are one numpy gather from the block below. That is the one way a machine
+runs here; searches over inputs recast it as a stack-free pushdown
+transducer (`pda.from_dfao`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from .validation import ValidationReport
-from .words import Alphabet, SequenceSource, _digit_levels, encode_base_k
+from .words import Alphabet, SequenceSource, _digit_levels
 
-__all__ = ["Dfao", "run_word", "run"]
+__all__ = ["Dfao"]
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,4 @@ class Dfao:
             return out[states].tobytes()
 
         return SequenceSource(source_id, alphabet, gen)
-
-
-def run_word(m: Dfao, digits) -> str:
-    """State reached from the initial state on a digit sequence."""
-    state = m.initial
-    for d in digits:
-        state = m.delta[state][d]
-    return state
-
-
-def run(m: Dfao, n: int) -> str:
-    """Output symbol for input n: tau(delta(q0, <n>_k))."""
-    if n < 0:
-        raise ValueError("input integer must be nonnegative")
-    return m.output[run_word(m, encode_base_k(n, m.k).indices)]
 

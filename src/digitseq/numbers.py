@@ -150,30 +150,29 @@ def expansion_stream(source_kind: str, b: int, **kw) -> SequenceSource:
         d = kw["d"]
         _check_surd(d)
         whole = math.isqrt(d)
-        head = bytes(int(c) for c in _int_digits(whole, b))
+        source_id = f"expansion:surd:{d}:base{b}"
 
-        def gen(n: int) -> bytes:
-            if n <= len(head):
-                return head[:n]
-            return head + surd_digits(d, b, n - len(head))[1].data
-
-        return SequenceSource(f"expansion:surd:{d}:base{b}", alphabet, gen)
-    if source_kind == "rational":
+        def tail(n: int) -> bytes:
+            return surd_digits(d, b, n)[1].data
+    elif source_kind == "rational":
         p, q = kw["p"], kw["q"]
         if q < 1 or p < 0:
             raise ValueError("need p >= 0, q >= 1")
-        whole, p = divmod(p, q)
-        head = bytes(int(c) for c in _int_digits(whole, b))
+        whole, r = divmod(p, q)
+        source_id = f"expansion:rational:{p}/{q}:base{b}"
 
-        def gen(n: int) -> bytes:
-            if n <= len(head):
-                return head[:n]
-            return head + rational_digits(p, q, b, n - len(head)).data
+        def tail(n: int) -> bytes:
+            return rational_digits(r, q, b, n).data
+    else:
+        raise ValueError(f"unknown expansion stream kind {source_kind!r}")
+    head = bytes(_int_digits(whole, b))
 
-        return SequenceSource(
-            f"expansion:rational:{p + whole * q}/{q}:base{b}", alphabet, gen
-        )
-    raise ValueError(f"unknown expansion stream kind {source_kind!r}")
+    def gen(n: int) -> bytes:
+        if n <= len(head):
+            return head[:n]
+        return head + tail(n - len(head))
+
+    return SequenceSource(source_id, alphabet, gen)
 
 
 def _int_digits(n: int, b: int) -> list[int]:

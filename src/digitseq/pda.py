@@ -17,11 +17,14 @@ Conventions, fixed here and relied on everywhere else:
 - The output table is read at the top symbol only: tau(q, s_1..s_j) =
   tau(q, s_j), and an empty stack reads the '#' column.
 
-Sources generate level by level, like the automata: the configuration
-after n is one digit step from the configuration after n // k, so a whole
-block [k^l, k^(l+1)) steps at once on integer arrays. `StackConfig`,
-`step_input` and `config_of` are the one-input-at-a-time path that the
-searches use.
+A machine runs one way. It compiles to a step core whose stacks are
+hash-consed nodes, so equal stacks get equal node ids and a
+configuration is an int pair (state, node). One vectorised step reads a
+digit in many configurations at once. Sources and the pair search fill
+configurations level by level, like the automata: the configuration
+after n is one digit step from the configuration after n // k, so a
+whole block [k^l, k^(l+1)) steps at once. The distinguishing search
+steps one array of configuration pairs per depth.
 """
 
 from __future__ import annotations
@@ -39,14 +42,7 @@ from .words import Alphabet, SequenceSource, _digit_levels, encode_base_k
 __all__ = [
     "BOTTOM",
     "Dpao",
-    "StackConfig",
     "DistinguishResult",
-    "initial_config",
-    "step_input",
-    "run_word",
-    "config_of",
-    "output_of_config",
-    "output_at",
     "pop_table",
     "find_equivalent_pair",
     "bounded_distinguish",
@@ -162,162 +158,163 @@ class Dpao:
     def source(self, source_id: str) -> SequenceSource:
         """The output sequence, n = 0, 1, 2, ...; validates first.
 
-        The machine compiles once to dense tables over (state, top,
-        digit), and the configurations fill one base-k level at a time.
-        Stacks are persistent lists in two node arrays: node 0 is the
-        bare bottom, node i holds parent[i] and sym[i]. A configuration
-        is then a pair of ints, a state and a node.
+        The machine compiles once to a step core, and the configurations
+        fill one base-k level at a time.
         """
         self.validate().require()
-        alphabet = self.output_alphabet()
-        k = self.k
-        tops = self.stack_symbols + (BOTTOM,)
-        bottom = len(tops) - 1
-        state_ix = {q: i for i, q in enumerate(self.states)}
-        top_ix = {a: i for i, a in enumerate(tops)}
-        shape = (len(self.states), len(tops))
-        eps_to = np.full(shape, -1, dtype=np.int32)
-        # a digit row is (state * len(tops) + top) * k + digit
-        dig_to = np.full(shape[0] * shape[1] * k, -1, dtype=np.int32)
-        dig_len = np.zeros_like(dig_to)
-        dig_start = np.zeros_like(dig_to)
-        pushed: list[int] = []
-        for (q, a, inp), (to, push) in self.transitions.items():
-            if inp is None:
-                eps_to[state_ix[q], top_ix[a]] = state_ix[to]
-                continue
-            row = (state_ix[q] * shape[1] + top_ix[a]) * k + inp
-            dig_to[row] = state_ix[to]
-            dig_len[row] = len(push)
-            dig_start[row] = len(pushed)
-            pushed.extend(top_ix[z] for z in push)
-        pushed_sym = np.array(pushed, dtype=np.int32)
-        out = np.array([[alphabet.index(self.output[(q, a)]) for a in tops]
-                        for q in self.states], dtype=np.uint8)
-        initial = state_ix[self.initial]
+        core = _Core(self)
 
         def gen(n: int) -> bytes:
-            state = np.full(n, initial, dtype=np.int32)
-            node = np.zeros(n, dtype=np.int32)
-            parent = np.zeros(1, dtype=np.int32)
-            sym = np.full(1, bottom, dtype=np.int32)
-            for lo, hi, parents, digits in _digit_levels(k, n):
-                st, nd = state[parents], node[parents]
-                top = sym[nd]
-                row = (st * shape[1] + top) * k + digits
-                to = dig_to[row]
-                if (to < 0).any():
-                    i = int(np.argmax(to < 0))
-                    raise _hole_error(self.states[st[i]], tops[top[i]],
-                                      int(digits[i]))
-                # the digit move replaces the top; at the bottom it only pushes
-                base = np.where(top == bottom, nd, parent[nd])
-                # push: the block's pushed words become new nodes, chained
-                # from base up to the new top
-                length = dig_len[row]
-                ends = np.cumsum(length)
-                owner = np.repeat(np.arange(len(row)), length)
-                offset = np.arange(len(owner)) - (ends - length)[owner]
-                first = len(sym)
-                new_parent = np.arange(first - 1, first - 1 + len(owner),
-                                       dtype=np.int32)
-                heads = offset == 0
-                new_parent[heads] = base[owner[heads]]
-                sym = np.concatenate(
-                    [sym, pushed_sym[dig_start[row][owner] + offset]])
-                parent = np.concatenate([parent, new_parent])
-                nd = np.where(length > 0, first + ends - 1, base)
-                # epsilon closure: each pass pops one symbol where a move fires
-                st = to
-                live = np.arange(len(st))
-                while live.size:
-                    eps = eps_to[st[live], sym[nd[live]]]
-                    live, eps = live[eps >= 0], eps[eps >= 0]
-                    st[live] = eps
-                    nd[live] = parent[nd[live]]
-                state[lo:hi], node[lo:hi] = st, nd
-            return out[state, sym[node]].tobytes()
+            for _, state, node in core.fill(n):
+                pass
+            return core.out[state, core.sym[node]].tobytes()
 
-        return SequenceSource(source_id, alphabet, gen)
+        return SequenceSource(source_id, core.alphabet, gen)
 
 
-@dataclass(frozen=True)
-class StackConfig:
-    """An internal configuration: control state plus stack word (top at
-    the right; the empty tuple is the bare bottom marker)."""
+class _Hole(ValidationError):
+    """A reached row with no move for the digit read, at index `at` of
+    the stepped arrays."""
 
-    state: str
-    stack: tuple[str, ...]
-
-    @property
-    def height(self) -> int:
-        return len(self.stack)
-
-    @property
-    def top(self) -> str:
-        return self.stack[-1] if self.stack else BOTTOM
+    def __init__(self, state: str, top: str, digit: int, at: int):
+        report = ValidationReport()
+        report.error("incompleteness", f"reached ({state!r}, {top!r}) with "
+                     f"digit {digit} but no transition is defined")
+        super().__init__(report)
+        self.at = at
 
 
-def _closure(m: Dpao, state: str, stack: tuple[str, ...]
-             ) -> tuple[str, tuple[str, ...]]:
-    # each epsilon move pops one symbol, so this terminates
-    while stack:
-        t = m.transitions.get((state, stack[-1], None))
-        if t is None:
-            break
-        state = t[0]
-        stack = stack[:-1]
-    return state, stack
+class _Core:
+    """A Dpao compiled to step many configurations at once.
 
+    Dense tables over (state, top, digit) hold the moves. Stacks live in
+    a hash-consed node store: node 0 is the bare bottom, and node i is
+    the stack parent[i] with sym[i] pushed on top, height[i] symbols
+    high. `child` maps (parent, symbol) to its node, so equal stacks are
+    one node and a configuration is the int pair (state, node).
+    """
 
-def initial_config(m: Dpao) -> StackConfig:
-    state, stack = _closure(m, m.initial, ())
-    return StackConfig(state, stack)
+    def __init__(self, m: Dpao):
+        self.k = k = m.k
+        self.states = m.states
+        self.tops = tops = m.stack_symbols + (BOTTOM,)
+        # the bottom's index also stands for "push nothing"
+        self.bottom = bottom = len(tops) - 1
+        self.alphabet = m.output_alphabet()
+        state_ix = {q: i for i, q in enumerate(m.states)}
+        top_ix = {a: i for i, a in enumerate(tops)}
+        self.eps_to = np.full((len(m.states), len(tops)), -1, dtype=np.int32)
+        # a digit row is (state * len(tops) + top) * k + digit
+        self.dig_to = np.full(len(m.states) * len(tops) * k, -1,
+                              dtype=np.int32)
+        # pushed[j, row]: the row's j-th pushed symbol, or the bottom
+        # index past the end of its word
+        longest = max((len(push) for _, push in m.transitions.values()),
+                      default=0)
+        self.pushed = np.full((longest, len(self.dig_to)), bottom,
+                              dtype=np.int32)
+        for (q, a, inp), (to, push) in m.transitions.items():
+            if inp is None:
+                self.eps_to[state_ix[q], top_ix[a]] = state_ix[to]
+                continue
+            row = (state_ix[q] * len(tops) + top_ix[a]) * k + inp
+            self.dig_to[row] = state_ix[to]
+            self.pushed[:len(push), row] = [top_ix[z] for z in push]
+        self.out = np.array(
+            [[self.alphabet.index(m.output[(q, a)]) for a in tops]
+             for q in m.states], dtype=np.uint8)
+        self.initial = state_ix[m.initial]
+        # node 0 is its own parent, so popping the bare bottom keeps it
+        self.parent = np.zeros(1, dtype=np.int32)
+        self.sym = np.full(1, bottom, dtype=np.int32)
+        self.height = np.zeros(1, dtype=np.int32)
+        # child[node * len(tops) + symbol]: the node one push above, or
+        # -1 while unmade; pushing the bottom index keeps the node
+        self.child = np.full(len(tops), -1, dtype=np.int32)
+        self.child[bottom] = 0
 
+    def _intern(self, base: np.ndarray, syms: np.ndarray) -> np.ndarray:
+        """The node of each stack base[i] with syms[i] pushed on top;
+        pairs not seen before become new nodes."""
+        width = len(self.tops)
+        key = base.astype(np.int64) * width + syms
+        node = self.child[key]
+        new = node < 0
+        if new.any():
+            fresh, inverse = np.unique(key[new], return_inverse=True)
+            ids = len(self.parent) + np.arange(len(fresh), dtype=np.int32)
+            parent, sym = np.divmod(fresh, width)
+            self.parent = np.concatenate([self.parent, parent.astype(np.int32)])
+            self.sym = np.concatenate([self.sym, sym.astype(np.int32)])
+            self.height = np.concatenate([self.height, self.height[parent] + 1])
+            self.child = np.concatenate(
+                [self.child, np.full(len(fresh) * width, -1, dtype=np.int32)])
+            self.child[ids * width + self.bottom] = ids
+            self.child[fresh] = ids
+            node[new] = ids[inverse]
+        return node
 
-def step_input(m: Dpao, config: StackConfig, digit: int) -> StackConfig:
-    """Consume one digit, then exhaust epsilon moves."""
-    top = config.stack[-1] if config.stack else BOTTOM
-    try:
-        to, push = m.transitions[(config.state, top, digit)]
-    except KeyError:
-        raise _hole_error(config.state, top, digit) from None
-    stack = (config.stack[:-1] + push) if config.stack else push
-    state, stack = _closure(m, to, stack)
-    return StackConfig(state, stack)
+    def step(self, states: np.ndarray, nodes: np.ndarray, digits: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Read digits[i] in configuration (states[i], nodes[i]), then
+        exhaust epsilon moves; returns the new states and nodes.
 
+        Raises `_Hole` for the first configuration whose row has no move
+        for its digit, before anything is pushed.
+        """
+        top = self.sym[nodes]
+        row = (states * len(self.tops) + top) * self.k + digits
+        to = self.dig_to[row]
+        if (to < 0).any():
+            i = int(np.argmax(to < 0))
+            raise _Hole(self.states[states[i]], self.tops[top[i]],
+                        int(digits[i]), i)
+        # the digit move replaces the top, then pushes its word
+        nodes = self.parent[nodes]
+        for pushed in self.pushed:
+            nodes = self._intern(nodes, pushed[row])
+        # epsilon closure: each pass pops one symbol where a move fires
+        live = np.flatnonzero(self.eps_to[to, self.sym[nodes]] >= 0)
+        while live.size:
+            to[live] = self.eps_to[to[live], self.sym[nodes[live]]]
+            nodes[live] = self.parent[nodes[live]]
+            live = live[self.eps_to[to[live], self.sym[nodes[live]]] >= 0]
+        return to, nodes
 
-def _hole_error(state: str, top: str, digit: int) -> ValidationError:
-    report = ValidationReport()
-    report.error(
-        "incompleteness",
-        f"reached ({state!r}, {top!r}) with digit {digit} but no transition "
-        "is defined",
-    )
-    return ValidationError(report)
+    def fill(self, count: int):
+        """Configurations of n in [0, count) as state and node arrays,
+        filled one base-k level at a time from the initial one at n = 0;
+        yields (hi, state, node) each time every n < hi is filled.
 
+        At a hole, the level is filled and yielded up to the input that
+        reaches it, and then the hole is raised: every input before it
+        is filled, as when the inputs are stepped one by one.
+        """
+        state = np.full(count, self.initial, dtype=np.int32)
+        node = np.zeros(count, dtype=np.int32)
+        yield min(count, 1), state, node
+        for lo, hi, parents, digits in _digit_levels(self.k, count):
+            try:
+                state[lo:hi], node[lo:hi] = self.step(
+                    state[parents], node[parents], digits)
+            except _Hole as hole:
+                hi = lo + hole.at
+                state[lo:hi], node[lo:hi] = self.step(
+                    state[parents[:hole.at]], node[parents[:hole.at]],
+                    digits[:hole.at])
+                yield hi, state, node
+                raise
+            yield hi, state, node
 
-def run_word(m: Dpao, digits) -> StackConfig:
-    config = initial_config(m)
-    for d in digits:
-        config = step_input(m, config, d)
-    return config
-
-
-def config_of(m: Dpao, n: int) -> StackConfig:
-    """Configuration after reading the proper base-k expansion of n;
-    n = 0 reads the empty input."""
-    if n < 0:
-        raise ValueError("input integer must be nonnegative")
-    return run_word(m, encode_base_k(n, m.k).indices)
-
-
-def output_of_config(m: Dpao, config: StackConfig) -> str:
-    return m.output[(config.state, config.top)]
-
-
-def output_at(m: Dpao, n: int) -> str:
-    return output_of_config(m, config_of(m, n))
+    def config(self, n: int) -> tuple[int, int]:
+        """(state, node) after the base-k expansion of n, stepped one
+        digit at a time; n = 0 reads the empty input."""
+        if n < 0:
+            raise ValueError("input integer must be nonnegative")
+        state, node = np.full(1, self.initial), np.zeros(1, dtype=np.int32)
+        for d in encode_base_k(n, self.k).indices:
+            state, node = self.step(state, node, np.full(1, d))
+        return int(state[0]), int(node[0])
 
 
 def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
@@ -366,34 +363,39 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
     pop set for that pair, so everything below the top is permanently
     sealed and the configurations behave identically. The first hit in
     scan order minimizes n', then n; returns None when the budget runs out
-    (which proves nothing).
+    (which proves nothing). The scan fills one base-k level at a time and
+    stops after the first level that holds a hit.
     """
     m.validate().require()
     pops = pop_table(m)
-    exact_seen: dict[StackConfig, int] = {}
-    protected_seen: dict[tuple[str, str], int] = {}
-    configs = [initial_config(m)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        c = step_input(m, configs[n // m.k], n % m.k)
-        configs[n] = c
-        candidates = []
-        if c.height <= height_cap and c in exact_seen:
-            candidates.append((exact_seen[c], "exact"))
-        sig = (c.state, c.top)
-        if (
-            c.height >= 2
-            and not pops[sig]
-            and sig in protected_seen
-        ):
-            candidates.append((protected_seen[sig], "protected"))
-        if candidates:
-            first_n, method = min(candidates, key=lambda t: (t[0], t[1]))
-            return (first_n, n, method)
-        if c.height <= height_cap and c not in exact_seen:
-            exact_seen[c] = n
-        if c.height >= 2 and not pops[sig] and sig not in protected_seen:
-            protected_seen[sig] = n
+    core = _Core(m)
+    sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
+                       for q in m.states])
+    for hi, state, node in core.fill(max(n_max, 0) + 1):
+        # entry i is input n = i + 1; equal stacks are equal nodes
+        st, nd = state[1:hi].astype(np.int64), node[1:hi]
+        height, top = core.height[nd], core.sym[nd]
+        exact = _first_equal(st * len(core.parent) + nd, height <= height_cap)
+        protected = _first_equal(st * len(core.tops) + top,
+                                 (height >= 2) & sealed[st, top])
+        earliest = np.minimum(exact, protected)
+        hits = np.flatnonzero(earliest < np.arange(len(st)))
+        if hits.size:
+            i = int(hits[0])
+            method = "exact" if exact[i] <= protected[i] else "protected"
+            return int(earliest[i]) + 1, i + 1, method
     return None
+
+
+def _first_equal(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For each i in mask, the least j in mask with keys[j] == keys[i];
+    len(keys) outside the mask."""
+    first = np.full(len(keys), len(keys))
+    idx = np.flatnonzero(mask)
+    _, start, inverse = np.unique(keys[idx], return_index=True,
+                                  return_inverse=True)
+    first[idx] = idx[start[inverse]]
+    return first
 
 
 @dataclass(frozen=True)
@@ -417,26 +419,38 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
     A found word disproves equivalence; exhausting the depth proves
     nothing and is reported as such. Configuration pairs already seen are
     skipped, since outputs depend only on the configurations.
+
+    Each depth is one array of pairs (s1, node1, s2, node2) in search
+    order, all stepped at once; equal stacks are equal nodes, so a pair
+    seen before is an equal row.
     """
     m.validate().require()
-    start = (config_of(m, n), config_of(m, n_prime))
-    seen = {start}
-    frontier: list[tuple[StackConfig, StackConfig, tuple[int, ...]]] = [
-        (start[0], start[1], ())
-    ]
-    while frontier:
-        next_frontier = []
-        for c1, c2, word in frontier:
-            if output_of_config(m, c1) != output_of_config(m, c2):
-                return DistinguishResult(True, word, depth)
-            if len(word) == depth:
-                continue
-            for d in range(m.k):
-                pair = (step_input(m, c1, d), step_input(m, c2, d))
-                if pair not in seen:
-                    seen.add(pair)
-                    next_frontier.append((pair[0], pair[1], word + (d,)))
-        frontier = next_frontier
+    core, k = _Core(m), m.k
+    pairs = seen = np.array([core.config(n) + core.config(n_prime)])
+    words = np.zeros((1, 0), dtype=np.int64)
+    for level in range(depth + 1):
+        out = core.out[pairs[:, [0, 2]], core.sym[pairs[:, [1, 3]]]]
+        first = int(np.argmax(np.append(out[:, 0] != out[:, 1], True)))
+        if level < depth:
+            # the pairs before the first distinguished one read every
+            # digit, first side then second, so a hole raises in order
+            live = pairs[:first]
+            st, nd = core.step(np.repeat(live[:, [0, 2]], k, axis=0).ravel(),
+                               np.repeat(live[:, [1, 3]], k, axis=0).ravel(),
+                               np.tile(np.repeat(np.arange(k), 2), first))
+        if first < len(pairs):
+            return DistinguishResult(True, tuple(map(int, words[first])),
+                                     depth)
+        if level == depth:
+            break
+        stepped = np.stack([st[::2], nd[::2], st[1::2], nd[1::2]], axis=1)
+        _, index = np.unique(np.concatenate([seen, stepped]), axis=0,
+                             return_index=True)
+        fresh = np.sort(index[index >= len(seen)]) - len(seen)
+        if not fresh.size:
+            break
+        pairs, seen = stepped[fresh], np.concatenate([seen, stepped[fresh]])
+        words = np.column_stack([words[fresh // k], fresh % k])
     return DistinguishResult(False, None, depth)
 
 

@@ -5,7 +5,11 @@ search by triple loop, digit parity by string counting, the three-squares
 predicate by direct arithmetic, morphic growth by big-integer iteration.
 The generation oracles are the one-step-per-symbol loops that the
 level-by-level numpy cores replaced: dictionary lookups per n, stacks as
-tuples, xi3 value by value, rationals by plain long division. The
+tuples, xi3 value by value, rationals by plain long division. The machine
+oracles step one input at a time: a dfao by dictionary lookups, a dpao
+with its stack as a tuple (`StackConfig`), and the pair search, the
+distinguishing search and the dfao pigeonhole as the loops over them that
+the hash-consed step core replaced. The
 factor-count oracles are the set-of-slices and dict-of-sets scans that the
 sorted-window index replaced, and the repetition search has the
 one-pass-per-period loop that the backward block scan replaced.
@@ -14,6 +18,7 @@ one-pass-per-period loop that the backward block scan replaced.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +26,13 @@ import pytest
 
 from digitseq import catalog
 from digitseq.dfao import Dfao
+from digitseq.errors import ValidationError
 from digitseq.morphic import MorphicSpec
 from digitseq.numbers import xi3_value
-from digitseq.pda import (BOTTOM, Dpao, StackConfig, initial_config,
-                          output_of_config, step_input)
+from digitseq.pda import BOTTOM, DistinguishResult, Dpao, pop_table
+from digitseq.validation import ValidationReport
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix,
-                            SequenceSource)
+                            SequenceSource, encode_base_k)
 
 
 # --- prefix/source helpers -------------------------------------------------
@@ -83,6 +89,158 @@ def xi3_oracle(n: int) -> int:
     if m and len(m.group(1)) == len(m.group(2)) == len(m.group(3)):
         return 2
     return w.count("1") % 2
+
+
+# --- one-input-at-a-time machine oracles ----------------------------------
+
+def run_word(m: Dfao, digits) -> str:
+    """State reached from the initial state on a digit sequence."""
+    state = m.initial
+    for d in digits:
+        state = m.delta[state][d]
+    return state
+
+
+def run(m: Dfao, n: int) -> str:
+    """Output symbol for input n: tau(delta(q0, <n>_k))."""
+    if n < 0:
+        raise ValueError("input integer must be nonnegative")
+    return m.output[run_word(m, encode_base_k(n, m.k).indices)]
+
+
+def pigeonhole_pair(m: Dfao) -> tuple[int, int]:
+    """The first n < n' reaching equal states, scanning n = 1, 2, ..."""
+    seen: dict[str, int] = {}
+    for n in range(1, m.state_count() + 2):
+        state = run_word(m, encode_base_k(n, m.k).indices)
+        if state in seen:
+            return seen[state], n
+        seen[state] = n
+    raise AssertionError("pigeonhole on |Q| states")
+
+
+@dataclass(frozen=True)
+class StackConfig:
+    """A configuration: control state plus stack word (top at the right;
+    the empty tuple is the bare bottom marker)."""
+
+    state: str
+    stack: tuple[str, ...]
+
+    @property
+    def height(self) -> int:
+        return len(self.stack)
+
+    @property
+    def top(self) -> str:
+        return self.stack[-1] if self.stack else BOTTOM
+
+
+def closure(m: Dpao, state: str, stack: tuple[str, ...]
+            ) -> tuple[str, tuple[str, ...]]:
+    # each epsilon move pops one symbol, so this terminates
+    while stack:
+        t = m.transitions.get((state, stack[-1], None))
+        if t is None:
+            break
+        state = t[0]
+        stack = stack[:-1]
+    return state, stack
+
+
+def initial_config(m: Dpao) -> StackConfig:
+    return StackConfig(*closure(m, m.initial, ()))
+
+
+def hole_error(state: str, top: str, digit: int) -> ValidationError:
+    report = ValidationReport()
+    report.error(
+        "incompleteness",
+        f"reached ({state!r}, {top!r}) with digit {digit} but no transition "
+        "is defined",
+    )
+    return ValidationError(report)
+
+
+def step_input(m: Dpao, config: StackConfig, digit: int) -> StackConfig:
+    """Consume one digit, then exhaust epsilon moves."""
+    top = config.top
+    try:
+        to, push = m.transitions[(config.state, top, digit)]
+    except KeyError:
+        raise hole_error(config.state, top, digit) from None
+    stack = (config.stack[:-1] + push) if config.stack else push
+    return StackConfig(*closure(m, to, stack))
+
+
+def config_of(m: Dpao, n: int) -> StackConfig:
+    """Configuration after reading the proper base-k expansion of n;
+    n = 0 reads the empty input."""
+    if n < 0:
+        raise ValueError("input integer must be nonnegative")
+    config = initial_config(m)
+    for d in encode_base_k(n, m.k).indices:
+        config = step_input(m, config, d)
+    return config
+
+
+def output_of_config(m: Dpao, config: StackConfig) -> str:
+    return m.output[(config.state, config.top)]
+
+
+def output_at(m: Dpao, n: int) -> str:
+    return output_of_config(m, config_of(m, n))
+
+
+def pair_search_loop(m: Dpao, n_max: int = 10_000, height_cap: int = 64
+                     ) -> tuple[int, int, str] | None:
+    """`find_equivalent_pair` one input at a time, with dictionaries of
+    the first n per configuration and per protected (state, top)."""
+    m.validate().require()
+    pops = pop_table(m)
+    exact_seen: dict[StackConfig, int] = {}
+    protected_seen: dict[tuple[str, str], int] = {}
+    configs = [initial_config(m)] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        c = step_input(m, configs[n // m.k], n % m.k)
+        configs[n] = c
+        candidates = []
+        if c.height <= height_cap and c in exact_seen:
+            candidates.append((exact_seen[c], "exact"))
+        sig = (c.state, c.top)
+        if c.height >= 2 and not pops[sig] and sig in protected_seen:
+            candidates.append((protected_seen[sig], "protected"))
+        if candidates:
+            first_n, method = min(candidates)
+            return (first_n, n, method)
+        if c.height <= height_cap and c not in exact_seen:
+            exact_seen[c] = n
+        if c.height >= 2 and not pops[sig] and sig not in protected_seen:
+            protected_seen[sig] = n
+    return None
+
+
+def distinguish_loop(m: Dpao, n: int, n_prime: int, depth: int
+                     ) -> DistinguishResult:
+    """`bounded_distinguish` one pair and one digit at a time."""
+    m.validate().require()
+    start = (config_of(m, n), config_of(m, n_prime))
+    seen = {start}
+    frontier = [(start[0], start[1], ())]
+    while frontier:
+        next_frontier = []
+        for c1, c2, word in frontier:
+            if output_of_config(m, c1) != output_of_config(m, c2):
+                return DistinguishResult(True, word, depth)
+            if len(word) == depth:
+                continue
+            for d in range(m.k):
+                pair = (step_input(m, c1, d), step_input(m, c2, d))
+                if pair not in seen:
+                    seen.add(pair)
+                    next_frontier.append((pair[0], pair[1], word + (d,)))
+        frontier = next_frontier
+    return DistinguishResult(False, None, depth)
 
 
 # --- generation oracles ----------------------------------------------------
@@ -261,6 +419,47 @@ def random_dpao(rng: random.Random) -> Dpao:
     }
     return Dpao(k=2, states=states, initial=states[0],
                 stack_symbols=symbols, transitions=transitions, output=output)
+
+
+def random_dfao(rng: random.Random, k: int) -> Dfao:
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 6)))
+    return Dfao(k=k, states=states, initial=states[0],
+                delta={q: tuple(rng.choice(states) for _ in range(k))
+                       for q in states},
+                output={q: rng.choice("abc") for q in states})
+
+
+def random_deep_dpao(rng: random.Random, k: int) -> Dpao:
+    """Up to 3 states, 2 or 3 stack symbols, pushes of length 0..3, and
+    epsilon pops on a third of the non-bottom rows."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    symbols = ("X", "Y", "Z")[:rng.randint(2, 3)]
+    transitions = {}
+    for q in states:
+        for a in symbols + (BOTTOM,):
+            if a != BOTTOM and rng.random() < 0.33:
+                transitions[(q, a, None)] = (rng.choice(states), ())
+                continue
+            for d in range(k):
+                push = tuple(rng.choice(symbols)
+                             for _ in range(rng.randint(0, 3)))
+                transitions[(q, a, d)] = (rng.choice(states), push)
+    output = {(q, a): rng.choice("01")
+              for q in states for a in symbols + (BOTTOM,)}
+    return Dpao(k=k, states=states, initial=states[0], stack_symbols=symbols,
+                transitions=transitions, output=output)
+
+
+def with_dead_rows(m: Dpao, rng: random.Random) -> Dpao:
+    """m with one or two whole (state, top) digit rows removed."""
+    rows = sorted({(q, a) for (q, a, inp) in m.transitions
+                   if inp is not None})
+    dead = set(rng.sample(rows, min(len(rows), rng.randint(1, 2))))
+    return Dpao(k=m.k, states=m.states, initial=m.initial,
+                stack_symbols=m.stack_symbols,
+                transitions={key: val for key, val in m.transitions.items()
+                             if key[:2] not in dead},
+                output=m.output)
 
 
 def simulate_pop_states(m: Dpao, state: str, symbol: str, depth: int

@@ -239,6 +239,27 @@ class TestCertifyVerify:
         assert v.exit_code == 2
         assert "growth bound 3 is not k = 2" in v.output
 
+    @pytest.mark.parametrize("name, extra", [
+        ("xi1", []),
+        # today's sizing would ask for a 2^100 * 6-symbol prefix
+        ("xi2", ["--extra-depth", "1"]),
+    ])
+    def test_false_verified_depth_exits_2(self, runner, machines, tmp_path,
+                                          name, extra):
+        cert = tmp_path / f"{name}.json"
+        run_cli(runner, ["certify", "--machine", str(machines / f"{name}.json"),
+                         "--depth", "6", "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc["verifiedDepth"] = 99
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / f"{name}.json"),
+                             *extra])
+        assert v.exit_code == 2
+        assert "certificate INVALID" in v.output
+        assert any(line.startswith("failure:") and "verifiedDepth" in line
+                   for line in v.output.splitlines())
+
     def test_refuted_pair_exits_1(self, runner, machines):
         r = run_cli(runner, ["certify", "--pair", "1,3", "--k", "2",
                              "--stream", "xi3", "--depth", "4"])

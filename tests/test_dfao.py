@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import legendre_oracle, parity_oracle
+from conftest import legendre_oracle, parity_oracle, run, run_word
 from digitseq import words
-from digitseq.dfao import Dfao, run, run_word
+from digitseq.dfao import Dfao
 
 
 class TestValidation:

@@ -12,7 +12,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import (dfao_prefix, dpao_prefix, long_division, random_dpao,
+from conftest import (dfao_prefix, dpao_prefix, long_division, random_dfao,
+                      random_deep_dpao, random_dpao, with_dead_rows,
                       xi3_prefix)
 from digitseq import catalog
 from digitseq.dfao import Dfao
@@ -26,35 +27,6 @@ def edge_counts(k: int, top: int) -> list[int]:
     for level in range(2, top + 1):
         counts |= {k ** level - 1, k ** level, k ** level + 1}
     return sorted(counts)
-
-
-def random_dfao(rng: random.Random, k: int) -> Dfao:
-    states = tuple(f"s{i}" for i in range(rng.randint(1, 6)))
-    return Dfao(k=k, states=states, initial=states[0],
-                delta={q: tuple(rng.choice(states) for _ in range(k))
-                       for q in states},
-                output={q: rng.choice("abc") for q in states})
-
-
-def random_deep_dpao(rng: random.Random, k: int) -> Dpao:
-    """Up to 3 states, 2 or 3 stack symbols, pushes of length 0..3, and
-    epsilon pops on a third of the non-bottom rows."""
-    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
-    symbols = ("X", "Y", "Z")[:rng.randint(2, 3)]
-    transitions = {}
-    for q in states:
-        for a in symbols + (BOTTOM,):
-            if a != BOTTOM and rng.random() < 0.33:
-                transitions[(q, a, None)] = (rng.choice(states), ())
-                continue
-            for d in range(k):
-                push = tuple(rng.choice(symbols)
-                             for _ in range(rng.randint(0, 3)))
-                transitions[(q, a, d)] = (rng.choice(states), push)
-    output = {(q, a): rng.choice("01")
-              for q in states for a in symbols + (BOTTOM,)}
-    return Dpao(k=k, states=states, initial=states[0], stack_symbols=symbols,
-                transitions=transitions, output=output)
 
 
 def outcome(make, count: int):
@@ -135,15 +107,7 @@ def test_random_dead_rows_raise_at_the_same_input():
     rng = random.Random(8200)
     raised = 0
     for _ in range(80):
-        m = random_deep_dpao(rng, 2)
-        rows = sorted({(q, a) for (q, a, inp) in m.transitions
-                       if inp is not None})
-        dead = set(rng.sample(rows, min(len(rows), rng.randint(1, 2))))
-        m = Dpao(k=2, states=m.states, initial=m.initial,
-                 stack_symbols=m.stack_symbols,
-                 transitions={key: val for key, val in m.transitions.items()
-                              if key[:2] not in dead},
-                 output=m.output)
+        m = with_dead_rows(random_deep_dpao(rng, 2), rng)
         assert m.validate().ok
         for count in (1, 2, 3, 64, 65, 300):
             want = outcome(lambda c: dpao_prefix(m, c), count)

@@ -2,14 +2,25 @@ import random
 
 import pytest
 
-from conftest import (balance_oracle, config_table, random_dpao,
-                      simulate_pop_states)
+from conftest import (StackConfig, balance_oracle, config_of, config_table,
+                      initial_config, output_at, random_dpao,
+                      simulate_pop_states, step_input)
 from digitseq.errors import ValidationError
-from digitseq.pda import (BOTTOM, Dpao, StackConfig, bounded_distinguish,
-                          config_of, find_equivalent_pair, from_dfao,
-                          initial_config, output_at, pop_table, step_input)
+from digitseq.pda import (BOTTOM, Dpao, _Core, bounded_distinguish,
+                          find_equivalent_pair, from_dfao, pop_table)
 
 XI2_GOLDEN = "1110111001101000011111101110100000010110"
+
+
+def core_config(m: Dpao, n: int) -> StackConfig:
+    """The step core's configuration after n, read back as a tuple."""
+    core = _Core(m)
+    state, node = core.config(n)
+    stack = []
+    while node:
+        stack.append(m.stack_symbols[core.sym[node]])
+        node = core.parent[node]
+    return StackConfig(m.states[state], tuple(reversed(stack)))
 
 
 def tiny(transitions, states=("p", "q"), symbols=("X",), outputs=None):
@@ -92,6 +103,7 @@ class TestStep:
         m = tiny(t)
         c = step_input(m, initial_config(m), 1)
         assert c == StackConfig("q", ())
+        assert core_config(m, 1) == c
 
     def test_reached_configurations_are_epsilon_quiescent(self):
         t = {
@@ -108,6 +120,7 @@ class TestStep:
         for n in range(128):
             c = config_of(m, n)
             assert (c.state, c.top, None) not in m.transitions
+            assert core_config(m, n) == c
 
     def test_stack_top_is_rightmost(self):
         t = {
@@ -123,17 +136,22 @@ class TestStep:
         assert c.stack == ("X", "Y") and c.top == "Y"
         c = step_input(m, c, 0)  # pops Y, exposing X
         assert c.stack == ("X",) and c.top == "X"
+        # the core reads "1" first, which leaves the bare bottom
+        assert core_config(m, 2) == StackConfig("p", ("X", "Y"))  # "10"
+        assert core_config(m, 4) == c  # "100"
 
 
 class TestConfig:
     def test_xi2_traces(self, xi2):
-        assert config_of(xi2, 9) == StackConfig("q0", ())
-        assert config_of(xi2, 5) == StackConfig("q1", ())
-        assert config_of(xi2, 0) == StackConfig("q0", ())
+        for config in (config_of, core_config):
+            assert config(xi2, 9) == StackConfig("q0", ())
+            assert config(xi2, 5) == StackConfig("q1", ())
+            assert config(xi2, 0) == StackConfig("q0", ())
 
     def test_config_table_matches_direct_walk(self, xi2):
         table = config_table(xi2, 200)
-        assert all(table[n] == config_of(xi2, n) for n in range(200))
+        assert all(table[n] == config_of(xi2, n) == core_config(xi2, n)
+                   for n in range(200))
 
     def test_height_is_a_pure_function(self, xi2):
         heights = [config_of(xi2, n).height for n in range(64)]
@@ -148,6 +166,7 @@ class TestOutputs:
     def test_single_outputs(self, xi2):
         assert output_at(xi2, 0) == "1"
         assert output_at(xi2, 3) == "0"
+        assert xi2.source("test").prefix(4).text()[::3] == "10"
 
     def test_balance_oracle_range(self, xi2):
         text = xi2.source("test").prefix(5000).text()
@@ -286,5 +305,9 @@ class TestRuntimeHole:
             ("p", BOTTOM, 1): ("p", ()),
         }
         m = tiny(t, states=("p",))
+        # "100" pushes X, then needs the missing row
         with pytest.raises(ValidationError, match="no transition"):
-            config_of(m, 4)  # "100" pushes X, then needs the missing row
+            m.source("test").prefix(5)
+        with pytest.raises(ValidationError, match="no transition"):
+            config_of(m, 4)
+        assert m.source("test").prefix(4).text() == "0000"
