@@ -152,6 +152,8 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
     A verification failure here would mean an implementation bug, so it
     raises instead of reporting.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     seed = morphic_mod.repetition_seed(spec, scan_len)
     u_word, v_word, letter = seed.u, seed.v, seed.letter
     max_need = 0
@@ -360,39 +362,43 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """A document of the wrong shape raises ValueError."""
     doc = json.loads(text)
     known = {
         "kind", "machine", "dioLowerBound", "ratioGrowthBound",
         "verifiedDepth", "witnesses", "k", "n", "nPrime", "method",
         "seedLetter", "seedPositions",
     }
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
-    if doc["kind"] not in KINDS:
-        raise ValueError(f"unknown certificate kind {doc['kind']!r}")
-    pair = None
-    if doc["kind"] != "morphic-witness" or "n" in doc or "nPrime" in doc:
-        if not {"n", "nPrime", "k"} <= doc.keys():
-            raise ValueError("a pair certificate needs 'n', 'nPrime' and "
-                             "the radix 'k'")
-        pair = (int(doc["n"]), int(doc["nPrime"]))
-        if not (0 < pair[0] < pair[1]) or int(doc["k"]) < 2:
-            raise ValueError("a pair certificate needs 0 < n < nPrime "
-                             "and k >= 2")
-    return Certificate(
-        kind=doc["kind"],
-        machine_ref=doc["machine"],
-        dio_lower_bound=_parse_fraction(doc["dioLowerBound"]),
-        ratio_growth_bound=_parse_fraction(doc["ratioGrowthBound"]),
-        verified_depth=int(doc["verifiedDepth"]),
-        witnesses=tuple(
-            RepetitionWitness(u=int(w["u"]), v=int(w["v"]), ext=int(w["ext"]))
-            for w in doc["witnesses"]
-        ),
-        k=int(doc["k"]) if "k" in doc else None,
-        pair=pair,
-        method=doc.get("method"),
-        seed_letter=doc.get("seedLetter"),
-        seed_positions=tuple(doc["seedPositions"]) if "seedPositions" in doc else None,
-    )
+    try:
+        unknown = set(doc) - known
+        if unknown:
+            raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
+        if doc["kind"] not in KINDS:
+            raise ValueError(f"unknown certificate kind {doc['kind']!r}")
+        pair = None
+        if doc["kind"] != "morphic-witness" or "n" in doc or "nPrime" in doc:
+            if not {"n", "nPrime", "k"} <= doc.keys():
+                raise ValueError("a pair certificate needs 'n', 'nPrime' and "
+                                 "the radix 'k'")
+            pair = (int(doc["n"]), int(doc["nPrime"]))
+            if not (0 < pair[0] < pair[1]) or int(doc["k"]) < 2:
+                raise ValueError("a pair certificate needs 0 < n < nPrime "
+                                 "and k >= 2")
+        return Certificate(
+            kind=doc["kind"],
+            machine_ref=doc["machine"],
+            dio_lower_bound=_parse_fraction(doc["dioLowerBound"]),
+            ratio_growth_bound=_parse_fraction(doc["ratioGrowthBound"]),
+            verified_depth=int(doc["verifiedDepth"]),
+            witnesses=tuple(RepetitionWitness(u=int(w["u"]), v=int(w["v"]),
+                                              ext=int(w["ext"]))
+                            for w in doc["witnesses"]),
+            k=int(doc["k"]) if "k" in doc else None,
+            pair=pair,
+            method=doc.get("method"),
+            seed_letter=doc.get("seedLetter"),
+            seed_positions=(tuple(doc["seedPositions"])
+                            if "seedPositions" in doc else None),
+        )
+    except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(str(exc)) from exc

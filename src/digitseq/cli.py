@@ -4,7 +4,9 @@ Every command is deterministic: given the same options and input files it
 produces byte-identical output. No command accepts or uses randomness.
 
 Exit codes: 0 success, 1 search budget exhausted (or pair refuted),
-2 invalid input, 3 insufficient data, 4 enumeration cap refusal.
+2 invalid input, 3 insufficient data, 4 enumeration cap refusal. The
+command group `_Commands` decides them: every package error a command
+raises leaves through its `invoke`, which prints one `error:` line.
 """
 
 from __future__ import annotations
@@ -82,15 +84,13 @@ def _parse_lengths(expr: str) -> list[int]:
 
 def _load_machine_or_die(path: str):
     try:
-        machine = load_machine(path)
+        return load_machine(path)
     except FileNotFoundError:
         _die(EXIT_INVALID, f"machine file not found: {path}")
-    except (ValueError, ValidationError, json.JSONDecodeError, KeyError) as exc:
+    except ValidationError as exc:
+        _die(EXIT_INVALID, f"machine {path} invalid:\n{exc.report.summary()}")
+    except ValueError as exc:
         _die(EXIT_INVALID, f"cannot load machine {path}: {exc}")
-    report = machine.validate()
-    if not report.ok:
-        _die(EXIT_INVALID, f"machine {path} invalid:\n{report.summary()}")
-    return machine
 
 
 def _parse_pair(pair: str) -> tuple[int, int]:
@@ -135,7 +135,26 @@ def _fmt_approx(f: Fraction) -> str:
     return f"{_fraction_str(f)} (~{float(f):.6g}, approximate)"
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: its `invoke` maps each package error to an
+    exit code and a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PairRefutedError as exc:
+            _die(EXIT_BUDGET, f"refuted: {exc}")
+        except BudgetExceededError as exc:
+            _die(EXIT_BUDGET, str(exc))
+        except EnumerationCapError as exc:
+            _die(EXIT_CAP, f"{exc}; lower --states or --len")
+        except InsufficientDataError as exc:
+            _die(EXIT_INSUFFICIENT, str(exc))
+        except (ValueError, ValidationError) as exc:
+            _die(EXIT_INVALID, str(exc))
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main() -> None:
     """Digit-sequence generators and repetition certificates."""
@@ -155,11 +174,7 @@ def digits(machine_path, stream, base, count, output):
     if count < 0:
         _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
     _, source = _resolve_source(machine_path, stream, base)
-    try:
-        prefix = source.prefix(count)
-    except InsufficientDataError as exc:
-        _die(EXIT_INSUFFICIENT, str(exc))
-    _emit(_render_prefix(prefix), output)
+    _emit(_render_prefix(source.prefix(count)), output)
 
 
 @main.command()
@@ -187,80 +202,68 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     machine, source = _resolve_source(machine_path, stream, base)
     doc: dict = {"source": source.source_id}
     lines: list[str] = [f"source: {source.source_id}"]
-    try:
-        if dio_range:
-            lengths = _parse_lengths(dio_range)
-            profile = words_mod.dio_profile(source, lengths)
-            doc["dio"] = [
-                {"length": n, "ratio": _fraction_str(r)} for n, r in profile
-            ]
-            lines.append("repetition-ratio profile (exact, per target length):")
-            for n, r in profile:
-                lines.append(f"  length {n}: best ratio {_fmt_approx(r)}")
-        if complexity_range or rs_range:
-            p_ns = _parse_lengths(complexity_range) if complexity_range else []
-            rs_ns = _parse_lengths(rs_range) if rs_range else []
-            need = p_ns + [n + 1 for n in rs_ns]
-            plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
-            if plen < max(need) + 1:
-                _die(EXIT_INSUFFICIENT,
-                     f"--prefix-length {plen} is too short for the "
-                     f"requested block lengths")
-            prefix = source.prefix(plen)
-            if p_ns:
-                doc["complexity"] = []
-                lines.append(f"factor complexity p(n) on a prefix of {plen}:")
-                profile = words_mod.factor_complexity_profile(prefix, max(p_ns))
-                for n in p_ns:
-                    doc["complexity"].append({"n": n, "p": profile[n - 1]})
-                    lines.append(f"  p({n}) = {profile[n - 1]}")
-            if rs_ns:
-                doc["rightSpecial"] = []
-                lines.append("right-special factor counts:")
-                counts = words_mod.right_special_count(prefix, max(rs_ns))
-                for n in rs_ns:
-                    c = counts[n - 1]
-                    doc["rightSpecial"].append({"n": n, "count": c})
-                    lines.append(f"  rs({n}) = {c}")
-        if dilation_n or want_growth:
-            if not isinstance(machine, MorphicSpec):
-                _die(EXIT_INVALID,
-                     "--dilation/--growth need a morphic or tag machine")
-            if dilation_n:
-                prof = _dilation_or_die(machine, dilation_n)
-                doc["dilation"] = {
-                    "minRatio": _fraction_str(prof.min_ratio),
-                    "argmin": prof.argmin,
-                    "exceedsOne": prof.exceeds_one,
-                    "samples": [
-                        {"n": n, "ratio": _fraction_str(r)}
-                        for n, r in prof.samples
-                    ],
-                }
-                lines.append("dilation profile W(n)/n:")
-                for n, r in prof.samples:
-                    lines.append(f"  n={n}: {_fmt_approx(r)}")
-                lines.append(
-                    f"  minimum {_fmt_approx(prof.min_ratio)} at n={prof.argmin}; "
-                    f"stays above 1: {prof.exceeds_one}"
-                )
-            if want_growth:
-                doc["growth"], growth_lines = _growth_report(machine)
-                lines.extend(growth_lines)
-    except InsufficientDataError as exc:
-        _die(EXIT_INSUFFICIENT, str(exc))
-    except ValueError as exc:
-        _die(EXIT_INVALID, str(exc))
+    if dio_range:
+        lengths = _parse_lengths(dio_range)
+        profile = words_mod.dio_profile(source, lengths)
+        doc["dio"] = [
+            {"length": n, "ratio": _fraction_str(r)} for n, r in profile
+        ]
+        lines.append("repetition-ratio profile (exact, per target length):")
+        for n, r in profile:
+            lines.append(f"  length {n}: best ratio {_fmt_approx(r)}")
+    if complexity_range or rs_range:
+        p_ns = _parse_lengths(complexity_range) if complexity_range else []
+        rs_ns = _parse_lengths(rs_range) if rs_range else []
+        need = p_ns + [n + 1 for n in rs_ns]
+        plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
+        if plen < max(need) + 1:
+            _die(EXIT_INSUFFICIENT,
+                 f"--prefix-length {plen} is too short for the "
+                 f"requested block lengths")
+        prefix = source.prefix(plen)
+        if p_ns:
+            doc["complexity"] = []
+            lines.append(f"factor complexity p(n) on a prefix of {plen}:")
+            profile = words_mod.factor_complexity_profile(prefix, max(p_ns))
+            for n in p_ns:
+                doc["complexity"].append({"n": n, "p": profile[n - 1]})
+                lines.append(f"  p({n}) = {profile[n - 1]}")
+        if rs_ns:
+            doc["rightSpecial"] = []
+            lines.append("right-special factor counts:")
+            counts = words_mod.right_special_count(prefix, max(rs_ns))
+            for n in rs_ns:
+                c = counts[n - 1]
+                doc["rightSpecial"].append({"n": n, "count": c})
+                lines.append(f"  rs({n}) = {c}")
+    if dilation_n or want_growth:
+        if not isinstance(machine, MorphicSpec):
+            _die(EXIT_INVALID,
+                 "--dilation/--growth need a morphic or tag machine")
+        if dilation_n:
+            prof = tag_mod.dilation_profile(machine, _parse_number(dilation_n))
+            doc["dilation"] = {
+                "minRatio": _fraction_str(prof.min_ratio),
+                "argmin": prof.argmin,
+                "exceedsOne": prof.exceeds_one,
+                "samples": [
+                    {"n": n, "ratio": _fraction_str(r)}
+                    for n, r in prof.samples
+                ],
+            }
+            lines.append("dilation profile W(n)/n:")
+            for n, r in prof.samples:
+                lines.append(f"  n={n}: {_fmt_approx(r)}")
+            lines.append(
+                f"  minimum {_fmt_approx(prof.min_ratio)} at n={prof.argmin}; "
+                f"stays above 1: {prof.exceeds_one}"
+            )
+        if want_growth:
+            doc["growth"], growth_lines = _growth_report(machine)
+            lines.extend(growth_lines)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" \
         else "\n".join(lines) + "\n"
     _emit(text, output)
-
-
-def _dilation_or_die(spec: MorphicSpec, count: str):
-    try:
-        return tag_mod.dilation_profile(spec, _parse_number(count))
-    except ValueError as exc:
-        _die(EXIT_INVALID, str(exc))
 
 
 def _growth_report(spec: MorphicSpec) -> tuple[dict, list[str]]:
@@ -315,36 +318,29 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
     """Build a repetition certificate for a machine or a stream pair."""
     if machine_path is None and pair is None:
         _die(EXIT_INVALID, "need --machine or --pair with --stream")
-    try:
-        if pair is not None:
-            n, n_prime = _parse_pair(pair)
-            if stream is None:
-                _die(EXIT_INVALID, "--pair certificates need --stream")
-            source = _stream_or_die(stream, base)
-            cert = certify_mod.certificate_from_pair(
-                source, n, n_prime, k, depth, machine_ref=source.source_id
+    if pair is not None:
+        n, n_prime = _parse_pair(pair)
+        if stream is None:
+            _die(EXIT_INVALID, "--pair certificates need --stream")
+        source = _stream_or_die(stream, base)
+        cert = certify_mod.certificate_from_pair(
+            source, n, n_prime, k, depth, machine_ref=source.source_id
+        )
+    else:
+        machine = _load_machine_or_die(machine_path)
+        ref = _file_hash(machine_path)
+        if isinstance(machine, Dfao):
+            cert = certify_mod.certify_dfao(machine, depth=depth,
+                                            machine_ref=ref)
+        elif isinstance(machine, MorphicSpec):
+            cert = certify_mod.certify_morphic(
+                machine, depth=depth, scan_len=scan_len, machine_ref=ref
             )
         else:
-            machine = _load_machine_or_die(machine_path)
-            ref = _file_hash(machine_path)
-            if isinstance(machine, Dfao):
-                cert = certify_mod.certify_dfao(machine, depth=depth,
-                                                machine_ref=ref)
-            elif isinstance(machine, MorphicSpec):
-                cert = certify_mod.certify_morphic(
-                    machine, depth=depth, scan_len=scan_len, machine_ref=ref
-                )
-            else:
-                cert = certify_mod.certify_pda(
-                    machine, n_max=budget, height_cap=height_cap, depth=depth,
-                    machine_ref=ref,
-                )
-    except PairRefutedError as exc:
-        _die(EXIT_BUDGET, f"refuted: {exc}")
-    except BudgetExceededError as exc:
-        _die(EXIT_BUDGET, str(exc))
-    except (ValueError, InsufficientDataError) as exc:
-        _die(EXIT_INVALID, str(exc))
+            cert = certify_mod.certify_pda(
+                machine, n_max=budget, height_cap=height_cap, depth=depth,
+                machine_ref=ref,
+            )
     _emit(certify_mod.certificate_to_json(cert), output)
     click.echo(_cert_summary(cert), err=True)
 
@@ -388,15 +384,13 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
         cert = certify_mod.certificate_from_json(
             Path(cert_path).read_text(encoding="utf-8")
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _die(EXIT_INVALID, f"cannot load certificate: {exc}")
-    machine, source = _resolve_source(machine_path, stream, base)
-    if machine_path is not None:
-        actual = _file_hash(machine_path)
-        if cert.machine_ref != actual:
-            _die(EXIT_INVALID,
-                 f"certificate is bound to machine {cert.machine_ref}, "
-                 f"file hashes to {actual}")
+    _, source = _resolve_source(machine_path, stream, base)
+    if machine_path is not None and cert.machine_ref != source.source_id:
+        _die(EXIT_INVALID,
+             f"certificate is bound to machine {cert.machine_ref}, "
+             f"file hashes to {source.source_id}")
     report = certify_mod.verify_certificate(source, cert, extra_depth)
     click.echo(report.summary())
     if not report.valid:
@@ -409,15 +403,12 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
 def convert(machine_path, output):
     """Convert between a k-uniform morphic spec and its automaton."""
     machine = _load_machine_or_die(machine_path)
-    try:
-        if isinstance(machine, MorphicSpec):
-            converted = morphic_mod.to_dfao(machine)
-        elif isinstance(machine, Dfao):
-            converted = morphic_mod.from_dfao(machine)
-        else:
-            _die(EXIT_INVALID, "only dfao and morphic machines convert")
-    except (ValueError, ValidationError) as exc:
-        _die(EXIT_INVALID, str(exc))
+    if isinstance(machine, MorphicSpec):
+        converted = morphic_mod.to_dfao(machine)
+    elif isinstance(machine, Dfao):
+        converted = morphic_mod.from_dfao(machine)
+    else:
+        _die(EXIT_INVALID, "only dfao and morphic machines convert")
     save_machine(converted, output)
     click.echo(f"wrote {output}")
 
@@ -430,7 +421,7 @@ def dilation(machine_path, count):
     machine = _load_machine_or_die(machine_path)
     if not isinstance(machine, MorphicSpec):
         _die(EXIT_INVALID, "dilation profiles need a morphic or tag machine")
-    prof = _dilation_or_die(machine, count)
+    prof = tag_mod.dilation_profile(machine, _parse_number(count))
     for n, r in prof.samples:
         click.echo(f"n={n}: {_fmt_approx(r)}")
     click.echo(
@@ -461,11 +452,8 @@ def equiv(machine_path, pair, depth):
         machine = pda_mod.from_dfao(machine)
     elif not isinstance(machine, Dpao):
         _die(EXIT_INVALID, "equiv needs a dpao or dfao machine")
-    try:
-        n, n_prime = _parse_pair(pair)
-        result = pda_mod.bounded_distinguish(machine, n, n_prime, depth)
-    except ValueError as exc:
-        _die(EXIT_INVALID, str(exc))
+    n, n_prime = _parse_pair(pair)
+    result = pda_mod.bounded_distinguish(machine, n, n_prime, depth)
     click.echo(result.describe())
     if not result.distinguished:
         click.echo("note: exhausting the depth proves nothing by itself")
@@ -483,14 +471,9 @@ def equiv(machine_path, pair, depth):
 def imitate(stream, base, k, states, max_len, output):
     """Longest digit-stream prefix reachable by a small automaton."""
     source = _stream_or_die(stream, base, expansion=True)
-    try:
-        agree, censored, best = numbers_mod.imitation_index(
-            source, k or base, states, max_len
-        )
-    except EnumerationCapError as exc:
-        _die(EXIT_CAP, f"{exc}; lower --states or --len")
-    except ValueError as exc:
-        _die(EXIT_INVALID, str(exc))
+    agree, censored, best = numbers_mod.imitation_index(
+        source, k or base, states, max_len
+    )
     suffix = " (censored: no disagreement found)" if censored else ""
     click.echo(f"imitation index: {agree}{suffix}")
     if output:
@@ -506,10 +489,7 @@ def cf(radicand, count):
     """Periodic continued fraction of a quadratic surd."""
     if count < 0:
         _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
-    try:
-        expansion = numbers_mod.cf_quadratic(radicand)
-    except ValueError as exc:
-        _die(EXIT_INVALID, str(exc))
+    expansion = numbers_mod.cf_quadratic(radicand)
     pre = ",".join(map(str, expansion.preperiod))
     per = ",".join(map(str, expansion.period))
     click.echo(f"sqrt({radicand}) = [{expansion.a0}; {pre}({per}) repeating]")

@@ -30,7 +30,8 @@ class Dfao:
     """A complete deterministic finite automaton with output.
 
     delta maps each state to a tuple of k successor states, indexed by the
-    input digit; output maps each state to its output token.
+    input digit; output maps each state to its output token. Construction
+    validates: an invalid machine raises ValidationError.
     """
 
     k: int
@@ -42,6 +43,7 @@ class Dfao:
     def __post_init__(self):
         object.__setattr__(self, "delta", dict(self.delta))
         object.__setattr__(self, "output", dict(self.output))
+        self.validate().require()
 
     def output_alphabet(self) -> Alphabet:
         return Alphabet(tuple(sorted(set(self.output.values()))))
@@ -104,12 +106,11 @@ class Dfao:
         return report
 
     def source(self, source_id: str) -> SequenceSource:
-        """The output sequence, n = 0, 1, 2, ...; validates first.
+        """The output sequence, n = 0, 1, 2, ...
 
         The machine compiles once to a states x k table of state indices,
         and the table of states fills one base-k level at a time.
         """
-        self.validate().require()
         alphabet = self.output_alphabet()
         index = {q: i for i, q in enumerate(self.states)}
         delta = np.array([[index[t] for t in self.delta[q]]

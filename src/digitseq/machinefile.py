@@ -1,9 +1,10 @@
 """JSON machine files for the three generator kinds.
 
 One document per machine, dispatched on "kind": "dfao", "morphic" (with
-"tag" accepted as an alias), or "dpao". Digits are JSON strings. Unknown
-fields are rejected so that typos fail loudly instead of silently
-changing a machine.
+"tag" accepted as an alias), or "dpao". Digits, names and symbols are
+JSON strings. Unknown fields are rejected so that typos fail loudly
+instead of silently changing a machine; any malformed document raises
+ValueError, and an invalid machine ValidationError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,20 @@ def _reject_unknown(doc: dict, allowed: set[str], kind: str) -> None:
         )
 
 
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("names and symbols are JSON strings, not "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ValueError("a list of names is a JSON array, not "
+                         f"{type(value).__name__}")
+    return tuple(map(_name, value))
+
+
 def _letters(value, what: str) -> tuple[str, ...]:
     """A rule/push word: a string of single-character names, or a list of
     names when any name is longer than one character."""
@@ -42,7 +57,7 @@ def _dfao_from_dict(doc: dict) -> Dfao:
     _reject_unknown(doc, {"kind", "k", "states", "initial", "delta", "output"},
                     "dfao")
     k = int(doc["k"])
-    states = tuple(doc["states"])
+    states = _names(doc["states"])
     delta = {}
     for q, row in doc["delta"].items():
         targets = [None] * k
@@ -50,7 +65,7 @@ def _dfao_from_dict(doc: dict) -> Dfao:
             d = int(digit_str)
             if not (0 <= d < k):
                 raise ValueError(f"digit {digit_str!r} out of range for base {k}")
-            targets[d] = tgt
+            targets[d] = _name(tgt)
         if any(t is None for t in targets):
             report = ValidationReport()
             report.error(
@@ -60,8 +75,8 @@ def _dfao_from_dict(doc: dict) -> Dfao:
             raise ValidationError(report)
         delta[q] = tuple(targets)
     return Dfao(
-        k=k, states=states, initial=doc["initial"], delta=delta,
-        output=dict(doc["output"]),
+        k=k, states=states, initial=_name(doc["initial"]), delta=delta,
+        output={q: _name(sym) for q, sym in doc["output"].items()},
     )
 
 
@@ -84,12 +99,12 @@ def _morphic_from_dict(doc: dict) -> MorphicSpec:
         "morphic",
     )
     return MorphicSpec(
-        internal=tuple(doc["internal"]),
+        internal=_names(doc["internal"]),
         rules={a: _letters(img, f"rule for {a!r}")
                for a, img in doc["rules"].items()},
-        start=doc["start"],
-        external=tuple(doc["external"]),
-        coding=dict(doc["coding"]),
+        start=_name(doc["start"]),
+        external=_names(doc["external"]),
+        coding={a: _name(c) for a, c in doc["coding"].items()},
     )
 
 
@@ -121,7 +136,7 @@ def _dpao_from_dict(doc: dict) -> Dpao:
                         "dpao transition")
         inp = None if t["input"] == "eps" else int(t["input"])
         push = _letters(t["push"], "push word") if t["push"] else ()
-        key = (t["state"], t["top"], inp)
+        key = (_name(t["state"]), _name(t["top"]), inp)
         if key in transitions:
             report = ValidationReport()
             report.error(
@@ -130,16 +145,16 @@ def _dpao_from_dict(doc: dict) -> Dpao:
                 f"{t['input']!r})",
             )
             raise ValidationError(report)
-        transitions[key] = (t["to"], push)
+        transitions[key] = (_name(t["to"]), push)
     output = {}
     for q, row in doc["output"].items():
         for top, sym in row.items():
-            output[(q, top)] = sym
+            output[(q, top)] = _name(sym)
     return Dpao(
         k=k,
-        states=tuple(doc["states"]),
-        initial=doc["initial"],
-        stack_symbols=tuple(doc["stack"]),
+        states=_names(doc["states"]),
+        initial=_name(doc["initial"]),
+        stack_symbols=_names(doc["stack"]),
         transitions=transitions,
         output=output,
     )
@@ -187,12 +202,15 @@ def loads_machine(text: str):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("machine file must be a JSON object with a 'kind'")
     kind = doc["kind"]
-    if kind == "dfao":
-        return _dfao_from_dict(doc)
-    if kind in ("morphic", "tag"):
-        return _morphic_from_dict(doc)
-    if kind == "dpao":
-        return _dpao_from_dict(doc)
+    try:
+        if kind == "dfao":
+            return _dfao_from_dict(doc)
+        if kind in ("morphic", "tag"):
+            return _morphic_from_dict(doc)
+        if kind == "dpao":
+            return _dpao_from_dict(doc)
+    except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(str(exc)) from exc
     raise ValueError(f"unknown machine kind {kind!r}")
 
 

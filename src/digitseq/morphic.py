@@ -43,7 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MorphicSpec:
-    """Internal alphabet, rules, start letter, external alphabet, coding."""
+    """Internal alphabet, rules, start letter, external alphabet, coding.
+
+    Construction validates: an invalid spec raises ValidationError.
+    """
 
     internal: tuple[str, ...]
     rules: Mapping[str, tuple[str, ...]]
@@ -56,6 +59,7 @@ class MorphicSpec:
             self, "rules", {a: tuple(img) for a, img in self.rules.items()}
         )
         object.__setattr__(self, "coding", dict(self.coding))
+        self.validate().require()
 
     def internal_alphabet(self) -> Alphabet:
         return Alphabet(self.internal)
@@ -132,8 +136,7 @@ class MorphicSpec:
         return report
 
     def source(self, source_id: str) -> SequenceSource:
-        """The coded fixed point over the external alphabet; validates first."""
-        self.validate().require()
+        """The coded fixed point over the external alphabet."""
         ext_alpha = self.external_alphabet()
         table = _coding_table(self, ext_alpha)
         return SequenceSource(
@@ -242,7 +245,6 @@ def _component_has_cycle(comp: tuple[str, ...],
 def exponential_growth(spec: MorphicSpec) -> bool:
     """Exact combinatorial test for spectral radius of the incidence
     matrix exceeding 1. No floating point is involved."""
-    spec.validate().require()
     edges = _edges(spec)
     return any(_component_is_exponential(c, edges) for c in _sccs(spec))
 
@@ -255,7 +257,6 @@ def spectral_radius_estimate(spec: MorphicSpec) -> float:
     iteration. A radius on the wrong side of 1 +- 1e-6 from
     exponential_growth's exact decision raises NumericError.
     """
-    spec.validate().require()
     m = np.array(incidence(spec), dtype=float)
     try:
         eigenvalues = np.linalg.eigvals(m)
@@ -310,7 +311,6 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
     chain of theta-achieving components on a reachability path. The
     convention is validated against direct iteration in the test suite.
     """
-    spec.validate().require()
     edges = _edges(spec)
     comps = _sccs(spec)
     comp_of = {a: ci for ci, comp in enumerate(comps) for a in comp}
@@ -405,7 +405,6 @@ def fixed_point_prefix(spec: MorphicSpec, count: int
     Streaming expansion: the fixed point is sigma(start) followed by the
     images of its own letters in order, so one growing buffer suffices.
     """
-    spec.validate().require()
     internal = _expand_indices(spec, count)
     ext_alpha = spec.external_alphabet()
     coded = internal.translate(_coding_table(spec, ext_alpha))
@@ -487,12 +486,9 @@ def to_dfao(spec: MorphicSpec) -> Dfao:
     digit-i transition, and the coding becomes the output table. Outputs
     agree with the fixed point for every n.
     """
-    spec.validate().require()
     k = spec.is_uniform()
     if k is None:
         raise ValueError("only uniform morphisms convert to an automaton")
-    if k < 2:
-        raise ValueError("uniform image length must be at least 2")
     delta = {a: tuple(spec.rules[a]) for a in spec.internal}
     return Dfao(
         k=k,
@@ -513,12 +509,10 @@ def from_dfao(m: Dfao) -> MorphicSpec:
         raise ValueError(
             "unsupported form: conversion requires delta(initial, 0) = initial"
         )
-    spec = MorphicSpec(
+    return MorphicSpec(
         internal=m.states,
         rules={q: tuple(m.delta[q]) for q in m.states},
         start=m.initial,
         external=tuple(sorted(set(m.output.values()))),
         coding=dict(m.output),
     )
-    spec.validate().require()
-    return spec

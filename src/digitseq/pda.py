@@ -59,7 +59,8 @@ class Dpao:
     transitions maps (state, top, input) to (next state, pushed word),
     where top is a stack symbol or '#', input is a digit 0..k-1 or None
     for epsilon, and the pushed word is a tuple of stack symbols given
-    bottom-to-top.
+    bottom-to-top. Construction validates: an invalid machine raises
+    ValidationError.
     """
 
     k: int
@@ -72,6 +73,7 @@ class Dpao:
     def __post_init__(self):
         object.__setattr__(self, "transitions", dict(self.transitions))
         object.__setattr__(self, "output", dict(self.output))
+        self.validate().require()
 
     def output_alphabet(self) -> Alphabet:
         return Alphabet(tuple(sorted(set(self.output.values()))))
@@ -156,12 +158,11 @@ class Dpao:
         return report
 
     def source(self, source_id: str) -> SequenceSource:
-        """The output sequence, n = 0, 1, 2, ...; validates first.
+        """The output sequence, n = 0, 1, 2, ...
 
         The machine compiles once to a step core, and the configurations
         fill one base-k level at a time.
         """
-        self.validate().require()
         core = _Core(self)
 
         def gen(n: int) -> bytes:
@@ -328,7 +329,6 @@ def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
     landed, and so on down to x_1. An empty set means the symbols below z
     are never read or removed from state q.
     """
-    m.validate().require()
     pop: dict[tuple[str, str], set[str]] = {
         (q, z): set() for q in m.states for z in m.stack_symbols
     }
@@ -366,7 +366,6 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
     (which proves nothing). The scan fills one base-k level at a time and
     stops after the first level that holds a hit.
     """
-    m.validate().require()
     pops = pop_table(m)
     core = _Core(m)
     sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
@@ -424,7 +423,6 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
     order, all stepped at once; equal stacks are equal nodes, so a pair
     seen before is an equal row.
     """
-    m.validate().require()
     core, k = _Core(m), m.k
     pairs = seen = np.array([core.config(n) + core.config(n_prime)])
     words = np.zeros((1, 0), dtype=np.int64)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import random
@@ -12,6 +13,10 @@ from click.testing import CliRunner
 from conftest import naive_right_special
 from digitseq import __version__, catalog
 from digitseq.cli import main
+from digitseq.dfao import Dfao
+from digitseq.machinefile import machine_to_dict
+from digitseq.morphic import MorphicSpec
+from digitseq.pda import Dpao
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -371,6 +376,8 @@ class TestBadCounts:
         (["digits", "--stream", "xi3", "--count", "-1"],
          "--count must be nonnegative"),
         (["cf", "--d", "7", "--count", "-1"], "--count must be nonnegative"),
+        (["certify", "--machine", "xi1.json", "--depth", "-1"],
+         "depth must be nonnegative"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
@@ -383,6 +390,144 @@ class TestBadCounts:
                              str(machines / "xi2.json"), "--count", "0"])
         assert r.exit_code == 0
         assert r.output == "\n"
+
+
+# (q1, X) has no move, and n = 2 (digits "10") reaches it
+HOLE_MACHINE = {
+    "kind": "dpao", "k": 2, "states": ["p", "q1"], "initial": "p",
+    "stack": ["X"],
+    "transitions": [
+        {"state": "p", "top": "#", "input": "0", "to": "p", "push": ""},
+        {"state": "p", "top": "#", "input": "1", "to": "q1", "push": "X"},
+    ],
+    "output": {"p": {"#": "0", "X": "0"}, "q1": {"#": "1", "X": "0"}},
+}
+HOLE_ERROR = ("error: incompleteness: reached ('q1', 'X') with digit 0 but "
+              "no transition is defined\n")
+
+
+def edited(doc: dict, edit) -> dict:
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("args", [
+        ["digits"],
+        ["analyze", "--dio", "2^4"],
+        ["certify"],
+        ["equiv", "--pair", "0,1"],
+    ])
+    def test_reachable_hole_exits_2(self, runner, tmp_path, args):
+        path = tmp_path / "hole.json"
+        path.write_text(json.dumps(HOLE_MACHINE), encoding="utf-8")
+        r = run_cli(runner, [args[0], "--machine", str(path), *args[1:]])
+        assert r.exit_code == 2
+        assert r.output == HOLE_ERROR
+
+    def test_short_pair_stream_exits_3(self, runner, tmp_path):
+        stream = tmp_path / "two.txt"
+        stream.write_text("01", encoding="utf-8")
+        r = run_cli(runner, ["certify", "--pair", "1,2",
+                             "--stream", f"file:{stream}"])
+        assert r.exit_code == 3
+        assert r.output.startswith("error: source ")
+        assert "holds only 2 symbols" in r.output
+
+    @pytest.mark.parametrize("name, edit, report", [
+        ("thue-morse", lambda d: d["delta"]["q0"].pop("1"),
+         "error[missing-transition]: state 'q0' does not define all "
+         "digits 0..1"),
+        ("xi2", lambda d: d["transitions"].append(d["transitions"][0]),
+         "error[determinism-conflict]: duplicate transition at "
+         "('q-1', '#', '0')"),
+    ])
+    def test_errors_found_while_parsing_print_the_report(
+            self, runner, tmp_path, name, edit, report):
+        path = tmp_path / "bad.json"
+        doc = edited(machine_to_dict(catalog.get(name)), edit)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        r = run_cli(runner, ["digits", "--machine", str(path)])
+        assert r.exit_code == 2
+        assert r.output == f"error: machine {path} invalid:\n{report}\n"
+
+    @pytest.mark.parametrize("name, edit", [
+        ("thue-morse", lambda d: d.update(states=5)),
+        ("xi2", lambda d: d.update(transitions=[5])),
+        ("thue-morse", lambda d: d["output"].update(q1=1)),
+        ("xi1", lambda d: d["coding"].update(a=0)),
+        ("thue-morse", lambda d: d.update(k=float("inf"))),
+    ])
+    def test_malformed_machine_file_exits_2(self, runner, tmp_path, name,
+                                            edit):
+        path = tmp_path / "bad.json"
+        doc = edited(machine_to_dict(catalog.get(name)), edit)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        r = run_cli(runner, ["digits", "--machine", str(path)])
+        assert r.exit_code == 2
+        assert r.output.startswith(f"error: cannot load machine {path}: ")
+        assert len(r.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("witnesses", 5), ("verifiedDepth", None), ("dioLowerBound", 3),
+        ("dioLowerBound", "1/0"),
+    ])
+    def test_malformed_certificate_exits_2(self, runner, machines, tmp_path,
+                                           field, value):
+        cert = tmp_path / "cert.json"
+        run_cli(runner, ["certify", "--machine", str(machines / "xi2.json"),
+                         "--depth", "4", "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc[field] = value
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / "xi2.json")])
+        assert v.exit_code == 2
+        assert v.output.startswith("error: cannot load certificate: ")
+
+
+@pytest.fixture()
+def validate_calls(monkeypatch):
+    """Counts of `validate` calls per model class."""
+    calls = collections.Counter()
+    for cls in (Dfao, MorphicSpec, Dpao):
+        def counted(self, original=cls.validate):
+            calls[type(self).__name__] += 1
+            return original(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    return calls
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("args, expected", [
+        (["certify", "--machine", "xi2.json", "--depth", "6"], {"Dpao": 1}),
+        (["certify", "--machine", "xi1.json", "--depth", "6"],
+         {"MorphicSpec": 1}),
+        # the automaton, and its stack-free recast for the pair search
+        (["certify", "--machine", "three-squares.json", "--depth", "6"],
+         {"Dfao": 1, "Dpao": 1}),
+        (["analyze", "--machine", "xi1.json", "--growth"],
+         {"MorphicSpec": 1}),
+    ])
+    def test_each_machine_validates_once(self, runner, machines,
+                                         validate_calls, args, expected):
+        args = [str(machines / a) if a.endswith(".json") else a for a in args]
+        validate_calls.clear()
+        assert run_cli(runner, args).exit_code == 0
+        assert validate_calls == expected
+
+    def test_verify_validates_once(self, runner, machines, tmp_path,
+                                   validate_calls):
+        cert = tmp_path / "cert.json"
+        xi2 = str(machines / "xi2.json")
+        run_cli(runner, ["certify", "--machine", xi2, "--depth", "6",
+                         "--output", str(cert)])
+        validate_calls.clear()
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", xi2])
+        assert v.exit_code == 0
+        assert validate_calls == {"Dpao": 1}
 
 
 class TestDeterminism:

@@ -3,6 +3,14 @@ import pytest
 from conftest import legendre_oracle, parity_oracle, run, run_word
 from digitseq import words
 from digitseq.dfao import Dfao
+from digitseq.errors import ValidationError
+
+
+def invalid_kinds(**fields) -> set[str]:
+    """The error kinds of the report a Dfao built from fields raises."""
+    with pytest.raises(ValidationError) as exc:
+        Dfao(**fields)
+    return exc.value.report.error_kinds()
 
 
 class TestValidation:
@@ -11,20 +19,19 @@ class TestValidation:
         assert three_squares.validate().ok
 
     def test_missing_transition(self):
-        m = Dfao(k=2, states=("q0",), initial="q0", delta={"q0": ("q0",)},
-                 output={"q0": "a"})
-        report = m.validate()
-        assert "missing-transition" in report.error_kinds()
+        kinds = invalid_kinds(k=2, states=("q0",), initial="q0",
+                              delta={"q0": ("q0",)}, output={"q0": "a"})
+        assert "missing-transition" in kinds
 
     def test_invalid_base(self):
-        m = Dfao(k=1, states=("q0",), initial="q0", delta={"q0": ("q0",)},
-                 output={"q0": "a"})
-        assert "invalid-base" in m.validate().error_kinds()
+        kinds = invalid_kinds(k=1, states=("q0",), initial="q0",
+                              delta={"q0": ("q0",)}, output={"q0": "a"})
+        assert "invalid-base" in kinds
 
     def test_unknown_target(self):
-        m = Dfao(k=2, states=("q0",), initial="q0",
-                 delta={"q0": ("q0", "q9")}, output={"q0": "a"})
-        assert "unknown-state" in m.validate().error_kinds()
+        kinds = invalid_kinds(k=2, states=("q0",), initial="q0",
+                              delta={"q0": ("q0", "q9")}, output={"q0": "a"})
+        assert "unknown-state" in kinds
 
     def test_unreachable_state_is_a_warning(self):
         m = Dfao(k=2, states=("q0", "q1"), initial="q0",
@@ -102,8 +109,8 @@ class TestSource:
         assert b.startswith(a)
 
     def test_source_requires_valid_machine(self):
-        bad = Dfao(k=2, states=("q0",), initial="q0", delta={"q0": ("q0",)},
-                   output={"q0": "a"})
-        from digitseq.errors import ValidationError
-        with pytest.raises(ValidationError):
-            bad.source("bad")
+        # no invalid machine exists to ask for a source: the constructor
+        # raises
+        kinds = invalid_kinds(k=2, states=("q0",), initial="q0",
+                              delta={"q0": ("q0",)}, output={"q0": "a"})
+        assert "missing-transition" in kinds

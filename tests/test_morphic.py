@@ -4,6 +4,7 @@ import pytest
 
 from conftest import morphic_growth_oracle, random_morphic
 from digitseq import dfao, pda, words
+from digitseq.errors import ValidationError
 from digitseq.morphic import (MorphicSpec, exponential_growth,
                               fixed_point_prefix, from_dfao, growth_report,
                               incidence, iterated_length, repetition_seed,
@@ -21,6 +22,13 @@ def make_spec(rules: dict[str, str], start: str = "a") -> MorphicSpec:
     )
 
 
+def invalid_kinds(rules: dict[str, str]) -> set[str]:
+    """The error kinds of the report make_spec(rules) raises."""
+    with pytest.raises(ValidationError) as exc:
+        make_spec(rules)
+    return exc.value.report.error_kinds()
+
+
 FIB = make_spec({"a": "ab", "b": "a"})
 
 
@@ -30,16 +38,13 @@ class TestValidation:
             assert spec.validate().ok
 
     def test_not_prolongable(self):
-        report = make_spec({"a": "a"}).validate()
-        assert "not-prolongable" in report.error_kinds()
+        assert "not-prolongable" in invalid_kinds({"a": "a"})
 
     def test_erasing_rejected_not_normalized(self):
-        report = make_spec({"a": "ab", "b": ""}).validate()
-        assert "unsupported-erasing" in report.error_kinds()
+        assert "unsupported-erasing" in invalid_kinds({"a": "ab", "b": ""})
 
     def test_start_must_lead_its_image(self):
-        report = make_spec({"a": "ba", "b": "ab"}).validate()
-        assert "not-prolongable" in report.error_kinds()
+        assert "not-prolongable" in invalid_kinds({"a": "ba", "b": "ab"})
 
     def test_unreachable_letter_warns(self):
         report = make_spec({"a": "aa", "b": "ab"}).validate()

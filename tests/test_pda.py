@@ -31,6 +31,13 @@ def tiny(transitions, states=("p", "q"), symbols=("X",), outputs=None):
                 stack_symbols=symbols, transitions=transitions, output=out)
 
 
+def invalid_kinds(transitions) -> set[str]:
+    """The error kinds of the report a one-state `tiny` machine raises."""
+    with pytest.raises(ValidationError) as exc:
+        tiny(transitions, states=("p",))
+    return exc.value.report.error_kinds()
+
+
 class TestValidation:
     def test_xi2_valid_with_dead_row_warning(self, xi2):
         report = xi2.validate()
@@ -45,8 +52,7 @@ class TestValidation:
             ("p", BOTTOM, 0): ("p", ()),
             ("p", BOTTOM, 1): ("p", ()),
         }
-        report = tiny(t, states=("p",)).validate()
-        assert "determinism-conflict" in report.error_kinds()
+        assert "determinism-conflict" in invalid_kinds(t)
 
     def test_increasing_epsilon(self):
         t = {
@@ -54,15 +60,13 @@ class TestValidation:
             ("p", BOTTOM, 0): ("p", ()),
             ("p", BOTTOM, 1): ("p", ()),
         }
-        report = tiny(t, states=("p",)).validate()
-        assert "increasing-epsilon" in report.error_kinds()
+        assert "increasing-epsilon" in invalid_kinds(t)
 
     def test_epsilon_on_bottom(self):
         t = {
             ("p", BOTTOM, None): ("p", ()),
         }
-        report = tiny(t, states=("p",)).validate()
-        assert "epsilon-on-bottom" in report.error_kinds()
+        assert "epsilon-on-bottom" in invalid_kinds(t)
 
     def test_partial_digit_row_is_incomplete(self):
         t = {
@@ -70,16 +74,14 @@ class TestValidation:
             ("p", BOTTOM, 1): ("p", ()),
             ("p", "X", 0): ("p", ()),
         }
-        report = tiny(t, states=("p",)).validate()
-        assert "incompleteness" in report.error_kinds()
+        assert "incompleteness" in invalid_kinds(t)
 
     def test_unknown_symbols(self):
         t = {
             ("p", BOTTOM, 0): ("p", ("Z",)),
             ("p", BOTTOM, 1): ("p", ()),
         }
-        report = tiny(t, states=("p",)).validate()
-        assert "unknown-symbol" in report.error_kinds()
+        assert "unknown-symbol" in invalid_kinds(t)
 
 
 class TestStep:
