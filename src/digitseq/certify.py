@@ -234,8 +234,39 @@ def _approximation_note(w: RepetitionWitness, base: int) -> str:
     )
 
 
+def _seed_failures(spec: morphic_mod.MorphicSpec,
+                   cert: Certificate) -> list[str]:
+    """The declared seed against the one repetition_seed re-derives.
+
+    The seed is the first maximal-growth letter, in alphabet order, that
+    occurs twice within the scan window, so a window of exactly p2
+    symbols re-derives the seed that any window of p2 or more found: the
+    check does not depend on the scan length the certificate was built
+    with. The level-0 witness must be the seed's: u = p1 - 1,
+    v = p2 - p1, ext = v + 1.
+    """
+    if cert.seed_letter is None or cert.seed_positions is None:
+        return ["certificate declares no seedLetter and seedPositions"]
+    p1, p2 = cert.seed_positions
+    level0 = RepetitionWitness(u=p1 - 1, v=p2 - p1, ext=p2 - p1 + 1)
+    if cert.witnesses[:1] != (level0,):
+        return [f"level-0 witness is not u={level0.u} v={level0.v} "
+                f"ext={level0.ext}, the one seedPositions {p1}, {p2} give"]
+    try:
+        seed = morphic_mod.repetition_seed(spec, p2)
+    except (ValueError, BudgetExceededError) as exc:
+        return [f"seed not re-derived: {exc}"]
+    if (seed.letter, seed.p1, seed.p2) != (cert.seed_letter, p1, p2):
+        return [f"declared seed {cert.seed_letter!r} at {p1}, {p2} is not "
+                f"the re-derived seed {seed.letter!r} at {seed.p1}, "
+                f"{seed.p2}"]
+    return []
+
+
 def verify_certificate(source: SequenceSource, cert: Certificate,
-                       extra_depth: int = 0) -> VerificationReport:
+                       extra_depth: int = 0,
+                       spec: morphic_mod.MorphicSpec | None = None
+                       ) -> VerificationReport:
     """Independently re-check every stored witness against the source.
 
     The declared depth must be the number of witnesses minus one; a
@@ -244,8 +275,9 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     witnesses must be the pair's family, the bound 1 + 1/(n'-1) and the
     growth bound k; for the morphic kind the bound is the least witness
     ratio and the growth bound the largest growth of u + v between
-    consecutive witnesses. For pair certificates the identity family is
-    additionally extended
+    consecutive witnesses, and given the morphic spec the source comes
+    from, the seed letter and positions are re-derived from it. For pair
+    certificates the identity family is additionally extended
     extra_depth levels past the recorded depth. The report lists, per
     witness, the rational-approximation statement it implies for the
     number whose digit stream the source is; the statement is symbolic
@@ -305,6 +337,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                 f"declared growth bound {cert.ratio_growth_bound} is not the "
                 f"largest growth of u + v between witnesses, {growth}"
             )
+        if spec is not None:
+            failures.extend(_seed_failures(spec, cert))
     checked = 0
     for w in list(cert.witnesses) + extra_witnesses:
         try:
@@ -361,15 +395,24 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _seed_positions(value) -> tuple[int, int]:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(type(p) is int for p in value)
+            or not 1 <= value[0] < value[1]):
+        raise ValueError("seedPositions must be two integers p1 < p2 with "
+                         "p1 >= 1")
+    return value[0], value[1]
+
+
 def certificate_from_json(text: str) -> Certificate:
     """A document of the wrong shape raises ValueError."""
-    doc = json.loads(text)
     known = {
         "kind", "machine", "dioLowerBound", "ratioGrowthBound",
         "verifiedDepth", "witnesses", "k", "n", "nPrime", "method",
         "seedLetter", "seedPositions",
     }
     try:
+        doc = json.loads(text)
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
@@ -397,8 +440,9 @@ def certificate_from_json(text: str) -> Certificate:
             pair=pair,
             method=doc.get("method"),
             seed_letter=doc.get("seedLetter"),
-            seed_positions=(tuple(doc["seedPositions"])
+            seed_positions=(_seed_positions(doc["seedPositions"])
                             if "seedPositions" in doc else None),
         )
-    except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+    except (KeyError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
         raise ValueError(str(exc)) from exc

@@ -386,12 +386,14 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
         )
     except (OSError, ValueError) as exc:
         _die(EXIT_INVALID, f"cannot load certificate: {exc}")
-    _, source = _resolve_source(machine_path, stream, base)
+    machine, source = _resolve_source(machine_path, stream, base)
     if machine_path is not None and cert.machine_ref != source.source_id:
         _die(EXIT_INVALID,
              f"certificate is bound to machine {cert.machine_ref}, "
              f"file hashes to {source.source_id}")
-    report = certify_mod.verify_certificate(source, cert, extra_depth)
+    spec = machine if isinstance(machine, MorphicSpec) else None
+    report = certify_mod.verify_certificate(source, cert, extra_depth,
+                                            spec=spec)
     click.echo(report.summary())
     if not report.valid:
         sys.exit(EXIT_INVALID)

@@ -4,7 +4,8 @@ One document per machine, dispatched on "kind": "dfao", "morphic" (with
 "tag" accepted as an alias), or "dpao". Digits, names and symbols are
 JSON strings. Unknown fields are rejected so that typos fail loudly
 instead of silently changing a machine; any malformed document raises
-ValueError, and an invalid machine ValidationError.
+ValueError (a document nested too deeply to parse too), and an invalid
+machine ValidationError.
 """
 
 from __future__ import annotations
@@ -198,18 +199,20 @@ def _dpao_to_dict(m: Dpao) -> dict:
 
 
 def loads_machine(text: str):
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("machine file must be a JSON object with a 'kind'")
-    kind = doc["kind"]
     try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise ValueError("machine file must be a JSON object with a "
+                             "'kind'")
+        kind = doc["kind"]
         if kind == "dfao":
             return _dfao_from_dict(doc)
         if kind in ("morphic", "tag"):
             return _morphic_from_dict(doc)
         if kind == "dpao":
             return _dpao_from_dict(doc)
-    except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+    except (KeyError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
         raise ValueError(str(exc)) from exc
     raise ValueError(f"unknown machine kind {kind!r}")
 

@@ -379,16 +379,106 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
                         global_exponential=global_exp)
 
 
+# output symbols per gather: bounds the index arrays of one round
+_GATHER_CHUNK = 1 << 16
+# mean table length from which one slice per table beats a gather
+_SLICE_MIN = 64
+# longest tables that square faster as Python bytes than in numpy
+_SMALL_TABLE = 1024
+
+
+def _concat_tables(flat: np.ndarray, offsets: np.ndarray,
+                   lengths: np.ndarray, letters: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Fill `out` with the tables of `letters` laid end to end, cut at
+    len(out). Table a is flat[offsets[a]:offsets[a] + lengths[a]].
+
+    Every table holds at least one symbol, so at most len(out) letters
+    are read, in blocks of _GATHER_CHUNK. A block of long tables is
+    joined one slice per table; a block of short ones is gathered in
+    output slices of _GATHER_CHUNK, one np.repeat of offsets each.
+    """
+    total, pos = len(out), 0
+    while pos < total:
+        cut = min(_GATHER_CHUNK, total - pos)
+        block, letters = letters[:cut], letters[cut:]
+        lens = lengths[block]
+        ends = np.cumsum(lens)
+        span = min(int(ends[-1]), total - pos)
+        used = int(np.searchsorted(ends, span)) + 1
+        if span >= _SLICE_MIN * used:
+            views = [flat[o:o + n] for o, n in zip(offsets, lengths)]
+            out[pos:pos + span] = np.frombuffer(b"".join(
+                [views[a] for a in block[:used].tolist()])[:span],
+                dtype=np.uint8)
+        else:
+            # symbol r of this block's output is flat[src[i] + r] in piece i
+            src = offsets[block] - (ends - lens)
+            for lo in range(0, span, _GATHER_CHUNK):
+                hi = min(lo + _GATHER_CHUNK, span)
+                i0 = int(np.searchsorted(ends, lo, side="right"))
+                i1 = int(np.searchsorted(ends, hi, side="left")) + 1
+                seg = (np.minimum(ends[i0:i1], hi)
+                       - np.maximum(ends[i0:i1] - lens[i0:i1], lo))
+                index = np.repeat(src[i0:i1], seg)
+                index += np.arange(lo, hi)
+                out[pos + lo:pos + hi] = flat.take(index)
+        pos += span
+
+
+def _letter_counts(table: np.ndarray, d: int) -> np.ndarray:
+    """How often each of the d letters occurs in table, counted in blocks
+    so that no int64 copy of a whole table is made."""
+    return sum(np.bincount(table[i:i + _GATHER_CHUNK], minlength=d)
+               for i in range(0, len(table), _GATHER_CHUNK))
+
+
 def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
-    """First `count` letters of the fixed point, as internal indices."""
+    """First `count` letters of the fixed point, as internal indices.
+
+    Power-table doubling: the table of letter a holds sigma^m(a) cut at
+    `count` letters, and one round squares m, because sigma^(2m)(a) is
+    the concatenation of sigma^m(b) over the letters b of sigma^m(a).
+    The start letter's table is a prefix of the fixed point, and
+    |sigma^m(start)| >= m + 1, so at most log2(count) rounds run. While
+    every table is short, a round joins Python bytes; after that it is a
+    few numpy gathers over at most one table per letter.
+    """
     alpha = {a: i for i, a in enumerate(spec.internal)}
-    images = [bytes(alpha[b] for b in spec.rules[a]) for a in spec.internal]
-    out = bytearray(images[alpha[spec.start]])
-    i = 1
-    while len(out) < count:
-        out.extend(images[out[i]])
-        i += 1
-    return bytes(out[:count])
+    start = alpha[spec.start]
+    tables = [bytes(alpha[b] for b in spec.rules[a])[:count]
+              for a in spec.internal]
+    while (len(tables[start]) < count
+           and max(map(len, tables)) <= _SMALL_TABLE):
+        # one join reads at most _SMALL_TABLE tables of at most
+        # _SMALL_TABLE symbols, so cutting after it costs little
+        tables = [b"".join([tables[b] for b in t])[:count] for t in tables]
+    if len(tables[start]) == count:
+        return tables[start]
+    flat = np.frombuffer(b"".join(tables), dtype=np.uint8)
+    lengths = np.array([len(t) for t in tables], dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+
+    def table(a):
+        return flat[offsets[a]:offsets[a] + lengths[a]]
+
+    while lengths[start] < count:
+        # |sigma^(2m)(a)| from the letter counts of sigma^m(a), in Python
+        # integers; in the last round only the start letter's table is built
+        sizes = lengths.tolist()
+        grown = [min(count, sum(c * n for c, n in zip(
+                     _letter_counts(table(a), len(sizes)).tolist(), sizes)))
+                 for a in range(len(sizes))]
+        order = [start] if grown[start] == count else range(len(lengths))
+        new_lengths = np.zeros_like(lengths)
+        new_lengths[order] = [grown[a] for a in order]
+        new_offsets = np.cumsum(new_lengths) - new_lengths
+        new_flat = np.empty(int(new_lengths.sum()), dtype=np.uint8)
+        for a in order:
+            _concat_tables(flat, offsets, lengths, table(a),
+                           new_flat[new_offsets[a]:new_offsets[a] + grown[a]])
+        flat, lengths, offsets = new_flat, new_lengths, new_offsets
+    return flat[offsets[start]:offsets[start] + count].tobytes()
 
 
 def _coding_table(spec: MorphicSpec, ext_alpha: Alphabet) -> bytes:
@@ -402,8 +492,9 @@ def fixed_point_prefix(spec: MorphicSpec, count: int
                        ) -> tuple[SequencePrefix, SequencePrefix]:
     """(coded prefix over the external alphabet, internal prefix).
 
-    Streaming expansion: the fixed point is sigma(start) followed by the
-    images of its own letters in order, so one growing buffer suffices.
+    The internal prefix comes from power-table doubling (_expand_indices):
+    O(log count) rounds for every spec, polynomial growth included, each
+    a few byte joins or numpy gathers; the coding is one bytes.translate.
     """
     internal = _expand_indices(spec, count)
     ext_alpha = spec.external_alphabet()

@@ -2,8 +2,9 @@
 
 Everything here runs on arbitrary-precision integers; floating point is
 banned in this module so that fixtures and certificates stay exact.
-Rational digits come from one period of long division, tiled; the xi3
-word from a level-by-level parity table.
+Rational digits come from one period of long division, tiled; surd
+digits from one integer square root, split by divide and conquer; the
+xi3 word from a level-by-level parity table.
 """
 
 from __future__ import annotations
@@ -107,24 +108,58 @@ def rational_source(p: int, q: int, b: int) -> SequenceSource:
     )
 
 
+def _fixed_digits(x: int, b: int, count: int) -> bytes:
+    """The `count` base-b digits of 0 <= x < b^count, leading zeros kept.
+
+    Divide and conquer: divmod by b^(L*h) splits a run of chunks of L
+    digits into its low h chunks and the rest, down to single chunks
+    below 2^63, whose digits are then peeled off all at once in int64
+    arrays, L vectorised divmods by b. Exact integers throughout, and no
+    str(int), which refuses values of more than 4300 decimal digits.
+    """
+    width = 1
+    while b ** (width + 1) < 2 ** 63:
+        width += 1
+    n_chunks = -(-count // width)
+    powers: dict[int, int] = {}
+    chunks: list[int] = []
+
+    def split(y: int, n: int) -> None:
+        if n == 1:
+            chunks.append(y)
+            return
+        low = n // 2
+        if low not in powers:
+            powers[low] = b ** (width * low)
+        high, rest = divmod(y, powers[low])
+        split(high, n - low)
+        split(rest, low)
+
+    if n_chunks:
+        split(x, n_chunks)
+    values = np.array(chunks, dtype=np.int64)
+    digits = np.empty((n_chunks, width), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):
+        values, digits[:, j] = np.divmod(values, b)
+    return digits.tobytes()[n_chunks * width - count:]
+
+
 def surd_digits(d: int, b: int, count: int) -> tuple[int, SequencePrefix]:
     """(integer part, first `count` fractional base-b digits) of sqrt(d).
 
-    Digit i is read off the integer square root of d * b^(2i): exact
-    truncation, no rounding drift. Recomputing at higher precision never
-    changes earlier digits, because floor(x / b^j) commutes with the
-    truncation.
+    The digits are those of the one integer square root of d * b^(2 count):
+    exact truncation, no rounding drift. Recomputing at higher precision
+    never changes earlier digits, because floor(x / b^j) commutes with the
+    truncation. The root becomes digits by divide and conquer, in
+    O(log count) rounds of big-integer divmod.
     """
     _check_base(b)
     _check_surd(d)
     whole = math.isqrt(d)
     scaled = math.isqrt(d * b ** (2 * count))
-    digits = bytearray(count)
-    frac = scaled - whole * b ** count
-    for i in range(count - 1, -1, -1):
-        frac, digits[i] = divmod(frac, b)
+    digits = _fixed_digits(scaled - whole * b ** count, b, count)
     alphabet = digit_alphabet(b)
-    return whole, SequencePrefix(f"surd:{d}:base{b}", alphabet, bytes(digits))
+    return whole, SequencePrefix(f"surd:{d}:base{b}", alphabet, digits)
 
 
 def surd_source(d: int, b: int) -> SequenceSource:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import morphic
 from .morphic import MorphicSpec
 
@@ -28,31 +30,38 @@ class DilationProfile:
 
 def dilation_profile(spec: MorphicSpec, n_limit: int) -> DilationProfile:
     """Exact W(n)/n at n = 1, 2, 4, ... up to n_limit, plus the overall
-    minimum over all n <= n_limit. Single pass: W grows by one image
-    length per letter read."""
+    minimum over all n <= n_limit and the first n attaining it.
+
+    W(1..n_limit) is one cumulative sum of image lengths. Floats only
+    shortlist the minimum: correctly rounded division is monotone, so
+    every n with the least exact ratio has the least float ratio, and
+    the exact minimum among those is settled by cross-multiplying
+    integers.
+    """
     if n_limit < 1:
         raise ValueError("profile length must be positive")
     _, internal = morphic.fixed_point_prefix(spec, n_limit)
-    lengths = [len(spec.rules[a]) for a in spec.internal]
-    w = 0
-    samples = []
-    min_ratio = None
-    argmin = 1
-    mark = 1
-    for n, letter in enumerate(internal.data, start=1):
-        w += lengths[letter]
-        ratio = Fraction(w, n)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-            argmin = n
-        if n == mark:
-            samples.append((n, ratio))
-            mark *= 2
-    if samples[-1][0] != n_limit:
-        samples.append((n_limit, ratio))
+    lengths = np.array([len(spec.rules[a]) for a in spec.internal],
+                       dtype=np.int64)
+    w = np.cumsum(lengths[np.frombuffer(internal.data, dtype=np.uint8)])
+    n = np.arange(1, n_limit + 1, dtype=np.int64)
+    ratio = w / n
+    shortlist = np.flatnonzero(ratio == ratio.min())
+    cw, cn = w[shortlist], n[shortlist]
+    if int(w[-1]) * n_limit >= 2 ** 63:  # cross products overflow int64
+        cw, cn = cw.astype(object), cn.astype(object)
+    # stepping to the first strictly smaller candidate ends at the first
+    # n with the least ratio
+    best = 0
+    while (below := cw * cn[best] < cw[best] * cn).any():
+        best = int(np.argmax(below))
+    argmin = int(cn[best])
+    marks = [1 << j for j in range(n_limit.bit_length())]
+    if marks[-1] != n_limit:
+        marks.append(n_limit)
     return DilationProfile(
-        samples=tuple(samples),
-        min_ratio=min_ratio,
+        samples=tuple((m, Fraction(int(w[m - 1]), m)) for m in marks),
+        min_ratio=Fraction(int(w[argmin - 1]), argmin),
         argmin=argmin,
         exceeds_one=morphic.exponential_growth(spec),
     )

@@ -5,7 +5,10 @@ search by triple loop, digit parity by string counting, the three-squares
 predicate by direct arithmetic, morphic growth by big-integer iteration.
 The generation oracles are the one-step-per-symbol loops that the
 level-by-level numpy cores replaced: dictionary lookups per n, stacks as
-tuples, xi3 value by value, rationals by plain long division. The machine
+tuples, xi3 value by value, rationals by plain long division; and the
+loops that power-table doubling and divide-and-conquer digits replaced:
+morphic fixed points one image per letter read, surd digits one divmod
+each, and the dilation profile one Fraction per letter. The machine
 oracles step one input at a time: a dfao by dictionary lookups, a dpao
 with its stack as a tuple (`StackConfig`), and the pair search, the
 distinguishing search and the dfao pigeonhole as the loops over them that
@@ -17,6 +20,7 @@ one-pass-per-period loop that the backward block scan replaced.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,6 +288,50 @@ def long_division(p: int, q: int, b: int, count: int) -> bytes:
         d, r = divmod(r, q)
         out.append(d)
     return bytes(out)
+
+
+def fixed_point_loop(spec: MorphicSpec, count: int) -> bytes:
+    """First `count` internal letter indices of the fixed point: sigma(start)
+    followed by the images of its own letters in order, one image appended
+    per letter read."""
+    alpha = {a: i for i, a in enumerate(spec.internal)}
+    images = [bytes(alpha[b] for b in spec.rules[a]) for a in spec.internal]
+    out = bytearray(images[alpha[spec.start]])
+    i = 1
+    while len(out) < count:
+        out.extend(images[out[i]])
+        i += 1
+    return bytes(out[:count])
+
+
+def surd_digit_loop(d: int, b: int, count: int) -> tuple[int, bytes]:
+    """(integer part, first `count` fractional base-b digits) of sqrt(d),
+    the digits peeled off isqrt(d * b^(2 count)) one divmod at a time."""
+    whole = math.isqrt(d)
+    frac = math.isqrt(d * b ** (2 * count)) - whole * b ** count
+    digits = bytearray(count)
+    for i in range(count - 1, -1, -1):
+        frac, digits[i] = divmod(frac, b)
+    return whole, bytes(digits)
+
+
+def dilation_loop(spec: MorphicSpec, n_limit: int):
+    """(samples, min_ratio, argmin) of the dilation profile, W(n) grown by
+    one image length and compared as one Fraction per letter read."""
+    internal = fixed_point_loop(spec, n_limit)
+    lengths = [len(spec.rules[a]) for a in spec.internal]
+    w, samples, min_ratio, argmin, mark = 0, [], None, 1, 1
+    for n, letter in enumerate(internal, start=1):
+        w += lengths[letter]
+        ratio = Fraction(w, n)
+        if min_ratio is None or ratio < min_ratio:
+            min_ratio, argmin = ratio, n
+        if n == mark:
+            samples.append((n, ratio))
+            mark *= 2
+    if samples[-1][0] != n_limit:
+        samples.append((n_limit, ratio))
+    return tuple(samples), min_ratio, argmin
 
 
 # --- brute-force repetition search and factor counts -----------------------

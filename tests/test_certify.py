@@ -208,6 +208,33 @@ class TestVerification:
                                    witnesses=())
         assert not verify_certificate(xi1.source("xi1"), cert).valid
 
+    def test_morphic_seed_is_re_derived_from_the_spec(self, xi1, tm_morphic,
+                                                      squares):
+        cert = certify_morphic(xi1, depth=4)
+        src = xi1.source("xi1")
+        assert verify_certificate(src, cert, spec=xi1).valid
+        for changes, failure in (
+                ({"seed_letter": None, "seed_positions": None},
+                 "certificate declares no seedLetter and seedPositions"),
+                ({"seed_letter": "b"},
+                 "declared seed 'b' at 1, 5 is not the re-derived seed "
+                 "'a' at 1, 5"),
+                ({"seed_positions": (1, 6)},
+                 "level-0 witness is not u=0 v=5 ext=6, the one "
+                 "seedPositions 1, 6 give")):
+            tampered = dataclasses.replace(cert, **changes)
+            # without the spec only the witnesses and bounds are checked
+            assert verify_certificate(src, tampered).valid
+            report = verify_certificate(src, tampered, spec=xi1)
+            assert report.failures == (failure,)
+        # the seed of one spec is not re-derived from another
+        report = verify_certificate(src, cert, spec=tm_morphic)
+        assert report.failures == ("declared seed 'a' at 1, 5 is not the "
+                                   "re-derived seed 'q0' at 1, 4",)
+        report = verify_certificate(src, cert, spec=squares)
+        assert report.failures[0].startswith("seed not re-derived: "
+                                             "morphic certificates require")
+
     def test_pair_growth_bound_is_k(self, xi2_source):
         cert = certificate_from_pair(xi2_source, 1, 5, 2, depth=4)
         report = verify_certificate(

@@ -265,6 +265,61 @@ class TestCertifyVerify:
         assert any(line.startswith("failure:") and "verifiedDepth" in line
                    for line in v.output.splitlines())
 
+    @pytest.mark.parametrize("edit, failure", [
+        ({"seedLetter": "zz", "seedPositions": [2, 3]},
+         "failure: level-0 witness is not u=1 v=1 ext=2, the one "
+         "seedPositions 2, 3 give"),
+        ({"seedLetter": "c"},
+         "failure: declared seed 'c' at 1, 5 is not the re-derived seed "
+         "'a' at 1, 5"),
+    ], ids=["zz-at-2-3", "wrong-letter"])
+    def test_false_morphic_seed_exits_2(self, runner, machines, tmp_path,
+                                        edit, failure):
+        cert = tmp_path / "xi1.json"
+        run_cli(runner, ["certify", "--machine", str(machines / "xi1.json"),
+                         "--depth", "6", "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc.update(edit)
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / "xi1.json")])
+        assert v.exit_code == 2
+        assert v.output.startswith("certificate INVALID")
+        assert failure in v.output.splitlines()
+
+    @pytest.mark.parametrize("scan_len, seed", [
+        ("4096", ("q0", [1, 4])), ("3", ("q1", [2, 3]))])
+    def test_seed_found_with_any_scan_length_verifies(
+            self, runner, machines, tmp_path, scan_len, seed):
+        # q0 q1 q1 q0 ...: a window of 3 symbols holds only q1 twice
+        path = machines / "thue-morse-morphic.json"
+        cert = tmp_path / "tm.json"
+        run_cli(runner, ["certify", "--machine", str(path), "--depth", "6",
+                         "--scan-len", scan_len, "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        assert (doc["seedLetter"], doc["seedPositions"]) == seed
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(path)])
+        assert v.exit_code == 0
+        assert v.output.startswith("certificate valid")
+
+    @pytest.mark.parametrize("positions", [
+        [0, 3], [3, 2], [2, 2], [1], [1, 2, 3], ["1", 2], [1.0, 2], [True, 2],
+        "1,2"])
+    def test_malformed_seed_positions_exit_2(self, runner, machines, tmp_path,
+                                             positions):
+        cert = tmp_path / "xi1.json"
+        run_cli(runner, ["certify", "--machine", str(machines / "xi1.json"),
+                         "--depth", "4", "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc["seedPositions"] = positions
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / "xi1.json")])
+        assert v.exit_code == 2
+        assert v.output == ("error: cannot load certificate: seedPositions "
+                            "must be two integers p1 < p2 with p1 >= 1\n")
+
     def test_refuted_pair_exits_1(self, runner, machines):
         r = run_cli(runner, ["certify", "--pair", "1,3", "--k", "2",
                              "--stream", "xi3", "--depth", "4"])
@@ -485,6 +540,25 @@ class TestErrorTable:
                              "--machine", str(machines / "xi2.json")])
         assert v.exit_code == 2
         assert v.output.startswith("error: cannot load certificate: ")
+
+
+    def test_deeply_nested_machine_exits_2(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        r = run_cli(runner, ["digits", "--machine", str(path)])
+        assert r.exit_code == 2
+        assert r.output.startswith(f"error: cannot load machine {path}: ")
+        assert len(r.output.splitlines()) == 1
+
+    def test_deeply_nested_certificate_exits_2(self, runner, machines,
+                                               tmp_path):
+        cert = tmp_path / "deep.json"
+        cert.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(machines / "xi1.json")])
+        assert v.exit_code == 2
+        assert v.output.startswith("error: cannot load certificate: ")
+        assert len(v.output.splitlines()) == 1
 
 
 @pytest.fixture()
