@@ -210,7 +210,7 @@ class VerificationReport:
     witnesses_checked: int
     extended_depth: int | None
     failures: tuple[str, ...]
-    approximation_notes: tuple[str, ...]
+    notes: tuple[str, ...]
 
     def summary(self) -> str:
         lines = []
@@ -221,7 +221,7 @@ class VerificationReport:
         if self.extended_depth is not None:
             lines.append(f"pair identities extended to depth {self.extended_depth}")
         lines.extend(f"failure: {f}" for f in self.failures)
-        lines.extend(self.approximation_notes)
+        lines.extend(self.notes)
         return "\n".join(lines)
 
 
@@ -276,7 +276,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     growth bound k; for the morphic kind the bound is the least witness
     ratio and the growth bound the largest growth of u + v between
     consecutive witnesses, and given the morphic spec the source comes
-    from, the seed letter and positions are re-derived from it. For pair
+    from, the seed letter and positions are re-derived from it; without
+    the spec the report notes that the seed was not checked. For pair
     certificates the identity family is additionally extended
     extra_depth levels past the recorded depth. The report lists, per
     witness, the rational-approximation statement it implies for the
@@ -288,7 +289,7 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         return VerificationReport(False, 0, None, (
             f"declared verifiedDepth {cert.verified_depth} is not the "
             f"{len(cert.witnesses)} witnesses minus one",), ())
-    failures = []
+    failures, notes = [], []
     need = max((w.u + w.ext for w in cert.witnesses), default=0)
     extended = None
     extra_witnesses: list[RepetitionWitness] = []
@@ -305,7 +306,7 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         return VerificationReport(
             valid=False, witnesses_checked=0, extended_depth=extended,
             failures=(f"prefix generation failed: {exc}",),
-            approximation_notes=(),
+            notes=(),
         )
     if cert.pair is not None:
         expected = [
@@ -339,6 +340,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
             )
         if spec is not None:
             failures.extend(_seed_failures(spec, cert))
+        else:
+            notes.append("note: seed not checked: no morphic machine given")
     checked = 0
     for w in list(cert.witnesses) + extra_witnesses:
         try:
@@ -353,13 +356,13 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                 )
         checked += 1
     base = source.alphabet.size
-    notes = tuple(_approximation_note(w, base) for w in cert.witnesses)
+    notes.extend(_approximation_note(w, base) for w in cert.witnesses)
     return VerificationReport(
         valid=not failures,
         witnesses_checked=checked,
         extended_depth=extended,
         failures=tuple(failures),
-        approximation_notes=notes,
+        notes=tuple(notes),
     )
 
 

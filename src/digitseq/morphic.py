@@ -119,14 +119,7 @@ class MorphicSpec:
                 f"one letter, got {''.join(img)!r}",
             )
             return report
-        reached = {self.start}
-        frontier = [self.start]
-        while frontier:
-            a = frontier.pop()
-            for b in self.rules[a]:
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
+        reached = self.occurring()
         for a in self.internal:
             if a not in reached:
                 report.warn(
@@ -134,6 +127,17 @@ class MorphicSpec:
                     f"letter {a!r} never occurs in the fixed point",
                 )
         return report
+
+    def occurring(self) -> set[str]:
+        """Letters of the fixed point: those reachable from the start."""
+        reached = {self.start}
+        frontier = [self.start]
+        while frontier:
+            for b in self.rules[frontier.pop()]:
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        return reached
 
     def source(self, source_id: str) -> SequenceSource:
         """The coded fixed point over the external alphabet."""
@@ -357,14 +361,7 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
         )
         per_letter[a] = LetterGrowth(theta=theta, poly_degree=k, exponential=is_exp)
 
-    occurring = {spec.start}
-    frontier = [spec.start]
-    while frontier:
-        a = frontier.pop()
-        for b in spec.rules[a]:
-            if b not in occurring:
-                occurring.add(b)
-                frontier.append(b)
+    occurring = spec.occurring()
     best = max(
         (per_letter[a].theta, per_letter[a].poly_degree) for a in occurring
     )
@@ -379,11 +376,12 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
                         global_exponential=global_exp)
 
 
-# output symbols per gather: bounds the index arrays of one round
-_GATHER_CHUNK = 1 << 16
-# mean table length from which one slice per table beats a gather
-_SLICE_MIN = 64
-# longest tables that square faster as Python bytes than in numpy
+# output symbols per gather, so index arrays stay at 128 KiB; at 2^20
+# symbols 2^14 times 10-20% below 2^16 and 2^18 on the catalogue specs
+_GATHER_CHUNK = 1 << 14
+# longest tables that square as Python bytes, not in numpy: summed over
+# the catalogue, linear and 16 random specs at 2^10..2^14 symbols, 1024
+# is 10-50% faster than 256 or 4096 and 3-9x faster than numpy alone
 _SMALL_TABLE = 1024
 
 
@@ -393,10 +391,9 @@ def _concat_tables(flat: np.ndarray, offsets: np.ndarray,
     """Fill `out` with the tables of `letters` laid end to end, cut at
     len(out). Table a is flat[offsets[a]:offsets[a] + lengths[a]].
 
-    Every table holds at least one symbol, so at most len(out) letters
-    are read, in blocks of _GATHER_CHUNK. A block of long tables is
-    joined one slice per table; a block of short ones is gathered in
-    output slices of _GATHER_CHUNK, one np.repeat of offsets each.
+    Every table read holds at least one symbol, so at most len(out)
+    letters are read, in blocks of _GATHER_CHUNK; each block is gathered
+    in output slices of _GATHER_CHUNK, one np.repeat of offsets each.
     """
     total, pos = len(out), 0
     while pos < total:
@@ -405,32 +402,27 @@ def _concat_tables(flat: np.ndarray, offsets: np.ndarray,
         lens = lengths[block]
         ends = np.cumsum(lens)
         span = min(int(ends[-1]), total - pos)
-        used = int(np.searchsorted(ends, span)) + 1
-        if span >= _SLICE_MIN * used:
-            views = [flat[o:o + n] for o, n in zip(offsets, lengths)]
-            out[pos:pos + span] = np.frombuffer(b"".join(
-                [views[a] for a in block[:used].tolist()])[:span],
-                dtype=np.uint8)
-        else:
-            # symbol r of this block's output is flat[src[i] + r] in piece i
-            src = offsets[block] - (ends - lens)
-            for lo in range(0, span, _GATHER_CHUNK):
-                hi = min(lo + _GATHER_CHUNK, span)
-                i0 = int(np.searchsorted(ends, lo, side="right"))
-                i1 = int(np.searchsorted(ends, hi, side="left")) + 1
-                seg = (np.minimum(ends[i0:i1], hi)
-                       - np.maximum(ends[i0:i1] - lens[i0:i1], lo))
-                index = np.repeat(src[i0:i1], seg)
-                index += np.arange(lo, hi)
-                out[pos + lo:pos + hi] = flat.take(index)
+        # symbol r of this block's output is flat[src[i] + r] in piece i
+        src = offsets[block] - (ends - lens)
+        for lo in range(0, span, _GATHER_CHUNK):
+            hi = min(lo + _GATHER_CHUNK, span)
+            i0 = int(np.searchsorted(ends, lo, side="right"))
+            i1 = int(np.searchsorted(ends, hi, side="left")) + 1
+            seg = (np.minimum(ends[i0:i1], hi)
+                   - np.maximum(ends[i0:i1] - lens[i0:i1], lo))
+            index = np.repeat(src[i0:i1], seg)
+            index += np.arange(lo, hi)
+            out[pos + lo:pos + hi] = flat.take(index)
         pos += span
 
 
-def _letter_counts(table: np.ndarray, d: int) -> np.ndarray:
-    """How often each of the d letters occurs in table, counted in blocks
+def _letter_counts(word: np.ndarray, d: int) -> np.ndarray:
+    """How often each of the d letters occurs in word, counted in blocks
     so that no int64 copy of a whole table is made."""
-    return sum(np.bincount(table[i:i + _GATHER_CHUNK], minlength=d)
-               for i in range(0, len(table), _GATHER_CHUNK))
+    counts = np.zeros(d, dtype=np.int64)
+    for i in range(0, len(word), _GATHER_CHUNK):
+        counts += np.bincount(word[i:i + _GATHER_CHUNK], minlength=d)
+    return counts
 
 
 def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
@@ -439,19 +431,32 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
     Power-table doubling: the table of letter a holds sigma^m(a) cut at
     `count` letters, and one round squares m, because sigma^(2m)(a) is
     the concatenation of sigma^m(b) over the letters b of sigma^m(a).
-    The start letter's table is a prefix of the fixed point, and
-    |sigma^m(start)| >= m + 1, so at most log2(count) rounds run. While
-    every table is short, a round joins Python bytes; after that it is a
-    few numpy gathers over at most one table per letter.
+    Only letters of the fixed point get tables. The start letter's table
+    is a prefix of the fixed point, and |sigma^m(start)| >= m + 1, so at
+    most log2(count) rounds square. While every table is short, a round
+    joins Python bytes; after that it is numpy gathers.
+
+    A round squares only while the new tables hold at most
+    2 * max(count, _SMALL_TABLE^2) symbols in all, so memory does not
+    grow with the alphabet. Past that budget the tables stay sigma^m and
+    the prefix p becomes sigma^m(p): once m * j reaches the number of
+    letters, sigma^(m*j)(start) holds every letter, and two rounds later
+    the prefix is longer than the squared tables would have been, so
+    the budget adds at most letters / m + 2 rounds.
     """
     alpha = {a: i for i, a in enumerate(spec.internal)}
-    start = alpha[spec.start]
+    start, d = alpha[spec.start], len(spec.internal)
+    occurring = spec.occurring()
     tables = [bytes(alpha[b] for b in spec.rules[a])[:count]
-              for a in spec.internal]
-    while (len(tables[start]) < count
-           and max(map(len, tables)) <= _SMALL_TABLE):
-        # one join reads at most _SMALL_TABLE tables of at most
-        # _SMALL_TABLE symbols, so cutting after it costs little
+              if a in occurring else b"" for a in spec.internal]
+    budget = 2 * max(count, _SMALL_TABLE ** 2)
+    while len(tables[start]) < count:
+        longest = max(map(len, tables))
+        # a join reads at most _SMALL_TABLE^2 symbols before its cut, and
+        # the sum bounds the new tables from above
+        if (longest > _SMALL_TABLE or budget <
+                sum(min(count, len(t) * longest) for t in tables)):
+            break
         tables = [b"".join([tables[b] for b in t])[:count] for t in tables]
     if len(tables[start]) == count:
         return tables[start]
@@ -462,23 +467,32 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
     def table(a):
         return flat[offsets[a]:offsets[a] + lengths[a]]
 
-    while lengths[start] < count:
-        # |sigma^(2m)(a)| from the letter counts of sigma^m(a), in Python
-        # integers; in the last round only the start letter's table is built
+    def grown(word):
+        # |sigma^m(word)| cut at count, from letter counts in Python integers
+        return min(count, sum(c * n for c, n in zip(
+            _letter_counts(word, d).tolist(), sizes)))
+
+    prefix, squaring = table(start), True
+    while len(prefix) < count:
         sizes = lengths.tolist()
-        grown = [min(count, sum(c * n for c, n in zip(
-                     _letter_counts(table(a), len(sizes)).tolist(), sizes)))
-                 for a in range(len(sizes))]
-        order = [start] if grown[start] == count else range(len(lengths))
-        new_lengths = np.zeros_like(lengths)
-        new_lengths[order] = [grown[a] for a in order]
+        if squaring:
+            new_sizes = [grown(table(a)) for a in range(d)]
+            squaring = new_sizes[start] < count and sum(new_sizes) <= budget
+        if not squaring:
+            out = np.empty(grown(prefix), dtype=np.uint8)
+            _concat_tables(flat, offsets, lengths, prefix, out)
+            prefix = out
+            continue
+        new_lengths = np.array(new_sizes, dtype=np.int64)
         new_offsets = np.cumsum(new_lengths) - new_lengths
         new_flat = np.empty(int(new_lengths.sum()), dtype=np.uint8)
-        for a in order:
+        for a in range(d):
             _concat_tables(flat, offsets, lengths, table(a),
-                           new_flat[new_offsets[a]:new_offsets[a] + grown[a]])
+                           new_flat[new_offsets[a]:new_offsets[a]
+                                    + new_sizes[a]])
         flat, lengths, offsets = new_flat, new_lengths, new_offsets
-    return flat[offsets[start]:offsets[start] + count].tobytes()
+        prefix = table(start)
+    return prefix.tobytes()
 
 
 def _coding_table(spec: MorphicSpec, ext_alpha: Alphabet) -> bytes:

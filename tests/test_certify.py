@@ -251,7 +251,7 @@ class TestVerification:
         cert = certificate_from_pair(xi2_source, 1, 5, 2, depth=2)
         report = verify_certificate(xi2_source, cert)
         assert any("2^1*(2^4-1)" in note
-                   for note in report.approximation_notes)
+                   for note in report.notes)
 
 
 class TestJsonRoundTrip:

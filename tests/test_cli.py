@@ -303,6 +303,25 @@ class TestCertifyVerify:
         assert v.exit_code == 0
         assert v.output.startswith("certificate valid")
 
+    def test_unchecked_seed_is_noted(self, runner, machines, tmp_path):
+        path = machines / "xi1.json"
+        cert, stream = tmp_path / "xi1.json", tmp_path / "xi1.txt"
+        run_cli(runner, ["certify", "--machine", str(path), "--depth", "4",
+                         "--output", str(cert)])
+        digits = run_cli(runner, ["digits", "--machine", str(path),
+                                  "--count", "3000"])
+        stream.write_text(digits.output, encoding="utf-8")
+        note = "note: seed not checked: no morphic machine given"
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", f"file:{stream}"])
+        assert v.exit_code == 0
+        assert v.output.splitlines()[:2] == [
+            "certificate valid: 5 witnesses re-checked", note]
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(path)])
+        assert v.exit_code == 0
+        assert note not in v.output
+
     @pytest.mark.parametrize("positions", [
         [0, 3], [3, 2], [2, 2], [1], [1, 2, 3], ["1", 2], [1.0, 2], [True, 2],
         "1,2"])

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import (dilation_loop, fixed_point_loop, random_morphic,
                       surd_digit_loop)
-from digitseq import catalog
+from digitseq import catalog, tag
 from digitseq.morphic import MorphicSpec, _expand_indices, fixed_point_prefix
 from digitseq.numbers import surd_digits
 from digitseq.tag import dilation_profile
@@ -120,6 +120,44 @@ def test_expansion_memory_stays_bounded(name):
     assert peak <= 16 * 2 ** 20
 
 
+def fan(ring: int, unreachable: int, width: int) -> MorphicSpec:
+    """a -> a c0, c_i -> c_(i+1) down a chain of 8 letters into a ring of
+    letters b_i -> b_i^(width - 1) b_(i+1), plus doubling letters the
+    start never reaches: the ring's tables fill up long before the start
+    letter's does."""
+    chain = [chr(0x1000 + i) for i in range(8)]
+    b = [chr(0x100 + i) for i in range(ring + unreachable)]
+    rules = {"a": "a" + chain[0]}
+    rules.update(zip(chain, chain[1:] + [b[0]]))
+    rules.update((b[i], b[i] * (width - 1) + b[(i + 1) % ring])
+                 for i in range(ring))
+    rules.update((c, c * 2) for c in b[ring:])
+    return spec(rules)
+
+
+@pytest.mark.parametrize("ring, unreachable, width",
+                         [(40, 10, 3), (200, 6, 3), (40, 10, 32)])
+def test_many_letter_expansion_is_bounded_in_memory_and_time(
+        ring, unreachable, width):
+    # one table of 2^20 symbols for each of the 48 or 208 letters would
+    # peak near 2 * 48 * 2^20 or 2 * 208 * 2^20 bytes; with width 32 the
+    # tables go from 1024 symbols, squared as bytes, to 2^20
+    s = fan(ring, unreachable, width)
+    count = 2 ** 20
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = _expand_indices(s, count)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == fixed_point_loop(s, count)
+    assert peak <= 16 * 2 ** 20
+    # a few rounds, each O(count) plus O(letters^2) Python: tens of ms
+    assert seconds < 1.0
+
+
 SURDS = (2, 3, 5, 7, 10, 11, 99)
 BASES = (2, 3, 7, 10, 16, 36)
 
@@ -160,6 +198,18 @@ def test_dilation_profile_matches_the_fraction_loop():
             prof = dilation_profile(s, n_limit)
             assert (prof.samples, prof.min_ratio, prof.argmin) == \
                 dilation_loop(s, n_limit), (s.rules, n_limit)
+
+
+def test_dilation_blocks_carry_the_sum_and_the_first_minimum(monkeypatch):
+    # blocks of 7 put block edges among the samples and the near-ties
+    monkeypatch.setattr(tag, "_BLOCK", 7)
+    for s in NAMED.values():
+        for n_limit in (1, 6, 7, 8, 63, 64, 65, 1000):
+            prof = dilation_profile(s, n_limit)
+            assert (prof.samples, prof.min_ratio, prof.argmin) == \
+                dilation_loop(s, n_limit), (s.rules, n_limit)
+    # Thue-Morse: every ratio is 2, so the first block keeps the tie
+    assert dilation_profile(catalog.thue_morse_morphic(), 100).argmin == 1
 
 
 def test_dilation_argmin_is_the_first_least_ratio():
