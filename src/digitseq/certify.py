@@ -65,11 +65,30 @@ class Certificate:
     seed_positions: tuple[int, int] | None = None
 
 
-def _pair_witness(n: int, n_prime: int, k: int, level: int) -> RepetitionWitness:
-    scale = k ** level
-    return RepetitionWitness(
-        u=scale * n, v=scale * (n_prime - n), ext=scale * (n_prime - n) + scale
-    )
+def _pair_family(kind: str, machine_ref: str, n: int, n_prime: int, k: int,
+                 depth: int, method: str | None) -> Certificate:
+    """The certificate the pair n < n' determines, touching no prefix:
+    the family of levels 0..depth, bound 1 + 1/(n'-1), growth bound k."""
+    witnesses = tuple(
+        RepetitionWitness(u=s * n, v=s * (n_prime - n),
+                          ext=s * (n_prime - n + 1))
+        for s in (k ** level for level in range(depth + 1)))
+    return Certificate(
+        kind=kind, machine_ref=machine_ref, k=k, pair=(n, n_prime),
+        method=method, dio_lower_bound=Fraction(1) + Fraction(1, n_prime - 1),
+        ratio_growth_bound=Fraction(k), verified_depth=depth,
+        witnesses=witnesses)
+
+
+def _failing(prefix, witnesses):
+    """(level, witness) for each witness whose identity fails on a prefix
+    that holds every witness end, lazily and in order."""
+    return ((level, w) for level, w in enumerate(witnesses)
+            if not verify_repetition(prefix, w))
+
+
+def _extent(witnesses) -> int:
+    return max((w.u + w.ext for w in witnesses), default=0)
 
 
 def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
@@ -89,29 +108,15 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
         raise ValueError("radix must be at least 2")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    need = (k ** depth) * (n_prime + 1)
-    prefix = source.prefix(need)
-    data = prefix.data
-    witnesses = []
-    for level in range(depth + 1):
-        w = _pair_witness(n, n_prime, k, level)
-        if not verify_repetition(prefix, w):
-            scale = k ** level
-            offset = next(i for i in range(scale)
-                          if data[scale * n + i] != data[scale * n_prime + i])
-            raise PairRefutedError(n, n_prime, level, offset)
-        witnesses.append(w)
-    return Certificate(
-        kind=kind,
-        machine_ref=machine_ref or source.source_id,
-        k=k,
-        pair=(n, n_prime),
-        method=method,
-        dio_lower_bound=Fraction(1) + Fraction(1, n_prime - 1),
-        ratio_growth_bound=Fraction(k),
-        verified_depth=depth,
-        witnesses=tuple(witnesses),
-    )
+    cert = _pair_family(kind, machine_ref or source.source_id, n, n_prime, k,
+                        depth, method)
+    prefix = source.prefix(_extent(cert.witnesses))
+    for level, w in _failing(prefix, cert.witnesses):
+        data = prefix.data
+        offset = next(i for i in range(w.ext - w.v)
+                      if data[w.u + i] != data[w.u + w.v + i])
+        raise PairRefutedError(n, n_prime, level, offset)
+    return cert
 
 
 def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certificate:
@@ -125,12 +130,9 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
     found = pda_mod.find_equivalent_pair(pda_mod.from_dfao(m),
                                          n_max=m.state_count() + 1)
     assert found is not None  # pigeonhole on |Q| states
-    source = m.source(machine_ref or "dfao")
     return certificate_from_pair(
-        source, found[0], found[1], m.k, depth,
-        machine_ref=machine_ref or source.source_id,
-        kind="dfao-pigeonhole", method="exact",
-    )
+        m.source(machine_ref or "dfao"), found[0], found[1], m.k, depth,
+        kind="dfao-pigeonhole", method="exact")
 
 
 def _witness_growth(witnesses) -> Fraction:
@@ -141,49 +143,48 @@ def _witness_growth(witnesses) -> Fraction:
                default=Fraction(1))
 
 
+def _morphic_family(spec: morphic_mod.MorphicSpec,
+                    seed: morphic_mod.RepetitionSeed, depth: int,
+                    machine_ref: str) -> Certificate:
+    """The certificate the seed U b V b determines, touching no prefix.
+
+    The level-l witness is u = |sigma^l(U)|, v = |sigma^l(bV)|, ext =
+    v + |sigma^l(b)| for l = 0..depth: the letter counts of U, bV and b
+    step one level at a time under the incidence matrix.
+    """
+    lengths = zip(*(morphic_mod._iterated_lengths(spec, word) for word in
+                    (seed.u, (seed.letter,) + seed.v, (seed.letter,))))
+    witnesses = tuple(RepetitionWitness(u=u, v=bv, ext=bv + b)
+                      for (u, bv, b), _ in zip(lengths, range(depth + 1)))
+    return Certificate(
+        kind="morphic-witness", machine_ref=machine_ref,
+        dio_lower_bound=min(w.ratio for w in witnesses),
+        ratio_growth_bound=_witness_growth(witnesses), verified_depth=depth,
+        witnesses=witnesses, seed_letter=seed.letter,
+        seed_positions=(seed.p1, seed.p2))
+
+
 def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
                     machine_ref: str | None = None) -> Certificate:
     """Self-similarity certificate for an exponential-growth morphic spec.
 
-    From a seed U b V b (b of maximal growth), the images under sigma^n
-    give witnesses u = |sigma^n(U)|, v = |sigma^n(bV)|, ext = v +
-    |sigma^n(b)| for n = 0..depth, each verified against the internal
-    fixed point. Lengths come from exact incidence-matrix arithmetic.
-    A verification failure here would mean an implementation bug, so it
-    raises instead of reporting.
+    The family of the first seed U b V b (b of maximal growth) that
+    repetition_seed finds, each witness verified against the internal
+    fixed point. A verification failure here would mean an
+    implementation bug, so it raises instead of reporting.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     seed = morphic_mod.repetition_seed(spec, scan_len)
-    u_word, v_word, letter = seed.u, seed.v, seed.letter
-    max_need = 0
-    plans = []
-    for level in range(depth + 1):
-        u_len = morphic_mod.iterated_length(spec, u_word, level)
-        bv_len = morphic_mod.iterated_length(spec, (letter,) + v_word, level)
-        b_len = morphic_mod.iterated_length(spec, (letter,), level)
-        plans.append((u_len, bv_len, bv_len + b_len))
-        max_need = max(max_need, u_len + bv_len + b_len)
-    _, internal = morphic_mod.fixed_point_prefix(spec, max_need)
-    witnesses = []
-    for u_len, v_len, ext in plans:
-        w = RepetitionWitness(u=u_len, v=v_len, ext=ext)
-        if not verify_repetition(internal, w):
-            raise AssertionError(
-                f"morphic witness failed at level {len(witnesses)}; "
-                "this indicates a bug, not a property of the spec"
-            )
-        witnesses.append(w)
-    return Certificate(
-        kind="morphic-witness",
-        machine_ref=machine_ref or f"morphic:{spec.start}",
-        dio_lower_bound=min(w.ratio for w in witnesses),
-        ratio_growth_bound=_witness_growth(witnesses),
-        verified_depth=depth,
-        witnesses=tuple(witnesses),
-        seed_letter=letter,
-        seed_positions=(seed.p1, seed.p2),
-    )
+    cert = _morphic_family(spec, seed, depth,
+                           machine_ref or f"morphic:{spec.start}")
+    _, internal = morphic_mod.fixed_point_prefix(spec, _extent(cert.witnesses))
+    for level, _ in _failing(internal, cert.witnesses):
+        raise AssertionError(
+            f"morphic witness failed at level {level}; "
+            "this indicates a bug, not a property of the spec"
+        )
+    return cert
 
 
 def certify_pda(m, n_max: int = 10_000, height_cap: int = 64,
@@ -196,12 +197,9 @@ def certify_pda(m, n_max: int = 10_000, height_cap: int = 64,
             f"{height_cap}; raising the budget may still find one"
         )
     n, n_prime, method = found
-    source = m.source(machine_ref or "dpao")
     return certificate_from_pair(
-        source, n, n_prime, m.k, depth,
-        machine_ref=machine_ref or source.source_id,
-        kind="pda-pair", method=method,
-    )
+        m.source(machine_ref or "dpao"), n, n_prime, m.k, depth,
+        kind="pda-pair", method=method)
 
 
 @dataclass(frozen=True)
@@ -234,9 +232,10 @@ def _approximation_note(w: RepetitionWitness, base: int) -> str:
     )
 
 
-def _seed_failures(spec: morphic_mod.MorphicSpec,
-                   cert: Certificate) -> list[str]:
-    """The declared seed against the one repetition_seed re-derives.
+def _seed_family(spec: morphic_mod.MorphicSpec,
+                 cert: Certificate) -> Certificate | str:
+    """The family of the seed re-derived from the spec, or why the
+    declared seed is not that seed.
 
     The seed is the first maximal-growth letter, in alphabet order, that
     occurs twice within the scan window, so a window of exactly p2
@@ -246,21 +245,21 @@ def _seed_failures(spec: morphic_mod.MorphicSpec,
     v = p2 - p1, ext = v + 1.
     """
     if cert.seed_letter is None or cert.seed_positions is None:
-        return ["certificate declares no seedLetter and seedPositions"]
+        return "certificate declares no seedLetter and seedPositions"
     p1, p2 = cert.seed_positions
     level0 = RepetitionWitness(u=p1 - 1, v=p2 - p1, ext=p2 - p1 + 1)
     if cert.witnesses[:1] != (level0,):
-        return [f"level-0 witness is not u={level0.u} v={level0.v} "
-                f"ext={level0.ext}, the one seedPositions {p1}, {p2} give"]
+        return (f"level-0 witness is not u={level0.u} v={level0.v} "
+                f"ext={level0.ext}, the one seedPositions {p1}, {p2} give")
     try:
         seed = morphic_mod.repetition_seed(spec, p2)
     except (ValueError, BudgetExceededError) as exc:
-        return [f"seed not re-derived: {exc}"]
+        return f"seed not re-derived: {exc}"
     if (seed.letter, seed.p1, seed.p2) != (cert.seed_letter, p1, p2):
-        return [f"declared seed {cert.seed_letter!r} at {p1}, {p2} is not "
+        return (f"declared seed {cert.seed_letter!r} at {p1}, {p2} is not "
                 f"the re-derived seed {seed.letter!r} at {seed.p1}, "
-                f"{seed.p2}"]
-    return []
+                f"{seed.p2}")
+    return _morphic_family(spec, seed, cert.verified_depth, cert.machine_ref)
 
 
 def verify_certificate(source: SequenceSource, cert: Certificate,
@@ -271,15 +270,14 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
 
     The declared depth must be the number of witnesses minus one; a
     certificate that fails this is rejected before any prefix is sized.
-    The declared bounds are recomputed too: for pair kinds the stored
-    witnesses must be the pair's family, the bound 1 + 1/(n'-1) and the
-    growth bound k; for the morphic kind the bound is the least witness
-    ratio and the growth bound the largest growth of u + v between
-    consecutive witnesses, and given the morphic spec the source comes
-    from, the seed letter and positions are re-derived from it; without
-    the spec the report notes that the seed was not checked. For pair
-    certificates the identity family is additionally extended
-    extra_depth levels past the recorded depth. The report lists, per
+    A pair certificate is rebuilt from its pair, extra_depth levels past
+    the recorded depth: its witnesses and bounds must be the rebuilt
+    ones. For the morphic kind the bound is the least witness ratio and
+    the growth bound the largest growth of u + v between consecutive
+    witnesses; given the spec the source comes from, the seed is
+    re-derived and the witnesses must be its family, and without it the
+    report notes that the seed was not checked. Stored and extended
+    witnesses are then checked on one prefix. The report lists, per
     witness, the rational-approximation statement it implies for the
     number whose digit stream the source is; the statement is symbolic
     (the denominators are astronomically large) and nothing floating-
@@ -290,37 +288,30 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
             f"declared verifiedDepth {cert.verified_depth} is not the "
             f"{len(cert.witnesses)} witnesses minus one",), ())
     failures, notes = [], []
-    need = max((w.u + w.ext for w in cert.witnesses), default=0)
-    extended = None
-    extra_witnesses: list[RepetitionWitness] = []
-    if cert.pair is not None and cert.k is not None:
-        extended = cert.verified_depth + extra_depth
-        n, n_prime = cert.pair
-        for level in range(cert.verified_depth + 1, extended + 1):
-            extra_witnesses.append(_pair_witness(n, n_prime, cert.k, level))
-        if extra_witnesses:
-            need = max(need, max(w.u + w.ext for w in extra_witnesses))
+    depth = cert.verified_depth
+    checked = tuple(cert.witnesses)
+    extended = rebuilt = None
+    if cert.pair is not None:
+        extended = depth + extra_depth
+        rebuilt = _pair_family(cert.kind, cert.machine_ref, *cert.pair,
+                               cert.k, max(depth, extended), cert.method)
+        checked += rebuilt.witnesses[depth + 1:]
     try:
-        prefix = source.prefix(need)
+        prefix = source.prefix(_extent(checked))
     except Exception as exc:  # cannot even materialize the data
         return VerificationReport(
             valid=False, witnesses_checked=0, extended_depth=extended,
             failures=(f"prefix generation failed: {exc}",),
             notes=(),
         )
-    if cert.pair is not None:
-        expected = [
-            _pair_witness(cert.pair[0], cert.pair[1], cert.k, level)
-            for level in range(cert.verified_depth + 1)
-        ]
-        if list(cert.witnesses) != expected:
+    if rebuilt is not None:
+        if checked != rebuilt.witnesses:
             failures.append("stored witnesses do not match the declared pair")
-        bound = Fraction(1) + Fraction(1, cert.pair[1] - 1)
-        if cert.dio_lower_bound != bound:
+        if cert.dio_lower_bound != rebuilt.dio_lower_bound:
             failures.append(
                 f"declared bound {cert.dio_lower_bound} is not 1 + 1/(n'-1)"
             )
-        if cert.ratio_growth_bound != cert.k:
+        if cert.ratio_growth_bound != rebuilt.ratio_growth_bound:
             failures.append(
                 f"declared growth bound {cert.ratio_growth_bound} is not "
                 f"k = {cert.k}"
@@ -338,28 +329,23 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                 f"declared growth bound {cert.ratio_growth_bound} is not the "
                 f"largest growth of u + v between witnesses, {growth}"
             )
-        if spec is not None:
-            failures.extend(_seed_failures(spec, cert))
-        else:
+        if spec is None:
             notes.append("note: seed not checked: no morphic machine given")
-    checked = 0
-    for w in list(cert.witnesses) + extra_witnesses:
-        try:
-            ok = verify_repetition(prefix, w)
-        except Exception as exc:
-            ok = False
-            failures.append(f"witness u={w.u} v={w.v} ext={w.ext}: {exc}")
         else:
-            if not ok:
+            family = _seed_family(spec, cert)
+            if isinstance(family, str):
+                failures.append(family)
+            elif checked != family.witnesses:
                 failures.append(
-                    f"witness u={w.u} v={w.v} ext={w.ext}: prefix identity fails"
-                )
-        checked += 1
+                    "stored witnesses do not match the re-derived seed")
+    failures.extend(
+        f"witness u={w.u} v={w.v} ext={w.ext}: prefix identity fails"
+        for _, w in _failing(prefix, checked))
     base = source.alphabet.size
     notes.extend(_approximation_note(w, base) for w in cert.witnesses)
     return VerificationReport(
         valid=not failures,
-        witnesses_checked=checked,
+        witnesses_checked=len(checked),
         extended_depth=extended,
         failures=tuple(failures),
         notes=tuple(notes),

@@ -61,20 +61,20 @@ def _dfao_from_dict(doc: dict) -> Dfao:
     states = _names(doc["states"])
     delta = {}
     for q, row in doc["delta"].items():
-        targets = [None] * k
+        targets = {}
         for digit_str, tgt in row.items():
             d = int(digit_str)
             if not (0 <= d < k):
                 raise ValueError(f"digit {digit_str!r} out of range for base {k}")
             targets[d] = _name(tgt)
-        if any(t is None for t in targets):
+        if len(targets) < k:
             report = ValidationReport()
             report.error(
                 "missing-transition",
                 f"state {q!r} does not define all digits 0..{k - 1}",
             )
             raise ValidationError(report)
-        delta[q] = tuple(targets)
+        delta[q] = tuple(targets[d] for d in range(k))
     return Dfao(
         k=k, states=states, initial=_name(doc["initial"]), delta=delta,
         output={q: _name(sym) for q, sym in doc["output"].items()},

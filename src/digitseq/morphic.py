@@ -14,7 +14,8 @@ radius is reported separately and only for display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -475,11 +476,15 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
     prefix, squaring = table(start), True
     while len(prefix) < count:
         sizes = lengths.tolist()
+        # while squaring, prefix is table(start): this is its squared size
+        size = grown(prefix)
+        squaring = squaring and size < count
         if squaring:
-            new_sizes = [grown(table(a)) for a in range(d)]
-            squaring = new_sizes[start] < count and sum(new_sizes) <= budget
+            new_sizes = [size if a == start else grown(table(a))
+                         for a in range(d)]
+            squaring = sum(new_sizes) <= budget
         if not squaring:
-            out = np.empty(grown(prefix), dtype=np.uint8)
+            out = np.empty(size, dtype=np.uint8)
             _concat_tables(flat, offsets, lengths, prefix, out)
             prefix = out
             continue
@@ -520,21 +525,23 @@ def fixed_point_prefix(spec: MorphicSpec, count: int
     )
 
 
-def iterated_length(spec: MorphicSpec, letters, n: int) -> int:
-    """|sigma^n(w)| for the word w given as an iterable of letters.
-
-    Exact integer arithmetic on letter-count vectors under the incidence
-    matrix; no words are materialized.
-    """
+def _iterated_lengths(spec: MorphicSpec, letters) -> Iterator[int]:
+    """|sigma^l(w)| for l = 0, 1, 2, ... and the word w given as an
+    iterable of letters, one incidence-matrix step per level."""
     idx = {a: i for i, a in enumerate(spec.internal)}
     counts = [0] * len(spec.internal)
     for a in letters:
         counts[idx[a]] += 1
     m = incidence(spec)
-    d = len(spec.internal)
-    for _ in range(n):
-        counts = [sum(m[i][j] * counts[j] for j in range(d)) for i in range(d)]
-    return sum(counts)
+    while True:
+        yield sum(counts)
+        counts = [sum(x * c for x, c in zip(row, counts)) for row in m]
+
+
+def iterated_length(spec: MorphicSpec, letters, n: int) -> int:
+    """|sigma^n(w)| for the word w given as an iterable of letters, in
+    exact integers; no words are materialized."""
+    return next(islice(_iterated_lengths(spec, letters), max(n, 0), None))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,7 @@ class Dpao:
             report.error("unknown-state",
                          f"initial state {self.initial!r} not declared")
         tops = symbols | {BOTTOM}
+        row_digits: dict[tuple[str, str], list[int]] = {}
         for (q, a, inp), (to, push) in self.transitions.items():
             if q not in states:
                 report.error("unknown-state", f"transition from unknown state {q!r}")
@@ -123,12 +124,14 @@ class Dpao:
                     )
             elif not (0 <= inp < self.k):
                 report.error("invalid-digit", f"input digit {inp} out of range")
+            else:
+                row_digits.setdefault((q, a), []).append(inp)
         if report.errors:
             return report
         for q in self.states:
             for a in sorted(tops):
                 has_eps = (q, a, None) in self.transitions
-                digits = [d for d in range(self.k) if (q, a, d) in self.transitions]
+                digits = sorted(row_digits.get((q, a), ()))
                 if has_eps and digits:
                     report.error(
                         "determinism-conflict",

@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import periodic_source
-from digitseq import dfao, numbers, pda
-from digitseq.certify import (Certificate, certificate_from_json,
-                              certificate_from_pair, certificate_to_json,
-                              certify_dfao, certify_morphic, certify_pda,
+from conftest import periodic_source, random_morphic
+from digitseq import catalog, dfao, numbers, pda
+from digitseq.certify import (Certificate, _morphic_family,
+                              certificate_from_json, certificate_from_pair,
+                              certificate_to_json, certify_dfao,
+                              certify_morphic, certify_pda,
                               verify_certificate)
 from digitseq.errors import BudgetExceededError, PairRefutedError
+from digitseq.morphic import (MorphicSpec, RepetitionSeed, iterated_length,
+                              repetition_seed)
 from digitseq.words import RepetitionWitness, verify_repetition
 
 
@@ -113,6 +117,27 @@ class TestMorphicCertificates:
         with pytest.raises(ValueError, match="exponential"):
             certify_morphic(squares)
 
+    def test_family_lengths_match_iterated_length(self):
+        rng = random.Random(909)
+        specs = [catalog.get(name) for name in catalog.names()
+                 if isinstance(catalog.get(name), MorphicSpec)]
+        specs += [random_morphic(rng) for _ in range(50)]
+        for spec in specs:
+            try:
+                seed = repetition_seed(spec)
+            except (ValueError, BudgetExceededError):
+                # lengths only: any words stand in for U, b and V
+                image = spec.rules[spec.start]
+                seed = RepetitionSeed(letter=image[-1], p1=2,
+                                      p2=2 + len(image), u=(spec.start,),
+                                      v=image)
+            cert = _morphic_family(spec, seed, 20, "test")
+            for level, w in enumerate(cert.witnesses):
+                bv = iterated_length(spec, (seed.letter,) + seed.v, level)
+                b = iterated_length(spec, (seed.letter,), level)
+                assert (w.u, w.v, w.ext) == (
+                    iterated_length(spec, seed.u, level), bv, bv + b)
+
     def test_witnesses_hold_on_coded_word_too(self, xi1):
         cert = certify_morphic(xi1, depth=6)
         src = xi1.source("xi1")
@@ -202,6 +227,23 @@ class TestVerification:
             assert len(report.failures) == len(flagged)
             for failure, what in zip(report.failures, flagged):
                 assert f"declared {what}" in failure
+
+    def test_morphic_witnesses_must_be_the_seeds_family(self, xi1):
+        cert = certify_morphic(xi1, depth=6)
+        src = xi1.source("xi1")
+        swapped = list(cert.witnesses)
+        swapped[5] = swapped[4]
+        growth = max(Fraction(b.u + b.v, a.u + a.v)
+                     for a, b in zip(swapped, swapped[1:]))
+        tampered = dataclasses.replace(
+            cert, witnesses=tuple(swapped),
+            dio_lower_bound=min(w.ratio for w in swapped),
+            ratio_growth_bound=growth)
+        # every witness holds and the bounds are the witnesses' own
+        assert verify_certificate(src, tampered).valid
+        report = verify_certificate(src, tampered, spec=xi1)
+        assert report.failures == (
+            "stored witnesses do not match the re-derived seed",)
 
     def test_morphic_certificate_needs_a_witness(self, xi1):
         cert = dataclasses.replace(certify_morphic(xi1, depth=2),

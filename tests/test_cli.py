@@ -322,6 +322,35 @@ class TestCertifyVerify:
         assert v.exit_code == 0
         assert note not in v.output
 
+    def test_morphic_family_is_rebuilt_given_the_machine(self, runner,
+                                                          machines, tmp_path):
+        # nine copies of the level-0 witness all hold and the bounds are
+        # theirs; only the seed's rebuilt family tells them apart
+        path = machines / "xi1.json"
+        cert, stream = tmp_path / "xi1.json", tmp_path / "xi1.txt"
+        run_cli(runner, ["certify", "--machine", str(path), "--depth", "8",
+                         "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        assert doc["witnesses"][0] == {"u": 0, "v": 4, "ext": 5}
+        doc["witnesses"] = [doc["witnesses"][0]] * 9
+        doc["dioLowerBound"], doc["ratioGrowthBound"] = "5/4", "1/1"
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", str(path)])
+        assert v.exit_code == 2
+        assert v.output.splitlines()[:2] == [
+            "certificate INVALID: 9 witnesses re-checked",
+            "failure: stored witnesses do not match the re-derived seed"]
+        digits = run_cli(runner, ["digits", "--machine", str(path),
+                                  "--count", "64"])
+        stream.write_text(digits.output, encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", f"file:{stream}"])
+        assert v.exit_code == 0
+        assert v.output.splitlines()[:2] == [
+            "certificate valid: 9 witnesses re-checked",
+            "note: seed not checked: no morphic machine given"]
+
     @pytest.mark.parametrize("positions", [
         [0, 3], [3, 2], [2, 2], [1], [1, 2, 3], ["1", 2], [1.0, 2], [True, 2],
         "1,2"])

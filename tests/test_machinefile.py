@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -65,6 +67,24 @@ class TestStrictness:
         del doc["delta"]["q0"]["1"]
         with pytest.raises(ValidationError):
             loads_machine(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["xi2", "thue-morse"])
+    def test_huge_base_costs_the_file_not_k(self, name):
+        # rows are filled and checked from their own entries, never range(k)
+        doc = machine_to_dict(catalog.get(name))
+        doc["k"] = 10 ** 9
+        text = json.dumps(doc)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValidationError):
+                loads_machine(text)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2 ** 20
 
 
 class TestEncodings:
