@@ -268,8 +268,10 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                        ) -> VerificationReport:
     """Independently re-check every stored witness against the source.
 
-    The declared depth must be the number of witnesses minus one; a
+    The declared depth must be at least 0, since every family has its
+    level-0 witness, and the number of witnesses minus one; a
     certificate that fails this is rejected before any prefix is sized.
+    A negative extra_depth raises ValueError.
     A pair certificate is rebuilt from its pair, extra_depth levels past
     the recorded depth: its witnesses and bounds must be the rebuilt
     ones. For the morphic kind the bound is the least witness ratio and
@@ -283,18 +285,21 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     (the denominators are astronomically large) and nothing floating-
     point is asserted.
     """
-    if cert.verified_depth != len(cert.witnesses) - 1:
-        return VerificationReport(False, 0, None, (
-            f"declared verifiedDepth {cert.verified_depth} is not the "
-            f"{len(cert.witnesses)} witnesses minus one",), ())
-    failures, notes = [], []
+    if extra_depth < 0:
+        raise ValueError("extra depth must be nonnegative")
     depth = cert.verified_depth
+    if depth < 0 or depth != len(cert.witnesses) - 1:
+        want = ("at least 0: the family needs its level-0 witness" if depth < 0
+                else f"the {len(cert.witnesses)} witnesses minus one")
+        return VerificationReport(False, 0, None, (
+            f"declared verifiedDepth {depth} is not {want}",), ())
+    failures, notes = [], []
     checked = tuple(cert.witnesses)
     extended = rebuilt = None
     if cert.pair is not None:
         extended = depth + extra_depth
         rebuilt = _pair_family(cert.kind, cert.machine_ref, *cert.pair,
-                               cert.k, max(depth, extended), cert.method)
+                               cert.k, extended, cert.method)
         checked += rebuilt.witnesses[depth + 1:]
     try:
         prefix = source.prefix(_extent(checked))

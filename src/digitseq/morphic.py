@@ -6,16 +6,18 @@ start letter; iterating it yields the unique fixed point starting with
 that letter, and the coding maps it onto the output word.
 
 Growth is decided two ways on purpose: the boolean "exponential" answer is
-purely combinatorial (strongly connected components of the incidence
-multigraph), because certificates depend on it; the numeric spectral
-radius is reported separately and only for display.
+purely combinatorial, because certificates depend on it: the growth is
+exponential exactly when some letter has two letters of its image, counted
+with multiplicity, in its own strongly connected component of the
+incidence multigraph. The numeric spectral radius is reported separately
+and only for display.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -131,14 +133,7 @@ class MorphicSpec:
 
     def occurring(self) -> set[str]:
         """Letters of the fixed point: those reachable from the start."""
-        reached = {self.start}
-        frontier = [self.start]
-        while frontier:
-            for b in self.rules[frontier.pop()]:
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        return reached
+        return _reach(self.rules, self.start)
 
     def source(self, source_id: str) -> SequenceSource:
         """The coded fixed point over the external alphabet."""
@@ -165,93 +160,52 @@ def image_length(spec: MorphicSpec) -> int:
     return max(len(img) for img in spec.rules.values())
 
 
-def _edges(spec: MorphicSpec) -> dict[str, dict[str, int]]:
-    # multigraph: an edge a -> b with multiplicity |sigma(a)|_b
-    out: dict[str, dict[str, int]] = {a: {} for a in spec.internal}
+def _reach(rules: Mapping[str, Iterable[str]], start: str) -> set[str]:
+    """Letters of sigma^n(start) for some n >= 0."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        for b in rules[frontier.pop()]:
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    return reached
+
+
+def _components(spec: MorphicSpec) -> tuple[
+        dict[str, set[str]], dict[str, int], list[tuple[str, ...]], dict[str, int]]:
+    """The strongly connected components of the incidence multigraph,
+    from one reach set per letter.
+
+    Returns reach[a], the letters a reaches; comp[a], the id of a's
+    component; members[id], the letters of that component sorted by
+    name; and inside[a], how many letters of sigma(a), counted with
+    multiplicity, lie in a's component.
+    """
+    reach = {a: _reach(spec.rules, a) for a in spec.internal}
+    comp: dict[str, int] = {}
+    members: list[tuple[str, ...]] = []
     for a in spec.internal:
-        for b in spec.rules[a]:
-            out[a][b] = out[a].get(b, 0) + 1
-    return out
-
-
-def _sccs(spec: MorphicSpec) -> list[tuple[str, ...]]:
-    """Strongly connected components, iterative Tarjan, deterministic order."""
-    edges = _edges(spec)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comps: list[tuple[str, ...]] = []
-    counter = 0
-    for root in spec.internal:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(edges[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _component_is_exponential(comp: tuple[str, ...],
-                              edges: dict[str, dict[str, int]]) -> bool:
-    # an irreducible nonnegative integer matrix has Perron root 1 exactly
-    # when its graph is a single cycle; more than one within-component
-    # out-edge at any vertex breaks that
-    members = set(comp)
-    if len(comp) == 1:
-        a = comp[0]
-        return edges[a].get(a, 0) >= 2
-    for a in comp:
-        inside = sum(mult for b, mult in edges[a].items() if b in members)
-        if inside >= 2:
-            return True
-    return False
-
-
-def _component_has_cycle(comp: tuple[str, ...],
-                         edges: dict[str, dict[str, int]]) -> bool:
-    if len(comp) > 1:
-        return True
-    a = comp[0]
-    return edges[a].get(a, 0) >= 1
+        if a not in comp:
+            group = tuple(sorted(b for b in reach[a] if a in reach[b]))
+            for b in group:
+                comp[b] = len(members)
+            members.append(group)
+    inside = {a: sum(comp[b] == comp[a] for b in spec.rules[a])
+              for a in spec.internal}
+    return reach, comp, members, inside
 
 
 def exponential_growth(spec: MorphicSpec) -> bool:
     """Exact combinatorial test for spectral radius of the incidence
-    matrix exceeding 1. No floating point is involved."""
-    edges = _edges(spec)
-    return any(_component_is_exponential(c, edges) for c in _sccs(spec))
+    matrix exceeding 1: some letter has two letters of its image,
+    counted with multiplicity, in its own strongly connected component.
+
+    An irreducible nonnegative integer matrix has Perron root 1 exactly
+    when its graph is a single cycle, and the spectral radius is the
+    largest component radius. No floating point is involved."""
+    *_, inside = _components(spec)
+    return max(inside.values()) >= 2
 
 
 def spectral_radius_estimate(spec: MorphicSpec) -> float:
@@ -292,23 +246,22 @@ class GrowthReport:
     global_exponential: bool
 
 
-def _component_radius(comp: tuple[str, ...], spec: MorphicSpec,
-                      edges: dict[str, dict[str, int]]) -> float:
-    if not _component_has_cycle(comp, edges):
-        return 0.0
-    if not _component_is_exponential(comp, edges):
-        return 1.0  # a single cycle, exactly
-    idx = {a: i for i, a in enumerate(comp)}
-    sub = np.zeros((len(comp), len(comp)))
-    for a in comp:
-        for b, mult in edges[a].items():
+def _radius(members: tuple[str, ...], spec: MorphicSpec,
+            inside: dict[str, int]) -> float:
+    most = max(inside[a] for a in members)
+    if most < 2:
+        return float(most)  # no cycle, or a single cycle exactly
+    idx = {a: i for i, a in enumerate(members)}
+    sub = np.zeros((len(members), len(members)))
+    for a in members:
+        for b in spec.rules[a]:
             if b in idx:
-                sub[idx[b]][idx[a]] = mult
+                sub[idx[b]][idx[a]] += 1
     return float(np.max(np.abs(np.linalg.eigvals(sub))))
 
 
 def growth_report(spec: MorphicSpec) -> GrowthReport:
-    """Per-letter growth indices from the condensation of the incidence
+    """Per-letter growth indices from the components of the incidence
     multigraph.
 
     |sigma^n(b)| grows like n^k * theta^n where theta is the largest
@@ -316,53 +269,33 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
     chain of theta-achieving components on a reachability path. The
     convention is validated against direct iteration in the test suite.
     """
-    edges = _edges(spec)
-    comps = _sccs(spec)
-    comp_of = {a: ci for ci, comp in enumerate(comps) for a in comp}
-    radii = [_component_radius(c, spec, edges) for c in comps]
-    succ: list[set[int]] = [set() for _ in comps]
-    for a in spec.internal:
-        for b in edges[a]:
-            ca, cb = comp_of[a], comp_of[b]
-            if ca != cb:
-                succ[ca].add(cb)
-
-    def close(ci: int) -> set[int]:
-        seen = {ci}
-        frontier = [ci]
-        while frontier:
-            c = frontier.pop()
-            for d in succ[c]:
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        return seen
-
-    reach = [close(ci) for ci in range(len(comps))]
+    reach, comp, members, inside = _components(spec)
+    radii = [_radius(m, spec, inside) for m in members]
+    # the components of each component's image letters
+    succ = [{comp[b] for a in m for b in spec.rules[a]} for m in members]
+    # a component reaches only components that reach fewer letters
+    order = sorted(range(len(members)), key=lambda c: len(reach[members[c][0]]))
 
     def chain_count(theta: float) -> list[int]:
-        # longest theta-achieving chain through the condensation DAG,
-        # computed bottom-up over the reverse topological order Tarjan gives
-        counts = [0] * len(comps)
-        for ci in range(len(comps)):  # Tarjan emits successors first
-            best_succ = max((counts[d] for d in succ[ci]), default=0)
-            counts[ci] = best_succ + (1 if abs(radii[ci] - theta) <= 1e-9 else 0)
+        # longest theta-achieving chain below each component; counts[c]
+        # is still 0 when c is counted, so c may be in its own succ
+        counts = [0] * len(members)
+        for c in order:
+            best_succ = max(counts[d] for d in succ[c])
+            counts[c] = best_succ + (1 if abs(radii[c] - theta) <= 1e-9 else 0)
         return counts
 
     per_letter: dict[str, LetterGrowth] = {}
     counts_cache: dict[float, list[int]] = {}
     for a in spec.internal:
-        reachable = reach[comp_of[a]]
-        theta = max(radii[ci] for ci in reachable)
+        theta = max(radii[comp[b]] for b in reach[a])
         if theta not in counts_cache:
             counts_cache[theta] = chain_count(theta)
-        k = counts_cache[theta][comp_of[a]] - 1
-        is_exp = any(
-            _component_is_exponential(comps[ci], edges) for ci in reachable
-        )
+        k = counts_cache[theta][comp[a]] - 1
+        is_exp = any(inside[b] >= 2 for b in reach[a])
         per_letter[a] = LetterGrowth(theta=theta, poly_degree=k, exponential=is_exp)
 
-    occurring = spec.occurring()
+    occurring = reach[spec.start]
     best = max(
         (per_letter[a].theta, per_letter[a].poly_degree) for a in occurring
     )
@@ -372,9 +305,8 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
         and abs(per_letter[a].theta - best[0]) <= 1e-9
         and per_letter[a].poly_degree == best[1]
     )
-    global_exp = any(_component_is_exponential(c, edges) for c in comps)
     return GrowthReport(per_letter=per_letter, maximal=maximal,
-                        global_exponential=global_exp)
+                        global_exponential=max(inside.values()) >= 2)
 
 
 # output symbols per gather, so index arrays stay at 128 KiB; at 2^20
@@ -565,12 +497,13 @@ def repetition_seed(spec: MorphicSpec, scan_len: int = 4096) -> RepetitionSeed:
     such a letter recurs infinitely often, so a large enough scan always
     succeeds.
     """
-    if not exponential_growth(spec):
+    report = growth_report(spec)
+    if not report.global_exponential:
         raise ValueError(
             "morphic certificates require exponential growth; this spec grows "
             "polynomially, so the self-similarity argument does not apply"
         )
-    maximal = set(growth_report(spec).maximal)
+    maximal = set(report.maximal)
     word = _expand_indices(spec, scan_len)
     letters = spec.internal
     for b in spec.internal:

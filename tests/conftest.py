@@ -15,7 +15,10 @@ distinguishing search and the dfao pigeonhole as the loops over them that
 the hash-consed step core replaced. The
 factor-count oracles are the set-of-slices and dict-of-sets scans that the
 sorted-window index replaced, and the repetition search has the
-one-pass-per-period loop that the backward block scan replaced.
+one-pass-per-period loop that the backward block scan replaced. The
+morphic growth report, `growth_report_oracle`, is the iterative Tarjan
+condensation with a closure per component that per-letter reach sets
+replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import pytest
 from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
-from digitseq.morphic import MorphicSpec
+from digitseq.morphic import GrowthReport, LetterGrowth, MorphicSpec
 from digitseq.numbers import xi3_value
 from digitseq.pda import BOTTOM, DistinguishResult, Dpao, pop_table
 from digitseq.validation import ValidationReport
@@ -443,6 +446,173 @@ def morphic_growth_oracle(spec: MorphicSpec) -> bool:
         if sum(counts) > threshold:
             return True
     return False
+
+
+def _edges(spec: MorphicSpec) -> dict[str, dict[str, int]]:
+    # multigraph: an edge a -> b with multiplicity |sigma(a)|_b
+    out: dict[str, dict[str, int]] = {a: {} for a in spec.internal}
+    for a in spec.internal:
+        for b in spec.rules[a]:
+            out[a][b] = out[a].get(b, 0) + 1
+    return out
+
+
+def _sccs(spec: MorphicSpec) -> list[tuple[str, ...]]:
+    """Strongly connected components, iterative Tarjan, deterministic order."""
+    edges = _edges(spec)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    comps: list[tuple[str, ...]] = []
+    counter = 0
+    for root in spec.internal:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(edges[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(edges[w]))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def _component_is_exponential(comp: tuple[str, ...],
+                              edges: dict[str, dict[str, int]]) -> bool:
+    # an irreducible nonnegative integer matrix has Perron root 1 exactly
+    # when its graph is a single cycle; more than one within-component
+    # out-edge at any vertex breaks that
+    members = set(comp)
+    if len(comp) == 1:
+        a = comp[0]
+        return edges[a].get(a, 0) >= 2
+    for a in comp:
+        inside = sum(mult for b, mult in edges[a].items() if b in members)
+        if inside >= 2:
+            return True
+    return False
+
+
+def _component_has_cycle(comp: tuple[str, ...],
+                         edges: dict[str, dict[str, int]]) -> bool:
+    if len(comp) > 1:
+        return True
+    a = comp[0]
+    return edges[a].get(a, 0) >= 1
+
+
+def _component_radius(comp: tuple[str, ...], spec: MorphicSpec,
+                      edges: dict[str, dict[str, int]]) -> float:
+    if not _component_has_cycle(comp, edges):
+        return 0.0
+    if not _component_is_exponential(comp, edges):
+        return 1.0  # a single cycle, exactly
+    idx = {a: i for i, a in enumerate(comp)}
+    sub = np.zeros((len(comp), len(comp)))
+    for a in comp:
+        for b, mult in edges[a].items():
+            if b in idx:
+                sub[idx[b]][idx[a]] = mult
+    return float(np.max(np.abs(np.linalg.eigvals(sub))))
+
+
+def growth_report_oracle(spec: MorphicSpec) -> GrowthReport:
+    """Per-letter growth indices from the condensation of the incidence
+    multigraph, by iterative Tarjan and a closure per component.
+
+    |sigma^n(b)| grows like n^k * theta^n where theta is the largest
+    component radius reachable from b and k is one less than the longest
+    chain of theta-achieving components on a reachability path. This is
+    the growth analysis the per-letter reach sets replaced.
+    """
+    edges = _edges(spec)
+    comps = _sccs(spec)
+    comp_of = {a: ci for ci, comp in enumerate(comps) for a in comp}
+    radii = [_component_radius(c, spec, edges) for c in comps]
+    succ: list[set[int]] = [set() for _ in comps]
+    for a in spec.internal:
+        for b in edges[a]:
+            ca, cb = comp_of[a], comp_of[b]
+            if ca != cb:
+                succ[ca].add(cb)
+
+    def close(ci: int) -> set[int]:
+        seen = {ci}
+        frontier = [ci]
+        while frontier:
+            c = frontier.pop()
+            for d in succ[c]:
+                if d not in seen:
+                    seen.add(d)
+                    frontier.append(d)
+        return seen
+
+    reach = [close(ci) for ci in range(len(comps))]
+
+    def chain_count(theta: float) -> list[int]:
+        # longest theta-achieving chain through the condensation DAG,
+        # computed bottom-up over the reverse topological order Tarjan gives
+        counts = [0] * len(comps)
+        for ci in range(len(comps)):  # Tarjan emits successors first
+            best_succ = max((counts[d] for d in succ[ci]), default=0)
+            counts[ci] = best_succ + (1 if abs(radii[ci] - theta) <= 1e-9 else 0)
+        return counts
+
+    per_letter: dict[str, LetterGrowth] = {}
+    counts_cache: dict[float, list[int]] = {}
+    for a in spec.internal:
+        reachable = reach[comp_of[a]]
+        theta = max(radii[ci] for ci in reachable)
+        if theta not in counts_cache:
+            counts_cache[theta] = chain_count(theta)
+        k = counts_cache[theta][comp_of[a]] - 1
+        is_exp = any(
+            _component_is_exponential(comps[ci], edges) for ci in reachable
+        )
+        per_letter[a] = LetterGrowth(theta=theta, poly_degree=k, exponential=is_exp)
+
+    occurring = {b for ci in reach[comp_of[spec.start]] for b in comps[ci]}
+    best = max(
+        (per_letter[a].theta, per_letter[a].poly_degree) for a in occurring
+    )
+    maximal = tuple(
+        a for a in spec.internal
+        if a in occurring
+        and abs(per_letter[a].theta - best[0]) <= 1e-9
+        and per_letter[a].poly_degree == best[1]
+    )
+    global_exp = any(_component_is_exponential(c, edges) for c in comps)
+    return GrowthReport(per_letter=per_letter, maximal=maximal,
+                        global_exponential=global_exp)
 
 
 def random_dpao(rng: random.Random) -> Dpao:

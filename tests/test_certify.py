@@ -178,6 +178,22 @@ class TestVerification:
             report = verify_certificate(src, cert, extra_depth=1)
             assert report.valid, report.failures
 
+    def test_pair_without_witnesses_is_invalid(self):
+        source = numbers.xi3_source()
+        cert = certificate_from_pair(source, 10, 20, 2, depth=4)
+        empty = dataclasses.replace(cert, witnesses=(), verified_depth=-1)
+        report = verify_certificate(source, empty)
+        assert not report.valid
+        assert report.failures == (
+            "declared verifiedDepth -1 is not at least 0: the family needs "
+            "its level-0 witness",)
+
+    def test_negative_extra_depth_is_rejected(self):
+        source = numbers.xi3_source()
+        cert = certificate_from_pair(source, 10, 20, 2, depth=4)
+        with pytest.raises(ValueError, match="extra depth must be nonnegative"):
+            verify_certificate(source, cert, extra_depth=-3)
+
     def test_tampered_extension_is_invalid(self, xi2_source):
         cert = certificate_from_pair(xi2_source, 1, 5, 2, depth=4)
         bad = list(cert.witnesses)

@@ -201,6 +201,31 @@ class TestCertifyVerify:
                              "--stream", "xi3"])
         assert v.exit_code == 0
 
+    def test_pair_certificate_without_witnesses_exits_2(self, runner,
+                                                        tmp_path):
+        cert = tmp_path / "xi3.json"
+        run_cli(runner, ["certify", "--pair", "10,20", "--k", "2",
+                         "--stream", "xi3", "--depth", "4",
+                         "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc.update(witnesses=[], verifiedDepth=-1)
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", "xi3"])
+        assert v.exit_code == 2
+        assert ("failure: declared verifiedDepth -1 is not at least 0: the "
+                "family needs its level-0 witness") in v.output.splitlines()
+
+    def test_negative_extra_depth_exits_2(self, runner, tmp_path):
+        cert = tmp_path / "xi3.json"
+        run_cli(runner, ["certify", "--pair", "10,20", "--k", "2",
+                         "--stream", "xi3", "--depth", "4",
+                         "--output", str(cert)])
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", "xi3", "--extra-depth", "-3"])
+        assert v.exit_code == 2
+        assert v.output == "error: extra depth must be nonnegative\n"
+
     def test_pair_certificate_without_k_exits_2(self, runner, tmp_path):
         cert = tmp_path / "xi3.json"
         run_cli(runner, ["certify", "--pair", "10,20", "--k", "2",

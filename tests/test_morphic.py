@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import morphic_growth_oracle, random_morphic
-from digitseq import dfao, pda, words
+from conftest import growth_report_oracle, morphic_growth_oracle, random_morphic
+from digitseq import catalog, dfao, pda, words
 from digitseq.errors import ValidationError
 from digitseq.morphic import (MorphicSpec, exponential_growth,
                               fixed_point_prefix, from_dfao, growth_report,
@@ -30,6 +30,32 @@ def invalid_kinds(rules: dict[str, str]) -> set[str]:
 
 
 FIB = make_spec({"a": "ab", "b": "a"})
+
+
+def wide_morphic(rng: random.Random, d: int) -> MorphicSpec:
+    """A spec of d letters declared out of name order, with dense random
+    images of length 1-3 or, half the time, sparse ones: a self-loop or
+    not, one later letter in a hidden rank and a rare back edge, so that
+    chains of polynomial components occur."""
+    names = [f"x{i:02d}" for i in range(d)]
+    rng.shuffle(names)
+    rank = rng.sample(names, d)
+    sparse = rng.random() < 0.5
+    rules = {}
+    for i, a in enumerate(rank):
+        if not sparse:
+            rules[a] = tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+            continue
+        later = rank[i + 1:] or [a]
+        img = [a] if rng.random() < 0.5 else []
+        img.append(rng.choice(later))
+        if rng.random() < 0.05:
+            img.append(rng.choice(rank[:i + 1]))
+        rules[a] = tuple(img)
+    start = rank[0]
+    rules[start] = (start, rng.choice(rank[1:]))
+    return MorphicSpec(internal=tuple(names), rules=rules, start=start,
+                       external=("0",), coding={a: "0" for a in names})
 
 
 class TestValidation:
@@ -158,6 +184,19 @@ class TestGrowth:
         for _ in range(60):
             spec = random_morphic(rng)
             assert spec.start in growth_report(spec).maximal
+
+    def test_report_equals_tarjan_oracle(self):
+        rng = random.Random(4242)
+        specs = [m for m in map(catalog.get, catalog.names())
+                 if isinstance(m, MorphicSpec)]
+        specs += [random_morphic(rng) for _ in range(600)]
+        specs += [random_morphic(rng, require_reachable=False)
+                  for _ in range(600)]
+        specs += [wide_morphic(rng, rng.randint(5, 20)) for _ in range(300)]
+        for spec in specs:
+            want = growth_report_oracle(spec)
+            assert growth_report(spec) == want, spec
+            assert exponential_growth(spec) == want.global_exponential
 
     def test_three_routes_agree_on_random_corpus(self):
         rng = random.Random(99)
