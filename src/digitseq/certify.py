@@ -398,18 +398,40 @@ def _seed_positions(value) -> tuple[int, int]:
     return value[0], value[1]
 
 
+_INTEGERS = {"verifiedDepth", "k", "n", "nPrime"}
+_STRINGS = {"kind", "machine", "dioLowerBound", "ratioGrowthBound", "method",
+            "seedLetter"}
+
+
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key], which must be a JSON value of exactly that Python type:
+    true and false are not integers, and 2.0 or "2" is not 2."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got "
+                         f"{json.dumps(value)}")
+    return value
+
+
+def _witness(obj) -> RepetitionWitness:
+    if not isinstance(obj, dict) or obj.keys() != {"u", "v", "ext"}:
+        raise ValueError("a witness is an object with exactly the integers "
+                         "'u', 'v' and 'ext'")
+    return RepetitionWitness(u=_typed(obj, "u", int), v=_typed(obj, "v", int),
+                             ext=_typed(obj, "ext", int))
+
+
 def certificate_from_json(text: str) -> Certificate:
-    """A document of the wrong shape raises ValueError."""
-    known = {
-        "kind", "machine", "dioLowerBound", "ratioGrowthBound",
-        "verifiedDepth", "witnesses", "k", "n", "nPrime", "method",
-        "seedLetter", "seedPositions",
-    }
+    """A document of the wrong shape raises ValueError: every field has
+    one JSON type, and no object has a key beyond its known ones."""
+    known = _INTEGERS | _STRINGS | {"witnesses", "seedPositions"}
     try:
         doc = json.loads(text)
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
+        for key in sorted(doc.keys() & (_INTEGERS | _STRINGS)):
+            _typed(doc, key, int if key in _INTEGERS else str)
         if doc["kind"] not in KINDS:
             raise ValueError(f"unknown certificate kind {doc['kind']!r}")
         pair = None
@@ -417,8 +439,8 @@ def certificate_from_json(text: str) -> Certificate:
             if not {"n", "nPrime", "k"} <= doc.keys():
                 raise ValueError("a pair certificate needs 'n', 'nPrime' and "
                                  "the radix 'k'")
-            pair = (int(doc["n"]), int(doc["nPrime"]))
-            if not (0 < pair[0] < pair[1]) or int(doc["k"]) < 2:
+            pair = (doc["n"], doc["nPrime"])
+            if not (0 < pair[0] < pair[1]) or doc["k"] < 2:
                 raise ValueError("a pair certificate needs 0 < n < nPrime "
                                  "and k >= 2")
         return Certificate(
@@ -426,11 +448,9 @@ def certificate_from_json(text: str) -> Certificate:
             machine_ref=doc["machine"],
             dio_lower_bound=_parse_fraction(doc["dioLowerBound"]),
             ratio_growth_bound=_parse_fraction(doc["ratioGrowthBound"]),
-            verified_depth=int(doc["verifiedDepth"]),
-            witnesses=tuple(RepetitionWitness(u=int(w["u"]), v=int(w["v"]),
-                                              ext=int(w["ext"]))
-                            for w in doc["witnesses"]),
-            k=int(doc["k"]) if "k" in doc else None,
+            verified_depth=doc["verifiedDepth"],
+            witnesses=tuple(map(_witness, doc["witnesses"])),
+            k=doc.get("k"),
             pair=pair,
             method=doc.get("method"),
             seed_letter=doc.get("seedLetter"),

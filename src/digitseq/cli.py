@@ -483,22 +483,6 @@ def imitate(stream, base, k, states, max_len, output):
         click.echo(f"best machine written to {output}")
 
 
-@main.command()
-@click.option("--d", "radicand", type=int, required=True)
-@click.option("--count", type=int, default=16, show_default=True,
-              help="Partial quotients to print as a sequence.")
-def cf(radicand, count):
-    """Periodic continued fraction of a quadratic surd."""
-    if count < 0:
-        _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
-    expansion = numbers_mod.cf_quadratic(radicand)
-    pre = ",".join(map(str, expansion.preperiod))
-    per = ",".join(map(str, expansion.period))
-    click.echo(f"sqrt({radicand}) = [{expansion.a0}; {pre}({per}) repeating]")
-    seq = numbers_mod.cf_as_sequence(expansion, count)
-    click.echo(_render_prefix(seq), nl=False)
-
-
 @main.group()
 def catalog() -> None:
     """Built-in machines as reviewable JSON files."""

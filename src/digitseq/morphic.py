@@ -133,7 +133,7 @@ class MorphicSpec:
 
     def occurring(self) -> set[str]:
         """Letters of the fixed point: those reachable from the start."""
-        return _reach(self.rules, self.start)
+        return _reach(self.rules, self.start, {})
 
     def source(self, source_id: str) -> SequenceSource:
         """The coded fixed point over the external alphabet."""
@@ -160,12 +160,18 @@ def image_length(spec: MorphicSpec) -> int:
     return max(len(img) for img in spec.rules.values())
 
 
-def _reach(rules: Mapping[str, Iterable[str]], start: str) -> set[str]:
-    """Letters of sigma^n(start) for some n >= 0."""
+def _reach(rules: Mapping[str, Iterable[str]], start: str,
+           known: Mapping[str, set[str]]) -> set[str]:
+    """Letters of sigma^n(start) for some n >= 0. A letter whose reach set
+    is `known` is not expanded: that whole set, closed under sigma, joins."""
     reached = {start}
     frontier = [start]
     while frontier:
-        for b in rules[frontier.pop()]:
+        a = frontier.pop()
+        if a in known:
+            reached |= known[a]
+            continue
+        for b in rules[a]:
             if b not in reached:
                 reached.add(b)
                 frontier.append(b)
@@ -182,7 +188,9 @@ def _components(spec: MorphicSpec) -> tuple[
     name; and inside[a], how many letters of sigma(a), counted with
     multiplicity, lie in a's component.
     """
-    reach = {a: _reach(spec.rules, a) for a in spec.internal}
+    reach: dict[str, set[str]] = {}
+    for a in spec.internal:
+        reach[a] = _reach(spec.rules, a, reach)
     comp: dict[str, int] = {}
     members: list[tuple[str, ...]] = []
     for a in spec.internal:

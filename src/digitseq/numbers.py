@@ -1,17 +1,17 @@
-"""Ground-truth digit oracles and the machine imitation index.
+"""Base-b digit streams of numbers, and the machine imitation index.
 
 Everything here runs on arbitrary-precision integers; floating point is
 banned in this module so that fixtures and certificates stay exact.
 Rational digits come from one period of long division, tiled; surd
 digits from one integer square root, split by divide and conquer; the
-xi3 word from a level-by-level parity table.
+xi3 word from a level-by-level parity table. Each number has one source
+of fractional digits; its full expansion, as the imitation game reads
+it, is that source with the integer part's digits put in front.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -19,10 +19,9 @@ import numpy as np
 from .dfao import Dfao
 from .errors import EnumerationCapError
 from .words import (Alphabet, SequencePrefix, SequenceSource, _digit_levels,
-                    digit_alphabet)
+                    digit_alphabet, encode_base_k)
 
 __all__ = [
-    "CFExpansion",
     "rational_digits",
     "rational_source",
     "surd_digits",
@@ -31,10 +30,6 @@ __all__ = [
     "xi3_value",
     "xi3_sequence",
     "xi3_source",
-    "cf_quadratic",
-    "cf_convergents",
-    "cf_as_sequence",
-    "cf_source",
     "longest_agreement",
     "imitation_index",
     "ENUMERATION_CAP",
@@ -171,52 +166,27 @@ def surd_source(d: int, b: int) -> SequenceSource:
     )
 
 
-def expansion_stream(source_kind: str, b: int, **kw) -> SequenceSource:
-    """The digit string of a number's base-b expansion as one stream.
+def expansion_stream(number: str, whole: int, fraction: SequenceSource
+                     ) -> SequenceSource:
+    """A number's base-b expansion as one stream, with id
+    expansion:<number>:base<b>: the digits of its integer part `whole`
+    (none for 0, matching the empty expansion of zero) in front of its
+    fractional digits, read from `fraction`, whose alphabet fixes b.
 
-    The integer part contributes its own digits (none for 0, matching the
-    empty expansion of zero), followed by the fractional digits: sqrt(2)
-    in base 2 streams as 1 0 1 1 0 ..., while 1/3 streams as 0 1 0 1 ....
-    This is the stream the imitation game compares machines against.
+    sqrt(2) in base 2 streams as 1 0 1 1 0 ..., while 1/3 streams as
+    0 1 0 1 .... This is the stream the imitation game compares machines
+    against.
     """
-    _check_base(b)
-    alphabet = digit_alphabet(b)
-    if source_kind == "surd":
-        d = kw["d"]
-        _check_surd(d)
-        whole = math.isqrt(d)
-        source_id = f"expansion:surd:{d}:base{b}"
-
-        def tail(n: int) -> bytes:
-            return surd_digits(d, b, n)[1].data
-    elif source_kind == "rational":
-        p, q = kw["p"], kw["q"]
-        if q < 1 or p < 0:
-            raise ValueError("need p >= 0, q >= 1")
-        whole, r = divmod(p, q)
-        source_id = f"expansion:rational:{p}/{q}:base{b}"
-
-        def tail(n: int) -> bytes:
-            return rational_digits(r, q, b, n).data
-    else:
-        raise ValueError(f"unknown expansion stream kind {source_kind!r}")
-    head = bytes(_int_digits(whole, b))
+    b = fraction.alphabet.size
+    head = bytes(encode_base_k(whole, b).indices)
 
     def gen(n: int) -> bytes:
         if n <= len(head):
             return head[:n]
-        return head + tail(n - len(head))
+        return head + fraction.prefix(n - len(head)).data
 
-    return SequenceSource(source_id, alphabet, gen)
-
-
-def _int_digits(n: int, b: int) -> list[int]:
-    digits: list[int] = []
-    while n > 0:
-        n, r = divmod(n, b)
-        digits.append(r)
-    digits.reverse()
-    return digits
+    return SequenceSource(f"expansion:{number}:base{b}", fraction.alphabet,
+                          gen)
 
 
 def xi3_value(n: int) -> int:
@@ -256,84 +226,6 @@ def xi3_sequence(count: int) -> SequencePrefix:
 
 def xi3_source() -> SequenceSource:
     return SequenceSource("xi3", _XI3_ALPHABET, lambda n: xi3_sequence(n).data)
-
-
-@dataclass(frozen=True)
-class CFExpansion:
-    """A continued fraction [a0; a1 a2 ...] with an eventually periodic
-    tail; the period is minimal and non-empty."""
-
-    a0: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def partial_quotient(self, i: int) -> int:
-        """a_i for i >= 1."""
-        if i < 1:
-            raise ValueError("partial quotients are indexed from 1")
-        i -= 1
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-
-def cf_quadratic(d: int) -> CFExpansion:
-    """Exact periodic continued fraction of sqrt(d), d not a square.
-
-    Classical integer recurrence on states (m, q): a = floor((a0 + m)/q),
-    m' = a*q - m, q' = (d - m'^2)/q. The state orbit is purely periodic
-    after a0, so the first state repeat closes the minimal period.
-    """
-    _check_surd(d)
-    a0 = math.isqrt(d)
-    quotients = []
-    seen: dict[tuple[int, int], int] = {}
-    m, q = 0, 1
-    m = a0 * q - m
-    q = (d - m * m) // q
-    while (m, q) not in seen:
-        seen[(m, q)] = len(quotients)
-        a = (a0 + m) // q
-        quotients.append(a)
-        m = a * q - m
-        q = (d - m * m) // q
-    start = seen[(m, q)]
-    return CFExpansion(
-        a0=a0, preperiod=tuple(quotients[:start]), period=tuple(quotients[start:])
-    )
-
-
-def cf_convergents(cf: CFExpansion, count: int) -> list[Fraction]:
-    """First `count` convergents p_m/q_m, starting with a0."""
-    convs = []
-    p_prev, p = 1, cf.a0
-    q_prev, q = 0, 1
-    convs.append(Fraction(p, q))
-    for i in range(1, count):
-        a = cf.partial_quotient(i)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        convs.append(Fraction(p, q))
-    return convs
-
-
-def cf_as_sequence(cf: CFExpansion, count: int) -> SequencePrefix:
-    """The partial-quotient word a1 a2 ... as a sequence over the finite
-    alphabet of values it uses."""
-    values = sorted(set(cf.preperiod) | set(cf.period))
-    alphabet = Alphabet(tuple(str(v) for v in values))
-    index = {v: i for i, v in enumerate(values)}
-    data = bytes(index[cf.partial_quotient(i)] for i in range(1, count + 1))
-    sid = f"cf:[{cf.a0};{','.join(map(str, cf.preperiod))}|" \
-          f"{','.join(map(str, cf.period))}]"
-    return SequencePrefix(sid, alphabet, data)
-
-
-def cf_source(cf: CFExpansion) -> SequenceSource:
-    probe = cf_as_sequence(cf, 1)
-    return SequenceSource(
-        probe.source_id, probe.alphabet, lambda n: cf_as_sequence(cf, n).data
-    )
 
 
 def longest_agreement(a: SequenceSource, b: SequenceSource, max_len: int
@@ -445,7 +337,8 @@ def parse_stream_spec(spec: str, base: int | None = None,
 
     With expansion=True the rational and surd kinds stream the full
     base-b digit string (integer part included) instead of the fractional
-    digits alone; the imitation game compares against that form.
+    digits alone; the imitation game compares against that form. The
+    fractional digits come from the same source either way.
     """
     kind, _, rest = spec.partition(":")
     if kind == "rational":
@@ -453,15 +346,24 @@ def parse_stream_spec(spec: str, base: int | None = None,
         if base is None:
             raise ValueError("rational streams need --base")
         p, q = int(p_str), int(q_str)
-        if expansion:
-            return expansion_stream("rational", base, p=p, q=q)
-        return rational_source(p, q, base)
+        if not expansion:
+            return rational_source(p, q, base)
+        # checked before divmod, so q = 0 never divides
+        _check_base(base)
+        if q < 1 or p < 0:
+            raise ValueError("need p >= 0, q >= 1")
+        whole, r = divmod(p, q)
+        return expansion_stream(f"rational:{p}/{q}", whole,
+                                rational_source(r, q, base))
     if kind == "surd":
         if base is None:
             raise ValueError("surd streams need --base")
-        if expansion:
-            return expansion_stream("surd", base, d=int(rest))
-        return surd_source(int(rest), base)
+        d = int(rest)
+        if not expansion:
+            return surd_source(d, base)
+        _check_base(base)
+        fraction = surd_source(d, base)
+        return expansion_stream(f"surd:{d}", math.isqrt(d), fraction)
     if kind == "xi3":
         return xi3_source()
     if kind == "file":

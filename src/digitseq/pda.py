@@ -424,10 +424,11 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
 
     Each depth is one array of pairs (s1, node1, s2, node2) in search
     order, all stepped at once; equal stacks are equal nodes, so a pair
-    seen before is an equal row.
+    seen before is an equal 4-tuple.
     """
     core, k = _Core(m), m.k
-    pairs = seen = np.array([core.config(n) + core.config(n_prime)])
+    start = core.config(n) + core.config(n_prime)
+    pairs, seen = np.array([start]), {start}
     words = np.zeros((1, 0), dtype=np.int64)
     for level in range(depth + 1):
         out = core.out[pairs[:, [0, 2]], core.sym[pairs[:, [1, 3]]]]
@@ -445,13 +446,16 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
         if level == depth:
             break
         stepped = np.stack([st[::2], nd[::2], st[1::2], nd[1::2]], axis=1)
-        _, index = np.unique(np.concatenate([seen, stepped]), axis=0,
-                             return_index=True)
-        fresh = np.sort(index[index >= len(seen)]) - len(seen)
-        if not fresh.size:
+        fresh = []
+        for i, row in enumerate(map(tuple, stepped.tolist())):
+            if row not in seen:
+                seen.add(row)
+                fresh.append(i)
+        if not fresh:
             break
-        pairs, seen = stepped[fresh], np.concatenate([seen, stepped[fresh]])
-        words = np.column_stack([words[fresh // k], fresh % k])
+        index = np.array(fresh)
+        pairs = stepped[index]
+        words = np.column_stack([words[index // k], index % k])
     return DistinguishResult(False, None, depth)
 
 

@@ -478,11 +478,6 @@ class TestOtherCommands:
                              "--states", "6", "--len", "64"])
         assert r.exit_code == 4
 
-    def test_cf(self, runner):
-        r = run_cli(runner, ["cf", "--d", "7", "--count", "8"])
-        assert "[2; (1,1,1,4) repeating]" in r.output
-        assert "11141114" in r.output
-
     def test_catalog_list(self, runner):
         r = run_cli(runner, ["catalog", "list"])
         for name in ("xi1", "xi2", "squares", "three-squares"):
@@ -503,7 +498,8 @@ class TestBadCounts:
          "--count must be nonnegative"),
         (["digits", "--stream", "xi3", "--count", "-1"],
          "--count must be nonnegative"),
-        (["cf", "--d", "7", "--count", "-1"], "--count must be nonnegative"),
+        (["imitate", "--stream", "rational:1/0", "--base", "10", "--states",
+          "1"], "cannot open stream 'rational:1/0': need p >= 0, q >= 1"),
         (["certify", "--machine", "xi1.json", "--depth", "-1"],
          "depth must be nonnegative"),
     ])
@@ -614,6 +610,29 @@ class TestErrorTable:
         assert v.exit_code == 2
         assert v.output.startswith("error: cannot load certificate: ")
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(verifiedDepth="6"),
+        lambda d: d["witnesses"][0].update(u=0.9),
+        lambda d: d.update(n="2"),
+        lambda d: d["witnesses"][0].update(extra=1),
+        lambda d: d.update(method=7),
+    ], ids=["depth-string", "u-float", "n-string", "witness-extra-key",
+            "method-integer"])
+    def test_mistyped_certificate_exits_2(self, runner, machines, tmp_path,
+                                          edit):
+        # int() reads "6", 0.9 and "2" as integers, and the rebuilt
+        # family does not look at witness keys or the method's type
+        cert = tmp_path / "cert.json"
+        machine = str(machines / "three-squares.json")
+        run_cli(runner, ["certify", "--machine", machine, "--depth", "6",
+                         "--output", str(cert)])
+        cert.write_text(json.dumps(edited(json.loads(cert.read_text()),
+                                          edit)), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", machine])
+        assert v.exit_code == 2
+        assert v.output.startswith("error: cannot load certificate: ")
+        assert len(v.output.splitlines()) == 1
 
     def test_deeply_nested_machine_exits_2(self, runner, tmp_path):
         path = tmp_path / "deep.json"

@@ -58,6 +58,23 @@ def wide_morphic(rng: random.Random, d: int) -> MorphicSpec:
                        external=("0",), coding={a: "0" for a in names})
 
 
+def one_component_morphic(rng: random.Random, d: int, length: int
+                          ) -> MorphicSpec:
+    """A spec of d letters declared out of name order that all reach one
+    another: each image leads with the next letter of a hidden cycle
+    through every letter, then has length - 1 random letters."""
+    names = [f"x{i:03d}" for i in range(d)]
+    rng.shuffle(names)
+    rank = rng.sample(names, d)
+    rules = {a: (rank[(i + 1) % d],)
+             + tuple(rng.choice(names) for _ in range(length - 1))
+             for i, a in enumerate(rank)}
+    start = rank[0]
+    rules[start] = (start,) + rules[start]
+    return MorphicSpec(internal=tuple(names), rules=rules, start=start,
+                       external=("0",), coding={a: "0" for a in names})
+
+
 class TestValidation:
     def test_catalog_specs_are_valid(self, xi1, squares, tm_morphic):
         for spec in (xi1, squares, tm_morphic):
@@ -193,6 +210,9 @@ class TestGrowth:
         specs += [random_morphic(rng, require_reachable=False)
                   for _ in range(600)]
         specs += [wide_morphic(rng, rng.randint(5, 20)) for _ in range(300)]
+        # 256 letters in one component: every reach set is the alphabet
+        specs += [one_component_morphic(rng, 256, length)
+                  for length in (1, 2, 6) for _ in range(2)]
         for spec in specs:
             want = growth_report_oracle(spec)
             assert growth_report(spec) == want, spec

@@ -6,12 +6,11 @@ import pytest
 
 from conftest import xi3_oracle
 from digitseq.errors import EnumerationCapError
-from digitseq.numbers import (cf_as_sequence, cf_convergents, cf_quadratic,
-                              cf_source, expansion_stream, imitation_index,
+from digitseq.numbers import (expansion_stream, imitation_index,
                               longest_agreement, machine_enumeration_count,
                               parse_stream_spec, rational_digits,
-                              rational_source, surd_digits, xi3_sequence,
-                              xi3_source, xi3_value)
+                              rational_source, surd_digits, surd_source,
+                              xi3_sequence, xi3_source, xi3_value)
 
 SQRT2_DECIMAL = "414213562373095048801688724209698078569"
 
@@ -98,49 +97,6 @@ class TestXi3:
         assert all(int(text[n - 1]) == xi3_oracle(n) for n in range(1, 4001))
 
 
-class TestContinuedFractions:
-    def test_sqrt2(self):
-        cf = cf_quadratic(2)
-        assert (cf.a0, cf.preperiod, cf.period) == (1, (), (2,))
-
-    def test_sqrt3(self):
-        cf = cf_quadratic(3)
-        assert (cf.a0, cf.period) == (1, (1, 2))
-
-    def test_sqrt7(self):
-        cf = cf_quadratic(7)
-        assert (cf.a0, cf.period) == (2, (1, 1, 1, 4))
-
-    def test_perfect_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            cf_quadratic(9)
-
-    def test_convergents_approximate(self):
-        # |sqrt(d) - p/q| < 1/q^2, checked exactly via integer squaring
-        for d in (2, 3, 7, 13, 19):
-            for frac in cf_convergents(cf_quadratic(d), 10)[1:]:
-                p, q = frac.numerator, frac.denominator
-                assert (p * q - 1) ** 2 < d * q ** 4 < (p * q + 1) ** 2
-
-    def test_period_is_minimal(self):
-        for d in (2, 3, 5, 7, 13, 14, 19, 21, 31, 46):
-            cf = cf_quadratic(d)
-            per = cf.period
-            for step in range(1, len(per)):
-                if len(per) % step == 0:
-                    assert per != per[:step] * (len(per) // step)
-
-    def test_sequence_rendering(self):
-        assert cf_as_sequence(cf_quadratic(2), 6).text() == "222222"
-        assert cf_as_sequence(cf_quadratic(7), 8).text() == "11141114"
-
-    def test_cf_source_feeds_the_witness_engine(self):
-        from digitseq.certify import certificate_from_pair
-        src = cf_source(cf_quadratic(7))  # period 4, so a_n = a_{n+4}
-        cert = certificate_from_pair(src, 1, 5, 2, depth=4)
-        assert cert.dio_lower_bound == Fraction(5, 4)
-
-
 class TestAgreement:
     def test_self_agreement_is_censored(self):
         a, b = xi3_source(), xi3_source()
@@ -160,7 +116,7 @@ class TestAgreement:
         from digitseq.words import SequenceSource, digit_alphabet
         ones = SequenceSource("ones", digit_alphabet(2),
                               lambda n: b"\x01" * n)
-        stream = expansion_stream("surd", 2, d=2)
+        stream = expansion_stream("surd:2", 1, surd_source(2, 2))
         # the expansion runs 1 0 1 1 0 ...: agreement stops after one digit
         assert longest_agreement(ones, stream, 100) == (1, False)
 
@@ -217,14 +173,35 @@ class TestStreamSpecs:
         assert src.prefix(6).text() == "141421"
 
     def test_expansion_of_improper_rational(self):
-        src = expansion_stream("rational", 10, p=7, q=3)
+        src = expansion_stream("rational:7/3", 2, rational_source(1, 3, 10))
         assert src.prefix(6).text() == "233333"
 
     def test_expansion_of_value_below_one_has_no_integer_digits(self):
         # the integer part 0 contributes nothing, like the empty
         # numeration of zero
-        src = expansion_stream("rational", 2, p=1, q=3)
+        src = expansion_stream("rational:1/3", 0, rational_source(1, 3, 2))
         assert src.prefix(6).text() == "010101"
+
+    @pytest.mark.parametrize("spec, base, digits", [
+        ("rational:7/3", 10, "233333"),
+        ("rational:3/3", 2, "1000"),
+        ("rational:8/4", 2, "10000"),
+        ("rational:22/7", 10, "3142857"),
+    ])
+    def test_expansion_spec_of_rational_at_least_one(self, spec, base,
+                                                     digits):
+        src = parse_stream_spec(spec, base, expansion=True)
+        assert src.source_id == f"expansion:{spec}:base{base}"
+        assert src.prefix(len(digits)).text() == digits
+
+    @pytest.mark.parametrize("spec", [
+        "rational:-1/3", "rational:1/0", "rational:0/0", "rational:-1/0",
+    ])
+    def test_expansion_needs_nonnegative_p_and_positive_q(self, spec):
+        # checked before the integer part is split off, so q = 0 never
+        # divides
+        with pytest.raises(ValueError, match="need p >= 0, q >= 1"):
+            parse_stream_spec(spec, 10, expansion=True)
 
     def test_file_spec(self, tmp_path):
         path = tmp_path / "digits.txt"
