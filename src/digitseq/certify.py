@@ -362,8 +362,16 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _parse_fraction(s: str) -> Fraction:
+    """The fraction `_fraction_str` writes as s; any other text, such as
+    "10/8", " 5/4" or "5", raises ValueError."""
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        value = Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or _fraction_str(value) != s:
+        raise ValueError(f"{s!r} is not a fraction p/q in lowest terms")
+    return value
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -401,6 +409,12 @@ def _seed_positions(value) -> tuple[int, int]:
 _INTEGERS = {"verifiedDepth", "k", "n", "nPrime"}
 _STRINGS = {"kind", "machine", "dioLowerBound", "ratioGrowthBound", "method",
             "seedLetter"}
+_COMMON = {"kind", "machine", "dioLowerBound", "ratioGrowthBound",
+           "verifiedDepth", "witnesses"}
+_SEED = {"seedLetter", "seedPositions"}
+# the fields certificate_to_json writes for each kind
+_FIELDS = {kind: _COMMON | {"k", "n", "nPrime", "method"} for kind in KINDS}
+_FIELDS["morphic-witness"] = _COMMON | _SEED
 
 
 def _typed(obj: dict, key: str, kind: type):
@@ -424,18 +438,24 @@ def _witness(obj) -> RepetitionWitness:
 def certificate_from_json(text: str) -> Certificate:
     """A document of the wrong shape raises ValueError: every field has
     one JSON type, and no object has a key beyond its known ones."""
-    known = _INTEGERS | _STRINGS | {"witnesses", "seedPositions"}
     try:
         doc = json.loads(text)
-        unknown = set(doc) - known
+        unknown = set(doc) - set().union(*_FIELDS.values())
         if unknown:
             raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
         for key in sorted(doc.keys() & (_INTEGERS | _STRINGS)):
             _typed(doc, key, int if key in _INTEGERS else str)
-        if doc["kind"] not in KINDS:
-            raise ValueError(f"unknown certificate kind {doc['kind']!r}")
+        kind = doc["kind"]
+        if kind not in KINDS:
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        foreign = doc.keys() - _FIELDS[kind]
+        if foreign:
+            raise ValueError(f"a {kind} certificate has no fields "
+                             f"{sorted(foreign)}")
+        if 0 < len(doc.keys() & _SEED) < 2:
+            raise ValueError("'seedLetter' and 'seedPositions' come together")
         pair = None
-        if doc["kind"] != "morphic-witness" or "n" in doc or "nPrime" in doc:
+        if kind != "morphic-witness":
             if not {"n", "nPrime", "k"} <= doc.keys():
                 raise ValueError("a pair certificate needs 'n', 'nPrime' and "
                                  "the radix 'k'")
@@ -444,7 +464,7 @@ def certificate_from_json(text: str) -> Certificate:
                 raise ValueError("a pair certificate needs 0 < n < nPrime "
                                  "and k >= 2")
         return Certificate(
-            kind=doc["kind"],
+            kind=kind,
             machine_ref=doc["machine"],
             dio_lower_bound=_parse_fraction(doc["dioLowerBound"]),
             ratio_growth_bound=_parse_fraction(doc["ratioGrowthBound"]),

@@ -472,9 +472,12 @@ def equiv(machine_path, pair, depth):
               help="Write the best machine here.")
 def imitate(stream, base, k, states, max_len, output):
     """Longest digit-stream prefix reachable by a small automaton."""
+    for option, radix in (("--base", base), ("--k", k)):
+        if radix is not None and radix < 2:
+            _die(EXIT_INVALID, f"{option} must be at least 2, got {radix}")
     source = _stream_or_die(stream, base, expansion=True)
     agree, censored, best = numbers_mod.imitation_index(
-        source, k or base, states, max_len
+        source, base if k is None else k, states, max_len
     )
     suffix = " (censored: no disagreement found)" if censored else ""
     click.echo(f"imitation index: {agree}{suffix}")

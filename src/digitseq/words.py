@@ -3,11 +3,12 @@
 Alphabets, finite words over an alphabet, prefixes of infinite sequences,
 base-k numeration, fractional powers, repetition witnesses and the search
 for them, factor complexity, and right-special factor counting. Both
-factor counts read one index: the windows of a prefix sorted once, with
-their start positions and the common-prefix length of each adjacent
-pair; one such sort serves every block length of a profile. The
-repetition search scans back from the target length for many periods
-at once, in numpy blocks of bounded size.
+factor counts read one integer index of a prefix: its windows sorted by
+prefix doubling on integer ranks, with their start positions and the
+common-prefix length of each adjacent pair. The prefix keeps the widest
+index built for it, so one sort serves every block length of both
+profiles. The repetition search scans back from the target length for
+many periods at once, in numpy blocks of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -120,12 +121,15 @@ class SequencePrefix:
 
     Data is stored as one byte per symbol index; re-reading a longer prefix
     of the same source must reproduce this one exactly (sources are
-    deterministic).
+    deterministic). The widest window index built for the factor counts
+    is kept with the data, which never changes.
     """
 
     source_id: str
     alphabet: Alphabet
     data: bytes
+    _windows: _WindowIndex | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -306,8 +310,7 @@ def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> boo
 
 
 # the backward scan compares at most _BLOCK_CELLS (period, position)
-# cells in one block, and the window index as many symbols of adjacent
-# windows at a time; each chunk of periods starts with _FIRST_BLOCK
+# cells in one block; each chunk of periods starts with _FIRST_BLOCK
 # positions
 _BLOCK_CELLS = 1 << 20
 _FIRST_BLOCK = 16
@@ -394,33 +397,122 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
     return out
 
 
-def _window_lcp(data: bytes, count: int,
-                width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted window starts and the common-prefix length of each adjacent
-    pair.
+@dataclass(frozen=True, eq=False)
+class _WindowIndex:
+    """The windows of a prefix sorted at a width, one per start.
 
-    The windows are data[i:i + width] for i = 0..count-1, padded with
-    byte 255 past the end of data. They are sorted once, as a suffix
-    array truncated at `width` (Manber & Myers 1993). The result holds
-    the count starts in sorted order and count - 1 lengths in 0..width:
-    for every n, two windows share their first n symbols exactly when
-    every length between them in sorted order is at least n.
+    Window i is data[i:i + width], padded past the end with a sentinel
+    that sorts above every letter. `order` holds the starts in sorted
+    order and `lcp` the common-prefix length of each adjacent pair, at
+    most `width`: for every n <= width, two windows share their first n
+    symbols exactly when every length between them is at least n.
     """
-    padded = np.frombuffer(data + b"\xff" * (width - 1), dtype=np.uint8)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)[:count]
-    keys = np.ascontiguousarray(windows).view(np.dtype((np.void, width)))
-    order = np.argsort(keys.ravel(), kind="stable")
-    del keys
-    # compare sorted neighbours a slice at a time, so that no second
-    # count x width matrix is built
-    lcp = np.empty(count - 1, dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // width)
-    for a in range(0, count - 1, step):
-        b = min(a + step, count - 1)
-        rows = windows[order[a:b + 1]]
-        neq = rows[1:] != rows[:-1]
-        lcp[a:b] = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
-    return order, lcp
+
+    width: int
+    order: np.ndarray
+    lcp: np.ndarray
+
+
+def _sort_by(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`order` sorted stably by keys[order], keys below 2^32: each key
+    goes into the high half of a uint64 and its place in `order` into
+    the low half, and one value sort of those does the rest."""
+    tagged = keys[order].astype(np.uint64, copy=False)
+    tagged <<= np.uint64(32)
+    tagged |= np.arange(len(order), dtype=np.uint64)
+    tagged.sort()
+    tagged &= np.uint64(0xFFFFFFFF)
+    return order[tagged]
+
+
+def _ranks(order: np.ndarray, *sorted_keys: np.ndarray) -> np.ndarray:
+    """Dense ranks of the windows that `order` sorts, read from their keys
+    in that order, plus one more entry that ranks above them all."""
+    step = np.zeros(len(order) - 1, dtype=bool)
+    for keys in sorted_keys:
+        step |= keys[1:] != keys[:-1]
+    ranks = np.empty(len(order) + 1, dtype=np.int32)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(step, dtype=np.int32)
+    ranks[-1] = ranks[order[-1]] + 1
+    return ranks
+
+
+def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
+    """Sort the windows of data by prefix doubling on integer ranks
+    (Manber & Myers 1993), then find adjacent common prefixes by binary
+    lifting over the ranks of every round but the last.
+
+    The first round packs the first `chunk` symbols of each window into
+    one uint64 of `bits` bits per symbol, the sentinel being the value
+    `letters`, and ranks those keys. Each later round doubles the width
+    h: a window of width 2h at i is the pair of width-h windows at i and
+    i + h, so the last order, read shifted by h, sorts by the second
+    half, and one stable sort by the first half's rank finishes it. The
+    rounds stop at `width` or once every window is distinct, and the
+    last round's order is the index. A pair's common prefix then takes
+    the widest kept width whose ranks still agree, at each width from
+    the top, and ends inside one packed chunk: the bit length of the XOR
+    of the two keys there. Memory is O(N log(width / chunk)) integers,
+    and nothing is a float.
+    """
+    total = len(data)
+    if total >= 2 ** 31:
+        raise ValueError("the window index holds fewer than 2^31 windows")
+    bits = letters.bit_length()
+    chunk = 64 // bits
+    padded = np.full(total + chunk, letters, dtype=np.uint16)
+    padded[:total] = np.frombuffer(data, dtype=np.uint8)
+    # packed[i] holds the symbols i..i+chunk-1, the first in the top bits
+    packed = np.zeros(total + 1, dtype=np.uint64)
+    for j in range(chunk):
+        packed <<= np.uint64(bits)
+        packed |= padded[j:j + total + 1]
+    del padded
+    order = _sort_by(packed & np.uint64(0xFFFFFFFF),
+                     np.arange(total, dtype=np.int32))
+    order = _sort_by(packed >> np.uint64(32), order)
+    ranks = _ranks(order, packed[order])
+    levels = []  # levels[j] ranks the windows of width chunk * 2^j
+    h = chunk
+    while h < width and ranks[-1] < total:
+        # every window of width h >= total is distinct, so h < total here;
+        # the windows past total - h end in the sentinel, ranked last
+        levels.append(ranks)
+        order = _sort_by(ranks, np.concatenate(
+            (order[order >= h] - h,
+             np.arange(total - h, total, dtype=np.int32))))
+        ranks = _ranks(order, ranks[order],
+                       ranks[np.minimum(order + h, total)])
+        h *= 2
+    del ranks
+    # the last round's ranks need no lifting step: the kept levels and
+    # the packed chunk reach h symbols, and h is at least `width` unless
+    # no two windows agree on h symbols
+    left_start, right_start = order[:-1], order[1:]
+    common = np.zeros(total - 1, dtype=np.int32)
+    for j in reversed(range(len(levels))):
+        # two windows agreeing on `common` symbols end by total, so the
+        # sentinel entry at index total is the furthest read
+        r = levels[j]
+        common[r[left_start + common] == r[right_start + common]] += \
+            chunk << j
+    del levels
+    diff = packed[left_start + common] ^ packed[right_start + common]
+    for shift in (1, 2, 4, 8, 16, 32):
+        diff |= diff >> np.uint64(shift)
+    common += (chunk * bits - np.bitwise_count(diff).astype(np.int32)) // bits
+    return _WindowIndex(width, order, np.minimum(common, width, out=common))
+
+
+def _window_index(prefix: SequencePrefix, width: int) -> _WindowIndex:
+    """The prefix's window index, at least `width` wide; built at most
+    once per width it grows to, and kept on the prefix."""
+    index = prefix._windows
+    if index is None or index.width < width:
+        index = _build_index(prefix.data, prefix.alphabet.size, width)
+        object.__setattr__(prefix, "_windows", index)
+    return index
 
 
 def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
@@ -428,8 +520,9 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
 
     The length-n blocks are the n-prefixes of the sorted windows, so
     p(n) is the window count less the adjacent pairs sharing n symbols.
-    The n - 1 windows that start in the last n - 1 positions are padded
-    with the sentinel 255 and pairwise distinct; they are not blocks.
+    The n - 1 windows that start in the last n - 1 positions hold the
+    sentinel within their first n symbols and are pairwise distinct;
+    they are not blocks. The sentinel must be a spare byte value.
     """
     if n_max < 1:
         raise ValueError("block length must be positive")
@@ -440,26 +533,25 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
         )
     if prefix.alphabet.size > 255:
         raise ValueError("profile requires a spare byte value as sentinel")
-    _, lcp = _window_lcp(prefix.data, total, n_max)
+    lcp = _window_index(prefix, n_max).lcp
     # shared[n] = number of adjacent pairs with lcp >= n
     shared = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]
     n = np.arange(1, n_max + 1)
-    return (total - shared[1:] - (n - 1)).tolist()
+    return (total - shared[1:n_max + 1] - (n - 1)).tolist()
 
 
 def right_special_count(prefix: SequencePrefix, n_max: int) -> list[int]:
     """Number of distinct length-n blocks followed by >= 2 distinct
     symbols, for n = 1..n_max.
 
-    One sort of the length-(n_max+1) windows that start at 0..len-2
-    serves every n. A length-n block has a follower when it starts at
-    most at len-n-1; the at most n_max windows starting later are
-    dropped, and the common-prefix length of two neighbours that remain
-    is the least length between them. Kept windows that share n symbols
-    form one group per block; the block is right-special when two
-    neighbours in its group differ exactly at the follower. Dropped
-    windows never count, so the padding byte is immaterial and 256-letter
-    alphabets work.
+    The windows sharing a length-n block w are one run of the sorted
+    windows, joined by pairs with lcp >= n; their (n+1)-th symbols
+    ascend, so w is right-special exactly when some pair of the run has
+    lcp n and two letters there (Abouelhoda, Kurtz & Ohlebusch 2004).
+    The sentinel sorts last, so such a pair's right-hand window is the
+    one with the larger follower: it must start before total - n. Pairs
+    with lcp above n_max take no part, so the loop over n runs on the
+    rest only, which is few pairs on a low-complexity word.
     """
     if n_max < 1:
         raise ValueError("block length must be positive")
@@ -468,13 +560,16 @@ def right_special_count(prefix: SequencePrefix, n_max: int) -> list[int]:
         raise InsufficientDataError(
             f"need a prefix of length at least {n_max + 1}, have {total}"
         )
-    order, lcp = _window_lcp(prefix.data, total - 1, n_max + 1)
-    counts = []
-    for n in range(1, n_max + 1):
-        keep = np.flatnonzero(order < total - n)  # never empty
-        shared = np.minimum.reduceat(lcp[:keep[-1]], keep[:-1])
-        # pairs in one group see the same number of group breaks before them
-        group = np.cumsum(shared < n)[shared == n]
-        counts.append(int(np.count_nonzero(np.diff(group))) + 1
-                      if group.size else 0)
+    index = _window_index(prefix, n_max + 1)
+    near = np.flatnonzero(index.lcp <= n_max)
+    lcp, right = index.lcp[near], index.order[near + 1]
+    counts = [0] * n_max
+    for n in (np.flatnonzero(np.bincount(lcp)[1:]) + 1).tolist():
+        # pairs with lcp < n break runs; runs are counted by their breaks
+        seen = lcp <= n
+        shared = lcp[seen]
+        runs = np.cumsum(shared < n)[(shared == n)
+                                     & (right[seen] < total - n)]
+        counts[n - 1] = (int(np.count_nonzero(np.diff(runs))) + 1
+                         if runs.size else 0)
     return counts

@@ -7,10 +7,10 @@ import pytest
 
 from conftest import periodic_source, random_morphic
 from digitseq import catalog, dfao, numbers, pda
-from digitseq.certify import (Certificate, _morphic_family,
-                              certificate_from_json, certificate_from_pair,
-                              certificate_to_json, certify_dfao,
-                              certify_morphic, certify_pda,
+from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
+                              _parse_fraction, certificate_from_json,
+                              certificate_from_pair, certificate_to_json,
+                              certify_dfao, certify_morphic, certify_pda,
                               verify_certificate)
 from digitseq.errors import BudgetExceededError, PairRefutedError
 from digitseq.morphic import (MorphicSpec, RepetitionSeed, iterated_length,
@@ -361,6 +361,36 @@ class TestJsonRoundTrip:
         doc.update(fields)
         with pytest.raises(ValueError, match="pair certificate"):
             certificate_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        "+10/8", "10/8", " 5/4", "5/4 ", "5_0/4_0", "+5/+4", "05/4", "5/-4",
+        "-0/1", "5", "5/", "/4", "5/0", "5/4/1", "five/4", ""])
+    def test_fraction_text_must_be_canonical(self, text):
+        with pytest.raises(ValueError, match="lowest terms"):
+            _parse_fraction(text)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(5, 4), Fraction(-3, 7), Fraction(0), Fraction(2),
+        Fraction(10 ** 30 + 1, 10 ** 29)])
+    def test_fraction_text_round_trips(self, value):
+        assert _parse_fraction(_fraction_str(value)) == value
+
+    def test_each_kind_takes_only_its_fields(self, xi1, xi2_source):
+        pair = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3)))
+        morphic = json.loads(certificate_to_json(certify_morphic(xi1,
+                                                                 depth=3)))
+        for doc, extra in ((pair, {"seedLetter": "a"}),
+                           (pair, {"seedPositions": [1, 5]}),
+                           (morphic, {"method": "exact"}),
+                           (morphic, {"n": 1, "nPrime": 5, "k": 2})):
+            with pytest.raises(ValueError, match="certificate has no fields"):
+                certificate_from_json(json.dumps(doc | extra))
+        for key in ("seedLetter", "seedPositions"):
+            doc = dict(morphic)
+            del doc[key]
+            with pytest.raises(ValueError, match="come together"):
+                certificate_from_json(json.dumps(doc))
 
     def test_morphic_seed_round_trip(self, xi1):
         cert = certify_morphic(xi1, depth=4)

@@ -393,6 +393,34 @@ class TestCertifyVerify:
         assert v.output == ("error: cannot load certificate: seedPositions "
                             "must be two integers p1 < p2 with p1 >= 1\n")
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("xi2", {"dioLowerBound": text},
+         f"{text!r} is not a fraction p/q in lowest terms")
+        for text in ("+10/8", "10/8", " 5/4", "5_0/4_0", "+5/+4", "5/4 ")
+    ] + [
+        ("xi2", {"ratioGrowthBound": "2"},
+         "'2' is not a fraction p/q in lowest terms"),
+        ("xi2", {"seedLetter": "a"},
+         "a pda-pair certificate has no fields ['seedLetter']"),
+        ("three-squares", {"seedLetter": "a"},
+         "a dfao-pigeonhole certificate has no fields ['seedLetter']"),
+        ("xi1", {"method": "exact"},
+         "a morphic-witness certificate has no fields ['method']"),
+    ])
+    def test_text_certify_never_writes_exits_2(self, runner, machines,
+                                               tmp_path, name, edit, message):
+        machine, cert = str(machines / f"{name}.json"), tmp_path / "c.json"
+        run_cli(runner, ["certify", "--machine", machine, "--depth", "4",
+                         "--output", str(cert)])
+        verify = ["verify", "--certificate", str(cert), "--machine", machine]
+        assert run_cli(runner, verify).exit_code == 0
+        doc = json.loads(cert.read_text())
+        doc.update(edit)
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, verify)
+        assert v.exit_code == 2
+        assert v.output == f"error: cannot load certificate: {message}\n"
+
     def test_refuted_pair_exits_1(self, runner, machines):
         r = run_cli(runner, ["certify", "--pair", "1,3", "--k", "2",
                              "--stream", "xi3", "--depth", "4"])
@@ -502,6 +530,12 @@ class TestBadCounts:
           "1"], "cannot open stream 'rational:1/0': need p >= 0, q >= 1"),
         (["certify", "--machine", "xi1.json", "--depth", "-1"],
          "depth must be nonnegative"),
+        (["imitate", "--stream", "xi3", "--base", "0", "--states", "1",
+          "--len", "8"], "--base must be at least 2, got 0\n"),
+        (["imitate", "--stream", "xi3", "--k", "1", "--states", "1",
+          "--len", "8"], "--k must be at least 2, got 1\n"),
+        (["imitate", "--stream", "xi3", "--k", "-1", "--states", "1",
+          "--len", "8"], "--k must be at least 2, got -1\n"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]

@@ -3,13 +3,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_best, naive_complexity, naive_right_special,
                       per_period_best, periodic_source, str_prefix,
                       str_source)
-from digitseq import catalog
+from digitseq import catalog, words
+from digitseq.cli import main
 from digitseq.errors import InsufficientDataError
 from digitseq.numbers import xi3_sequence
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix, Word,
@@ -368,9 +370,85 @@ class TestRightSpecial:
             assert diff == rs - 1
 
 
+def _skewed_word(rng: random.Random, letters: int) -> bytes:
+    """A periodic run or a word of a few frequent letters and rare others,
+    so that blocks recur and common prefixes outgrow one packed chunk."""
+    length = rng.randint(2, 160)
+    if rng.random() < 0.4:
+        block = bytes(rng.randrange(letters)
+                      for _ in range(rng.randint(1, 9)))
+        return (block * length)[:length]
+    frequent = rng.randint(1, min(letters, 3))
+    return bytes(rng.randrange(letters) if rng.random() < 0.2
+                 else rng.randrange(frequent) for _ in range(length))
+
+
+def _counting_builds(monkeypatch) -> list[int]:
+    """Record the width of every window index built from now on."""
+    built = []
+    build = words._build_index
+
+    def counted(data, letters, width):
+        built.append(width)
+        return build(data, letters, width)
+
+    monkeypatch.setattr(words, "_build_index", counted)
+    return built
+
+
 class TestWindowIndex:
-    """Both factor counts read one sorted-window index; the oracles are
-    the set and dict scans it replaced."""
+    """Both factor counts read one integer window index, kept on the
+    prefix; the oracles are the set and dict scans it replaced."""
+
+    @pytest.mark.parametrize("letters", [2, 3, 10, 200, 255, 256])
+    def test_random_words_over_alphabets(self, letters):
+        alphabet = Alphabet(tuple(f"s{i}" for i in range(letters)))
+        rng = random.Random(letters)
+        for _ in range(60):
+            data = _skewed_word(rng, letters)
+            p = SequencePrefix("r", alphabet, data)
+            if letters < 256:
+                assert factor_complexity_profile(p, len(data)) == [
+                    naive_complexity(data, n)
+                    for n in range(1, len(data) + 1)], data
+            assert right_special_count(p, len(data) - 1) == [
+                naive_right_special(data, n)
+                for n in range(1, len(data))], data
+
+    def test_call_orders_on_one_prefix(self, monkeypatch):
+        text = ("abcab" * 40)[:170] + "cabba" + ("ab" * 30)
+        data = str_prefix(text).data
+        p_want = [naive_complexity(data, n) for n in range(1, 41)]
+        rs_want = [naive_right_special(data, n) for n in range(1, 41)]
+        built = _counting_builds(monkeypatch)
+        # p, then a narrower rs: the index of p serves both
+        p = str_prefix(text)
+        assert factor_complexity_profile(p, 40) == p_want
+        assert right_special_count(p, 20) == rs_want[:20]
+        assert built == [40]
+        # rs, then a wider p: the wider index replaces the narrower one
+        p = str_prefix(text)
+        assert right_special_count(p, 20) == rs_want[:20]
+        assert factor_complexity_profile(p, 40) == p_want
+        assert right_special_count(p, 30) == rs_want[:30]
+        assert built == [40, 21, 40]
+        # rs wider than p: p reads the index that rs built
+        p = str_prefix(text)
+        assert right_special_count(p, 40) == rs_want
+        assert factor_complexity_profile(p, 12) == p_want[:12]
+        assert factor_complexity_profile(p, 41)[:40] == p_want
+        assert built == [40, 21, 40, 41]
+
+    def test_analyze_builds_the_index_once(self, monkeypatch, tmp_path):
+        catalog.export_all(tmp_path)
+        built = _counting_builds(monkeypatch)
+        r = CliRunner().invoke(main, [
+            "analyze", "--machine", str(tmp_path / "xi2.json"),
+            "--complexity", "1..64", "--right-special", "1..8"],
+            catch_exceptions=False)
+        assert r.exit_code == 0
+        assert "p(64) = " in r.output and "rs(8) = " in r.output
+        assert built == [64]
 
     def test_random_words_every_block_length(self):
         rng = random.Random(2024)
