@@ -457,8 +457,9 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
     and nothing is a float.
     """
     total = len(data)
-    if total >= 2 ** 31:
-        raise ValueError("the window index holds fewer than 2^31 windows")
+    # starts plus a width h < total stay below 2 * total, and int32
+    if total > 2 ** 30:
+        raise ValueError("the window index holds at most 2^30 windows")
     bits = letters.bit_length()
     chunk = 64 // bits
     padded = np.full(total + chunk, letters, dtype=np.uint16)
@@ -499,9 +500,15 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
             chunk << j
     del levels
     diff = packed[left_start + common] ^ packed[right_start + common]
-    for shift in (1, 2, 4, 8, 16, 32):
-        diff |= diff >> np.uint64(shift)
-    common += (chunk * bits - np.bitwise_count(diff).astype(np.int32)) // bits
+    # the bit length of diff, by halving: each shift that leaves a set
+    # bit is part of it, and the 0 or 1 left over is the last bit
+    length = np.zeros(total - 1, dtype=np.int32)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = diff >= np.uint64(1 << shift)
+        np.add(length, shift, out=length, where=high)
+        np.right_shift(diff, np.uint64(shift), out=diff, where=high)
+    length += diff.astype(np.int32)
+    common += (chunk * bits - length) // bits
     return _WindowIndex(width, order, np.minimum(common, width, out=common))
 
 
@@ -522,7 +529,9 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
     p(n) is the window count less the adjacent pairs sharing n symbols.
     The n - 1 windows that start in the last n - 1 positions hold the
     sentinel within their first n symbols and are pairwise distinct;
-    they are not blocks. The sentinel must be a spare byte value.
+    they are not blocks. A 256-letter alphabet is refused with the
+    sentinel error this profile has always raised, though the index
+    itself takes it.
     """
     if n_max < 1:
         raise ValueError("block length must be positive")

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -414,6 +415,19 @@ class TestWindowIndex:
             assert right_special_count(p, len(data) - 1) == [
                 naive_right_special(data, n)
                 for n in range(1, len(data))], data
+
+    def test_index_runs_on_numpy_1(self, monkeypatch):
+        # numpy >= 1.24 is supported; bitwise_count only came in 2.0
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for letters in (2, 10, 256):
+            alphabet = Alphabet(tuple(f"s{i}" for i in range(letters)))
+            rng = random.Random(100 + letters)
+            for _ in range(20):
+                data = _skewed_word(rng, letters)
+                p = SequencePrefix("r", alphabet, data)
+                assert right_special_count(p, len(data) - 1) == [
+                    naive_right_special(data, n)
+                    for n in range(1, len(data))], data
 
     def test_call_orders_on_one_prefix(self, monkeypatch):
         text = ("abcab" * 40)[:170] + "cabba" + ("ab" * 30)
