@@ -1,12 +1,12 @@
 """Built-in machines used as fixtures and CLI shortcuts.
 
-Names: three-squares (alias xi0), thue-morse (alias tm), and
-thue-morse-morphic are the two automata and the uniform spec for the
-digit-sum parity word; xi1 is the ternary exponential-growth spec; squares
-is the polynomial-growth spec for the characteristic word of the squares;
-xi2 is the one-stack transducer for the digit-balance word. `export_all`
-writes them as reviewable JSON files; the files, not this module, are the
-interchange format.
+Names: three-squares, thue-morse and thue-morse-morphic are the two
+automata and the uniform spec for the digit-sum parity word; xi1 is the
+ternary exponential-growth spec; squares is the polynomial-growth spec
+for the characteristic word of the squares; xi2 is the one-stack
+transducer for the digit-balance word. `export_all` writes them as
+reviewable JSON files; the files, not this module, are the interchange
+format.
 """
 
 from __future__ import annotations
@@ -140,28 +140,16 @@ def xi2_dpao() -> Dpao:
 
 _BUILDERS = {
     "three-squares": three_squares_dfao,
-    "xi0": three_squares_dfao,
     "thue-morse": thue_morse_dfao,
-    "tm": thue_morse_dfao,
     "thue-morse-morphic": thue_morse_morphic,
-    "tm-morphic": thue_morse_morphic,
     "xi1": xi1_morphic,
     "squares": squares_morphic,
     "xi2": xi2_dpao,
 }
 
-_EXPORT_NAMES = (
-    "three-squares",
-    "thue-morse",
-    "thue-morse-morphic",
-    "xi1",
-    "squares",
-    "xi2",
-)
-
 
 def names() -> tuple[str, ...]:
-    return _EXPORT_NAMES
+    return tuple(_BUILDERS)
 
 
 def get(name: str):
@@ -175,7 +163,7 @@ def export_all(directory) -> list[str]:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in _EXPORT_NAMES:
+    for name in _BUILDERS:
         path = out / f"{name}.json"
         save_machine(get(name), path)
         written.append(str(path))

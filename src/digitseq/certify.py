@@ -44,12 +44,15 @@ KINDS = ("dfao-pigeonhole", "morphic-witness", "pda-pair", "sequence-pair")
 class Certificate:
     """Evidence that a source's output has dio > 1, verified to a depth.
 
-    For pair kinds, dio_lower_bound is 1 + 1/(n'-1) by convention (the
-    level-0 witness achieves it; deeper witnesses keep the family's
-    exponent above 1 at every sampled prefix length). For morphic kind it
-    is the minimum of the verified witness ratios. ratio_growth_bound
-    caps the growth of consecutive witnessed prefix lengths: k for pair
-    families, the longest image length for morphic ones.
+    For pair kinds, dio_lower_bound is 1 + 1/(n'-1) = n'/(n'-1), a
+    declared convention that no witness achieves: every witness of a
+    pair family has ratio (n'+1)/n', just below it. ROADMAP item 1
+    ("certificates that claim only what their witnesses prove") replaces
+    it by the least witness ratio. The morphic kind already follows that
+    rule: its bound is the minimum of the verified witness ratios.
+    ratio_growth_bound caps the growth of consecutive witnessed prefix
+    lengths: k for pair families, the longest image length for morphic
+    ones.
     """
 
     kind: str
@@ -178,7 +181,7 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
     seed = morphic_mod.repetition_seed(spec, scan_len)
     cert = _morphic_family(spec, seed, depth,
                            machine_ref or f"morphic:{spec.start}")
-    _, internal = morphic_mod.fixed_point_prefix(spec, _extent(cert.witnesses))
+    internal = morphic_mod.fixed_point_prefix(spec, _extent(cert.witnesses))
     for level, _ in _failing(internal, cert.witnesses):
         raise AssertionError(
             f"morphic witness failed at level {level}; "

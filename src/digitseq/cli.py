@@ -221,6 +221,10 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                  f"--prefix-length {plen} is too short for the "
                  f"requested block lengths")
         prefix = source.prefix(plen)
+        counts = None
+        if rs_ns and max(rs_ns) + 1 > max(p_ns, default=0):
+            # rs needs the wider window index: it builds it, p reuses it
+            counts = words_mod.right_special_count(prefix, max(rs_ns))
         if p_ns:
             doc["complexity"] = []
             lines.append(f"factor complexity p(n) on a prefix of {plen}:")
@@ -231,7 +235,8 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
         if rs_ns:
             doc["rightSpecial"] = []
             lines.append("right-special factor counts:")
-            counts = words_mod.right_special_count(prefix, max(rs_ns))
+            if counts is None:
+                counts = words_mod.right_special_count(prefix, max(rs_ns))
             for n in rs_ns:
                 c = counts[n - 1]
                 doc["rightSpecial"].append({"n": n, "count": c})
@@ -322,6 +327,9 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
         n, n_prime = _parse_pair(pair)
         if stream is None:
             _die(EXIT_INVALID, "--pair certificates need --stream")
+        if machine_path is not None:
+            _die(EXIT_INVALID, "--pair certificates take --stream, not "
+                 "--machine")
         source = _stream_or_die(stream, base)
         cert = certify_mod.certificate_from_pair(
             source, n, n_prime, k, depth, machine_ref=source.source_id

@@ -3,7 +3,11 @@
 A spec is the 5-tuple (internal alphabet, morphism, start letter, external
 alphabet, coding). The morphism must be non-erasing and prolongable on the
 start letter; iterating it yields the unique fixed point starting with
-that letter, and the coding maps it onto the output word.
+that letter, and the coding maps it onto the output word. Both words
+come from one generator, power-table doubling: `MorphicSpec.source`
+streams the coded word, and `fixed_point_prefix` is the one way to read
+the internal letters, which certificates, dilation profiles and
+repetition seeds work on.
 
 Growth is decided two ways on purpose: the boolean "exponential" answer is
 purely combinatorial, because certificates depend on it: the growth is
@@ -136,9 +140,13 @@ class MorphicSpec:
         return _reach(self.rules, self.start, {})
 
     def source(self, source_id: str) -> SequenceSource:
-        """The coded fixed point over the external alphabet."""
+        """The coded fixed point over the external alphabet: the internal
+        letters of _expand_indices, coded by one bytes.translate."""
         ext_alpha = self.external_alphabet()
-        table = _coding_table(self, ext_alpha)
+        table = bytearray(256)
+        for i, a in enumerate(self.internal):
+            table[i] = ext_alpha.index(self.coding[a])
+        table = bytes(table)
         return SequenceSource(
             source_id, ext_alpha, lambda n: _expand_indices(self, n).translate(table)
         )
@@ -440,29 +448,18 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
     return prefix.tobytes()
 
 
-def _coding_table(spec: MorphicSpec, ext_alpha: Alphabet) -> bytes:
-    table = bytearray(256)
-    for i, a in enumerate(spec.internal):
-        table[i] = ext_alpha.index(spec.coding[a])
-    return bytes(table)
+def fixed_point_prefix(spec: MorphicSpec, count: int) -> SequencePrefix:
+    """The first `count` letters of the internal fixed point, the one way
+    to read it; the coded word over the external alphabet is read from
+    MorphicSpec.source instead.
 
-
-def fixed_point_prefix(spec: MorphicSpec, count: int
-                       ) -> tuple[SequencePrefix, SequencePrefix]:
-    """(coded prefix over the external alphabet, internal prefix).
-
-    The internal prefix comes from power-table doubling (_expand_indices):
+    The letters come from power-table doubling (_expand_indices):
     O(log count) rounds for every spec, polynomial growth included, each
-    a few byte joins or numpy gathers; the coding is one bytes.translate.
+    a few byte joins or numpy gathers.
     """
-    internal = _expand_indices(spec, count)
-    ext_alpha = spec.external_alphabet()
-    coded = internal.translate(_coding_table(spec, ext_alpha))
-    sid = f"morphic:{spec.start}->{''.join(spec.rules[spec.start])}"
-    return (
-        SequencePrefix(sid, ext_alpha, coded),
-        SequencePrefix(sid + ":internal", spec.internal_alphabet(), internal),
-    )
+    return SequencePrefix(f"morphic:{spec.start}:internal",
+                          spec.internal_alphabet(),
+                          _expand_indices(spec, count))
 
 
 def _iterated_lengths(spec: MorphicSpec, letters) -> Iterator[int]:
@@ -512,7 +509,7 @@ def repetition_seed(spec: MorphicSpec, scan_len: int = 4096) -> RepetitionSeed:
             "polynomially, so the self-similarity argument does not apply"
         )
     maximal = set(report.maximal)
-    word = _expand_indices(spec, scan_len)
+    word = fixed_point_prefix(spec, scan_len).data
     letters = spec.internal
     for b in spec.internal:
         if b not in maximal:

@@ -2,11 +2,12 @@
 
 Everything here runs on arbitrary-precision integers; floating point is
 banned in this module so that fixtures and certificates stay exact.
-Rational digits come from one period of long division, tiled; surd
-digits from one integer square root, split by divide and conquer; the
-xi3 word from a level-by-level parity table. Each number has one source
-of fractional digits; its full expansion, as the imitation game reads
-it, is that source with the integer part's digits put in front.
+Each number stream is one source, whose generator is reached only
+through it: rational digits come from one period of long division,
+tiled; surd digits from one integer square root, split by divide and
+conquer; the xi3 word from a level-by-level parity table. A number's
+full expansion, as the imitation game reads it, is its fractional
+source's generator with the integer part's digits put in front.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ from .words import (Alphabet, SequencePrefix, SequenceSource, _digit_levels,
                     digit_alphabet, encode_base_k)
 
 __all__ = [
-    "rational_digits",
     "rational_source",
-    "surd_digits",
     "surd_source",
     "expansion_stream",
     "xi3_value",
-    "xi3_sequence",
     "xi3_source",
-    "longest_agreement",
     "imitation_index",
     "ENUMERATION_CAP",
     "machine_enumeration_count",
@@ -40,31 +37,8 @@ __all__ = [
 ENUMERATION_CAP = 10_000_000
 
 
-def _check_base(b: int) -> None:
-    if b < 2:
-        raise ValueError(f"base must be at least 2, got {b}")
-
-
-def _check_surd(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"surd radicand must be at least 2, got {d}")
-    r = math.isqrt(d)
-    if r * r == d:
-        raise ValueError(
-            f"{d} is a perfect square; use the rational path instead"
-        )
-
-
-def _check_rational(p: int, q: int, b: int) -> None:
-    _check_base(b)
-    if q < 1:
-        raise ValueError("denominator must be positive")
-    if not (0 <= p < q):
-        raise ValueError("need 0 <= p < q")
-
-
-def rational_digits(p: int, q: int, b: int, count: int) -> SequencePrefix:
-    """First `count` base-b digits of p/q (0 <= p < q), by long division.
+def rational_source(p: int, q: int, b: int) -> SequenceSource:
+    """Base-b digits of p/q (0 <= p < q), by long division.
 
     The digits are eventually periodic, so the division runs only until
     its remainder returns to the first one inside the period, at most q
@@ -72,35 +46,34 @@ def rational_digits(p: int, q: int, b: int, count: int) -> SequencePrefix:
     `pre` digits, where pre counts the divisions by gcd(q', b) that leave
     the reduced denominator q' coprime to b.
     """
-    _check_rational(p, q, b)
     alphabet = digit_alphabet(b)
+    if q < 1:
+        raise ValueError("denominator must be positive")
+    if not (0 <= p < q):
+        raise ValueError("need 0 <= p < q")
     pre, rest = 0, q // math.gcd(p, q)
     while (g := math.gcd(rest, b)) > 1:
         rest //= g
         pre += 1
-    out = bytearray()
-    r, mark = p, None
-    while len(out) < count:
-        if len(out) == pre:
-            mark = r
-        r *= b
-        d, r = divmod(r, q)
-        out.append(d)
-        if r == mark:
-            break
-    need = count - len(out)
-    if need > 0:
-        period = bytes(out[pre:])
-        out += (period * (need // len(period) + 1))[:need]
-    return SequencePrefix(f"rational:{p}/{q}:base{b}", alphabet, bytes(out))
 
+    def digits(count: int) -> bytes:
+        out = bytearray()
+        r, mark = p, None
+        while len(out) < count:
+            if len(out) == pre:
+                mark = r
+            r *= b
+            d, r = divmod(r, q)
+            out.append(d)
+            if r == mark:
+                break
+        need = count - len(out)
+        if need > 0:
+            period = bytes(out[pre:])
+            out += (period * (need // len(period) + 1))[:need]
+        return bytes(out)
 
-def rational_source(p: int, q: int, b: int) -> SequenceSource:
-    _check_rational(p, q, b)
-    return SequenceSource(
-        f"rational:{p}/{q}:base{b}", digit_alphabet(b),
-        lambda n: rational_digits(p, q, b, n).data,
-    )
+    return SequenceSource(f"rational:{p}/{q}:base{b}", alphabet, digits)
 
 
 def _fixed_digits(x: int, b: int, count: int) -> bytes:
@@ -118,20 +91,20 @@ def _fixed_digits(x: int, b: int, count: int) -> bytes:
     n_chunks = -(-count // width)
     powers: dict[int, int] = {}
     chunks: list[int] = []
-
-    def split(y: int, n: int) -> None:
+    # runs of chunks still to split, the highest on top; a recursive
+    # closure would be a reference cycle, keeping the powers alive until
+    # the cyclic garbage collector runs
+    runs = [(x, n_chunks)] if n_chunks else []
+    while runs:
+        y, n = runs.pop()
         if n == 1:
             chunks.append(y)
-            return
+            continue
         low = n // 2
         if low not in powers:
             powers[low] = b ** (width * low)
         high, rest = divmod(y, powers[low])
-        split(high, n - low)
-        split(rest, low)
-
-    if n_chunks:
-        split(x, n_chunks)
+        runs += [(rest, low), (high, n - low)]
     values = np.array(chunks, dtype=np.int64)
     digits = np.empty((n_chunks, width), dtype=np.uint8)
     for j in range(width - 1, -1, -1):
@@ -139,31 +112,28 @@ def _fixed_digits(x: int, b: int, count: int) -> bytes:
     return digits.tobytes()[n_chunks * width - count:]
 
 
-def surd_digits(d: int, b: int, count: int) -> tuple[int, SequencePrefix]:
-    """(integer part, first `count` fractional base-b digits) of sqrt(d).
-
-    The digits are those of the one integer square root of d * b^(2 count):
-    exact truncation, no rounding drift. Recomputing at higher precision
-    never changes earlier digits, because floor(x / b^j) commutes with the
-    truncation. The root becomes digits by divide and conquer, in
-    O(log count) rounds of big-integer divmod.
-    """
-    _check_base(b)
-    _check_surd(d)
-    whole = math.isqrt(d)
-    scaled = math.isqrt(d * b ** (2 * count))
-    digits = _fixed_digits(scaled - whole * b ** count, b, count)
-    alphabet = digit_alphabet(b)
-    return whole, SequencePrefix(f"surd:{d}:base{b}", alphabet, digits)
-
-
 def surd_source(d: int, b: int) -> SequenceSource:
-    """Fractional digits of sqrt(d) as an infinite source."""
-    _check_surd(d)
-    return SequenceSource(
-        f"surd:{d}:base{b}", digit_alphabet(b),
-        lambda n: surd_digits(d, b, n)[1].data,
-    )
+    """Fractional base-b digits of sqrt(d), d >= 2 not a square.
+
+    The first `count` digits are those of the one integer square root of
+    d * b^(2 count): exact truncation, no rounding drift. Recomputing at
+    higher precision never changes earlier digits, because
+    floor(x / b^j) commutes with the truncation. The root becomes digits
+    by divide and conquer, in O(log count) rounds of big-integer divmod.
+    """
+    if d < 2:
+        raise ValueError(f"surd radicand must be at least 2, got {d}")
+    whole = math.isqrt(d)
+    if whole * whole == d:
+        raise ValueError(
+            f"{d} is a perfect square; use the rational path instead"
+        )
+
+    def digits(count: int) -> bytes:
+        scaled = math.isqrt(d * b ** (2 * count))
+        return _fixed_digits(scaled - whole * b ** count, b, count)
+
+    return SequenceSource(f"surd:{d}:base{b}", digit_alphabet(b), digits)
 
 
 def expansion_stream(number: str, whole: int, fraction: SequenceSource
@@ -171,7 +141,8 @@ def expansion_stream(number: str, whole: int, fraction: SequenceSource
     """A number's base-b expansion as one stream, with id
     expansion:<number>:base<b>: the digits of its integer part `whole`
     (none for 0, matching the empty expansion of zero) in front of its
-    fractional digits, read from `fraction`, whose alphabet fixes b.
+    fractional digits, from the generator of `fraction`, whose alphabet
+    fixes b. Only this stream caches the digits; `fraction` holds none.
 
     sqrt(2) in base 2 streams as 1 0 1 1 0 ..., while 1/3 streams as
     0 1 0 1 .... This is the stream the imitation game compares machines
@@ -183,7 +154,7 @@ def expansion_stream(number: str, whole: int, fraction: SequenceSource
     def gen(n: int) -> bytes:
         if n <= len(head):
             return head[:n]
-        return head + fraction.prefix(n - len(head)).data
+        return head + fraction.generate(n - len(head))
 
     return SequenceSource(f"expansion:{number}:base{b}", fraction.alphabet,
                           gen)
@@ -203,48 +174,26 @@ def xi3_value(n: int) -> int:
     return w.count("1") % 2
 
 
-_XI3_ALPHABET = Alphabet(("0", "1", "2"))
-
-
-def xi3_sequence(count: int) -> SequencePrefix:
-    """First `count` values; position p holds the value for n = p.
+def xi3_source() -> SequenceSource:
+    """The xi3 word; position p holds the value for n = p.
 
     The parity of the number of ones fills level by level, as
     p[n] = p[n // 2] ^ (n % 2); the value 2 sits only at the O(log count)
     indices (2^j - 1)(2^(2j) + 1), whose binary expansion is
     ones^j zeros^j ones^j.
     """
-    parity = np.zeros(max(count, 0) + 1, dtype=np.uint8)
-    for lo, hi, parents, digits in _digit_levels(2, count + 1):
-        parity[lo:hi] = parity[parents] ^ digits
-    j = 1
-    while (n := (2 ** j - 1) * (2 ** (2 * j) + 1)) <= count:
-        parity[n] = 2
-        j += 1
-    return SequencePrefix("xi3", _XI3_ALPHABET, parity[1:].tobytes())
 
+    def values(count: int) -> bytes:
+        parity = np.zeros(max(count, 0) + 1, dtype=np.uint8)
+        for lo, hi, parents, digits in _digit_levels(2, count + 1):
+            parity[lo:hi] = parity[parents] ^ digits
+        j = 1
+        while (n := (2 ** j - 1) * (2 ** (2 * j) + 1)) <= count:
+            parity[n] = 2
+            j += 1
+        return parity[1:].tobytes()
 
-def xi3_source() -> SequenceSource:
-    return SequenceSource("xi3", _XI3_ALPHABET, lambda n: xi3_sequence(n).data)
-
-
-def longest_agreement(a: SequenceSource, b: SequenceSource, max_len: int
-                      ) -> tuple[int, bool]:
-    """Largest L <= max_len with a[1..L] = b[1..L].
-
-    Returns (L, censored): censored means no disagreement was found up to
-    max_len, so L is only a lower bound.
-    """
-    if a.alphabet.symbols != b.alphabet.symbols:
-        raise ValueError("sources must share an alphabet")
-    pa = a.prefix(max_len).data
-    pb = b.prefix(max_len).data
-    if pa == pb:
-        return max_len, True
-    n = 0
-    while pa[n] == pb[n]:
-        n += 1
-    return n, False
+    return SequenceSource("xi3", Alphabet(("0", "1", "2")), values)
 
 
 def machine_enumeration_count(k: int, max_states: int, outputs: int) -> int:
@@ -338,7 +287,8 @@ def parse_stream_spec(spec: str, base: int | None = None,
     With expansion=True the rational and surd kinds stream the full
     base-b digit string (integer part included) instead of the fractional
     digits alone; the imitation game compares against that form. The
-    fractional digits come from the same source either way.
+    fractional digits come from the same generator either way, and each
+    source checks its own arguments.
     """
     kind, _, rest = spec.partition(":")
     if kind == "rational":
@@ -349,7 +299,6 @@ def parse_stream_spec(spec: str, base: int | None = None,
         if not expansion:
             return rational_source(p, q, base)
         # checked before divmod, so q = 0 never divides
-        _check_base(base)
         if q < 1 or p < 0:
             raise ValueError("need p >= 0, q >= 1")
         whole, r = divmod(p, q)
@@ -359,10 +308,9 @@ def parse_stream_spec(spec: str, base: int | None = None,
         if base is None:
             raise ValueError("surd streams need --base")
         d = int(rest)
-        if not expansion:
-            return surd_source(d, base)
-        _check_base(base)
         fraction = surd_source(d, base)
+        if not expansion:
+            return fraction
         return expansion_stream(f"surd:{d}", math.isqrt(d), fraction)
     if kind == "xi3":
         return xi3_source()

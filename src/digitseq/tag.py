@@ -44,7 +44,7 @@ def dilation_profile(spec: MorphicSpec, n_limit: int) -> DilationProfile:
     """
     if n_limit < 1:
         raise ValueError("profile length must be positive")
-    _, internal = morphic.fixed_point_prefix(spec, n_limit)
+    internal = morphic.fixed_point_prefix(spec, n_limit)
     letters = np.frombuffer(internal.data, dtype=np.uint8)
     lengths = np.array([len(spec.rules[a]) for a in spec.internal],
                        dtype=np.int64)

@@ -148,34 +148,29 @@ class SequencePrefix:
         table = {i: s + sep for i, s in enumerate(self.alphabet.symbols)}
         return self.data.decode("latin-1").translate(table).removesuffix(sep)
 
-    def head(self, n: int) -> "SequencePrefix":
-        if n > len(self.data):
-            raise InsufficientDataError(
-                f"requested {n} symbols, prefix holds {len(self.data)}"
-            )
-        return SequencePrefix(self.source_id, self.alphabet, self.data[:n])
-
 
 class SequenceSource:
     """A deterministic, restartable producer of an infinite symbol sequence.
 
     `generate(n)` must return the first n symbol indices as a bytes object
-    and must be a pure function of n. Generated data is cached and only
-    extended, so every read sees a consistent prefix.
+    and must be a pure function of n. `prefix` reads it through a cache
+    that is only extended, so every read sees a consistent prefix; a
+    stream composed from this one calls `generate` and keeps no second
+    copy here.
     """
 
     def __init__(self, source_id: str, alphabet: Alphabet,
                  generate: Callable[[int], bytes]):
         self.source_id = source_id
         self.alphabet = alphabet
-        self._generate = generate
+        self.generate = generate
         self._cache = b""
 
     def prefix(self, n: int) -> SequencePrefix:
         if n < 0:
             raise ValueError(f"prefix length must be nonnegative, got {n}")
         if n > len(self._cache):
-            data = self._generate(n)
+            data = self.generate(n)
             if len(data) < n:
                 raise InsufficientDataError(
                     f"source {self.source_id!r} produced {len(data)} of "

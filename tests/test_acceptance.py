@@ -62,7 +62,7 @@ def test_c02_xi2_oracle_equivalence(xi2):
 
 
 def test_c03_xi1_golden_prefix(xi1):
-    ext, _ = morphic.fixed_point_prefix(xi1, 39)
+    ext = xi1.source("xi1").prefix(39)
     text = ext.text()
     assert text[:36] == XI1_GOLDEN_36
     # beyond 36 the iterated fixed point is authoritative; the documented
@@ -133,7 +133,7 @@ def test_c06_pda_certificate(xi2, tmp_path):
 
 def test_c07_morphic_certificate(xi1):
     cert = certify.certify_morphic(xi1, depth=8)
-    _, internal = morphic.fixed_point_prefix(
+    internal = morphic.fixed_point_prefix(
         xi1, max(w.u + w.ext for w in cert.witnesses))
     for w in cert.witnesses:
         assert words.verify_repetition(internal, w)
@@ -187,7 +187,7 @@ def test_c11_complexity_bounds(tm_dfao, three_squares, xi1, xi2):
 
     # ternary word: quadratic regime, frozen fixtures and a monotone
     # p(n)/n window where the prefix measurement is faithful
-    ext, _ = morphic.fixed_point_prefix(xi1, 2 ** 16)
+    ext = xi1.source("xi1").prefix(2 ** 16)
     xp = words.factor_complexity_profile(ext, 256)
     for n, expected in XI1_COMPLEXITY.items():
         assert xp[n - 1] == expected
@@ -216,8 +216,10 @@ def test_c11_complexity_bounds(tm_dfao, three_squares, xi1, xi2):
 
 
 def test_c12_sqrt2_digits():
-    whole, frac = numbers.surd_digits(2, 10, 39)
-    assert whole == 1 and frac.text() == SQRT2_39
+    assert numbers.surd_source(2, 10).prefix(39).text() == SQRT2_39
+    whole_and_fraction = numbers.parse_stream_spec("surd:2", 10,
+                                                   expansion=True)
+    assert whole_and_fraction.prefix(40).text() == "1" + SQRT2_39
     rng = random.Random(20240)
     import math
     for _ in range(200):
@@ -289,7 +291,7 @@ def test_c15_conversion_round_trip(tm_morphic, tm_dfao):
     assert converted == tm_dfao
     assert morphic.from_dfao(tm_dfao) == tm_morphic
     auto = tm_dfao.source("test").prefix(10 ** 4).text()
-    word, _ = morphic.fixed_point_prefix(tm_morphic, 10 ** 4)
+    word = tm_morphic.source("tm").prefix(10 ** 4)
     assert auto == word.text()
     for n in range(10 ** 4):
         assert auto[n] == parity_oracle(n)

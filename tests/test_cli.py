@@ -201,6 +201,18 @@ class TestCertifyVerify:
                              "--stream", "xi3"])
         assert v.exit_code == 0
 
+    def test_pair_with_machine_exits_2(self, runner, machines, tmp_path):
+        # a --pair certificate is built from the stream alone, so a
+        # machine beside it would be dropped without a word
+        cert = tmp_path / "pair.json"
+        r = run_cli(runner, ["certify", "--machine",
+                             str(machines / "xi2.json"), "--pair", "10,20",
+                             "--stream", "xi3", "--output", str(cert)])
+        assert r.exit_code == 2
+        assert r.output == \
+            "error: --pair certificates take --stream, not --machine\n"
+        assert not cert.exists()
+
     def test_pair_certificate_without_witnesses_exits_2(self, runner,
                                                         tmp_path):
         cert = tmp_path / "xi3.json"

@@ -17,9 +17,10 @@ import pytest
 from conftest import (dilation_loop, fixed_point_loop, random_morphic,
                       surd_digit_loop)
 from digitseq import catalog, tag
-from digitseq.morphic import MorphicSpec, _expand_indices, fixed_point_prefix
-from digitseq.numbers import surd_digits
+from digitseq.morphic import MorphicSpec, fixed_point_prefix
+from digitseq.numbers import parse_stream_spec, surd_source
 from digitseq.tag import dilation_profile
+from digitseq.words import encode_base_k
 
 
 def spec(rules: dict[str, str]) -> MorphicSpec:
@@ -78,7 +79,7 @@ def test_named_specs_match_the_letter_loop(name):
     top = 2 ** 20
     want = fixed_point_loop(s, top)
     for count in edge_counts(s, top):
-        assert _expand_indices(s, count) == want[:count], count
+        assert fixed_point_prefix(s, count).data == want[:count], count
 
 
 def test_random_specs_match_the_letter_loop():
@@ -88,22 +89,23 @@ def test_random_specs_match_the_letter_loop():
     for s in specs:
         want = fixed_point_loop(s, top)
         for count in edge_counts(s, top):
-            assert _expand_indices(s, count) == want[:count], (s.rules, count)
+            assert fixed_point_prefix(s, count).data == want[:count], \
+                (s.rules, count)
 
 
 def test_fixed_point_prefix_codes_the_expansion():
+    # the internal letters and the coded source read one expansion
     for s in NAMED.values():
-        coded, internal = fixed_point_prefix(s, 5000)
         want = fixed_point_loop(s, 5000)
-        assert internal.data == want
-        assert coded.text() == "".join(
+        assert fixed_point_prefix(s, 5000).data == want
+        assert s.source("s").prefix(5000).text() == "".join(
             s.coding[s.internal[i]] for i in want)
 
 
 def test_linear_spec_takes_logarithmically_many_rounds():
     # one round per new letter would take 2^20 numpy rounds here
     start = time.perf_counter()
-    data = _expand_indices(LINEAR, 2 ** 20)
+    data = fixed_point_prefix(LINEAR, 2 ** 20).data
     assert time.perf_counter() - start < 2.0
     assert data == b"\0" + b"\1" * (2 ** 20 - 1)
 
@@ -113,7 +115,7 @@ def test_expansion_memory_stays_bounded(name):
     s = NAMED[name]
     tracemalloc.start()
     try:
-        _expand_indices(s, 2 ** 20)
+        fixed_point_prefix(s, 2 ** 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -147,7 +149,7 @@ def test_many_letter_expansion_is_bounded_in_memory_and_time(
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        got = _expand_indices(s, count)
+        got = fixed_point_prefix(s, count).data
         seconds = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -174,11 +176,10 @@ def test_surd_digits_match_the_divmod_loop(d, b):
     counts = {0, 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1}
     for k in range(1, 13):
         counts |= {2 ** k - 1, 2 ** k, 2 ** k + 1}
-    want = surd_digit_loop(d, b, max(counts))
+    want = surd_digit_loop(d, b, max(counts))[1]
     for count in sorted(counts):
-        whole, prefix = surd_digits(d, b, count)
         # digits at higher precision keep the earlier ones
-        assert (whole, prefix.data) == (want[0], want[1][:count]), count
+        assert surd_source(d, b).prefix(count).data == want[:count], count
 
 
 @pytest.mark.parametrize("d, b, count", [
@@ -187,8 +188,12 @@ def test_surd_digits_match_the_divmod_loop(d, b):
     (3, 2, 2 ** 16 - 1), (2, 10, 2 ** 16 + 1),
 ])
 def test_long_surd_expansions_match_the_divmod_loop(d, b, count):
-    whole, prefix = surd_digits(d, b, count)
-    assert (whole, prefix.data) == surd_digit_loop(d, b, count)
+    whole, digits = surd_digit_loop(d, b, count)
+    assert surd_source(d, b).prefix(count).data == digits
+    # the expansion stream puts the integer part's digits in front
+    head = bytes(encode_base_k(whole, b).indices)
+    stream = parse_stream_spec(f"surd:{d}", b, expansion=True)
+    assert stream.prefix(len(head) + count).data == head + digits
 
 
 def test_dilation_profile_matches_the_fraction_loop():

@@ -18,7 +18,7 @@ from conftest import (dfao_prefix, dpao_prefix, long_division, random_dfao,
 from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
-from digitseq.numbers import rational_digits, xi3_sequence, xi3_value
+from digitseq.numbers import rational_source, xi3_source, xi3_value
 from digitseq.pda import BOTTOM, Dpao
 
 
@@ -119,13 +119,13 @@ def test_random_dead_rows_raise_at_the_same_input():
 
 def test_xi3_matches_value_by_value():
     count = 2 ** 16
-    data = xi3_sequence(count).data
+    data = xi3_source().prefix(count).data
     assert data == xi3_prefix(count)
     for n in (5, 51, 455):
         assert data[n - 1] == 2 == xi3_value(n)
     assert data.count(2) == 5  # j = 1..5: n = 5, 51, 455, 3855, 31775
     for count in edge_counts(2, 10):
-        assert xi3_sequence(count).data == xi3_prefix(count)
+        assert xi3_source().prefix(count).data == xi3_prefix(count)
 
 
 @pytest.mark.parametrize("p, q, b", [
@@ -134,7 +134,7 @@ def test_xi3_matches_value_by_value():
 ])
 def test_rational_tiling_matches_long_division(p, q, b):
     for count in (0, 1, 2, 3, 5, 17, 400):
-        assert rational_digits(p, q, b, count).data == \
+        assert rational_source(p, q, b).prefix(count).data == \
             long_division(p, q, b, count)
 
 
@@ -142,7 +142,7 @@ def test_rational_tiling_on_every_small_fraction():
     for b in (2, 3, 6, 10):
         for q in range(1, 40):
             for p in range(q):
-                assert rational_digits(p, q, b, 120).data == \
+                assert rational_source(p, q, b).prefix(120).data == \
                     long_division(p, q, b, 120)
 
 

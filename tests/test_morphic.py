@@ -97,17 +97,17 @@ class TestValidation:
 
 class TestFixedPoint:
     def test_xi1_fifteen(self, xi1):
-        ext, _ = fixed_point_prefix(xi1, 15)
+        ext = xi1.source("xi1").prefix(15)
         assert ext.text() == "021201220210122"
 
     def test_thue_morse_eight(self, tm_morphic):
-        ext, _ = fixed_point_prefix(tm_morphic, 8)
+        ext = tm_morphic.source("tm").prefix(8)
         assert ext.text() == "01101001"
 
     def test_squares_ten(self, squares):
         # ones sit at positions m^2 + 1; the printed number starts one
         # position later, so the word begins 0 1 0 0 1 ...
-        ext, _ = fixed_point_prefix(squares, 10)
+        ext = squares.source("squares").prefix(10)
         assert ext.text() == "0100100001"
         ones = {p for p in range(1, 11) if ext.symbol_at(p) == "1"}
         assert ones == {m * m + 1 for m in (1, 2, 3)}
@@ -115,7 +115,7 @@ class TestFixedPoint:
     def test_internal_is_a_fixed_point(self, xi1, squares, tm_morphic):
         # applying the morphism to a prefix reproduces that prefix
         for spec in (xi1, squares, tm_morphic):
-            _, internal = fixed_point_prefix(spec, 10 ** 4)
+            internal = fixed_point_prefix(spec, 10 ** 4)
             image = []
             for b in internal.data:
                 image.extend(spec.rules[spec.internal[b]])
@@ -126,7 +126,7 @@ class TestFixedPoint:
 
     def test_two_expansion_strategies_agree(self, xi1):
         # streaming vs. whole-word re-substitution
-        ext, _ = fixed_point_prefix(xi1, 200)
+        ext = xi1.source("xi1").prefix(200)
         word = "a"
         while len(word) < 200:
             word = "".join("".join(xi1.rules[c]) for c in word)
@@ -251,7 +251,7 @@ class TestRepetitionSeed:
                 bv_len = iterated_length(spec, (seed.letter,) + seed.v, n)
                 b_len = iterated_length(spec, (seed.letter,), n)
                 total = u_len + bv_len + b_len
-                _, internal = fixed_point_prefix(spec, total)
+                internal = fixed_point_prefix(spec, total)
                 head = internal.data
                 assert head[u_len + bv_len:total] == head[u_len:u_len + b_len]
 
@@ -281,7 +281,7 @@ class TestConversion:
     def test_outputs_agree(self, tm_morphic):
         machine = to_dfao(tm_morphic)
         auto = machine.source("test").prefix(3000).text()
-        word, _ = fixed_point_prefix(tm_morphic, 3000)
+        word = tm_morphic.source("tm").prefix(3000)
         assert auto == word.text()
 
     def test_three_models_agree_on_random_uniform_specs(self):

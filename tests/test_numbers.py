@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,29 +8,29 @@ import pytest
 from conftest import xi3_oracle
 from digitseq.errors import EnumerationCapError
 from digitseq.numbers import (expansion_stream, imitation_index,
-                              longest_agreement, machine_enumeration_count,
-                              parse_stream_spec, rational_digits,
-                              rational_source, surd_digits, surd_source,
-                              xi3_sequence, xi3_source, xi3_value)
+                              machine_enumeration_count, parse_stream_spec,
+                              rational_source, surd_source, xi3_source,
+                              xi3_value)
 
 SQRT2_DECIMAL = "414213562373095048801688724209698078569"
 
 
 class TestRationalDigits:
     def test_one_third(self):
-        assert rational_digits(1, 3, 10, 5).text() == "33333"
+        assert rational_source(1, 3, 10).prefix(5).text() == "33333"
 
     def test_one_seventh(self):
-        assert rational_digits(1, 7, 10, 6).text() == "142857"
+        assert rational_source(1, 7, 10).prefix(6).text() == "142857"
 
     def test_zero(self):
-        assert rational_digits(0, 1, 2, 4).text() == "0000"
+        assert rational_source(0, 1, 2).prefix(4).text() == "0000"
 
     def test_domain(self):
+        # checked when the source is made, before any digit
         with pytest.raises(ValueError):
-            rational_digits(3, 2, 10, 4)
+            rational_source(3, 2, 10)
         with pytest.raises(ValueError):
-            rational_digits(1, 3, 1, 4)
+            rational_source(1, 3, 1)
 
     def test_matches_fraction_arithmetic(self):
         rng = random.Random(11)
@@ -37,7 +38,7 @@ class TestRationalDigits:
             q = rng.randint(2, 500)
             p = rng.randint(0, q - 1)
             b = rng.choice((2, 3, 10))
-            digits = rational_digits(p, q, b, 25).text()
+            digits = rational_source(p, q, b).prefix(25).text()
             value = Fraction(p, q)
             for i, c in enumerate(digits, start=1):
                 assert int(c) == (value * b ** i).__floor__() % b
@@ -45,18 +46,19 @@ class TestRationalDigits:
 
 class TestSurdDigits:
     def test_sqrt2_decimal(self):
-        whole, frac = surd_digits(2, 10, 39)
-        assert whole == 1
-        assert frac.text() == SQRT2_DECIMAL
+        assert surd_source(2, 10).prefix(39).text() == SQRT2_DECIMAL
+        # the integer part 1 leads the expansion stream
+        stream = parse_stream_spec("surd:2", 10, expansion=True)
+        assert stream.prefix(40).text() == "1" + SQRT2_DECIMAL
 
     def test_sqrt2_binary(self):
-        whole, frac = surd_digits(2, 2, 12)
-        assert whole == 1
-        assert frac.text() == "011010100000"
+        assert surd_source(2, 2).prefix(12).text() == "011010100000"
+        stream = parse_stream_spec("surd:2", 2, expansion=True)
+        assert stream.prefix(13).text() == "1" + "011010100000"
 
     def test_perfect_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            surd_digits(4, 10, 5)
+            surd_source(4, 10)
 
     def test_truncation_stability(self):
         rng = random.Random(3)
@@ -66,8 +68,9 @@ class TestSurdDigits:
                 continue
             b = rng.choice((2, 10))
             i = rng.randint(1, 60)
-            short = surd_digits(d, b, i)[1].text()
-            long = surd_digits(d, b, i + 10)[1].text()
+            # two sources, so the longer read is generated afresh
+            short = surd_source(d, b).prefix(i).text()
+            long = surd_source(d, b).prefix(i + 10).text()
             assert long.startswith(short)
 
     def test_isqrt_bracketing(self):
@@ -82,7 +85,7 @@ class TestSurdDigits:
 
 class TestXi3:
     def test_first_ten(self):
-        assert xi3_sequence(10).text() == "1101201100"
+        assert xi3_source().prefix(10).text() == "1101201100"
 
     def test_pattern_value(self):
         assert xi3_value(5) == 2  # binary 101
@@ -90,40 +93,25 @@ class TestXi3:
         assert xi3_value(51) == 2  # binary 110011 = ones^2 zeros^2 ones^2
 
     def test_positions_start_at_one(self):
-        assert xi3_sequence(1).symbol_at(1) == str(xi3_value(1))
+        assert xi3_source().prefix(1).symbol_at(1) == str(xi3_value(1))
 
     def test_matches_regex_oracle(self):
-        text = xi3_sequence(4000).text()
+        text = xi3_source().prefix(4000).text()
         assert all(int(text[n - 1]) == xi3_oracle(n) for n in range(1, 4001))
 
 
 class TestAgreement:
-    def test_self_agreement_is_censored(self):
-        a, b = xi3_source(), xi3_source()
-        assert longest_agreement(a, b, 100) == (100, True)
-
     def test_machine_vs_oracle_stream(self, xi2):
-        from digitseq.words import SequenceSource, digit_alphabet
         from conftest import balance_oracle
-        machine = xi2.source("m")
-        oracle = SequenceSource(
-            "oracle", digit_alphabet(2),
-            lambda n: bytes(int(balance_oracle(i)) for i in range(n)),
-        )
-        assert longest_agreement(machine, oracle, 10 ** 4) == (10 ** 4, True)
+        machine = xi2.source("m").prefix(10 ** 4).data
+        assert machine == bytes(int(balance_oracle(i))
+                                for i in range(10 ** 4))
 
     def test_constant_vs_sqrt2_expansion(self):
-        from digitseq.words import SequenceSource, digit_alphabet
-        ones = SequenceSource("ones", digit_alphabet(2),
-                              lambda n: b"\x01" * n)
         stream = expansion_stream("surd:2", 1, surd_source(2, 2))
-        # the expansion runs 1 0 1 1 0 ...: agreement stops after one digit
-        assert longest_agreement(ones, stream, 100) == (1, False)
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            longest_agreement(rational_source(1, 3, 2),
-                              rational_source(1, 3, 10), 10)
+        # the expansion runs 1 0 1 1 0 ...: a constant 1 agrees with it
+        # for one digit only
+        assert stream.prefix(5).text() == "10110"
 
 
 class TestImitation:
@@ -138,7 +126,7 @@ class TestImitation:
         agree, censored, best = imitation_index(stream, 2, 2, 64)
         assert (agree, censored) == (64, True)
         assert best.source("test").prefix(64).text() == \
-            rational_digits(1, 3, 2, 64).text()
+            rational_source(1, 3, 2).prefix(64).text()
 
     def test_more_states_never_hurt(self):
         stream = parse_stream_spec("surd:2", 2, expansion=True)
@@ -181,6 +169,21 @@ class TestStreamSpecs:
         # numeration of zero
         src = expansion_stream("rational:1/3", 0, rational_source(1, 3, 2))
         assert src.prefix(6).text() == "010101"
+
+    def test_expansion_holds_its_digits_once(self):
+        # the fraction's digits come from its generator and are cached by
+        # the expansion stream alone; 2^16 digits, because the one integer
+        # square root behind 2^20 decimal digits takes about half a minute
+        count = 2 ** 16
+        stream = parse_stream_spec("surd:2", 10, expansion=True)
+        tracemalloc.start()
+        try:
+            prefix = stream.prefix(count)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(prefix) == count
+        assert held < 1.5 * count
 
     @pytest.mark.parametrize("spec, base, digits", [
         ("rational:7/3", 10, "233333"),

@@ -14,7 +14,7 @@ from conftest import (brute_force_best, naive_complexity, naive_right_special,
 from digitseq import catalog, words
 from digitseq.cli import main
 from digitseq.errors import InsufficientDataError
-from digitseq.numbers import xi3_sequence
+from digitseq.numbers import xi3_source
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix, Word,
                             best_repetition_at, decode_base_k, digit_alphabet,
                             dio_profile, encode_base_k,
@@ -253,7 +253,7 @@ class TestBackwardScan:
     def test_thue_morse_and_xi3_prefixes(self):
         rng = random.Random(5)
         for pre in (catalog.thue_morse_dfao().source("t").prefix(2 ** 12),
-                    xi3_sequence(2 ** 12)):
+                    xi3_source().prefix(2 ** 12)):
             lengths = [2 ** j for j in range(1, 13)]
             lengths += [rng.randint(1, 2 ** 12) for _ in range(10)]
             for ell in lengths:
@@ -456,13 +456,20 @@ class TestWindowIndex:
     def test_analyze_builds_the_index_once(self, monkeypatch, tmp_path):
         catalog.export_all(tmp_path)
         built = _counting_builds(monkeypatch)
-        r = CliRunner().invoke(main, [
-            "analyze", "--machine", str(tmp_path / "xi2.json"),
-            "--complexity", "1..64", "--right-special", "1..8"],
-            catch_exceptions=False)
-        assert r.exit_code == 0
-        assert "p(64) = " in r.output and "rs(8) = " in r.output
-        assert built == [64]
+        # in the second case rs needs 65 symbols of context, so rs builds
+        # the index and p reuses it
+        for p_max, rs_max, width in ((64, 8, 64), (8, 64, 65)):
+            built.clear()
+            r = CliRunner().invoke(main, [
+                "analyze", "--machine", str(tmp_path / "xi2.json"),
+                "--complexity", f"1..{p_max}",
+                "--right-special", f"1..{rs_max}"], catch_exceptions=False)
+            assert r.exit_code == 0
+            assert f"p({p_max}) = " in r.output
+            assert f"rs({rs_max}) = " in r.output
+            # the text keeps its order: the p table before the rs table
+            assert r.output.index("p(1) = ") < r.output.index("rs(1) = ")
+            assert built == [width]
 
     def test_random_words_every_block_length(self):
         rng = random.Random(2024)
