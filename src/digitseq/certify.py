@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import morphic as morphic_mod
 from . import pda as pda_mod
+from .dfao import Dfao
 from .errors import BudgetExceededError, PairRefutedError
 from .words import RepetitionWitness, SequenceSource, verify_repetition
 
@@ -37,7 +38,11 @@ __all__ = [
     "certificate_from_json",
 ]
 
-KINDS = ("dfao-pigeonhole", "morphic-witness", "pda-pair", "sequence-pair")
+# the kind of the certificates each machine model gets; a stream's is
+# "sequence-pair"
+_MODEL_KINDS = {Dfao: "dfao-pigeonhole",
+                morphic_mod.MorphicSpec: "morphic-witness",
+                pda_mod.Dpao: "pda-pair"}
 
 
 @dataclass(frozen=True)
@@ -266,27 +271,27 @@ def _seed_family(spec: morphic_mod.MorphicSpec,
 
 
 def verify_certificate(source: SequenceSource, cert: Certificate,
-                       extra_depth: int = 0,
-                       spec: morphic_mod.MorphicSpec | None = None
+                       extra_depth: int = 0, machine=None
                        ) -> VerificationReport:
     """Independently re-check every stored witness against the source.
 
     The declared depth must be at least 0, since every family has its
     level-0 witness, and the number of witnesses minus one; a
     certificate that fails this is rejected before any prefix is sized.
-    A negative extra_depth raises ValueError.
+    A negative extra_depth raises ValueError. Given the machine the
+    source comes from, the kind must be the one its model certifies.
     A pair certificate is rebuilt from its pair, extra_depth levels past
     the recorded depth: its witnesses and bounds must be the rebuilt
     ones. For the morphic kind the bound is the least witness ratio and
     the growth bound the largest growth of u + v between consecutive
-    witnesses; given the spec the source comes from, the seed is
-    re-derived and the witnesses must be its family, and without it the
-    report notes that the seed was not checked. Stored and extended
-    witnesses are then checked on one prefix. The report lists, per
-    witness, the rational-approximation statement it implies for the
-    number whose digit stream the source is; the statement is symbolic
-    (the denominators are astronomically large) and nothing floating-
-    point is asserted.
+    witnesses; given a morphic machine, the seed is re-derived and the
+    witnesses must be its family, and without it the report notes that
+    the seed was not checked. Stored and extended witnesses are then
+    checked on one prefix. The report lists, per witness, the
+    rational-approximation statement it implies for the number whose
+    digit stream the source is; the statement is symbolic (the
+    denominators are astronomically large) and nothing floating-point is
+    asserted.
     """
     if extra_depth < 0:
         raise ValueError("extra depth must be nonnegative")
@@ -297,6 +302,10 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         return VerificationReport(False, 0, None, (
             f"declared verifiedDepth {depth} is not {want}",), ())
     failures, notes = [], []
+    kind = _MODEL_KINDS.get(type(machine), cert.kind)
+    if cert.kind != kind:
+        failures.append(f"kind {cert.kind} is not {kind}, the kind its "
+                        f"machine certifies")
     checked = tuple(cert.witnesses)
     extended = rebuilt = None
     if cert.pair is not None:
@@ -337,10 +346,10 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                 f"declared growth bound {cert.ratio_growth_bound} is not the "
                 f"largest growth of u + v between witnesses, {growth}"
             )
-        if spec is None:
+        if not isinstance(machine, morphic_mod.MorphicSpec):
             notes.append("note: seed not checked: no morphic machine given")
         else:
-            family = _seed_family(spec, cert)
+            family = _seed_family(machine, cert)
             if isinstance(family, str):
                 failures.append(family)
             elif checked != family.witnesses:
@@ -415,9 +424,13 @@ _STRINGS = {"kind", "machine", "dioLowerBound", "ratioGrowthBound", "method",
 _COMMON = {"kind", "machine", "dioLowerBound", "ratioGrowthBound",
            "verifiedDepth", "witnesses"}
 _SEED = {"seedLetter", "seedPositions"}
-# the fields certificate_to_json writes for each kind
-_FIELDS = {kind: _COMMON | {"k", "n", "nPrime", "method"} for kind in KINDS}
-_FIELDS["morphic-witness"] = _COMMON | _SEED
+_PAIR = _COMMON | {"k", "n", "nPrime"}
+# the fields certificate_to_json writes for each kind, and the methods
+# the kinds that have one take
+_FIELDS = {"dfao-pigeonhole": _PAIR | {"method"},
+           "pda-pair": _PAIR | {"method"}, "sequence-pair": _PAIR,
+           "morphic-witness": _COMMON | _SEED}
+_METHODS = {"dfao-pigeonhole": ("exact",), "pda-pair": ("exact", "protected")}
 
 
 def _typed(obj: dict, key: str, kind: type):
@@ -449,12 +462,16 @@ def certificate_from_json(text: str) -> Certificate:
         for key in sorted(doc.keys() & (_INTEGERS | _STRINGS)):
             _typed(doc, key, int if key in _INTEGERS else str)
         kind = doc["kind"]
-        if kind not in KINDS:
+        if kind not in _FIELDS:
             raise ValueError(f"unknown certificate kind {kind!r}")
         foreign = doc.keys() - _FIELDS[kind]
         if foreign:
             raise ValueError(f"a {kind} certificate has no fields "
                              f"{sorted(foreign)}")
+        if kind in _METHODS and doc.get("method") not in _METHODS[kind]:
+            raise ValueError(f"a {kind} certificate takes method "
+                             f"{' or '.join(_METHODS[kind])}, not "
+                             f"{doc.get('method', 'none')}")
         if 0 < len(doc.keys() & _SEED) < 2:
             raise ValueError("'seedLetter' and 'seedPositions' come together")
         pair = None

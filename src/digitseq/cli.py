@@ -89,7 +89,7 @@ def _load_machine_or_die(path: str):
         _die(EXIT_INVALID, f"machine file not found: {path}")
     except ValidationError as exc:
         _die(EXIT_INVALID, f"machine {path} invalid:\n{exc.report.summary()}")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _die(EXIT_INVALID, f"cannot load machine {path}: {exc}")
 
 
@@ -150,7 +150,7 @@ class _Commands(click.Group):
             _die(EXIT_CAP, f"{exc}; lower --states or --len")
         except InsufficientDataError as exc:
             _die(EXIT_INSUFFICIENT, str(exc))
-        except (ValueError, ValidationError) as exc:
+        except (ValueError, ValidationError, OSError) as exc:
             _die(EXIT_INVALID, str(exc))
 
 
@@ -264,42 +264,31 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                 f"stays above 1: {prof.exceeds_one}"
             )
         if want_growth:
-            doc["growth"], growth_lines = _growth_report(machine)
-            lines.extend(growth_lines)
+            report = morphic_mod.growth_report(machine)
+            radius = morphic_mod.spectral_radius_estimate(machine)
+            letters = sorted(report.per_letter.items())
+            doc["growth"] = {
+                "radiusEstimate": radius,
+                "exponential": report.global_exponential,
+                "maximalGrowth": list(report.maximal),
+                "perLetter": {
+                    a: {"theta": g.theta, "polyDegree": g.poly_degree,
+                        "exponential": g.exponential} for a, g in letters
+                },
+            }
+            lines += [
+                "growth report:",
+                f"  spectral radius estimate {radius:.9f} (approximate)",
+                f"  exponential growth: {report.global_exponential}",
+                f"  maximal-growth letters: {', '.join(report.maximal)}",
+            ] + [
+                f"  letter {a}: theta ~ {g.theta:.6f}, polynomial degree "
+                f"{g.poly_degree}, exponential {g.exponential}"
+                for a, g in letters
+            ]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" \
         else "\n".join(lines) + "\n"
     _emit(text, output)
-
-
-def _growth_report(spec: MorphicSpec) -> tuple[dict, list[str]]:
-    """The growth report as a JSON object and as text lines."""
-    report = morphic_mod.growth_report(spec)
-    radius = morphic_mod.spectral_radius_estimate(spec)
-    doc = {
-        "radiusEstimate": radius,
-        "exponential": report.global_exponential,
-        "maximalGrowth": list(report.maximal),
-        "perLetter": {
-            a: {
-                "theta": g.theta,
-                "polyDegree": g.poly_degree,
-                "exponential": g.exponential,
-            }
-            for a, g in sorted(report.per_letter.items())
-        },
-    }
-    lines = [
-        "growth report:",
-        f"  spectral radius estimate {radius:.9f} (approximate)",
-        f"  exponential growth: {report.global_exponential}",
-        f"  maximal-growth letters: {', '.join(report.maximal)}",
-    ]
-    for a, g in sorted(report.per_letter.items()):
-        lines.append(
-            f"  letter {a}: theta ~ {g.theta:.6f}, polynomial degree "
-            f"{g.poly_degree}, exponential {g.exponential}"
-        )
-    return doc, lines
 
 
 @main.command()
@@ -399,9 +388,8 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
         _die(EXIT_INVALID,
              f"certificate is bound to machine {cert.machine_ref}, "
              f"file hashes to {source.source_id}")
-    spec = machine if isinstance(machine, MorphicSpec) else None
     report = certify_mod.verify_certificate(source, cert, extra_depth,
-                                            spec=spec)
+                                            machine=machine)
     click.echo(report.summary())
     if not report.valid:
         sys.exit(EXIT_INVALID)
@@ -421,34 +409,6 @@ def convert(machine_path, output):
         _die(EXIT_INVALID, "only dfao and morphic machines convert")
     save_machine(converted, output)
     click.echo(f"wrote {output}")
-
-
-@main.command()
-@click.option("--machine", "machine_path", type=str, required=True)
-@click.option("--count", type=str, default="10^4", show_default=True)
-def dilation(machine_path, count):
-    """Dilation profile W(n)/n of a morphic or tag machine."""
-    machine = _load_machine_or_die(machine_path)
-    if not isinstance(machine, MorphicSpec):
-        _die(EXIT_INVALID, "dilation profiles need a morphic or tag machine")
-    prof = tag_mod.dilation_profile(machine, _parse_number(count))
-    for n, r in prof.samples:
-        click.echo(f"n={n}: {_fmt_approx(r)}")
-    click.echo(
-        f"minimum {_fmt_approx(prof.min_ratio)} at n={prof.argmin}; "
-        f"stays above 1: {prof.exceeds_one}"
-    )
-
-
-@main.command()
-@click.option("--machine", "machine_path", type=str, required=True)
-def growth(machine_path):
-    """Per-letter growth report of a morphic machine."""
-    machine = _load_machine_or_die(machine_path)
-    if not isinstance(machine, MorphicSpec):
-        _die(EXIT_INVALID, "growth reports need a morphic or tag machine")
-    for line in _growth_report(machine)[1]:
-        click.echo(line)
 
 
 @main.command()

@@ -20,7 +20,6 @@ and only for display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -40,8 +39,6 @@ __all__ = [
     "spectral_radius_estimate",
     "growth_report",
     "fixed_point_prefix",
-    "image_length",
-    "iterated_length",
     "repetition_seed",
     "to_dfao",
     "from_dfao",
@@ -162,10 +159,6 @@ def incidence(spec: MorphicSpec) -> list[list[int]]:
         for b in spec.rules[a]:
             m[idx[b]][j] += 1
     return m
-
-
-def image_length(spec: MorphicSpec) -> int:
-    return max(len(img) for img in spec.rules.values())
 
 
 def _reach(rules: Mapping[str, Iterable[str]], start: str,
@@ -455,8 +448,11 @@ def fixed_point_prefix(spec: MorphicSpec, count: int) -> SequencePrefix:
 
     The letters come from power-table doubling (_expand_indices):
     O(log count) rounds for every spec, polynomial growth included, each
-    a few byte joins or numpy gathers.
+    a few byte joins or numpy gathers. A negative count raises
+    ValueError.
     """
+    if count < 0:
+        raise ValueError(f"prefix length must be nonnegative, got {count}")
     return SequencePrefix(f"morphic:{spec.start}:internal",
                           spec.internal_alphabet(),
                           _expand_indices(spec, count))
@@ -473,12 +469,6 @@ def _iterated_lengths(spec: MorphicSpec, letters) -> Iterator[int]:
     while True:
         yield sum(counts)
         counts = [sum(x * c for x, c in zip(row, counts)) for row in m]
-
-
-def iterated_length(spec: MorphicSpec, letters, n: int) -> int:
-    """|sigma^n(w)| for the word w given as an iterable of letters, in
-    exact integers; no words are materialized."""
-    return next(islice(_iterated_lengths(spec, letters), max(n, 0), None))
 
 
 @dataclass(frozen=True)
@@ -500,8 +490,10 @@ def repetition_seed(spec: MorphicSpec, scan_len: int = 4096) -> RepetitionSeed:
     Deterministic choice: the maximal-growth letter earliest in alphabet
     order that occurs twice within scan_len. Requires exponential growth;
     such a letter recurs infinitely often, so a large enough scan always
-    succeeds.
+    succeeds. A negative scan_len raises ValueError.
     """
+    if scan_len < 0:
+        raise ValueError(f"scan length must be nonnegative, got {scan_len}")
     report = growth_report(spec)
     if not report.global_exponential:
         raise ValueError(

@@ -367,13 +367,17 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
     sealed and the configurations behave identically. The first hit in
     scan order minimizes n', then n; returns None when the budget runs out
     (which proves nothing). The scan fills one base-k level at a time and
-    stops after the first level that holds a hit.
+    stops after the first level that holds a hit. A negative n_max or
+    height_cap raises ValueError.
     """
+    if n_max < 0 or height_cap < 0:
+        raise ValueError(f"search budget and height cap must be "
+                         f"nonnegative, got {n_max} and {height_cap}")
     pops = pop_table(m)
     core = _Core(m)
     sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
                        for q in m.states])
-    for hi, state, node in core.fill(max(n_max, 0) + 1):
+    for hi, state, node in core.fill(n_max + 1):
         # entry i is input n = i + 1; equal stacks are equal nodes
         st, nd = state[1:hi].astype(np.int64), node[1:hi]
         height, top = core.height[nd], core.sym[nd]
@@ -424,8 +428,10 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
 
     Each depth is one array of pairs (s1, node1, s2, node2) in search
     order, all stepped at once; equal stacks are equal nodes, so a pair
-    seen before is an equal 4-tuple.
+    seen before is an equal 4-tuple. A negative depth raises ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     core, k = _Core(m), m.k
     start = core.config(n) + core.config(n_prime)
     pairs, seen = np.array([start]), {start}

@@ -524,9 +524,7 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
     p(n) is the window count less the adjacent pairs sharing n symbols.
     The n - 1 windows that start in the last n - 1 positions hold the
     sentinel within their first n symbols and are pairwise distinct;
-    they are not blocks. A 256-letter alphabet is refused with the
-    sentinel error this profile has always raised, though the index
-    itself takes it.
+    they are not blocks.
     """
     if n_max < 1:
         raise ValueError("block length must be positive")
@@ -535,8 +533,6 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
         raise InsufficientDataError(
             f"block length {n_max} exceeds prefix of length {total}"
         )
-    if prefix.alphabet.size > 255:
-        raise ValueError("profile requires a spare byte value as sentinel")
     lcp = _window_index(prefix, n_max).lcp
     # shared[n] = number of adjacent pairs with lcp >= n
     shared = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]

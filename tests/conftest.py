@@ -307,6 +307,26 @@ def fixed_point_loop(spec: MorphicSpec, count: int) -> bytes:
     return bytes(out[:count])
 
 
+def expand_word(spec: MorphicSpec, word, levels: int) -> tuple[str, ...]:
+    """sigma^levels(word) by naive rule expansion, one image per letter."""
+    word = tuple(word)
+    for _ in range(levels):
+        word = tuple(b for a in word for b in spec.rules[a])
+    return word
+
+
+def iterated_lengths_loop(spec: MorphicSpec, word, levels: int) -> list[int]:
+    """|sigma^l(word)| for l = 0..levels from the per-letter recurrence
+    len_0(a) = 1, len_{l+1}(a) = sum of len_l(b) over the letters b of
+    sigma(a); no matrix and no word is built."""
+    size = dict.fromkeys(spec.internal, 1)
+    out = []
+    for _ in range(levels + 1):
+        out.append(sum(size[a] for a in word))
+        size = {a: sum(size[b] for b in img) for a, img in spec.rules.items()}
+    return out
+
+
 def surd_digit_loop(d: int, b: int, count: int) -> tuple[int, bytes]:
     """(integer part, first `count` fractional base-b digits) of sqrt(d),
     the digits peeled off isqrt(d * b^(2 count)) one divmod at a time."""
@@ -432,9 +452,9 @@ def morphic_growth_oracle(spec: MorphicSpec) -> bool:
     exponential spec overshoots that bound at n = 1000 by a wide margin;
     the first overshoot decides.
     """
-    from digitseq.morphic import image_length, incidence
+    from digitseq.morphic import incidence
     d = len(spec.internal)
-    big_l = image_length(spec)
+    big_l = max(len(img) for img in spec.rules.values())
     assert d <= 4 and big_l <= 3, "oracle calibrated for the small corpus"
     threshold = (1000 * big_l) ** (d - 1)
     m = incidence(spec)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import periodic_source, random_morphic
+from conftest import iterated_lengths_loop, periodic_source, random_morphic
 from digitseq import catalog, dfao, numbers, pda
 from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
                               _parse_fraction, certificate_from_json,
@@ -13,8 +13,7 @@ from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
                               certify_dfao, certify_morphic, certify_pda,
                               verify_certificate)
 from digitseq.errors import BudgetExceededError, PairRefutedError
-from digitseq.morphic import (MorphicSpec, RepetitionSeed, iterated_length,
-                              repetition_seed)
+from digitseq.morphic import MorphicSpec, RepetitionSeed, repetition_seed
 from digitseq.words import RepetitionWitness, verify_repetition
 
 
@@ -117,7 +116,7 @@ class TestMorphicCertificates:
         with pytest.raises(ValueError, match="exponential"):
             certify_morphic(squares)
 
-    def test_family_lengths_match_iterated_length(self):
+    def test_family_lengths_match_the_letter_recurrence(self):
         rng = random.Random(909)
         specs = [catalog.get(name) for name in catalog.names()
                  if isinstance(catalog.get(name), MorphicSpec)]
@@ -132,11 +131,11 @@ class TestMorphicCertificates:
                                       p2=2 + len(image), u=(spec.start,),
                                       v=image)
             cert = _morphic_family(spec, seed, 20, "test")
-            for level, w in enumerate(cert.witnesses):
-                bv = iterated_length(spec, (seed.letter,) + seed.v, level)
-                b = iterated_length(spec, (seed.letter,), level)
-                assert (w.u, w.v, w.ext) == (
-                    iterated_length(spec, seed.u, level), bv, bv + b)
+            u, bv, b = (iterated_lengths_loop(spec, word, 20) for word in
+                        (seed.u, (seed.letter,) + seed.v, (seed.letter,)))
+            assert [(w.u, w.v, w.ext) for w in cert.witnesses] == [
+                (u[level], bv[level], bv[level] + b[level])
+                for level in range(21)], spec
 
     def test_witnesses_hold_on_coded_word_too(self, xi1):
         cert = certify_morphic(xi1, depth=6)
@@ -168,15 +167,15 @@ class TestPdaCertificates:
 class TestVerification:
     def test_emitted_certificates_reverify(self, xi2, xi2_source, tm_dfao,
                                            xi1):
-        for cert, src in (
-            (certify_pda(xi2, depth=8), xi2_source),
-            (certify_dfao(tm_dfao, depth=8),
-             tm_dfao.source("tm")),
-            (certify_morphic(xi1, depth=6),
-             xi1.source("xi1")),
+        for cert, src, machine in (
+            (certify_pda(xi2, depth=8), xi2_source, xi2),
+            (certify_dfao(tm_dfao, depth=8), tm_dfao.source("tm"), tm_dfao),
+            (certify_morphic(xi1, depth=6), xi1.source("xi1"), xi1),
         ):
-            report = verify_certificate(src, cert, extra_depth=1)
-            assert report.valid, report.failures
+            for machine in (None, machine):
+                report = verify_certificate(src, cert, extra_depth=1,
+                                            machine=machine)
+                assert report.valid, report.failures
 
     def test_pair_without_witnesses_is_invalid(self):
         source = numbers.xi3_source()
@@ -257,7 +256,7 @@ class TestVerification:
             ratio_growth_bound=growth)
         # every witness holds and the bounds are the witnesses' own
         assert verify_certificate(src, tampered).valid
-        report = verify_certificate(src, tampered, spec=xi1)
+        report = verify_certificate(src, tampered, machine=xi1)
         assert report.failures == (
             "stored witnesses do not match the re-derived seed",)
 
@@ -270,7 +269,7 @@ class TestVerification:
                                                       squares):
         cert = certify_morphic(xi1, depth=4)
         src = xi1.source("xi1")
-        assert verify_certificate(src, cert, spec=xi1).valid
+        assert verify_certificate(src, cert, machine=xi1).valid
         for changes, failure in (
                 ({"seed_letter": None, "seed_positions": None},
                  "certificate declares no seedLetter and seedPositions"),
@@ -283,13 +282,13 @@ class TestVerification:
             tampered = dataclasses.replace(cert, **changes)
             # without the spec only the witnesses and bounds are checked
             assert verify_certificate(src, tampered).valid
-            report = verify_certificate(src, tampered, spec=xi1)
+            report = verify_certificate(src, tampered, machine=xi1)
             assert report.failures == (failure,)
         # the seed of one spec is not re-derived from another
-        report = verify_certificate(src, cert, spec=tm_morphic)
+        report = verify_certificate(src, cert, machine=tm_morphic)
         assert report.failures == ("declared seed 'a' at 1, 5 is not the "
                                    "re-derived seed 'q0' at 1, 4",)
-        report = verify_certificate(src, cert, spec=squares)
+        report = verify_certificate(src, cert, machine=squares)
         assert report.failures[0].startswith("seed not re-derived: "
                                              "morphic certificates require")
 
@@ -299,6 +298,24 @@ class TestVerification:
             xi2_source, dataclasses.replace(cert, ratio_growth_bound=3))
         assert not report.valid
         assert report.failures == ("declared growth bound 3 is not k = 2",)
+
+    def test_kind_must_be_the_one_the_machine_certifies(self, three_squares,
+                                                        xi2, xi1):
+        cert = certify_dfao(three_squares, depth=6)
+        src = three_squares.source("three-squares")
+        relabelled = dataclasses.replace(cert, kind="sequence-pair",
+                                         method=None)
+        # without the machine nothing ties the kind to a model
+        assert verify_certificate(src, relabelled).valid
+        assert verify_certificate(src, cert, machine=three_squares).valid
+        for machine, doc, kind in ((three_squares, relabelled,
+                                    "dfao-pigeonhole"),
+                                   (xi2, cert, "pda-pair"),
+                                   (xi1, cert, "morphic-witness")):
+            report = verify_certificate(src, doc, machine=machine)
+            assert report.failures == (
+                f"kind {doc.kind} is not {kind}, the kind its machine "
+                f"certifies",)
 
     def test_periodic_source_pair(self):
         src = periodic_source("01")
@@ -391,6 +408,32 @@ class TestJsonRoundTrip:
             del doc[key]
             with pytest.raises(ValueError, match="come together"):
                 certificate_from_json(json.dumps(doc))
+
+    def test_each_kind_takes_only_its_methods(self, three_squares,
+                                              xi2_source):
+        dfao_doc = json.loads(certificate_to_json(
+            certify_dfao(three_squares, depth=3)))
+        pda_doc = json.loads(certificate_to_json(certificate_from_pair(
+            xi2_source, 1, 5, 2, depth=3, kind="pda-pair", method="exact")))
+        pair_doc = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3)))
+        assert certificate_from_json(json.dumps(
+            pda_doc | {"method": "protected"})).method == "protected"
+        for doc, method, want in (
+                (dfao_doc, "protected", "exact, not protected"),
+                (dfao_doc, None, "exact, not none"),
+                (pda_doc, "nonsense", "exact or protected, not nonsense"),
+                (pda_doc, None, "exact or protected, not none")):
+            doc = dict(doc, method=method)
+            if method is None:
+                del doc["method"]
+            with pytest.raises(ValueError,
+                               match=f"certificate takes method {want}"):
+                certificate_from_json(json.dumps(doc))
+        for method in ("exact", "nonsense"):
+            with pytest.raises(ValueError, match="certificate has no fields"):
+                certificate_from_json(json.dumps(pair_doc
+                                                 | {"method": method}))
 
     def test_morphic_seed_round_trip(self, xi1):
         cert = certify_morphic(xi1, depth=4)

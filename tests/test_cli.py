@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import naive_right_special
+from conftest import naive_complexity, naive_right_special
 from digitseq import __version__, catalog
 from digitseq.cli import main
 from digitseq.dfao import Dfao
@@ -129,8 +129,8 @@ class TestAnalyze:
         assert r.output.startswith("error: ")
 
     def test_full_byte_alphabet_stream(self, runner, tmp_path):
-        # 256 distinct tokens leave no spare byte for the complexity
-        # sentinel; right-special counts need none
+        # 256 distinct tokens use every byte value: the window index's
+        # sentinel lies above them
         rng = random.Random(5)
         tokens = [f"s{i}" for i in range(256)]
         tokens += [rng.choice(tokens) for _ in range(300)]
@@ -138,14 +138,14 @@ class TestAnalyze:
         stream.write_text("\n".join(tokens) + "\n", encoding="utf-8")
         args = ["analyze", "--stream", f"file:{stream}",
                 "--prefix-length", str(len(tokens))]
-        r = run_cli(runner, args + ["--complexity", "1..3"])
-        assert r.exit_code == 2
-        assert r.output.startswith("error: profile requires a spare byte")
-        r = run_cli(runner, args + ["--right-special", "1..3"])
+        r = run_cli(runner, args + ["--complexity", "1..3",
+                                    "--right-special", "1..3"])
         assert r.exit_code == 0
         for n in (1, 2, 3):
+            p = naive_complexity(tuple(tokens), n)
             rs = naive_right_special(tuple(tokens), n)
-            assert f"rs({n}) = {rs}" in r.output
+            assert f"p({n}) = {p}\n" in r.output
+            assert f"rs({n}) = {rs}\n" in r.output
 
     def test_right_special_table(self, runner, machines):
         r = run_cli(runner, ["analyze", "--machine",
@@ -212,6 +212,44 @@ class TestCertifyVerify:
         assert r.output == \
             "error: --pair certificates take --stream, not --machine\n"
         assert not cert.exists()
+
+    @pytest.mark.parametrize("source, edit, want", [
+        ("xi3", lambda d: d.update(method="nonsense"), "has no fields"),
+        ("three-squares", lambda d: d.update(method="protected"),
+         "takes method exact, not protected"),
+        ("three-squares", lambda d: d.pop("method"),
+         "takes method exact, not none"),
+    ], ids=["sequence-pair-nonsense", "dfao-protected", "dfao-no-method"])
+    def test_method_other_than_certify_writes_exits_2(
+            self, runner, machines, tmp_path, source, edit, want):
+        cert = tmp_path / "cert.json"
+        src = (["--stream", "xi3"] if source == "xi3"
+               else ["--machine", str(machines / f"{source}.json")])
+        pair = ["--pair", "10,20"] if source == "xi3" else []
+        run_cli(runner, ["certify", *pair, *src, "--depth", "8",
+                         "--output", str(cert)])
+        cert.write_text(json.dumps(edited(json.loads(cert.read_text()),
+                                          edit)), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert), *src])
+        assert v.exit_code == 2
+        assert v.output.startswith("error: cannot load certificate: ")
+        assert want in v.output
+
+    def test_kind_other_than_the_machines_exits_2(self, runner, machines,
+                                                  tmp_path):
+        cert = tmp_path / "cert.json"
+        machine = str(machines / "three-squares.json")
+        run_cli(runner, ["certify", "--machine", machine, "--depth", "16",
+                         "--output", str(cert)])
+        doc = json.loads(cert.read_text())
+        del doc["method"]
+        doc["kind"] = "sequence-pair"
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--machine", machine])
+        assert v.exit_code == 2
+        assert ("failure: kind sequence-pair is not dfao-pigeonhole, the "
+                "kind its machine certifies") in v.output.splitlines()
 
     def test_pair_certificate_without_witnesses_exits_2(self, runner,
                                                         tmp_path):
@@ -482,16 +520,26 @@ class TestConvert:
 
 class TestOtherCommands:
     def test_dilation(self, runner, machines):
-        r = run_cli(runner, ["dilation", "--machine",
+        r = run_cli(runner, ["analyze", "--machine",
                              str(machines / "thue-morse-morphic.json"),
-                             "--count", "2^8"])
+                             "--dilation", "2^8"])
         assert r.exit_code == 0
-        assert "minimum 2/1" in r.output
+        assert "\n  minimum 2/1 (~2, approximate) at n=1; stays above 1: " \
+            "True\n" in r.output
 
     def test_growth(self, runner, machines):
-        r = run_cli(runner, ["growth", "--machine",
-                             str(machines / "xi1.json")])
-        assert "maximal-growth letters: a, b" in r.output
+        r = run_cli(runner, ["analyze", "--machine",
+                             str(machines / "xi1.json"), "--growth"])
+        assert r.exit_code == 0
+        assert "\n  maximal-growth letters: a, b\n" in r.output
+
+    @pytest.mark.parametrize("command", ["dilation", "growth"])
+    def test_reports_are_analyze_options_only(self, runner, machines,
+                                              command):
+        r = runner.invoke(main, [command, "--machine",
+                                 str(machines / "xi1.json")])
+        assert r.exit_code == 2
+        assert f"No such command '{command}'" in r.output
 
     def test_equiv(self, runner, machines):
         r = run_cli(runner, ["equiv", "--machine",
@@ -528,7 +576,7 @@ class TestBadCounts:
     @pytest.mark.parametrize("args, message", [
         (["analyze", "--machine", "xi1.json", "--dilation", "0"],
          "profile length must be positive"),
-        (["dilation", "--machine", "xi1.json", "--count", "0"],
+        (["analyze", "--machine", "xi1.json", "--growth", "--dilation", "0"],
          "profile length must be positive"),
         (["imitate", "--stream", "surd:2", "--base", "2", "--states", "0"],
          "need at least one state"),
@@ -548,6 +596,15 @@ class TestBadCounts:
           "--len", "8"], "--k must be at least 2, got 1\n"),
         (["imitate", "--stream", "xi3", "--k", "-1", "--states", "1",
           "--len", "8"], "--k must be at least 2, got -1\n"),
+        (["equiv", "--machine", "xi2.json", "--pair", "1,5", "--depth", "-1"],
+         "depth must be nonnegative, got -1\n"),
+        (["certify", "--machine", "xi2.json", "--budget", "-5"],
+         "search budget and height cap must be nonnegative, got -5 and 64\n"),
+        (["certify", "--machine", "xi2.json", "--height-cap", "-1"],
+         "search budget and height cap must be nonnegative, got 10000 and "
+         "-1\n"),
+        (["certify", "--machine", "xi1.json", "--scan-len", "-1"],
+         "scan length must be nonnegative, got -1\n"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
@@ -679,6 +736,38 @@ class TestErrorTable:
         assert v.exit_code == 2
         assert v.output.startswith("error: cannot load certificate: ")
         assert len(v.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["digits", "--stream", "xi3", "--count", "5", "--output", "MISSING"],
+        ["certify", "--pair", "10,20", "--stream", "xi3", "--depth", "2",
+         "--output", "MISSING"],
+        ["convert", "--machine", "MACHINES/thue-morse.json",
+         "--output", "MISSING"],
+        ["imitate", "--stream", "rational:1/3", "--base", "2", "--states",
+         "1", "--len", "8", "--output", "MISSING"],
+        ["catalog", "export", "--dir", "MACHINES/xi1.json"],
+        ["digits", "--machine", "MACHINES"],
+    ], ids=["digits-output", "certify-output", "convert-output",
+            "imitate-output", "catalog-export-dir", "machine-directory"])
+    def test_file_errors_exit_2(self, runner, machines, tmp_path, args):
+        missing = str(tmp_path / "no" / "such" / "dir" / "x")
+        args = [a.replace("MISSING", missing).replace("MACHINES",
+                                                      str(machines))
+                for a in args]
+        r = run_cli(runner, args)
+        assert r.exit_code == 2
+        # imitate reports its index before it writes the machine
+        assert r.output.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in r.output
+        assert not Path(missing).parent.exists()
+
+    def test_machine_directory_keeps_the_load_message(self, runner,
+                                                      machines):
+        r = run_cli(runner, ["digits", "--machine", str(machines)])
+        assert r.output.startswith(f"error: cannot load machine {machines}: ")
+        r = run_cli(runner, ["digits", "--machine", str(machines / "no.json")])
+        assert r.output == \
+            f"error: machine file not found: {machines / 'no.json'}\n"
 
     def test_deeply_nested_machine_exits_2(self, runner, tmp_path):
         path = tmp_path / "deep.json"

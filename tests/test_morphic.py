@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import growth_report_oracle, morphic_growth_oracle, random_morphic
+from conftest import (expand_word, growth_report_oracle, morphic_growth_oracle,
+                      random_morphic)
 from digitseq import catalog, dfao, pda, words
 from digitseq.errors import ValidationError
 from digitseq.morphic import (MorphicSpec, exponential_growth,
                               fixed_point_prefix, from_dfao, growth_report,
-                              incidence, iterated_length, repetition_seed,
+                              incidence, repetition_seed,
                               spectral_radius_estimate, to_dfao)
 
 
@@ -194,7 +195,7 @@ class TestGrowth:
             (xi1, "c", lambda n: 1),
         ):
             for n in (5, 10, 20, 25):
-                assert iterated_length(spec, (letter,), n) == expect(n)
+                assert len(expand_word(spec, (letter,), n)) == expect(n)
 
     def test_start_letter_always_maximal(self):
         rng = random.Random(2024)
@@ -242,14 +243,24 @@ class TestRepetitionSeed:
         with pytest.raises(ValueError, match="exponential"):
             repetition_seed(squares)
 
+    def test_negative_lengths_raise(self, xi1):
+        # fixed_point_prefix(xi1, -1) used to return two letters
+        with pytest.raises(ValueError, match="prefix length must be "
+                           "nonnegative, got -1"):
+            fixed_point_prefix(xi1, -1)
+        with pytest.raises(ValueError, match="scan length must be "
+                           "nonnegative, got -1"):
+            repetition_seed(xi1, -1)
+        assert fixed_point_prefix(xi1, 0).data == b""
+
     def test_seed_images_stay_prefixes(self, xi1, tm_morphic):
         # sigma^n(U) sigma^n(bV) sigma^n(b) is a prefix for each n <= 8
         for spec in (xi1, tm_morphic):
             seed = repetition_seed(spec)
             for n in range(9):
-                u_len = iterated_length(spec, seed.u, n)
-                bv_len = iterated_length(spec, (seed.letter,) + seed.v, n)
-                b_len = iterated_length(spec, (seed.letter,), n)
+                u_len = len(expand_word(spec, seed.u, n))
+                bv_len = len(expand_word(spec, (seed.letter,) + seed.v, n))
+                b_len = len(expand_word(spec, (seed.letter,), n))
                 total = u_len + bv_len + b_len
                 internal = fixed_point_prefix(spec, total)
                 head = internal.data

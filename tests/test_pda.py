@@ -278,6 +278,12 @@ class TestEquivalentPair:
             assert not bounded_distinguish(m, n, n_prime, 8).distinguished
         assert found >= 60  # the corpus is not degenerate
 
+    @pytest.mark.parametrize("n_max, height_cap", [(-1, 64), (10, -1)])
+    def test_negative_budget_raises(self, xi2, n_max, height_cap):
+        with pytest.raises(ValueError, match="must be nonnegative, got "
+                           f"{n_max} and {height_cap}"):
+            find_equivalent_pair(xi2, n_max=n_max, height_cap=height_cap)
+
 
 class TestBoundedDistinguish:
     def test_equal_configs_never_distinguish(self, xi2):
@@ -291,6 +297,13 @@ class TestBoundedDistinguish:
     def test_reflexive(self, xi2):
         r = bounded_distinguish(xi2, 7, 7, 4)
         assert not r.distinguished
+
+    def test_negative_depth_raises(self, xi2):
+        # depth -1 used to report "indistinguishable for all inputs of
+        # length <= -1"
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            bounded_distinguish(xi2, 1, 5, -1)
+        assert not bounded_distinguish(xi2, 1, 2, 0).distinguished
 
 
 class TestSize:

@@ -408,10 +408,9 @@ class TestWindowIndex:
         for _ in range(60):
             data = _skewed_word(rng, letters)
             p = SequencePrefix("r", alphabet, data)
-            if letters < 256:
-                assert factor_complexity_profile(p, len(data)) == [
-                    naive_complexity(data, n)
-                    for n in range(1, len(data) + 1)], data
+            assert factor_complexity_profile(p, len(data)) == [
+                naive_complexity(data, n)
+                for n in range(1, len(data) + 1)], data
             assert right_special_count(p, len(data) - 1) == [
                 naive_right_special(data, n)
                 for n in range(1, len(data))], data
@@ -502,7 +501,8 @@ class TestWindowIndex:
             assert right_special_count(p, m) == full[:m]
 
     def test_full_byte_alphabet_right_special(self):
-        # no sentinel is involved, so byte 255 is an ordinary letter
+        # the index's sentinel is the value 256, so byte 255 is an
+        # ordinary letter for both counts
         alphabet = Alphabet(tuple(f"s{i}" for i in range(256)))
         rng = random.Random(7)
         for _ in range(40):
@@ -512,8 +512,9 @@ class TestWindowIndex:
             assert right_special_count(p, len(data) - 1) == [
                 naive_right_special(data, n)
                 for n in range(1, len(data))], data
-        with pytest.raises(ValueError, match="sentinel"):
-            factor_complexity_profile(p, 1)
+            assert factor_complexity_profile(p, len(data)) == [
+                naive_complexity(data, n)
+                for n in range(1, len(data) + 1)], data
 
     def test_last_block_occurs_once(self):
         # the blocks ending at the last position have no follower and
