@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import morphic as morphic_mod
 from . import pda as pda_mod
@@ -373,20 +374,9 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_fraction(s: str) -> Fraction:
-    """The fraction `_fraction_str` writes as s; any other text, such as
-    "10/8", " 5/4" or "5", raises ValueError."""
-    num, _, den = s.partition("/")
-    try:
-        value = Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or _fraction_str(value) != s:
-        raise ValueError(f"{s!r} is not a fraction p/q in lowest terms")
-    return value
-
-
-def certificate_to_json(cert: Certificate) -> str:
+def _document(cert: Certificate) -> dict:
+    """The JSON document of a certificate: the one definition of the
+    format, which certificate_from_json holds every file to."""
     doc = {
         "kind": cert.kind,
         "machine": cert.machine_ref,
@@ -406,7 +396,11 @@ def certificate_to_json(cert: Certificate) -> str:
     if cert.seed_letter is not None:
         doc["seedLetter"] = cert.seed_letter
         doc["seedPositions"] = list(cert.seed_positions)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
+
+
+def certificate_to_json(cert: Certificate) -> str:
+    return json.dumps(_document(cert), indent=2, sort_keys=True) + "\n"
 
 
 def _seed_positions(value) -> tuple[int, int]:
@@ -418,85 +412,69 @@ def _seed_positions(value) -> tuple[int, int]:
     return value[0], value[1]
 
 
-_INTEGERS = {"verifiedDepth", "k", "n", "nPrime"}
-_STRINGS = {"kind", "machine", "dioLowerBound", "ratioGrowthBound", "method",
-            "seedLetter"}
-_COMMON = {"kind", "machine", "dioLowerBound", "ratioGrowthBound",
-           "verifiedDepth", "witnesses"}
-_SEED = {"seedLetter", "seedPositions"}
-_PAIR = _COMMON | {"k", "n", "nPrime"}
-# the fields certificate_to_json writes for each kind, and the methods
-# the kinds that have one take
-_FIELDS = {"dfao-pigeonhole": _PAIR | {"method"},
-           "pda-pair": _PAIR | {"method"}, "sequence-pair": _PAIR,
-           "morphic-witness": _COMMON | _SEED}
+# the methods certify writes on the kinds that take one
 _METHODS = {"dfao-pigeonhole": ("exact",), "pda-pair": ("exact", "protected")}
-
-
-def _typed(obj: dict, key: str, kind: type):
-    """obj[key], which must be a JSON value of exactly that Python type:
-    true and false are not integers, and 2.0 or "2" is not 2."""
-    value = obj[key]
-    if type(value) is not kind:
-        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got "
-                         f"{json.dumps(value)}")
-    return value
-
-
-def _witness(obj) -> RepetitionWitness:
-    if not isinstance(obj, dict) or obj.keys() != {"u", "v", "ext"}:
-        raise ValueError("a witness is an object with exactly the integers "
-                         "'u', 'v' and 'ext'")
-    return RepetitionWitness(u=_typed(obj, "u", int), v=_typed(obj, "v", int),
-                             ext=_typed(obj, "ext", int))
+# one JSON text per value: 1 is not true, and 2 is not 2.0
+_canonical = partial(json.dumps, sort_keys=True)
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """A document of the wrong shape raises ValueError: every field has
-    one JSON type, and no object has a key beyond its known ones."""
+    """The certificate a document denotes, accepted only if the document
+    is the one certificate_to_json writes for it, key order and
+    whitespace aside. Anything else raises ValueError: a field certify
+    does not write for the kind, or another spelling of a value, such as
+    "10/8" for "5/4", 2.0 or "2" for 2, or true for 1.
+    """
     try:
         doc = json.loads(text)
-        unknown = set(doc) - set().union(*_FIELDS.values())
-        if unknown:
-            raise ValueError(f"unknown certificate fields: {sorted(unknown)}")
-        for key in sorted(doc.keys() & (_INTEGERS | _STRINGS)):
-            _typed(doc, key, int if key in _INTEGERS else str)
         kind = doc["kind"]
-        if kind not in _FIELDS:
+        if kind not in (*_MODEL_KINDS.values(), "sequence-pair"):
             raise ValueError(f"unknown certificate kind {kind!r}")
-        foreign = doc.keys() - _FIELDS[kind]
-        if foreign:
-            raise ValueError(f"a {kind} certificate has no fields "
-                             f"{sorted(foreign)}")
-        if kind in _METHODS and doc.get("method") not in _METHODS[kind]:
+        method = doc.get("method") if kind in _METHODS else None
+        if kind in _METHODS and method not in _METHODS[kind]:
             raise ValueError(f"a {kind} certificate takes method "
                              f"{' or '.join(_METHODS[kind])}, not "
                              f"{doc.get('method', 'none')}")
-        if 0 < len(doc.keys() & _SEED) < 2:
-            raise ValueError("'seedLetter' and 'seedPositions' come together")
-        pair = None
-        if kind != "morphic-witness":
+        k = pair = letter = positions = None
+        if kind == "morphic-witness":
+            if ("seedLetter" in doc) != ("seedPositions" in doc):
+                raise ValueError("'seedLetter' and 'seedPositions' come "
+                                 "together")
+            if "seedLetter" in doc:
+                letter = str(doc["seedLetter"])
+                positions = _seed_positions(doc["seedPositions"])
+        else:
             if not {"n", "nPrime", "k"} <= doc.keys():
                 raise ValueError("a pair certificate needs 'n', 'nPrime' and "
                                  "the radix 'k'")
-            pair = (doc["n"], doc["nPrime"])
-            if not (0 < pair[0] < pair[1]) or doc["k"] < 2:
+            k, n, n_prime = (int(doc[key]) for key in ("k", "n", "nPrime"))
+            if not (0 < n < n_prime) or k < 2:
                 raise ValueError("a pair certificate needs 0 < n < nPrime "
                                  "and k >= 2")
-        return Certificate(
-            kind=kind,
-            machine_ref=doc["machine"],
-            dio_lower_bound=_parse_fraction(doc["dioLowerBound"]),
-            ratio_growth_bound=_parse_fraction(doc["ratioGrowthBound"]),
-            verified_depth=doc["verifiedDepth"],
-            witnesses=tuple(map(_witness, doc["witnesses"])),
-            k=doc.get("k"),
-            pair=pair,
-            method=doc.get("method"),
-            seed_letter=doc.get("seedLetter"),
-            seed_positions=(_seed_positions(doc["seedPositions"])
-                            if "seedPositions" in doc else None),
-        )
+            pair = (n, n_prime)
+        # int() on each side of the slash: Fraction(text) would also read
+        # an exponent, and compute 10^e for "1e999999999"
+        bound, growth = (Fraction(*map(int, doc[key].split("/")))
+                         for key in ("dioLowerBound", "ratioGrowthBound"))
+        cert = Certificate(
+            kind=kind, machine_ref=str(doc["machine"]),
+            dio_lower_bound=bound, ratio_growth_bound=growth,
+            verified_depth=int(doc["verifiedDepth"]),
+            witnesses=tuple(RepetitionWitness(int(w["u"]), int(w["v"]),
+                                              int(w["ext"]))
+                            for w in doc["witnesses"]),
+            k=k, pair=pair, method=method, seed_letter=letter,
+            seed_positions=positions)
+        want = _document(cert)
+        if _canonical(doc) != _canonical(want):
+            foreign = sorted(doc.keys() - want.keys())
+            if foreign:
+                raise ValueError(f"a {kind} certificate has no fields {foreign}")
+            key = min(key for key in want
+                      if _canonical(doc[key]) != _canonical(want[key]))
+            raise ValueError(f"{key!r} is {_canonical(doc[key])} in the file, "
+                             f"but certify writes {_canonical(want[key])}")
+        return cert
     except (KeyError, TypeError, AttributeError, ArithmeticError,
             RecursionError) as exc:
         raise ValueError(str(exc)) from exc

@@ -11,8 +11,10 @@ raises leaves through its `invoke`, which prints one `error:` line.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -120,6 +122,16 @@ def _resolve_source(machine_path: str | None, stream: str | None,
     return None, _stream_or_die(stream, base)
 
 
+def _output_path(ctx, param, path: str | None) -> str | None:
+    """An --output path, checked when the options are parsed: a missing
+    directory raises, before any work, the OSError that writing the file
+    at the end would raise."""
+    if path and not Path(path).parent.is_dir():
+        code = errno.ENOTDIR if Path(path).parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return path
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -168,7 +180,8 @@ def main() -> None:
 @click.option("--base", type=int, default=None,
               help="Digit base for rational/surd streams.")
 @click.option("--count", type=int, default=64, show_default=True)
-@click.option("--output", type=str, default=None, help="Write here instead of stdout.")
+@click.option("--output", type=str, default=None, callback=_output_path,
+              help="Write here instead of stdout.")
 def digits(machine_path, stream, base, count, output):
     """Print the first COUNT symbols of a source."""
     if count < 0:
@@ -195,7 +208,7 @@ def digits(machine_path, stream, base, count, output):
               help="Prefix length for complexity tables (default 2^16).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
-@click.option("--output", type=str, default=None)
+@click.option("--output", type=str, default=None, callback=_output_path)
 def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             dilation_n, want_growth, prefix_length, fmt, output):
     """Profiles of a source: repetition ratios, complexity, dilation, growth."""
@@ -305,7 +318,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
 @click.option("--depth", type=int, default=12, show_default=True)
 @click.option("--scan-len", type=int, default=4096, show_default=True,
               help="Fixed-point scan window for morphic seeds.")
-@click.option("--output", type=str, default=None,
+@click.option("--output", type=str, default=None, callback=_output_path,
               help="Certificate JSON path (default: print to stdout).")
 def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
             scan_len, output):
@@ -397,7 +410,7 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
 
 @main.command()
 @click.option("--machine", "machine_path", type=str, required=True)
-@click.option("--output", type=str, required=True)
+@click.option("--output", type=str, required=True, callback=_output_path)
 def convert(machine_path, output):
     """Convert between a k-uniform morphic spec and its automaton."""
     machine = _load_machine_or_die(machine_path)
@@ -436,7 +449,7 @@ def equiv(machine_path, pair, depth):
               help="Input radix of the candidate machines (default: base).")
 @click.option("--states", type=int, required=True)
 @click.option("--len", "max_len", type=int, default=64, show_default=True)
-@click.option("--output", type=str, default=None,
+@click.option("--output", type=str, default=None, callback=_output_path,
               help="Write the best machine here.")
 def imitate(stream, base, k, states, max_len, output):
     """Longest digit-stream prefix reachable by a small automaton."""

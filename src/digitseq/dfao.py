@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .validation import ValidationReport
+from .validation import ValidationReport, _reach
 from .words import Alphabet, SequenceSource, _digit_levels
 
 __all__ = ["Dfao"]
@@ -92,14 +92,7 @@ class Dfao:
             if q not in known:
                 report.error("unknown-state", f"output for unknown state {q!r}")
         if not report.errors:
-            reached = {self.initial}
-            frontier = [self.initial]
-            while frontier:
-                q = frontier.pop()
-                for tgt in self.delta[q]:
-                    if tgt not in reached:
-                        reached.add(tgt)
-                        frontier.append(tgt)
+            reached = _reach(self.delta, self.initial, {})
             for q in self.states:
                 if q not in reached:
                     report.warn("unreachable-state", f"state {q!r} is unreachable")

@@ -2,7 +2,8 @@
 
 One document per machine, dispatched on "kind": "dfao", "morphic" (with
 "tag" accepted as an alias), or "dpao". Digits, names and symbols are
-JSON strings. Unknown fields are rejected so that typos fail loudly
+JSON strings, the base k a JSON integer, and a digit d < k is written
+exactly as str(d). Unknown fields are rejected so that typos fail loudly
 instead of silently changing a machine; any malformed document raises
 ValueError (a document nested too deeply to parse too), and an invalid
 machine ValidationError.
@@ -44,6 +45,22 @@ def _names(value) -> tuple[str, ...]:
     return tuple(map(_name, value))
 
 
+def _radix(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"'k' must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _digit(text, k: int) -> int:
+    """The digit d written exactly as str(d), with 0 <= d < k: " 0", "00"
+    or 0.7 is no digit, so two keys never name one digit."""
+    d = int(text)
+    if str(d) != text or not 0 <= d < k:
+        raise ValueError(f"{json.dumps(text)} is not a base-{k} digit "
+                         f"0..{k - 1}")
+    return d
+
+
 def _letters(value, what: str) -> tuple[str, ...]:
     """A rule/push word: a string of single-character names, or a list of
     names when any name is longer than one character."""
@@ -57,16 +74,11 @@ def _letters(value, what: str) -> tuple[str, ...]:
 def _dfao_from_dict(doc: dict) -> Dfao:
     _reject_unknown(doc, {"kind", "k", "states", "initial", "delta", "output"},
                     "dfao")
-    k = int(doc["k"])
+    k = _radix(doc["k"])
     states = _names(doc["states"])
     delta = {}
     for q, row in doc["delta"].items():
-        targets = {}
-        for digit_str, tgt in row.items():
-            d = int(digit_str)
-            if not (0 <= d < k):
-                raise ValueError(f"digit {digit_str!r} out of range for base {k}")
-            targets[d] = _name(tgt)
+        targets = {_digit(d, k): _name(tgt) for d, tgt in row.items()}
         if len(targets) < k:
             report = ValidationReport()
             report.error(
@@ -130,12 +142,12 @@ def _dpao_from_dict(doc: dict) -> Dpao:
         {"kind", "k", "states", "initial", "stack", "transitions", "output"},
         "dpao",
     )
-    k = int(doc["k"])
+    k = _radix(doc["k"])
     transitions = {}
     for t in doc["transitions"]:
         _reject_unknown(t, {"state", "top", "input", "to", "push"},
                         "dpao transition")
-        inp = None if t["input"] == "eps" else int(t["input"])
+        inp = None if t["input"] == "eps" else _digit(t["input"], k)
         push = _letters(t["push"], "push word") if t["push"] else ()
         key = (_name(t["state"]), _name(t["top"]), inp)
         if key in transitions:

@@ -20,13 +20,13 @@ and only for display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .dfao import Dfao
 from .errors import BudgetExceededError, NumericError
-from .validation import ValidationReport
+from .validation import ValidationReport, _reach
 from .words import Alphabet, SequencePrefix, SequenceSource
 
 __all__ = [
@@ -159,24 +159,6 @@ def incidence(spec: MorphicSpec) -> list[list[int]]:
         for b in spec.rules[a]:
             m[idx[b]][j] += 1
     return m
-
-
-def _reach(rules: Mapping[str, Iterable[str]], start: str,
-           known: Mapping[str, set[str]]) -> set[str]:
-    """Letters of sigma^n(start) for some n >= 0. A letter whose reach set
-    is `known` is not expanded: that whole set, closed under sigma, joins."""
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        a = frontier.pop()
-        if a in known:
-            reached |= known[a]
-            continue
-        for b in rules[a]:
-            if b not in reached:
-                reached.add(b)
-                frontier.append(b)
-    return reached
 
 
 def _components(spec: MorphicSpec) -> tuple[

@@ -1,10 +1,10 @@
 """Finite and infinite word primitives.
 
-Alphabets, finite words over an alphabet, prefixes of infinite sequences,
-base-k numeration, fractional powers, repetition witnesses and the search
-for them, factor complexity, and right-special factor counting. Both
-factor counts read one integer index of a prefix: its windows sorted by
-prefix doubling on integer ranks, with their start positions and the
+Alphabets, finite words over an alphabet, prefixes of infinite
+sequences, base-k numeration, repetition witnesses and the search for
+them, factor complexity, and right-special factor counting. Both factor
+counts read one integer index of a prefix: its windows sorted by prefix
+doubling on integer ranks, with their start positions and the
 common-prefix length of each adjacent pair. The prefix keeps the widest
 index built for it, so one sort serves every block length of both
 profiles. The repetition search scans back from the target length for
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "RepetitionWitness",
     "digit_alphabet",
     "encode_base_k",
-    "decode_base_k",
-    "fractional_power",
     "verify_repetition",
     "best_repetition_at",
     "dio_profile",
@@ -110,10 +108,6 @@ class Word:
     def text(self, sep: str = "") -> str:
         return sep.join(self.alphabet.symbols[i] for i in self.indices)
 
-    @staticmethod
-    def from_symbols(alphabet: Alphabet, symbols: Iterable[str]) -> "Word":
-        return Word(alphabet, tuple(alphabet.index(s) for s in symbols))
-
 
 @dataclass(frozen=True)
 class SequencePrefix:
@@ -133,14 +127,6 @@ class SequencePrefix:
 
     def __len__(self) -> int:
         return len(self.data)
-
-    def symbol_at(self, position: int) -> str:
-        """Symbol at a 1-based position."""
-        if not (1 <= position <= len(self.data)):
-            raise InsufficientDataError(
-                f"position {position} outside prefix of length {len(self.data)}"
-            )
-        return self.alphabet.symbols[self.data[position - 1]]
 
     def text(self, sep: str = "") -> str:
         """The symbols joined by sep: one `str.translate` of the bytes,
@@ -259,33 +245,6 @@ def _digit_levels(k: int, count: int):
         parents, digits = np.divmod(np.arange(lo, hi), k)
         yield lo, hi, parents, digits
         lo = hi
-
-
-def decode_base_k(word: Word | Sequence[int], k: int) -> int:
-    """Integer value of a digit word; leading zeros are allowed."""
-    if k < 2:
-        raise ValueError(f"base must be at least 2, got {k}")
-    digits = word.indices if isinstance(word, Word) else tuple(word)
-    value = 0
-    for d in digits:
-        if not (0 <= d < k):
-            raise ValueError(f"digit {d} out of range for base {k}")
-        value = value * k + d
-    return value
-
-
-def fractional_power(word: Word, exponent: Fraction | int) -> Word:
-    """The word W^x: W repeated floor(x) times, then the prefix of W of
-    length ceil({x} * |W|)."""
-    x = Fraction(exponent)
-    if x <= 0:
-        raise ValueError("exponent must be positive")
-    if len(word) == 0:
-        raise ValueError("cannot take a fractional power of the empty word")
-    whole, frac = divmod(x, 1)
-    head = -((-frac * len(word)) // 1)  # ceil of frac * |W|, exact
-    indices = word.indices * int(whole) + word.indices[: int(head)]
-    return Word(word.alphabet, indices)
 
 
 def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> bool:

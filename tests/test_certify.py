@@ -7,10 +7,10 @@ import pytest
 
 from conftest import iterated_lengths_loop, periodic_source, random_morphic
 from digitseq import catalog, dfao, numbers, pda
-from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
-                              _parse_fraction, certificate_from_json,
-                              certificate_from_pair, certificate_to_json,
-                              certify_dfao, certify_morphic, certify_pda,
+from digitseq.certify import (Certificate, _morphic_family,
+                              certificate_from_json, certificate_from_pair,
+                              certificate_to_json, certify_dfao,
+                              certify_morphic, certify_pda,
                               verify_certificate)
 from digitseq.errors import BudgetExceededError, PairRefutedError
 from digitseq.morphic import MorphicSpec, RepetitionSeed, repetition_seed
@@ -338,13 +338,18 @@ class TestJsonRoundTrip:
         back = certificate_from_json(text)
         assert back == cert
 
-    def test_unknown_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
+    def test_unknown_fields_rejected(self, xi2):
+        # a pda-pair needs its method before any other field is read
+        with pytest.raises(ValueError, match="takes method"):
             certificate_from_json(
                 '{"kind": "pda-pair", "machine": "m", "dioLowerBound": "5/4",'
                 ' "ratioGrowthBound": "2", "verifiedDepth": 0,'
                 ' "witnesses": [], "surprise": 1}'
             )
+        doc = json.loads(certificate_to_json(certify_pda(xi2, depth=2)))
+        with pytest.raises(ValueError, match=r"a pda-pair certificate has "
+                                             r"no fields \['surprise'\]"):
+            certificate_from_json(json.dumps(doc | {"surprise": 1}))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -382,15 +387,34 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("text", [
         "+10/8", "10/8", " 5/4", "5/4 ", "5_0/4_0", "+5/+4", "05/4", "5/-4",
         "-0/1", "5", "5/", "/4", "5/0", "5/4/1", "five/4", ""])
-    def test_fraction_text_must_be_canonical(self, text):
-        with pytest.raises(ValueError, match="lowest terms"):
-            _parse_fraction(text)
+    def test_fraction_text_must_be_canonical(self, xi2_source, text):
+        doc = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3)))
+        doc["dioLowerBound"] = text
+        # text that int() reads on each side of the slash loads as a
+        # fraction that certify writes differently
+        unreadable = text in ("5/", "/4", "5/0", "5/4/1", "five/4", "")
+        with pytest.raises(ValueError, match=None if unreadable else
+                           "'dioLowerBound' is .* but certify writes"):
+            certificate_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [
         Fraction(5, 4), Fraction(-3, 7), Fraction(0), Fraction(2),
         Fraction(10 ** 30 + 1, 10 ** 29)])
-    def test_fraction_text_round_trips(self, value):
-        assert _parse_fraction(_fraction_str(value)) == value
+    def test_fraction_text_round_trips(self, xi2_source, value):
+        cert = dataclasses.replace(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=3),
+            dio_lower_bound=value)
+        assert certificate_from_json(certificate_to_json(cert)) == cert
+
+    @pytest.mark.parametrize("witnesses", [{}, ""])
+    def test_witnesses_must_be_an_array(self, xi2_source, witnesses):
+        doc = json.loads(certificate_to_json(
+            certificate_from_pair(xi2_source, 1, 5, 2, depth=0)))
+        doc["witnesses"] = witnesses
+        with pytest.raises(ValueError, match="'witnesses' is .* but certify "
+                                             "writes \\[\\]"):
+            certificate_from_json(json.dumps(doc))
 
     def test_each_kind_takes_only_its_fields(self, xi1, xi2_source):
         pair = json.loads(certificate_to_json(

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import naive_complexity, naive_right_special
-from digitseq import __version__, catalog
+from digitseq import __version__, catalog, pda
 from digitseq.cli import main
 from digitseq.dfao import Dfao
 from digitseq.machinefile import machine_to_dict
@@ -445,11 +445,12 @@ class TestCertifyVerify:
 
     @pytest.mark.parametrize("name, edit, message", [
         ("xi2", {"dioLowerBound": text},
-         f"{text!r} is not a fraction p/q in lowest terms")
+         f"'dioLowerBound' is {json.dumps(text)} in the file, but certify "
+         'writes "5/4"')
         for text in ("+10/8", "10/8", " 5/4", "5_0/4_0", "+5/+4", "5/4 ")
     ] + [
         ("xi2", {"ratioGrowthBound": "2"},
-         "'2' is not a fraction p/q in lowest terms"),
+         '\'ratioGrowthBound\' is "2" in the file, but certify writes "2/1"'),
         ("xi2", {"seedLetter": "a"},
          "a pda-pair certificate has no fields ['seedLetter']"),
         ("three-squares", {"seedLetter": "a"},
@@ -724,7 +725,8 @@ class TestErrorTable:
     def test_mistyped_certificate_exits_2(self, runner, machines, tmp_path,
                                           edit):
         # int() reads "6", 0.9 and "2" as integers, and the rebuilt
-        # family does not look at witness keys or the method's type
+        # family does not look at witness keys or the method's type: the
+        # document is not the one certify writes for what it denotes
         cert = tmp_path / "cert.json"
         machine = str(machines / "three-squares.json")
         run_cli(runner, ["certify", "--machine", machine, "--depth", "6",
@@ -747,8 +749,10 @@ class TestErrorTable:
          "1", "--len", "8", "--output", "MISSING"],
         ["catalog", "export", "--dir", "MACHINES/xi1.json"],
         ["digits", "--machine", "MACHINES"],
+        ["analyze", "--stream", "xi3", "--dio", "2^4", "--output", "MISSING"],
     ], ids=["digits-output", "certify-output", "convert-output",
-            "imitate-output", "catalog-export-dir", "machine-directory"])
+            "imitate-output", "catalog-export-dir", "machine-directory",
+            "analyze-output"])
     def test_file_errors_exit_2(self, runner, machines, tmp_path, args):
         missing = str(tmp_path / "no" / "such" / "dir" / "x")
         args = [a.replace("MISSING", missing).replace("MACHINES",
@@ -756,10 +760,27 @@ class TestErrorTable:
                 for a in args]
         r = run_cli(runner, args)
         assert r.exit_code == 2
-        # imitate reports its index before it writes the machine
-        assert r.output.splitlines()[-1].startswith("error: ")
-        assert "Traceback" not in r.output
+        # one error line: imitate stops before it prints its index
+        assert len(r.output.splitlines()) == 1
+        assert r.output.startswith("error: ")
+        if "--output" in args:
+            assert r.output == ("error: [Errno 2] No such file or "
+                                f"directory: '{missing}'\n")
         assert not Path(missing).parent.exists()
+
+    def test_output_directory_is_checked_before_the_search(
+            self, runner, machines, tmp_path, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the pair search ran")
+
+        monkeypatch.setattr(pda, "find_equivalent_pair", search)
+        missing = tmp_path / "no" / "x"
+        r = run_cli(runner, ["certify", "--machine",
+                             str(machines / "xi2.json"), "--depth", "18",
+                             "--output", str(missing)])
+        assert r.exit_code == 2
+        assert r.output == ("error: [Errno 2] No such file or directory: "
+                            f"'{missing}'\n")
 
     def test_machine_directory_keeps_the_load_message(self, runner,
                                                       machines):

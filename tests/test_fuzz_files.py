@@ -126,6 +126,10 @@ def test_certificate_documents(edit):
         cert = certificate_from_json(text)
     except ValueError:
         return
+    # a document that loads is the one certify writes for what it denotes
+    assert (json.dumps(json.loads(text), sort_keys=True)
+            == json.dumps(json.loads(certificate_to_json(cert)),
+                          sort_keys=True))
     # a certificate that loads gets a verdict, and an edit that changes a
     # checked field is rejected
     machine = catalog.get(name) if name in catalog.names() else None

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import tracemalloc
 
@@ -66,6 +67,27 @@ class TestStrictness:
         doc = machine_to_dict(tm_dfao)
         del doc["delta"]["q0"]["1"]
         with pytest.raises(ValidationError):
+            loads_machine(json.dumps(doc))
+
+    @pytest.mark.parametrize("name, edit, message", [
+        # read as 0, " 0" replaced the "0" entry: another machine, picked
+        # by key order, printed 0110101110111010 for thue-morse
+        ("thue-morse",
+         lambda d: d["delta"].update(q0={"0": "q0", " 0": "q1", "1": "q1"}),
+         '" 0" is not a base-2 digit 0..1'),
+        ("thue-morse", lambda d: d.update(k="2"),
+         "'k' must be a JSON integer, got \"2\""),
+        ("thue-morse", lambda d: d.update(k=2.9),
+         "'k' must be a JSON integer, got 2.9"),
+        ("xi2", lambda d: next(t for t in d["transitions"]
+                               if t["input"] == "0").update(input=0.7),
+         "0.7 is not a base-2 digit 0..1"),
+    ], ids=["dfao-digit-with-space", "k-string", "k-float",
+            "dpao-input-float"])
+    def test_digits_and_k_are_written_one_way(self, name, edit, message):
+        doc = machine_to_dict(catalog.get(name))
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
             loads_machine(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["xi2", "thue-morse"])

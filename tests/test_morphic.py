@@ -110,7 +110,7 @@ class TestFixedPoint:
         # position later, so the word begins 0 1 0 0 1 ...
         ext = squares.source("squares").prefix(10)
         assert ext.text() == "0100100001"
-        ones = {p for p in range(1, 11) if ext.symbol_at(p) == "1"}
+        ones = {p for p in range(1, 11) if ext.text()[p - 1] == "1"}
         assert ones == {m * m + 1 for m in (1, 2, 3)}
 
     def test_internal_is_a_fixed_point(self, xi1, squares, tm_morphic):

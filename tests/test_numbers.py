@@ -93,7 +93,7 @@ class TestXi3:
         assert xi3_value(51) == 2  # binary 110011 = ones^2 zeros^2 ones^2
 
     def test_positions_start_at_one(self):
-        assert xi3_source().prefix(1).symbol_at(1) == str(xi3_value(1))
+        assert xi3_source().prefix(1).text() == str(xi3_value(1))
 
     def test_matches_regex_oracle(self):
         text = xi3_source().prefix(4000).text()
