@@ -11,8 +11,7 @@ lower bounds on the Diophantine exponent of the output.
 
 from . import catalog, certify, dfao, machinefile, morphic, numbers, pda, tag, words
 from .errors import (BudgetExceededError, DigitSeqError, EnumerationCapError,
-                     InsufficientDataError, NumericError, PairRefutedError,
-                     ValidationError)
+                     InsufficientDataError, PairRefutedError, ValidationError)
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,5 @@ __all__ = [
     "BudgetExceededError",
     "EnumerationCapError",
     "PairRefutedError",
-    "NumericError",
     "__version__",
 ]

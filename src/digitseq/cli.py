@@ -278,7 +278,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             )
         if want_growth:
             report = morphic_mod.growth_report(machine)
-            radius = morphic_mod.spectral_radius_estimate(machine)
+            radius = report.radius
             letters = sorted(report.per_letter.items())
             doc["growth"] = {
                 "radiusEstimate": radius,

@@ -58,7 +58,3 @@ class PairRefutedError(DigitSeqError):
         super().__init__(
             f"pair ({n}, {n_prime}) refuted at level {level}, offset {offset}"
         )
-
-
-class NumericError(DigitSeqError):
-    """A numeric routine failed to produce a usable result."""

@@ -121,10 +121,10 @@ def _morphic_from_dict(doc: dict) -> MorphicSpec:
     )
 
 
-def _morphic_to_dict(spec: MorphicSpec, kind: str = "morphic") -> dict:
+def _morphic_to_dict(spec: MorphicSpec) -> dict:
     single = all(len(a) == 1 for a in spec.internal)
     return {
-        "kind": kind,
+        "kind": "morphic",
         "internal": list(spec.internal),
         "start": spec.start,
         "rules": {

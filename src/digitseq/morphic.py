@@ -9,12 +9,12 @@ streams the coded word, and `fixed_point_prefix` is the one way to read
 the internal letters, which certificates, dilation profiles and
 repetition seeds work on.
 
-Growth is decided two ways on purpose: the boolean "exponential" answer is
-purely combinatorial, because certificates depend on it: the growth is
-exponential exactly when some letter has two letters of its image, counted
-with multiplicity, in its own strongly connected component of the
-incidence multigraph. The numeric spectral radius is reported separately
-and only for display.
+Growth is decided from one decomposition, the strongly connected
+components of the incidence multigraph. Exponential growth is purely
+combinatorial, because certificates depend on it: some letter has two
+letters of its image, counted with multiplicity, in its own component.
+The spectral radius, shown only for display, is the largest component
+radius (Perron-Frobenius), so the whole matrix is never eigensolved.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .dfao import Dfao
-from .errors import BudgetExceededError, NumericError
+from .errors import BudgetExceededError
 from .validation import ValidationReport, _reach
 from .words import Alphabet, SequencePrefix, SequenceSource
 
@@ -199,30 +199,6 @@ def exponential_growth(spec: MorphicSpec) -> bool:
     return max(inside.values()) >= 2
 
 
-def spectral_radius_estimate(spec: MorphicSpec) -> float:
-    """Numeric spectral radius of the incidence matrix.
-
-    Computed by a dense eigensolve of the small integer matrix, which
-    handles the defective radius-1 matrices that defeat plain power
-    iteration. A radius on the wrong side of 1 +- 1e-6 from
-    exponential_growth's exact decision raises NumericError.
-    """
-    m = np.array(incidence(spec), dtype=float)
-    try:
-        eigenvalues = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed: {exc}") from exc
-    radius = float(np.max(np.abs(eigenvalues)))
-    if not np.isfinite(radius):
-        raise NumericError("eigensolver returned a non-finite radius")
-    exact = exponential_growth(spec)
-    if (exact and radius < 1 - 1e-6) or (not exact and radius > 1 + 1e-6):
-        raise NumericError(
-            f"numeric radius {radius} contradicts the combinatorial decision"
-        )
-    return radius
-
-
 @dataclass(frozen=True)
 class LetterGrowth:
     theta: float
@@ -235,6 +211,11 @@ class GrowthReport:
     per_letter: dict[str, LetterGrowth]
     maximal: tuple[str, ...]
     global_exponential: bool
+
+    @property
+    def radius(self) -> float:
+        """The largest letter theta, which is the largest component radius."""
+        return max(g.theta for g in self.per_letter.values())
 
 
 def _radius(members: tuple[str, ...], spec: MorphicSpec,
@@ -298,6 +279,13 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
     )
     return GrowthReport(per_letter=per_letter, maximal=maximal,
                         global_exponential=max(inside.values()) >= 2)
+
+
+def spectral_radius_estimate(spec: MorphicSpec) -> float:
+    """Spectral radius of the incidence matrix, growth_report(spec).radius:
+    by Perron-Frobenius the largest component radius, and so exactly 1.0
+    for a spec without exponential growth."""
+    return growth_report(spec).radius
 
 
 # output symbols per gather, so index arrays stay at 128 KiB; at 2^20

@@ -19,8 +19,8 @@ import numpy as np
 
 from .dfao import Dfao
 from .errors import EnumerationCapError
-from .words import (Alphabet, SequencePrefix, SequenceSource, _digit_levels,
-                    digit_alphabet, encode_base_k)
+from .words import (Alphabet, SequenceSource, _digit_levels, digit_alphabet,
+                    encode_base_k)
 
 __all__ = [
     "rational_source",
@@ -149,7 +149,7 @@ def expansion_stream(number: str, whole: int, fraction: SequenceSource
     against.
     """
     b = fraction.alphabet.size
-    head = bytes(encode_base_k(whole, b).indices)
+    head = bytes(encode_base_k(whole, b))
 
     def gen(n: int) -> bytes:
         if n <= len(head):
@@ -330,5 +330,4 @@ def _file_source(path: str) -> SequenceSource:
         raise ValueError(f"stream file {path!r} is empty")
     alphabet = Alphabet(tuple(sorted(set(tokens))))
     data = bytes(alphabet.index(t) for t in tokens)
-    prefix = SequencePrefix(f"file:{path}", alphabet, data)
-    return SequenceSource.from_prefix(prefix)
+    return SequenceSource(f"file:{path}", alphabet, lambda n: data[:n])

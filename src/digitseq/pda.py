@@ -91,6 +91,10 @@ class Dpao:
             report.error("invalid-base", f"input base must be >= 2, got {self.k}")
         states = set(self.states)
         symbols = set(self.stack_symbols)
+        if len(states) != len(self.states):
+            report.error("duplicate-state", "state names must be distinct")
+        if len(symbols) != len(self.stack_symbols):
+            report.error("duplicate-symbol", "stack symbols must be distinct")
         if BOTTOM in symbols:
             report.error("unknown-symbol", "'#' is reserved for the stack bottom")
         if self.initial not in states:
@@ -316,7 +320,7 @@ class _Core:
         if n < 0:
             raise ValueError("input integer must be nonnegative")
         state, node = np.full(1, self.initial), np.zeros(1, dtype=np.int32)
-        for d in encode_base_k(n, self.k).indices:
+        for d in encode_base_k(n, self.k):
             state, node = self.step(state, node, np.full(1, d))
         return int(state[0]), int(node[0])
 

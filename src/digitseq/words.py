@@ -1,14 +1,13 @@
 """Finite and infinite word primitives.
 
-Alphabets, finite words over an alphabet, prefixes of infinite
-sequences, base-k numeration, repetition witnesses and the search for
-them, factor complexity, and right-special factor counting. Both factor
-counts read one integer index of a prefix: its windows sorted by prefix
-doubling on integer ranks, with their start positions and the
-common-prefix length of each adjacent pair. The prefix keeps the widest
-index built for it, so one sort serves every block length of both
-profiles. The repetition search scans back from the target length for
-many periods at once, in numpy blocks of bounded size.
+Alphabets, prefixes of infinite sequences, base-k numeration, repetition
+witnesses and the search for them, factor complexity, and right-special
+factor counting. Both factor counts read one integer index of a prefix:
+its windows sorted by prefix doubling on integer ranks, with their start
+positions and the common-prefix length of each adjacent pair. The prefix
+keeps the widest index built for it, so one sort serves every block
+length of both profiles. The repetition search scans back from the
+target length for many periods at once, in numpy blocks of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -27,7 +26,6 @@ from .errors import InsufficientDataError
 
 __all__ = [
     "Alphabet",
-    "Word",
     "SequencePrefix",
     "SequenceSource",
     "RepetitionWitness",
@@ -91,25 +89,6 @@ def digit_alphabet(k: int) -> Alphabet:
 
 
 @dataclass(frozen=True)
-class Word:
-    """A finite word: a sequence of symbol indices into an alphabet."""
-
-    alphabet: Alphabet
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.alphabet.size
-        if any(not (0 <= i < n) for i in self.indices):
-            raise ValueError("word contains an index outside its alphabet")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def text(self, sep: str = "") -> str:
-        return sep.join(self.alphabet.symbols[i] for i in self.indices)
-
-
-@dataclass(frozen=True)
 class SequencePrefix:
     """The first N symbols of an infinite word, positions 1..N.
 
@@ -169,20 +148,6 @@ class SequenceSource:
             self._cache = data
         return SequencePrefix(self.source_id, self.alphabet, self._cache[:n])
 
-    @staticmethod
-    def from_prefix(prefix: SequencePrefix) -> "SequenceSource":
-        """A finite source backed by an already-materialized prefix."""
-
-        def gen(n: int) -> bytes:
-            if n > len(prefix.data):
-                raise InsufficientDataError(
-                    f"source {prefix.source_id!r} holds only "
-                    f"{len(prefix.data)} symbols, {n} requested"
-                )
-            return prefix.data[:n]
-
-        return SequenceSource(prefix.source_id, prefix.alphabet, gen)
-
 
 @dataclass(frozen=True)
 class RepetitionWitness:
@@ -215,19 +180,18 @@ class RepetitionWitness:
         return Fraction(self.ext, self.v)
 
 
-def encode_base_k(n: int, k: int) -> Word:
-    """Base-k digits of n, most significant first; 0 encodes to the empty word."""
+def encode_base_k(n: int, k: int) -> tuple[int, ...]:
+    """Base-k digits of n, most significant first; 0 encodes to no digits."""
     if k < 2:
         raise ValueError(f"base must be at least 2, got {k}")
     if n < 0:
         raise ValueError("cannot encode a negative integer")
-    alphabet = digit_alphabet(k)
     digits = []
     while n > 0:
         n, r = divmod(n, k)
         digits.append(r)
     digits.reverse()
-    return Word(alphabet, tuple(digits))
+    return tuple(digits)
 
 
 def _digit_levels(k: int, count: int):

@@ -53,7 +53,9 @@ def str_prefix(text: str, symbols: str | None = None,
 
 def str_source(text: str, symbols: str | None = None,
                source_id: str = "test") -> SequenceSource:
-    return SequenceSource.from_prefix(str_prefix(text, symbols, source_id))
+    prefix = str_prefix(text, symbols, source_id)
+    return SequenceSource(source_id, prefix.alphabet,
+                          lambda n: prefix.data[:n])
 
 
 def periodic_source(block: str, symbols: str | None = None) -> SequenceSource:
@@ -112,14 +114,14 @@ def run(m: Dfao, n: int) -> str:
     """Output symbol for input n: tau(delta(q0, <n>_k))."""
     if n < 0:
         raise ValueError("input integer must be nonnegative")
-    return m.output[run_word(m, encode_base_k(n, m.k).indices)]
+    return m.output[run_word(m, encode_base_k(n, m.k))]
 
 
 def pigeonhole_pair(m: Dfao) -> tuple[int, int]:
     """The first n < n' reaching equal states, scanning n = 1, 2, ..."""
     seen: dict[str, int] = {}
     for n in range(1, m.state_count() + 2):
-        state = run_word(m, encode_base_k(n, m.k).indices)
+        state = run_word(m, encode_base_k(n, m.k))
         if state in seen:
             return seen[state], n
         seen[state] = n
@@ -186,7 +188,7 @@ def config_of(m: Dpao, n: int) -> StackConfig:
     if n < 0:
         raise ValueError("input integer must be nonnegative")
     config = initial_config(m)
-    for d in encode_base_k(n, m.k).indices:
+    for d in encode_base_k(n, m.k):
         config = step_input(m, config, d)
     return config
 
@@ -466,6 +468,14 @@ def morphic_growth_oracle(spec: MorphicSpec) -> bool:
         if sum(counts) > threshold:
             return True
     return False
+
+
+def incidence_radius_oracle(spec: MorphicSpec) -> float:
+    """Spectral radius by a dense eigensolve of the whole incidence
+    matrix, the route that the largest component radius replaced."""
+    from digitseq.morphic import incidence
+    m = np.array(incidence(spec), dtype=float)
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def _edges(spec: MorphicSpec) -> dict[str, dict[str, int]]:

@@ -534,6 +534,21 @@ class TestOtherCommands:
         assert r.exit_code == 0
         assert "\n  maximal-growth letters: a, b\n" in r.output
 
+    def test_polynomial_growth_radius_is_exactly_one(self, runner, tmp_path):
+        # a, then the 3-cycle d -> b -> c -> d: a whole-matrix eigensolve
+        # gives 1.0000000000000002
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "kind": "morphic", "internal": ["a", "b", "c", "d"],
+            "start": "a", "rules": {"a": "ad", "b": "c", "c": "d", "d": "b"},
+            "external": ["0", "1"],
+            "coding": {"a": "0", "b": "1", "c": "0", "d": "1"},
+        }), encoding="utf-8")
+        r = run_cli(runner, ["analyze", "--machine", str(path), "--growth",
+                             "--format", "json"])
+        assert r.exit_code == 0
+        assert '\n    "radiusEstimate": 1.0\n' in r.output
+
     @pytest.mark.parametrize("command", ["dilation", "growth"])
     def test_reports_are_analyze_options_only(self, runner, machines,
                                               command):
@@ -661,7 +676,7 @@ class TestErrorTable:
                              "--stream", f"file:{stream}"])
         assert r.exit_code == 3
         assert r.output.startswith("error: source ")
-        assert "holds only 2 symbols" in r.output
+        assert "produced 2 of" in r.output
 
     @pytest.mark.parametrize("name, edit, report", [
         ("thue-morse", lambda d: d["delta"]["q0"].pop("1"),
@@ -670,6 +685,10 @@ class TestErrorTable:
         ("xi2", lambda d: d["transitions"].append(d["transitions"][0]),
          "error[determinism-conflict]: duplicate transition at "
          "('q-1', '#', '0')"),
+        ("xi2", lambda d: d["states"].append("q1"),
+         "error[duplicate-state]: state names must be distinct"),
+        ("xi2", lambda d: d["stack"].append("X"),
+         "error[duplicate-symbol]: stack symbols must be distinct"),
     ])
     def test_errors_found_while_parsing_print_the_report(
             self, runner, tmp_path, name, edit, report):

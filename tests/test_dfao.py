@@ -85,7 +85,7 @@ class TestLeadingZeros:
         from digitseq.words import encode_base_k
         for m in (tm_dfao, three_squares):
             for n in (0, 1, 5, 7, 23, 100):
-                digits = encode_base_k(n, 2).indices
+                digits = encode_base_k(n, 2)
                 for j in (1, 2, 3):
                     assert run_word(m, (0,) * j + digits) == \
                         run_word(m, digits)

@@ -191,7 +191,7 @@ def test_long_surd_expansions_match_the_divmod_loop(d, b, count):
     whole, digits = surd_digit_loop(d, b, count)
     assert surd_source(d, b).prefix(count).data == digits
     # the expansion stream puts the integer part's digits in front
-    head = bytes(encode_base_k(whole, b).indices)
+    head = bytes(encode_base_k(whole, b))
     stream = parse_stream_spec(f"surd:{d}", b, expansion=True)
     assert stream.prefix(len(head) + count).data == head + digits
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import (expand_word, growth_report_oracle, morphic_growth_oracle,
+from conftest import (expand_word, growth_report_oracle,
+                      incidence_radius_oracle, morphic_growth_oracle,
                       random_morphic)
 from digitseq import catalog, dfao, pda, words
 from digitseq.errors import ValidationError
@@ -31,6 +32,12 @@ def invalid_kinds(rules: dict[str, str]) -> set[str]:
 
 
 FIB = make_spec({"a": "ab", "b": "a"})
+# a -> a d -> a d b: a fixed letter, then a 3-cycle, whose incidence matrix
+# is defective at 1; a whole-matrix eigensolve gives 1.0000000000000002
+CYCLE = make_spec({"a": "ad", "b": "c", "c": "d", "d": "b"})
+# two components of radius 2, {a, d} above {b, c}: 2 is a defective
+# eigenvalue, which a whole-matrix eigensolve finds as 2.000000016
+TWO_OF_RADIUS_TWO = make_spec({"a": "abd", "b": "c", "c": "bbc", "d": "cda"})
 
 
 def wide_morphic(rng: random.Random, d: int) -> MorphicSpec:
@@ -224,8 +231,37 @@ class TestGrowth:
         for _ in range(120):
             spec = random_morphic(rng)
             exact = exponential_growth(spec)
-            assert exact == (spectral_radius_estimate(spec) > 1 + 1e-6)
+            assert exact == (incidence_radius_oracle(spec) > 1 + 1e-6)
             assert exact == morphic_growth_oracle(spec)
+
+    def test_radius_is_the_largest_letter_theta(self):
+        rng = random.Random(1616)
+        specs = [m for m in map(catalog.get, catalog.names())
+                 if isinstance(m, MorphicSpec)]
+        specs += [random_morphic(rng) for _ in range(600)]
+        for spec in specs:
+            report = growth_report(spec)
+            radius = spectral_radius_estimate(spec)
+            assert radius == report.radius == max(
+                g.theta for g in report.per_letter.values())
+            # a radius that two chained components share is a defective
+            # eigenvalue, which a dense eigensolve of the whole matrix
+            # finds only to about the square root of the float epsilon
+            shared = any(g.theta == radius > 1 and g.poly_degree > 0
+                         for g in report.per_letter.values())
+            tolerance = 1e-7 if shared else 1e-9
+            assert abs(radius - incidence_radius_oracle(spec)) <= tolerance
+
+    def test_radius_is_exact_where_the_eigensolve_is_not(self):
+        assert spectral_radius_estimate(TWO_OF_RADIUS_TWO) == 2.0
+        assert abs(incidence_radius_oracle(TWO_OF_RADIUS_TWO) - 2.0) > 1e-9
+
+    def test_polynomial_growth_has_radius_exactly_one(self, squares):
+        rng = random.Random(1617)
+        specs = [squares, CYCLE] + [random_morphic(rng) for _ in range(300)]
+        for spec in specs:
+            if not exponential_growth(spec):
+                assert spectral_radius_estimate(spec) == 1.0, spec
 
 
 class TestRepetitionSeed:

@@ -83,6 +83,17 @@ class TestValidation:
         }
         assert "unknown-symbol" in invalid_kinds(t)
 
+    @pytest.mark.parametrize("states, symbols, kind", [
+        (("p", "q", "q"), ("X",), "duplicate-state"),
+        (("p", "q"), ("X", "X"), "duplicate-symbol"),
+    ])
+    def test_repeated_names(self, states, symbols, kind):
+        t = {(q, a, d): ("p", ()) for q in ("p", "q")
+             for a in ("X", BOTTOM) for d in (0, 1)}
+        with pytest.raises(ValidationError) as exc:
+            tiny(t, states=states, symbols=symbols)
+        assert exc.value.report.error_kinds() == {kind}
+
 
 class TestStep:
     def test_xi2_printed_transitions(self, xi2):
