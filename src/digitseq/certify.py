@@ -2,9 +2,10 @@
 
 A certificate packages machine-checkable evidence that an output sequence
 has Diophantine exponent above 1: a family of repetition witnesses that
-were actually verified against a generated prefix, exact rational bounds,
-and the depth to which the checks ran. Everything stored is an integer or
-an exact rational, so re-verification is bit-for-bit reproducible.
+were actually verified against a generated prefix and the depth to which
+the checks ran, with exact rational bounds derived from the family. Each
+number is an integer or an exact rational, so re-verification is
+bit-for-bit reproducible.
 
 Position bookkeeping (fixed once, used everywhere): machine outputs are
 indexed from n = 0, and input integer n sits at 1-based sequence position
@@ -20,6 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 from . import morphic as morphic_mod
 from . import pda as pda_mod
@@ -44,27 +46,25 @@ __all__ = [
 _MODEL_KINDS = {Dfao: "dfao-pigeonhole",
                 morphic_mod.MorphicSpec: "morphic-witness",
                 pda_mod.Dpao: "pda-pair"}
+_PAIR_KINDS = ("dfao-pigeonhole", "pda-pair", "sequence-pair")
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Evidence that a source's output has dio > 1, verified to a depth.
 
-    For pair kinds, dio_lower_bound is 1 + 1/(n'-1) = n'/(n'-1), a
-    declared convention that no witness achieves: every witness of a
-    pair family has ratio (n'+1)/n', just below it. ROADMAP item 1
-    ("certificates that claim only what their witnesses prove") replaces
-    it by the least witness ratio. The morphic kind already follows that
-    rule: its bound is the minimum of the verified witness ratios.
-    ratio_growth_bound caps the growth of consecutive witnessed prefix
-    lengths: k for pair families, the longest image length for morphic
-    ones.
+    It holds only what its family cannot derive: construction raises
+    ValueError unless verified_depth is the number of witnesses minus one
+    and at least 0, the pair kinds and only they carry a pair and a
+    radix, and a pair's witnesses are its family. The bounds are derived.
+    dio_lower_bound is n'/(n'-1) for pair kinds, a convention no witness
+    achieves (each has ratio (n'+1)/n'), and the least witness ratio for
+    the morphic kind. ratio_growth_bound is k for pair kinds, and the
+    largest growth of u + v between consecutive witnesses for morphic.
     """
 
     kind: str
     machine_ref: str
-    dio_lower_bound: Fraction
-    ratio_growth_bound: Fraction
     verified_depth: int
     witnesses: tuple[RepetitionWitness, ...]
     k: int | None = None
@@ -73,20 +73,48 @@ class Certificate:
     seed_letter: str | None = None
     seed_positions: tuple[int, int] | None = None
 
+    def __post_init__(self):
+        depth = self.verified_depth
+        if not 0 <= depth == len(self.witnesses) - 1:
+            want = ("at least 0: the family needs its level-0 witness"
+                    if depth < 0
+                    else f"the {len(self.witnesses)} witnesses minus one")
+            raise ValueError(f"verifiedDepth {depth} is not {want}")
+        pair_kind = self.kind in _PAIR_KINDS
+        if (self.pair is None, self.k is None) != (not pair_kind,) * 2:
+            raise ValueError(f"a {self.kind} certificate "
+                             f"{'needs' if pair_kind else 'takes no'} "
+                             f"pair n < n' and radix k")
+        if self.pair is not None:
+            family = _pair_witnesses(*self.pair, self.k, depth)
+            for level, (w, own) in enumerate(zip(self.witnesses, family)):
+                if w != own:
+                    raise ValueError(
+                        f"level-{level} witness is not the one the pair "
+                        f"{self.pair[0]}, {self.pair[1]} gives")
 
-def _pair_family(kind: str, machine_ref: str, n: int, n_prime: int, k: int,
-                 depth: int, method: str | None) -> Certificate:
-    """The certificate the pair n < n' determines, touching no prefix:
-    the family of levels 0..depth, bound 1 + 1/(n'-1), growth bound k."""
-    witnesses = tuple(
-        RepetitionWitness(u=s * n, v=s * (n_prime - n),
-                          ext=s * (n_prime - n + 1))
-        for s in (k ** level for level in range(depth + 1)))
-    return Certificate(
-        kind=kind, machine_ref=machine_ref, k=k, pair=(n, n_prime),
-        method=method, dio_lower_bound=Fraction(1) + Fraction(1, n_prime - 1),
-        ratio_growth_bound=Fraction(k), verified_depth=depth,
-        witnesses=witnesses)
+    @property
+    def dio_lower_bound(self) -> Fraction:
+        if self.pair is not None:
+            return Fraction(self.pair[1], self.pair[1] - 1)
+        return min(w.ratio for w in self.witnesses)
+
+    @property
+    def ratio_growth_bound(self) -> Fraction:
+        if self.pair is not None:
+            return Fraction(self.k)
+        return _witness_growth(self.witnesses)
+
+
+def _pair_witnesses(n: int, n_prime: int, k: int, depth: int):
+    """The witnesses of the pair n < n' at levels 0..depth, lazily, so
+    that a comparison which stops early computes no further power of k:
+    u = k^l*n, v = k^l*(n'-n), ext = v + k^l."""
+    if not (0 < n < n_prime) or k < 2:
+        raise ValueError("a pair certificate needs 0 < n < n' and k >= 2")
+    return (RepetitionWitness(u=s * n, v=s * (n_prime - n),
+                              ext=s * (n_prime - n + 1))
+            for s in (k ** level for level in range(depth + 1)))
 
 
 def _failing(prefix, witnesses):
@@ -111,14 +139,12 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     generic repetition verifier. A single mismatch refutes this pair (and
     only this pair) and is reported at its first offset i.
     """
-    if not (0 < n < n_prime):
-        raise ValueError("pair must satisfy 0 < n < n'")
-    if k < 2:
-        raise ValueError("radix must be at least 2")
+    witnesses = tuple(_pair_witnesses(n, n_prime, k, depth))
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    cert = _pair_family(kind, machine_ref or source.source_id, n, n_prime, k,
-                        depth, method)
+    cert = Certificate(kind=kind, machine_ref=machine_ref or source.source_id,
+                       verified_depth=depth, witnesses=witnesses, k=k,
+                       pair=(n, n_prime), method=method)
     prefix = source.prefix(_extent(cert.witnesses))
     for level, w in _failing(prefix, cert.witnesses):
         data = prefix.data
@@ -166,9 +192,7 @@ def _morphic_family(spec: morphic_mod.MorphicSpec,
     witnesses = tuple(RepetitionWitness(u=u, v=bv, ext=bv + b)
                       for (u, bv, b), _ in zip(lengths, range(depth + 1)))
     return Certificate(
-        kind="morphic-witness", machine_ref=machine_ref,
-        dio_lower_bound=min(w.ratio for w in witnesses),
-        ratio_growth_bound=_witness_growth(witnesses), verified_depth=depth,
+        kind="morphic-witness", machine_ref=machine_ref, verified_depth=depth,
         witnesses=witnesses, seed_letter=seed.letter,
         seed_positions=(seed.p1, seed.p2))
 
@@ -276,77 +300,38 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                        ) -> VerificationReport:
     """Independently re-check every stored witness against the source.
 
-    The declared depth must be at least 0, since every family has its
-    level-0 witness, and the number of witnesses minus one; a
-    certificate that fails this is rejected before any prefix is sized.
-    A negative extra_depth raises ValueError. Given the machine the
-    source comes from, the kind must be the one its model certifies.
-    A pair certificate is rebuilt from its pair, extra_depth levels past
-    the recorded depth: its witnesses and bounds must be the rebuilt
-    ones. For the morphic kind the bound is the least witness ratio and
-    the growth bound the largest growth of u + v between consecutive
-    witnesses; given a morphic machine, the seed is re-derived and the
-    witnesses must be its family, and without it the report notes that
-    the seed was not checked. Stored and extended witnesses are then
-    checked on one prefix. The report lists, per witness, the
-    rational-approximation statement it implies for the number whose
-    digit stream the source is; the statement is symbolic (the
-    denominators are astronomically large) and nothing floating-point is
-    asserted.
+    Construction has checked all the certificate determines alone; the
+    checks here need the source or the machine. A negative extra_depth
+    raises ValueError. Given the machine the source comes from, the kind
+    must be the one its model certifies. A pair family is extended
+    extra_depth levels past its depth. Given a morphic machine, the seed
+    is re-derived and the witnesses must be its family; without it the
+    report notes that the seed was not checked. Stored and extended
+    witnesses are then checked on one prefix. The report lists, per
+    witness, the rational-approximation statement it implies for the
+    number whose digit stream the source is; the statement is symbolic
+    (the denominators are astronomically large) and nothing
+    floating-point is asserted.
     """
     if extra_depth < 0:
         raise ValueError("extra depth must be nonnegative")
-    depth = cert.verified_depth
-    if depth < 0 or depth != len(cert.witnesses) - 1:
-        want = ("at least 0: the family needs its level-0 witness" if depth < 0
-                else f"the {len(cert.witnesses)} witnesses minus one")
-        return VerificationReport(False, 0, None, (
-            f"declared verifiedDepth {depth} is not {want}",), ())
     failures, notes = [], []
     kind = _MODEL_KINDS.get(type(machine), cert.kind)
     if cert.kind != kind:
         failures.append(f"kind {cert.kind} is not {kind}, the kind its "
                         f"machine certifies")
     checked = tuple(cert.witnesses)
-    extended = rebuilt = None
+    extended = None
     if cert.pair is not None:
-        extended = depth + extra_depth
-        rebuilt = _pair_family(cert.kind, cert.machine_ref, *cert.pair,
-                               cert.k, extended, cert.method)
-        checked += rebuilt.witnesses[depth + 1:]
+        extended = cert.verified_depth + extra_depth
+        checked += tuple(islice(_pair_witnesses(*cert.pair, cert.k, extended),
+                                len(checked), None))
     try:
         prefix = source.prefix(_extent(checked))
     except Exception as exc:  # cannot even materialize the data
-        return VerificationReport(
-            valid=False, witnesses_checked=0, extended_depth=extended,
-            failures=(f"prefix generation failed: {exc}",),
-            notes=(),
-        )
-    if rebuilt is not None:
-        if checked != rebuilt.witnesses:
-            failures.append("stored witnesses do not match the declared pair")
-        if cert.dio_lower_bound != rebuilt.dio_lower_bound:
-            failures.append(
-                f"declared bound {cert.dio_lower_bound} is not 1 + 1/(n'-1)"
-            )
-        if cert.ratio_growth_bound != rebuilt.ratio_growth_bound:
-            failures.append(
-                f"declared growth bound {cert.ratio_growth_bound} is not "
-                f"k = {cert.k}"
-            )
-    elif cert.kind == "morphic-witness":
-        least = min((w.ratio for w in cert.witnesses), default=None)
-        if cert.dio_lower_bound != least:
-            failures.append(
-                f"declared bound {cert.dio_lower_bound} is not the least "
-                f"witness ratio {least}"
-            )
-        growth = _witness_growth(cert.witnesses)
-        if cert.ratio_growth_bound != growth:
-            failures.append(
-                f"declared growth bound {cert.ratio_growth_bound} is not the "
-                f"largest growth of u + v between witnesses, {growth}"
-            )
+        return VerificationReport(False, 0, extended, (
+            f"prefix generation failed: {exc}",), ())
+    if cert.kind == "morphic-witness":
         if not isinstance(machine, morphic_mod.MorphicSpec):
             notes.append("note: seed not checked: no morphic machine given")
         else:
@@ -361,13 +346,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         for _, w in _failing(prefix, checked))
     base = source.alphabet.size
     notes.extend(_approximation_note(w, base) for w in cert.witnesses)
-    return VerificationReport(
-        valid=not failures,
-        witnesses_checked=len(checked),
-        extended_depth=extended,
-        failures=tuple(failures),
-        notes=tuple(notes),
-    )
+    return VerificationReport(not failures, len(checked), extended,
+                              tuple(failures), tuple(notes))
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -448,17 +428,9 @@ def certificate_from_json(text: str) -> Certificate:
                 raise ValueError("a pair certificate needs 'n', 'nPrime' and "
                                  "the radix 'k'")
             k, n, n_prime = (int(doc[key]) for key in ("k", "n", "nPrime"))
-            if not (0 < n < n_prime) or k < 2:
-                raise ValueError("a pair certificate needs 0 < n < nPrime "
-                                 "and k >= 2")
             pair = (n, n_prime)
-        # int() on each side of the slash: Fraction(text) would also read
-        # an exponent, and compute 10^e for "1e999999999"
-        bound, growth = (Fraction(*map(int, doc[key].split("/")))
-                         for key in ("dioLowerBound", "ratioGrowthBound"))
         cert = Certificate(
             kind=kind, machine_ref=str(doc["machine"]),
-            dio_lower_bound=bound, ratio_growth_bound=growth,
             verified_depth=int(doc["verifiedDepth"]),
             witnesses=tuple(RepetitionWitness(int(w["u"]), int(w["v"]),
                                               int(w["ext"]))

@@ -49,14 +49,16 @@ def _die(code: int, message: str) -> None:
 
 
 def _parse_number(token: str) -> int:
-    """An integer or a power such as 2^14; anything else exits 2."""
+    """A nonnegative integer or a power such as 2^14; anything else
+    exits 2."""
     base_s, caret, exp_s = token.strip().partition("^")
     try:
         base, exp = int(base_s), int(exp_s) if caret else 1
     except ValueError:
-        exp = -1
-    if exp < 0:
-        _die(EXIT_INVALID, f"not an integer or a power b^e: {token!r}")
+        base = -1
+    if base < 0 or exp < 0:
+        _die(EXIT_INVALID,
+             f"not a nonnegative integer or a power b^e: {token!r}")
     return base ** exp
 
 
@@ -101,10 +103,6 @@ def _parse_pair(pair: str) -> tuple[int, int]:
     return int(n_str), int(np_str)
 
 
-def _file_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _stream_or_die(spec: str, base: int | None, expansion: bool = False):
     try:
         return numbers_mod.parse_stream_spec(spec, base, expansion=expansion)
@@ -118,7 +116,8 @@ def _resolve_source(machine_path: str | None, stream: str | None,
         _die(EXIT_INVALID, "exactly one of --machine or --stream is required")
     if machine_path is not None:
         machine = _load_machine_or_die(machine_path)
-        return machine, machine.source(_file_hash(machine_path))
+        digest = hashlib.sha256(Path(machine_path).read_bytes()).hexdigest()
+        return machine, machine.source(digest)
     return None, _stream_or_die(stream, base)
 
 
@@ -162,7 +161,7 @@ class _Commands(click.Group):
             _die(EXIT_CAP, f"{exc}; lower --states or --len")
         except InsufficientDataError as exc:
             _die(EXIT_INSUFFICIENT, str(exc))
-        except (ValueError, ValidationError, OSError) as exc:
+        except (ValueError, ValidationError, OSError, OverflowError) as exc:
             _die(EXIT_INVALID, str(exc))
 
 
@@ -323,34 +322,25 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
 def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
             scan_len, output):
     """Build a repetition certificate for a machine or a stream pair."""
-    if machine_path is None and pair is None:
-        _die(EXIT_INVALID, "need --machine or --pair with --stream")
+    if pair is not None and machine_path is not None:
+        _die(EXIT_INVALID, "--pair certificates take --stream, not --machine")
+    machine, source = _resolve_source(machine_path, stream, base)
+    ref = source.source_id
     if pair is not None:
         n, n_prime = _parse_pair(pair)
-        if stream is None:
-            _die(EXIT_INVALID, "--pair certificates need --stream")
-        if machine_path is not None:
-            _die(EXIT_INVALID, "--pair certificates take --stream, not "
-                 "--machine")
-        source = _stream_or_die(stream, base)
-        cert = certify_mod.certificate_from_pair(
-            source, n, n_prime, k, depth, machine_ref=source.source_id
-        )
+        cert = certify_mod.certificate_from_pair(source, n, n_prime, k, depth,
+                                                 machine_ref=ref)
+    elif machine is None:
+        _die(EXIT_INVALID, "--stream certificates need --pair")
+    elif isinstance(machine, Dfao):
+        cert = certify_mod.certify_dfao(machine, depth=depth, machine_ref=ref)
+    elif isinstance(machine, MorphicSpec):
+        cert = certify_mod.certify_morphic(machine, depth=depth,
+                                           scan_len=scan_len, machine_ref=ref)
     else:
-        machine = _load_machine_or_die(machine_path)
-        ref = _file_hash(machine_path)
-        if isinstance(machine, Dfao):
-            cert = certify_mod.certify_dfao(machine, depth=depth,
-                                            machine_ref=ref)
-        elif isinstance(machine, MorphicSpec):
-            cert = certify_mod.certify_morphic(
-                machine, depth=depth, scan_len=scan_len, machine_ref=ref
-            )
-        else:
-            cert = certify_mod.certify_pda(
-                machine, n_max=budget, height_cap=height_cap, depth=depth,
-                machine_ref=ref,
-            )
+        cert = certify_mod.certify_pda(machine, n_max=budget,
+                                       height_cap=height_cap, depth=depth,
+                                       machine_ref=ref)
     _emit(certify_mod.certificate_to_json(cert), output)
     click.echo(_cert_summary(cert), err=True)
 
