@@ -54,44 +54,56 @@ class Certificate:
     """Evidence that a source's output has dio > 1, verified to a depth.
 
     It holds only what its family cannot derive: construction raises
-    ValueError unless verified_depth is the number of witnesses minus one
-    and at least 0, the pair kinds and only they carry a pair and a
-    radix, and a pair's witnesses are its family. The bounds are derived.
-    dio_lower_bound is n'/(n'-1) for pair kinds, a convention no witness
-    achieves (each has ratio (n'+1)/n'), and the least witness ratio for
-    the morphic kind. ratio_growth_bound is k for pair kinds, and the
-    largest growth of u + v between consecutive witnesses for morphic.
+    ValueError unless there is a level-0 witness, the pair kinds and only
+    they carry a pair and a radix, the morphic kind and only it carries a
+    seed letter, and a pair's witnesses are its family. The rest is
+    derived. verified_depth is the number of witnesses minus one, and
+    seed_positions are p1 = u + 1 and p2 = u + v + 1 of the level-0
+    witness. dio_lower_bound is n'/(n'-1) for pair kinds, a convention no
+    witness achieves (each has ratio (n'+1)/n'), and the least witness
+    ratio for the morphic kind. ratio_growth_bound is k for pair kinds,
+    and the largest growth of u + v between consecutive witnesses for
+    morphic.
     """
 
     kind: str
     machine_ref: str
-    verified_depth: int
     witnesses: tuple[RepetitionWitness, ...]
     k: int | None = None
     pair: tuple[int, int] | None = None
     method: str | None = None
     seed_letter: str | None = None
-    seed_positions: tuple[int, int] | None = None
 
     def __post_init__(self):
-        depth = self.verified_depth
-        if not 0 <= depth == len(self.witnesses) - 1:
-            want = ("at least 0: the family needs its level-0 witness"
-                    if depth < 0
-                    else f"the {len(self.witnesses)} witnesses minus one")
-            raise ValueError(f"verifiedDepth {depth} is not {want}")
+        if not self.witnesses:
+            raise ValueError("a certificate needs its level-0 witness")
         pair_kind = self.kind in _PAIR_KINDS
         if (self.pair is None, self.k is None) != (not pair_kind,) * 2:
             raise ValueError(f"a {self.kind} certificate "
                              f"{'needs' if pair_kind else 'takes no'} "
                              f"pair n < n' and radix k")
+        if (self.seed_letter is None) != pair_kind:
+            raise ValueError(f"a {self.kind} certificate "
+                             f"{'takes no' if pair_kind else 'needs a'} "
+                             f"seed letter")
         if self.pair is not None:
-            family = _pair_witnesses(*self.pair, self.k, depth)
+            family = _pair_witnesses(*self.pair, self.k, self.verified_depth)
             for level, (w, own) in enumerate(zip(self.witnesses, family)):
                 if w != own:
                     raise ValueError(
                         f"level-{level} witness is not the one the pair "
                         f"{self.pair[0]}, {self.pair[1]} gives")
+
+    @property
+    def verified_depth(self) -> int:
+        return len(self.witnesses) - 1
+
+    @property
+    def seed_positions(self) -> tuple[int, int] | None:
+        if self.seed_letter is None:
+            return None
+        w = self.witnesses[0]
+        return w.u + 1, w.u + w.v + 1
 
     @property
     def dio_lower_bound(self) -> Fraction:
@@ -129,8 +141,7 @@ def _extent(witnesses) -> int:
 
 
 def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
-                          k: int, depth: int, machine_ref: str | None = None,
-                          kind: str = "sequence-pair",
+                          k: int, depth: int, kind: str = "sequence-pair",
                           method: str | None = None) -> Certificate:
     """Verify the output-equality family of a pair and package it.
 
@@ -142,9 +153,9 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     witnesses = tuple(_pair_witnesses(n, n_prime, k, depth))
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    cert = Certificate(kind=kind, machine_ref=machine_ref or source.source_id,
-                       verified_depth=depth, witnesses=witnesses, k=k,
-                       pair=(n, n_prime), method=method)
+    cert = Certificate(kind=kind, machine_ref=source.source_id,
+                       witnesses=witnesses, k=k, pair=(n, n_prime),
+                       method=method)
     prefix = source.prefix(_extent(cert.witnesses))
     for level, w in _failing(prefix, cert.witnesses):
         data = prefix.data
@@ -191,10 +202,8 @@ def _morphic_family(spec: morphic_mod.MorphicSpec,
                     (seed.u, (seed.letter,) + seed.v, (seed.letter,))))
     witnesses = tuple(RepetitionWitness(u=u, v=bv, ext=bv + b)
                       for (u, bv, b), _ in zip(lengths, range(depth + 1)))
-    return Certificate(
-        kind="morphic-witness", machine_ref=machine_ref, verified_depth=depth,
-        witnesses=witnesses, seed_letter=seed.letter,
-        seed_positions=(seed.p1, seed.p2))
+    return Certificate(kind="morphic-witness", machine_ref=machine_ref,
+                       witnesses=witnesses, seed_letter=seed.letter)
 
 
 def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
@@ -274,16 +283,10 @@ def _seed_family(spec: morphic_mod.MorphicSpec,
     occurs twice within the scan window, so a window of exactly p2
     symbols re-derives the seed that any window of p2 or more found: the
     check does not depend on the scan length the certificate was built
-    with. The level-0 witness must be the seed's: u = p1 - 1,
-    v = p2 - p1, ext = v + 1.
+    with. p2 = u + v + 1 of the level-0 witness, within one symbol of the
+    prefix that witness needs.
     """
-    if cert.seed_letter is None or cert.seed_positions is None:
-        return "certificate declares no seedLetter and seedPositions"
     p1, p2 = cert.seed_positions
-    level0 = RepetitionWitness(u=p1 - 1, v=p2 - p1, ext=p2 - p1 + 1)
-    if cert.witnesses[:1] != (level0,):
-        return (f"level-0 witness is not u={level0.u} v={level0.v} "
-                f"ext={level0.ext}, the one seedPositions {p1}, {p2} give")
     try:
         seed = morphic_mod.repetition_seed(spec, p2)
     except (ValueError, BudgetExceededError) as exc:
@@ -328,7 +331,7 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                                 len(checked), None))
     try:
         prefix = source.prefix(_extent(checked))
-    except Exception as exc:  # cannot even materialize the data
+    except MemoryError as exc:  # cannot even materialize the data
         return VerificationReport(False, 0, extended, (
             f"prefix generation failed: {exc}",), ())
     if cert.kind == "morphic-witness":
@@ -383,15 +386,6 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(_document(cert), indent=2, sort_keys=True) + "\n"
 
 
-def _seed_positions(value) -> tuple[int, int]:
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(type(p) is int for p in value)
-            or not 1 <= value[0] < value[1]):
-        raise ValueError("seedPositions must be two integers p1 < p2 with "
-                         "p1 >= 1")
-    return value[0], value[1]
-
-
 # the methods certify writes on the kinds that take one
 _METHODS = {"dfao-pigeonhole": ("exact",), "pda-pair": ("exact", "protected")}
 # one JSON text per value: 1 is not true, and 2 is not 2.0
@@ -415,14 +409,9 @@ def certificate_from_json(text: str) -> Certificate:
             raise ValueError(f"a {kind} certificate takes method "
                              f"{' or '.join(_METHODS[kind])}, not "
                              f"{doc.get('method', 'none')}")
-        k = pair = letter = positions = None
+        k = pair = letter = None
         if kind == "morphic-witness":
-            if ("seedLetter" in doc) != ("seedPositions" in doc):
-                raise ValueError("'seedLetter' and 'seedPositions' come "
-                                 "together")
-            if "seedLetter" in doc:
-                letter = str(doc["seedLetter"])
-                positions = _seed_positions(doc["seedPositions"])
+            letter = str(doc["seedLetter"])
         else:
             if not {"n", "nPrime", "k"} <= doc.keys():
                 raise ValueError("a pair certificate needs 'n', 'nPrime' and "
@@ -431,12 +420,10 @@ def certificate_from_json(text: str) -> Certificate:
             pair = (n, n_prime)
         cert = Certificate(
             kind=kind, machine_ref=str(doc["machine"]),
-            verified_depth=int(doc["verifiedDepth"]),
             witnesses=tuple(RepetitionWitness(int(w["u"]), int(w["v"]),
                                               int(w["ext"]))
                             for w in doc["witnesses"]),
-            k=k, pair=pair, method=method, seed_letter=letter,
-            seed_positions=positions)
+            k=k, pair=pair, method=method, seed_letter=letter)
         want = _document(cert)
         if _canonical(doc) != _canonical(want):
             foreign = sorted(doc.keys() - want.keys())

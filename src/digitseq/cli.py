@@ -328,8 +328,7 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
     ref = source.source_id
     if pair is not None:
         n, n_prime = _parse_pair(pair)
-        cert = certify_mod.certificate_from_pair(source, n, n_prime, k, depth,
-                                                 machine_ref=ref)
+        cert = certify_mod.certificate_from_pair(source, n, n_prime, k, depth)
     elif machine is None:
         _die(EXIT_INVALID, "--stream certificates need --pair")
     elif isinstance(machine, Dfao):

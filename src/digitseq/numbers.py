@@ -222,8 +222,7 @@ def _canonical_deltas(m: int, k: int):
 
 
 def imitation_index(target: SequenceSource, k: int, max_states: int,
-                    max_len: int, cap: int = ENUMERATION_CAP
-                    ) -> tuple[int, bool, Dfao]:
+                    max_len: int) -> tuple[int, bool, Dfao]:
     """Longest prefix of the target digit stream reproducible by a base-k
     automaton with at most max_states states.
 
@@ -231,14 +230,14 @@ def imitation_index(target: SequenceSource, k: int, max_states: int,
     enumerated, because for a fixed table the maximal agreement is forced
     greedily (each state's output is pinned by the first position that
     reaches it). Returns (I, censored, a best machine). Refuses runs whose
-    nominal candidate count exceeds the cap.
+    nominal candidate count exceeds ENUMERATION_CAP.
     """
     if max_states < 1:
         raise ValueError("need at least one state")
     outputs = target.alphabet.size
     required = machine_enumeration_count(k, max_states, outputs)
-    if required > cap:
-        raise EnumerationCapError(required, cap)
+    if required > ENUMERATION_CAP:
+        raise EnumerationCapError(required, ENUMERATION_CAP)
     goal = target.prefix(max_len).data
     best = None  # (agreement, m, delta, tau)
     for m in range(1, max_states + 1):

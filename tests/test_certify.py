@@ -173,13 +173,32 @@ class TestPdaCertificates:
             certify_pda(m, n_max=3, height_cap=0, depth=2)
 
 
-def _without_bounds(cert):
+def _rebuilt(cert):
     """The certificate rebuilt from the fields its family cannot derive."""
     return Certificate(
         kind=cert.kind, machine_ref=cert.machine_ref,
-        verified_depth=cert.verified_depth, witnesses=cert.witnesses,
-        k=cert.k, pair=cert.pair, method=cert.method,
-        seed_letter=cert.seed_letter, seed_positions=cert.seed_positions)
+        witnesses=cert.witnesses, k=cert.k, pair=cert.pair,
+        method=cert.method, seed_letter=cert.seed_letter)
+
+
+def _catalogue_certificates():
+    """(certificate, depth, machine) for every certifiable catalogue
+    machine and the xi3 pair (10, 20) at depths 0..12."""
+    certs = [(certificate_from_pair(numbers.xi3_source(), 10, 20, 2, depth),
+              depth, None) for depth in range(13)]
+    for name in catalog.names():
+        machine = catalog.get(name)
+        if isinstance(machine, dfao.Dfao):
+            certify = certify_dfao
+        elif isinstance(machine, pda.Dpao):
+            certify = certify_pda
+        elif name != "squares":  # polynomial growth: no seed
+            certify = certify_morphic
+        else:
+            continue
+        certs += [(certify(machine, depth=depth), depth, machine)
+                  for depth in range(13)]
+    return certs
 
 
 class TestConstruction:
@@ -189,26 +208,54 @@ class TestConstruction:
             Certificate(kind=cert.kind, machine_ref=cert.machine_ref,
                         dio_lower_bound=Fraction(5, 4),
                         ratio_growth_bound=Fraction(2),
-                        verified_depth=cert.verified_depth,
                         witnesses=cert.witnesses, k=2, pair=(1, 5))
 
+    def test_depth_and_seed_positions_are_not_fields(self, xi1):
+        cert = certify_morphic(xi1, depth=3)
+        for field, value in (("verified_depth", 3),
+                             ("seed_positions", (1, 5))):
+            with pytest.raises(TypeError, match=field):
+                Certificate(kind=cert.kind, machine_ref=cert.machine_ref,
+                            witnesses=cert.witnesses,
+                            seed_letter=cert.seed_letter, **{field: value})
+
+    def test_morphic_certificate_needs_a_seed_letter(self, xi1, xi2):
+        with pytest.raises(ValueError, match="^a morphic-witness certificate "
+                                             "needs a seed letter$"):
+            dataclasses.replace(certify_morphic(xi1, depth=3),
+                                seed_letter=None)
+        with pytest.raises(ValueError, match="^a pda-pair certificate takes "
+                                             "no seed letter$"):
+            dataclasses.replace(certify_pda(xi2, depth=3), seed_letter="a")
+
+    def test_depth_and_seed_positions_are_derived(self):
+        # the depth certify is asked for, and the positions of the seed
+        # repetition_seed finds
+        rng = random.Random(4242)
+        certs = _catalogue_certificates()
+        for spec in (random_morphic(rng) for _ in range(60)):
+            try:
+                repetition_seed(spec)
+            except (ValueError, BudgetExceededError):
+                continue
+            certs += [(certify_morphic(spec, depth), depth, spec)
+                      for depth in (0, 5, 12)]
+        assert sum(isinstance(m, MorphicSpec) for _, _, m in certs) > 80
+        for cert, depth, machine in certs:
+            derived = _rebuilt(cert)
+            assert derived.verified_depth == depth
+            if isinstance(machine, MorphicSpec):
+                seed = repetition_seed(machine)
+                assert derived.seed_positions == (seed.p1, seed.p2)
+            else:
+                assert derived.seed_positions is None
+
     def test_bounds_are_the_family_values(self):
-        certs = [certificate_from_pair(numbers.xi3_source(), 10, 20, 2, depth)
-                 for depth in range(13)]
-        for name in catalog.names():
-            machine = catalog.get(name)
-            if isinstance(machine, dfao.Dfao):
-                certs += [certify_dfao(machine, depth) for depth in range(13)]
-            elif isinstance(machine, pda.Dpao):
-                certs += [certify_pda(machine, depth=depth)
-                          for depth in range(13)]
-            elif name != "squares":  # polynomial growth: no seed
-                certs += [certify_morphic(machine, depth)
-                          for depth in range(13)]
+        certs = [cert for cert, _, _ in _catalogue_certificates()]
         assert {cert.kind for cert in certs} == {
             "sequence-pair", "dfao-pigeonhole", "pda-pair", "morphic-witness"}
         for cert in certs:
-            derived = _without_bounds(cert)
+            derived = _rebuilt(cert)
             ws = cert.witnesses
             if cert.pair is None:
                 want = (min(Fraction(w.u + w.ext, w.u + w.v) for w in ws),
@@ -222,25 +269,29 @@ class TestConstruction:
             assert derived == cert
         assert certs[12].dio_lower_bound == Fraction(20, 19)
 
-    @pytest.mark.parametrize("changes, message", [
-        ({"verified_depth": 5},
-         "verifiedDepth 5 is not the 5 witnesses minus one"),
-        ({"verified_depth": -1, "witnesses": ()},
-         "verifiedDepth -1 is not at least 0: the family needs its level-0 "
-         "witness"),
+    @pytest.mark.parametrize("changes, error, message", [
+        # the depth is derived, so no certificate can declare another
+        ({"verified_depth": 5}, TypeError,
+         ".*unexpected keyword argument 'verified_depth'"),
+        ({"verified_depth": -1, "witnesses": ()}, TypeError,
+         ".*unexpected keyword argument 'verified_depth'"),
+        ({"witnesses": ()}, ValueError,
+         "a certificate needs its level-0 witness"),
         ({"witnesses": (RepetitionWitness(1, 4, 5), RepetitionWitness(2, 8, 10),
                         RepetitionWitness(4, 16, 21), RepetitionWitness(8, 32, 40),
-                        RepetitionWitness(16, 64, 80))},
+                        RepetitionWitness(16, 64, 80))}, ValueError,
          "level-2 witness is not the one the pair 1, 5 gives"),
-        ({"pair": None, "k": None},
+        ({"pair": None, "k": None}, ValueError,
          "a pda-pair certificate needs pair n < n' and radix k"),
-        ({"pair": None}, "a pda-pair certificate needs pair n < n' and radix k"),
-    ], ids=["depth-off-by-one", "depth-minus-one", "pair-witness-off",
-            "pair-kind-without-pair", "pair-kind-without-radix"])
+        ({"pair": None}, ValueError,
+         "a pda-pair certificate needs pair n < n' and radix k"),
+    ], ids=["depth-off-by-one", "depth-minus-one", "no-witnesses",
+            "pair-witness-off", "pair-kind-without-pair",
+            "pair-kind-without-radix"])
     def test_inconsistent_pair_certificate_does_not_construct(
-            self, xi2, changes, message):
+            self, xi2, changes, error, message):
         cert = certify_pda(xi2, depth=4)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             dataclasses.replace(cert, **changes)
 
     def test_morphic_kind_takes_no_pair(self, xi1):
@@ -282,8 +333,8 @@ class TestVerification:
 
     def test_pair_without_witnesses_is_invalid(self):
         cert = certificate_from_pair(numbers.xi3_source(), 10, 20, 2, depth=4)
-        with pytest.raises(ValueError, match="^verifiedDepth -1 is not at "
-                           "least 0: the family needs its level-0 witness$"):
+        with pytest.raises(ValueError, match="^a certificate needs its "
+                                             "level-0 witness$"):
             edited(cert, lambda d: d.update(witnesses=[], verifiedDepth=-1))
 
     def test_negative_extra_depth_is_rejected(self):
@@ -355,8 +406,8 @@ class TestVerification:
 
     def test_morphic_certificate_needs_a_witness(self, xi1):
         cert = certify_morphic(xi1, depth=2)
-        with pytest.raises(ValueError, match="^verifiedDepth 2 is not the 0 "
-                                             "witnesses minus one$"):
+        with pytest.raises(ValueError, match="^a certificate needs its "
+                                             "level-0 witness$"):
             edited(cert, lambda d: d.update(witnesses=[]))
 
     def test_morphic_seed_is_re_derived_from_the_spec(self, xi1, tm_morphic,
@@ -364,20 +415,23 @@ class TestVerification:
         cert = certify_morphic(xi1, depth=4)
         src = xi1.source("xi1")
         assert verify_certificate(src, cert, machine=xi1).valid
-        for changes, failure in (
-                ({"seed_letter": None, "seed_positions": None},
-                 "certificate declares no seedLetter and seedPositions"),
-                ({"seed_letter": "b"},
-                 "declared seed 'b' at 1, 5 is not the re-derived seed "
-                 "'a' at 1, 5"),
-                ({"seed_positions": (1, 6)},
-                 "level-0 witness is not u=0 v=5 ext=6, the one "
-                 "seedPositions 1, 6 give")):
-            tampered = dataclasses.replace(cert, **changes)
-            # without the spec only the witnesses and bounds are checked
-            assert verify_certificate(src, tampered).valid
-            report = verify_certificate(src, tampered, machine=xi1)
-            assert report.failures == (failure,)
+
+        def unseeded(doc):
+            del doc["seedLetter"], doc["seedPositions"]
+
+        # the positions are the level-0 witness's, so only a file that
+        # declares other ones, or none, can disagree: it does not load
+        with pytest.raises(ValueError, match="^'seedLetter'$"):
+            edited(cert, unseeded)
+        with pytest.raises(ValueError, match=r"^'seedPositions' is \[1, 6\] "
+                           r"in the file, but certify writes \[1, 5\]$"):
+            edited(cert, lambda d: d.update(seedPositions=[1, 6]))
+        tampered = edited(cert, lambda d: d.update(seedLetter="b"))
+        # without the spec only the witnesses and bounds are checked
+        assert verify_certificate(src, tampered).valid
+        report = verify_certificate(src, tampered, machine=xi1)
+        assert report.failures == ("declared seed 'b' at 1, 5 is not the "
+                                   "re-derived seed 'a' at 1, 5",)
         # the seed of one spec is not re-derived from another
         report = verify_certificate(src, cert, machine=tm_morphic)
         assert report.failures == ("declared seed 'a' at 1, 5 is not the "
@@ -497,8 +551,8 @@ class TestJsonRoundTrip:
             certificate_from_pair(xi2_source, 1, 5, 2, depth=0)))
         doc["witnesses"] = witnesses
         # an empty object or string reads as no witnesses at all
-        with pytest.raises(ValueError, match="^verifiedDepth 0 is not the 0 "
-                                             "witnesses minus one$"):
+        with pytest.raises(ValueError, match="^a certificate needs its "
+                                             "level-0 witness$"):
             certificate_from_json(json.dumps(doc))
 
     def test_each_kind_takes_only_its_fields(self, xi1, xi2_source):
@@ -512,10 +566,12 @@ class TestJsonRoundTrip:
                            (morphic, {"n": 1, "nPrime": 5, "k": 2})):
             with pytest.raises(ValueError, match="certificate has no fields"):
                 certificate_from_json(json.dumps(doc | extra))
+        # a morphic certificate needs both: the letter is read, and the
+        # positions are derived and must be in the file as certify writes
         for key in ("seedLetter", "seedPositions"):
             doc = dict(morphic)
             del doc[key]
-            with pytest.raises(ValueError, match="come together"):
+            with pytest.raises(ValueError, match=f"^'{key}'$"):
                 certificate_from_json(json.dumps(doc))
 
     def test_each_kind_takes_only_its_methods(self, three_squares,

@@ -69,6 +69,19 @@ class TestDigits:
         assert r.output.startswith(
             f"error: cannot open stream {spec!r}: {message}")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("rational:1/7", "rational streams need --base"),
+        ("surd:2", "surd streams need --base"),
+        ("file:empty.txt", "stream file 'empty.txt' is empty"),
+    ])
+    def test_stream_that_cannot_open_exits_2(self, runner, tmp_path,
+                                             monkeypatch, spec, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        r = run_cli(runner, ["digits", "--stream", spec])
+        assert r.exit_code == 2
+        assert r.output == f"error: cannot open stream {spec!r}: {message}\n"
+
     def test_machine_and_stream_conflict(self, runner, machines):
         r = run_cli(runner, ["digits", "--machine",
                              str(machines / "xi2.json"), "--stream", "xi3"])
@@ -106,6 +119,14 @@ class TestAnalyze:
         r = run_cli(runner, ["analyze", "--stream", f"file:{stream}",
                              "--dio", "2^4..2^6"])
         assert r.exit_code == 3
+
+    def test_prefix_shorter_than_the_blocks_exits_3(self, runner, machines):
+        r = run_cli(runner, ["analyze", "--machine",
+                             str(machines / "xi2.json"), "--complexity",
+                             "1..64", "--prefix-length", "32"])
+        assert r.exit_code == 3
+        assert r.output == ("error: --prefix-length 32 is too short for the "
+                            "requested block lengths\n")
 
     def test_growth_and_dilation(self, runner, machines):
         r = run_cli(runner, ["analyze", "--machine",
@@ -280,9 +301,8 @@ class TestCertifyVerify:
         v = run_cli(runner, ["verify", "--certificate", str(cert),
                              "--stream", "xi3"])
         assert v.exit_code == 2
-        assert v.output == ("error: cannot load certificate: verifiedDepth -1 "
-                            "is not at least 0: the family needs its level-0 "
-                            "witness\n")
+        assert v.output == ("error: cannot load certificate: a certificate "
+                            "needs its level-0 witness\n")
 
     def test_negative_extra_depth_exits_2(self, runner, tmp_path):
         cert = tmp_path / "xi3.json"
@@ -362,19 +382,21 @@ class TestCertifyVerify:
                              "--machine", str(machines / f"{name}.json"),
                              *extra])
         assert v.exit_code == 2
-        assert v.output == ("error: cannot load certificate: verifiedDepth 99 "
-                            "is not the 7 witnesses minus one\n")
+        assert v.output == ("error: cannot load certificate: 'verifiedDepth' "
+                            "is 99 in the file, but certify writes 6\n")
 
-    @pytest.mark.parametrize("edit, failure", [
+    @pytest.mark.parametrize("edit, lines", [
+        # the positions are derived from the level-0 witness
         ({"seedLetter": "zz", "seedPositions": [2, 3]},
-         "failure: level-0 witness is not u=1 v=1 ext=2, the one "
-         "seedPositions 2, 3 give"),
+         ["error: cannot load certificate: 'seedPositions' is [2, 3] in the "
+          "file, but certify writes [1, 5]"]),
         ({"seedLetter": "c"},
-         "failure: declared seed 'c' at 1, 5 is not the re-derived seed "
-         "'a' at 1, 5"),
+         ["certificate INVALID: 7 witnesses re-checked",
+          "failure: declared seed 'c' at 1, 5 is not the re-derived seed "
+          "'a' at 1, 5"]),
     ], ids=["zz-at-2-3", "wrong-letter"])
     def test_false_morphic_seed_exits_2(self, runner, machines, tmp_path,
-                                        edit, failure):
+                                        edit, lines):
         cert = tmp_path / "xi1.json"
         run_cli(runner, ["certify", "--machine", str(machines / "xi1.json"),
                          "--depth", "6", "--output", str(cert)])
@@ -384,8 +406,33 @@ class TestCertifyVerify:
         v = run_cli(runner, ["verify", "--certificate", str(cert),
                              "--machine", str(machines / "xi1.json")])
         assert v.exit_code == 2
-        assert v.output.startswith("certificate INVALID")
-        assert failure in v.output.splitlines()
+        assert v.output.splitlines()[:len(lines)] == lines
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(seedPositions=[2, 9]),
+         "'seedPositions' is [2, 9] in the file, but certify writes [1, 5]"),
+        (lambda d: [d.pop(key) for key in ("seedLetter", "seedPositions")],
+         "'seedLetter'"),
+    ], ids=["positions-2-9", "no-seed"])
+    def test_seed_the_witnesses_do_not_give_exits_2_at_load(
+            self, runner, machines, tmp_path, edit, message):
+        # the seed fields are checked at load, with or without the machine
+        path = machines / "xi1.json"
+        cert, stream = tmp_path / "xi1.json", tmp_path / "xi1.txt"
+        run_cli(runner, ["certify", "--machine", str(path), "--depth", "6",
+                         "--output", str(cert)])
+        digits = run_cli(runner, ["digits", "--machine", str(path),
+                                  "--count", "4096"])
+        stream.write_text(digits.output, encoding="utf-8")
+        doc = json.loads(cert.read_text())
+        edit(doc)
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        for source in (["--stream", f"file:{stream}"],
+                       ["--machine", str(path)]):
+            v = run_cli(runner, ["verify", "--certificate", str(cert),
+                                 *source])
+            assert v.exit_code == 2
+            assert v.output == f"error: cannot load certificate: {message}\n"
 
     @pytest.mark.parametrize("scan_len, seed", [
         ("4096", ("q0", [1, 4])), ("3", ("q1", [2, 3]))])
@@ -465,8 +512,9 @@ class TestCertifyVerify:
         v = run_cli(runner, ["verify", "--certificate", str(cert),
                              "--machine", str(machines / "xi1.json")])
         assert v.exit_code == 2
-        assert v.output == ("error: cannot load certificate: seedPositions "
-                            "must be two integers p1 < p2 with p1 >= 1\n")
+        assert v.output == ("error: cannot load certificate: 'seedPositions' "
+                            f"is {json.dumps(positions)} in the file, but "
+                            "certify writes [1, 5]\n")
 
     @pytest.mark.parametrize("name, edit, message", [
         ("xi2", {"dioLowerBound": text},
@@ -501,6 +549,20 @@ class TestCertifyVerify:
         r = run_cli(runner, ["certify", "--pair", "1,3", "--k", "2",
                              "--stream", "xi3", "--depth", "4"])
         assert r.exit_code == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["xi2.json", "--budget", "3"],
+         "no equivalent pair within n <= 3 at height cap 64; raising the "
+         "budget may still find one"),
+        (["xi1.json", "--scan-len", "1"],
+         "no maximal-growth letter occurs twice within 1 positions"),
+    ])
+    def test_search_that_finds_nothing_exits_1(self, runner, machines, args,
+                                               message):
+        r = run_cli(runner, ["certify", "--machine", str(machines / args[0]),
+                             *args[1:], "--depth", "2"])
+        assert r.exit_code == 1
+        assert r.output == f"error: {message}\n"
 
     def test_polynomial_morphic_exits_2(self, runner, machines):
         r = run_cli(runner, ["certify", "--machine",
@@ -542,6 +604,20 @@ class TestConvert:
                              str(machines / "xi1.json"),
                              "--output", str(tmp_path / "x.json")])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("name, message", [
+        ("xi2", "only dfao and morphic machines convert"),
+        ("squares", "only uniform morphisms convert to an automaton"),
+    ])
+    def test_unconvertible_machine_exits_2(self, runner, machines, tmp_path,
+                                           name, message):
+        out = tmp_path / "x.json"
+        r = run_cli(runner, ["convert", "--machine",
+                             str(machines / f"{name}.json"),
+                             "--output", str(out)])
+        assert r.exit_code == 2
+        assert r.output == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestOtherCommands:
@@ -592,6 +668,21 @@ class TestOtherCommands:
                              "--depth", "4"])
         assert "distinguished" in r.output
 
+    @pytest.mark.parametrize("name, pair, depth, code, output", [
+        ("thue-morse", "1,2", "4", 0,
+         "indistinguishable for all inputs of length <= 4\n"
+         "note: exhausting the depth proves nothing by itself\n"),
+        ("three-squares", "1,3", "6", 0, "distinguished by input '1'\n"),
+        ("xi1", "1,2", "4", 2, "error: equiv needs a dpao or dfao machine\n"),
+    ])
+    def test_equiv_on_each_model(self, runner, machines, name, pair, depth,
+                                 code, output):
+        r = run_cli(runner, ["equiv", "--machine",
+                             str(machines / f"{name}.json"), "--pair", pair,
+                             "--depth", depth])
+        assert r.exit_code == code
+        assert r.output == output
+
     @pytest.mark.parametrize("pair", ["1", "a,5", "-1,5"])
     def test_equiv_bad_pair_exits_2(self, runner, machines, pair):
         r = run_cli(runner, ["equiv", "--machine",
@@ -606,6 +697,25 @@ class TestOtherCommands:
         r = run_cli(runner, ["imitate", "--stream", "surd:2", "--base", "2",
                              "--states", "6", "--len", "64"])
         assert r.exit_code == 4
+
+    def test_imitate_writes_the_best_machine(self, runner, tmp_path):
+        best = tmp_path / "best.json"
+        r = run_cli(runner, ["imitate", "--stream", "surd:2", "--base", "2",
+                             "--states", "2", "--len", "16",
+                             "--output", str(best)])
+        assert r.exit_code == 0
+        assert r.output == ("imitation index: 5\n"
+                            f"best machine written to {best}\n")
+        r = run_cli(runner, ["digits", "--machine", str(best),
+                             "--count", "5"])
+        assert r.output == "10110\n"
+
+    def test_catalog_export(self, runner, tmp_path):
+        d = tmp_path / "D"
+        r = run_cli(runner, ["catalog", "export", "--dir", str(d)])
+        assert r.exit_code == 0
+        assert r.output == "".join(f"wrote {d / name}.json\n"
+                                   for name in catalog.names())
 
     def test_catalog_list(self, runner):
         r = run_cli(runner, ["catalog", "list"])
@@ -660,6 +770,12 @@ class TestBadCounts:
          "not a nonnegative integer or a power b^e: '-5'\n"),
         (["analyze", "--stream", "xi3", "--dio", "-2^4"],
          "not a nonnegative integer or a power b^e: '-2^4'\n"),
+        (["certify", "--pair", "10,20", "--stream", "xi3", "--depth", "-1"],
+         "depth must be nonnegative\n"),
+        (["analyze", "--machine", "xi2.json", "--growth"],
+         "--dilation/--growth need a morphic or tag machine\n"),
+        (["analyze", "--stream", "xi3", "--dilation", "8"],
+         "--dilation/--growth need a morphic or tag machine\n"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
@@ -716,6 +832,23 @@ class TestErrorTable:
         assert r.exit_code == 3
         assert r.output.startswith("error: source ")
         assert "produced 2 of" in r.output
+
+    def test_short_source_exits_3_in_verify_as_in_certify(self, runner,
+                                                          tmp_path):
+        cert, stream = tmp_path / "xi3.json", tmp_path / "xi3-short.txt"
+        run_cli(runner, ["certify", "--pair", "10,20", "--stream", "xi3",
+                         "--depth", "8", "--output", str(cert)])
+        digits = run_cli(runner, ["digits", "--stream", "xi3",
+                                  "--count", "100"])
+        stream.write_text(digits.output, encoding="utf-8")
+        message = (f"error: source 'file:{stream}' produced 100 of 5376 "
+                   f"requested symbols\n")
+        r = run_cli(runner, ["certify", "--pair", "10,20", "--stream",
+                             f"file:{stream}", "--depth", "8"])
+        assert (r.exit_code, r.output) == (3, message)
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", f"file:{stream}"])
+        assert (v.exit_code, v.output) == (3, message)
 
     @pytest.mark.parametrize("name, edit, report", [
         ("thue-morse", lambda d: d["delta"]["q0"].pop("1"),

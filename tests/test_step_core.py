@@ -204,7 +204,6 @@ class TestCertifyDfao:
             n, n_prime = pigeonhole_pair(m)
             source = m.source("ref")
             old = certificate_from_pair(source, n, n_prime, m.k, 6,
-                                        machine_ref="ref",
                                         kind="dfao-pigeonhole",
                                         method="exact")
             assert certificate_to_json(certify_dfao(m, 6, "ref")) == \
