@@ -229,15 +229,13 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
     return cert
 
 
-def certify_pda(m, n_max: int = 10_000, height_cap: int = 64,
-                depth: int = 12, machine_ref: str | None = None) -> Certificate:
+def certify_pda(m, n_max: int = 10_000, depth: int = 12,
+                machine_ref: str | None = None) -> Certificate:
     """Configuration-equivalence certificate for a pushdown transducer."""
-    found = pda_mod.find_equivalent_pair(m, n_max=n_max, height_cap=height_cap)
+    found = pda_mod.find_equivalent_pair(m, n_max=n_max)
     if found is None:
-        raise BudgetExceededError(
-            f"no equivalent pair within n <= {n_max} at height cap "
-            f"{height_cap}; raising the budget may still find one"
-        )
+        raise BudgetExceededError(f"no equivalent pair within n <= {n_max}; "
+                                  "raising the budget may still find one")
     n, n_prime, method = found
     return certificate_from_pair(
         m.source(machine_ref or "dpao"), n, n_prime, m.k, depth,
@@ -434,6 +432,7 @@ def certificate_from_json(text: str) -> Certificate:
             raise ValueError(f"{key!r} is {_canonical(doc[key])} in the file, "
                              f"but certify writes {_canonical(want[key])}")
         return cert
-    except (KeyError, TypeError, AttributeError, ArithmeticError,
-            RecursionError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from exc
+    except (TypeError, AttributeError, ArithmeticError, RecursionError) as exc:
         raise ValueError(str(exc)) from exc

@@ -313,14 +313,13 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
 @click.option("--base", type=int, default=None)
 @click.option("--budget", type=int, default=10_000, show_default=True,
               help="Scan limit for pushdown pair search.")
-@click.option("--height-cap", type=int, default=64, show_default=True)
 @click.option("--depth", type=int, default=12, show_default=True)
 @click.option("--scan-len", type=int, default=4096, show_default=True,
               help="Fixed-point scan window for morphic seeds.")
 @click.option("--output", type=str, default=None, callback=_output_path,
               help="Certificate JSON path (default: print to stdout).")
-def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
-            scan_len, output):
+def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
+            output):
     """Build a repetition certificate for a machine or a stream pair."""
     if pair is not None and machine_path is not None:
         _die(EXIT_INVALID, "--pair certificates take --stream, not --machine")
@@ -337,8 +336,7 @@ def certify(machine_path, pair, k, stream, base, budget, height_cap, depth,
         cert = certify_mod.certify_morphic(machine, depth=depth,
                                            scan_len=scan_len, machine_ref=ref)
     else:
-        cert = certify_mod.certify_pda(machine, n_max=budget,
-                                       height_cap=height_cap, depth=depth,
+        cert = certify_mod.certify_pda(machine, n_max=budget, depth=depth,
                                        machine_ref=ref)
     _emit(certify_mod.certificate_to_json(cert), output)
     click.echo(_cert_summary(cert), err=True)

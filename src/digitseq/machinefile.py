@@ -223,8 +223,9 @@ def loads_machine(text: str):
             return _morphic_from_dict(doc)
         if kind == "dpao":
             return _dpao_from_dict(doc)
-    except (KeyError, TypeError, AttributeError, ArithmeticError,
-            RecursionError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from exc
+    except (TypeError, AttributeError, ArithmeticError, RecursionError) as exc:
         raise ValueError(str(exc)) from exc
     raise ValueError(f"unknown machine kind {kind!r}")
 

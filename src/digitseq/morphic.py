@@ -245,27 +245,20 @@ def growth_report(spec: MorphicSpec) -> GrowthReport:
     radii = [_radius(m, spec, inside) for m in members]
     # the components of each component's image letters
     succ = [{comp[b] for a in m for b in spec.rules[a]} for m in members]
-    # a component reaches only components that reach fewer letters
+    # a component reaches only components that reach fewer letters, so
+    # the others it reaches come first; its letters share its growth
     order = sorted(range(len(members)), key=lambda c: len(reach[members[c][0]]))
-
-    def chain_count(theta: float) -> list[int]:
-        # longest theta-achieving chain below each component; counts[c]
-        # is still 0 when c is counted, so c may be in its own succ
-        counts = [0] * len(members)
-        for c in order:
-            best_succ = max(counts[d] for d in succ[c])
-            counts[c] = best_succ + (1 if abs(radii[c] - theta) <= 1e-9 else 0)
-        return counts
-
-    per_letter: dict[str, LetterGrowth] = {}
-    counts_cache: dict[float, list[int]] = {}
-    for a in spec.internal:
-        theta = max(radii[comp[b]] for b in reach[a])
-        if theta not in counts_cache:
-            counts_cache[theta] = chain_count(theta)
-        k = counts_cache[theta][comp[a]] - 1
-        is_exp = any(inside[b] >= 2 for b in reach[a])
-        per_letter[a] = LetterGrowth(theta=theta, poly_degree=k, exponential=is_exp)
+    grows: dict[int, LetterGrowth] = {}
+    for c in order:
+        below = [grows[d] for d in succ[c] if d != c]
+        theta = max([radii[c]] + [g.theta for g in below])
+        chain = (abs(radii[c] - theta) <= 1e-9) + max(
+            (g.poly_degree + 1 for g in below if abs(g.theta - theta) <= 1e-9),
+            default=0)
+        exponential = (max(inside[a] for a in members[c]) >= 2
+                       or any(g.exponential for g in below))
+        grows[c] = LetterGrowth(theta, chain - 1, exponential)
+    per_letter = {a: grows[comp[a]] for a in spec.internal}
 
     occurring = reach[spec.start]
     best = max(

@@ -360,23 +360,21 @@ def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
     return {key: frozenset(val) for key, val in pop.items()}
 
 
-def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
+def find_equivalent_pair(m: Dpao, n_max: int = 10_000
                          ) -> tuple[int, int, str] | None:
     """Scan n = 1, 2, ... for two inputs with equivalent configurations.
 
-    Two detectors run side by side. "exact": identical configurations of
-    height at most height_cap, found by pigeonhole. "protected": same
-    (state, top symbol) with a non-empty stack below the top and an empty
-    pop set for that pair, so everything below the top is permanently
-    sealed and the configurations behave identically. The first hit in
-    scan order minimizes n', then n; returns None when the budget runs out
-    (which proves nothing). The scan fills one base-k level at a time and
-    stops after the first level that holds a hit. A negative n_max or
-    height_cap raises ValueError.
+    Two detectors run side by side. "exact": identical configurations,
+    equal (state, node) pairs, by pigeonhole. "protected": same (state,
+    top symbol) with a non-empty stack below the top and an empty pop set
+    for that pair, so everything below the top is permanently sealed and
+    the configurations behave identically. The first hit in scan order
+    minimizes n', then n; None, when the budget runs out, proves nothing.
+    The scan fills one base-k level at a time and stops after the first
+    level that holds a hit. A negative n_max raises ValueError.
     """
-    if n_max < 0 or height_cap < 0:
-        raise ValueError(f"search budget and height cap must be "
-                         f"nonnegative, got {n_max} and {height_cap}")
+    if n_max < 0:
+        raise ValueError(f"search budget must be nonnegative, got {n_max}")
     pops = pop_table(m)
     core = _Core(m)
     sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
@@ -385,7 +383,7 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
         # entry i is input n = i + 1; equal stacks are equal nodes
         st, nd = state[1:hi].astype(np.int64), node[1:hi]
         height, top = core.height[nd], core.sym[nd]
-        exact = _first_equal(st * len(core.parent) + nd, height <= height_cap)
+        exact = _first_equal(st * len(core.parent) + nd)
         protected = _first_equal(st * len(core.tops) + top,
                                  (height >= 2) & sealed[st, top])
         earliest = np.minimum(exact, protected)
@@ -397,11 +395,12 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, height_cap: int = 64
     return None
 
 
-def _first_equal(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """For each i in mask, the least j in mask with keys[j] == keys[i];
-    len(keys) outside the mask."""
+def _first_equal(keys: np.ndarray, mask: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """For each i in mask (default: every i), the least j in mask with
+    keys[j] == keys[i]; len(keys) outside the mask."""
     first = np.full(len(keys), len(keys))
-    idx = np.flatnonzero(mask)
+    idx = np.arange(len(keys)) if mask is None else np.flatnonzero(mask)
     _, start, inverse = np.unique(keys[idx], return_index=True,
                                   return_inverse=True)
     first[idx] = idx[start[inverse]]

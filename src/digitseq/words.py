@@ -73,9 +73,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
     @property
     def single_char(self) -> bool:
         return all(len(s) == 1 for s in self.symbols)

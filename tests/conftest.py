@@ -787,3 +787,17 @@ def squares():
 @pytest.fixture(scope="session")
 def xi2():
     return catalog.xi2_dpao()
+
+
+@pytest.fixture(scope="session")
+def tall():
+    """A dpao whose first identical configurations stand 70 symbols high:
+    p pushes X^70 at '#' on 1 and keeps X on 0, so n = 1 and n = 2 both
+    reach (p, X^70). X never seals, since q pops it on 0."""
+    t = {("p", BOTTOM, 0): ("p", ()), ("p", BOTTOM, 1): ("p", ("X",) * 70),
+         ("p", "X", 0): ("p", ("X",)), ("p", "X", 1): ("q", ("X",)),
+         ("q", "X", 0): ("q", ()), ("q", "X", 1): ("p", ("X",)),
+         ("q", BOTTOM, 0): ("q", ()), ("q", BOTTOM, 1): ("q", ())}
+    return Dpao(k=2, states=("p", "q"), initial="p", stack_symbols=("X",),
+                transitions=t, output={(q, a): "1" if q == "p" else "0"
+                                       for q in "pq" for a in ("X", BOTTOM)})

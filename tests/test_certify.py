@@ -160,6 +160,14 @@ class TestPdaCertificates:
         assert cert.pair == (1, 5) and cert.method == "exact"
         assert cert.dio_lower_bound == Fraction(5, 4)
 
+    def test_identical_configurations_pair_at_any_height(self, tall):
+        # n = 1 and n = 2 both reach (p, X^70)
+        cert = certify_pda(tall, depth=4)
+        assert (cert.pair, cert.method) == ((1, 2), "exact")
+        assert cert.dio_lower_bound == 2
+        assert verify_certificate(tall.source("dpao"), cert,
+                                  machine=tall).valid
+
     def test_budget_exhaustion_is_not_a_disproof(self):
         t = {}
         for q in ("p0", "p1"):
@@ -169,8 +177,9 @@ class TestPdaCertificates:
         outputs = {(q, a): "1" for q in ("p0", "p1") for a in ("X", "#")}
         m = pda.Dpao(k=2, states=("p0", "p1"), initial="p0",
                      stack_symbols=("X",), transitions=t, output=outputs)
-        with pytest.raises(BudgetExceededError):
-            certify_pda(m, n_max=3, height_cap=0, depth=2)
+        with pytest.raises(BudgetExceededError, match="^no equivalent pair "
+                           "within n <= 3; raising the budget may still"):
+            certify_pda(m, n_max=3, depth=2)
 
 
 def _rebuilt(cert):
@@ -421,7 +430,7 @@ class TestVerification:
 
         # the positions are the level-0 witness's, so only a file that
         # declares other ones, or none, can disagree: it does not load
-        with pytest.raises(ValueError, match="^'seedLetter'$"):
+        with pytest.raises(ValueError, match="^missing field 'seedLetter'$"):
             edited(cert, unseeded)
         with pytest.raises(ValueError, match=r"^'seedPositions' is \[1, 6\] "
                            r"in the file, but certify writes \[1, 5\]$"):
@@ -498,6 +507,14 @@ class TestJsonRoundTrip:
                                              r"no fields \['surprise'\]"):
             certificate_from_json(json.dumps(doc | {"surprise": 1}))
 
+    @pytest.mark.parametrize("key", ["kind", "machine", "witnesses",
+                                     "dioLowerBound"])
+    def test_missing_field_is_named(self, xi1, key):
+        doc = json.loads(certificate_to_json(certify_morphic(xi1, depth=2)))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"^missing field '{key}'$"):
+            certificate_from_json(json.dumps(doc))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             certificate_from_json(
@@ -571,7 +588,7 @@ class TestJsonRoundTrip:
         for key in ("seedLetter", "seedPositions"):
             doc = dict(morphic)
             del doc[key]
-            with pytest.raises(ValueError, match=f"^'{key}'$"):
+            with pytest.raises(ValueError, match=f"^missing field '{key}'$"):
                 certificate_from_json(json.dumps(doc))
 
     def test_each_kind_takes_only_its_methods(self, three_squares,

@@ -168,7 +168,7 @@ class TestConfig:
 
     def test_height_is_a_pure_function(self, xi2):
         heights = [config_of(xi2, n).height for n in range(64)]
-        find_equivalent_pair(xi2, n_max=50, height_cap=2)
+        find_equivalent_pair(xi2, n_max=50)
         assert heights == [config_of(xi2, n).height for n in range(64)]
 
 
@@ -267,7 +267,7 @@ class TestEquivalentPair:
             ("q", "X", 1): ("p", ()),
         }
         m = tiny(t)
-        assert find_equivalent_pair(m, n_max=3, height_cap=0) is None
+        assert find_equivalent_pair(m, n_max=3) is None
 
     def test_returned_pairs_are_output_equal_to_depth(self, xi2):
         n, n_prime, _ = find_equivalent_pair(xi2)
@@ -281,7 +281,7 @@ class TestEquivalentPair:
         found = 0
         for _ in range(120):
             m = random_dpao(rng)
-            got = find_equivalent_pair(m, n_max=300, height_cap=24)
+            got = find_equivalent_pair(m, n_max=300)
             if got is None:
                 continue
             found += 1
@@ -289,11 +289,15 @@ class TestEquivalentPair:
             assert not bounded_distinguish(m, n, n_prime, 8).distinguished
         assert found >= 60  # the corpus is not degenerate
 
-    @pytest.mark.parametrize("n_max, height_cap", [(-1, 64), (10, -1)])
-    def test_negative_budget_raises(self, xi2, n_max, height_cap):
-        with pytest.raises(ValueError, match="must be nonnegative, got "
-                           f"{n_max} and {height_cap}"):
-            find_equivalent_pair(xi2, n_max=n_max, height_cap=height_cap)
+    def test_identical_configurations_pair_at_any_height(self, tall):
+        # n = 1 and n = 2 both reach (p, X^70)
+        assert find_equivalent_pair(tall) == (1, 2, "exact")
+        assert find_equivalent_pair(tall, n_max=2) == (1, 2, "exact")
+
+    def test_negative_budget_raises(self, xi2):
+        with pytest.raises(ValueError, match="^search budget must be "
+                           "nonnegative, got -1$"):
+            find_equivalent_pair(xi2, n_max=-1)
 
 
 class TestBoundedDistinguish:
