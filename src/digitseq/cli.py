@@ -49,8 +49,8 @@ def _die(code: int, message: str) -> None:
 
 
 def _parse_number(token: str) -> int:
-    """A nonnegative integer or a power such as 2^14; anything else
-    exits 2."""
+    """A nonnegative integer or a power such as 2^14, below 2^64; anything
+    else exits 2, before a power is computed."""
     base_s, caret, exp_s = token.strip().partition("^")
     try:
         base, exp = int(base_s), int(exp_s) if caret else 1
@@ -59,6 +59,8 @@ def _parse_number(token: str) -> int:
     if base < 0 or exp < 0:
         _die(EXIT_INVALID,
              f"not a nonnegative integer or a power b^e: {token!r}")
+    if exp * (base.bit_length() - 1) >= 64:
+        _die(EXIT_INVALID, f"number too large: {token!r} is 2^64 or more")
     return base ** exp
 
 
@@ -178,13 +180,14 @@ def main() -> None:
               help="Number stream: rational:p/q, surd:d, xi3, file:<path>.")
 @click.option("--base", type=int, default=None,
               help="Digit base for rational/surd streams.")
-@click.option("--count", type=int, default=64, show_default=True)
+@click.option("--count", type=str, default="64", show_default=True)
 @click.option("--output", type=str, default=None, callback=_output_path,
               help="Write here instead of stdout.")
 def digits(machine_path, stream, base, count, output):
     """Print the first COUNT symbols of a source."""
-    if count < 0:
+    if count.strip().startswith("-"):
         _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
+    count = _parse_number(count)
     _, source = _resolve_source(machine_path, stream, base)
     _emit(_render_prefix(source.prefix(count)), output)
 

@@ -7,9 +7,9 @@ output, and sequence position p (1-based) corresponds to n = p - 1.
 
 Sources generate level by level: the expansion of n is the expansion of
 n // k followed by n % k, so the states of a whole block [k^l, k^(l+1))
-are one numpy gather from the block below. That is the one way a machine
-runs here; searches over inputs recast it as a stack-free pushdown
-transducer (`pda.from_dfao`).
+are the successor-table rows of the block below, gathered in order and
+laid end to end. That is the one way a machine runs here; searches over
+inputs recast it as a stack-free pushdown transducer (`pda.from_dfao`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .validation import ValidationReport, _reach
-from .words import Alphabet, SequenceSource, _digit_levels
+from .words import Alphabet, SequenceSource, _table_fill
 
 __all__ = ["Dfao"]
 
@@ -107,16 +107,9 @@ class Dfao:
         alphabet = self.output_alphabet()
         index = {q: i for i, q in enumerate(self.states)}
         delta = np.array([[index[t] for t in self.delta[q]]
-                          for q in self.states], dtype=np.int32)
+                          for q in self.states])
         out = np.array([alphabet.index(self.output[q]) for q in self.states],
                        dtype=np.uint8)
         initial = index[self.initial]
-
-        def gen(n: int) -> bytes:
-            states = np.full(n, initial, dtype=np.int32)
-            for lo, hi, parents, digits in _digit_levels(self.k, n):
-                states[lo:hi] = delta[states[parents], digits]
-            return out[states].tobytes()
-
-        return SequenceSource(source_id, alphabet, gen)
-
+        return SequenceSource(source_id, alphabet, lambda n: out.take(
+            _table_fill(delta, initial, n)).tobytes())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dfao import Dfao
 from .errors import EnumerationCapError
-from .words import (Alphabet, SequenceSource, _digit_levels, digit_alphabet,
+from .words import (Alphabet, SequenceSource, _table_fill, digit_alphabet,
                     encode_base_k)
 
 __all__ = [
@@ -177,16 +177,14 @@ def xi3_value(n: int) -> int:
 def xi3_source() -> SequenceSource:
     """The xi3 word; position p holds the value for n = p.
 
-    The parity of the number of ones fills level by level, as
-    p[n] = p[n // 2] ^ (n % 2); the value 2 sits only at the O(log count)
-    indices (2^j - 1)(2^(2j) + 1), whose binary expansion is
-    ones^j zeros^j ones^j.
+    The parity of the number of ones is the two-state automaton that
+    flips on a 1, filled level by level like any other; the value 2
+    sits only at the O(log count) indices (2^j - 1)(2^(2j) + 1), whose
+    binary expansion is ones^j zeros^j ones^j.
     """
 
     def values(count: int) -> bytes:
-        parity = np.zeros(max(count, 0) + 1, dtype=np.uint8)
-        for lo, hi, parents, digits in _digit_levels(2, count + 1):
-            parity[lo:hi] = parity[parents] ^ digits
+        parity = _table_fill(np.array([[0, 1], [1, 0]]), 0, count + 1)
         j = 1
         while (n := (2 ** j - 1) * (2 ** (2 * j) + 1)) <= count:
             parity[n] = 2
@@ -241,23 +239,16 @@ def imitation_index(target: SequenceSource, k: int, max_states: int,
     goal = target.prefix(max_len).data
     best = None  # (agreement, m, delta, tau)
     for m in range(1, max_states + 1):
-        parents = [n // k for n in range(max_len)]
-        digits = [n % k for n in range(max_len)]
         for delta in _canonical_deltas(m, k):
             states = [0] * max_len
             for n in range(1, max_len):
-                states[n] = delta[states[parents[n]]][digits[n]]
+                states[n] = delta[states[n // k]][n % k]
             tau: dict[int, int] = {}
             agree = max_len
-            for pos in range(max_len):
-                s = states[pos]
-                want = goal[pos]
-                if s in tau:
-                    if tau[s] != want:
-                        agree = pos
-                        break
-                else:
-                    tau[s] = want
+            for pos, (s, want) in enumerate(zip(states, goal)):
+                if tau.setdefault(s, want) != want:
+                    agree = pos
+                    break
             if best is None or agree > best[0]:
                 best = (agree, m, delta, dict(tau))
                 if agree == max_len:

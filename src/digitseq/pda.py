@@ -23,8 +23,9 @@ configuration is an int pair (state, node). One vectorised step reads a
 digit in many configurations at once. Sources and the pair search fill
 configurations level by level, like the automata: the configuration
 after n is one digit step from the configuration after n // k, so a
-whole block [k^l, k^(l+1)) steps at once. The distinguishing search
-steps one array of configuration pairs per depth.
+whole block [k^l, k^(l+1)) steps at once from the block below, each
+entry repeated k times. The distinguishing search steps one array of
+configuration pairs per depth.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .dfao import Dfao
 from .errors import ValidationError
 from .validation import ValidationReport
-from .words import Alphabet, SequenceSource, _digit_levels, encode_base_k
+from .words import Alphabet, SequenceSource, _levels, encode_base_k
 
 __all__ = [
     "BOTTOM",
@@ -173,9 +174,9 @@ class Dpao:
         core = _Core(self)
 
         def gen(n: int) -> bytes:
-            for _, state, node in core.fill(n):
-                pass
-            return core.out[state, core.sym[node]].tobytes()
+            *_, (_, state, node) = core.fill(n)
+            return core.out.take(state * len(core.tops)
+                                 + core.sym.take(node)).tobytes()
 
         return SequenceSource(source_id, core.alphabet, gen)
 
@@ -246,7 +247,7 @@ class _Core:
         pairs not seen before become new nodes."""
         width = len(self.tops)
         key = base.astype(np.int64) * width + syms
-        node = self.child[key]
+        node = self.child.take(key)
         new = node < 0
         if new.any():
             fresh, inverse = np.unique(key[new], return_inverse=True)
@@ -270,23 +271,27 @@ class _Core:
         Raises `_Hole` for the first configuration whose row has no move
         for its digit, before anything is pushed.
         """
-        top = self.sym[nodes]
-        row = (states * len(self.tops) + top) * self.k + digits
-        to = self.dig_to[row]
+        width = len(self.tops)
+        top = self.sym.take(nodes)
+        row = (states * width + top) * self.k + digits
+        to = self.dig_to.take(row)
         if (to < 0).any():
             i = int(np.argmax(to < 0))
             raise _Hole(self.states[states[i]], self.tops[top[i]],
                         int(digits[i]), i)
         # the digit move replaces the top, then pushes its word
-        nodes = self.parent[nodes]
+        nodes = self.parent.take(nodes)
         for pushed in self.pushed:
-            nodes = self._intern(nodes, pushed[row])
+            nodes = self._intern(nodes, pushed.take(row))
         # epsilon closure: each pass pops one symbol where a move fires
-        live = np.flatnonzero(self.eps_to[to, self.sym[nodes]] >= 0)
+        fired = self.eps_to.take(to * width + self.sym.take(nodes))
+        live = np.flatnonzero(fired >= 0)
         while live.size:
-            to[live] = self.eps_to[to[live], self.sym[nodes[live]]]
-            nodes[live] = self.parent[nodes[live]]
-            live = live[self.eps_to[to[live], self.sym[nodes[live]]] >= 0]
+            to[live] = fired[fired >= 0]
+            nodes[live] = self.parent.take(nodes[live])
+            fired = self.eps_to.take(to[live] * width
+                                     + self.sym.take(nodes[live]))
+            live = live[fired >= 0]
         return to, nodes
 
     def fill(self, count: int):
@@ -298,18 +303,20 @@ class _Core:
         reaches it, and then the hole is raised: every input before it
         is filled, as when the inputs are stepped one by one.
         """
+        k, digit = self.k, np.arange(self.k)[None]
         state = np.full(count, self.initial, dtype=np.int32)
         node = np.zeros(count, dtype=np.int32)
         yield min(count, 1), state, node
-        for lo, hi, parents, digits in _digit_levels(self.k, count):
+        for lo, hi, parents, cut in _levels(k, count):
+            st = state[parents].repeat(k)[cut]
+            nd = node[parents].repeat(k)[cut]
+            digits = digit.repeat(parents.stop - parents.start, 0).ravel()[cut]
             try:
-                state[lo:hi], node[lo:hi] = self.step(
-                    state[parents], node[parents], digits)
+                state[lo:hi], node[lo:hi] = self.step(st, nd, digits)
             except _Hole as hole:
                 hi = lo + hole.at
                 state[lo:hi], node[lo:hi] = self.step(
-                    state[parents[:hole.at]], node[parents[:hole.at]],
-                    digits[:hole.at])
+                    st[:hole.at], nd[:hole.at], digits[:hole.at])
                 yield hi, state, node
                 raise
             yield hi, state, node

@@ -191,21 +191,25 @@ def encode_base_k(n: int, k: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _digit_levels(k: int, count: int):
-    """Blocks of n in [1, count) whose parents n // k lie in the block
-    before: [1, k) with parent 0, then [k^l, k^(l+1)) cut at count.
-
-    Yields (lo, hi, parents, digits) with the last two as arrays over the
-    block. The base-k expansion of n is that of n // k followed by n % k,
-    so a table indexed by n fills one block at a time, each a single
-    gather from the block below; n = 0 is the caller's initial entry.
-    """
+def _levels(k: int, count: int):
+    """Blocks [lo, hi) of n in [1, count): [1, k), then [k^l, k^(l+1)).
+    Each is `cut` from the children n = p * k + d, d = 0..k-1, of the
+    `parents` slice of p, laid end to end."""
     lo = 1
     while lo < count:
-        hi = min(count, lo * k)
-        parents, digits = np.divmod(np.arange(lo, hi), k)
-        yield lo, hi, parents, digits
+        hi, start = min(count, lo * k), lo // k
+        yield lo, hi, slice(start, -(-hi // k)), slice(lo % k, hi - start * k)
         lo = hi
+
+
+def _table_fill(table: np.ndarray, initial: int, count: int) -> np.ndarray:
+    """States after n in [0, count), in the smallest type that holds them:
+    each block is the successor-table rows of its parents, end to end."""
+    states = np.full(count, initial, np.min_scalar_type(len(table) - 1))
+    table = table.astype(states.dtype)
+    for lo, hi, parents, cut in _levels(table.shape[1], count):
+        states[lo:hi] = table.take(states[parents], axis=0).ravel()[cut]
+    return states
 
 
 def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> bool:

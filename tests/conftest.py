@@ -669,9 +669,11 @@ def random_dpao(rng: random.Random) -> Dpao:
                 stack_symbols=symbols, transitions=transitions, output=output)
 
 
-def random_dfao(rng: random.Random, k: int) -> Dfao:
-    states = tuple(f"s{i}" for i in range(rng.randint(1, 6)))
-    return Dfao(k=k, states=states, initial=states[0],
+def random_dfao(rng: random.Random, k: int, size: int | None = None,
+                initial: int = 0) -> Dfao:
+    """`size` states (default 1 to 6), starting in states[initial]."""
+    states = tuple(f"s{i}" for i in range(size or rng.randint(1, 6)))
+    return Dfao(k=k, states=states, initial=states[initial],
                 delta={q: tuple(rng.choice(states) for _ in range(k))
                        for q in states},
                 output={q: rng.choice("abc") for q in states})

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,15 @@ class TestDigits:
         assert r.exit_code == 0
         assert r.output.strip() == \
             "1110111001101000011111101110100000010110"
+
+    def test_count_takes_a_power(self, runner, machines):
+        for source in (["--stream", "xi3"],
+                       ["--machine", str(machines / "xi2.json")]):
+            power = run_cli(runner, ["digits", *source, "--count", "2^4"])
+            plain = run_cli(runner, ["digits", *source, "--count", "16"])
+            assert power.exit_code == plain.exit_code == 0
+            assert power.stdout_bytes == plain.stdout_bytes
+            assert len(plain.output) == 17
 
     def test_surd_stream(self, runner):
         r = run_cli(runner, ["digits", "--stream", "surd:2", "--base", "10",
@@ -148,6 +158,16 @@ class TestAnalyze:
                              "--prefix-length", "2^10"])
         assert r.exit_code == 2
         assert r.output.startswith("error: ")
+
+    @pytest.mark.parametrize("token", ["3^30000000", "7^3000000"])
+    def test_huge_power_exits_2_before_computing(self, runner, token):
+        start = time.perf_counter()
+        r = run_cli(runner, ["analyze", "--stream", "xi3", "--complexity",
+                             "1..2", "--prefix-length", token])
+        assert time.perf_counter() - start < 1
+        assert r.exit_code == 2
+        assert r.output == \
+            f"error: number too large: '{token}' is 2^64 or more\n"
 
     def test_full_byte_alphabet_stream(self, runner, tmp_path):
         # 256 distinct tokens use every byte value: the window index's
@@ -756,12 +776,12 @@ class TestBadCounts:
          "No such option"),
         (["certify", "--machine", "xi1.json", "--scan-len", "-1"],
          "scan length must be nonnegative, got -1\n"),
-        # counts past the index range of numpy and bytes; surd streams
-        # have no such bound yet and are left out
+        # counts of 2^64 or more are refused as they are parsed; a depth
+        # past the index range of numpy and bytes fails when it is used
         (["digits", "--stream", "rational:1/7", "--base", "10", "--count",
-          str(10 ** 30)], "cannot fit 'int' into an index-sized integer\n"),
+          str(10 ** 30)], f"number too large: '{10 ** 30}' is 2^64 or more\n"),
         (["analyze", "--stream", "rational:1/7", "--base", "10", "--dio",
-          "10^30"], "cannot fit 'int' into an index-sized integer\n"),
+          "10^30"], "number too large: '10^30' is 2^64 or more\n"),
         (["certify", "--pair", "1,7", "--stream", "rational:1/7", "--base",
           "10", "--depth", "100"],
          "cannot fit 'int' into an index-sized integer\n"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import (dfao_prefix, dpao_prefix, long_division, random_dfao,
@@ -20,6 +21,7 @@ from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.numbers import rational_source, xi3_source, xi3_value
 from digitseq.pda import BOTTOM, Dpao
+from digitseq.words import _table_fill
 
 
 def edge_counts(k: int, top: int) -> list[int]:
@@ -45,6 +47,19 @@ def test_random_dfaos_match_the_state_loop(k, top):
         m = random_dfao(rng, k)
         for count in edge_counts(k, top):
             assert m.source("t").prefix(count).data == dfao_prefix(m, count)
+
+
+@pytest.mark.parametrize("size", [256, 257, 300])
+@pytest.mark.parametrize("k, top", [(2, 14), (7, 5), (10, 4)])
+def test_dfaos_at_the_state_type_and_base_edges(size, k, top):
+    """Up to 256 states fill in uint8, more in uint16; the last state is
+    the initial one, so the widest index is stored from n = 0 on."""
+    rng = random.Random(7100 + size + k)
+    m = random_dfao(rng, k, size, initial=-1)
+    states = _table_fill(np.zeros((size, k), dtype=int), size - 1, 1)
+    assert states.dtype == (np.uint8 if size <= 256 else np.uint16)
+    for count in edge_counts(k, top):
+        assert m.source("t").prefix(count).data == dfao_prefix(m, count)
 
 
 @pytest.mark.parametrize("k, top", [(2, 9), (3, 6)])
@@ -146,14 +161,31 @@ def test_rational_tiling_on_every_small_fraction():
                     long_division(p, q, b, 120)
 
 
-def test_xi2_prefix_memory_stays_bounded(xi2):
-    """2^18 symbols of xi2 peak near 16 MiB; the one-step loop with its
-    per-n tuples peaks at 34 MiB."""
-    source = xi2.source("t")
+def traced_peak(make) -> int:
     tracemalloc.start()
     try:
-        source.prefix(2 ** 18)
-        peak = tracemalloc.get_traced_memory()[1]
+        make()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+
+
+def test_three_squares_prefix_memory_stays_bounded(three_squares):
+    """2^20 symbols peak near 10 MiB: one byte of state per n, plus the
+    index casts of the gathers; int32 states and parent arrays took 20."""
+    source = three_squares.source("t")
+    assert traced_peak(lambda: source.prefix(2 ** 20)) < 14 * 2 ** 20
+
+
+def test_xi3_prefix_memory_stays_bounded():
+    """2^20 values peak near 4 MiB; the parent and digit arrays of each
+    level took 17."""
+    source = xi3_source()
+    assert traced_peak(lambda: source.prefix(2 ** 20)) < 6 * 2 ** 20
+
+
+def test_xi2_prefix_memory_stays_bounded(xi2):
+    """2^18 symbols of xi2 peak near 9 MiB; the one-step loop with its
+    per-n tuples peaks at 34 MiB."""
+    source = xi2.source("t")
+    assert traced_peak(lambda: source.prefix(2 ** 18)) < 24 * 2 ** 20
