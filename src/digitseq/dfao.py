@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .validation import ValidationReport, _reach
-from .words import Alphabet, SequenceSource, _table_fill
+from .words import Alphabet, SequenceSource, _symbols, _table_fill
 
 __all__ = ["Dfao"]
 
@@ -111,5 +111,5 @@ class Dfao:
         out = np.array([alphabet.index(self.output[q]) for q in self.states],
                        dtype=np.uint8)
         initial = index[self.initial]
-        return SequenceSource(source_id, alphabet, lambda n: out.take(
-            _table_fill(delta, initial, n)).tobytes())
+        return SequenceSource(source_id, alphabet, lambda n: _symbols(
+            out, _table_fill(delta, initial, n)))

@@ -21,11 +21,13 @@ A machine runs one way. It compiles to a step core whose stacks are
 hash-consed nodes, so equal stacks get equal node ids and a
 configuration is an int pair (state, node). One vectorised step reads a
 digit in many configurations at once. Sources and the pair search fill
-configurations level by level, like the automata: the configuration
-after n is one digit step from the configuration after n // k, so a
-whole block [k^l, k^(l+1)) steps at once from the block below, each
-entry repeated k times. The distinguishing search steps one array of
-configuration pairs per depth.
+configuration ids level by level, like the automata: the configuration
+after n is one digit step from the configuration after n // k. Only the
+configurations new in a level are stepped, once for each digit, into a
+table of successor ids, and the whole block [k^l, k^(l+1)) is one row
+gather of that table by the block below. A prefix therefore costs steps
+in proportion to its distinct configurations, not to its length. The
+distinguishing search steps one array of configuration pairs per depth.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import numpy as np
 from .dfao import Dfao
 from .errors import ValidationError
 from .validation import ValidationReport
-from .words import Alphabet, SequenceSource, _levels, encode_base_k
+from .words import (Alphabet, SequenceSource, _levels, _symbols,
+                    encode_base_k)
 
 __all__ = [
     "BOTTOM",
@@ -168,29 +171,29 @@ class Dpao:
     def source(self, source_id: str) -> SequenceSource:
         """The output sequence, n = 0, 1, 2, ...
 
-        The machine compiles once to a step core, and the configurations
-        fill one base-k level at a time.
+        The machine compiles once to a step core; each call fills the
+        configuration ids one base-k level at a time and reads the output
+        of each id.
         """
         core = _Core(self)
 
         def gen(n: int) -> bytes:
-            *_, (_, state, node) = core.fill(n)
-            return core.out.take(state * len(core.tops)
-                                 + core.sym.take(node)).tobytes()
+            for _, ids in core.fill(n):
+                pass
+            state, node = core.config_of(slice(core.configs))
+            return _symbols(core.out[state, core.sym.take(node)], ids)
 
         return SequenceSource(source_id, core.alphabet, gen)
 
 
 class _Hole(ValidationError):
-    """A reached row with no move for the digit read, at index `at` of
-    the stepped arrays."""
+    """A reached row with no move for the digit read."""
 
-    def __init__(self, state: str, top: str, digit: int, at: int):
+    def __init__(self, state: str, top: str, digit: int):
         report = ValidationReport()
         report.error("incompleteness", f"reached ({state!r}, {top!r}) with "
                      f"digit {digit} but no transition is defined")
         super().__init__(report)
-        self.at = at
 
 
 class _Core:
@@ -201,6 +204,12 @@ class _Core:
     the stack parent[i] with sym[i] pushed on top, height[i] symbols
     high. `child` maps (parent, symbol) to its node, so equal stacks are
     one node and a configuration is the int pair (state, node).
+
+    A fill numbers the configurations it reaches: `config_id` maps the
+    key node * len(states) + state to the id, and `config_key` maps it
+    back. Row i of `succ` holds the ids one digit step from id i, and
+    `hole` marks the digits with no move. Every table doubles its length
+    when full; `nodes` and `configs` count the entries in use.
     """
 
     def __init__(self, m: Dpao):
@@ -233,34 +242,35 @@ class _Core:
             [[self.alphabet.index(m.output[(q, a)]) for a in tops]
              for q in m.states], dtype=np.uint8)
         self.initial = state_ix[m.initial]
+        self.epsilon = bool((self.eps_to >= 0).any())
         # node 0 is its own parent, so popping the bare bottom keeps it
-        self.parent = np.zeros(1, dtype=np.int32)
-        self.sym = np.full(1, bottom, dtype=np.int32)
-        self.height = np.zeros(1, dtype=np.int32)
+        self.nodes, room = 1, 64
+        self.parent = np.zeros(room, dtype=np.intp)
+        self.sym = np.full(room, bottom, dtype=np.int32)
+        self.height = np.zeros(room, dtype=np.int32)
         # child[node * len(tops) + symbol]: the node one push above, or
         # -1 while unmade; pushing the bottom index keeps the node
-        self.child = np.full(len(tops), -1, dtype=np.int32)
+        self.child = np.full(room * len(tops), -1, dtype=np.intp)
         self.child[bottom] = 0
 
     def _intern(self, base: np.ndarray, syms: np.ndarray) -> np.ndarray:
         """The node of each stack base[i] with syms[i] pushed on top;
         pairs not seen before become new nodes."""
         width = len(self.tops)
-        key = base.astype(np.int64) * width + syms
-        node = self.child.take(key)
-        new = node < 0
-        if new.any():
-            fresh, inverse = np.unique(key[new], return_inverse=True)
-            ids = len(self.parent) + np.arange(len(fresh), dtype=np.int32)
-            parent, sym = np.divmod(fresh, width)
-            self.parent = np.concatenate([self.parent, parent.astype(np.int32)])
-            self.sym = np.concatenate([self.sym, sym.astype(np.int32)])
-            self.height = np.concatenate([self.height, self.height[parent] + 1])
-            self.child = np.concatenate(
-                [self.child, np.full(len(fresh) * width, -1, dtype=np.int32)])
+        key = base * width + syms
+        node, made = _dedupe(self.child, key, self.nodes)
+        if made is not None:
+            self.nodes = count = self.nodes + len(made)
+            if count > len(self.parent):
+                self.parent = _room(self.parent, count)
+                self.sym = _room(self.sym, count)
+                self.height = _room(self.height, count)
+                self.child = _room(self.child, count * width, -1)
+            ids, pairs = node[made], key[made]
+            parent = pairs // width
+            self.parent[ids], self.sym[ids] = parent, pairs - parent * width
+            self.height[ids] = self.height[parent] + 1
             self.child[ids * width + self.bottom] = ids
-            self.child[fresh] = ids
-            node[new] = ids[inverse]
         return node
 
     def step(self, states: np.ndarray, nodes: np.ndarray, digits: np.ndarray
@@ -275,17 +285,19 @@ class _Core:
         top = self.sym.take(nodes)
         row = (states * width + top) * self.k + digits
         to = self.dig_to.take(row)
-        if (to < 0).any():
+        if to.size and to.min() < 0:
             i = int(np.argmax(to < 0))
             raise _Hole(self.states[states[i]], self.tops[top[i]],
-                        int(digits[i]), i)
+                        int(digits[i]))
         # the digit move replaces the top, then pushes its word
         nodes = self.parent.take(nodes)
         for pushed in self.pushed:
             nodes = self._intern(nodes, pushed.take(row))
+        if not self.epsilon:
+            return to, nodes
         # epsilon closure: each pass pops one symbol where a move fires
         fired = self.eps_to.take(to * width + self.sym.take(nodes))
-        live = np.flatnonzero(fired >= 0)
+        live = (fired >= 0).nonzero()[0]
         while live.size:
             to[live] = fired[fired >= 0]
             nodes[live] = self.parent.take(nodes[live])
@@ -294,32 +306,106 @@ class _Core:
             live = live[fired >= 0]
         return to, nodes
 
-    def fill(self, count: int):
-        """Configurations of n in [0, count) as state and node arrays,
-        filled one base-k level at a time from the initial one at n = 0;
-        yields (hi, state, node) each time every n < hi is filled.
+    def _ids(self, states: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The id of each configuration (states[i], nodes[i]);
+        configurations not seen before get new ids."""
+        keys = nodes * len(self.states) + states
+        if self.nodes * len(self.states) > len(self.config_id):
+            self.config_id = _room(self.config_id,
+                                   self.nodes * len(self.states), -1)
+        ids, made = _dedupe(self.config_id, keys, self.configs)
+        if made is not None:
+            old, self.configs = self.configs, self.configs + len(made)
+            if self.configs > len(self.config_key):
+                self.config_key = _room(self.config_key, self.configs)
+                self.succ = _room(self.succ, self.configs)
+                self.hole = _room(self.hole, self.configs)
+            self.config_key[old:self.configs] = keys[made]
+            if self.configs > self.id_limit:
+                self.succ = self.succ.astype(
+                    np.min_scalar_type(self.configs - 1))
+                self.id_limit = np.iinfo(self.succ.dtype).max + 1
+        return ids
 
-        At a hole, the level is filled and yielded up to the input that
-        reaches it, and then the hole is raised: every input before it
-        is filled, as when the inputs are stepped one by one.
+    def config_of(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """The states and nodes of configuration ids (an index, an array
+        or a slice)."""
+        keys = self.config_key[ids]
+        nodes = keys // len(self.states)
+        return keys - nodes * len(self.states), nodes
+
+    def _expand(self) -> None:
+        """Step each configuration that has no successor row yet, once
+        for each digit, into the table; a digit with no move is a hole.
+
+        Id 0 stands for n = 0 alone and reads digits 1..k-1 only: its
+        digit-0 child would be a leading zero. The initial configuration
+        reached again at some n > 0 has an id of its own.
         """
-        k, digit = self.k, np.arange(self.k)[None]
-        state = np.full(count, self.initial, dtype=np.int32)
-        node = np.zeros(count, dtype=np.int32)
-        yield min(count, 1), state, node
+        k, first, stop = self.k, self.stepped, self.configs
+        self.stepped = stop
+        states, nodes = self.config_of(slice(first, stop))
+        states, nodes = states.repeat(k), nodes.repeat(k)
+        # digits 0..k-1 for each configuration, without a slow `%`
+        digits = (np.zeros((stop - first, 1), dtype=np.intp)
+                  + np.arange(k)).ravel()
+        skip = 0 if first else 1
+        rows = slice(skip, None)
+        try:
+            children = self._ids(*self.step(states[rows], nodes[rows],
+                                             digits[rows]))
+        except _Hole:
+            moves = self.dig_to.take(
+                (states * len(self.tops) + self.sym.take(nodes)) * k + digits)
+            self.holey = True
+            self.hole[first:stop] = (moves < 0).reshape(-1, k)
+            rows = moves >= 0
+            rows[:skip] = False
+            children = self._ids(*self.step(states[rows], nodes[rows],
+                                             digits[rows]))
+        self.succ[first:stop].reshape(-1)[rows] = children
+
+    def fill(self, count: int):
+        """Configuration ids of n in [0, count), filled one base-k level
+        at a time from id 0 at n = 0; yields (hi, ids) each time every
+        n < hi is filled. Each fill numbers its configurations afresh.
+
+        Before each level, the configurations first reached in the level
+        below are stepped, once for each digit, into the successor table.
+        The block is then one gather of table rows by its parent slice,
+        laid end to end, and the ids array grows by the block, in the
+        smallest unsigned type that holds every id. At a hole, the level
+        is yielded filled up to the least input that reaches it, and then
+        the hole is raised: every input before it is filled, as when the
+        inputs are stepped one by one.
+        """
+        k, room = self.k, 64
+        self.configs, self.stepped, self.holey = 1, 0, False
+        self.config_id = np.full(max(self.nodes, room) * len(self.states), -1)
+        self.config_key = np.zeros(room, dtype=np.intp)
+        self.config_key[0] = self.initial
+        self.succ = np.zeros((room, k), dtype=np.uint8)
+        self.id_limit = 256
+        self.hole = np.zeros((room, k), dtype=bool)
+        ids = np.zeros(min(count, 1), dtype=np.uint8)
+        yield len(ids), ids
         for lo, hi, parents, cut in _levels(k, count):
-            st = state[parents].repeat(k)[cut]
-            nd = node[parents].repeat(k)[cut]
-            digits = digit.repeat(parents.stop - parents.start, 0).ravel()[cut]
-            try:
-                state[lo:hi], node[lo:hi] = self.step(st, nd, digits)
-            except _Hole as hole:
-                hi = lo + hole.at
-                state[lo:hi], node[lo:hi] = self.step(
-                    st[:hole.at], nd[:hole.at], digits[:hole.at])
-                yield hi, state, node
-                raise
-            yield hi, state, node
+            if self.stepped < self.configs:
+                self._expand()
+            grown = np.empty(hi, dtype=self.succ.dtype)
+            grown[:lo] = ids
+            ids = grown
+            ids[lo:hi] = self.succ.take(ids[parents], axis=0).ravel()[cut]
+            if self.holey:
+                hole = self.hole.take(ids[parents], axis=0).ravel()[cut]
+                if hole.any():
+                    at = int(hole.argmax())
+                    state, node = self.config_of(
+                        ids[parents][(cut.start + at) // k])
+                    yield lo + at, ids
+                    raise _Hole(self.states[state], self.tops[self.sym[node]],
+                                (lo + at) % k)
+            yield hi, ids
 
     def config(self, n: int) -> tuple[int, int]:
         """(state, node) after the base-k expansion of n, stepped one
@@ -330,6 +416,37 @@ class _Core:
         for d in encode_base_k(n, self.k):
             state, node = self.step(state, node, np.full(1, d))
         return int(state[0]), int(node[0])
+
+
+def _room(table: np.ndarray, size: int, fill=0) -> np.ndarray:
+    """table, or a copy of it padded with fill to at least twice its
+    length, so that it has `size` rows."""
+    if len(table) >= size:
+        return table
+    grown = np.full((max(size, 2 * len(table)),) + table.shape[1:], fill,
+                    dtype=table.dtype)
+    grown[:len(table)] = table
+    return grown
+
+
+def _dedupe(table: np.ndarray, keys: np.ndarray, count: int
+            ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The id of each key through a dense table that holds -1 for keys
+    without one; those get ids count, count + 1, ... Returns the ids and,
+    for each new id in order, the position of the key that made it (None
+    when no id is new)."""
+    ids = table.take(keys)
+    new = (ids < 0).nonzero()[0]
+    if not new.size:
+        return ids, None
+    fresh = keys[new]
+    # each new key keeps one of its positions, which makes its id
+    table[fresh] = new
+    maker = table.take(fresh)
+    made = new[maker == new]
+    ids[made] = np.arange(count, count + len(made))
+    table[fresh] = ids[new] = ids.take(maker)
+    return ids, made
 
 
 def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
@@ -372,46 +489,57 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
     """Scan n = 1, 2, ... for two inputs with equivalent configurations.
 
     Two detectors run side by side. "exact": identical configurations,
-    equal (state, node) pairs, by pigeonhole. "protected": same (state,
+    equal configuration ids, by pigeonhole. "protected": same (state,
     top symbol) with a non-empty stack below the top and an empty pop set
     for that pair, so everything below the top is permanently sealed and
     the configurations behave identically. The first hit in scan order
     minimizes n', then n; None, when the budget runs out, proves nothing.
-    The scan fills one base-k level at a time and stops after the first
-    level that holds a hit. A negative n_max raises ValueError.
+    A negative n_max raises ValueError.
+
+    The scan fills configuration ids one base-k level at a time and
+    stops after the first level that holds a hit. Until then every input
+    has an id of its own, so a level holds its first hit among its first
+    (ids not yet seen) + 1 inputs, and only those are read.
     """
     if n_max < 0:
         raise ValueError(f"search budget must be nonnegative, got {n_max}")
     pops = pop_table(m)
     core = _Core(m)
+    width = len(core.tops)
     sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
                        for q in m.states])
-    for hi, state, node in core.fill(n_max + 1):
-        # entry i is input n = i + 1; equal stacks are equal nodes
-        st, nd = state[1:hi].astype(np.int64), node[1:hi]
-        height, top = core.height[nd], core.sym[nd]
-        exact = _first_equal(st * len(core.parent) + nd)
-        protected = _first_equal(st * len(core.tops) + top,
-                                 (height >= 2) & sealed[st, top])
+    # the least input of each id and of each protected key state * width
+    # + top, or `none`; key -1 of an unprotected id reads the last entry
+    none = n_max + 1
+    first_id = np.zeros(0, dtype=np.int64)
+    first_key = np.full(len(m.states) * width + 1, none)
+    key = np.zeros(0, dtype=np.int64)
+    lo = 1
+    for hi, ids in core.fill(n_max + 1):
+        end = min(hi, core.configs + 1)
+        if end <= lo:
+            continue
+        if len(key) < core.configs:
+            state, node = core.config_of(slice(len(key), core.configs))
+            top = core.sym.take(node)
+            key = np.append(key, np.where(
+                (core.height.take(node) >= 2) & sealed[state, top],
+                state * width + top, -1))
+            first_id = np.append(first_id, np.full(len(state), none))
+        window, inputs = ids[lo:end], np.arange(lo, end)
+        np.minimum.at(first_id, window, inputs)
+        exact = first_id.take(window)
+        keys = key.take(window)
+        np.minimum.at(first_key, keys, np.where(keys < 0, none, inputs))
+        protected = first_key.take(keys)
         earliest = np.minimum(exact, protected)
-        hits = np.flatnonzero(earliest < np.arange(len(st)))
+        hits = np.flatnonzero(earliest < inputs)
         if hits.size:
             i = int(hits[0])
             method = "exact" if exact[i] <= protected[i] else "protected"
-            return int(earliest[i]) + 1, i + 1, method
+            return int(earliest[i]), lo + i, method
+        lo = hi
     return None
-
-
-def _first_equal(keys: np.ndarray, mask: np.ndarray | None = None
-                 ) -> np.ndarray:
-    """For each i in mask (default: every i), the least j in mask with
-    keys[j] == keys[i]; len(keys) outside the mask."""
-    first = np.full(len(keys), len(keys))
-    idx = np.arange(len(keys)) if mask is None else np.flatnonzero(mask)
-    _, start, inverse = np.unique(keys[idx], return_index=True,
-                                  return_inverse=True)
-    first[idx] = idx[start[inverse]]
-    return first
 
 
 @dataclass(frozen=True)

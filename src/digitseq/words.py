@@ -212,6 +212,15 @@ def _table_fill(table: np.ndarray, initial: int, count: int) -> np.ndarray:
     return states
 
 
+def _symbols(out: np.ndarray, index: np.ndarray) -> bytes:
+    """The uint8 outputs out[index] as bytes. A one-byte index maps
+    through `bytes.translate`, without the intp copy of an index that
+    numpy's gathers make."""
+    if index.dtype == np.uint8:
+        return index.tobytes().translate(out[:256].tobytes().ljust(256, b"\0"))
+    return out.take(index).tobytes()
+
+
 def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> bool:
     """Check prefix[i] = prefix[i-v] for all u+v < i <= u+ext (1-based).
 

@@ -1106,6 +1106,26 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestBudgetMemory:
+    def test_large_budget_certifies_in_one_gib_of_address_space(
+            self, machines):
+        """The pair search grows its arrays by level, so a budget of 10^9
+        inputs costs nothing until a level is reached. The child process
+        caps its own address space before it imports the package."""
+        code = ("import resource, runpy, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                "sys.argv = ['digitseq', *sys.argv[1:]]\n"
+                "runpy.run_module('digitseq', run_name='__main__', "
+                "alter_sys=True)\n")
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+        r = subprocess.run(
+            [sys.executable, "-c", code, "certify", "--machine",
+             str(machines / "xi2.json"), "--budget", "1000000000"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert r.returncode == 0, r.stderr[-400:]
+        assert "equivalent pair: n=1, n'=5 (method exact)" in r.stderr
+
+
 class TestVersion:
     def test_version_needs_no_install_metadata(self, tmp_path):
         # the package sources alone, with no distribution metadata beside them

@@ -13,14 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (dfao_prefix, dpao_prefix, long_division, random_dfao,
-                      random_deep_dpao, random_dpao, with_dead_rows,
-                      xi3_prefix)
+from conftest import (config_table, dfao_prefix, dpao_prefix, long_division,
+                      random_dfao, random_deep_dpao, random_dpao,
+                      with_dead_rows, xi3_prefix)
 from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.numbers import rational_source, xi3_source, xi3_value
-from digitseq.pda import BOTTOM, Dpao
+from digitseq.pda import BOTTOM, Dpao, _Core
 from digitseq.words import _table_fill
 
 
@@ -118,18 +118,39 @@ def test_reachable_dead_row_raises_like_the_loop():
 
 def test_random_dead_rows_raise_at_the_same_input():
     """Machines with whole digit rows removed: both paths give the same
-    bytes or fail on the same smallest n with the same message."""
+    bytes or fail on the same smallest n with the same message, at the
+    level edges, where a hole may sit on the first or last input of a
+    block."""
     rng = random.Random(8200)
     raised = 0
-    for _ in range(80):
-        m = with_dead_rows(random_deep_dpao(rng, 2), rng)
-        assert m.validate().ok
-        for count in (1, 2, 3, 64, 65, 300):
-            want = outcome(lambda c: dpao_prefix(m, c), count)
-            assert outcome(lambda c: m.source("t").prefix(c).data,
-                           count) == want
-            raised += isinstance(want, str)
+    for k, top, machines in ((2, 9, 80), (3, 6, 40)):
+        for _ in range(machines):
+            m = with_dead_rows(random_deep_dpao(rng, k), rng)
+            assert m.validate().ok
+            for count in sorted({*edge_counts(k, top), 64, 65, 300}):
+                want = outcome(lambda c: dpao_prefix(m, c), count)
+                assert outcome(lambda c: m.source("t").prefix(c).data,
+                               count) == want
+                raised += isinstance(want, str)
     assert raised > 0
+
+
+def test_xi2_steps_each_configuration_once_per_digit(xi2, monkeypatch):
+    """2^17 inputs of xi2 reach a few dozen configurations; the fill
+    steps each of them once for each digit, never every input."""
+    rows = []
+    step = _Core.step
+
+    def counted(core, states, nodes, digits):
+        rows.append(len(states))
+        return step(core, states, nodes, digits)
+
+    monkeypatch.setattr(_Core, "step", counted)
+    count = 2 ** 17
+    assert xi2.source("t").prefix(count).data == dpao_prefix(xi2, count)
+    distinct = len(set(config_table(xi2, count)))
+    assert distinct < 40
+    assert sum(rows) <= xi2.k * distinct
 
 
 def test_xi3_matches_value_by_value():
@@ -170,6 +191,14 @@ def traced_peak(make) -> int:
         tracemalloc.stop()
 
 
+def test_three_squares_symbols_skip_the_index_copy(three_squares):
+    """One-byte states map to symbols through bytes.translate: 2^20
+    symbols peak near 3.5 MiB, where a gather's intp copy of the index
+    took 10."""
+    source = three_squares.source("t")
+    assert traced_peak(lambda: source.prefix(2 ** 20)) < 6 * 2 ** 20
+
+
 def test_three_squares_prefix_memory_stays_bounded(three_squares):
     """2^20 symbols peak near 10 MiB: one byte of state per n, plus the
     index casts of the gathers; int32 states and parent arrays took 20."""
@@ -189,3 +218,10 @@ def test_xi2_prefix_memory_stays_bounded(xi2):
     per-n tuples peaks at 34 MiB."""
     source = xi2.source("t")
     assert traced_peak(lambda: source.prefix(2 ** 18)) < 24 * 2 ** 20
+
+
+def test_xi2_prefix_memory_in_one_byte_ids(xi2):
+    """2^18 symbols of xi2 peak near 1 MiB: one byte of configuration id
+    per n; an int32 state and an int32 node per n took 8.6."""
+    source = xi2.source("t")
+    assert traced_peak(lambda: source.prefix(2 ** 18)) < 4 * 2 ** 20

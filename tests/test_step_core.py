@@ -10,6 +10,7 @@ incompleteness message at the same input.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -72,6 +73,18 @@ class TestPairSearch:
         assert find_equivalent_pair(xi2, 4) is None
         assert find_equivalent_pair(xi2, 5) == (1, 5, "exact")
 
+    def test_large_budget_allocates_only_what_the_scan_reads(self, xi2):
+        """The pair at n' = 5 is found in the third level; nothing is
+        sized by the budget of 10^7 inputs."""
+        tracemalloc.start()
+        try:
+            assert find_equivalent_pair(xi2, n_max=10 ** 7) == \
+                (1, 5, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_random_dead_rows(self):
         rng = random.Random(9200)
         raised = 0
@@ -118,6 +131,15 @@ class TestHoleOrder:
         assert outcome(lambda: pair_search_loop(m)) == expected
         assert outcome(lambda: find_equivalent_pair(m)) == expected
         assert find_equivalent_pair(m, n_max=5) is None
+
+    def test_fill_stops_at_the_input_that_reaches_the_hole(self):
+        """The level [4, 8) is yielded filled up to n = 6, the first
+        input that reads a digit with no move, and then the hole raises."""
+        his = []
+        with pytest.raises(ValidationError):
+            for hi, _ in _Core(hole_machine(pair_first=False)).fill(64):
+                his.append(hi)
+        assert his == [1, 2, 4, 6]
 
 
 class TestDistinguish:
@@ -172,8 +194,9 @@ class TestHashConsing:
     def test_equal_nodes_are_equal_stacks(self):
         for m in corpus(9800)[::6]:
             core = _Core(m)
-            for _, state, node in core.fill(2 ** 10):
+            for _, ids in core.fill(2 ** 10):
                 pass
+            state, node = core.config_of(ids)
             configs = config_table(m, 2 ** 10)
             first_by_node: dict[int, tuple] = {}
             first_by_stack: dict[tuple, int] = {}
@@ -187,11 +210,12 @@ class TestHashConsing:
 
     def test_xi2_keeps_one_node_per_distinct_stack(self, xi2):
         core = _Core(xi2)
-        for _, state, node in core.fill(2 ** 12):
+        for _, ids in core.fill(2 ** 12):
             pass
+        _, node = core.config_of(ids)
         stacks = {c.stack for c in config_table(xi2, 2 ** 12)}
         # a pushed node per symbol would make thousands
-        assert len(core.parent) == len(set(node.tolist())) == len(stacks)
+        assert core.nodes == len(set(node.tolist())) == len(stacks)
         assert len(stacks) == 12
 
 
