@@ -25,7 +25,8 @@ configuration ids level by level, like the automata: the configuration
 after n is one digit step from the configuration after n // k. Only the
 configurations new in a level are stepped, once for each digit, into a
 table of successor ids, and the whole block [k^l, k^(l+1)) is one row
-gather of that table by the block below. A prefix therefore costs steps
+gather of that table by the block below; a digit with no move leaves
+id 0 there, which is no input's child. A prefix therefore costs steps
 in proportion to its distinct configurations, not to its length. The
 distinguishing search steps one array of configuration pairs per depth.
 """
@@ -201,15 +202,16 @@ class _Core:
 
     Dense tables over (state, top, digit) hold the moves. Stacks live in
     a hash-consed node store: node 0 is the bare bottom, and node i is
-    the stack parent[i] with sym[i] pushed on top, height[i] symbols
-    high. `child` maps (parent, symbol) to its node, so equal stacks are
-    one node and a configuration is the int pair (state, node).
+    the stack parent[i] with sym[i] pushed on top. `child` maps (parent,
+    symbol) to its node, so equal stacks are one node and a
+    configuration is the int pair (state, node).
 
     A fill numbers the configurations it reaches: `config_id` maps the
     key node * len(states) + state to the id, and `config_key` maps it
-    back. Row i of `succ` holds the ids one digit step from id i, and
-    `hole` marks the digits with no move. Every table doubles its length
-    when full; `nodes` and `configs` count the entries in use.
+    back. Row i of `succ` holds the ids one digit step from id i, and 0
+    for a digit with no move, as id 0 is no input's child. Every table
+    doubles its length when full; `nodes` and `configs` count the
+    entries in use.
     """
 
     def __init__(self, m: Dpao):
@@ -247,7 +249,6 @@ class _Core:
         self.nodes, room = 1, 64
         self.parent = np.zeros(room, dtype=np.intp)
         self.sym = np.full(room, bottom, dtype=np.int32)
-        self.height = np.zeros(room, dtype=np.int32)
         # child[node * len(tops) + symbol]: the node one push above, or
         # -1 while unmade; pushing the bottom index keeps the node
         self.child = np.full(room * len(tops), -1, dtype=np.intp)
@@ -264,12 +265,10 @@ class _Core:
             if count > len(self.parent):
                 self.parent = _room(self.parent, count)
                 self.sym = _room(self.sym, count)
-                self.height = _room(self.height, count)
                 self.child = _room(self.child, count * width, -1)
             ids, pairs = node[made], key[made]
             parent = pairs // width
             self.parent[ids], self.sym[ids] = parent, pairs - parent * width
-            self.height[ids] = self.height[parent] + 1
             self.child[ids * width + self.bottom] = ids
         return node
 
@@ -319,7 +318,6 @@ class _Core:
             if self.configs > len(self.config_key):
                 self.config_key = _room(self.config_key, self.configs)
                 self.succ = _room(self.succ, self.configs)
-                self.hole = _room(self.hole, self.configs)
             self.config_key[old:self.configs] = keys[made]
             if self.configs > self.id_limit:
                 self.succ = self.succ.astype(
@@ -336,7 +334,7 @@ class _Core:
 
     def _expand(self) -> None:
         """Step each configuration that has no successor row yet, once
-        for each digit, into the table; a digit with no move is a hole.
+        for each digit, into the table, where a digit with no move stays 0.
 
         Id 0 stands for n = 0 alone and reads digits 1..k-1 only: its
         digit-0 child would be a leading zero. The initial configuration
@@ -358,7 +356,6 @@ class _Core:
             moves = self.dig_to.take(
                 (states * len(self.tops) + self.sym.take(nodes)) * k + digits)
             self.holey = True
-            self.hole[first:stop] = (moves < 0).reshape(-1, k)
             rows = moves >= 0
             rows[:skip] = False
             children = self._ids(*self.step(states[rows], nodes[rows],
@@ -374,10 +371,10 @@ class _Core:
         below are stepped, once for each digit, into the successor table.
         The block is then one gather of table rows by its parent slice,
         laid end to end, and the ids array grows by the block, in the
-        smallest unsigned type that holds every id. At a hole, the level
-        is yielded filled up to the least input that reaches it, and then
-        the hole is raised: every input before it is filled, as when the
-        inputs are stepped one by one.
+        smallest unsigned type that holds every id. Once a hole is
+        stepped, the first 0 of each block is the least input that reaches
+        one: the level is yielded filled up to it, and then the hole is
+        raised, as when the inputs are stepped one by one.
         """
         k, room = self.k, 64
         self.configs, self.stepped, self.holey = 1, 0, False
@@ -386,7 +383,6 @@ class _Core:
         self.config_key[0] = self.initial
         self.succ = np.zeros((room, k), dtype=np.uint8)
         self.id_limit = 256
-        self.hole = np.zeros((room, k), dtype=bool)
         ids = np.zeros(min(count, 1), dtype=np.uint8)
         yield len(ids), ids
         for lo, hi, parents, cut in _levels(k, count):
@@ -397,14 +393,12 @@ class _Core:
             ids = grown
             ids[lo:hi] = self.succ.take(ids[parents], axis=0).ravel()[cut]
             if self.holey:
-                hole = self.hole.take(ids[parents], axis=0).ravel()[cut]
-                if hole.any():
-                    at = int(hole.argmax())
-                    state, node = self.config_of(
-                        ids[parents][(cut.start + at) // k])
-                    yield lo + at, ids
+                at = lo + int(ids[lo:hi].argmin())
+                if not ids[at]:
+                    state, node = self.config_of(ids[at // k])
+                    yield at, ids
                     raise _Hole(self.states[state], self.tops[self.sym[node]],
-                                (lo + at) % k)
+                                at % k)
             yield hi, ids
 
     def config(self, n: int) -> tuple[int, int]:
@@ -523,7 +517,7 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
             state, node = core.config_of(slice(len(key), core.configs))
             top = core.sym.take(node)
             key = np.append(key, np.where(
-                (core.height.take(node) >= 2) & sealed[state, top],
+                (core.parent.take(node) > 0) & sealed[state, top],
                 state * width + top, -1))
             first_id = np.append(first_id, np.full(len(state), none))
         window, inputs = ids[lo:end], np.arange(lo, end)

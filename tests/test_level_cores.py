@@ -135,6 +135,25 @@ def test_random_dead_rows_raise_at_the_same_input():
     assert raised > 0
 
 
+@pytest.mark.parametrize("count, dtype", [
+    (255, np.uint8), (256, np.uint8), (257, np.uint16),
+    (65_535, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+])
+def test_pushdown_ids_widen_with_the_configurations(count, dtype):
+    """One state that pushes A on 0 and B on 1 over its top: the stack
+    spells the input, so n < count reach count distinct configurations,
+    and the ids widen past 256 and 65,536 of them."""
+    t = {("p", a, d): ("p", (() if a == BOTTOM else (a,)) + ("AB"[d],))
+         for a in ("A", "B", BOTTOM) for d in (0, 1)}
+    m = Dpao(k=2, states=("p",), initial="p", stack_symbols=("A", "B"),
+             transitions=t,
+             output={("p", "A"): "0", ("p", "B"): "1", ("p", BOTTOM): "0"})
+    assert m.source("t").prefix(count).data == dpao_prefix(m, count)
+    for _, ids in _Core(m).fill(count):
+        pass
+    assert ids.dtype == dtype and len(np.unique(ids)) == count
+
+
 def test_xi2_steps_each_configuration_once_per_digit(xi2, monkeypatch):
     """2^17 inputs of xi2 reach a few dozen configurations; the fill
     steps each of them once for each digit, never every input."""

@@ -14,9 +14,9 @@ import tracemalloc
 
 import pytest
 
-from conftest import (config_table, distinguish_loop, pair_search_loop,
-                      pigeonhole_pair, random_deep_dpao, random_dfao,
-                      random_dpao, with_dead_rows)
+from conftest import (config_table, distinguish_loop, dpao_prefix,
+                      pair_search_loop, pigeonhole_pair, random_deep_dpao,
+                      random_dfao, random_dpao, with_dead_rows)
 from digitseq import catalog
 from digitseq.certify import (certificate_from_pair, certificate_to_json,
                               certify_dfao)
@@ -141,6 +141,40 @@ class TestHoleOrder:
                 his.append(hi)
         assert his == [1, 2, 4, 6]
 
+    def test_a_hole_at_every_position_of_a_level(self):
+        """Every count up to 130 gives the oracle's bytes or message, on
+        machines whose first hole sits at the start, middle or end of a
+        level. A machine with `hole_seeds[k][n]` removes rows from
+        `random_deep_dpao` in base k, and input n is the first that reads
+        a digit with no move."""
+        hole_seeds = {
+            2: {1: 2, 2: 0, 4: 56, 6: 36, 8: 8, 14: 576, 16: 300, 20: 30,
+                32: 1116, 46: 54, 64: 174, 66: 2088, 96: 2946, 126: 2588,
+                128: 1856},
+            3: {1: 1, 3: 3, 9: 17, 24: 9, 27: 73, 51: 81, 78: 299, 81: 283,
+                123: 383},
+        }
+        # the dead-row machine of CI: n = 2 reads 0 in (p, X)
+        dead_row = Dpao(k=2, states=("p",), initial="p", stack_symbols=("X",),
+                        transitions={("p", BOTTOM, 0): ("p", ()),
+                                     ("p", BOTTOM, 1): ("p", ("X",))},
+                        output={("p", BOTTOM): "0", ("p", "X"): "1"})
+        machines = [(6, hole_machine(pair_first=False)), (2, dead_row)]
+        for k, seeds in hole_seeds.items():
+            for n, seed in seeds.items():
+                rng = random.Random(seed)
+                m = with_dead_rows(random_deep_dpao(rng, k), rng)
+                machines.append((n, m))
+        for first, m in machines:
+            raised = []
+            for count in range(131):
+                want = outcome(lambda: dpao_prefix(m, count))
+                assert outcome(lambda: m.source("t").prefix(count).data) == \
+                    want
+                if isinstance(want, str):
+                    raised.append(count - 1)
+            assert raised[0] == first
+
 
 class TestDistinguish:
     @pytest.mark.parametrize("depth", range(9))
@@ -190,6 +224,14 @@ class TestDistinguish:
         assert raised > 0
 
 
+def node_height(core: _Core, node: int) -> int:
+    """The symbols on a node's stack: its parent links down to node 0."""
+    height = 0
+    while node:
+        node, height = int(core.parent[node]), height + 1
+    return height
+
+
 class TestHashConsing:
     def test_equal_nodes_are_equal_stacks(self):
         for m in corpus(9800)[::6]:
@@ -206,7 +248,7 @@ class TestHashConsing:
                     c.stack
                 assert first_by_stack.setdefault(c.stack, int(node[n])) == \
                     node[n]
-                assert core.height[node[n]] == c.height
+                assert node_height(core, int(node[n])) == c.height
 
     def test_xi2_keeps_one_node_per_distinct_stack(self, xi2):
         core = _Core(xi2)
