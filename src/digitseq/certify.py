@@ -41,29 +41,35 @@ __all__ = [
     "certificate_from_json",
 ]
 
-# the kind of the certificates each machine model gets; a stream's is
-# "sequence-pair"
-_MODEL_KINDS = {Dfao: "dfao-pigeonhole",
-                morphic_mod.MorphicSpec: "morphic-witness",
-                pda_mod.Dpao: "pda-pair"}
-_PAIR_KINDS = ("dfao-pigeonhole", "pda-pair", "sequence-pair")
+# each certificate kind: the model it certifies (None: a stream), its methods
+_KINDS = {"dfao-pigeonhole": (Dfao, ("exact",)),
+          "morphic-witness": (morphic_mod.MorphicSpec, (None,)),
+          "pda-pair": (pda_mod.Dpao, ("exact", "protected")),
+          "sequence-pair": (None, (None,))}
+
+
+def _kind(kind) -> tuple:
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown certificate kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Evidence that a source's output has dio > 1, verified to a depth.
 
-    It holds only what its family cannot derive: construction raises
-    ValueError unless there is a level-0 witness, the pair kinds and only
-    they carry a pair and a radix, the morphic kind and only it carries a
-    seed letter, and a pair's witnesses are its family. The rest is
-    derived. verified_depth is the number of witnesses minus one, and
-    seed_positions are p1 = u + 1 and p2 = u + v + 1 of the level-0
+    It holds only what its family cannot derive, and any certificate that
+    exists is one verify can load: construction raises ValueError unless its
+    kind and method are in the kinds table, there is a level-0 witness, the
+    pair kinds and only they carry a pair and a radix, the morphic kind and
+    only it carries a seed letter, and a pair's witnesses are its family.
+    The rest is derived. verified_depth is the number of witnesses minus
+    one, and seed_positions are p1 = u + 1 and p2 = u + v + 1 of the level-0
     witness. dio_lower_bound is n'/(n'-1) for pair kinds, a convention no
-    witness achieves (each has ratio (n'+1)/n'), and the least witness
-    ratio for the morphic kind. ratio_growth_bound is k for pair kinds,
-    and the largest growth of u + v between consecutive witnesses for
-    morphic.
+    witness achieves (each has ratio (n'+1)/n'), and the least witness ratio
+    for the morphic kind. ratio_growth_bound is k for pair kinds, and the
+    largest growth of u + v between consecutive witnesses for morphic.
     """
 
     kind: str
@@ -75,9 +81,15 @@ class Certificate:
     seed_letter: str | None = None
 
     def __post_init__(self):
+        model, methods = _kind(self.kind)
+        if self.method not in methods:
+            *takes, given = ("none" if m is None else m
+                             for m in (*methods, self.method))
+            raise ValueError(f"a {self.kind} certificate takes method "
+                             f"{' or '.join(takes)}, not {given}")
         if not self.witnesses:
             raise ValueError("a certificate needs its level-0 witness")
-        pair_kind = self.kind in _PAIR_KINDS
+        pair_kind = model is not morphic_mod.MorphicSpec
         if (self.pair is None, self.k is None) != (not pair_kind,) * 2:
             raise ValueError(f"a {self.kind} certificate "
                              f"{'needs' if pair_kind else 'takes no'} "
@@ -317,7 +329,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     if extra_depth < 0:
         raise ValueError("extra depth must be nonnegative")
     failures, notes = [], []
-    kind = _MODEL_KINDS.get(type(machine), cert.kind)
+    kind = next((kind for kind, (model, _) in _KINDS.items()
+                 if type(machine) is model), cert.kind)
     if cert.kind != kind:
         failures.append(f"kind {cert.kind} is not {kind}, the kind its "
                         f"machine certifies")
@@ -368,10 +381,8 @@ def _document(cert: Certificate) -> dict:
             {"u": w.u, "v": w.v, "ext": w.ext} for w in cert.witnesses
         ],
     }
-    if cert.k is not None:
-        doc["k"] = cert.k
     if cert.pair is not None:
-        doc["n"], doc["nPrime"] = cert.pair
+        doc["k"], doc["n"], doc["nPrime"] = cert.k, *cert.pair
     if cert.method is not None:
         doc["method"] = cert.method
     if cert.seed_letter is not None:
@@ -384,49 +395,37 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(_document(cert), indent=2, sort_keys=True) + "\n"
 
 
-# the methods certify writes on the kinds that take one
-_METHODS = {"dfao-pigeonhole": ("exact",), "pda-pair": ("exact", "protected")}
 # one JSON text per value: 1 is not true, and 2 is not 2.0
 _canonical = partial(json.dumps, sort_keys=True)
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """The certificate a document denotes, accepted only if the document
-    is the one certificate_to_json writes for it, key order and
-    whitespace aside. Anything else raises ValueError: a field certify
-    does not write for the kind, or another spelling of a value, such as
-    "10/8" for "5/4", 2.0 or "2" for 2, or true for 1.
+    """The certificate a document denotes, judged by its constructor and
+    accepted only if the document is the one certificate_to_json writes for
+    it, key order and whitespace aside. Anything else raises ValueError: a
+    field certify does not write for the kind, or another spelling of a
+    value, such as "10/8" for "5/4", 2.0 or "2" for 2, or true for 1.
     """
     try:
         doc = json.loads(text)
-        kind = doc["kind"]
-        if kind not in (*_MODEL_KINDS.values(), "sequence-pair"):
-            raise ValueError(f"unknown certificate kind {kind!r}")
-        method = doc.get("method") if kind in _METHODS else None
-        if kind in _METHODS and method not in _METHODS[kind]:
-            raise ValueError(f"a {kind} certificate takes method "
-                             f"{' or '.join(_METHODS[kind])}, not "
-                             f"{doc.get('method', 'none')}")
-        k = pair = letter = None
-        if kind == "morphic-witness":
-            letter = str(doc["seedLetter"])
+        model, methods = _kind(doc["kind"])
+        if model is morphic_mod.MorphicSpec:
+            fields = {"seed_letter": str(doc["seedLetter"])}
         else:
-            if not {"n", "nPrime", "k"} <= doc.keys():
-                raise ValueError("a pair certificate needs 'n', 'nPrime' and "
-                                 "the radix 'k'")
-            k, n, n_prime = (int(doc[key]) for key in ("k", "n", "nPrime"))
-            pair = (n, n_prime)
+            fields = {"k": int(doc["k"]),
+                      "pair": (int(doc["n"]), int(doc["nPrime"]))}
         cert = Certificate(
-            kind=kind, machine_ref=str(doc["machine"]),
+            kind=doc["kind"], machine_ref=str(doc["machine"]),
             witnesses=tuple(RepetitionWitness(int(w["u"]), int(w["v"]),
                                               int(w["ext"]))
                             for w in doc["witnesses"]),
-            k=k, pair=pair, method=method, seed_letter=letter)
+            method=None if None in methods else doc.get("method"), **fields)
         want = _document(cert)
         if _canonical(doc) != _canonical(want):
             foreign = sorted(doc.keys() - want.keys())
             if foreign:
-                raise ValueError(f"a {kind} certificate has no fields {foreign}")
+                raise ValueError(f"a {cert.kind} certificate has no fields "
+                                 f"{foreign}")
             key = min(key for key in want
                       if _canonical(doc[key]) != _canonical(want[key]))
             raise ValueError(f"{key!r} is {_canonical(doc[key])} in the file, "

@@ -100,9 +100,12 @@ def _load_machine_or_die(path: str):
 
 
 def _parse_pair(pair: str) -> tuple[int, int]:
-    """"n,n'" as two integers; ValueError when malformed."""
-    n_str, _, np_str = pair.partition(",")
-    return int(n_str), int(np_str)
+    """"n,n'" as two integers; anything else exits 2."""
+    try:
+        n, n_prime = map(int, pair.split(","))
+    except ValueError:
+        _die(EXIT_INVALID, f"--pair takes two integers n,n', got {pair!r}")
+    return n, n_prime
 
 
 def _stream_or_die(spec: str, base: int | None, expansion: bool = False):
@@ -173,13 +176,22 @@ def main() -> None:
     """Digit-sequence generators and repetition certificates."""
 
 
+def _source_options(command):
+    """The --machine, --stream and --base options that name a source."""
+    for option in reversed((
+            click.option("--machine", "machine_path", type=str, default=None,
+                         help="Machine JSON file (dfao, morphic, tag, dpao)."),
+            click.option("--stream", type=str, default=None,
+                         help="Number stream: rational:p/q, surd:d, xi3, "
+                              "file:<path>."),
+            click.option("--base", type=int, default=None,
+                         help="Digit base for rational/surd streams."))):
+        command = option(command)
+    return command
+
+
 @main.command()
-@click.option("--machine", "machine_path", type=str, default=None,
-              help="Machine JSON file (dfao, morphic, tag, dpao).")
-@click.option("--stream", type=str, default=None,
-              help="Number stream: rational:p/q, surd:d, xi3, file:<path>.")
-@click.option("--base", type=int, default=None,
-              help="Digit base for rational/surd streams.")
+@_source_options
 @click.option("--count", type=str, default="64", show_default=True)
 @click.option("--output", type=str, default=None, callback=_output_path,
               help="Write here instead of stdout.")
@@ -193,9 +205,7 @@ def digits(machine_path, stream, base, count, output):
 
 
 @main.command()
-@click.option("--machine", "machine_path", type=str, default=None)
-@click.option("--stream", type=str, default=None)
-@click.option("--base", type=int, default=None)
+@_source_options
 @click.option("--dio", "dio_range", type=str, default=None,
               help="Lengths for the repetition-ratio profile, e.g. 2^4..2^14.")
 @click.option("--complexity", "complexity_range", type=str, default=None,
@@ -231,7 +241,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
         rs_ns = _parse_lengths(rs_range) if rs_range else []
         need = p_ns + [n + 1 for n in rs_ns]
         plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
-        if plen < max(need) + 1:
+        if plen < max(need):
             _die(EXIT_INSUFFICIENT,
                  f"--prefix-length {plen} is too short for the "
                  f"requested block lengths")
@@ -307,13 +317,11 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
 
 
 @main.command()
-@click.option("--machine", "machine_path", type=str, default=None)
+@_source_options
 @click.option("--pair", type=str, default=None,
               help="Certify a raw index pair n,n' against a stream.")
 @click.option("--k", type=int, default=2, show_default=True,
               help="Radix of the identity family for --pair certificates.")
-@click.option("--stream", type=str, default=None)
-@click.option("--base", type=int, default=None)
 @click.option("--budget", type=int, default=10_000, show_default=True,
               help="Scan limit for pushdown pair search.")
 @click.option("--depth", type=int, default=12, show_default=True)
@@ -374,9 +382,7 @@ def _cert_summary(cert) -> str:
 
 @main.command()
 @click.option("--certificate", "cert_path", type=str, required=True)
-@click.option("--machine", "machine_path", type=str, default=None)
-@click.option("--stream", type=str, default=None)
-@click.option("--base", type=int, default=None)
+@_source_options
 @click.option("--extra-depth", type=int, default=0, show_default=True)
 def verify(cert_path, machine_path, stream, base, extra_depth):
     """Re-check a certificate against its source; exit 0 only if valid."""

@@ -75,6 +75,7 @@ class Dfao:
                     "missing-transition",
                     f"state {q!r} defines {len(row)} of {self.k} digit transitions",
                 )
+                continue  # which entry is which digit is not known
             for d, tgt in enumerate(row):
                 if tgt not in known:
                     report.error(

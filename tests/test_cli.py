@@ -138,6 +138,26 @@ class TestAnalyze:
         assert r.output == ("error: --prefix-length 32 is too short for the "
                             "requested block lengths\n")
 
+    def test_prefix_exactly_as_long_as_the_blocks_need(self, runner):
+        # p(n) reads n symbols and rs(n) reads n + 1: four symbols give
+        # p(1..4) and rs(1..3), and three do not
+        tokens = run_cli(runner, ["digits", "--stream", "xi3", "--count",
+                                  "4"]).output.strip().encode()
+        for option, lengths, oracle in (
+                ("--complexity", range(1, 5), naive_complexity),
+                ("--right-special", range(1, 4), naive_right_special)):
+            args = ["analyze", "--stream", "xi3", option,
+                    f"1..{lengths[-1]}", "--prefix-length"]
+            r = run_cli(runner, args + ["4"])
+            assert r.exit_code == 0
+            name = "p" if option == "--complexity" else "rs"
+            assert [f"  {name}({n}) = {oracle(tokens, n)}" for n in lengths] \
+                == r.output.splitlines()[2:]
+            r = run_cli(runner, args + ["3"])
+            assert (r.exit_code, r.output) == (
+                3, "error: --prefix-length 3 is too short for the requested "
+                   "block lengths\n")
+
     def test_growth_and_dilation(self, runner, machines):
         r = run_cli(runner, ["analyze", "--machine",
                              str(machines / "squares.json"),
@@ -703,12 +723,34 @@ class TestOtherCommands:
         assert r.exit_code == code
         assert r.output == output
 
-    @pytest.mark.parametrize("pair", ["1", "a,5", "-1,5"])
-    def test_equiv_bad_pair_exits_2(self, runner, machines, pair):
+    @pytest.mark.parametrize("pair, message", [
+        ("1", "--pair takes two integers n,n', got '1'"),
+        ("a,5", "--pair takes two integers n,n', got 'a,5'"),
+        ("1,2,3", "--pair takes two integers n,n', got '1,2,3'"),
+        ("-1,5", "input integer must be nonnegative"),
+    ], ids=["1", "a,5", "1,2,3", "-1,5"])
+    def test_equiv_bad_pair_exits_2(self, runner, machines, pair, message):
         r = run_cli(runner, ["equiv", "--machine",
                              str(machines / "xi2.json"), "--pair", pair])
-        assert r.exit_code == 2
-        assert r.output.startswith("error: ")
+        assert (r.exit_code, r.output) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("pair", ["1", "1,2,3", "1,x"])
+    def test_certify_bad_pair_exits_2(self, runner, pair):
+        r = run_cli(runner, ["certify", "--stream", "xi3", "--pair", pair])
+        assert (r.exit_code, r.output) == (
+            2, f"error: --pair takes two integers n,n', got '{pair}'\n")
+
+    @pytest.mark.parametrize("command", ["digits", "analyze", "certify",
+                                         "verify"])
+    def test_source_options_are_described_on_every_page(self, runner,
+                                                        command):
+        page = " ".join(run_cli(runner, [command, "--help"]).output.split())
+        for described in (
+                "--machine TEXT Machine JSON file (dfao, morphic, tag, dpao).",
+                "--stream TEXT Number stream: rational:p/q, surd:d, xi3, "
+                "file:<path>.",
+                "--base INTEGER Digit base for rational/surd streams."):
+            assert described in page
 
     def test_imitate(self, runner):
         r = run_cli(runner, ["imitate", "--stream", "rational:1/3",
@@ -874,8 +916,8 @@ class TestErrorTable:
 
     @pytest.mark.parametrize("name, edit, report", [
         ("thue-morse", lambda d: d["delta"]["q0"].pop("1"),
-         "error[missing-transition]: state 'q0' does not define all "
-         "digits 0..1"),
+         "error[missing-transition]: state 'q0' defines 1 of 2 digit "
+         "transitions"),
         ("xi2", lambda d: d["transitions"].append(d["transitions"][0]),
          "error[determinism-conflict]: duplicate transition at "
          "('q-1', '#', '0')"),

@@ -64,10 +64,24 @@ class TestStrictness:
             loads_machine(json.dumps(doc))
 
     def test_missing_digit_transition(self, tm_dfao):
-        doc = machine_to_dict(tm_dfao)
-        del doc["delta"]["q0"]["1"]
-        with pytest.raises(ValidationError):
+        # the model's own rule reports it: the reader only parses the row
+        for digit in ("0", "1"):
+            doc = machine_to_dict(tm_dfao)
+            del doc["delta"]["q0"][digit]
+            with pytest.raises(ValidationError) as info:
+                loads_machine(json.dumps(doc))
+            assert info.value.report.errors == [
+                ("missing-transition", "state 'q0' defines 1 of 2 digit "
+                                       "transitions")]
+        # a row with a gap names no digit for the targets after the gap
+        doc = machine_to_dict(tm_dfao) | {"k": 3}
+        doc["delta"]["q0"] = {"0": "q0", "2": "zz"}
+        doc["delta"]["q1"] = {"0": "q0", "1": "q1", "2": "q0"}
+        with pytest.raises(ValidationError) as info:
             loads_machine(json.dumps(doc))
+        assert info.value.report.errors == [
+            ("missing-transition", "state 'q0' defines 2 of 3 digit "
+                                   "transitions")]
 
     @pytest.mark.parametrize("name, edit, message", [
         # read as 0, " 0" replaced the "0" entry: another machine, picked
