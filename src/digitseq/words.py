@@ -3,11 +3,13 @@
 Alphabets, prefixes of infinite sequences, base-k numeration, repetition
 witnesses and the search for them, factor complexity, and right-special
 factor counting. Both factor counts read one integer index of a prefix:
-its windows sorted by prefix doubling on integer ranks, with their start
-positions and the common-prefix length of each adjacent pair. The prefix
-keeps the widest index built for it, so one sort serves every block
-length of both profiles. The repetition search scans back from the
-target length for many periods at once, in numpy blocks of bounded size.
+its windows sorted by prefix doubling on integer ranks, several rank
+digits to one tagged 64-bit sort a round, with their start positions
+and the common-prefix length of each adjacent pair, which is lifted
+only where the last round's groups change. The prefix keeps the widest
+index built for it, so one sort serves every block length of both
+profiles. The repetition search scans back from the target length for
+many periods at once, in numpy blocks of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -325,6 +327,11 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
     return out
 
 
+# the last step of the common prefixes gathers 64-bit keys for at most
+# _PAIR_BLOCK adjacent pairs at a time
+_PAIR_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class _WindowIndex:
     """The windows of a prefix sorted at a width, one per start.
@@ -341,103 +348,161 @@ class _WindowIndex:
     lcp: np.ndarray
 
 
-def _sort_by(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """`order` sorted stably by keys[order], keys below 2^32: each key
-    goes into the high half of a uint64 and its place in `order` into
-    the low half, and one value sort of those does the rest."""
-    tagged = keys[order].astype(np.uint64, copy=False)
-    tagged <<= np.uint64(32)
-    tagged |= np.arange(len(order), dtype=np.uint64)
-    tagged.sort()
-    tagged &= np.uint64(0xFFFFFFFF)
-    return order[tagged]
+def _pack(data: bytes, letters: int, chunk: int) -> np.ndarray:
+    """packed[i] holds the symbols i..i+chunk-1 of data, the first in the
+    top bits and the sentinel `letters` past the end, for i = 0..len(data).
+    chunk is a power of two, and each pass doubles the symbols held."""
+    bits = letters.bit_length()
+    packed = np.full(len(data) + chunk, letters, dtype=np.uint64)
+    packed[:len(data)] = np.frombuffer(data, dtype=np.uint8)
+    shifted = np.empty_like(packed)
+    span = 1
+    while span < chunk:
+        head = shifted[:-span]
+        np.left_shift(packed[:-span], np.uint64(span * bits), out=head)
+        np.bitwise_or(head, packed[span:], out=packed[:-span])
+        span *= 2
+    return packed[:len(data) + 1]
 
 
-def _ranks(order: np.ndarray, *sorted_keys: np.ndarray) -> np.ndarray:
-    """Dense ranks of the windows that `order` sorts, read from their keys
-    in that order, plus one more entry that ranks above them all."""
-    step = np.zeros(len(order) - 1, dtype=bool)
-    for keys in sorted_keys:
-        step |= keys[1:] != keys[:-1]
-    ranks = np.empty(len(order) + 1, dtype=np.int32)
+def _rank(code: np.ndarray, posbits: int | None):
+    """Sort the windows by their codes, one code a window. Return the
+    order, the dense ranks plus one more entry that ranks above them all,
+    and which adjacent pairs of the order differ.
+
+    With `posbits`, every code is below 2^(64 - posbits): one value sort
+    of code << posbits | position leaves the order in the low bits and
+    the sorted codes in the high bits, and `code` is overwritten. With
+    None, an argsort orders the codes, equal codes in any order.
+    """
+    total = len(code)
+    if posbits is None:
+        order = np.argsort(code).astype(np.int32)
+        code = code[order]
+    else:
+        code <<= np.uint64(posbits)
+        code |= np.arange(total, dtype=np.uint64)
+        code.sort()
+        order = np.empty(total, dtype=np.int32)
+        np.bitwise_and(code, np.uint64((1 << posbits) - 1), out=order,
+                       casting="unsafe")
+        code >>= np.uint64(posbits)
+    step = code[1:] != code[:-1]
+    ranks = np.empty(total + 1, dtype=np.uint32)
     ranks[order[0]] = 0
-    ranks[order[1:]] = np.cumsum(step, dtype=np.int32)
+    ranks[order[1:]] = np.cumsum(step, dtype=np.uint32)
     ranks[-1] = ranks[order[-1]] + 1
-    return ranks
+    return order, ranks, step
+
+
+def _digits(ranks: np.ndarray, h: int, m: int) -> np.ndarray:
+    """The code of each window of width m h: the ranks of its m parts of
+    width h as base-d digits, the first part most significant, where d is
+    the top rank plus 2. A part that starts past the end takes the last
+    entry of `ranks`, which ranks above them all."""
+    total = len(ranks) - 1
+    d = np.uint64(int(ranks[-1]) + 1)
+    code = ranks[:total].astype(np.uint64)
+    for k in range(1, m):
+        cut = max(total - k * h, 0)
+        code *= d
+        code[:cut] += ranks[k * h:total]
+        code[cut:] += ranks[-1]
+    return code
 
 
 def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
     """Sort the windows of data by prefix doubling on integer ranks
-    (Manber & Myers 1993), then find adjacent common prefixes by binary
-    lifting over the ranks of every round but the last.
+    (Manber & Myers 1993), as many rank digits a round as one 64-bit sort
+    holds, then find the common prefix of each adjacent pair, lifting
+    only the pairs that the last round tells apart.
 
     The first round packs the first `chunk` symbols of each window into
-    one uint64 of `bits` bits per symbol, the sentinel being the value
-    `letters`, and ranks those keys. Each later round doubles the width
-    h: a window of width 2h at i is the pair of width-h windows at i and
-    i + h, so the last order, read shifted by h, sorts by the second
-    half, and one stable sort by the first half's rank finishes it. The
-    rounds stop at `width` or once every window is distinct, and the
-    last round's order is the index. A pair's common prefix then takes
-    the widest kept width whose ranks still agree, at each width from
-    the top, and ends inside one packed chunk: the bit length of the XOR
-    of the two keys there. Memory is O(N log(width / chunk)) integers,
-    and nothing is a float.
+    one key of `bits` bits a symbol, the sentinel being the value
+    `letters`; chunk is the largest power of two whose key leaves room
+    for a position tag. A later round from width h reads a window of
+    width m h as its parts at i, i + h, ..., i + (m-1) h. Their ranks,
+    read from contiguous slices of the last ranks, are the m digits of
+    one code, and one value sort of the codes, each tagged with its
+    position, ranks the wider windows. m is the most digits whose code
+    and tag fit in 64 bits, at least 2, and no more than reach `width`.
+    The rounds stop at `width` or once every window is distinct, and the
+    last round's order is the index.
+
+    Adjacent windows of equal last rank share at least `width` symbols.
+    Only the other pairs, the group boundaries, are lifted: at each
+    earlier round from the top down, up to m - 1 steps of its width h
+    while the ranks there still agree, where m is the digit count of the
+    round after it. The rest ends inside one packed key, read off the
+    XOR of the two keys, _PAIR_BLOCK pairs at a time. Memory is one code
+    and one order at a time, the ranks of every round but the last, and
+    the packed keys, built again for the last step: on 2^18 symbols at
+    widths 8 to 1,024, from 25 to 41 bytes a window at its peak. Nothing
+    is a float.
     """
     total = len(data)
-    # starts plus a width h < total stay below 2 * total, and int32
+    # a start plus a common prefix is at most total, and int32
     if total > 2 ** 30:
         raise ValueError("the window index holds at most 2^30 windows")
     bits = letters.bit_length()
-    chunk = 64 // bits
-    padded = np.full(total + chunk, letters, dtype=np.uint16)
-    padded[:total] = np.frombuffer(data, dtype=np.uint8)
-    # packed[i] holds the symbols i..i+chunk-1, the first in the top bits
-    packed = np.zeros(total + 1, dtype=np.uint64)
-    for j in range(chunk):
-        packed <<= np.uint64(bits)
-        packed |= padded[j:j + total + 1]
-    del padded
-    order = _sort_by(packed & np.uint64(0xFFFFFFFF),
-                     np.arange(total, dtype=np.int32))
-    order = _sort_by(packed >> np.uint64(32), order)
-    ranks = _ranks(order, packed[order])
-    levels = []  # levels[j] ranks the windows of width chunk * 2^j
+    posbits = (total - 1).bit_length()
+    chunk = 1 << (((64 - posbits) // bits).bit_length() - 1)
+    order, ranks, step = _rank(_pack(data, letters, chunk)[:total], posbits)
+    levels = []  # (ranks at width h, h, the digits m of the round after)
     h = chunk
     while h < width and ranks[-1] < total:
-        # every window of width h >= total is distinct, so h < total here;
-        # the windows past total - h end in the sentinel, ranked last
-        levels.append(ranks)
-        order = _sort_by(ranks, np.concatenate(
-            (order[order >= h] - h,
-             np.arange(total - h, total, dtype=np.int32))))
-        ranks = _ranks(order, ranks[order],
-                       ranks[np.minimum(order + h, total)])
-        h *= 2
+        # every window of width h >= total is distinct, so h < total here
+        d = int(ranks[-1]) + 1
+        # past about 2^21 distinct windows two digits leave no room for a tag
+        tag = posbits if (d * d - 1).bit_length() + posbits <= 64 else None
+        room = 64 - (tag or 0)
+        m = 2
+        while m * h < width and (d ** (m + 1) - 1).bit_length() <= room:
+            m += 1
+        code = _digits(ranks, h, m)
+        levels.append((ranks, h, m))
+        del order, step
+        order, ranks, step = _rank(code, tag)
+        del code
+        h *= m
     del ranks
-    # the last round's ranks need no lifting step: the kept levels and
-    # the packed chunk reach h symbols, and h is at least `width` unless
-    # no two windows agree on h symbols
-    left_start, right_start = order[:-1], order[1:]
-    common = np.zeros(total - 1, dtype=np.int32)
-    for j in reversed(range(len(levels))):
-        # two windows agreeing on `common` symbols end by total, so the
-        # sentinel entry at index total is the furthest read
-        r = levels[j]
-        common[r[left_start + common] == r[right_start + common]] += \
-            chunk << j
-    del levels
-    diff = packed[left_start + common] ^ packed[right_start + common]
-    # the bit length of diff, by halving: each shift that leaves a set
-    # bit is part of it, and the 0 or 1 left over is the last bit
-    length = np.zeros(total - 1, dtype=np.int32)
-    for shift in (32, 16, 8, 4, 2, 1):
-        high = diff >= np.uint64(1 << shift)
-        np.add(length, shift, out=length, where=high)
-        np.right_shift(diff, np.uint64(shift), out=diff, where=high)
-    length += diff.astype(np.int32)
-    common += (chunk * bits - length) // bits
-    return _WindowIndex(width, order, np.minimum(common, width, out=common))
+    # a pair with equal last ranks shares h >= width symbols, unless every
+    # window is distinct and there is no such pair
+    left, right = order[:-1], order[1:]
+    every = step.all()
+    if not every:
+        left, right = left[step], right[step]
+    # each lifted pair differs within m h symbols at level h; two windows
+    # agreeing on `common` symbols end by total, so the sentinel entry at
+    # index total is the furthest read
+    common = np.zeros(len(left), dtype=np.int32)
+    while levels:
+        ranks, h, m = levels.pop()
+        for _ in range(m - 1):
+            same = ranks[left + common] == ranks[right + common]
+            # a pair that stops here stops for good at this level
+            if not same.any():
+                break
+            np.add(common, h, out=common, where=same)
+        del ranks, same
+    packed = _pack(data, letters, chunk)
+    # the XOR is at least 2^(bits j) exactly when the keys differ in one of
+    # their last j + 1 symbols, so the thresholds at or below it count the
+    # symbols from the first difference to the end of the key
+    thresholds = np.left_shift(np.uint64(1), np.arange(
+        0, chunk * bits, bits, dtype=np.uint64))
+    for lo in range(0, len(common), _PAIR_BLOCK):
+        part = slice(lo, lo + _PAIR_BLOCK)
+        done = common[part]
+        diff = packed[left[part] + done]
+        diff ^= packed[right[part] + done]
+        done += chunk - np.searchsorted(thresholds, diff, side="right")
+    np.minimum(common, width, out=common)
+    if every:
+        return _WindowIndex(width, order, common)
+    lcp = np.full(total - 1, width, dtype=np.int32)
+    lcp[step] = common
+    return _WindowIndex(width, order, lcp)
 
 
 def _window_index(prefix: SequencePrefix, width: int) -> _WindowIndex:

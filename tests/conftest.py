@@ -14,8 +14,11 @@ with its stack as a tuple (`StackConfig`), and the pair search, the
 distinguishing search and the dfao pigeonhole as the loops over them that
 the hash-consed step core replaced. The
 factor-count oracles are the set-of-slices and dict-of-sets scans that the
-sorted-window index replaced, and the repetition search has the
-one-pass-per-period loop that the backward block scan replaced. The
+sorted-window index replaced; the window index itself has the stable
+prefix doubling, twice the width a round and every adjacent pair lifted,
+that the tagged rank-digit rounds replaced (`doubling_index_oracle`); and
+the repetition search has the one-pass-per-period loop that the backward
+block scan replaced. The
 morphic growth report, `growth_report_oracle`, is the iterative Tarjan
 condensation with a closure per component that per-letter reach sets
 replaced.
@@ -39,7 +42,7 @@ from digitseq.numbers import xi3_value
 from digitseq.pda import BOTTOM, DistinguishResult, Dpao, pop_table
 from digitseq.validation import ValidationReport
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix,
-                            SequenceSource, encode_base_k)
+                            SequenceSource, _WindowIndex, encode_base_k)
 
 
 # --- prefix/source helpers -------------------------------------------------
@@ -410,6 +413,77 @@ def naive_right_special(data: bytes, n: int) -> int:
     for i in range(len(data) - n):
         followers.setdefault(data[i:i + n], set()).add(data[i + n])
     return sum(1 for s in followers.values() if len(s) >= 2)
+
+
+def _sort_by(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`order` sorted stably by keys[order], keys below 2^32: each key
+    goes into the high half of a uint64 and its place in `order` into
+    the low half, and one value sort of those does the rest."""
+    tagged = keys[order].astype(np.uint64, copy=False)
+    tagged <<= np.uint64(32)
+    tagged |= np.arange(len(order), dtype=np.uint64)
+    tagged.sort()
+    tagged &= np.uint64(0xFFFFFFFF)
+    return order[tagged]
+
+
+def _ranks(order: np.ndarray, *sorted_keys: np.ndarray) -> np.ndarray:
+    """Dense ranks of the windows that `order` sorts, read from their keys
+    in that order, plus one more entry that ranks above them all."""
+    step = np.zeros(len(order) - 1, dtype=bool)
+    for keys in sorted_keys:
+        step |= keys[1:] != keys[:-1]
+    ranks = np.empty(len(order) + 1, dtype=np.int32)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(step, dtype=np.int32)
+    ranks[-1] = ranks[order[-1]] + 1
+    return ranks
+
+
+def doubling_index_oracle(data: bytes, letters: int, width: int
+                          ) -> _WindowIndex:
+    """The window index by plain prefix doubling: one stable two-pass sort
+    of 64-bit packed keys, then each round doubles the width h by a
+    stable sort on the first half's rank of the order shifted by h, and
+    every adjacent pair is lifted over every kept round's ranks."""
+    total = len(data)
+    bits = letters.bit_length()
+    chunk = 64 // bits
+    padded = np.full(total + chunk, letters, dtype=np.uint16)
+    padded[:total] = np.frombuffer(data, dtype=np.uint8)
+    packed = np.zeros(total + 1, dtype=np.uint64)
+    for j in range(chunk):
+        packed <<= np.uint64(bits)
+        packed |= padded[j:j + total + 1]
+    order = _sort_by(packed & np.uint64(0xFFFFFFFF),
+                     np.arange(total, dtype=np.int32))
+    order = _sort_by(packed >> np.uint64(32), order)
+    ranks = _ranks(order, packed[order])
+    levels = []  # levels[j] ranks the windows of width chunk * 2^j
+    h = chunk
+    while h < width and ranks[-1] < total:
+        levels.append(ranks)
+        order = _sort_by(ranks, np.concatenate(
+            (order[order >= h] - h,
+             np.arange(total - h, total, dtype=np.int32))))
+        ranks = _ranks(order, ranks[order],
+                       ranks[np.minimum(order + h, total)])
+        h *= 2
+    left_start, right_start = order[:-1], order[1:]
+    common = np.zeros(total - 1, dtype=np.int32)
+    for j in reversed(range(len(levels))):
+        r = levels[j]
+        common[r[left_start + common] == r[right_start + common]] += \
+            chunk << j
+    diff = packed[left_start + common] ^ packed[right_start + common]
+    length = np.zeros(total - 1, dtype=np.int32)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = diff >= np.uint64(1 << shift)
+        np.add(length, shift, out=length, where=high)
+        np.right_shift(diff, np.uint64(shift), out=diff, where=high)
+    length += diff.astype(np.int32)
+    common += (chunk * bits - length) // bits
+    return _WindowIndex(width, order, np.minimum(common, width, out=common))
 
 
 # --- random corpora --------------------------------------------------------

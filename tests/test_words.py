@@ -8,9 +8,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_best, naive_complexity, naive_right_special,
-                      per_period_best, periodic_source, str_prefix,
-                      str_source)
+from conftest import (brute_force_best, doubling_index_oracle,
+                      naive_complexity, naive_right_special, per_period_best,
+                      periodic_source, str_prefix, str_source)
 from digitseq import catalog, words
 from digitseq.cli import main
 from digitseq.errors import InsufficientDataError
@@ -489,6 +489,121 @@ class TestWindowIndex:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
+
+
+def _index_word(rng: random.Random, letters: int) -> bytes:
+    """A periodic word with a few defects, a skewed word or a uniformly
+    random one, of 1 to 600 letters."""
+    length = rng.choice((rng.randint(1, 12), rng.randint(1, 600)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        block = [rng.randrange(letters) for _ in range(rng.randint(1, 9))]
+        word = (block * length)[:length]
+        for _ in range(rng.randint(0, 3)):
+            word[rng.randrange(length)] = rng.randrange(letters)
+        return bytes(word)
+    if kind == 1:
+        frequent = rng.randint(1, min(letters, 3))
+        return bytes(rng.randrange(letters) if rng.random() < 0.05
+                     else rng.randrange(frequent) for _ in range(length))
+    return bytes(rng.randrange(letters) for _ in range(length))
+
+
+def _counts(data: bytes, letters: int, index) -> tuple[list, list]:
+    """p and rs up to the index's width, read from the given index."""
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(letters)))
+    p = SequencePrefix("r", alphabet, data)
+    object.__setattr__(p, "_windows", index)
+    total, width = len(data), index.width
+    rs_max = min(width - 1, total - 1)
+    return (factor_complexity_profile(p, min(width, total)),
+            right_special_count(p, rs_max) if rs_max >= 1 else [])
+
+
+def _assert_same_index(data: bytes, letters: int, width: int, index):
+    """The index agrees with the doubling oracle on p, rs and the lcp
+    multiset, and its order is sorted on the first `width` symbols."""
+    want = doubling_index_oracle(data, letters, width)
+    assert sorted(index.lcp.tolist()) == sorted(want.lcp.tolist())
+    assert _counts(data, letters, index) == _counts(data, letters, want)
+    order = index.order.tolist()
+    assert sorted(order) == list(range(len(data)))
+    pad = [letters] * width
+    windows = [list(data[i:i + width]) + pad[:max(0, i + width - len(data))]
+               for i in order]
+    assert all(a <= b for a, b in zip(windows, windows[1:]))
+
+
+class TestRankDigitRounds:
+    """The window index sorts m rank digits a round with one tagged value
+    sort and lifts only the pairs that differ in the last round; the
+    oracle is the stable two-pass doubling it replaced."""
+
+    @pytest.mark.parametrize("letters", [1, 2, 3, 4, 8, 10, 16, 256])
+    def test_matches_the_doubling_oracle(self, letters):
+        # bits 1, 2, 2, 3, 4, 4, 5 and 9 a symbol: at 600 letters the first
+        # keys hold 32, 16, 16, 16, 8, 8, 8 and 4 symbols, and up to twice
+        # as many on shorter words
+        rng = random.Random(2400 + letters)
+        for _ in range(60):
+            data = _index_word(rng, letters)
+            width = rng.choice((1, len(data) + 1, rng.randint(1, len(data))))
+            index = words._build_index(data, letters, width)
+            assert index.width == width
+            _assert_same_index(data, letters, width, index)
+
+    def test_untagged_rank_matches_the_tagged(self):
+        rng = np.random.default_rng(24)
+        for size in (1, 2, 7, 300):
+            code = rng.integers(0, 9, size, dtype=np.uint64)
+            order, ranks, step = words._rank(code.copy(), 9)
+            loose, loose_ranks, loose_step = words._rank(code.copy(), None)
+            # the tagged sort is stable; the argsort may order ties either way
+            assert order.tolist() == np.argsort(code, kind="stable").tolist()
+            assert sorted(loose.tolist()) == list(range(size))
+            assert code[loose].tolist() == code[order].tolist()
+            assert loose_ranks.tolist() == ranks.tolist()
+            assert loose_step.tolist() == step.tolist()
+            assert ranks[-1] == ranks[:-1].max() + 1
+            assert ranks[:-1].tolist() == np.unique(
+                code, return_inverse=True)[1].ravel().tolist()
+
+    def test_untagged_rounds_give_the_same_index(self, monkeypatch):
+        # past about 2^21 distinct windows two digits and a position tag
+        # no longer fit in 64 bits; every round here takes that branch
+        rank = words._rank
+        monkeypatch.setattr(words, "_rank",
+                            lambda code, posbits: rank(code, None))
+        rng = random.Random(21)
+        for letters in (2, 3, 16, 256):
+            for _ in range(8):
+                data = _index_word(rng, letters)
+                width = rng.randint(1, len(data) + 1)
+                _assert_same_index(data, letters, width,
+                                   words._build_index(data, letters, width))
+
+    @pytest.mark.parametrize("name, width, bytes_per_symbol", [
+        # the stable two-pass doubling peaked at 41.0 and 49.0 bytes a
+        # symbol on these; the bound is 10% above
+        ("random-binary", 65, 41.0 * 1.1),
+        ("three-squares", 257, 49.0 * 1.1),
+    ])
+    def test_build_memory_per_symbol(self, three_squares, name, width,
+                                     bytes_per_symbol):
+        total = 2 ** 18
+        if name == "random-binary":
+            data = np.random.default_rng(18).integers(
+                0, 2, total, dtype=np.uint8).tobytes()
+        else:
+            data = three_squares.source("t").prefix(total).data
+        assert max(data) == 1
+        tracemalloc.start()
+        try:
+            words._build_index(data, 2, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_symbol * total
 
 
 class TestDifferenceIdentityOnCatalogWords:
