@@ -8,8 +8,10 @@ digits to one tagged 64-bit sort a round, with their start positions
 and the common-prefix length of each adjacent pair, which is lifted
 only where the last round's groups change. The prefix keeps the widest
 index built for it, so one sort serves every block length of both
-profiles. The repetition search scans back from the target length for
-many periods at once, in numpy blocks of bounded size.
+profiles. The repetition search is one scan for every target length
+of a profile: each (length, period) row walks back from its length,
+comparing packed 64-bit keys of many symbols at a time, in numpy blocks
+of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -239,72 +241,141 @@ def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> boo
     return data[lo:end] == data[lo - witness.v:end - witness.v]
 
 
-# the backward scan compares at most _BLOCK_CELLS (period, position)
-# cells in one block; each chunk of periods starts with _FIRST_BLOCK
-# positions
-_BLOCK_CELLS = 1 << 20
-_FIRST_BLOCK = 16
+# the repetition scan compares at most _SCAN_CELLS pairs of packed keys
+# in one block
+_SCAN_CELLS = 1 << 16
 
 
-def best_repetition_at(prefix: SequencePrefix, ell: int,
-                       v_max: int | None = None) -> RepetitionWitness | None:
-    """Best repetition witness whose extension ends exactly at position ell.
+def best_repetition_at(prefix: SequencePrefix, lengths: Sequence[int],
+                       v_max: int | None = None
+                       ) -> list[RepetitionWitness | None]:
+    """Best repetition witness whose extension ends exactly at position
+    ell, for each target length ell in `lengths`, in one scan.
 
     Maximizes the ratio (u+ext)/(u+v) = ell/(u+v) over all u >= 0, v >= 1
     with u+ext = ell, exhaustive over v up to the cap. The default cap is
     floor(ell/2): longer periods only witness ratios below 2 and desk-scale
-    profiles do not need them; pass v_max=ell for the fully uncapped
-    search. Returns None when no witness with ratio > 1 exists within the
-    cap. Ties: smallest v, then smallest u.
+    profiles do not need them; pass v_max=max(lengths) for the fully
+    uncapped search. The witness at ell is None when none with ratio > 1
+    exists within the cap. Ties: smallest v, then smallest u. The lengths
+    must be strictly increasing; none gives [].
 
     For a period v the best u is last_bad(v) - v, where last_bad(v) is the
     last 1-based position i with s_i != s_(i-v), so the cost u + v is
-    max(v, last_bad(v)). The scan walks back from ell for many periods at
-    once: blocks of positions that double in length, each compared with
-    the block v earlier. A period is finished at its last mismatch, or
-    when the block reaches position v. Periods at or above the cheapest
-    cost found so far cannot win and are dropped, and periods enter in
-    ascending chunks that double in size, so a periodic word stops after
-    its period. A block holds at most _BLOCK_CELLS comparisons.
+    max(v, last_bad(v)). A row is one (ell, v) pair. It walks back from
+    ell comparing the packed key of the `chunk` symbols before a position
+    e with the key before e - v (see `_pack`), in blocks of windows that
+    double in number, and the lowest differing symbol of the first XOR
+    that is not 0 is its last mismatch. Positions before the word hold a
+    sentinel, so position v always differs and ends the row at cost v at
+    the latest. Each length keeps its best as one integer, cost << 32 | v,
+    whose minimum is the witness. Periods enter in ascending chunks that
+    grow fourfold, for every length at once, and a length's periods at or
+    above its cheapest cost so far cannot win and are dropped, so a
+    periodic word stops soon after its period. Memory is the packed keys,
+    12 bytes a symbol of max(lengths) while they are built and 8 after,
+    and blocks of at most _SCAN_CELLS comparisons.
     """
-    if ell < 1:
+    lengths = list(lengths)
+    if lengths != sorted(set(lengths)):
+        raise ValueError("lengths must be strictly increasing")
+    if not lengths:
+        return []
+    if lengths[0] < 1:
         raise ValueError("target prefix length must be positive")
-    if ell > len(prefix):
+    if lengths[-1] > len(prefix):
         raise InsufficientDataError(
-            f"target length {ell} exceeds prefix of length {len(prefix)}"
+            f"target length {lengths[-1]} exceeds prefix of length "
+            f"{len(prefix)}"
         )
-    s = np.frombuffer(prefix.data, dtype=np.uint8, count=ell)
-    cap = ell // 2 if v_max is None else min(v_max, ell)
-    best_cost, best_v = ell, 0  # a witness needs cost u + v < ell
+    ells = np.array(lengths, dtype=np.int64)
+    caps = ells // 2 if v_max is None else np.minimum(
+        ells, min(v_max, lengths[-1]))
+    letters = prefix.alphabet.size
+    bits = letters.bit_length()
+    chunk = 1 << ((64 // bits).bit_length() - 1)
+    # keys[e] holds the chunk symbols before 0-based position e; positions
+    # below 0 hold the sentinel, which differs from every letter
+    keys = _pack(memoryview(prefix.data)[:lengths[-1]], letters, chunk,
+                 lead=chunk)
+    # a witness needs cost u + v < ell, and (ell, 0) is the start: ratio 1
+    # is none
+    best = ells << 32
     first, size = 1, 1
-    while first <= min(cap, best_cost - 1):
-        vs = np.arange(first, min(cap, best_cost - 1, first + size - 1) + 1)
-        first = int(vs[-1]) + 1
-        size = min(2 * size, _BLOCK_CELLS // _FIRST_BLOCK)
-        hi, width = ell, _FIRST_BLOCK
-        while vs.size:
-            # 0-based positions lo..hi-1, none below any remaining period
-            lo = max(hi - width, int(vs[-1]))
-            earlier = np.lib.stride_tricks.sliding_window_view(
-                s[:hi], hi - lo)[lo - vs]
-            bad = earlier != s[lo:hi]
-            hit = bad.any(axis=1)
-            cost = np.where(hit, hi - bad[:, ::-1].argmax(axis=1), vs)
-            done = hit | (vs == lo)
-            if done.any():
-                c = int(cost[done].min())
-                v = int(vs[done & (cost == c)][0])
-                # (ell, v) never beats the start (ell, 0): ratio 1 is none
-                if (c, v) < (best_cost, best_v):
-                    best_cost, best_v = c, v
-            vs = vs[~done & (vs < best_cost)]
-            hi = lo
-            if vs.size:
-                width = min(2 * width, max(1, _BLOCK_CELLS // vs.size))
-    if best_v == 0:
-        return None
-    return RepetitionWitness(u=best_cost - best_v, v=best_v,
-                             ext=ell - best_cost + best_v)
+    while True:
+        top = np.minimum(caps, (best >> 32) - 1)
+        live = np.flatnonzero(top >= first)
+        if not live.size:
+            break
+        size = min(size, max(1, _SCAN_CELLS // live.size))
+        counts = np.minimum(top[live], first + size - 1) - (first - 1)
+        rows = np.repeat(live, counts)
+        vs = np.arange(first, first + len(rows)) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        _scan_rows(keys, bits, chunk, best, rows, ells[rows], vs)
+        first += size
+        size *= 4
+    out = []
+    for ell, cost_v in zip(lengths, best.tolist()):
+        cost, v = cost_v >> 32, cost_v & 0xFFFFFFFF
+        out.append(None if v == 0 else
+                   RepetitionWitness(u=cost - v, v=v, ext=ell - cost + v))
+    return out
+
+
+def _scan_rows(keys: np.ndarray, bits: int, chunk: int, best: np.ndarray,
+               rows: np.ndarray, ends: np.ndarray, vs: np.ndarray) -> None:
+    """Walk each row (ell, v) back from its window ending at ell, and fold
+    its cost into best[row] as cost << 32 | v.
+
+    A block gives each row `width` windows of `chunk` positions ending at
+    e, e - chunk, ..., none ending below v. In the first window with a
+    difference, the last mismatch is at the 1-based position e - j, where
+    j is the number of whole symbols below the lowest set bit of the XOR.
+    That is the cost: position v, compared with the sentinel before the
+    word, always differs, so the last mismatch is never below v.
+    """
+    # the lowest set bit of an XOR is at least 2^(bits j) exactly when the
+    # keys agree on their last j symbols, so the thresholds at or below it
+    # count the symbols from the last difference to the end of the key
+    thresholds = np.left_shift(np.uint64(1), np.arange(
+        0, chunk * bits, bits, dtype=np.uint64))
+    width = 1
+    while rows.size:
+        if width == 1:
+            block = last = ends
+            diff = keys[block]
+            diff ^= keys[block - vs]
+            hit = np.flatnonzero(diff)
+            at = hit
+            rest = np.flatnonzero(diff == 0)
+        else:
+            block = ends[:, None] - np.arange(0, width * chunk, chunk)
+            np.maximum(block, vs[:, None], out=block)
+            last = block[:, -1]
+            diff = keys[block]
+            diff ^= keys[block - vs[:, None]]
+            # the first differing window of each row, in the row-major
+            # order of the block
+            hit = np.flatnonzero(diff)
+            at = hit // width
+            first = np.empty(len(at), dtype=bool)
+            first[:1] = True
+            np.not_equal(at[1:], at[:-1], out=first[1:])
+            hit, at = hit[first], at[first]
+            found = np.zeros(len(rows), dtype=bool)
+            found[at] = True
+            rest = np.flatnonzero(~found)
+        low = diff.ravel()[hit]
+        low &= -low
+        cost = block.ravel()[hit] + 1 - np.searchsorted(
+            thresholds, low, side="right")
+        np.minimum.at(best, rows[at], cost << 32 | vs[at])
+        rows, vs, ends = rows[rest], vs[rest], last[rest] - chunk
+        keep = vs < best[rows] >> 32
+        rows, vs, ends = rows[keep], vs[keep], ends[keep]
+        if rows.size:
+            width = min(2 * width, max(1, _SCAN_CELLS // rows.size))
 
 
 def dio_profile(source: SequenceSource, lengths: Sequence[int],
@@ -315,16 +386,10 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
     one is a lower bound for the Diophantine exponent verified to that
     depth. A finite profile never determines the exponent itself.
     """
-    if list(lengths) != sorted(set(lengths)):
-        raise ValueError("lengths must be strictly increasing")
-    if not lengths:
-        return []
-    prefix = source.prefix(max(lengths))
-    out = []
-    for ell in lengths:
-        w = best_repetition_at(prefix, ell, v_max=v_max)
-        out.append((ell, w.ratio if w is not None else Fraction(1)))
-    return out
+    prefix = source.prefix(max(lengths, default=0))
+    witnesses = best_repetition_at(prefix, lengths, v_max=v_max)
+    return [(ell, w.ratio if w is not None else Fraction(1))
+            for ell, w in zip(lengths, witnesses)]
 
 
 # the last step of the common prefixes gathers 64-bit keys for at most
@@ -348,21 +413,27 @@ class _WindowIndex:
     lcp: np.ndarray
 
 
-def _pack(data: bytes, letters: int, chunk: int) -> np.ndarray:
-    """packed[i] holds the symbols i..i+chunk-1 of data, the first in the
-    top bits and the sentinel `letters` past the end, for i = 0..len(data).
-    chunk is a power of two, and each pass doubles the symbols held."""
+def _pack(data: bytes, letters: int, chunk: int, lead: int = 0
+          ) -> np.ndarray:
+    """packed[i] holds the symbols i..i+chunk-1 of `lead` copies of the
+    sentinel `letters`, then data, then the sentinel again, the first in
+    the top bits, for i = 0..lead + len(data), as uint64. chunk is a power
+    of two. Each pass doubles the symbols held into a new array of the
+    narrowest type that holds them, the last into uint64, so the build
+    peaks at 12 bytes a symbol."""
     bits = letters.bit_length()
-    packed = np.full(len(data) + chunk, letters, dtype=np.uint64)
-    packed[:len(data)] = np.frombuffer(data, dtype=np.uint8)
-    shifted = np.empty_like(packed)
+    size = lead + len(data)
+    packed = np.full(size + chunk, letters, dtype=np.min_scalar_type(letters))
+    packed[lead:size] = np.frombuffer(data, dtype=np.uint8)
     span = 1
     while span < chunk:
-        head = shifted[:-span]
-        np.left_shift(packed[:-span], np.uint64(span * bits), out=head)
-        np.bitwise_or(head, packed[span:], out=packed[:-span])
+        wide = (np.uint64 if 2 * span == chunk
+                else np.min_scalar_type((1 << (2 * span * bits)) - 1))
+        head = np.left_shift(packed[:-span], span * bits, dtype=wide)
+        head |= packed[span:]
+        packed = head
         span *= 2
-    return packed[:len(data) + 1]
+    return packed.astype(np.uint64, copy=False)[:size + 1]
 
 
 def _rank(code: np.ndarray, posbits: int | None):

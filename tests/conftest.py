@@ -18,7 +18,9 @@ sorted-window index replaced; the window index itself has the stable
 prefix doubling, twice the width a round and every adjacent pair lifted,
 that the tagged rank-digit rounds replaced (`doubling_index_oracle`); and
 the repetition search has the one-pass-per-period loop that the backward
-block scan replaced. The
+block scan replaced, and that per-length byte-block scan itself, which the
+one packed-key scan over every target length replaced
+(`backward_scan_best`). The
 morphic growth report, `growth_report_oracle`, is the iterative Tarjan
 condensation with a closure per component that per-letter reach sets
 replaced.
@@ -400,6 +402,47 @@ def per_period_best(prefix: SequencePrefix, ell: int,
         return None
     _, v, u = best
     return RepetitionWitness(u=u, v=v, ext=ell - u)
+
+
+def backward_scan_best(prefix: SequencePrefix, ell: int,
+                       v_max: int | None = None) -> RepetitionWitness | None:
+    """Best repetition witness ending at ell, one scan per target length:
+    back from ell comparing byte blocks with the block v earlier, for a
+    chunk of periods at once. Blocks start at 16 positions and double,
+    up to 2^20 comparisons; chunks of periods double in size, and periods
+    at or above the best cost so far are dropped."""
+    block_cells, first_block = 1 << 20, 16
+    s = np.frombuffer(prefix.data, dtype=np.uint8, count=ell)
+    cap = ell // 2 if v_max is None else min(v_max, ell)
+    best_cost, best_v = ell, 0  # a witness needs cost u + v < ell
+    first, size = 1, 1
+    while first <= min(cap, best_cost - 1):
+        vs = np.arange(first, min(cap, best_cost - 1, first + size - 1) + 1)
+        first = int(vs[-1]) + 1
+        size = min(2 * size, block_cells // first_block)
+        hi, width = ell, first_block
+        while vs.size:
+            # 0-based positions lo..hi-1, none below any remaining period
+            lo = max(hi - width, int(vs[-1]))
+            earlier = np.lib.stride_tricks.sliding_window_view(
+                s[:hi], hi - lo)[lo - vs]
+            bad = earlier != s[lo:hi]
+            hit = bad.any(axis=1)
+            cost = np.where(hit, hi - bad[:, ::-1].argmax(axis=1), vs)
+            done = hit | (vs == lo)
+            if done.any():
+                c = int(cost[done].min())
+                v = int(vs[done & (cost == c)][0])
+                if (c, v) < (best_cost, best_v):
+                    best_cost, best_v = c, v
+            vs = vs[~done & (vs < best_cost)]
+            hi = lo
+            if vs.size:
+                width = min(2 * width, max(1, block_cells // vs.size))
+    if best_v == 0:
+        return None
+    return RepetitionWitness(u=best_cost - best_v, v=best_v,
+                             ext=ell - best_cost + best_v)
 
 
 def naive_complexity(text: str | bytes, n: int) -> int:

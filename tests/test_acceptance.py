@@ -266,7 +266,8 @@ def test_c14_brute_force_equivalences():
             prefix = words.SequencePrefix(
                 "t", alpha, bytes(int(c) for c in text))
             for cap in (length // 2, length):
-                got = words.best_repetition_at(prefix, length, v_max=cap)
+                [got] = words.best_repetition_at(prefix, [length],
+                                                 v_max=cap)
                 want = brute_force_best(text, length, v_max=cap)
                 if want is None:
                     assert got is None, (text, cap)

@@ -8,9 +8,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_best, doubling_index_oracle,
-                      naive_complexity, naive_right_special, per_period_best,
-                      periodic_source, str_prefix, str_source)
+from conftest import (backward_scan_best, brute_force_best,
+                      doubling_index_oracle, naive_complexity,
+                      naive_right_special, per_period_best, periodic_source,
+                      str_prefix, str_source)
 from digitseq import catalog, words
 from digitseq.cli import main
 from digitseq.errors import InsufficientDataError
@@ -81,23 +82,23 @@ class TestVerifyRepetition:
 
 class TestBestRepetition:
     def test_constant_word(self):
-        w = best_repetition_at(str_prefix("aaaa"), 4)
+        [w] = best_repetition_at(str_prefix("aaaa"), [4])
         assert (w.u, w.v, w.ext) == (0, 1, 4)
         assert w.ratio == 4
 
     def test_alternating(self):
-        w = best_repetition_at(str_prefix("abab"), 4)
+        [w] = best_repetition_at(str_prefix("abab"), [4])
         assert (w.u, w.v, w.ext) == (0, 2, 4)
 
     def test_no_repetition(self):
-        assert best_repetition_at(str_prefix("abca"), 4) is None
+        assert best_repetition_at(str_prefix("abca"), [4])[0] is None
 
     def test_default_cap_is_half_length(self):
         # the uncapped best needs v = 5 > 8/2, so the default misses it
         p = str_prefix("01101011")
-        uncapped = best_repetition_at(p, 8, v_max=8)
+        [uncapped] = best_repetition_at(p, [8], v_max=8)
         assert (uncapped.v, uncapped.ratio) == (5, Fraction(8, 5))
-        default = best_repetition_at(p, 8)
+        [default] = best_repetition_at(p, [8])
         assert (default.u, default.v, default.ext) == (6, 1, 2)
         assert default.ratio == Fraction(8, 7)
 
@@ -106,7 +107,7 @@ class TestBestRepetition:
         for _ in range(200):
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 30)))
             p = str_prefix(text, symbols="ab")
-            w = best_repetition_at(p, len(text))
+            [w] = best_repetition_at(p, [len(text)])
             if w is not None:
                 assert verify_repetition(p, w)
                 assert w.u + w.ext == len(text)
@@ -119,7 +120,7 @@ class TestBestRepetition:
                     .replace("1", "b")
                 p = str_prefix(text, symbols="ab")
                 for cap in (length // 2, length):
-                    got = best_repetition_at(p, length, v_max=cap)
+                    [got] = best_repetition_at(p, [length], v_max=cap)
                     want = brute_force_best(text, length, v_max=cap)
                     if want is None:
                         assert got is None, (text, cap)
@@ -141,7 +142,7 @@ class TestBackwardScan:
     def check(p, ell, caps, brute=False):
         text = p.data.decode("latin-1")
         for cap in caps:
-            got = best_repetition_at(p, ell, v_max=cap)
+            [got] = best_repetition_at(p, [ell], v_max=cap)
             assert got == per_period_best(p, ell, v_max=cap), (ell, cap)
             if brute:
                 # brute_force_best reads None as uncapped
@@ -156,7 +157,7 @@ class TestBackwardScan:
             p = SequencePrefix("c", Alphabet(("a",)), bytes(ell))
             self.check(p, ell, _caps(ell, rng), brute=ell <= 64)
             if ell > 1:
-                assert best_repetition_at(p, ell) == \
+                assert best_repetition_at(p, [ell])[0] == \
                     RepetitionWitness(u=0, v=1, ext=ell)
 
     def test_periodic_run_ending_at_ell(self):
@@ -209,7 +210,7 @@ class TestBackwardScan:
 
     @pytest.mark.parametrize("word", ["constant", "thue-morse", "one-defect"])
     def test_memory_stays_bounded(self, word):
-        # a block holds at most 2^20 comparisons; a constant word must stop
+        # a block holds at most 2^16 comparisons; a constant word must stop
         # after its period instead of building an ell x ell/2 matrix, and
         # in a^m b a^m every period v <= m agrees back to position m + v
         ell = 2 ** 16
@@ -224,12 +225,132 @@ class TestBackwardScan:
                                bytes(m) + b"\x01" + bytes(m))
         tracemalloc.start()
         try:
-            best_repetition_at(p, ell)
-            best_repetition_at(p, ell, v_max=ell)
+            best_repetition_at(p, [ell])
+            best_repetition_at(p, [ell], v_max=ell)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def _seeded_word(rng: random.Random, letters: int, kind: str, n: int):
+    """A constant word, a periodic word with a few defects, or a random
+    word, of n symbols over `letters` letters."""
+    if kind == "constant":
+        return bytes([rng.randrange(letters)]) * n
+    if kind == "random":
+        return bytes(rng.randrange(letters) for _ in range(n))
+    block = bytes(rng.randrange(letters) for _ in range(rng.randint(1, 12)))
+    word = bytearray((block * (n // len(block) + 1))[:n])
+    for _ in range(rng.randint(1, 3)):
+        word[rng.randrange(n)] = rng.randrange(letters)
+    return bytes(word)
+
+
+def _length_set(rng: random.Random, n: int) -> list[int]:
+    """Target lengths for an n-symbol prefix: some below every key's
+    symbol count (4 to 64), odd ones, which no count divides, and n."""
+    picks = {rng.randint(1, min(n, 3)), rng.randint(1, min(n, 63)), n}
+    picks |= {min(rng.randint(1, n) | 1, n) for _ in range(4)}
+    return sorted(picks)
+
+
+def _word_prefix(letters: int, data: bytes) -> SequencePrefix:
+    return SequencePrefix(
+        "w", Alphabet(tuple(f"s{i}" for i in range(letters))), data)
+
+
+class TestOneScan:
+    """best_repetition_at over many target lengths at once against the
+    per-length scan it replaced, the per-period loop and the triple loop:
+    the whole witness at every length, under every cap."""
+
+    @staticmethod
+    def check(p, lengths, caps, oracles=(backward_scan_best,
+                                         per_period_best)):
+        text = p.data.decode("latin-1")
+        for cap in caps:
+            got = best_repetition_at(p, lengths, v_max=cap)
+            assert len(got) == len(lengths)
+            for ell, w in zip(lengths, got):
+                for oracle in oracles:
+                    assert w == oracle(p, ell, v_max=cap), (ell, cap, oracle)
+                if ell <= 40:
+                    # brute_force_best reads None as uncapped
+                    want = brute_force_best(
+                        text, ell, v_max=ell // 2 if cap is None else cap)
+                    assert w == (None if want is None else RepetitionWitness(
+                        u=want[2], v=want[1], ext=ell - want[2])), \
+                        (text, ell, cap)
+
+    @pytest.mark.parametrize("letters", [1, 2, 3, 4, 10, 17, 256])
+    @pytest.mark.parametrize("kind", ["constant", "periodic", "random"])
+    def test_seeded_words(self, letters, kind):
+        rng = random.Random(1000 * letters + len(kind))
+        for _ in range(6):
+            n = rng.randint(1, 300)
+            p = _word_prefix(letters, _seeded_word(rng, letters, kind, n))
+            lengths = _length_set(rng, n)
+            top = lengths[-1]
+            self.check(p, lengths, (None, top, 1, rng.randint(1, top)))
+
+    def test_catalogue_prefixes(self):
+        rng = random.Random(6)
+        for pre in (catalog.thue_morse_dfao().source("t").prefix(2 ** 12),
+                    catalog.three_squares_dfao().source("s").prefix(2 ** 12),
+                    xi3_source().prefix(2 ** 12)):
+            lengths = sorted({2 ** j for j in range(13)}
+                             | {rng.randint(1, 2 ** 12) for _ in range(10)})
+            self.check(pre, lengths, (None, 2 ** 12, 1, rng.randint(1, 99)),
+                       oracles=(backward_scan_best,))
+
+    def test_long_walks_and_full_blocks(self):
+        # constant words walk every row back to v; in a^m b a^m every
+        # period v <= m agrees back to m + v; on a random word every period
+        # runs, so chunks of periods fill whole blocks
+        m = 2 ** 14
+        ab = Alphabet(("a", "b"))
+        rng = random.Random(7)
+        cases = [
+            (SequencePrefix("c", Alphabet(("a",)), bytes(2 ** 16)),
+             [2 ** j for j in range(17)] + [2 ** 16 - 1]),
+            (SequencePrefix("c", ab, bytes(2 ** 16)), [3, 1000, 2 ** 16]),
+            (SequencePrefix("ab", ab, bytes(m) + b"\x01" + bytes(m)),
+             [m, m + 1, m + 2, 2 * m + 1]),
+            (SequencePrefix("r", ab, bytes(rng.randrange(2)
+                                           for _ in range(2 ** 17))),
+             [2 ** 17 - 1, 2 ** 17]),
+        ]
+        for p, lengths in cases:
+            lengths = sorted(set(lengths))
+            self.check(p, lengths, (None, lengths[-1]),
+                       oracles=(backward_scan_best,))
+
+    def test_lengths_must_increase(self):
+        p = str_prefix("aaaa")
+        assert best_repetition_at(p, []) == []
+        for lengths in ([4, 2], [2, 2]):
+            with pytest.raises(ValueError, match="increasing"):
+                best_repetition_at(p, lengths)
+        with pytest.raises(ValueError, match="positive"):
+            best_repetition_at(p, [0, 2])
+        with pytest.raises(InsufficientDataError):
+            best_repetition_at(p, [2, 5])
+
+    @pytest.mark.parametrize("name", ["thue-morse", "three-squares"])
+    def test_memory_per_symbol(self, name):
+        # the packed keys take 8 bytes a symbol and their build 8 more;
+        # every other array is a block of at most 2^16 comparisons
+        lengths = [2 ** j for j in range(4, 19)]
+        p = catalog.get(name).source(name).prefix(lengths[-1])
+        tracemalloc.start()
+        try:
+            best_repetition_at(p, lengths)
+            best_repetition_at(p, lengths, v_max=lengths[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * lengths[-1]
 
 
 class TestDioProfile:
