@@ -227,8 +227,21 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     machine, source = _resolve_source(machine_path, stream, base)
     doc: dict = {"source": source.source_id}
     lines: list[str] = [f"source: {source.source_id}"]
-    if dio_range:
-        lengths = _parse_lengths(dio_range)
+    lengths = _parse_lengths(dio_range) if dio_range else []
+    p_ns = _parse_lengths(complexity_range) if complexity_range else []
+    rs_ns = _parse_lengths(rs_range) if rs_range else []
+    plen = 0
+    if p_ns or rs_ns:
+        need = p_ns + [n + 1 for n in rs_ns]
+        plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
+        if plen < max(need):
+            _die(EXIT_INSUFFICIENT,
+                 f"--prefix-length {plen} is too short for the "
+                 f"requested block lengths")
+    # the source caches what it generates: asking for the longer of the
+    # two prefixes first generates once for both profiles
+    source.prefix(max(lengths + [plen]))
+    if lengths:
         profile = words_mod.dio_profile(source, lengths)
         doc["dio"] = [
             {"length": n, "ratio": _fraction_str(r)} for n, r in profile
@@ -236,15 +249,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
         lines.append("repetition-ratio profile (exact, per target length):")
         for n, r in profile:
             lines.append(f"  length {n}: best ratio {_fmt_approx(r)}")
-    if complexity_range or rs_range:
-        p_ns = _parse_lengths(complexity_range) if complexity_range else []
-        rs_ns = _parse_lengths(rs_range) if rs_range else []
-        need = p_ns + [n + 1 for n in rs_ns]
-        plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
-        if plen < max(need):
-            _die(EXIT_INSUFFICIENT,
-                 f"--prefix-length {plen} is too short for the "
-                 f"requested block lengths")
+    if p_ns or rs_ns:
         prefix = source.prefix(plen)
         counts = None
         if rs_ns and max(rs_ns) + 1 > max(p_ns, default=0):

@@ -6,12 +6,15 @@ factor counting. Both factor counts read one integer index of a prefix:
 its windows sorted by prefix doubling on integer ranks, several rank
 digits to one tagged 64-bit sort a round, with their start positions
 and the common-prefix length of each adjacent pair, which is lifted
-only where the last round's groups change. The prefix keeps the widest
-index built for it, so one sort serves every block length of both
-profiles. The repetition search is one scan for every target length
-of a profile: each (length, period) row walks back from its length,
-comparing packed 64-bit keys of many symbols at a time, in numpy blocks
-of bounded size.
+only where the last round's groups change. The index holds one copy of
+the windows of each repeated aligned block of the prefix, which is
+exact because equal blocks, extended by the index width, hold equal
+windows; on an automatic or morphic word that is a few percent of the
+prefix. The prefix keeps the widest index built for it, so one sort
+serves every block length of both profiles. The repetition search is
+one scan for every target length of a profile: each (length, period)
+row walks back from its length, comparing packed 64-bit keys of many
+symbols at a time, in numpy blocks of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -96,7 +99,8 @@ class SequencePrefix:
     Data is stored as one byte per symbol index; re-reading a longer prefix
     of the same source must reproduce this one exactly (sources are
     deterministic). The widest window index built for the factor counts
-    is kept with the data, which never changes.
+    is kept with the data, which never changes; it holds one copy of the
+    windows of each repeated block (see `_window_index`).
     """
 
     source_id: str
@@ -241,6 +245,17 @@ def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> boo
     return data[lo:end] == data[lo - witness.v:end - witness.v]
 
 
+def _check_lengths(lengths: Sequence[int]) -> list[int]:
+    """The target lengths as a list, once they are checked to be positive
+    and strictly increasing."""
+    lengths = list(lengths)
+    if lengths != sorted(set(lengths)):
+        raise ValueError("lengths must be strictly increasing")
+    if lengths and lengths[0] < 1:
+        raise ValueError("target prefix length must be positive")
+    return lengths
+
+
 # the repetition scan compares at most _SCAN_CELLS pairs of packed keys
 # in one block
 _SCAN_CELLS = 1 << 16
@@ -276,13 +291,9 @@ def best_repetition_at(prefix: SequencePrefix, lengths: Sequence[int],
     12 bytes a symbol of max(lengths) while they are built and 8 after,
     and blocks of at most _SCAN_CELLS comparisons.
     """
-    lengths = list(lengths)
-    if lengths != sorted(set(lengths)):
-        raise ValueError("lengths must be strictly increasing")
+    lengths = _check_lengths(lengths)
     if not lengths:
         return []
-    if lengths[0] < 1:
-        raise ValueError("target prefix length must be positive")
     if lengths[-1] > len(prefix):
         raise InsufficientDataError(
             f"target length {lengths[-1]} exceeds prefix of length "
@@ -384,8 +395,10 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
 
     Every recorded ratio is achieved by a checkable witness, so the largest
     one is a lower bound for the Diophantine exponent verified to that
-    depth. A finite profile never determines the exponent itself.
+    depth. A finite profile never determines the exponent itself. The
+    lengths are checked before the source generates anything.
     """
+    lengths = _check_lengths(lengths)
     prefix = source.prefix(max(lengths, default=0))
     witnesses = best_repetition_at(prefix, lengths, v_max=v_max)
     return [(ell, w.ratio if w is not None else Fraction(1))
@@ -399,13 +412,19 @@ _PAIR_BLOCK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class _WindowIndex:
-    """The windows of a prefix sorted at a width, one per start.
+    """The windows of a prefix sorted at a width.
 
     Window i is data[i:i + width], padded past the end with a sentinel
     that sorts above every letter. `order` holds the starts in sorted
     order and `lcp` the common-prefix length of each adjacent pair, at
     most `width`: for every n <= width, two windows share their first n
-    symbols exactly when every length between them is at least n.
+    symbols exactly when every length between them is at least n. The
+    index of a prefix holds one start for each window of a distinct
+    block and for each window of the tail, and none for a window of a
+    block that repeats an earlier one at that width: every window it
+    leaves out equals one it holds, so each count of distinct blocks of
+    length n <= width is the same, and `_build_index` alone holds one
+    start per position.
     """
 
     width: int
@@ -576,13 +595,62 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
     return _WindowIndex(width, order, lcp)
 
 
+# blocks of at least _MIN_BLOCK symbols keep the dictionary of blocks
+# cheap on a word with none repeated, which then indexes the prefix: on
+# random words of 2^16 to 2^20 symbols it costs 2-6% of that index at
+# widths below 64, and 0.7-2% above
+_MIN_BLOCK = 128
+
+
 def _window_index(prefix: SequencePrefix, width: int) -> _WindowIndex:
     """The prefix's window index, at least `width` wide; built at most
-    once per width it grows to, and kept on the prefix."""
+    once per width it grows to, and kept on the prefix.
+
+    The index holds one copy of the windows of each repeated block. The
+    prefix is cut into aligned blocks of B symbols, B the smallest power
+    of two that is at least 2 width and at least _MIN_BLOCK, each
+    extended by width - 1 symbols so that it holds every window that
+    starts in it. The text is one copy of each distinct extended block,
+    then the tail from the first block whose extension runs past the
+    end; when it is shorter than the prefix, the index is built on it
+    instead. That is exact: equal extended blocks hold equal windows;
+    lcp stops at width, so the symbols past a block's end can only
+    reorder windows that agree on all `width` of theirs; and the tail
+    comes last, so the sentinel still follows the true end of the
+    prefix. The windows that start in a block's extension run into the
+    next copy and are dropped, the lcp of two kept windows adjacent in
+    sorted order is the least lcp between them, and each start maps
+    back to its first occurrence.
+    """
     index = prefix._windows
-    if index is None or index.width < width:
-        index = _build_index(prefix.data, prefix.alphabet.size, width)
-        object.__setattr__(prefix, "_windows", index)
+    if index is not None and index.width >= width:
+        return index
+    data, total = prefix.data, len(prefix)
+    block = max(_MIN_BLOCK, 1 << (2 * width - 1).bit_length())
+    span = block + width - 1
+    # the blocks whose extension ends by the end of the prefix
+    cut = max(0, total - width + 1) // block * block
+    first = {}
+    for start in range(0, cut, block):
+        first.setdefault(data[start:start + span], start)
+    if len(first) * span >= cut:
+        del first  # it would add 1.6 bytes a symbol to the build's peak
+        index = _build_index(data, prefix.alphabet.size, width)
+    else:
+        text = b"".join(first) + data[cut:]
+        built = _build_index(text, prefix.alphabet.size, width)
+        # the prefix position of each position of the text, -1 in the
+        # extensions
+        firsts = np.fromiter(first.values(), dtype=np.int32)
+        origin = np.full(len(text), -1, dtype=np.int32)
+        copies = origin[:firsts.size * span].reshape(-1, span)
+        copies[:, :block] = firsts[:, None] + np.arange(block)
+        origin[firsts.size * span:] = np.arange(cut, total)
+        starts = origin[built.order]
+        kept = np.flatnonzero(starts >= 0)
+        index = _WindowIndex(width, starts[kept], np.minimum.reduceat(
+            built.lcp[:kept[-1]], kept[:-1]))
+    object.__setattr__(prefix, "_windows", index)
     return index
 
 
@@ -590,10 +658,11 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
     """Number of distinct length-n blocks in the prefix, for n = 1..n_max.
 
     The length-n blocks are the n-prefixes of the sorted windows, so
-    p(n) is the window count less the adjacent pairs sharing n symbols.
-    The n - 1 windows that start in the last n - 1 positions hold the
-    sentinel within their first n symbols and are pairwise distinct;
-    they are not blocks.
+    p(n) is the window count less the adjacent pairs sharing n symbols;
+    the index may hold one copy of a repeated block's windows, so the
+    count is its own. The n - 1 windows that start in the last n - 1
+    positions hold the sentinel within their first n symbols and are
+    pairwise distinct; they are not blocks.
     """
     if n_max < 1:
         raise ValueError("block length must be positive")
@@ -602,11 +671,12 @@ def factor_complexity_profile(prefix: SequencePrefix, n_max: int) -> list[int]:
         raise InsufficientDataError(
             f"block length {n_max} exceeds prefix of length {total}"
         )
-    lcp = _window_index(prefix, n_max).lcp
+    index = _window_index(prefix, n_max)
     # shared[n] = number of adjacent pairs with lcp >= n
-    shared = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]
+    shared = np.cumsum(
+        np.bincount(index.lcp, minlength=n_max + 1)[::-1])[::-1]
     n = np.arange(1, n_max + 1)
-    return (total - shared[1:n_max + 1] - (n - 1)).tolist()
+    return (len(index.order) - shared[1:n_max + 1] - (n - 1)).tolist()
 
 
 def right_special_count(prefix: SequencePrefix, n_max: int) -> list[int]:

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import naive_complexity, naive_right_special
-from digitseq import __version__, catalog, pda
+from digitseq import __version__, catalog, cli, pda
 from digitseq.cli import main
 from digitseq.dfao import Dfao
 from digitseq.machinefile import machine_to_dict
@@ -129,6 +129,39 @@ class TestAnalyze:
         r = run_cli(runner, ["analyze", "--stream", f"file:{stream}",
                              "--dio", "2^4..2^6"])
         assert r.exit_code == 3
+
+    def test_one_prefix_serves_both_profiles(self, runner, machines,
+                                             monkeypatch):
+        asked = []
+        resolve = cli._resolve_source
+
+        def recording(*args):
+            machine, source = resolve(*args)
+            generate = source.generate
+            source.generate = lambda n: asked.append(n) or generate(n)
+            return machine, source
+
+        monkeypatch.setattr(cli, "_resolve_source", recording)
+        machine = ["analyze", "--machine", str(machines / "xi1.json")]
+        dio = ["--dio", "2^4..2^12"]
+        complexity = ["--complexity", "1..8", "--prefix-length", "2^15"]
+        both = run_cli(runner, machine + dio + complexity)
+        assert both.exit_code == 0
+        assert asked == [2 ** 15]
+        # the same text as the two profiles asked for one at a time
+        alone = [run_cli(runner, machine + args).output.splitlines()
+                 for args in (dio, complexity)]
+        assert both.output.splitlines() == alone[0] + alone[1][1:]
+
+    def test_stream_short_of_both_profiles_names_the_longer(self, runner,
+                                                            tmp_path):
+        stream = tmp_path / "short.txt"
+        stream.write_text("01" * 50, encoding="utf-8")
+        r = run_cli(runner, ["analyze", "--stream", f"file:{stream}",
+                             "--dio", "2^4..2^8", "--complexity", "1..8",
+                             "--prefix-length", "2^10"])
+        assert r.exit_code == 3
+        assert r.output.endswith("produced 100 of 1024 requested symbols\n")
 
     def test_prefix_shorter_than_the_blocks_exits_3(self, runner, machines):
         r = run_cli(runner, ["analyze", "--machine",

@@ -17,9 +17,9 @@ from digitseq.cli import main
 from digitseq.errors import InsufficientDataError
 from digitseq.numbers import xi3_source
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix,
-                            best_repetition_at, dio_profile, encode_base_k,
-                            factor_complexity_profile, right_special_count,
-                            verify_repetition)
+                            SequenceSource, best_repetition_at, dio_profile,
+                            encode_base_k, factor_complexity_profile,
+                            right_special_count, verify_repetition)
 
 
 class TestAlphabet:
@@ -370,6 +370,20 @@ class TestDioProfile:
     def test_lengths_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             dio_profile(str_source("aaaa"), [4, 2])
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([5, 3, 10 ** 9], "increasing"),
+        ([0, 10 ** 9], "positive"),
+    ])
+    def test_lengths_are_checked_before_generating(self, lengths, match):
+        # a source that records each request and makes nothing, so a
+        # request for 10^9 symbols costs nothing either
+        asked = []
+        src = SequenceSource("recording", Alphabet(("0", "1")),
+                             lambda n: asked.append(n) or b"")
+        with pytest.raises(ValueError, match=match):
+            dio_profile(src, lengths)
+        assert asked == []
 
 
 class TestFactorComplexity:
@@ -725,6 +739,93 @@ class TestRankDigitRounds:
         finally:
             tracemalloc.stop()
         assert peak <= bytes_per_symbol * total
+
+
+def _assert_route_exact(data: bytes, letters: int, width: int) -> None:
+    """The index the prefix builds for itself gives the p and rs of a
+    plain index of the whole prefix, and its starts are distinct prefix
+    positions whose windows ascend."""
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(letters)))
+    p = SequencePrefix("r", alphabet, data)
+    got = (factor_complexity_profile(p, width),
+           right_special_count(p, width - 1) if width > 1 else [])
+    assert got == _counts(data, letters, words._build_index(
+        data, letters, width)), (data, width)
+    starts = p._windows.order.tolist()
+    assert len(set(starts)) == len(starts)
+    if letters < 256:
+        padded = data + bytes([letters]) * width
+        windows = [padded[i:i + width] for i in starts]
+        assert windows == sorted(windows)
+
+
+class TestDistinctBlocks:
+    """The prefix's index holds one copy of the windows of each repeated
+    aligned block; the oracle is one plain index of the whole prefix."""
+
+    def test_catalogue_prefixes(self, tm_dfao, three_squares, xi1, squares,
+                                xi2):
+        sources = [m.source("t") for m in (tm_dfao, three_squares, xi1,
+                                           squares, xi2)] + [xi3_source()]
+        for source in sources:
+            for width in (1, 2, 33, 64, 65, 129, 257):
+                block = max(words._MIN_BLOCK,
+                            1 << (2 * width - 1).bit_length())
+                # the last full extended block ends exactly at the end,
+                # one symbol before it and one past it, and a length with
+                # no extension past its last block
+                for total in (16 * block + width - 1, 16 * block + width - 2,
+                              16 * block + width, 16 * block):
+                    data = source.prefix(total).data
+                    _assert_route_exact(data, source.alphabet.size, width)
+
+    @pytest.mark.parametrize("letters", [1, 2, 3, 10, 256])
+    def test_small_blocks_on_short_words(self, monkeypatch, letters):
+        # with no least block size, B is the smallest power of two at
+        # least 2 width, and words of up to 600 letters hold many blocks
+        monkeypatch.setattr(words, "_MIN_BLOCK", 1)
+        rng = random.Random(2700 + letters)
+        for _ in range(80):
+            data = _index_word(rng, letters)
+            for width in {1, len(data), rng.randint(1, len(data)),
+                          rng.randint(1, min(len(data), 9))}:
+                _assert_route_exact(data, letters, width)
+
+    def test_every_width_of_a_periodic_word_with_defects(self, monkeypatch):
+        monkeypatch.setattr(words, "_MIN_BLOCK", 1)
+        rng = random.Random(27)
+        for _ in range(3):
+            word = [0, 1, 2, 0] * 40
+            for _ in range(rng.randint(1, 3)):
+                word[rng.randrange(len(word))] = rng.randrange(3)
+            data = bytes(word)
+            for width in range(1, len(data) + 1):
+                _assert_route_exact(data, 3, width)
+
+    def test_random_prefixes(self):
+        rng = np.random.default_rng(270)
+        for letters, total in ((2, 3000), (10, 1 << 12), (2, 1 << 12)):
+            data = rng.integers(0, letters, total, dtype=np.uint8).tobytes()
+            for width in (1, 3, 64, 129, total // 2, total):
+                _assert_route_exact(data, letters, width)
+
+    def test_repeats_shrink_the_index(self, three_squares, monkeypatch):
+        # 2^16 symbols at width 129 are 127 blocks of 512: three-squares
+        # repeats all but a few, a random binary word none, and its index
+        # is built on the prefix itself
+        texts = []
+        build = words._build_index
+        monkeypatch.setattr(words, "_build_index", lambda data, *args: (
+            texts.append(data) or build(data, *args)))
+        total = 2 ** 16
+        pre = three_squares.source("t").prefix(total)
+        assert len(words._window_index(pre, 129).order) < total // 8
+        assert len(texts[0]) < total // 8
+        data = np.random.default_rng(16).integers(
+            0, 2, total, dtype=np.uint8).tobytes()
+        pre = SequencePrefix("r", pre.alphabet, data)
+        assert len(words._window_index(pre, 129).order) == total
+        assert texts[1] is data
 
 
 class TestDifferenceIdentityOnCatalogWords:
