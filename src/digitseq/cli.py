@@ -251,22 +251,18 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             lines.append(f"  length {n}: best ratio {_fmt_approx(r)}")
     if p_ns or rs_ns:
         prefix = source.prefix(plen)
-        counts = None
-        if rs_ns and max(rs_ns) + 1 > max(p_ns, default=0):
-            # rs needs the wider window index: it builds it, p reuses it
-            counts = words_mod.right_special_count(prefix, max(rs_ns))
         if p_ns:
             doc["complexity"] = []
             lines.append(f"factor complexity p(n) on a prefix of {plen}:")
-            profile = words_mod.factor_complexity_profile(prefix, max(p_ns))
+            # the widest block either table needs: rs reads the same index
+            profile = words_mod.factor_complexity_profile(prefix, max(need))
             for n in p_ns:
                 doc["complexity"].append({"n": n, "p": profile[n - 1]})
                 lines.append(f"  p({n}) = {profile[n - 1]}")
         if rs_ns:
             doc["rightSpecial"] = []
             lines.append("right-special factor counts:")
-            if counts is None:
-                counts = words_mod.right_special_count(prefix, max(rs_ns))
+            counts = words_mod.right_special_count(prefix, max(rs_ns))
             for n in rs_ns:
                 c = counts[n - 1]
                 doc["rightSpecial"].append({"n": n, "count": c})

@@ -26,7 +26,6 @@ __all__ = [
     "rational_source",
     "surd_source",
     "expansion_stream",
-    "xi3_value",
     "xi3_source",
     "imitation_index",
     "ENUMERATION_CAP",
@@ -158,20 +157,6 @@ def expansion_stream(number: str, whole: int, fraction: SequenceSource
 
     return SequenceSource(f"expansion:{number}:base{b}", fraction.alphabet,
                           gen)
-
-
-def xi3_value(n: int) -> int:
-    """Ternary value at index n >= 1: 2 when the binary expansion of n is
-    ones^k zeros^k ones^k for some k >= 1, else the parity of its number
-    of ones."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    w = bin(n)[2:]
-    if len(w) % 3 == 0:
-        k = len(w) // 3
-        if w == "1" * k + "0" * k + "1" * k:
-            return 2
-    return w.count("1") % 2
 
 
 def xi3_source() -> SequenceSource:

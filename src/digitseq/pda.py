@@ -22,12 +22,12 @@ hash-consed nodes, so equal stacks get equal node ids and a
 configuration is an int pair (state, node). One vectorised step reads a
 digit in many configurations at once. Sources and the pair search fill
 configuration ids level by level, like the automata: the configuration
-after n is one digit step from the configuration after n // k. Only the
-configurations new in a level are stepped, once for each digit, into a
-table of successor ids, and the whole block [k^l, k^(l+1)) is one row
-gather of that table by the block below; a digit with no move leaves
-id 0 there, which is no input's child. A prefix therefore costs steps
-in proportion to its distinct configurations, not to its length. The
+after n is one digit step from the configuration after n // k. Each
+configuration is stepped once, when a level first reads it, into a table
+of successor ids; the whole block [k^l, k^(l+1)) is one row gather of
+that table by the block below, and a digit with no move leaves id 0
+there, which is no input's child. A prefix therefore costs steps in
+proportion to its distinct configurations, not to its length. The
 distinguishing search steps one array of configuration pairs per depth.
 """
 
@@ -209,9 +209,9 @@ class _Core:
     A fill numbers the configurations it reaches: `config_id` maps the
     key node * len(states) + state to the id, and `config_key` maps it
     back. Row i of `succ` holds the ids one digit step from id i, and 0
-    for a digit with no move, as id 0 is no input's child. Every table
-    doubles its length when full; `nodes` and `configs` count the
-    entries in use.
+    for a digit with no move, as id 0 is no input's child; rows from id
+    `stepped` on wait for a level to read them. Every table doubles its
+    length when full; `nodes` and `configs` count the entries in use.
     """
 
     def __init__(self, m: Dpao):
@@ -244,6 +244,10 @@ class _Core:
             [[self.alphabet.index(m.output[(q, a)]) for a in tops]
              for q in m.states], dtype=np.uint8)
         self.initial = state_ix[m.initial]
+        # moves[state * len(tops) + top]: the row has digit moves, all k of
+        # them; complete: every row has digit or epsilon moves (no dead row)
+        self.moves = self.dig_to[::k] >= 0
+        self.complete = bool((self.moves | (self.eps_to.ravel() >= 0)).all())
         self.epsilon = bool((self.eps_to >= 0).any())
         # node 0 is its own parent, so popping the bare bottom keeps it
         self.nodes, room = 1, 64
@@ -332,49 +336,47 @@ class _Core:
         nodes = keys // len(self.states)
         return keys - nodes * len(self.states), nodes
 
-    def _expand(self) -> None:
-        """Step each configuration that has no successor row yet, once
-        for each digit, into the table, where a digit with no move stays 0.
+    def _expand(self, stop: int) -> None:
+        """Step the configurations with ids in [stepped, stop), which no
+        level has read yet, into the successor table, in one step. Each
+        has a move for every digit or, on a dead row, for none; one with
+        none keeps a row of 0s and makes the fill holey.
 
-        Id 0 stands for n = 0 alone and reads digits 1..k-1 only: its
-        digit-0 child would be a leading zero. The initial configuration
-        reached again at some n > 0 has an id of its own.
+        Id 0 stands for n = 0 alone and is expanded alone. It reads digit
+        1 in place of 0, as its digit-0 child would be a leading zero. The
+        initial configuration reached again at some n > 0 has an id of
+        its own.
         """
-        k, first, stop = self.k, self.stepped, self.configs
+        k, first = self.k, self.stepped
         self.stepped = stop
         states, nodes = self.config_of(slice(first, stop))
-        states, nodes = states.repeat(k), nodes.repeat(k)
+        live = slice(None) if self.complete else self.moves.take(
+            states * len(self.tops) + self.sym.take(nodes))
+        states, nodes = states[live].repeat(k), nodes[live].repeat(k)
+        self.holey |= len(states) < (stop - first) * k
         # digits 0..k-1 for each configuration, without a slow `%`
-        digits = (np.zeros((stop - first, 1), dtype=np.intp)
+        digits = (np.zeros((len(states) // k, 1), dtype=np.intp)
                   + np.arange(k)).ravel()
-        skip = 0 if first else 1
-        rows = slice(skip, None)
-        try:
-            children = self._ids(*self.step(states[rows], nodes[rows],
-                                             digits[rows]))
-        except _Hole:
-            moves = self.dig_to.take(
-                (states * len(self.tops) + self.sym.take(nodes)) * k + digits)
-            self.holey = True
-            rows = moves >= 0
-            rows[:skip] = False
-            children = self._ids(*self.step(states[rows], nodes[rows],
-                                             digits[rows]))
-        self.succ[first:stop].reshape(-1)[rows] = children
+        if not first:
+            digits[:1] = 1
+        self.succ[first:stop][live] = self._ids(
+            *self.step(states, nodes, digits)).reshape(-1, k)
 
     def fill(self, count: int):
         """Configuration ids of n in [0, count), filled one base-k level
         at a time from id 0 at n = 0; yields (hi, ids) each time every
         n < hi is filled. Each fill numbers its configurations afresh.
 
-        Before each level, the configurations first reached in the level
-        below are stepped, once for each digit, into the successor table.
-        The block is then one gather of table rows by its parent slice,
-        laid end to end, and the ids array grows by the block, in the
-        smallest unsigned type that holds every id. Once a hole is
-        stepped, the first 0 of each block is the least input that reaches
-        one: the level is yielded filled up to it, and then the hole is
-        raised, as when the inputs are stepped one by one.
+        Before each level, the configurations it reads that no level read
+        yet are stepped into the successor table: a full level reads all
+        those first reached in the level below, and the level the count
+        cuts only those up to the largest id among its parents. The block
+        is then one gather of table rows by its parent slice, laid end to
+        end, and the ids array grows by the block, in the smallest
+        unsigned type that holds every id. Once a hole is stepped, the
+        first 0 of each block is the least input that reaches one: the
+        level is yielded filled up to it, and then the hole is raised, as
+        when the inputs are stepped one by one.
         """
         k, room = self.k, 64
         self.configs, self.stepped, self.holey = 1, 0, False
@@ -386,8 +388,10 @@ class _Core:
         ids = np.zeros(min(count, 1), dtype=np.uint8)
         yield len(ids), ids
         for lo, hi, parents, cut in _levels(k, count):
-            if self.stepped < self.configs:
-                self._expand()
+            stop = (self.configs if hi == lo * k
+                    else int(ids[parents].max()) + 1)
+            if self.stepped < stop:
+                self._expand(stop)
             grown = np.empty(hi, dtype=self.succ.dtype)
             grown[:lo] = ids
             ids = grown

@@ -40,7 +40,6 @@ from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.morphic import GrowthReport, LetterGrowth, MorphicSpec
-from digitseq.numbers import xi3_value
 from digitseq.pda import BOTTOM, DistinguishResult, Dpao, pop_table
 from digitseq.validation import ValidationReport
 from digitseq.words import (Alphabet, RepetitionWitness, SequencePrefix,
@@ -93,6 +92,20 @@ def balance_oracle(n: int) -> str:
     """1 iff |#ones - #zeros| <= 1 in the binary expansion of n."""
     w = bin(n)[2:] if n else ""
     return "1" if abs(w.count("1") - w.count("0")) <= 1 else "0"
+
+
+def xi3_value(n: int) -> int:
+    """Ternary value at index n >= 1: 2 when the binary expansion of n is
+    ones^k zeros^k ones^k for some k >= 1, else the parity of its number
+    of ones."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    w = bin(n)[2:]
+    if len(w) % 3 == 0:
+        k = len(w) // 3
+        if w == "1" * k + "0" * k + "1" * k:
+            return 2
+    return w.count("1") % 2
 
 
 def xi3_oracle(n: int) -> int:

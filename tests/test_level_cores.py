@@ -15,11 +15,11 @@ import pytest
 
 from conftest import (config_table, dfao_prefix, dpao_prefix, long_division,
                       random_dfao, random_deep_dpao, random_dpao,
-                      with_dead_rows, xi3_prefix)
+                      with_dead_rows, xi3_prefix, xi3_value)
 from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
-from digitseq.numbers import rational_source, xi3_source, xi3_value
+from digitseq.numbers import rational_source, xi3_source
 from digitseq.pda import BOTTOM, Dpao, _Core
 from digitseq.words import _table_fill
 
@@ -135,28 +135,32 @@ def test_random_dead_rows_raise_at_the_same_input():
     assert raised > 0
 
 
+def spelling_machine() -> Dpao:
+    """One state that pushes X on 1 and Y on 0 over its top: the stack
+    spells the input, so every input reaches a configuration of its own."""
+    t = {("p", a, d): ("p", (() if a == BOTTOM else (a,)) + ("YX"[d],))
+         for a in ("X", "Y", BOTTOM) for d in (0, 1)}
+    return Dpao(k=2, states=("p",), initial="p", stack_symbols=("X", "Y"),
+                transitions=t,
+                output={("p", "X"): "1", ("p", "Y"): "0", ("p", BOTTOM): "0"})
+
+
 @pytest.mark.parametrize("count, dtype", [
     (255, np.uint8), (256, np.uint8), (257, np.uint16),
     (65_535, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
 ])
 def test_pushdown_ids_widen_with_the_configurations(count, dtype):
-    """One state that pushes A on 0 and B on 1 over its top: the stack
-    spells the input, so n < count reach count distinct configurations,
-    and the ids widen past 256 and 65,536 of them."""
-    t = {("p", a, d): ("p", (() if a == BOTTOM else (a,)) + ("AB"[d],))
-         for a in ("A", "B", BOTTOM) for d in (0, 1)}
-    m = Dpao(k=2, states=("p",), initial="p", stack_symbols=("A", "B"),
-             transitions=t,
-             output={("p", "A"): "0", ("p", "B"): "1", ("p", BOTTOM): "0"})
+    """n < count reach count distinct configurations of the spelling
+    machine, and the ids widen past 256 and 65,536 of them."""
+    m = spelling_machine()
     assert m.source("t").prefix(count).data == dpao_prefix(m, count)
     for _, ids in _Core(m).fill(count):
         pass
     assert ids.dtype == dtype and len(np.unique(ids)) == count
 
 
-def test_xi2_steps_each_configuration_once_per_digit(xi2, monkeypatch):
-    """2^17 inputs of xi2 reach a few dozen configurations; the fill
-    steps each of them once for each digit, never every input."""
+def count_step_rows(monkeypatch) -> list[int]:
+    """The rows of each `_Core.step` call from now on."""
     rows = []
     step = _Core.step
 
@@ -165,11 +169,47 @@ def test_xi2_steps_each_configuration_once_per_digit(xi2, monkeypatch):
         return step(core, states, nodes, digits)
 
     monkeypatch.setattr(_Core, "step", counted)
-    count = 2 ** 17
-    assert xi2.source("t").prefix(count).data == dpao_prefix(xi2, count)
-    distinct = len(set(config_table(xi2, count)))
-    assert distinct < 40
-    assert sum(rows) <= xi2.k * distinct
+    return rows
+
+
+@pytest.mark.parametrize("machine, count", [
+    ("xi2", 2 ** 17), ("spelling", 2 ** 16 + 1),
+])
+def test_steps_each_configuration_once(machine, count, request, monkeypatch):
+    """The fill steps a configuration once for each digit, and only when
+    a level reads it: a level reads the configurations of its parents, so
+    the digit steps are at most k for each distinct configuration among
+    n < ceil(count / k), and k more for n = 0, which has an id of its own.
+    2^17 inputs of xi2 reach a few dozen configurations. Every input of
+    the spelling machine has its own, and at 2^16 + 1 the last level reads
+    only the first of the 2^15 configurations first reached below it."""
+    m = (request.getfixturevalue("xi2") if machine == "xi2"
+         else spelling_machine())
+    rows = count_step_rows(monkeypatch)
+    assert m.source("t").prefix(count).data == dpao_prefix(m, count)
+    parents = len(set(config_table(m, -(-count // m.k))))
+    assert sum(rows) <= m.k * (1 + parents)
+
+
+def test_a_hole_level_steps_once(monkeypatch):
+    """A level whose configurations read a digit with no move steps the
+    digits that have one, in the same single call as any other level,
+    and then raises the oracle's message."""
+    rng = random.Random(174)
+    m = with_dead_rows(random_deep_dpao(rng, 2), rng)
+    want = outcome(lambda c: dpao_prefix(m, c), 200)
+    assert isinstance(want, str)
+    rows, expands = count_step_rows(monkeypatch), []
+    expand = _Core._expand
+
+    def counted(core, *args):
+        before = len(rows)
+        expand(core, *args)
+        expands.append(len(rows) - before)
+
+    monkeypatch.setattr(_Core, "_expand", counted)
+    assert outcome(lambda c: m.source("t").prefix(c).data, 200) == want
+    assert expands and set(expands) == {1}
 
 
 def test_xi3_matches_value_by_value():

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import xi3_oracle
+from conftest import xi3_oracle, xi3_value
 from digitseq.errors import EnumerationCapError
 from digitseq.numbers import (expansion_stream, imitation_index,
                               machine_enumeration_count, parse_stream_spec,
-                              rational_source, surd_source, xi3_source,
-                              xi3_value)
+                              rational_source, surd_source, xi3_source)
 
 SQRT2_DECIMAL = "414213562373095048801688724209698078569"
 
