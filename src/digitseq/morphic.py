@@ -65,17 +65,6 @@ class MorphicSpec:
         object.__setattr__(self, "coding", dict(self.coding))
         self.validate().require()
 
-    def internal_alphabet(self) -> Alphabet:
-        return Alphabet(self.internal)
-
-    def external_alphabet(self) -> Alphabet:
-        return Alphabet(self.external)
-
-    def is_uniform(self) -> int | None:
-        """The uniform image length k, or None if images differ in length."""
-        lengths = {len(img) for img in self.rules.values()}
-        return lengths.pop() if len(lengths) == 1 else None
-
     def validate(self) -> ValidationReport:
         """Declared names, non-erasing rules, a prolongable start letter.
 
@@ -139,7 +128,7 @@ class MorphicSpec:
     def source(self, source_id: str) -> SequenceSource:
         """The coded fixed point over the external alphabet: the internal
         letters of _expand_indices, coded by one bytes.translate."""
-        ext_alpha = self.external_alphabet()
+        ext_alpha = Alphabet(self.external)
         table = bytearray(256)
         for i, a in enumerate(self.internal):
             table[i] = ext_alpha.index(self.coding[a])
@@ -417,7 +406,7 @@ def fixed_point_prefix(spec: MorphicSpec, count: int) -> SequencePrefix:
     if count < 0:
         raise ValueError(f"prefix length must be nonnegative, got {count}")
     return SequencePrefix(f"morphic:{spec.start}:internal",
-                          spec.internal_alphabet(),
+                          Alphabet(spec.internal),
                           _expand_indices(spec, count))
 
 
@@ -491,9 +480,10 @@ def to_dfao(spec: MorphicSpec) -> Dfao:
     digit-i transition, and the coding becomes the output table. Outputs
     agree with the fixed point for every n.
     """
-    k = spec.is_uniform()
-    if k is None:
+    lengths = {len(img) for img in spec.rules.values()}
+    if len(lengths) != 1:
         raise ValueError("only uniform morphisms convert to an automaton")
+    k = lengths.pop()
     delta = {a: tuple(spec.rules[a]) for a in spec.internal}
     return Dfao(
         k=k,

@@ -27,8 +27,9 @@ configuration is stepped once, when a level first reads it, into a table
 of successor ids; the whole block [k^l, k^(l+1)) is one row gather of
 that table by the block below, and a digit with no move leaves id 0
 there, which is no input's child. A prefix therefore costs steps in
-proportion to its distinct configurations, not to its length. The
-distinguishing search steps one array of configuration pairs per depth.
+proportion to its distinct configurations, not to its length. The core
+owns one numbering: the walk to one input and the distinguishing
+search, over pairs of ids, read and step the same table.
 """
 
 from __future__ import annotations
@@ -206,12 +207,13 @@ class _Core:
     symbol) to its node, so equal stacks are one node and a
     configuration is the int pair (state, node).
 
-    A fill numbers the configurations it reaches: `config_id` maps the
-    key node * len(states) + state to the id, and `config_key` maps it
-    back. Row i of `succ` holds the ids one digit step from id i, and 0
-    for a digit with no move, as id 0 is no input's child; rows from id
-    `stepped` on wait for a level to read them. Every table doubles its
-    length when full; `nodes` and `configs` count the entries in use.
+    The core owns one numbering of the configurations its readers reach:
+    `config_id` maps the key node * len(states) + state to the id, and
+    `config_key` maps it back. Row i of `succ` holds the ids one digit
+    step from id i, and 0 for a digit with no move, as id 0 is no input's
+    child. Fills step rows in id order up to `stepped`, walks and searches
+    the rows they read. Every table doubles its length when full; `nodes`
+    and `configs` count the entries in use.
     """
 
     def __init__(self, m: Dpao):
@@ -257,6 +259,12 @@ class _Core:
         # -1 while unmade; pushing the bottom index keeps the node
         self.child = np.full(room * len(tops), -1, dtype=np.intp)
         self.child[bottom] = 0
+        # id 0 is the initial configuration at n = 0
+        self.configs, self.stepped, self.holey = 1, 0, False
+        self.config_id = np.full(room * len(m.states), -1)
+        self.config_key = np.zeros(room, dtype=np.intp)
+        self.config_key[0] = self.initial
+        self.succ = np.zeros((room, k), dtype=np.uint8)
 
     def _intern(self, base: np.ndarray, syms: np.ndarray) -> np.ndarray:
         """The node of each stack base[i] with syms[i] pushed on top;
@@ -276,39 +284,6 @@ class _Core:
             self.child[ids * width + self.bottom] = ids
         return node
 
-    def step(self, states: np.ndarray, nodes: np.ndarray, digits: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """Read digits[i] in configuration (states[i], nodes[i]), then
-        exhaust epsilon moves; returns the new states and nodes.
-
-        Raises `_Hole` for the first configuration whose row has no move
-        for its digit, before anything is pushed.
-        """
-        width = len(self.tops)
-        top = self.sym.take(nodes)
-        row = (states * width + top) * self.k + digits
-        to = self.dig_to.take(row)
-        if to.size and to.min() < 0:
-            i = int(np.argmax(to < 0))
-            raise _Hole(self.states[states[i]], self.tops[top[i]],
-                        int(digits[i]))
-        # the digit move replaces the top, then pushes its word
-        nodes = self.parent.take(nodes)
-        for pushed in self.pushed:
-            nodes = self._intern(nodes, pushed.take(row))
-        if not self.epsilon:
-            return to, nodes
-        # epsilon closure: each pass pops one symbol where a move fires
-        fired = self.eps_to.take(to * width + self.sym.take(nodes))
-        live = (fired >= 0).nonzero()[0]
-        while live.size:
-            to[live] = fired[fired >= 0]
-            nodes[live] = self.parent.take(nodes[live])
-            fired = self.eps_to.take(to[live] * width
-                                     + self.sym.take(nodes[live]))
-            live = live[fired >= 0]
-        return to, nodes
-
     def _ids(self, states: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """The id of each configuration (states[i], nodes[i]);
         configurations not seen before get new ids."""
@@ -323,10 +298,9 @@ class _Core:
                 self.config_key = _room(self.config_key, self.configs)
                 self.succ = _room(self.succ, self.configs)
             self.config_key[old:self.configs] = keys[made]
-            if self.configs > self.id_limit:
+            if self.configs > np.iinfo(self.succ.dtype).max + 1:
                 self.succ = self.succ.astype(
                     np.min_scalar_type(self.configs - 1))
-                self.id_limit = np.iinfo(self.succ.dtype).max + 1
         return ids
 
     def config_of(self, ids) -> tuple[np.ndarray, np.ndarray]:
@@ -336,36 +310,67 @@ class _Core:
         nodes = keys // len(self.states)
         return keys - nodes * len(self.states), nodes
 
-    def _expand(self, stop: int) -> None:
-        """Step the configurations with ids in [stepped, stop), which no
-        level has read yet, into the successor table, in one step. Each
-        has a move for every digit or, on a dead row, for none; one with
-        none keeps a row of 0s and makes the fill holey.
+    def _expand(self, ids: np.ndarray) -> None:
+        """Step configuration ids (ascending, not stepped yet) into the
+        successor table, the one way any reader steps: each reads every
+        digit, pushes its word and exhausts the epsilon moves. Each has a
+        move for every digit or, on a dead row, for none; one with none
+        keeps a row of 0s and makes the table holey.
 
-        Id 0 stands for n = 0 alone and is expanded alone. It reads digit
-        1 in place of 0, as its digit-0 child would be a leading zero. The
-        initial configuration reached again at some n > 0 has an id of
-        its own.
+        Id 0 stands for n = 0 alone. It reads digit 1 in place of 0, as
+        its digit-0 child would be a leading zero. The initial
+        configuration at any other n has an id of its own.
         """
-        k, first = self.k, self.stepped
-        self.stepped = stop
-        states, nodes = self.config_of(slice(first, stop))
-        live = slice(None) if self.complete else self.moves.take(
-            states * len(self.tops) + self.sym.take(nodes))
-        states, nodes = states[live].repeat(k), nodes[live].repeat(k)
-        self.holey |= len(states) < (stop - first) * k
-        # digits 0..k-1 for each configuration, without a slow `%`
-        digits = (np.zeros((len(states) // k, 1), dtype=np.intp)
-                  + np.arange(k)).ravel()
-        if not first:
-            digits[:1] = 1
-        self.succ[first:stop][live] = self._ids(
-            *self.step(states, nodes, digits)).reshape(-1, k)
+        k, width = self.k, len(self.tops)
+        states, nodes = self.config_of(ids)
+        rows = states * width + self.sym.take(nodes)
+        if not self.complete:
+            live = self.moves.take(rows)
+            self.holey |= not live.all()
+            ids, rows, nodes = ids[live], rows[live], nodes[live]
+        # each configuration's k digit rows in digit order, without a `%`
+        row = ((rows * k)[:, None] + np.arange(k)).ravel()
+        if ids.size and not ids[0]:
+            row[0] += 1
+        to = self.dig_to.take(row)
+        # the digit move replaces the top, then pushes its word
+        nodes = self.parent.take(nodes).repeat(k)
+        for pushed in self.pushed:
+            nodes = self._intern(nodes, pushed.take(row))
+        if self.epsilon:
+            # epsilon closure: each pass pops one symbol where a move fires
+            fired = self.eps_to.take(to * width + self.sym.take(nodes))
+            firing = (fired >= 0).nonzero()[0]
+            while firing.size:
+                to[firing] = fired[fired >= 0]
+                nodes[firing] = self.parent.take(nodes[firing])
+                fired = self.eps_to.take(to[firing] * width
+                                         + self.sym.take(nodes[firing]))
+                firing = firing[fired >= 0]
+        self.succ[ids] = self._ids(to, nodes).reshape(-1, k)
+
+    def _hole(self, i: int, digit: int) -> _Hole:
+        """The error of configuration id i reading a digit with no move."""
+        state, node = self.config_of(i)
+        return _Hole(self.states[state], self.tops[self.sym[node]], digit)
+
+    def _next(self, ids: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The id one step from ids[i] by digits[i]. A 0 there is a row
+        not stepped yet or a dead one: those rows are stepped, and the
+        hole of the first i still without a move is raised."""
+        to = self.succ[ids, digits]
+        if not to.all():
+            self._expand(np.unique(ids[to == 0]))
+            to = self.succ[ids, digits]
+        if not to.all():
+            i = int(to.argmin())
+            raise self._hole(ids[i], int(digits[i]))
+        return to
 
     def fill(self, count: int):
         """Configuration ids of n in [0, count), filled one base-k level
         at a time from id 0 at n = 0; yields (hi, ids) each time every
-        n < hi is filled. Each fill numbers its configurations afresh.
+        n < hi is filled. The ids are kept from one fill to the next.
 
         Before each level, the configurations it reads that no level read
         yet are stepped into the successor table: a full level reads all
@@ -378,20 +383,15 @@ class _Core:
         level is yielded filled up to it, and then the hole is raised, as
         when the inputs are stepped one by one.
         """
-        k, room = self.k, 64
-        self.configs, self.stepped, self.holey = 1, 0, False
-        self.config_id = np.full(max(self.nodes, room) * len(self.states), -1)
-        self.config_key = np.zeros(room, dtype=np.intp)
-        self.config_key[0] = self.initial
-        self.succ = np.zeros((room, k), dtype=np.uint8)
-        self.id_limit = 256
+        k = self.k
         ids = np.zeros(min(count, 1), dtype=np.uint8)
         yield len(ids), ids
         for lo, hi, parents, cut in _levels(k, count):
             stop = (self.configs if hi == lo * k
                     else int(ids[parents].max()) + 1)
             if self.stepped < stop:
-                self._expand(stop)
+                self._expand(np.arange(self.stepped, stop))
+                self.stepped = stop
             grown = np.empty(hi, dtype=self.succ.dtype)
             grown[:lo] = ids
             ids = grown
@@ -399,21 +399,23 @@ class _Core:
             if self.holey:
                 at = lo + int(ids[lo:hi].argmin())
                 if not ids[at]:
-                    state, node = self.config_of(ids[at // k])
                     yield at, ids
-                    raise _Hole(self.states[state], self.tops[self.sym[node]],
-                                at % k)
+                    raise self._hole(ids[at // k], at % k)
             yield hi, ids
 
-    def config(self, n: int) -> tuple[int, int]:
-        """(state, node) after the base-k expansion of n, stepped one
-        digit at a time; n = 0 reads the empty input."""
+    def id_of(self, n: int) -> int:
+        """The id after the base-k expansion of n, walked down the
+        successor table from id 0 one digit at a time. n = 0 gets the
+        initial configuration's own id, as id 0 reads 1 in place of 0."""
         if n < 0:
             raise ValueError("input integer must be nonnegative")
-        state, node = np.full(1, self.initial), np.zeros(1, dtype=np.int32)
+        if not n:
+            return int(self._ids(np.full(1, self.initial),
+                                 np.zeros(1, dtype=np.intp))[0])
+        at = 0
         for d in encode_base_k(n, self.k):
-            state, node = self.step(state, node, np.full(1, d))
-        return int(state[0]), int(node[0])
+            at = int(self._next(np.full(1, at), np.full(1, d))[0])
+        return at
 
 
 def _room(table: np.ndarray, size: int, fill=0) -> np.ndarray:
@@ -562,36 +564,35 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
     nothing and is reported as such. Configuration pairs already seen are
     skipped, since outputs depend only on the configurations.
 
-    Each depth is one array of pairs (s1, node1, s2, node2) in search
-    order, all stepped at once; equal stacks are equal nodes, so a pair
-    seen before is an equal 4-tuple. A negative depth raises ValueError.
+    Each depth is one array of configuration id pairs in search order,
+    whose successors are read from the core's table at once; a pair
+    seen before is an equal id pair. A negative depth raises ValueError.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     core, k = _Core(m), m.k
-    start = core.config(n) + core.config(n_prime)
+    start = (core.id_of(n), core.id_of(n_prime))
     pairs, seen = np.array([start]), {start}
     words = np.zeros((1, 0), dtype=np.int64)
     for level in range(depth + 1):
-        out = core.out[pairs[:, [0, 2]], core.sym[pairs[:, [1, 3]]]]
+        state, node = core.config_of(pairs)
+        out = core.out[state, core.sym.take(node)]
         first = int(np.argmax(np.append(out[:, 0] != out[:, 1], True)))
         if level < depth:
             # the pairs before the first distinguished one read every
             # digit, first side then second, so a hole raises in order
-            live = pairs[:first]
-            st, nd = core.step(np.repeat(live[:, [0, 2]], k, axis=0).ravel(),
-                               np.repeat(live[:, [1, 3]], k, axis=0).ravel(),
-                               np.tile(np.repeat(np.arange(k), 2), first))
+            stepped = core._next(np.repeat(pairs[:first], k, axis=0).ravel(),
+                                 np.tile(np.repeat(np.arange(k), 2), first)
+                                 ).reshape(-1, 2)
         if first < len(pairs):
             return DistinguishResult(True, tuple(map(int, words[first])),
                                      depth)
         if level == depth:
             break
-        stepped = np.stack([st[::2], nd[::2], st[1::2], nd[1::2]], axis=1)
         fresh = []
-        for i, row in enumerate(map(tuple, stepped.tolist())):
-            if row not in seen:
-                seen.add(row)
+        for i, pair in enumerate(map(tuple, stepped.tolist())):
+            if pair not in seen:
+                seen.add(pair)
                 fresh.append(i)
         if not fresh:
             break

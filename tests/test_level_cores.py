@@ -160,15 +160,15 @@ def test_pushdown_ids_widen_with_the_configurations(count, dtype):
 
 
 def count_step_rows(monkeypatch) -> list[int]:
-    """The rows of each `_Core.step` call from now on."""
+    """The rows of each `_Core._ids` call from now on."""
     rows = []
-    step = _Core.step
+    ids = _Core._ids
 
-    def counted(core, states, nodes, digits):
+    def counted(core, states, nodes):
         rows.append(len(states))
-        return step(core, states, nodes, digits)
+        return ids(core, states, nodes)
 
-    monkeypatch.setattr(_Core, "step", counted)
+    monkeypatch.setattr(_Core, "_ids", counted)
     return rows
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import (StackConfig, balance_oracle, config_of, config_table,
-                      initial_config, output_at, random_dpao,
-                      simulate_pop_states, step_input)
+                      initial_config, output_at, random_deep_dpao,
+                      random_dpao, simulate_pop_states, step_input)
 from digitseq.errors import ValidationError
 from digitseq.pda import (BOTTOM, Dpao, _Core, bounded_distinguish,
                           find_equivalent_pair, from_dfao, pop_table)
@@ -15,7 +15,7 @@ XI2_GOLDEN = "1110111001101000011111101110100000010110"
 def core_config(m: Dpao, n: int) -> StackConfig:
     """The step core's configuration after n, read back as a tuple."""
     core = _Core(m)
-    state, node = core.config(n)
+    state, node = core.config_of(core.id_of(n))
     stack = []
     while node:
         stack.append(m.stack_symbols[core.sym[node]])
@@ -165,6 +165,14 @@ class TestConfig:
         table = config_table(xi2, 200)
         assert all(table[n] == config_of(xi2, n) == core_config(xi2, n)
                    for n in range(200))
+
+    def test_walk_to_a_far_input(self, xi2):
+        """`id_of` walks the successor table down the 100 binary (or 63
+        ternary) digits of 10^30, stepping rows as it reaches them."""
+        rng = random.Random(31)
+        machines = [xi2] + [random_deep_dpao(rng, k) for k in (2, 3) * 12]
+        for m in machines:
+            assert core_config(m, 10 ** 30) == config_of(m, 10 ** 30)
 
     def test_height_is_a_pure_function(self, xi2):
         heights = [config_of(xi2, n).height for n in range(64)]

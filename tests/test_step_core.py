@@ -14,9 +14,10 @@ import tracemalloc
 
 import pytest
 
-from conftest import (config_table, distinguish_loop, dpao_prefix,
-                      pair_search_loop, pigeonhole_pair, random_deep_dpao,
-                      random_dfao, random_dpao, with_dead_rows)
+from conftest import (config_of, config_table, distinguish_loop, dpao_prefix,
+                      output_of_config, pair_search_loop, pigeonhole_pair,
+                      random_deep_dpao, random_dfao, random_dpao, step_input,
+                      with_dead_rows)
 from digitseq import catalog
 from digitseq.certify import (certificate_from_pair, certificate_to_json,
                               certify_dfao)
@@ -198,17 +199,42 @@ class TestDistinguish:
         # the recast automaton has finitely many configuration pairs, so
         # the frontier empties long before depth 1000
         calls = []
-        step = _Core.step
+        ids = _Core._ids
 
         def counted(core, *args):
             calls.append(len(args[0]))
-            return step(core, *args)
+            return ids(core, *args)
 
-        monkeypatch.setattr(_Core, "step", counted)
+        monkeypatch.setattr(_Core, "_ids", counted)
         m = from_dfao(tm_dfao)
         assert bounded_distinguish(m, 1, 2, 1000) == \
             distinguish_loop(m, 1, 2, 1000)
         assert len(calls) < 10
+
+    def test_steps_each_configuration_once(self, xi2, monkeypatch):
+        """The walks to n and n' and every depth of the search read one
+        successor table, so each configuration they read a digit in is
+        stepped once, k rows, however many pairs hold it; k more when id
+        0, the initial configuration before the walks, is reached again.
+        xi2's pair (1, 5) holds two pairs at each of 64 depths."""
+        rows = []
+        ids = _Core._ids
+
+        def counted(core, states, nodes):
+            rows.append(len(states))
+            return ids(core, states, nodes)
+
+        monkeypatch.setattr(_Core, "_ids", counted)
+        rng = random.Random(9650)
+        cases = [(xi2, 1, 5, 64)] + [
+            (m, rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(9))
+            for m in corpus(9660)[::3]]
+        for m, n, n_prime, depth in cases:
+            rows.clear()
+            assert bounded_distinguish(m, n, n_prime, depth) == \
+                distinguish_loop(m, n, n_prime, depth)
+            read = len(read_configs(m, n, n_prime, depth))
+            assert m.k * read <= sum(rows) <= m.k * (read + 1)
 
     def test_random_dead_rows(self):
         rng = random.Random(9600)
@@ -222,6 +248,30 @@ class TestDistinguish:
                     m, n, n_prime, depth)) == want
                 raised += isinstance(want, str)
         assert raised > 0
+
+
+def read_configs(m: Dpao, n: int, n_prime: int, depth: int) -> set:
+    """The configurations the search reads a digit in: those the walks to
+    n and n' pass through, and those of the pairs `distinguish_loop`
+    steps."""
+    configs = set()
+    for x in (n, n_prime):
+        while x:
+            x //= m.k
+            configs.add(config_of(m, x))
+    start = (config_of(m, n), config_of(m, n_prime))
+    frontier, seen = [start], {start}
+    for _ in range(depth):
+        stepped = []
+        for c1, c2 in frontier:
+            if output_of_config(m, c1) != output_of_config(m, c2):
+                return configs
+            configs.update((c1, c2))
+            stepped += [(step_input(m, c1, d), step_input(m, c2, d))
+                        for d in range(m.k)]
+        frontier = [p for p in dict.fromkeys(stepped) if p not in seen]
+        seen.update(frontier)
+    return configs
 
 
 def node_height(core: _Core, node: int) -> int:
