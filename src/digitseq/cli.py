@@ -12,7 +12,6 @@ raises leaves through its `invoke`, which prints one `error:` line.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -20,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from . import catalog as catalog_mod
@@ -89,8 +89,10 @@ def _parse_lengths(expr: str) -> list[int]:
 
 
 def _load_machine_or_die(path: str):
+    """The machine in file `path` and the sha256 hex digest of the bytes
+    it was parsed from."""
     try:
-        return load_machine(path)
+        return load_machine(path, with_digest=True)
     except FileNotFoundError:
         _die(EXIT_INVALID, f"machine file not found: {path}")
     except ValidationError as exc:
@@ -120,8 +122,7 @@ def _resolve_source(machine_path: str | None, stream: str | None,
     if (machine_path is None) == (stream is None):
         _die(EXIT_INVALID, "exactly one of --machine or --stream is required")
     if machine_path is not None:
-        machine = _load_machine_or_die(machine_path)
-        digest = hashlib.sha256(Path(machine_path).read_bytes()).hexdigest()
+        machine, digest = _load_machine_or_die(machine_path)
         return machine, machine.source(digest)
     return None, _stream_or_die(stream, base)
 
@@ -136,15 +137,34 @@ def _output_path(ctx, param, path: str | None) -> str | None:
     return path
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(data: bytes | bytearray, output: str | None) -> None:
+    """Write encoded output as it is: to the --output file, or to the
+    binary stream under stdout, where click strips nothing."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        Path(output).write_bytes(data)
     else:
-        click.echo(text, nl=False)
+        click.echo(data, nl=False)
 
 
-def _render_prefix(prefix) -> str:
-    return prefix.text("" if prefix.alphabet.single_char else "\n") + "\n"
+def _render_prefix(prefix) -> bytes | bytearray:
+    """The `digits` output of a prefix as UTF-8: its symbols, one to a
+    line unless each is one character, and a closing newline.
+
+    When the symbols are consecutive ASCII characters, one numpy add of
+    the first one's code to the symbol indices fills the bytes; any
+    other alphabet is joined by `SequencePrefix.text` and encoded.
+    """
+    symbols = prefix.alphabet.symbols
+    first = ord(symbols[0][0])
+    if first + len(symbols) <= 128 and symbols == tuple(
+            map(chr, range(first, first + len(symbols)))):
+        out = bytearray(len(prefix) + 1)
+        np.add(np.frombuffer(prefix.data, np.uint8), first,
+               out=np.frombuffer(out, np.uint8)[:-1])
+        out[-1] = ord("\n")
+        return out
+    sep = "" if prefix.alphabet.single_char else "\n"
+    return (prefix.text(sep) + "\n").encode("utf-8")
 
 
 def _fmt_approx(f: Fraction) -> str:
@@ -314,7 +334,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             ]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" \
         else "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit(text.encode("utf-8"), output)
 
 
 @main.command()
@@ -350,7 +370,7 @@ def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
     else:
         cert = certify_mod.certify_pda(machine, n_max=budget, depth=depth,
                                        machine_ref=ref)
-    _emit(certify_mod.certificate_to_json(cert), output)
+    _emit(certify_mod.certificate_to_json(cert).encode("utf-8"), output)
     click.echo(_cert_summary(cert), err=True)
 
 
@@ -410,7 +430,7 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
 @click.option("--output", type=str, required=True, callback=_output_path)
 def convert(machine_path, output):
     """Convert between a k-uniform morphic spec and its automaton."""
-    machine = _load_machine_or_die(machine_path)
+    machine, _ = _load_machine_or_die(machine_path)
     if isinstance(machine, MorphicSpec):
         converted = morphic_mod.to_dfao(machine)
     elif isinstance(machine, Dfao):
@@ -427,7 +447,7 @@ def convert(machine_path, output):
 @click.option("--depth", type=int, default=12, show_default=True)
 def equiv(machine_path, pair, depth):
     """Bounded output comparison of the configurations after n and n'."""
-    machine = _load_machine_or_die(machine_path)
+    machine, _ = _load_machine_or_die(machine_path)
     if isinstance(machine, Dfao):
         machine = pda_mod.from_dfao(machine)
     elif not isinstance(machine, Dpao):

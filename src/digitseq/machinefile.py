@@ -11,6 +11,7 @@ machine ValidationError.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -223,8 +224,16 @@ def loads_machine(text: str):
     raise ValueError(f"unknown machine kind {kind!r}")
 
 
-def load_machine(path):
-    return loads_machine(Path(path).read_text(encoding="utf-8"))
+def load_machine(path, *, with_digest: bool = False):
+    """The machine in a JSON file, or with with_digest the pair of it and
+    the sha256 hex digest of the file. The file is read once, so the
+    digest names the bytes that were parsed. They are decoded as a
+    text-mode read decodes them: CR LF and a lone CR each become LF."""
+    data = Path(path).read_bytes()
+    machine = loads_machine(
+        data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    return (machine, hashlib.sha256(data).hexdigest()) if with_digest \
+        else machine
 
 
 def machine_to_dict(machine) -> dict:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import os
 import random
@@ -8,16 +9,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import naive_complexity, naive_right_special
-from digitseq import __version__, catalog, cli, pda
+from digitseq import __version__, catalog, cli, numbers, pda
 from digitseq.cli import main
 from digitseq.dfao import Dfao
 from digitseq.machinefile import machine_to_dict
 from digitseq.morphic import MorphicSpec
 from digitseq.pda import Dpao
+from digitseq.words import Alphabet, SequencePrefix, digit_alphabet
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -104,6 +107,81 @@ class TestDigits:
                              "--count", "8", "--output", str(out)])
         assert r.exit_code == 0
         assert out.read_text() == "01101001\n"
+
+    @pytest.mark.parametrize("source", [
+        *([f"--machine=MACHINES/{name}.json"] for name in catalog.names()),
+        ["--stream", "rational:3/7", "--base", "10"],
+        ["--stream", "rational:1/113", "--base", "16"],
+        ["--stream", "surd:2", "--base", "2"],
+        ["--stream", "surd:7", "--base", "16"],
+        ["--stream", "xi3"],
+    ])
+    def test_output_file_holds_the_stdout_bytes(self, runner, machines,
+                                                tmp_path, source):
+        args = ["digits", *(a.replace("MACHINES", str(machines))
+                            for a in source), "--count", "1000"]
+        out = tmp_path / "digits.txt"
+        printed = run_cli(runner, args)
+        written = run_cli(runner, [*args, "--output", str(out)])
+        assert printed.exit_code == written.exit_code == 0
+        assert written.stdout_bytes == b""
+        assert out.read_bytes() == printed.stdout_bytes
+        assert len(printed.stdout_bytes.splitlines()) in (1, 1000)
+
+    def test_symbols_that_spell_an_ansi_escape_are_printed(self, runner,
+                                                           tmp_path):
+        # click strips ANSI codes from text it echoes to a stream that is
+        # not a terminal; digits writes bytes, which it passes through
+        path = tmp_path / "ansi.json"
+        path.write_text(json.dumps({
+            "kind": "morphic", "internal": ["a", "b", "c"], "start": "a",
+            "rules": {"a": "abc", "b": "b", "c": "c"},
+            "external": ["\x1b", "[", "m"],
+            "coding": {"a": "\x1b", "b": "[", "c": "m"},
+        }), encoding="utf-8")
+        out = tmp_path / "digits.txt"
+        args = ["digits", "--machine", str(path), "--count", "6"]
+        printed = run_cli(runner, args)
+        run_cli(runner, [*args, "--output", str(out)])
+        assert printed.stdout_bytes == out.read_bytes() == b"\x1b[m[m[\n"
+
+
+class TestRender:
+    """`_render_prefix` against the text it encodes; the symbols of each
+    prefix are drawn at random."""
+
+    NUMPY_ROUTE = list(dict.fromkeys([
+        *(digit_alphabet(k) for k in range(2, 11)),
+        numbers.parse_stream_spec("xi3").alphabet,
+        *(catalog.get(name).source("x").alphabet for name in catalog.names()),
+        Alphabet(("a",)), Alphabet(("~", "\x7f"))]))
+    TEXT_ROUTE = [digit_alphabet(k) for k in range(11, 17)] + [
+        Alphabet(("1", "0")), Alphabet(("a", "c")), Alphabet(("α", "β")),
+        Alphabet(("ab", "c")), Alphabet(("0", "10", "11")),
+        Alphabet(("\x7f", "\x80"))]
+
+    @staticmethod
+    def prefix(alphabet, count):
+        data = np.random.default_rng(count).integers(
+            alphabet.size, size=count, dtype=np.uint8).tobytes()
+        return SequencePrefix("x", alphabet, data)
+
+    @pytest.mark.parametrize("count", [0, 1, 2 ** 16 + 1])
+    @pytest.mark.parametrize("alphabet", NUMPY_ROUTE + TEXT_ROUTE,
+                             ids=lambda a: repr("|".join(a.symbols)))
+    def test_bytes_are_the_encoded_text(self, alphabet, count):
+        p = self.prefix(alphabet, count)
+        sep = "" if alphabet.single_char else "\n"
+        assert cli._render_prefix(p) == (p.text(sep) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("alphabet", NUMPY_ROUTE,
+                             ids=lambda a: repr("|".join(a.symbols)))
+    def test_consecutive_ascii_symbols_skip_the_text(self, alphabet,
+                                                     monkeypatch):
+        p = self.prefix(alphabet, 100)
+        expected = (p.text() + "\n").encode("utf-8")
+        monkeypatch.setattr(SequencePrefix, "text", None)
+        assert cli._render_prefix(p) == expected
 
 
 class TestAnalyze:
@@ -1092,6 +1170,34 @@ class TestErrorTable:
         r = run_cli(runner, ["digits", "--machine", str(machines / "no.json")])
         assert r.output == \
             f"error: machine file not found: {machines / 'no.json'}\n"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_machine_file_newlines_read_as_in_text_mode(self, runner,
+                                                       tmp_path, newline):
+        path = tmp_path / "bad.json"
+        path.write_bytes(newline.join(
+            ['{"kind": "dfao",', ' "k": 2,', ' "states": [', '}', '']
+        ).encode("utf-8"))
+        r = run_cli(runner, ["digits", "--machine", str(path)])
+        assert r.exit_code == 2
+        assert r.output == (f"error: cannot load machine {path}: Expecting "
+                            "value: line 4 column 1 (char 39)\n")
+
+    def test_machine_file_is_read_once(self, runner, machines, monkeypatch):
+        # the source id is the digest of the bytes that were parsed
+        path = machines / "xi2.json"
+        opened = []
+        open_path = Path.open
+
+        def counted(self, *args, **kwargs):
+            opened.append(self)
+            return open_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)
+        r = run_cli(runner, ["analyze", "--machine", str(path), "--dio", "4"])
+        assert opened == [path]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert r.output.startswith(f"source: {digest}\n")
 
     def test_deeply_nested_machine_exits_2(self, runner, tmp_path):
         path = tmp_path / "deep.json"

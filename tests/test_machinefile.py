@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -18,6 +19,8 @@ class TestRoundTrips:
             path = tmp_path / f"{name}.json"
             save_machine(machine, path)
             assert load_machine(path) == machine
+            assert load_machine(path, with_digest=True) == (
+                machine, hashlib.sha256(path.read_bytes()).hexdigest())
 
     def test_dfao_document_shape(self, tm_dfao):
         doc = machine_to_dict(tm_dfao)
