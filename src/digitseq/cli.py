@@ -4,7 +4,7 @@ Every command is deterministic: given the same options and input files it
 produces byte-identical output. No command accepts or uses randomness.
 
 Exit codes: 0 success, 1 search budget exhausted (or pair refuted),
-2 invalid input, 3 insufficient data, 4 enumeration cap refusal. The
+2 invalid input, 3 insufficient data, 4 search cap refusal. The
 command group `_Commands` decides them: every package error a command
 raises leaves through its `invoke`, which prints one `error:` line.
 """

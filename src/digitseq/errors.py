@@ -34,13 +34,13 @@ class BudgetExceededError(DigitSeqError):
 
 
 class EnumerationCapError(DigitSeqError):
-    """A machine enumeration would exceed the hard candidate cap."""
+    """A machine search tried more choices than its hard cap."""
 
-    def __init__(self, required, cap):
-        self.required = required
+    def __init__(self, tried, cap):
+        self.tried = tried
         self.cap = cap
         super().__init__(
-            f"enumeration needs {required} candidate machines, cap is {cap}"
+            f"machine search tried {tried} transition choices, cap is {cap}"
         )
 
 

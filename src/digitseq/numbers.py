@@ -13,7 +13,6 @@ source's generator with the integer part's digits put in front.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -29,10 +28,10 @@ __all__ = [
     "xi3_source",
     "imitation_index",
     "ENUMERATION_CAP",
-    "machine_enumeration_count",
     "parse_stream_spec",
 ]
 
+# transition choices one imitation search may try
 ENUMERATION_CAP = 10_000_000
 
 
@@ -179,78 +178,71 @@ def xi3_source() -> SequenceSource:
     return SequenceSource("xi3", Alphabet(("0", "1", "2")), values)
 
 
-def machine_enumeration_count(k: int, max_states: int, outputs: int) -> int:
-    """Nominal number of candidate machines with up to max_states states:
-    all transition tables times all output assignments, before canonical
-    deduplication."""
-    return sum(m ** (m * k) * outputs ** m for m in range(1, max_states + 1))
-
-
-def _canonical_deltas(m: int, k: int):
-    """Transition tables on states 0..m-1 whose breadth-first discovery
-    order from state 0 is exactly 0, 1, ..., m-1 (every state reachable,
-    no isomorphic duplicates)."""
-    for flat in product(range(m), repeat=m * k):
-        delta = tuple(flat[i * k:(i + 1) * k] for i in range(m))
-        order = [0]
-        seen = {0}
-        for q in order:
-            for d in range(k):
-                t = delta[q][d]
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-        if len(order) == m and order == sorted(order):
-            yield delta
-
-
 def imitation_index(target: SequenceSource, k: int, max_states: int,
                     max_len: int) -> tuple[int, bool, Dfao]:
     """Longest prefix of the target digit stream reproducible by a base-k
     automaton with at most max_states states.
 
-    Exhaustive over canonical transition tables; output tables are not
-    enumerated, because for a fixed table the maximal agreement is forced
-    greedily (each state's output is pinned by the first position that
-    reaches it). Returns (I, censored, a best machine). Refuses runs whose
-    nominal candidate count exceeds ENUMERATION_CAP.
+    One depth-first search. The state at n is delta(state(n // k), n % k),
+    and each transition is chosen when the first n = 1, 2, ... reads it:
+    every state in use, then one new state. States are numbered by first
+    use, so no two isomorphic machines are tried. A state's output is
+    pinned at its first visit, and a branch ends at its first mismatch.
+    Returns (I, censored, a best machine), whose transitions that no
+    position reads go to state 0. Refuses a search that tries more than
+    ENUMERATION_CAP choices.
     """
     if max_states < 1:
         raise ValueError("need at least one state")
-    outputs = target.alphabet.size
-    required = machine_enumeration_count(k, max_states, outputs)
-    if required > ENUMERATION_CAP:
-        raise EnumerationCapError(required, ENUMERATION_CAP)
     goal = target.prefix(max_len).data
-    best = None  # (agreement, m, delta, tau)
-    for m in range(1, max_states + 1):
-        for delta in _canonical_deltas(m, k):
-            states = [0] * max_len
-            for n in range(1, max_len):
-                states[n] = delta[states[n // k]][n % k]
-            tau: dict[int, int] = {}
-            agree = max_len
-            for pos, (s, want) in enumerate(zip(states, goal)):
-                if tau.setdefault(s, want) != want:
-                    agree = pos
-                    break
-            if best is None or agree > best[0]:
-                best = (agree, m, delta, dict(tau))
-                if agree == max_len:
-                    break
-        if best is not None and best[0] == max_len:
+    # each state is first used at a position, so at most max_len of them
+    m = min(max_states, max(max_len, 1))
+    delta = [-1] * (m * k)
+    tau = [goal[0] if goal else 0] + [0] * (m - 1)
+    states = [0] * max_len
+    choices = []  # (n, slot, states in use before) of each open choice
+    n, used, tried, best = min(1, max_len), 1, 0, None
+    while True:
+        while n < max_len:
+            slot = states[n // k] * k + n % k
+            if delta[slot] < 0:
+                tried += 1
+                choices.append((n, slot, used))
+                delta[slot] = 0
+            s = states[n] = delta[slot]
+            if s == used:
+                tau[s] = goal[n]
+                used += 1
+            elif tau[s] != goal[n]:
+                break
+            n += 1
+        if best is None or n > best[0]:
+            best = (n, delta[:used * k], tau[:used])
+        if n >= max_len:
             break
-    agree, m, delta, tau = best
+        if tried > ENUMERATION_CAP:
+            raise EnumerationCapError(tried, ENUMERATION_CAP)
+        # the last open choice with a state left to try
+        while choices:
+            n, slot, used = choices[-1]
+            if delta[slot] < min(used, m - 1):
+                tried += 1
+                delta[slot] += 1
+                break
+            delta[slot] = -1
+            choices.pop()
+        else:
+            break
+    agree, delta, tau = best
     alphabet = target.alphabet
-    names = tuple(f"q{i}" for i in range(m))
+    names = tuple(f"q{i}" for i in range(len(tau)))
     machine = Dfao(
         k=k,
         states=names,
         initial="q0",
-        delta={names[q]: tuple(names[t] for t in delta[q]) for q in range(m)},
-        output={
-            names[q]: alphabet.symbols[tau.get(q, 0)] for q in range(m)
-        },
+        delta={q: tuple(names[max(t, 0)] for t in delta[i * k:(i + 1) * k])
+               for i, q in enumerate(names)},
+        output={q: alphabet.symbols[tau[i]] for i, q in enumerate(names)},
     )
     return agree, agree == max_len, machine
 

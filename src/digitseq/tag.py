@@ -61,7 +61,7 @@ def dilation_profile(spec: MorphicSpec, n_limit: int) -> DilationProfile:
         ratio = w / n
         shortlist = np.flatnonzero(ratio == ratio.min())
         cw, cn = w[shortlist], n[shortlist]
-        if total * int(n[-1]) >= 2 ** 63:  # cross products overflow int64
+        if total * int(n[-1]) >= 2 ** 63:  # cw * cn would overflow int64
             cw, cn = cw.astype(object), cn.astype(object)
         # stepping to the first strictly smaller candidate ends at the
         # first n of the block with the least ratio

@@ -23,7 +23,9 @@ one packed-key scan over every target length replaced
 (`backward_scan_best`). The
 morphic growth report, `growth_report_oracle`, is the iterative Tarjan
 condensation with a closure per component that per-letter reach sets
-replaced.
+replaced. The imitation index has the enumeration of every canonical
+transition table, each simulated from n = 0, that the depth-first search
+replaced (`imitation_oracle`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -375,6 +378,50 @@ def dilation_loop(spec: MorphicSpec, n_limit: int):
     if samples[-1][0] != n_limit:
         samples.append((n_limit, ratio))
     return tuple(samples), min_ratio, argmin
+
+
+# --- imitation by enumeration ---------------------------------------------
+
+def _canonical_deltas(m: int, k: int):
+    """Transition tables on states 0..m-1 whose breadth-first discovery
+    order from state 0 is exactly 0, 1, ..., m-1 (every state reachable,
+    no isomorphic duplicates)."""
+    for flat in product(range(m), repeat=m * k):
+        delta = tuple(flat[i * k:(i + 1) * k] for i in range(m))
+        order = [0]
+        seen = {0}
+        for q in order:
+            for d in range(k):
+                t = delta[q][d]
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+        if len(order) == m and order == sorted(order):
+            yield delta
+
+
+def imitation_oracle(target: SequenceSource, k: int, max_states: int,
+                     max_len: int) -> tuple[int, bool]:
+    """(I, censored) of `numbers.imitation_index` by exhaustion: every
+    canonical table with up to max_states states, run from n = 0, each
+    state's output pinned by the first position that reaches it."""
+    goal = target.prefix(max_len).data
+    best = 0
+    for m in range(1, max_states + 1):
+        for delta in _canonical_deltas(m, k):
+            states = [0] * max_len
+            for n in range(1, max_len):
+                states[n] = delta[states[n // k]][n % k]
+            tau: dict[int, int] = {}
+            agree = max_len
+            for pos, (s, want) in enumerate(zip(states, goal)):
+                if tau.setdefault(s, want) != want:
+                    agree = pos
+                    break
+            best = max(best, agree)
+            if best == max_len:
+                return best, True
+    return best, best == max_len
 
 
 # --- brute-force repetition search and factor counts -----------------------

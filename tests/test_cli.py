@@ -869,7 +869,47 @@ class TestOtherCommands:
         assert "imitation index: 64 (censored" in r.output
         r = run_cli(runner, ["imitate", "--stream", "surd:2", "--base", "2",
                              "--states", "6", "--len", "64"])
+        assert r.output == "imitation index: 26\n"
+
+    def test_imitate_cap_refusal(self, runner, monkeypatch):
+        monkeypatch.setattr(numbers, "ENUMERATION_CAP", 100)
+        r = run_cli(runner, ["imitate", "--stream", "surd:2", "--base", "2",
+                             "--states", "8", "--len", "64"])
         assert r.exit_code == 4
+        assert len(r.output.splitlines()) == 1
+        assert r.output.startswith("error: machine search tried ")
+        assert r.output.endswith(
+            " transition choices, cap is 100; lower --states or --len\n")
+
+    def test_imitate_many_states(self, runner):
+        started = time.perf_counter()
+        r = run_cli(runner, ["imitate", "--stream", "xi3", "--states",
+                             "20000", "--len", "8"])
+        assert time.perf_counter() - started < 1
+        assert r.output == \
+            "imitation index: 8 (censored: no disagreement found)\n"
+
+    def test_imitate_recovers_a_250_state_machine(self, runner, tmp_path):
+        # every state has its own output, so a wrong state fails where it
+        # is chosen; the search holds about 1500 open choices at once
+        rng = random.Random(6)
+        names = tuple(f"s{i}" for i in range(250))
+        machine = Dfao(k=6, states=names, initial="s0",
+                       delta={q: tuple(rng.choice(names) for _ in range(6))
+                              for q in names},
+                       output={q: q for q in names})
+        text = machine.source("m").prefix(30_000).text("\n") + "\n"
+        stream, best = tmp_path / "stream.txt", tmp_path / "best.json"
+        stream.write_text(text)
+        r = run_cli(runner, ["imitate", "--stream", f"file:{stream}",
+                             "--k", "6", "--states", "250", "--len", "30000",
+                             "--output", str(best)])
+        assert r.output == (
+            "imitation index: 30000 (censored: no disagreement found)\n"
+            f"best machine written to {best}\n")
+        r = run_cli(runner, ["digits", "--machine", str(best),
+                             "--count", "30000"])
+        assert r.output == text
 
     def test_imitate_writes_the_best_machine(self, runner, tmp_path):
         best = tmp_path / "best.json"

@@ -4,12 +4,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import xi3_oracle, xi3_value
+from conftest import imitation_oracle, str_source, xi3_oracle, xi3_value
+from digitseq import numbers
 from digitseq.errors import EnumerationCapError
 from digitseq.numbers import (expansion_stream, imitation_index,
-                              machine_enumeration_count, parse_stream_spec,
-                              rational_source, surd_source, xi3_source)
+                              parse_stream_spec, rational_source,
+                              surd_source, xi3_source)
 
 SQRT2_DECIMAL = "414213562373095048801688724209698078569"
 
@@ -133,17 +136,79 @@ class TestImitation:
         two = imitation_index(stream, 2, 2, 64)[0]
         assert two >= one
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setattr(numbers, "ENUMERATION_CAP", 100)
         stream = parse_stream_spec("surd:2", 2, expansion=True)
         with pytest.raises(EnumerationCapError) as info:
-            imitation_index(stream, 2, 6, 64)
-        assert info.value.required == machine_enumeration_count(2, 6, 2)
-        assert info.value.required > 10 ** 7
+            imitation_index(stream, 2, 8, 64)
+        assert info.value.tried > info.value.cap == 100
 
-    def test_counts_are_nominal_products(self):
-        # m^(m k) transition tables times outputs^m output rows
-        assert machine_enumeration_count(2, 1, 2) == 2
-        assert machine_enumeration_count(2, 2, 2) == 2 + 16 * 4
+    # (stream, base, k, largest state count the enumeration ran)
+    GRID = [("surd:2", 2, 2, 4), ("surd:2", 3, 3, 3), ("surd:3", 3, 3, 3),
+            ("rational:7/3", 10, 10, 1), ("rational:1/3", 2, 2, 4),
+            ("rational:5/7", 10, 2, 3), ("xi3", 2, 2, 4), ("xi3", 2, 3, 3),
+            ("surd:7", 4, 4, 2)]
+
+    @pytest.mark.parametrize("spec, base, k, top", GRID,
+                             ids=[f"{g[0]}-b{g[1]}-k{g[2]}" for g in GRID])
+    def test_matches_the_enumeration(self, spec, base, k, top):
+        stream = parse_stream_spec(spec, base, expansion=True)
+        for max_states in range(1, top + 1):
+            for max_len in (0, 1, 2, 16, 64, 200):
+                result = imitation_index(stream, k, max_states, max_len)
+                assert result[:2] == imitation_oracle(stream, k, max_states,
+                                                      max_len)
+                check_best_machine(stream, k, max_states, max_len, result)
+
+    @given(st.sampled_from([(2, "ab"), (2, "abc"), (3, "ab"), (3, "abc")]),
+           st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_enumeration_on_short_words(self, k_letters,
+                                                    max_states, data):
+        k, letters = k_letters
+        if k == 3:
+            max_states = min(max_states, 2)
+        text = data.draw(st.text(alphabet=letters, max_size=24))
+        stream = str_source(text, letters)
+        result = imitation_index(stream, k, max_states, len(text))
+        assert result[:2] == imitation_oracle(stream, k, max_states,
+                                              len(text))
+        check_best_machine(stream, k, max_states, len(text), result)
+
+    def test_beyond_the_enumeration(self):
+        stream = parse_stream_spec("surd:2", 2, expansion=True)
+        for max_states, index in ((5, 13), (6, 26), (7, 32), (8, 37)):
+            result = imitation_index(stream, 2, max_states, 64)
+            assert result[:2] == (index, False)
+            check_best_machine(stream, 2, max_states, 64, result)
+
+
+def symbols(prefix):
+    return [prefix.alphabet.symbols[i] for i in prefix.data]
+
+
+def check_best_machine(stream, k, max_states, max_len, result):
+    """The machine imitation_index returns has at most max_states states,
+    reproduces the first I symbols and, unless censored, differs at
+    symbol I; a transition no position 1..I reads goes to the first
+    state."""
+    agree, censored, best = result
+    assert best.k == k and best.state_count() <= max_states
+    goal = symbols(stream.prefix(max_len))
+    made = symbols(best.source("best").prefix(max_len))
+    assert made[:agree] == goal[:agree]
+    assert censored == (agree == max_len)
+    if not censored:
+        assert made[agree] != goal[agree]
+    states = [best.initial]
+    read = set()
+    for n in range(1, min(agree + 1, max_len)):
+        q, d = states[n // k], n % k
+        read.add((q, d))
+        states.append(best.delta[q][d])
+    for q in best.states:
+        for d in range(k):
+            assert (q, d) in read or best.delta[q][d] == best.initial
 
 
 class TestStreamSpecs:
