@@ -3,10 +3,20 @@
 Every command is deterministic: given the same options and input files it
 produces byte-identical output. No command accepts or uses randomness.
 
-Exit codes: 0 success, 1 search budget exhausted (or pair refuted),
-2 invalid input, 3 insufficient data, 4 search cap refusal. The
-command group `_Commands` decides them: every package error a command
-raises leaves through its `invoke`, which prints one `error:` line.
+The commands and their options are one table, `_ROOT`, built at import.
+Each option is declared once, with its flag, destination, converter,
+default, help text and whether it is required; `_parse` reads an
+argument vector against it (`--opt value`, `--opt=value` and flags, the
+last value given for an option winning), and `--help` prints a
+command's docstring and options from the same table.
+
+Exit codes: 0 success, 1 search budget exhausted (or pair refuted) or an
+internal error, 2 invalid input, 3 insufficient data, 4 search cap
+refusal. `_run` decides them: every error a command raises leaves
+through it and prints one `error:` line. A usage error (an unknown
+command or option, a missing or malformed value, an extra argument)
+exits 2; an exception from outside the package exits 1 with `error:
+internal error: <Type>: <message>`, not a traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-import click
 import numpy as np
 
 from . import __version__
@@ -38,13 +48,22 @@ from .morphic import MorphicSpec
 from .pda import Dpao
 
 EXIT_BUDGET = 1
+EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_INSUFFICIENT = 3
 EXIT_CAP = 4
 
 
+def _say(text: str, err: bool = False) -> None:
+    """Write `text` and a newline to stdout, or stderr, as it is, and
+    flush, so the two streams interleave in the order written."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text + "\n")
+    stream.flush()
+
+
 def _die(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _say(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -127,8 +146,8 @@ def _resolve_source(machine_path: str | None, stream: str | None,
     return None, _stream_or_die(stream, base)
 
 
-def _output_path(ctx, param, path: str | None) -> str | None:
-    """An --output path, checked when the options are parsed: a missing
+def _output_path(path: str) -> str:
+    """An --output path, checked when the options are read: a missing
     directory raises, before any work, the OSError that writing the file
     at the end would raise."""
     if path and not Path(path).parent.is_dir():
@@ -139,11 +158,13 @@ def _output_path(ctx, param, path: str | None) -> str | None:
 
 def _emit(data: bytes | bytearray, output: str | None) -> None:
     """Write encoded output as it is: to the --output file, or to the
-    binary stream under stdout, where click strips nothing."""
+    binary stream under stdout, after what the text stream holds."""
     if output:
         Path(output).write_bytes(data)
     else:
-        click.echo(data, nl=False)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def _render_prefix(prefix) -> bytes | bytearray:
@@ -171,50 +192,6 @@ def _fmt_approx(f: Fraction) -> str:
     return f"{_fraction_str(f)} (~{float(f):.6g}, approximate)"
 
 
-class _Commands(click.Group):
-    """The command group: its `invoke` maps each package error to an
-    exit code and a one-line message."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except PairRefutedError as exc:
-            _die(EXIT_BUDGET, f"refuted: {exc}")
-        except BudgetExceededError as exc:
-            _die(EXIT_BUDGET, str(exc))
-        except EnumerationCapError as exc:
-            _die(EXIT_CAP, f"{exc}; lower --states or --len")
-        except InsufficientDataError as exc:
-            _die(EXIT_INSUFFICIENT, str(exc))
-        except (ValueError, ValidationError, OSError, OverflowError) as exc:
-            _die(EXIT_INVALID, str(exc))
-
-
-@click.group(cls=_Commands)
-@click.version_option(version=__version__)
-def main() -> None:
-    """Digit-sequence generators and repetition certificates."""
-
-
-def _source_options(command):
-    """The --machine, --stream and --base options that name a source."""
-    for option in reversed((
-            click.option("--machine", "machine_path", type=str, default=None,
-                         help="Machine JSON file (dfao, morphic, tag, dpao)."),
-            click.option("--stream", type=str, default=None,
-                         help="Number stream: rational:p/q, surd:d, xi3, "
-                              "file:<path>."),
-            click.option("--base", type=int, default=None,
-                         help="Digit base for rational/surd streams."))):
-        command = option(command)
-    return command
-
-
-@main.command()
-@_source_options
-@click.option("--count", type=str, default="64", show_default=True)
-@click.option("--output", type=str, default=None, callback=_output_path,
-              help="Write here instead of stdout.")
 def digits(machine_path, stream, base, count, output):
     """Print the first COUNT symbols of a source."""
     if count.strip().startswith("-"):
@@ -224,23 +201,6 @@ def digits(machine_path, stream, base, count, output):
     _emit(_render_prefix(source.prefix(count)), output)
 
 
-@main.command()
-@_source_options
-@click.option("--dio", "dio_range", type=str, default=None,
-              help="Lengths for the repetition-ratio profile, e.g. 2^4..2^14.")
-@click.option("--complexity", "complexity_range", type=str, default=None,
-              help="Block lengths for the factor-complexity table, e.g. 1..64.")
-@click.option("--right-special", "rs_range", type=str, default=None,
-              help="Block lengths for the right-special-factor table.")
-@click.option("--dilation", "dilation_n", type=str, default=None,
-              help="Read-head depth for the dilation profile (morphic only).")
-@click.option("--growth", "want_growth", is_flag=True,
-              help="Include the per-letter growth report (morphic only).")
-@click.option("--prefix-length", type=str, default=None,
-              help="Prefix length for complexity tables (default 2^16).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
-@click.option("--output", type=str, default=None, callback=_output_path)
 def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
             dilation_n, want_growth, prefix_length, fmt, output):
     """Profiles of a source: repetition ratios, complexity, dilation, growth."""
@@ -337,19 +297,6 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     _emit(text.encode("utf-8"), output)
 
 
-@main.command()
-@_source_options
-@click.option("--pair", type=str, default=None,
-              help="Certify a raw index pair n,n' against a stream.")
-@click.option("--k", type=int, default=2, show_default=True,
-              help="Radix of the identity family for --pair certificates.")
-@click.option("--budget", type=int, default=10_000, show_default=True,
-              help="Scan limit for pushdown pair search.")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--scan-len", type=int, default=4096, show_default=True,
-              help="Fixed-point scan window for morphic seeds.")
-@click.option("--output", type=str, default=None, callback=_output_path,
-              help="Certificate JSON path (default: print to stdout).")
 def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
             output):
     """Build a repetition certificate for a machine or a stream pair."""
@@ -371,7 +318,7 @@ def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
         cert = certify_mod.certify_pda(machine, n_max=budget, depth=depth,
                                        machine_ref=ref)
     _emit(certify_mod.certificate_to_json(cert).encode("utf-8"), output)
-    click.echo(_cert_summary(cert), err=True)
+    _say(_cert_summary(cert), err=True)
 
 
 def _cert_summary(cert) -> str:
@@ -401,10 +348,6 @@ def _cert_summary(cert) -> str:
     return "\n".join(lines)
 
 
-@main.command()
-@click.option("--certificate", "cert_path", type=str, required=True)
-@_source_options
-@click.option("--extra-depth", type=int, default=0, show_default=True)
 def verify(cert_path, machine_path, stream, base, extra_depth):
     """Re-check a certificate against its source; exit 0 only if valid."""
     try:
@@ -420,14 +363,11 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
              f"file hashes to {source.source_id}")
     report = certify_mod.verify_certificate(source, cert, extra_depth,
                                             machine=machine)
-    click.echo(report.summary())
+    _say(report.summary())
     if not report.valid:
         sys.exit(EXIT_INVALID)
 
 
-@main.command()
-@click.option("--machine", "machine_path", type=str, required=True)
-@click.option("--output", type=str, required=True, callback=_output_path)
 def convert(machine_path, output):
     """Convert between a k-uniform morphic spec and its automaton."""
     machine, _ = _load_machine_or_die(machine_path)
@@ -438,13 +378,9 @@ def convert(machine_path, output):
     else:
         _die(EXIT_INVALID, "only dfao and morphic machines convert")
     save_machine(converted, output)
-    click.echo(f"wrote {output}")
+    _say(f"wrote {output}")
 
 
-@main.command()
-@click.option("--machine", "machine_path", type=str, required=True)
-@click.option("--pair", type=str, required=True, help="n,n'")
-@click.option("--depth", type=int, default=12, show_default=True)
 def equiv(machine_path, pair, depth):
     """Bounded output comparison of the configurations after n and n'."""
     machine, _ = _load_machine_or_die(machine_path)
@@ -454,20 +390,11 @@ def equiv(machine_path, pair, depth):
         _die(EXIT_INVALID, "equiv needs a dpao or dfao machine")
     n, n_prime = _parse_pair(pair)
     result = pda_mod.bounded_distinguish(machine, n, n_prime, depth)
-    click.echo(result.describe())
+    _say(result.describe())
     if not result.distinguished:
-        click.echo("note: exhausting the depth proves nothing by itself")
+        _say("note: exhausting the depth proves nothing by itself")
 
 
-@main.command()
-@click.option("--stream", type=str, required=True)
-@click.option("--base", type=int, default=2, show_default=True)
-@click.option("--k", type=int, default=None,
-              help="Input radix of the candidate machines (default: base).")
-@click.option("--states", type=int, required=True)
-@click.option("--len", "max_len", type=int, default=64, show_default=True)
-@click.option("--output", type=str, default=None, callback=_output_path,
-              help="Write the best machine here.")
 def imitate(stream, base, k, states, max_len, output):
     """Longest digit-stream prefix reachable by a small automaton."""
     for option, radix in (("--base", base), ("--k", k)):
@@ -478,29 +405,278 @@ def imitate(stream, base, k, states, max_len, output):
         source, base if k is None else k, states, max_len
     )
     suffix = " (censored: no disagreement found)" if censored else ""
-    click.echo(f"imitation index: {agree}{suffix}")
+    _say(f"imitation index: {agree}{suffix}")
     if output:
         save_machine(best, output)
-        click.echo(f"best machine written to {output}")
+        _say(f"best machine written to {output}")
 
 
-@main.group()
-def catalog() -> None:
-    """Built-in machines as reviewable JSON files."""
-
-
-@catalog.command("list")
 def catalog_list():
+    """List the built-in machines and their models."""
     for name in catalog_mod.names():
         kind = type(catalog_mod.get(name)).__name__
-        click.echo(f"{name} ({kind})")
+        _say(f"{name} ({kind})")
 
 
-@catalog.command("export")
-@click.option("--dir", "directory", type=str, required=True)
 def catalog_export(directory):
+    """Write each built-in machine to a JSON file."""
     for path in catalog_mod.export_all(directory):
-        click.echo(f"wrote {path}")
+        _say(f"wrote {path}")
+
+
+class _Option(NamedTuple):
+    """One command-line option. `convert` reads its value: `int`, `bool`
+    for a flag that takes no value, a tuple of the choices, or a function
+    of the text (`str` keeps it as it is)."""
+    flag: str
+    dest: str
+    convert: object = str
+    default: object = None
+    help: str = ""
+    required: bool = False
+
+
+class _Command(NamedTuple):
+    """A command, whose `run` takes the values of its options, or a group,
+    whose `commands` are its subcommands by name; `flags` maps each flag,
+    --help included, to its option."""
+    doc: str
+    options: tuple[_Option, ...]
+    flags: dict[str, _Option]
+    run: Callable | None
+    commands: dict[str, _Command] | None
+
+
+_HELP = _Option("--help", "help", bool, help="Show this message and exit.")
+
+
+def _command(run: Callable | None, *options: _Option, doc: str = "",
+             commands: dict[str, _Command] | None = None) -> _Command:
+    flags = {option.flag: option for option in options + (_HELP,)}
+    return _Command(doc or run.__doc__, options, flags, run, commands)
+
+
+def _parse(tokens: list[str], node: _Command) -> tuple[dict, list[str]]:
+    """The option values in `tokens`, by destination and as given, and
+    the other tokens. A group's options end at its first other token,
+    the command's name; a command's may come after one. `--` ends them."""
+    values: dict = {}
+    rest: list[str] = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--":
+            rest += tokens
+            continue
+        if token[:1] != "-" or token == "-":
+            rest.append(token)
+            if node.run is None:
+                rest += tokens
+            continue
+        flag, eq, value = token.partition("=")
+        option = node.flags.get(flag)
+        if option is None:
+            _die(EXIT_INVALID, f"No such option '{flag}'.")
+        if option.convert is bool:
+            if eq:
+                _die(EXIT_INVALID, f"Option '{flag}' does not take a value.")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                _die(EXIT_INVALID, f"Option '{flag}' requires an argument.")
+        values[option.dest] = value
+    return values, rest
+
+
+def _value(option: _Option, values: dict):
+    """The converted value of `option`, or its default when absent."""
+    if option.dest not in values:
+        if option.required:
+            _die(EXIT_INVALID, f"Missing option '{option.flag}'.")
+        return option.default
+    value, convert = values[option.dest], option.convert
+    if convert is int:
+        try:
+            return int(value)
+        except ValueError:
+            _die(EXIT_INVALID, f"Invalid value for '{option.flag}': "
+                 f"{value!r} is not a valid integer.")
+    if isinstance(convert, tuple):
+        if value not in convert:
+            _die(EXIT_INVALID, f"Invalid value for '{option.flag}': "
+                 f"{value!r} is not one of {', '.join(map(repr, convert))}.")
+        return value
+    return value if convert is bool else convert(value)
+
+
+def _help(node: _Command, path: str) -> str:
+    """The --help page of `node`, invoked as `path`."""
+    rows = []
+    for option in node.options + (_HELP,):
+        convert = option.convert
+        metavar = ("" if convert is bool else " INTEGER" if convert is int
+                   else f" [{'|'.join(convert)}]"
+                   if isinstance(convert, tuple) else " TEXT")
+        tags = "; ".join(
+            ([f"default: {option.default}"]
+             if option.default is not None and convert is not bool else [])
+            + (["required"] if option.required else []))
+        text = " ".join(filter(None, (option.help, tags and f"[{tags}]")))
+        rows.append((option.flag + metavar, text))
+    sections = [("Options", rows)]
+    if node.commands:
+        sections.append(("Commands", [(name, command.doc.splitlines()[0])
+                                      for name, command in
+                                      sorted(node.commands.items())]))
+    width = max(len(left) for _, table in sections for left, _ in table)
+    usage = " COMMAND [ARGS]..." if node.commands else ""
+    lines = [f"Usage: {path} [OPTIONS]{usage}", "", f"  {node.doc}"]
+    for title, table in sections:
+        lines += ["", f"{title}:"] + [
+            f"  {left:<{width}}  {right}".rstrip() for left, right in table]
+    return "\n".join(lines)
+
+
+_SOURCE = (
+    _Option("--machine", "machine_path",
+           help="Machine JSON file (dfao, morphic, tag, dpao)."),
+    _Option("--stream", "stream",
+           help="Number stream: rational:p/q, surd:d, xi3, file:<path>."),
+    _Option("--base", "base", int,
+           help="Digit base for rational/surd streams."),
+)
+
+_ROOT = _command(
+    None,
+    _Option("--version", "version", bool, help="Show the version and exit."),
+    doc="Digit-sequence generators and repetition certificates.",
+    commands={
+        "digits": _command(
+            digits, *_SOURCE,
+            _Option("--count", "count", default="64"),
+            _Option("--output", "output", _output_path,
+                   help="Write here instead of stdout.")),
+        "analyze": _command(
+            analyze, *_SOURCE,
+            _Option("--dio", "dio_range", help="Lengths for the "
+                   "repetition-ratio profile, e.g. 2^4..2^14."),
+            _Option("--complexity", "complexity_range", help="Block lengths "
+                   "for the factor-complexity table, e.g. 1..64."),
+            _Option("--right-special", "rs_range",
+                   help="Block lengths for the right-special-factor table."),
+            _Option("--dilation", "dilation_n", help="Read-head depth for "
+                   "the dilation profile (morphic only)."),
+            _Option("--growth", "want_growth", bool, False, help="Include the "
+                   "per-letter growth report (morphic only)."),
+            _Option("--prefix-length", "prefix_length", help="Prefix length "
+                   "for complexity tables (default 2^16)."),
+            _Option("--format", "fmt", ("text", "json"), "text"),
+            _Option("--output", "output", _output_path)),
+        "certify": _command(
+            certify, *_SOURCE,
+            _Option("--pair", "pair",
+                   help="Certify a raw index pair n,n' against a stream."),
+            _Option("--k", "k", int, 2, help="Radix of the identity family "
+                   "for --pair certificates."),
+            _Option("--budget", "budget", int, 10_000,
+                   help="Scan limit for pushdown pair search."),
+            _Option("--depth", "depth", int, 12),
+            _Option("--scan-len", "scan_len", int, 4096,
+                   help="Fixed-point scan window for morphic seeds."),
+            _Option("--output", "output", _output_path,
+                   help="Certificate JSON path (default: print to stdout).")),
+        "verify": _command(
+            verify,
+            _Option("--certificate", "cert_path", required=True), *_SOURCE,
+            _Option("--extra-depth", "extra_depth", int, 0)),
+        "convert": _command(
+            convert, _Option("--machine", "machine_path", required=True),
+            _Option("--output", "output", _output_path, required=True)),
+        "equiv": _command(
+            equiv, _Option("--machine", "machine_path", required=True),
+            _Option("--pair", "pair", help="n,n'", required=True),
+            _Option("--depth", "depth", int, 12)),
+        "imitate": _command(
+            imitate, _Option("--stream", "stream", required=True),
+            _Option("--base", "base", int, 2),
+            _Option("--k", "k", int, help="Input radix of the candidate "
+                   "machines (default: base)."),
+            _Option("--states", "states", int, required=True),
+            _Option("--len", "max_len", int, 64),
+            _Option("--output", "output", _output_path,
+                   help="Write the best machine here.")),
+        "catalog": _command(
+            None, doc="Built-in machines as reviewable JSON files.",
+            commands={
+                "list": _command(catalog_list),
+                "export": _command(
+                    catalog_export,
+                    _Option("--dir", "directory", required=True))}),
+    })
+
+
+def _dispatch(tokens: list[str], prog: str) -> None:
+    """Find the command that `tokens` name and run it on its options."""
+    node, path = _ROOT, prog
+    while True:
+        values, rest = _parse(tokens, node)
+        if "help" in values or "version" in values:
+            _say(_help(node, path) if "help" in values
+                 else f"{prog}, version {__version__}")
+            return
+        if node.run is not None:
+            break
+        if not rest:
+            _die(EXIT_INVALID, "Missing command.")
+        name, tokens = rest[0], rest[1:]
+        if name not in node.commands:
+            _die(EXIT_INVALID, f"No such command '{name}'.")
+        node, path = node.commands[name], f"{path} {name}"
+    if rest:
+        _die(EXIT_INVALID, "Got unexpected extra argument"
+             f"{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+    node.run(**{option.dest: _value(option, values)
+                for option in node.options})
+
+
+def _run(tokens: list[str], prog: str) -> None:
+    """Run one command line; each error leaves with its exit code and one
+    `error:` line."""
+    try:
+        _dispatch(tokens, prog)
+    except PairRefutedError as exc:
+        _die(EXIT_BUDGET, f"refuted: {exc}")
+    except BudgetExceededError as exc:
+        _die(EXIT_BUDGET, str(exc))
+    except EnumerationCapError as exc:
+        _die(EXIT_CAP, f"{exc}; lower --states or --len")
+    except InsufficientDataError as exc:
+        _die(EXIT_INSUFFICIENT, str(exc))
+    except (ValueError, ValidationError, OSError, OverflowError) as exc:
+        _die(EXIT_INVALID, str(exc))
+    except Exception as exc:
+        _die(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
+    except KeyboardInterrupt:
+        _die(EXIT_INTERNAL, "interrupted")
+
+
+class _Main:
+    """The `digitseq` command. Calling it, or its `main`, runs one
+    command line (by default `sys.argv[1:]`) under the name `prog_name`
+    and always ends in SystemExit with the exit code."""
+
+    name = "digitseq"
+
+    def main(self, args: list[str] | None = None,
+             prog_name: str | None = None) -> None:
+        _run(sys.argv[1:] if args is None else list(args),
+             prog_name or self.name)
+        sys.exit(0)
+
+    __call__ = main
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

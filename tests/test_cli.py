@@ -1347,6 +1347,119 @@ class TestBudgetMemory:
         assert "equivalent pair: n=1, n'=5 (method exact)" in r.stderr
 
 
+class TestCommandLine:
+    """The option table and its parser, read through the entry point."""
+
+    @pytest.mark.parametrize("args, code, first_line", [
+        ([], 2, "error: Missing command."),
+        (["catalog"], 2, "error: Missing command."),
+        (["bogus"], 2, "error: No such command 'bogus'."),
+        (["catalog", "bogus"], 2, "error: No such command 'bogus'."),
+        (["digits", "--bogus"], 2, "error: No such option '--bogus'."),
+        (["--bogus"], 2, "error: No such option '--bogus'."),
+        (["digits", "--version"], 2, "error: No such option '--version'."),
+        (["digits", "--stream", "xi3", "--count"], 2,
+         "error: Option '--count' requires an argument."),
+        (["analyze", "--stream", "xi3", "--growth=yes"], 2,
+         "error: Option '--growth' does not take a value."),
+        (["verify", "--stream", "xi3"], 2,
+         "error: Missing option '--certificate'."),
+        (["certify", "--stream", "xi3", "--pair", "1,2", "--depth", "x"], 2,
+         "error: Invalid value for '--depth': 'x' is not a valid integer."),
+        (["analyze", "--stream", "xi3", "--format", "xml"], 2,
+         "error: Invalid value for '--format': 'xml' is not one of "
+         "'text', 'json'."),
+        (["digits", "--stream", "xi3", "extra"], 2,
+         "error: Got unexpected extra argument (extra)"),
+        (["catalog", "list", "a", "b"], 2,
+         "error: Got unexpected extra arguments (a b)"),
+        (["digits", "--stream", "xi3", "--", "--count"], 2,
+         "error: Got unexpected extra argument (--count)"),
+        (["--help"], 0, "Usage: digitseq [OPTIONS] COMMAND [ARGS]..."),
+        (["catalog", "--help"], 0,
+         "Usage: digitseq catalog [OPTIONS] COMMAND [ARGS]..."),
+        (["certify", "--depth", "x", "--help"], 0,
+         "Usage: digitseq certify [OPTIONS]"),
+        (["--version", "bogus"], 0, f"digitseq, version {__version__}"),
+    ])
+    def test_usage(self, runner, args, code, first_line):
+        r = run_cli(runner, args)
+        assert r.exit_code == code
+        assert r.output.splitlines()[0] == first_line
+        if code:
+            assert len(r.output.splitlines()) == 1
+
+    def test_help_lists_every_command_and_option(self, runner):
+        page = run_cli(runner, ["--help"]).output
+        for command in ("analyze", "catalog", "certify", "convert",
+                        "digits", "equiv", "imitate", "verify"):
+            assert f"\n  {command} " in page
+        assert run_cli(runner, ["equiv", "--help"]).output == (
+            "Usage: digitseq equiv [OPTIONS]\n"
+            "\n"
+            "  Bounded output comparison of the configurations after n and "
+            "n'.\n"
+            "\n"
+            "Options:\n"
+            "  --machine TEXT   [required]\n"
+            "  --pair TEXT      n,n' [required]\n"
+            "  --depth INTEGER  [default: 12]\n"
+            "  --help           Show this message and exit.\n")
+
+    def test_last_value_wins_in_either_form(self, runner):
+        plain = run_cli(runner, ["digits", "--stream", "xi3", "--count", "7"])
+        mixed = run_cli(runner, ["digits", "--stream=xi3", "--count=5",
+                                 "--count", "7"])
+        assert mixed.exit_code == plain.exit_code == 0
+        assert mixed.stdout_bytes == plain.stdout_bytes == b"1101201\n"
+
+    def test_exception_from_outside_the_package_exits_1(self, runner,
+                                                         monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("layer broke")
+
+        monkeypatch.setattr(cli.words_mod, "dio_profile", broken)
+        r = run_cli(runner, ["analyze", "--stream", "xi3", "--dio", "2^4"])
+        assert r.exit_code == 1
+        assert r.output == "error: internal error: RuntimeError: layer broke\n"
+
+    def test_escape_codes_reach_the_error_line(self, runner, tmp_path):
+        path = tmp_path / "\x1b[31mred.json"
+        r = run_cli(runner, ["digits", "--machine", str(path)])
+        assert r.exit_code == 2
+        assert r.output == f"error: machine file not found: {path}\n"
+
+    def test_commands_run_without_click(self, machines, tmp_path):
+        code = ("import runpy, sys\n"
+                "sys.modules['click'] = None\n"
+                "runpy.run_module('digitseq', run_name='__main__', "
+                "alter_sys=True)\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-c", code, *args],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=tmp_path, timeout=120)
+
+        r = run("digits", "--machine", str(machines / "thue-morse.json"),
+                "--count", "8")
+        assert (r.returncode, r.stdout) == (0, "01101001\n"), r.stderr
+        xi1 = str(machines / "xi1.json")
+        r = run("certify", "--machine", xi1, "--depth", "6",
+                "--output", "cert.json")
+        assert r.returncode == 0, r.stderr
+        r = run("verify", "--certificate", "cert.json", "--machine", xi1)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("certificate valid:")
+        r = run("--help")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith(
+            "Usage: python -m digitseq [OPTIONS] COMMAND [ARGS]...\n")
+        r = run("--version")
+        assert (r.returncode, r.stdout) == (
+            0, f"python -m digitseq, version {__version__}\n")
+
+
 class TestVersion:
     def test_version_needs_no_install_metadata(self, tmp_path):
         # the package sources alone, with no distribution metadata beside them
