@@ -12,11 +12,12 @@ command's docstring and options from the same table.
 
 Exit codes: 0 success, 1 search budget exhausted (or pair refuted) or an
 internal error, 2 invalid input, 3 insufficient data, 4 search cap
-refusal. `_run` decides them: every error a command raises leaves
-through it and prints one `error:` line. A usage error (an unknown
-command or option, a missing or malformed value, an extra argument)
-exits 2; an exception from outside the package exits 1 with `error:
-internal error: <Type>: <message>`, not a traceback.
+refusal, 141 a closed output pipe (128 + SIGPIPE). `_run` decides
+them: every error a command raises leaves through it and prints one
+`error:` line, except a closed pipe, which ends quietly. A usage error
+(an unknown command or option, a missing or malformed value, an extra
+argument) exits 2; an exception from outside the package exits 1 with
+`error: internal error: <Type>: <message>`, not a traceback.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_INSUFFICIENT = 3
 EXIT_CAP = 4
+EXIT_PIPE = 128 + 13  # a shell's status for a writer killed by SIGPIPE
 
 
 def _say(text: str, err: bool = False) -> None:
@@ -652,6 +654,12 @@ def _run(tokens: list[str], prog: str) -> None:
         _die(EXIT_CAP, f"{exc}; lower --states or --len")
     except InsufficientDataError as exc:
         _die(EXIT_INSUFFICIENT, str(exc))
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and point stdout at devnull so
+        # that the flush at interpreter exit does not fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        sys.exit(EXIT_PIPE)
     except (ValueError, ValidationError, OSError, OverflowError) as exc:
         _die(EXIT_INVALID, str(exc))
     except Exception as exc:

@@ -19,6 +19,7 @@ radius (Perron-Frobenius), so the whole matrix is never eigensolved.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -127,15 +128,15 @@ class MorphicSpec:
 
     def source(self, source_id: str) -> SequenceSource:
         """The coded fixed point over the external alphabet: the internal
-        letters of _expand_indices, coded by one bytes.translate."""
+        letters of _expand_indices, coded by one bytes.translate. More
+        than 256 internal letters raise ValueError when it generates,
+        not when it is built."""
         ext_alpha = Alphabet(self.external)
-        table = bytearray(256)
-        for i, a in enumerate(self.internal):
-            table[i] = ext_alpha.index(self.coding[a])
-        table = bytes(table)
+        table = bytes(ext_alpha.index(self.coding[a])
+                      for a in self.internal).ljust(256, b"\0")
         return SequenceSource(
-            source_id, ext_alpha, lambda n: _expand_indices(self, n).translate(table)
-        )
+            source_id, ext_alpha,
+            lambda n: _expand_indices(self, n).translate(table))
 
 
 def incidence(spec: MorphicSpec) -> list[list[int]]:
@@ -270,53 +271,46 @@ def spectral_radius_estimate(spec: MorphicSpec) -> float:
     return growth_report(spec).radius
 
 
-# output symbols per gather, so index arrays stay at 128 KiB; at 2^20
-# symbols 2^14 times 10-20% below 2^16 and 2^18 on the catalogue specs
-_GATHER_CHUNK = 1 << 14
-# longest tables that square as Python bytes, not in numpy: summed over
-# the catalogue, linear and 16 random specs at 2^10..2^14 symbols, 1024
-# is 10-50% faster than 256 or 4096 and 3-9x faster than numpy alone
+# longest tables at which a round joins the tables of every letter of
+# every table; past it, a round reads only the letters it needs. Summed
+# over the catalogue, linear, quadratic, cycle, bounded and 8 bench-style
+# random specs at 2^10..2^20 symbols, 1024 is 7-10% faster than 256 or
+# 4096
 _SMALL_TABLE = 1024
 
 
-def _concat_tables(flat: np.ndarray, offsets: np.ndarray,
-                   lengths: np.ndarray, letters: np.ndarray,
-                   out: np.ndarray) -> None:
-    """Fill `out` with the tables of `letters` laid end to end, cut at
-    len(out). Table a is flat[offsets[a]:offsets[a] + lengths[a]].
+def _image(word: bytes, tables: list[bytes], runs, one: bytes,
+           count: int) -> tuple[list, int]:
+    """sigma^m(word) cut at `count`, as pieces to join, and its length.
 
-    Every table read holds at least one symbol, so at most len(out)
-    letters are read, in blocks of _GATHER_CHUNK; each block is gathered
-    in output slices of _GATHER_CHUNK, one np.repeat of offsets each.
+    tables[b] is sigma^m(b). A letter is copied as its whole table; a run
+    that `runs` matches, of letters whose tables hold one symbol, is one
+    bytes.translate through `one`. Pieces stop at the first letter that
+    reaches `count`, and the last is cut there.
     """
-    total, pos = len(out), 0
-    while pos < total:
-        cut = min(_GATHER_CHUNK, total - pos)
-        block, letters = letters[:cut], letters[cut:]
-        lens = lengths[block]
-        ends = np.cumsum(lens)
-        span = min(int(ends[-1]), total - pos)
-        # symbol r of this block's output is flat[src[i] + r] in piece i
-        src = offsets[block] - (ends - lens)
-        for lo in range(0, span, _GATHER_CHUNK):
-            hi = min(lo + _GATHER_CHUNK, span)
-            i0 = int(np.searchsorted(ends, lo, side="right"))
-            i1 = int(np.searchsorted(ends, hi, side="left")) + 1
-            seg = (np.minimum(ends[i0:i1], hi)
-                   - np.maximum(ends[i0:i1] - lens[i0:i1], lo))
-            index = np.repeat(src[i0:i1], seg)
-            index += np.arange(lo, hi)
-            out[pos + lo:pos + hi] = flat.take(index)
-        pos += span
+    def pieces():
+        # blocks of 1, 2, 4, ... letters, so that the run search reads
+        # at most twice the letters needed; a run cut at a block edge
+        # makes two pieces with the same symbols
+        view, lo, step = memoryview(word), 0, 1
+        while lo < len(word):
+            hi = min(len(word), lo + step)
+            if runs is not None:
+                for run in runs.finditer(word, lo, hi):
+                    yield from map(tables.__getitem__, view[lo:run.start()])
+                    yield word[run.start():run.end()].translate(one)
+                    lo = run.end()
+            yield from map(tables.__getitem__, view[lo:hi])
+            lo, step = hi, 2 * step
 
-
-def _letter_counts(word: np.ndarray, d: int) -> np.ndarray:
-    """How often each of the d letters occurs in word, counted in blocks
-    so that no int64 copy of a whole table is made."""
-    counts = np.zeros(d, dtype=np.int64)
-    for i in range(0, len(word), _GATHER_CHUNK):
-        counts += np.bincount(word[i:i + _GATHER_CHUNK], minlength=d)
-    return counts
+    out, total = [], 0
+    for piece in pieces():
+        out.append(piece)
+        total += len(piece)
+        if total >= count:
+            out[-1] = memoryview(piece)[:len(piece) - (total - count)]
+            return out, count
+    return out, total
 
 
 def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
@@ -328,7 +322,10 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
     Only letters of the fixed point get tables. The start letter's table
     is a prefix of the fixed point, and |sigma^m(start)| >= m + 1, so at
     most log2(count) rounds square. While every table is short, a round
-    joins Python bytes; after that it is numpy gathers.
+    joins the tables of all the letters of every table; after that it
+    reads only the letters each new table needs, copies the whole table
+    of each one and translates runs of one-symbol letters (_image).
+    Letters are bytes, so more than 256 of them raise ValueError.
 
     A round squares only while the new tables hold at most
     2 * max(count, _SMALL_TABLE^2) symbols in all, so memory does not
@@ -339,7 +336,9 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
     the budget adds at most letters / m + 2 rounds.
     """
     alpha = {a: i for i, a in enumerate(spec.internal)}
-    start, d = alpha[spec.start], len(spec.internal)
+    if len(alpha) > 256:  # Alphabet's check, without building one per call
+        raise ValueError("alphabets larger than 256 symbols are unsupported")
+    start = alpha[spec.start]
     occurring = spec.occurring()
     tables = [bytes(alpha[b] for b in spec.rules[a])[:count]
               if a in occurring else b"" for a in spec.internal]
@@ -352,45 +351,34 @@ def _expand_indices(spec: MorphicSpec, count: int) -> bytes:
                 sum(min(count, len(t) * longest) for t in tables)):
             break
         tables = [b"".join([tables[b] for b in t])[:count] for t in tables]
-    if len(tables[start]) == count:
-        return tables[start]
-    flat = np.frombuffer(b"".join(tables), dtype=np.uint8)
-    lengths = np.array([len(t) for t in tables], dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-
-    def table(a):
-        return flat[offsets[a]:offsets[a] + lengths[a]]
-
-    def grown(word):
-        # |sigma^m(word)| cut at count, from letter counts in Python integers
-        return min(count, sum(c * n for c, n in zip(
-            _letter_counts(word, d).tolist(), sizes)))
-
-    prefix, squaring = table(start), True
+    prefix, squaring = tables[start], True
     while len(prefix) < count:
-        sizes = lengths.tolist()
-        # while squaring, prefix is table(start): this is its squared size
-        size = grown(prefix)
+        ones = bytes(b for b, t in enumerate(tables) if len(t) == 1)
+        runs = re.compile(b"[%s]+" % re.escape(ones)) if ones else None
+        one = bytes(t[0] if len(t) == 1 else 0
+                    for t in tables).ljust(256, b"\0")
+
+        def image(word):
+            return _image(word, tables, runs, one, count)
+
+        pieces, size = image(prefix)
         squaring = squaring and size < count
         if squaring:
-            new_sizes = [size if a == start else grown(table(a))
-                         for a in range(d)]
-            squaring = sum(new_sizes) <= budget
+            # the sum stops at the budget, so a round that cannot square
+            # makes few images
+            images, total = [], 0
+            for b, t in enumerate(tables):
+                images.append((pieces, size) if b == start else image(t))
+                total += images[-1][1]
+                if total > budget:
+                    squaring = False
+                    break
         if not squaring:
-            out = np.empty(size, dtype=np.uint8)
-            _concat_tables(flat, offsets, lengths, prefix, out)
-            prefix = out
+            prefix = b"".join(pieces)
             continue
-        new_lengths = np.array(new_sizes, dtype=np.int64)
-        new_offsets = np.cumsum(new_lengths) - new_lengths
-        new_flat = np.empty(int(new_lengths.sum()), dtype=np.uint8)
-        for a in range(d):
-            _concat_tables(flat, offsets, lengths, table(a),
-                           new_flat[new_offsets[a]:new_offsets[a]
-                                    + new_sizes[a]])
-        flat, lengths, offsets = new_flat, new_lengths, new_offsets
-        prefix = table(start)
-    return prefix.tobytes()
+        tables = [b"".join(p) for p, _ in images]
+        prefix = tables[start]
+    return prefix
 
 
 def fixed_point_prefix(spec: MorphicSpec, count: int) -> SequencePrefix:
@@ -400,8 +388,8 @@ def fixed_point_prefix(spec: MorphicSpec, count: int) -> SequencePrefix:
 
     The letters come from power-table doubling (_expand_indices):
     O(log count) rounds for every spec, polynomial growth included, each
-    a few byte joins or numpy gathers. A negative count raises
-    ValueError.
+    a few byte joins and translations. A negative count, or more than
+    256 internal letters, raises ValueError.
     """
     if count < 0:
         raise ValueError(f"prefix length must be nonnegative, got {count}")

@@ -801,6 +801,28 @@ class TestOtherCommands:
         assert r.exit_code == 0
         assert '\n    "radiusEstimate": 1.0\n' in r.output
 
+    def test_more_than_256_internal_letters(self, runner, tmp_path):
+        # a -> a r0 and the ring r_i -> r_i r_(i+1) of 300 letters:
+        # generating needs one byte per letter, the growth report does not
+        ring = [f"r{i}" for i in range(300)]
+        rules = {"a": ["a", "r0"]}
+        rules.update((r, [r, ring[(i + 1) % 300]])
+                     for i, r in enumerate(ring))
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({
+            "kind": "morphic", "internal": ["a", *ring], "start": "a",
+            "rules": rules, "external": ["0", "1"],
+            "coding": {x: str(i % 2) for i, x in enumerate(["a", *ring])},
+        }), encoding="utf-8")
+        r = run_cli(runner, ["digits", "--machine", str(path), "--count",
+                             "16"])
+        assert r.exit_code == 2
+        assert r.output == \
+            "error: alphabets larger than 256 symbols are unsupported\n"
+        r = run_cli(runner, ["analyze", "--machine", str(path), "--growth"])
+        assert r.exit_code == 0
+        assert "\n  spectral radius estimate 2.000000000" in r.output
+
     @pytest.mark.parametrize("command", ["dilation", "growth"])
     def test_reports_are_analyze_options_only(self, runner, machines,
                                               command):
@@ -1458,6 +1480,25 @@ class TestCommandLine:
         r = run("--version")
         assert (r.returncode, r.stdout) == (
             0, f"python -m digitseq, version {__version__}\n")
+
+
+    @pytest.mark.parametrize("args", [
+        ["catalog", "list"],
+        ["digits", "--machine", "thue-morse.json", "--count", "2^16"],
+    ])
+    def test_closed_pipe_ends_quietly_with_141(self, machines, args):
+        # the read end is closed before the command starts, so its first
+        # write to stdout fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "digitseq", *args], stdout=write_end,
+                stderr=subprocess.PIPE, cwd=machines, timeout=120,
+                env={**os.environ, "PYTHONPATH": SRC})
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (141, b"")
 
 
 class TestVersion:

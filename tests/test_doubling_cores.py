@@ -34,12 +34,19 @@ def spec(rules: dict[str, str]) -> MorphicSpec:
 LINEAR = spec({"a": "ab", "b": "b"})
 QUADRATIC = spec({"a": "ab", "b": "bc", "c": "c"})
 ONE_LETTER = spec({"a": "aaa"})
+# c and d trade places each round, so the one-symbol letters' tables
+# alternate between the two symbols
+CYCLE = spec({"a": "abc", "b": "b", "c": "d", "d": "c"})
+# c's table is de at every power: a letter of bounded length >= 2
+# between runs of the one-symbol letters d and e
+BOUNDED = spec({"a": "ab", "b": "bc", "c": "de", "d": "d", "e": "e"})
 
 
 CATALOGUE = [name for name in catalog.names()
              if isinstance(catalog.get(name), MorphicSpec)]
 NAMED = {name: catalog.get(name) for name in CATALOGUE}
-NAMED.update(linear=LINEAR, quadratic=QUADRATIC, one_letter=ONE_LETTER)
+NAMED.update(linear=LINEAR, quadratic=QUADRATIC, one_letter=ONE_LETTER,
+             cycle=CYCLE, bounded=BOUNDED)
 
 
 def random_specs() -> list[MorphicSpec]:
@@ -91,6 +98,65 @@ def test_random_specs_match_the_letter_loop():
         for count in edge_counts(s, top):
             assert fixed_point_prefix(s, count).data == want[:count], \
                 (s.rules, count)
+
+
+def bench_style_morphic(rng: random.Random, uniform: bool) -> MorphicSpec:
+    """Up to 4 letters, every one reachable: images of 1 to 3 letters
+    with a -> a W, or, uniform, images of 2 letters with a -> ab and
+    b -> xa."""
+    while True:
+        letters = "abcd"[:rng.randint(2 if uniform else 1, 4)]
+        rules = {a: "".join(rng.choice(letters) for _ in range(
+            2 if uniform else rng.randint(1, 3))) for a in letters}
+        if uniform:
+            rules.update(a="ab", b=rng.choice(letters[1:]) + "a")
+        else:
+            rules["a"] = "a" + "".join(
+                rng.choice(letters) for _ in range(rng.randint(1, 2)))
+        s = spec(rules)
+        if not s.validate().warnings:
+            return s
+
+
+def test_bench_style_specs_match_the_letter_loop():
+    rng = random.Random(3300)
+    for i in range(8):
+        s = bench_style_morphic(rng, uniform=i % 2 == 1)
+        want = fixed_point_loop(s, 2 ** 20)
+        for count in (2 ** 17, 2 ** 20):
+            assert fixed_point_prefix(s, count).data == want[:count], \
+                (s.rules, count)
+
+
+@pytest.mark.parametrize("name", ["thue-morse-morphic", "xi1", "squares",
+                                  "cycle", "bounded", "one_letter"])
+def test_last_letter_needed_is_cut_inside_its_image(name):
+    # the start table's letters past the first few have long images, so
+    # a count halfway into the image of its 2nd, 3rd or 5th letter cuts
+    # that letter's whole-table copy, or its run, in the middle
+    s = NAMED[name]
+    want = fixed_point_loop(s, 2 ** 19)
+    for length in level_lengths(s, 2 ** 17)[-3:]:
+        for count in (length + length // 2, 2 * length + length // 3,
+                      4 * length + 1 + length // 2):
+            count = min(count, 2 ** 19)
+            assert fixed_point_prefix(s, count).data == want[:count], count
+
+
+def test_one_symbol_letters_with_pattern_metacharacter_indices():
+    # the run search matches letters by their byte value: give the
+    # one-symbol letters the values of NUL, "-", "\\", "]" and "^"
+    names = [f"x{i}" for i in range(100)]
+    ones = [names[i] for i in (0, 45, 92, 93, 94)]
+    rules = {x: (x,) for x in names}
+    rules["x50"] = ("x50", "x51", *ones)
+    rules["x51"] = ("x51", ones[0], "x51", *ones[::-1])
+    s = MorphicSpec(internal=tuple(names), rules=rules, start="x50",
+                    external=("0", "1"),
+                    coding={x: str(i % 2) for i, x in enumerate(names)})
+    want = fixed_point_loop(s, 2 ** 18)
+    for count in edge_counts(s, 2 ** 18):
+        assert fixed_point_prefix(s, count).data == want[:count], count
 
 
 def test_fixed_point_prefix_codes_the_expansion():
