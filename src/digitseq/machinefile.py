@@ -1,12 +1,12 @@
 """JSON machine files for the three generator kinds.
 
-One document per machine, dispatched on "kind": "dfao", "morphic" (with
-"tag" accepted as an alias), or "dpao". Digits, names and symbols are
-JSON strings, the base k a JSON integer, and a digit d < k is written
-exactly as str(d). Unknown fields are rejected so that typos fail loudly
-instead of silently changing a machine; any malformed document raises
-ValueError (a document nested too deeply to parse too), and an invalid
-machine ValidationError.
+One document per machine, its "kind" looked up in _KINDS: "dfao",
+"morphic" (with "tag" read as an alias and written back as "morphic"),
+or "dpao". Digits, names and symbols are JSON strings, the base k a JSON
+integer, and a digit d < k is written exactly as str(d). Unknown fields
+are rejected so that typos fail loudly instead of silently changing a
+machine; any malformed document raises ValueError (a document nested
+too deeply to parse too), and an invalid machine ValidationError.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ def _letters(value, what: str) -> tuple[str, ...]:
 
 
 def _dfao_from_dict(doc: dict) -> Dfao:
-    _reject_unknown(doc, {"kind", "k", "states", "initial", "delta", "output"},
-                    "dfao")
+    _reject_unknown(doc, {"k", "states", "initial", "delta", "output"}, "dfao")
     k = _radix(doc["k"])
     states = _names(doc["states"])
     delta = {}
@@ -89,7 +88,6 @@ def _dfao_from_dict(doc: dict) -> Dfao:
 
 def _dfao_to_dict(m: Dfao) -> dict:
     return {
-        "kind": "dfao",
         "k": m.k,
         "states": list(m.states),
         "initial": m.initial,
@@ -101,10 +99,8 @@ def _dfao_to_dict(m: Dfao) -> dict:
 
 
 def _morphic_from_dict(doc: dict) -> MorphicSpec:
-    _reject_unknown(
-        doc, {"kind", "internal", "start", "rules", "external", "coding"},
-        "morphic",
-    )
+    _reject_unknown(doc, {"internal", "start", "rules", "external", "coding"},
+                    "morphic")
     return MorphicSpec(
         internal=_names(doc["internal"]),
         rules={a: _letters(img, f"rule for {a!r}")
@@ -118,7 +114,6 @@ def _morphic_from_dict(doc: dict) -> MorphicSpec:
 def _morphic_to_dict(spec: MorphicSpec) -> dict:
     single = all(len(a) == 1 for a in spec.internal)
     return {
-        "kind": "morphic",
         "internal": list(spec.internal),
         "start": spec.start,
         "rules": {
@@ -131,11 +126,8 @@ def _morphic_to_dict(spec: MorphicSpec) -> dict:
 
 
 def _dpao_from_dict(doc: dict) -> Dpao:
-    _reject_unknown(
-        doc,
-        {"kind", "k", "states", "initial", "stack", "transitions", "output"},
-        "dpao",
-    )
+    _reject_unknown(doc, {"k", "states", "initial", "stack", "transitions",
+                          "output"}, "dpao")
     k = _radix(doc["k"])
     transitions = {}
     for t in doc["transitions"]:
@@ -194,7 +186,6 @@ def _dpao_to_dict(m: Dpao) -> dict:
                 row[a] = m.output[(q, a)]
         output[q] = row
     return {
-        "kind": "dpao",
         "k": m.k,
         "states": list(m.states),
         "initial": m.initial,
@@ -204,19 +195,25 @@ def _dpao_to_dict(m: Dpao) -> dict:
     }
 
 
+# each file kind: (model, reader of the other fields, writer of them); a
+# model is written as the first kind that names it
+_KINDS = {
+    "dfao": (Dfao, _dfao_from_dict, _dfao_to_dict),
+    "morphic": (MorphicSpec, _morphic_from_dict, _morphic_to_dict),
+    "tag": (MorphicSpec, _morphic_from_dict, _morphic_to_dict),
+    "dpao": (Dpao, _dpao_from_dict, _dpao_to_dict),
+}
+
+
 def loads_machine(text: str):
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError("machine file must be a JSON object with a "
                              "'kind'")
-        kind = doc["kind"]
-        if kind == "dfao":
-            return _dfao_from_dict(doc)
-        if kind in ("morphic", "tag"):
-            return _morphic_from_dict(doc)
-        if kind == "dpao":
-            return _dpao_from_dict(doc)
+        kind = doc.pop("kind")
+        if isinstance(kind, str) and kind in _KINDS:  # a list is no key
+            return _KINDS[kind][1](doc)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from exc
     except (TypeError, AttributeError, ArithmeticError, RecursionError) as exc:
@@ -237,12 +234,9 @@ def load_machine(path, *, with_digest: bool = False):
 
 
 def machine_to_dict(machine) -> dict:
-    if isinstance(machine, Dfao):
-        return _dfao_to_dict(machine)
-    if isinstance(machine, MorphicSpec):
-        return _morphic_to_dict(machine)
-    if isinstance(machine, Dpao):
-        return _dpao_to_dict(machine)
+    for kind, (model, _, write) in _KINDS.items():
+        if isinstance(machine, model):
+            return {"kind": kind, **write(machine)}
     raise TypeError(f"cannot serialize {type(machine).__name__}")
 
 

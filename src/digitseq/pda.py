@@ -274,10 +274,9 @@ class _Core:
         node, made = _dedupe(self.child, key, self.nodes)
         if made is not None:
             self.nodes = count = self.nodes + len(made)
-            if count > len(self.parent):
-                self.parent = _room(self.parent, count)
-                self.sym = _room(self.sym, count)
-                self.child = _room(self.child, count * width, -1)
+            self.parent = _room(self.parent, count)
+            self.sym = _room(self.sym, count)
+            self.child = _room(self.child, count * width, -1)
             ids, pairs = node[made], key[made]
             parent = pairs // width
             self.parent[ids], self.sym[ids] = parent, pairs - parent * width
@@ -288,15 +287,13 @@ class _Core:
         """The id of each configuration (states[i], nodes[i]);
         configurations not seen before get new ids."""
         keys = nodes * len(self.states) + states
-        if self.nodes * len(self.states) > len(self.config_id):
-            self.config_id = _room(self.config_id,
-                                   self.nodes * len(self.states), -1)
+        self.config_id = _room(self.config_id,
+                               self.nodes * len(self.states), -1)
         ids, made = _dedupe(self.config_id, keys, self.configs)
         if made is not None:
             old, self.configs = self.configs, self.configs + len(made)
-            if self.configs > len(self.config_key):
-                self.config_key = _room(self.config_key, self.configs)
-                self.succ = _room(self.succ, self.configs)
+            self.config_key = _room(self.config_key, self.configs)
+            self.succ = _room(self.succ, self.configs)
             self.config_key[old:self.configs] = keys[made]
             if self.configs > np.iinfo(self.succ.dtype).max + 1:
                 self.succ = self.succ.astype(
@@ -419,8 +416,8 @@ class _Core:
 
 
 def _room(table: np.ndarray, size: int, fill=0) -> np.ndarray:
-    """table, or a copy of it padded with fill to at least twice its
-    length, so that it has `size` rows."""
+    """table while it has `size` rows, else a copy padded with fill to at
+    least twice its length; callers need not check the size first."""
     if len(table) >= size:
         return table
     grown = np.full((max(size, 2 * len(table)),) + table.shape[1:], fill,

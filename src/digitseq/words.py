@@ -556,12 +556,9 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
         del code
         h *= m
     del ranks
-    # a pair with equal last ranks shares h >= width symbols, unless every
-    # window is distinct and there is no such pair
-    left, right = order[:-1], order[1:]
-    every = step.all()
-    if not every:
-        left, right = left[step], right[step]
+    # only the pairs at group boundaries are lifted: a pair with equal last
+    # ranks shares h >= width symbols, and keeps lcp width
+    left, right = order[:-1][step], order[1:][step]
     # each lifted pair differs within m h symbols at level h; two windows
     # agreeing on `common` symbols end by total, so the sentinel entry at
     # index total is the furthest read
@@ -588,8 +585,6 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
         diff ^= packed[right[part] + done]
         done += chunk - np.searchsorted(thresholds, diff, side="right")
     np.minimum(common, width, out=common)
-    if every:
-        return _WindowIndex(width, order, common)
     lcp = np.full(total - 1, width, dtype=np.int32)
     lcp[step] = common
     return _WindowIndex(width, order, lcp)

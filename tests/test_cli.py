@@ -130,8 +130,8 @@ class TestDigits:
 
     def test_symbols_that_spell_an_ansi_escape_are_printed(self, runner,
                                                            tmp_path):
-        # click strips ANSI codes from text it echoes to a stream that is
-        # not a terminal; digits writes bytes, which it passes through
+        # digits writes the symbols' bytes as they are, so nothing strips
+        # the ANSI codes they spell on a stream that is not a terminal
         path = tmp_path / "ansi.json"
         path.write_text(json.dumps({
             "kind": "morphic", "internal": ["a", "b", "c"], "start": "a",
@@ -986,7 +986,7 @@ class TestBadCounts:
          "depth must be nonnegative, got -1\n"),
         (["certify", "--machine", "xi2.json", "--budget", "-5"],
          "search budget must be nonnegative, got -5\n"),
-        # click refuses an option that certify does not have
+        # the parser refuses an option that certify does not have
         (["certify", "--machine", "xi2.json", "--height-cap", "64"],
          "No such option"),
         (["certify", "--machine", "xi1.json", "--scan-len", "-1"],
@@ -1016,9 +1016,9 @@ class TestBadCounts:
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
         r = run_cli(runner, args)
         assert r.exit_code == 2
-        # ours lead the output; click's usage errors follow its usage lines
-        assert r.output.startswith(f"error: {message}") or (
-            r.output.startswith("Usage: ") and f"\nError: {message}" in r.output)
+        # one line: "error: " and the message
+        assert r.output.startswith(f"error: {message}")
+        assert r.output.count("\n") == 1
 
     def test_zero_count_prints_an_empty_line(self, runner, machines):
         r = run_cli(runner, ["digits", "--machine",

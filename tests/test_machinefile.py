@@ -57,8 +57,11 @@ class TestStrictness:
             loads_machine(json.dumps(doc))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            loads_machine('{"kind": "turing"}')
+        # a kind that is no string, and so may be no dict key, is unknown
+        # too rather than a TypeError
+        for kind in ('"turing"', '["dfao"]', "{}", "null", "7"):
+            with pytest.raises(ValueError, match="unknown machine kind"):
+                loads_machine(f'{{"kind": {kind}}}')
 
     def test_duplicate_transition_is_a_determinism_conflict(self, xi2):
         doc = machine_to_dict(xi2)
@@ -131,6 +134,11 @@ class TestEncodings:
         doc = machine_to_dict(xi1)
         doc["kind"] = "tag"
         assert loads_machine(json.dumps(doc)) == xi1
+
+    def test_tag_is_written_back_as_morphic(self, xi1):
+        doc = machine_to_dict(xi1) | {"kind": "tag"}
+        written = machine_to_dict(loads_machine(json.dumps(doc)))
+        assert written == doc | {"kind": "morphic"}
 
     def test_eps_input_encoding(self):
         doc = {
