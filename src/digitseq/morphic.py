@@ -496,6 +496,6 @@ def from_dfao(m: Dfao) -> MorphicSpec:
         internal=m.states,
         rules={q: tuple(m.delta[q]) for q in m.states},
         start=m.initial,
-        external=tuple(sorted(set(m.output.values()))),
+        external=m.output_alphabet().symbols,
         coding=dict(m.output),
     )

@@ -485,18 +485,19 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
                          ) -> tuple[int, int, str] | None:
     """Scan n = 1, 2, ... for two inputs with equivalent configurations.
 
-    Two detectors run side by side. "exact": identical configurations,
-    equal configuration ids, by pigeonhole. "protected": same (state,
-    top symbol) with a non-empty stack below the top and an empty pop set
-    for that pair, so everything below the top is permanently sealed and
-    the configurations behave identically. The first hit in scan order
-    minimizes n', then n; None, when the budget runs out, proves nothing.
-    A negative n_max raises ValueError.
+    One class key per input read: state * width + top when its
+    configuration is protected (a non-empty stack below the top and an
+    empty pop set for that (state, top), so all below the top is sealed),
+    else base + id. The first input n' whose class holds an earlier input
+    n is the hit, which minimizes n', then n: "exact" when n has the same
+    configuration id (identical configurations), else "protected". None,
+    when the budget runs out, proves nothing. A negative n_max raises
+    ValueError.
 
     The scan fills configuration ids one base-k level at a time and
     stops after the first level that holds a hit. Until then every input
-    has an id of its own, so a level holds its first hit among its first
-    (ids not yet seen) + 1 inputs, and only those are read.
+    has a class of its own, so a level holds its first hit among its
+    first (ids not yet seen) + 1 inputs, and only those are read.
     """
     if n_max < 0:
         raise ValueError(f"search budget must be nonnegative, got {n_max}")
@@ -505,36 +506,28 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
     width = len(core.tops)
     sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
                        for q in m.states])
-    # the least input of each id and of each protected key state * width
-    # + top, or `none`; key -1 of an unprotected id reads the last entry
-    none = n_max + 1
-    first_id = np.zeros(0, dtype=np.int64)
-    first_key = np.full(len(m.states) * width + 1, none)
-    key = np.zeros(0, dtype=np.int64)
+    # the least input of each class, or `none`
+    base, none = len(m.states) * width, n_max + 1
+    first = np.full(base, none)
     lo = 1
     for hi, ids in core.fill(n_max + 1):
         end = min(hi, core.configs + 1)
         if end <= lo:
             continue
-        if len(key) < core.configs:
-            state, node = core.config_of(slice(len(key), core.configs))
-            top = core.sym.take(node)
-            key = np.append(key, np.where(
-                (core.parent.take(node) > 0) & sealed[state, top],
-                state * width + top, -1))
-            first_id = np.append(first_id, np.full(len(state), none))
-        window, inputs = ids[lo:end], np.arange(lo, end)
-        np.minimum.at(first_id, window, inputs)
-        exact = first_id.take(window)
-        keys = key.take(window)
-        np.minimum.at(first_key, keys, np.where(keys < 0, none, inputs))
-        protected = first_key.take(keys)
-        earliest = np.minimum(exact, protected)
+        # ids are as narrow as uint8, and base + id must not wrap
+        window, inputs = ids[lo:end].astype(np.intp), np.arange(lo, end)
+        state, node = core.config_of(window)
+        top = core.sym.take(node)
+        keys = np.where((core.parent.take(node) > 0) & sealed[state, top],
+                        state * width + top, base + window)
+        first = _room(first, base + core.configs, none)
+        np.minimum.at(first, keys, inputs)
+        earliest = first.take(keys)
         hits = np.flatnonzero(earliest < inputs)
         if hits.size:
             i = int(hits[0])
-            method = "exact" if exact[i] <= protected[i] else "protected"
-            return int(earliest[i]), lo + i, method
+            n = int(earliest[i])
+            return n, lo + i, "exact" if ids[n] == window[i] else "protected"
         lo = hi
     return None
 

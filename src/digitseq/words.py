@@ -256,8 +256,8 @@ def _check_lengths(lengths: Sequence[int]) -> list[int]:
     return lengths
 
 
-# the repetition scan compares at most _SCAN_CELLS pairs of packed keys
-# in one block
+# one numpy block compares at most _SCAN_CELLS pairs of packed keys, in
+# the repetition scan and in the last step of the common prefixes
 _SCAN_CELLS = 1 << 16
 
 
@@ -405,11 +405,6 @@ def dio_profile(source: SequenceSource, lengths: Sequence[int],
             for ell, w in zip(lengths, witnesses)]
 
 
-# the last step of the common prefixes gathers 64-bit keys for at most
-# _PAIR_BLOCK adjacent pairs at a time
-_PAIR_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True, eq=False)
 class _WindowIndex:
     """The windows of a prefix sorted at a width.
@@ -524,7 +519,7 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
     earlier round from the top down, up to m - 1 steps of its width h
     while the ranks there still agree, where m is the digit count of the
     round after it. The rest ends inside one packed key, read off the
-    XOR of the two keys, _PAIR_BLOCK pairs at a time. Memory is one code
+    XOR of the two keys, _SCAN_CELLS pairs at a time. Memory is one code
     and one order at a time, the ranks of every round but the last, and
     the packed keys, built again for the last step: on 2^18 symbols at
     widths 8 to 1,024, from 25 to 41 bytes a window at its peak. Nothing
@@ -578,8 +573,8 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
     # symbols from the first difference to the end of the key
     thresholds = np.left_shift(np.uint64(1), np.arange(
         0, chunk * bits, bits, dtype=np.uint64))
-    for lo in range(0, len(common), _PAIR_BLOCK):
-        part = slice(lo, lo + _PAIR_BLOCK)
+    for lo in range(0, len(common), _SCAN_CELLS):
+        part = slice(lo, lo + _SCAN_CELLS)
         done = common[part]
         diff = packed[left[part] + done]
         diff ^= packed[right[part] + done]

@@ -33,6 +33,15 @@ class TestValidation:
                               delta={"q0": ("q0", "q9")}, output={"q0": "a"})
         assert "unknown-state" in kinds
 
+    @pytest.mark.parametrize("changes, kind", [
+        (dict(states=("q0", "q0")), "duplicate-state"),
+        (dict(initial="q9"), "unknown-state"),
+    ])
+    def test_rejected_fields(self, changes, kind):
+        fields = dict(k=2, states=("q0",), initial="q0",
+                      delta={"q0": ("q0", "q0")}, output={"q0": "a"})
+        assert invalid_kinds(**{**fields, **changes}) == {kind}
+
     def test_unreachable_state_is_a_warning(self):
         m = Dfao(k=2, states=("q0", "q1"), initial="q0",
                  delta={"q0": ("q0", "q0"), "q1": ("q0", "q0")},

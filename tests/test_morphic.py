@@ -97,6 +97,19 @@ class TestValidation:
     def test_start_must_lead_its_image(self):
         assert "not-prolongable" in invalid_kinds({"a": "ba", "b": "ab"})
 
+    @pytest.mark.parametrize("changes", [
+        dict(internal=("a", "b", "a")),
+        dict(external=("0", "1", "0")),
+    ])
+    def test_repeated_letters(self, changes):
+        fields = dict(internal=("a", "b"), rules={"a": ("a", "b"),
+                                                  "b": ("a",)},
+                      start="a", external=("0", "1"),
+                      coding={"a": "0", "b": "1"})
+        with pytest.raises(ValidationError) as exc:
+            MorphicSpec(**{**fields, **changes})
+        assert exc.value.report.error_kinds() == {"duplicate-letter"}
+
     def test_unreachable_letter_warns(self):
         report = make_spec({"a": "aa", "b": "ab"}).validate()
         assert report.ok

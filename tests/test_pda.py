@@ -94,6 +94,24 @@ class TestValidation:
             tiny(t, states=states, symbols=symbols)
         assert exc.value.report.error_kinds() == {kind}
 
+    @pytest.mark.parametrize("k, symbols, rows, outputs, kind", [
+        (1, ("X",), {}, {}, "invalid-base"),
+        (2, ("X", BOTTOM), {}, {}, "unknown-symbol"),
+        (2, ("X",), {("p", "Z", 0): ("p", ())}, {}, "unknown-symbol"),
+        (2, ("X",), {("p", "X", 2): ("p", ())}, {}, "invalid-digit"),
+        (2, ("X",), {}, {("p", "Z"): "0"}, "unknown-symbol"),
+        (2, ("X",), {}, {("r", BOTTOM): "0"}, "unknown-symbol"),
+    ])
+    def test_rejected_fields(self, k, symbols, rows, outputs, kind):
+        """A one-state machine, complete in base k, with rows and outputs
+        added to its own."""
+        t = {("p", a, d): ("p", ()) for a in ("X", BOTTOM) for d in range(k)}
+        with pytest.raises(ValidationError) as exc:
+            Dpao(k=k, states=("p",), initial="p", stack_symbols=symbols,
+                 transitions={**t, **rows},
+                 output={("p", "X"): "0", ("p", BOTTOM): "0", **outputs})
+        assert exc.value.report.error_kinds() == {kind}
+
 
 class TestStep:
     def test_xi2_printed_transitions(self, xi2):

@@ -86,6 +86,24 @@ class TestPairSearch:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("size", [256, 300])
+    def test_ids_wider_than_a_byte(self, size):
+        """Input n < |Q| reaches state n, so the scan reads one-byte ids
+        and then two-byte ones. The class key of an id, base + id with
+        base = |Q| on the recast, does not fit the id's own type."""
+        states = tuple(f"s{i}" for i in range(size))
+        m = Dfao(k=2, states=states, initial="s0",
+                 delta={q: tuple(states[j] if j < size else "s0"
+                                 for j in (2 * i, 2 * i + 1))
+                        for i, q in enumerate(states)},
+                 output={q: str(i % 2) for i, q in enumerate(states)})
+        pair = pigeonhole_pair(m)
+        assert pair == (size, size + 1)
+        assert find_equivalent_pair(from_dfao(m), size + 1) == \
+            pair + ("exact",)
+        cert = certify_dfao(m)
+        assert cert.pair == pair
+
     def test_random_dead_rows(self):
         rng = random.Random(9200)
         raised = 0
@@ -97,6 +115,42 @@ class TestPairSearch:
                 assert outcome(lambda: find_equivalent_pair(m, n_max)) == want
                 raised += isinstance(want, str)
         assert raised > 0
+
+
+def rows_machine(states, rows, output) -> Dpao:
+    """A binary machine over stack symbol X from rows (state, top, digit,
+    to, pushed word) and output {state: {top: symbol}}."""
+    return Dpao(k=2, states=states, initial=states[0], stack_symbols=("X",),
+                transitions={(q, a, d): (to, tuple(push))
+                             for q, a, d, to, push in rows},
+                output={(q, a): sym for q, tops in output.items()
+                        for a, sym in tops.items()})
+
+
+class TestPairLabel:
+    """A hit is labelled by the earliest input of its class: "exact" when
+    that input has the hit's configuration id, "protected" when it shares
+    only the sealed (state, top)."""
+
+    def test_identical_sealed_configurations_are_exact(self):
+        # n = 1 and n = 2 both reach (q0, XX), a protected configuration
+        m = rows_machine(("q0",), [
+            ("q0", "X", 0, "q0", "X"), ("q0", "X", 1, "q0", "XX"),
+            ("q0", BOTTOM, 0, "q0", ""), ("q0", BOTTOM, 1, "q0", "XX")],
+            {"q0": {BOTTOM: "0", "X": "1"}})
+        assert find_equivalent_pair(m) == (1, 2, "exact")
+        assert pair_search_loop(m, 10_000, UNCAPPED) == (1, 2, "exact")
+
+    def test_a_shared_sealed_top_is_protected(self):
+        # n = 1 reaches (q1, XX) and n = 2 (q1, XXX)
+        m = rows_machine(("q0", "q1"), [
+            ("q0", "X", 0, "q1", "X"), ("q0", "X", 1, "q1", ""),
+            ("q0", BOTTOM, 0, "q1", "X"), ("q0", BOTTOM, 1, "q1", "XX"),
+            ("q1", "X", 0, "q1", "XX"), ("q1", "X", 1, "q1", "X"),
+            ("q1", BOTTOM, 0, "q1", "X"), ("q1", BOTTOM, 1, "q0", "")],
+            {"q0": {BOTTOM: "1", "X": "0"}, "q1": {BOTTOM: "0", "X": "1"}})
+        assert find_equivalent_pair(m) == (1, 2, "protected")
+        assert pair_search_loop(m, 10_000, UNCAPPED) == (1, 2, "protected")
 
 
 def hole_machine(pair_first: bool) -> Dpao:

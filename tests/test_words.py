@@ -36,6 +36,37 @@ class TestAlphabet:
         assert a.index("b") == 0 and a.index("a") == 1
 
 
+def read_flipping_source() -> None:
+    """Two reads of a source whose second answer does not extend its
+    first."""
+    answers = iter((b"\x01", b"\x00\x00"))
+    source = SequenceSource("flip", Alphabet(("0", "1")),
+                            lambda n: next(answers))
+    source.prefix(1)
+    source.prefix(2)
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: Alphabet(()), ValueError, "at least one symbol"),
+        (lambda: Alphabet(tuple(map(str, range(257)))), ValueError,
+         "larger than 256"),
+        (lambda: Alphabet(("a",)).index("b"), ValueError, "not in alphabet"),
+        (lambda: RepetitionWitness(-1, 1, 1), ValueError,
+         "u must be nonnegative"),
+        (lambda: encode_base_k(-1, 2), ValueError, "negative integer"),
+        (lambda: factor_complexity_profile(str_prefix("ab"), 0), ValueError,
+         "block length must be positive"),
+        (lambda: right_special_count(str_prefix("ab"), 0), ValueError,
+         "block length must be positive"),
+        (read_flipping_source, AssertionError,
+         "'flip' is not deterministic"),
+    ])
+    def test_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+
 class TestBaseK:
     def test_zero_encodes_to_empty(self):
         assert len(encode_base_k(0, 2)) == 0
