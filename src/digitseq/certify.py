@@ -13,6 +13,10 @@ n + 1. The output-equality family of a pair n < n' says that for every
 level l, the outputs at k^l*n + i and k^l*n' + i agree for 0 <= i < k^l;
 those are sequence positions k^l*n + i + 1 and k^l*n' + i + 1. The
 witness at level l is then u = k^l*n, v = k^l*(n'-n), ext = v + k^l.
+
+The kind a model's certificate has, and the engine that builds it, are
+the model's row in machinefile.MODELS. The dfao and dpao engines share
+one body: the pair search on the model's pushdown view.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from itertools import islice
 
 from . import morphic as morphic_mod
 from . import pda as pda_mod
-from .dfao import Dfao
 from .errors import BudgetExceededError, PairRefutedError
+from .machinefile import MODELS
 from .words import RepetitionWitness, SequenceSource, verify_repetition
 
 __all__ = [
@@ -41,11 +45,9 @@ __all__ = [
     "certificate_from_json",
 ]
 
-# each certificate kind: the model it certifies (None: a stream), its methods
-_KINDS = {"dfao-pigeonhole": (Dfao, ("exact",)),
-          "morphic-witness": (morphic_mod.MorphicSpec, (None,)),
-          "pda-pair": (pda_mod.Dpao, ("exact", "protected")),
-          "sequence-pair": (None, (None,))}
+# each certificate kind's methods; machinefile.MODELS says who writes it
+_KINDS = {"dfao-pigeonhole": ("exact",), "morphic-witness": (None,),
+          "pda-pair": ("exact", "protected"), "sequence-pair": (None,)}
 
 
 def _kind(kind) -> tuple:
@@ -81,7 +83,7 @@ class Certificate:
     seed_letter: str | None = None
 
     def __post_init__(self):
-        model, methods = _kind(self.kind)
+        methods = _kind(self.kind)
         if self.method not in methods:
             *takes, given = ("none" if m is None else m
                              for m in (*methods, self.method))
@@ -89,7 +91,7 @@ class Certificate:
                              f"{' or '.join(takes)}, not {given}")
         if not self.witnesses:
             raise ValueError("a certificate needs its level-0 witness")
-        pair_kind = model is not morphic_mod.MorphicSpec
+        pair_kind = self.kind != "morphic-witness"
         if (self.pair is None, self.k is None) != (not pair_kind,) * 2:
             raise ValueError(f"a {self.kind} certificate "
                              f"{'needs' if pair_kind else 'takes no'} "
@@ -177,6 +179,21 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     return cert
 
 
+def _pair_certificate(m, n_max: int, depth: int,
+                      machine_ref: str | None) -> Certificate:
+    """The family of the first pair n < n' <= n_max on m's pushdown view,
+    verified on m's own output, as the certificate kind of m's row."""
+    row = MODELS[type(m)]
+    found = pda_mod.find_equivalent_pair(row.pushdown(m), n_max=n_max)
+    if found is None:
+        raise BudgetExceededError(f"no equivalent pair within n <= {n_max}; "
+                                  "raising the budget may still find one")
+    n, n_prime, method = found
+    return certificate_from_pair(m.source(machine_ref or row.kind), n,
+                                 n_prime, m.k, depth, kind=row.certificate,
+                                 method=method)
+
+
 def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certificate:
     """Pigeonhole certificate for an automaton.
 
@@ -185,12 +202,7 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
     equivalent and the identity family holds at every level. The scan is
     the pushdown pair search on the stack-free recast.
     """
-    found = pda_mod.find_equivalent_pair(pda_mod.from_dfao(m),
-                                         n_max=m.state_count() + 1)
-    assert found is not None  # pigeonhole on |Q| states
-    return certificate_from_pair(
-        m.source(machine_ref or "dfao"), found[0], found[1], m.k, depth,
-        kind="dfao-pigeonhole", method="exact")
+    return _pair_certificate(m, m.state_count() + 1, depth, machine_ref)
 
 
 def _witness_growth(witnesses) -> Fraction:
@@ -244,14 +256,7 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
 def certify_pda(m, n_max: int = 10_000, depth: int = 12,
                 machine_ref: str | None = None) -> Certificate:
     """Configuration-equivalence certificate for a pushdown transducer."""
-    found = pda_mod.find_equivalent_pair(m, n_max=n_max)
-    if found is None:
-        raise BudgetExceededError(f"no equivalent pair within n <= {n_max}; "
-                                  "raising the budget may still find one")
-    n, n_prime, method = found
-    return certificate_from_pair(
-        m.source(machine_ref or "dpao"), n, n_prime, m.k, depth,
-        kind="pda-pair", method=method)
+    return _pair_certificate(m, n_max, depth, machine_ref)
 
 
 @dataclass(frozen=True)
@@ -329,9 +334,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     if extra_depth < 0:
         raise ValueError("extra depth must be nonnegative")
     failures, notes = [], []
-    kind = next((kind for kind, (model, _) in _KINDS.items()
-                 if type(machine) is model), cert.kind)
-    if cert.kind != kind:
+    kind = getattr(MODELS.get(type(machine)), "certificate", None)
+    if kind not in (None, cert.kind):
         failures.append(f"kind {cert.kind} is not {kind}, the kind its "
                         f"machine certifies")
     checked = tuple(cert.witnesses)
@@ -346,7 +350,7 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         return VerificationReport(False, 0, extended, (
             f"prefix generation failed: {exc}",), ())
     if cert.kind == "morphic-witness":
-        if not isinstance(machine, morphic_mod.MorphicSpec):
+        if kind != cert.kind:
             notes.append("note: seed not checked: no morphic machine given")
         else:
             family = _seed_family(machine, cert)
@@ -408,8 +412,8 @@ def certificate_from_json(text: str) -> Certificate:
     """
     try:
         doc = json.loads(text)
-        model, methods = _kind(doc["kind"])
-        if model is morphic_mod.MorphicSpec:
+        methods = _kind(doc["kind"])
+        if doc["kind"] == "morphic-witness":
             fields = {"seed_letter": str(doc["seedLetter"])}
         else:
             fields = {"k": int(doc["k"]),

@@ -41,12 +41,9 @@ from . import pda as pda_mod
 from . import tag as tag_mod
 from . import words as words_mod
 from .certify import _fraction_str
-from .dfao import Dfao
 from .errors import (BudgetExceededError, EnumerationCapError,
                      InsufficientDataError, PairRefutedError, ValidationError)
-from .machinefile import load_machine, save_machine
-from .morphic import MorphicSpec
-from .pda import Dpao
+from .machinefile import MODELS, load_machine, save_machine
 
 EXIT_BUDGET = 1
 EXIT_INTERNAL = 1
@@ -250,7 +247,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                 doc["rightSpecial"].append({"n": n, "count": c})
                 lines.append(f"  rs({n}) = {c}")
     if dilation_n or want_growth:
-        if not isinstance(machine, MorphicSpec):
+        if machine is None or not MODELS[type(machine)].growth:
             _die(EXIT_INVALID,
                  "--dilation/--growth need a morphic or tag machine")
         if dilation_n:
@@ -311,14 +308,12 @@ def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
         cert = certify_mod.certificate_from_pair(source, n, n_prime, k, depth)
     elif machine is None:
         _die(EXIT_INVALID, "--stream certificates need --pair")
-    elif isinstance(machine, Dfao):
-        cert = certify_mod.certify_dfao(machine, depth=depth, machine_ref=ref)
-    elif isinstance(machine, MorphicSpec):
-        cert = certify_mod.certify_morphic(machine, depth=depth,
-                                           scan_len=scan_len, machine_ref=ref)
     else:
-        cert = certify_mod.certify_pda(machine, n_max=budget, depth=depth,
-                                       machine_ref=ref)
+        engine, options = MODELS[type(machine)].certify
+        given = {"scan_len": scan_len, "n_max": budget}
+        cert = getattr(certify_mod, engine)(
+            machine, depth=depth, machine_ref=ref,
+            **{option: given[option] for option in options})
     _emit(certify_mod.certificate_to_json(cert).encode("utf-8"), output)
     _say(_cert_summary(cert), err=True)
 
@@ -373,25 +368,21 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
 def convert(machine_path, output):
     """Convert between a k-uniform morphic spec and its automaton."""
     machine, _ = _load_machine_or_die(machine_path)
-    if isinstance(machine, MorphicSpec):
-        converted = morphic_mod.to_dfao(machine)
-    elif isinstance(machine, Dfao):
-        converted = morphic_mod.from_dfao(machine)
-    else:
+    conversion = MODELS[type(machine)].convert
+    if conversion is None:
         _die(EXIT_INVALID, "only dfao and morphic machines convert")
-    save_machine(converted, output)
+    save_machine(conversion(machine), output)
     _say(f"wrote {output}")
 
 
 def equiv(machine_path, pair, depth):
     """Bounded output comparison of the configurations after n and n'."""
     machine, _ = _load_machine_or_die(machine_path)
-    if isinstance(machine, Dfao):
-        machine = pda_mod.from_dfao(machine)
-    elif not isinstance(machine, Dpao):
+    pushdown = MODELS[type(machine)].pushdown
+    if pushdown is None:
         _die(EXIT_INVALID, "equiv needs a dpao or dfao machine")
     n, n_prime = _parse_pair(pair)
-    result = pda_mod.bounded_distinguish(machine, n, n_prime, depth)
+    result = pda_mod.bounded_distinguish(pushdown(machine), n, n_prime, depth)
     _say(result.describe())
     if not result.distinguished:
         _say("note: exhausting the depth proves nothing by itself")

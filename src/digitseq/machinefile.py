@@ -1,4 +1,6 @@
-"""JSON machine files for the three generator kinds.
+"""JSON machine files for the three generator kinds, and MODELS: one row
+per model class holding what the model can do, which commands ask
+instead of testing the class.
 
 One document per machine, its "kind" looked up in _KINDS: "dfao",
 "morphic" (with "tag" read as an alias and written back as "morphic"),
@@ -14,14 +16,17 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Callable, NamedTuple
 
+from . import morphic, pda
 from .dfao import Dfao
 from .errors import ValidationError
 from .morphic import MorphicSpec
 from .pda import BOTTOM, Dpao
 from .validation import ValidationReport
 
-__all__ = ["load_machine", "loads_machine", "machine_to_dict", "save_machine"]
+__all__ = ["MODELS", "Model", "load_machine", "loads_machine",
+           "machine_to_dict", "save_machine"]
 
 
 def _reject_unknown(doc: dict, allowed: set[str], kind: str) -> None:
@@ -161,30 +166,15 @@ def _dpao_from_dict(doc: dict) -> Dpao:
 
 def _dpao_to_dict(m: Dpao) -> dict:
     single = all(len(s) == 1 for s in m.stack_symbols)
-
-    def push_repr(push):
-        return "".join(push) if single else list(push)
-
-    transitions = []
-    for (q, a, inp), (to, push) in sorted(
-        m.transitions.items(),
-        key=lambda item: (item[0][0], item[0][1], -1 if item[0][2] is None
-                          else item[0][2]),
-    ):
-        transitions.append({
-            "state": q,
-            "top": a,
-            "input": "eps" if inp is None else str(inp),
-            "to": to,
-            "push": push_repr(push),
-        })
-    output: dict[str, dict[str, str]] = {}
-    for q in m.states:
-        row = {}
-        for a in [BOTTOM] + list(m.stack_symbols):
-            if (q, a) in m.output:
-                row[a] = m.output[(q, a)]
-        output[q] = row
+    transitions = [
+        {"state": q, "top": a, "input": "eps" if inp is None else str(inp),
+         "to": to, "push": "".join(push) if single else list(push)}
+        for (q, a, inp), (to, push) in sorted(
+            m.transitions.items(), key=lambda item: (
+                *item[0][:2], -1 if item[0][2] is None else item[0][2]))]
+    tops = (BOTTOM, *m.stack_symbols)
+    output = {q: {a: m.output[q, a] for a in tops if (q, a) in m.output}
+              for q in m.states}
     return {
         "k": m.k,
         "states": list(m.states),
@@ -195,14 +185,31 @@ def _dpao_to_dict(m: Dpao) -> dict:
     }
 
 
-# each file kind: (model, reader of the other fields, writer of them); a
-# model is written as the first kind that names it
-_KINDS = {
-    "dfao": (Dfao, _dfao_from_dict, _dfao_to_dict),
-    "morphic": (MorphicSpec, _morphic_from_dict, _morphic_to_dict),
-    "tag": (MorphicSpec, _morphic_from_dict, _morphic_to_dict),
-    "dpao": (Dpao, _dpao_from_dict, _dpao_to_dict),
+class Model(NamedTuple):
+    """A model's file kind, reader, writer, certificate kind, certify
+    engine (a name in `certify`, looked up when it runs) with the options
+    it reads, conversion and pushdown view (or None), and growth."""
+    kind: str
+    read: Callable
+    write: Callable
+    certificate: str
+    certify: tuple[str, tuple[str, ...]]
+    convert: Callable | None
+    pushdown: Callable | None
+    growth: bool
+
+
+MODELS = {
+    Dfao: Model("dfao", _dfao_from_dict, _dfao_to_dict, "dfao-pigeonhole",
+                ("certify_dfao", ()), morphic.from_dfao, pda.from_dfao, False),
+    MorphicSpec: Model("morphic", _morphic_from_dict, _morphic_to_dict,
+                       "morphic-witness", ("certify_morphic", ("scan_len",)),
+                       morphic.to_dfao, None, True),
+    Dpao: Model("dpao", _dpao_from_dict, _dpao_to_dict, "pda-pair",
+                ("certify_pda", ("n_max",)), None, lambda m: m, False),
 }
+# each file kind's row; a tag file reads as the same morphism
+_KINDS = {r.kind: r for r in MODELS.values()} | {"tag": MODELS[MorphicSpec]}
 
 
 def loads_machine(text: str):
@@ -213,7 +220,7 @@ def loads_machine(text: str):
                              "'kind'")
         kind = doc.pop("kind")
         if isinstance(kind, str) and kind in _KINDS:  # a list is no key
-            return _KINDS[kind][1](doc)
+            return _KINDS[kind].read(doc)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from exc
     except (TypeError, AttributeError, ArithmeticError, RecursionError) as exc:
@@ -234,10 +241,10 @@ def load_machine(path, *, with_digest: bool = False):
 
 
 def machine_to_dict(machine) -> dict:
-    for kind, (model, _, write) in _KINDS.items():
-        if isinstance(machine, model):
-            return {"kind": kind, **write(machine)}
-    raise TypeError(f"cannot serialize {type(machine).__name__}")
+    row = MODELS.get(type(machine))
+    if row is None:
+        raise TypeError(f"cannot serialize {type(machine).__name__}")
+    return {"kind": row.kind, **row.write(machine)}
 
 
 def save_machine(machine, path) -> None:

@@ -67,7 +67,8 @@ class MorphicSpec:
         self.validate().require()
 
     def validate(self) -> ValidationReport:
-        """Declared names, non-erasing rules, a prolongable start letter.
+        """Declared names, an external alphabet of at most 256 non-empty
+        letters, non-erasing rules, a prolongable start letter.
 
         Letters that never occur in the fixed point are warnings."""
         report = ValidationReport()
@@ -76,6 +77,9 @@ class MorphicSpec:
             report.error("duplicate-letter", "internal letters must be distinct")
         if len(set(self.external)) != len(self.external):
             report.error("duplicate-letter", "external letters must be distinct")
+        if "" in self.external or len(self.external) > 256:
+            report.error("invalid-alphabet", "external letters must be "
+                         "non-empty, and at most 256 of them")
         if self.start not in letters:
             report.error("unknown-letter", f"start letter {self.start!r} not declared")
         for a in self.internal:

@@ -473,6 +473,18 @@ class TestVerification:
             assert report.failures == (
                 f"kind {doc.kind} is not {kind}, the kind its machine "
                 f"certifies",)
+        # a morphic certificate with a machine of another model: the kind
+        # fails, and the seed is not re-derived from that machine
+        morphic = certify_morphic(xi1, depth=4)
+        for machine, kind in ((three_squares, "dfao-pigeonhole"),
+                              (xi2, "pda-pair")):
+            report = verify_certificate(xi1.source("xi1"), morphic,
+                                        machine=machine)
+            assert report.failures == (
+                f"kind morphic-witness is not {kind}, the kind its machine "
+                f"certifies",)
+            assert report.notes[0] == \
+                "note: seed not checked: no morphic machine given"
 
     def test_periodic_source_pair(self):
         src = periodic_source("01")

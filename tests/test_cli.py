@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import naive_complexity, naive_right_special
-from digitseq import __version__, catalog, cli, numbers, pda
+from digitseq import (__version__, catalog, certify, cli, morphic, numbers,
+                      pda, tag)
 from digitseq.cli import main
 from digitseq.dfao import Dfao
 from digitseq.machinefile import machine_to_dict
@@ -1108,6 +1109,29 @@ class TestErrorTable:
         assert r.exit_code == 2
         assert r.output == f"error: machine {path} invalid:\n{report}\n"
 
+    @pytest.mark.parametrize("external", [
+        [f"s{i}" for i in range(257)], ["s0", "s1", ""]],
+        ids=["257-letters", "empty-letter"])
+    @pytest.mark.parametrize("args", [
+        ["digits"], ["analyze", "--growth"], ["certify"],
+        ["convert", "--output", "out.json"], ["equiv", "--pair", "1,2"]],
+        ids=lambda args: args[0])
+    def test_external_alphabet_is_checked_at_load(self, runner, tmp_path,
+                                                  external, args):
+        # the coding uses only s0 and s1: the alphabet itself is refused
+        path, out = tmp_path / "wide.json", tmp_path / "out.json"
+        path.write_text(json.dumps({
+            "kind": "morphic", "internal": ["a", "b"], "start": "a",
+            "rules": {"a": "ab", "b": "ba"}, "external": external,
+            "coding": {"a": "s0", "b": "s1"}}), encoding="utf-8")
+        args = [str(out) if a == "out.json" else a for a in args]
+        r = run_cli(runner, [args[0], "--machine", str(path), *args[1:]])
+        assert r.exit_code == 2
+        assert r.output == (
+            f"error: machine {path} invalid:\nerror[invalid-alphabet]: "
+            f"external letters must be non-empty, and at most 256 of them\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, edit", [
         ("thue-morse", lambda d: d.update(states=5)),
         ("xi2", lambda d: d.update(transitions=[5])),
@@ -1321,6 +1345,38 @@ class TestValidateOnce:
                              "--machine", xi2])
         assert v.exit_code == 0
         assert validate_calls == {"Dpao": 1}
+
+
+class TestEnginesThroughModules:
+    """Commands call each engine through its module, so a wrapper set on
+    the module attribute, as a profiler sets one, sees every call; a table
+    that held the function itself would bypass it."""
+
+    ENGINES = ((certify, "certify_dfao"), (certify, "certify_morphic"),
+               (certify, "certify_pda"), (pda, "find_equivalent_pair"),
+               (morphic, "growth_report"), (tag, "dilation_profile"))
+
+    @pytest.mark.parametrize("args, expected", [
+        (["certify", "--machine", "thue-morse.json"],
+         {"certify_dfao": 1, "find_equivalent_pair": 1}),
+        (["certify", "--machine", "xi1.json"],
+         {"certify_morphic": 1, "growth_report": 1}),
+        (["certify", "--machine", "xi2.json"],
+         {"certify_pda": 1, "find_equivalent_pair": 1}),
+        (["analyze", "--machine", "xi1.json", "--growth", "--dilation", "64"],
+         {"growth_report": 1, "dilation_profile": 1}),
+    ])
+    def test_each_engine_is_seen_once(self, runner, machines, monkeypatch,
+                                      args, expected):
+        calls = collections.Counter()
+        for module, name in self.ENGINES:
+            def counted(*a, _engine=getattr(module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _engine(*a, **kw)
+            monkeypatch.setattr(module, name, counted)
+        args = [str(machines / a) if a.endswith(".json") else a for a in args]
+        assert run_cli(runner, args).exit_code == 0
+        assert calls == expected
 
 
 class TestDeterminism:

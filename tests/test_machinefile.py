@@ -63,6 +63,14 @@ class TestStrictness:
             with pytest.raises(ValueError, match="unknown machine kind"):
                 loads_machine(f'{{"kind": {kind}}}')
 
+    def test_only_a_model_serializes(self, tm_dfao):
+        # MODELS is keyed by class: anything else is a TypeError naming
+        # its type, not a KeyError
+        for thing in ("dfao", machine_to_dict(tm_dfao), None):
+            with pytest.raises(TypeError, match="^cannot serialize "
+                               f"{type(thing).__name__}$"):
+                machine_to_dict(thing)
+
     def test_duplicate_transition_is_a_determinism_conflict(self, xi2):
         doc = machine_to_dict(xi2)
         doc["transitions"].append(dict(doc["transitions"][0]))
