@@ -123,7 +123,8 @@ class Certificate:
     def dio_lower_bound(self) -> Fraction:
         if self.pair is not None:
             return Fraction(self.pair[1], self.pair[1] - 1)
-        return min(w.ratio for w in self.witnesses)
+        return Fraction(*_least((w.u + w.ext, w.u + w.v)
+                                for w in self.witnesses))
 
     @property
     def ratio_growth_bound(self) -> Fraction:
@@ -182,16 +183,22 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
 def _pair_certificate(m, n_max: int, depth: int,
                       machine_ref: str | None) -> Certificate:
     """The family of the first pair n < n' <= n_max on m's pushdown view,
-    verified on m's own output, as the certificate kind of m's row."""
+    verified on m's own output, as the certificate kind of m's row. A
+    pushdown machine is its own view, so the prefix may read the levels
+    the search stepped."""
     row = MODELS[type(m)]
-    found = pda_mod.find_equivalent_pair(row.pushdown(m), n_max=n_max)
+    ref, pushdown = machine_ref or row.kind, row.pushdown(m)
+    if pushdown is m:
+        found, source = pda_mod._pair_and_source(m, n_max, ref)
+    else:
+        found = pda_mod.find_equivalent_pair(pushdown, n_max=n_max)
+        source = m.source(ref)
     if found is None:
         raise BudgetExceededError(f"no equivalent pair within n <= {n_max}; "
                                   "raising the budget may still find one")
     n, n_prime, method = found
-    return certificate_from_pair(m.source(machine_ref or row.kind), n,
-                                 n_prime, m.k, depth, kind=row.certificate,
-                                 method=method)
+    return certificate_from_pair(source, n, n_prime, m.k, depth,
+                                 kind=row.certificate, method=method)
 
 
 def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certificate:
@@ -205,12 +212,23 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
     return _pair_certificate(m, m.state_count() + 1, depth, machine_ref)
 
 
+def _least(ratios) -> tuple[int, int]:
+    """The least of positive ratios p/q, given as (p, q) pairs and
+    compared by cross-multiplication, so that only the caller's one
+    Fraction is built; (1, 1) for none."""
+    least = (1, 1)
+    for i, (p, q) in enumerate(ratios):
+        if not i or p * least[1] < least[0] * q:
+            least = p, q
+    return least
+
+
 def _witness_growth(witnesses) -> Fraction:
     """Largest growth of u + v between consecutive witnesses; 1 for fewer
     than two."""
-    return max((Fraction(b.u + b.v, a.u + a.v)
-                for a, b in zip(witnesses, witnesses[1:])),
-               default=Fraction(1))
+    q, p = _least((a.u + a.v, b.u + b.v)
+                  for a, b in zip(witnesses, witnesses[1:]))
+    return Fraction(p, q)
 
 
 def _morphic_family(spec: morphic_mod.MorphicSpec,
@@ -396,11 +414,36 @@ def _document(cert: Certificate) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(_document(cert), indent=2, sort_keys=True) + "\n"
+    return _indented(_document(cert)) + "\n"
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for what a document
+    holds (dicts, lists, strings and ints), written without the
+    pure-Python encoder that an indent selects in json: each string goes
+    through json's C escaper, each int through its repr."""
+    if type(value) is int:
+        return repr(value)
+    if type(value) is str:
+        return _escape(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        body = ",".join(
+            f"{inner}{_escape(key)}: "
+            f"{repr(item) if type(item) is int else _indented(item, inner)}"
+            for key, item in sorted(value.items()))
+        return f"{{{body}{pad}}}" if value else "{}"
+    if type(value) is list:
+        body = ",".join(
+            inner + (repr(item) if type(item) is int
+                     else _indented(item, inner)) for item in value)
+        return f"[{body}{pad}]" if value else "[]"
+    return json.dumps(value)
 
 
 # one JSON text per value: 1 is not true, and 2 is not 2.0
 _canonical = partial(json.dumps, sort_keys=True)
+_escape = json.encoder.encode_basestring_ascii
 
 
 def certificate_from_json(text: str) -> Certificate:

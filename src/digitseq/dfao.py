@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .validation import ValidationReport, _reach
+from .validation import ValidationReport, _check_alphabet, _reach
 from .words import Alphabet, SequenceSource, _symbols, _table_fill
 
 __all__ = ["Dfao"]
@@ -92,6 +92,7 @@ class Dfao:
         for q in self.output:
             if q not in known:
                 report.error("unknown-state", f"output for unknown state {q!r}")
+        _check_alphabet(report, set(self.output.values()), "output symbols")
         if not report.errors:
             reached = _reach(self.delta, self.initial, {})
             for q in self.states:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dfao import Dfao
 from .errors import BudgetExceededError
-from .validation import ValidationReport, _reach
+from .validation import ValidationReport, _check_alphabet, _reach
 from .words import Alphabet, SequencePrefix, SequenceSource
 
 __all__ = [
@@ -77,9 +77,7 @@ class MorphicSpec:
             report.error("duplicate-letter", "internal letters must be distinct")
         if len(set(self.external)) != len(self.external):
             report.error("duplicate-letter", "external letters must be distinct")
-        if "" in self.external or len(self.external) > 256:
-            report.error("invalid-alphabet", "external letters must be "
-                         "non-empty, and at most 256 of them")
+        _check_alphabet(report, self.external, "external letters")
         if self.start not in letters:
             report.error("unknown-letter", f"start letter {self.start!r} not declared")
         for a in self.internal:

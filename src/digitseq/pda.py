@@ -27,21 +27,26 @@ configuration is stepped once, when a level first reads it, into a table
 of successor ids; the whole block [k^l, k^(l+1)) is one row gather of
 that table by the block below, and a digit with no move leaves id 0
 there, which is no input's child. A prefix therefore costs steps in
-proportion to its distinct configurations, not to its length. The core
-owns one numbering: the walk to one input and the distinguishing
-search, over pairs of ids, read and step the same table.
+proportion to its distinct configurations, not to its length. A source
+compiles its core on its first read; a certificate's prefix reads the
+core of the pair search before it when the levels the search stepped
+are numbered as a fresh core numbers them. The core owns one numbering:
+the walk to one input and the distinguishing search, over pairs of ids,
+read and step the same table, on a core of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import inf
 from typing import Mapping
 
 import numpy as np
 
 from .dfao import Dfao
 from .errors import ValidationError
-from .validation import ValidationReport
+from .validation import ValidationReport, _check_alphabet
 from .words import (Alphabet, SequenceSource, _levels, _symbols,
                     encode_base_k)
 
@@ -168,24 +173,36 @@ class Dpao:
             if q not in states or a not in tops:
                 report.error("unknown-symbol",
                              f"output for unknown pair ({q!r}, {a!r})")
+        _check_alphabet(report, set(self.output.values()), "output symbols")
         return report
 
     def source(self, source_id: str) -> SequenceSource:
         """The output sequence, n = 0, 1, 2, ...
 
-        The machine compiles once to a step core; each call fills the
-        configuration ids one base-k level at a time and reads the output
-        of each id.
+        The machine compiles to a step core on the first read; each read
+        fills the configuration ids one base-k level at a time and reads
+        the output of each id.
         """
-        core = _Core(self)
+        return _source(self, source_id)
 
-        def gen(n: int) -> bytes:
-            for _, ids in core.fill(n):
-                pass
-            state, node = core.config_of(slice(core.configs))
-            return _symbols(core.out[state, core.sym.take(node)], ids)
 
-        return SequenceSource(source_id, core.alphabet, gen)
+def _source(m: Dpao, source_id: str, searched: _Core | None = None
+            ) -> SequenceSource:
+    """m's output sequence on a step core compiled on the first read, or
+    on `searched`, a core a pair search filled, when the first read's
+    count numbers its ids there as on a fresh core."""
+    core = None
+
+    def gen(n: int) -> bytes:
+        nonlocal core
+        if core is None:
+            fresh = searched is not None and searched.whole <= n
+            core = searched if fresh else _Core(m)
+        for _, ids in core.fill(n):
+            pass
+        return _symbols(core.out[core.row[:core.configs]], ids)
+
+    return SequenceSource(source_id, m.output_alphabet(), gen)
 
 
 class _Hole(ValidationError):
@@ -201,148 +218,186 @@ class _Hole(ValidationError):
 class _Core:
     """A Dpao compiled to step many configurations at once.
 
-    Dense tables over (state, top, digit) hold the moves. Stacks live in
-    a hash-consed node store: node 0 is the bare bottom, and node i is
-    the stack parent[i] with sym[i] pushed on top. `child` maps (parent,
-    symbol) to its node, so equal stacks are one node and a
-    configuration is the int pair (state, node).
+    A row is a (state, top) pair, numbered state * len(tops) + top, and
+    `move` holds each row's moves by digit: move[0, row, d] is the next
+    state (-1 for none), move[1, row, d] is 1 when the pushed word starts
+    with the top it replaces, which then stays, and move[2 + j, row, d]
+    is the j-th symbol pushed after that, or the bottom index past the
+    end. One row more, the last, is id 0's: the initial configuration at
+    n = 0, which reads 1 in place of 0, as its digit-0 child would be a
+    leading zero.
+
+    Stacks live in a hash-consed node store: node 0 is the bare bottom,
+    and node i is the stack parent[i] with sym[i] pushed on top. `child`
+    maps node * len(tops) + symbol to its node, so equal stacks are one
+    node and a configuration is a row over a node.
 
     The core owns one numbering of the configurations its readers reach:
-    `config_id` maps the key node * len(states) + state to the id, and
-    `config_key` maps it back. Row i of `succ` holds the ids one digit
-    step from id i, and 0 for a digit with no move, as id 0 is no input's
-    child. Fills step rows in id order up to `stepped`, walks and searches
-    the rows they read. Every table doubles its length when full; `nodes`
-    and `configs` count the entries in use.
+    id i is row[i] over node[i], and `config_id` maps the key
+    node * len(states) + state to the id, except for id 0, which stands
+    for n = 0 alone; the initial configuration at any other n has an id
+    of its own. Row i of `succ` holds the ids one digit step from id i,
+    and 0 for a digit with no move, as id 0 is no input's child. Fills
+    step ids in ascending order up to `stepped`, walks and searches the
+    ids they read. A step numbers the configurations it reaches first in
+    the order of their last occurrence, so the ids depend on where fills
+    cut levels: a fill of any count from `whole`, the end of the last
+    level stepped, numbers them as a fresh core does; once a fill steps a
+    level it cuts, or a walk steps, `whole` is infinite. Every table
+    doubles its length when full; `nodes` and `configs` count the entries
+    in use. The strides `width` and `span` are numpy integers, which
+    numpy multiplies by faster than by a Python int.
     """
 
     def __init__(self, m: Dpao):
         self.k = k = m.k
         self.states = m.states
         self.tops = tops = m.stack_symbols + (BOTTOM,)
+        self.width = width = np.intp(len(tops))
+        self.span = np.intp(len(m.states))
         # the bottom's index also stands for "push nothing"
-        self.bottom = bottom = len(tops) - 1
+        self.bottom = bottom = width - 1
         self.alphabet = m.output_alphabet()
+        self.initial = m.states.index(m.initial)
         state_ix = {q: i for i, q in enumerate(m.states)}
         top_ix = {a: i for i, a in enumerate(tops)}
-        self.eps_to = np.full((len(m.states), len(tops)), -1, dtype=np.int32)
-        # a digit row is (state * len(tops) + top) * k + digit
-        self.dig_to = np.full(len(m.states) * len(tops) * k, -1,
-                              dtype=np.int32)
-        # pushed[j, row]: the row's j-th pushed symbol, or the bottom
-        # index past the end of its word
-        longest = max((len(push) for _, push in m.transitions.values()),
+        rows = len(m.states) * len(tops)
+        # a word that starts with the top it replaces keeps that top and
+        # pushes the rest
+        moves = [(state_ix[q] * len(tops) + top_ix[a], inp, state_ix[to],
+                  push[:1] == (a,), push)
+                 for (q, a, inp), (to, push) in m.transitions.items()]
+        longest = max((len(push) - keep for *_, keep, push in moves),
                       default=0)
-        self.pushed = np.full((longest, len(self.dig_to)), bottom,
-                              dtype=np.int32)
-        for (q, a, inp), (to, push) in m.transitions.items():
+        # digit row row * k + d, with one row more, the last: id 0's
+        eps, move = [-1] * rows, [[-1] * (rows + 1) * k, [0] * (rows + 1) * k]
+        move += [[bottom] * len(move[0]) for _ in range(longest)]
+        pushed = move[2:]
+        for row, inp, to, keep, push in moves:
             if inp is None:
-                self.eps_to[state_ix[q], top_ix[a]] = state_ix[to]
+                eps[row] = to
                 continue
-            row = (state_ix[q] * len(tops) + top_ix[a]) * k + inp
-            self.dig_to[row] = state_ix[to]
-            self.pushed[:len(push), row] = [top_ix[z] for z in push]
-        self.out = np.array(
-            [[self.alphabet.index(m.output[(q, a)]) for a in tops]
-             for q in m.states], dtype=np.uint8)
-        self.initial = state_ix[m.initial]
-        # moves[state * len(tops) + top]: the row has digit moves, all k of
-        # them; complete: every row has digit or epsilon moves (no dead row)
-        self.moves = self.dig_to[::k] >= 0
-        self.complete = bool((self.moves | (self.eps_to.ravel() >= 0)).all())
-        self.epsilon = bool((self.eps_to >= 0).any())
+            at = row * k + inp
+            move[0][at], move[1][at] = to, keep
+            for table, z in zip(pushed, push[keep:]):
+                table[at] = top_ix[z]
+        start = (self.initial * len(tops) + len(tops) - 1) * k
+        for table in move:
+            table[rows * k:] = [table[start + max(d, 1)] for d in range(k)]
+        self.move = np.array(move, dtype=np.intp).reshape(-1, rows + 1, k)
+        self.eps_to = np.array(eps, dtype=np.intp)
+        out = [self.alphabet.index(m.output[pair])
+               for pair in product(m.states, tops)]
+        self.out = np.array(out + [out[start // k]], dtype=np.uint8)
+        # complete: every row has digit or epsilon moves (no dead row)
+        self.complete = all(move[0][row * k] >= 0 or eps[row] >= 0
+                            for row in range(rows))
+        self.epsilon = max(eps) >= 0
         # node 0 is its own parent, so popping the bare bottom keeps it
         self.nodes, room = 1, 64
         self.parent = np.zeros(room, dtype=np.intp)
         self.sym = np.full(room, bottom, dtype=np.int32)
-        # child[node * len(tops) + symbol]: the node one push above, or
-        # -1 while unmade; pushing the bottom index keeps the node
+        # child[node * width + symbol]: the node one push above, or -1
+        # while unmade; pushing the bottom index keeps the node, and a
+        # table that grows holds that for its nodes to be made
         self.child = np.full(room * len(tops), -1, dtype=np.intp)
-        self.child[bottom] = 0
-        # id 0 is the initial configuration at n = 0
-        self.configs, self.stepped, self.holey = 1, 0, False
-        self.config_id = np.full(room * len(m.states), -1)
-        self.config_key = np.zeros(room, dtype=np.intp)
-        self.config_key[0] = self.initial
+        self.child[bottom::len(tops)] = np.arange(room)
+        # id 0 is the initial configuration at n = 0, on the last row
+        self.configs, self.stepped, self.holey, self.whole = 1, 0, False, 0
+        self.config_id = np.full(room * len(m.states), -1, dtype=np.intp)
+        self.row = np.full(room, rows, dtype=np.intp)
+        self.node = np.zeros(room, dtype=np.intp)
         self.succ = np.zeros((room, k), dtype=np.uint8)
 
-    def _intern(self, base: np.ndarray, syms: np.ndarray) -> np.ndarray:
-        """The node of each stack base[i] with syms[i] pushed on top;
-        pairs not seen before become new nodes."""
-        width = len(self.tops)
-        key = base * width + syms
-        node, made = _dedupe(self.child, key, self.nodes)
-        if made is not None:
-            self.nodes = count = self.nodes + len(made)
-            self.parent = _room(self.parent, count)
-            self.sym = _room(self.sym, count)
-            self.child = _room(self.child, count * width, -1)
-            ids, pairs = node[made], key[made]
-            parent = pairs // width
-            self.parent[ids], self.sym[ids] = parent, pairs - parent * width
-            self.child[ids * width + self.bottom] = ids
-        return node
+    def _fit(self, nodes: int, configs: int) -> None:
+        """Room for `nodes` nodes in the node tables and for `configs` ids
+        in the configuration tables; a table short of it grows, to at
+        least twice its length. Tables are fitted as entries are made, to
+        the count made, not to a bound such as the frontier times the
+        longest push, which grows them past what a machine whose
+        configurations are all distinct fills."""
+        if nodes > len(self.parent):
+            old = len(self.parent)
+            self.parent = _room(self.parent, nodes)
+            self.sym = _room(self.sym, nodes)
+            self.child = _room(self.child, len(self.parent) * self.width, -1)
+            self.child[old * self.width + self.bottom::self.width] = \
+                np.arange(old, len(self.parent))
+            self.config_id = _room(self.config_id, nodes * self.span, -1)
+        if configs > len(self.row):
+            self.row = _room(self.row, configs)
+            self.node = _room(self.node, configs)
+            self.succ = _room(self.succ, configs, 0)
 
     def _ids(self, states: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """The id of each configuration (states[i], nodes[i]);
-        configurations not seen before get new ids."""
-        keys = nodes * len(self.states) + states
-        self.config_id = _room(self.config_id,
-                               self.nodes * len(self.states), -1)
-        ids, made = _dedupe(self.config_id, keys, self.configs)
+        configurations not seen before get new ids, which the tables have
+        room for."""
+        ids, made = _dedupe(self.config_id, nodes * self.span + states,
+                            self.configs)
         if made is not None:
             old, self.configs = self.configs, self.configs + len(made)
-            self.config_key = _room(self.config_key, self.configs)
-            self.succ = _room(self.succ, self.configs)
-            self.config_key[old:self.configs] = keys[made]
-            if self.configs > np.iinfo(self.succ.dtype).max + 1:
+            if self.configs > len(self.row):
+                self._fit(self.nodes, self.configs)
+            nodes = nodes[made]
+            self.node[old:self.configs] = nodes
+            self.row[old:self.configs] = states[made] * self.width \
+                + self.sym[nodes]
+            if self.configs > 256 ** self.succ.itemsize:
                 self.succ = self.succ.astype(
                     np.min_scalar_type(self.configs - 1))
         return ids
 
     def config_of(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """The states and nodes of configuration ids (an index, an array
-        or a slice)."""
-        keys = self.config_key[ids]
-        nodes = keys // len(self.states)
-        return keys - nodes * len(self.states), nodes
+        or a slice); id 0's row, the last, holds the initial state."""
+        rows = self.row[ids]
+        return (np.where(rows < len(self.out) - 1, rows // self.width,
+                         self.initial), self.node[ids])
 
-    def _expand(self, ids: np.ndarray) -> None:
-        """Step configuration ids (ascending, not stepped yet) into the
-        successor table, the one way any reader steps: each reads every
-        digit, pushes its word and exhausts the epsilon moves. Each has a
-        move for every digit or, on a dead row, for none; one with none
-        keeps a row of 0s and makes the table holey.
+    def _expand(self, ids) -> None:
+        """Step configuration ids (ascending, not stepped yet; an array or
+        a slice) into the successor table, the one way any reader steps:
+        each reads every digit, pushes its word and exhausts the epsilon
+        moves. Each has a move for every digit or, on a dead row, for
+        none; one with none keeps a row of 0s and makes the table holey.
 
-        Id 0 stands for n = 0 alone. It reads digit 1 in place of 0, as
-        its digit-0 child would be a leading zero. The initial
-        configuration at any other n has an id of its own.
+        One gather reads every move of the rows.
         """
-        k, width = self.k, len(self.tops)
-        states, nodes = self.config_of(ids)
-        rows = states * width + self.sym.take(nodes)
-        if not self.complete:
-            live = self.moves.take(rows)
-            self.holey |= not live.all()
-            ids, rows, nodes = ids[live], rows[live], nodes[live]
-        # each configuration's k digit rows in digit order, without a `%`
-        row = ((rows * k)[:, None] + np.arange(k)).ravel()
-        if ids.size and not ids[0]:
-            row[0] += 1
-        to = self.dig_to.take(row)
-        # the digit move replaces the top, then pushes its word
-        nodes = self.parent.take(nodes).repeat(k)
-        for pushed in self.pushed:
-            nodes = self._intern(nodes, pushed.take(row))
+        k, width = self.k, self.width
+        rows = self.row[ids]
+        move = self.move.take(rows, axis=1).reshape(len(self.move), -1)
+        if not self.complete and move[0, move[0].argmin()] < 0:
+            # a configuration on a dead row keeps its row of 0s
+            self.holey = True
+            live = move[0, ::k] >= 0
+            ids, rows = np.r_[ids][live], rows[live]
+            move = self.move.take(rows, axis=1).reshape(len(self.move), -1)
+        # the digit move replaces the top, or keeps it when its word
+        # starts with it, and pushes the rest of its word; rows of `move`
+        # are read by index, as iterating an array is slower
+        to = move[0]
+        nodes = self.node[ids].repeat(k)
+        nodes = np.where(move[1], nodes, self.parent[nodes])
+        for j in range(2, len(move)):
+            syms = move[j]
+            key = nodes * width + syms
+            base, (nodes, made) = nodes, _dedupe(self.child, key, self.nodes)
+            if made is not None:
+                old, self.nodes = self.nodes, self.nodes + len(made)
+                if self.nodes > len(self.parent):
+                    self._fit(self.nodes, self.configs)
+                self.parent[old:self.nodes] = base[made]
+                self.sym[old:self.nodes] = syms[made]
         if self.epsilon:
             # epsilon closure: each pass pops one symbol where a move fires
-            fired = self.eps_to.take(to * width + self.sym.take(nodes))
+            fired = self.eps_to[to * width + self.sym[nodes]]
             firing = (fired >= 0).nonzero()[0]
             while firing.size:
                 to[firing] = fired[fired >= 0]
-                nodes[firing] = self.parent.take(nodes[firing])
-                fired = self.eps_to.take(to[firing] * width
-                                         + self.sym.take(nodes[firing]))
+                nodes[firing] = self.parent[nodes[firing]]
+                fired = self.eps_to[to[firing] * width
+                                    + self.sym[nodes[firing]]]
                 firing = firing[fired >= 0]
         self.succ[ids] = self._ids(to, nodes).reshape(-1, k)
 
@@ -358,6 +413,7 @@ class _Core:
         to = self.succ[ids, digits]
         if not to.all():
             self._expand(np.unique(ids[to == 0]))
+            self.whole = inf
             to = self.succ[ids, digits]
         if not to.all():
             i = int(to.argmin())
@@ -369,30 +425,28 @@ class _Core:
         at a time from id 0 at n = 0; yields (hi, ids) each time every
         n < hi is filled. The ids are kept from one fill to the next.
 
-        Before each level, the configurations it reads that no level read
-        yet are stepped into the successor table: a full level reads all
-        those first reached in the level below, and the level the count
-        cuts only those up to the largest id among its parents. The block
-        is then one gather of table rows by its parent slice, laid end to
-        end, and the ids array grows by the block, in the smallest
-        unsigned type that holds every id. Once a hole is stepped, the
-        first 0 of each block is the least input that reaches one: the
-        level is yielded filled up to it, and then the hole is raised, as
-        when the inputs are stepped one by one.
+        Before each level, the ids it reads that no level read yet, up to
+        the largest among its parents, are stepped into the successor
+        table: for a whole level, those first reached in the level below.
+        The block is then one gather of table rows by its parent slice,
+        laid end to end, and the ids array grows by the block, in the
+        smallest unsigned type that holds every id. Once a hole is
+        stepped, the first 0 of each block is the least input that reaches
+        one: the level is yielded filled up to it, and then the hole is
+        raised, as when the inputs are stepped one by one.
         """
         k = self.k
         ids = np.zeros(min(count, 1), dtype=np.uint8)
         yield len(ids), ids
         for lo, hi, parents, cut in _levels(k, count):
-            stop = (self.configs if hi == lo * k
-                    else int(ids[parents].max()) + 1)
+            below = ids[parents]
+            stop = int(below[below.argmax()]) + 1
             if self.stepped < stop:
-                self._expand(np.arange(self.stepped, stop))
+                self._expand(slice(self.stepped, stop))
                 self.stepped = stop
-            grown = np.empty(hi, dtype=self.succ.dtype)
-            grown[:lo] = ids
-            ids = grown
-            ids[lo:hi] = self.succ.take(ids[parents], axis=0).ravel()[cut]
+                self.whole = max(self.whole, hi if hi == lo * k else inf)
+            ids = np.concatenate(
+                (ids, self.succ.take(below, axis=0).ravel()[cut]))
             if self.holey:
                 at = lo + int(ids[lo:hi].argmin())
                 if not ids[at]:
@@ -415,35 +469,38 @@ class _Core:
         return at
 
 
-def _room(table: np.ndarray, size: int, fill=0) -> np.ndarray:
-    """table while it has `size` rows, else a copy padded with fill to at
-    least twice its length; callers need not check the size first."""
+def _room(table: np.ndarray, size: int, fill=None) -> np.ndarray:
+    """table while it has `size` rows, else a copy to at least twice its
+    length, padded with fill, or left unset for a table whose rows are
+    written before they are read; callers need not check the size
+    first."""
     if len(table) >= size:
         return table
-    grown = np.full((max(size, 2 * len(table)),) + table.shape[1:], fill,
-                    dtype=table.dtype)
+    grown = np.empty((max(size, 2 * len(table)),) + table.shape[1:],
+                     dtype=table.dtype)
     grown[:len(table)] = table
+    if fill is not None:
+        grown[len(table):] = fill
     return grown
 
 
 def _dedupe(table: np.ndarray, keys: np.ndarray, count: int
             ) -> tuple[np.ndarray, np.ndarray | None]:
     """The id of each key through a dense table that holds -1 for keys
-    without one; those get ids count, count + 1, ... Returns the ids and,
-    for each new id in order, the position of the key that made it (None
-    when no id is new)."""
-    ids = table.take(keys)
+    without one; those get ids count, count + 1, ... in the order of the
+    last position of each key. Returns the ids and, for each new id in
+    order, the position of the key that made it (None when no id is
+    new)."""
+    ids = table[keys]
     new = (ids < 0).nonzero()[0]
     if not new.size:
         return ids, None
     fresh = keys[new]
-    # each new key keeps one of its positions, which makes its id
+    # each new key keeps its last position, which makes its id
     table[fresh] = new
-    maker = table.take(fresh)
-    made = new[maker == new]
-    ids[made] = np.arange(count, count + len(made))
-    table[fresh] = ids[new] = ids.take(maker)
-    return ids, made
+    made = new[table[fresh] == new]
+    table[keys[made]] = np.arange(count, count + len(made))
+    return table[keys], made
 
 
 def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
@@ -481,7 +538,8 @@ def pop_table(m: Dpao) -> dict[tuple[str, str], frozenset[str]]:
     return {key: frozenset(val) for key, val in pop.items()}
 
 
-def find_equivalent_pair(m: Dpao, n_max: int = 10_000
+def find_equivalent_pair(m: Dpao, n_max: int = 10_000, *,
+                         core: _Core | None = None
                          ) -> tuple[int, int, str] | None:
     """Scan n = 1, 2, ... for two inputs with equivalent configurations.
 
@@ -494,18 +552,20 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
     when the budget runs out, proves nothing. A negative n_max raises
     ValueError.
 
-    The scan fills configuration ids one base-k level at a time and
-    stops after the first level that holds a hit. Until then every input
-    has a class of its own, so a level holds its first hit among its
-    first (ids not yet seen) + 1 inputs, and only those are read.
+    The scan fills configuration ids one base-k level at a time, on
+    `core` when given, a fresh step core of m that the caller reads next,
+    and stops after the first level that holds a hit. Until then every
+    input has a class of its own, so a level holds its first hit among
+    its first (ids not yet seen) + 1 inputs, and only those are read.
     """
     if n_max < 0:
         raise ValueError(f"search budget must be nonnegative, got {n_max}")
+    core = _Core(m) if core is None else core
     pops = pop_table(m)
-    core = _Core(m)
-    width = len(core.tops)
-    sealed = np.array([[a != BOTTOM and not pops[(q, a)] for a in core.tops]
-                       for q in m.states])
+    width = core.width
+    # sealed[row]; no input reads the last row, id 0's
+    sealed = np.array([a != BOTTOM and not pops[(q, a)]
+                       for q in m.states for a in core.tops] + [False])
     # the least input of each class, or `none`
     base, none = len(m.states) * width, n_max + 1
     first = np.full(base, none)
@@ -516,10 +576,9 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
             continue
         # ids are as narrow as uint8, and base + id must not wrap
         window, inputs = ids[lo:end].astype(np.intp), np.arange(lo, end)
-        state, node = core.config_of(window)
-        top = core.sym.take(node)
-        keys = np.where((core.parent.take(node) > 0) & sealed[state, top],
-                        state * width + top, base + window)
+        rows = core.row[window]
+        keys = np.where((core.parent[core.node[window]] > 0) & sealed[rows],
+                        rows, base + window)
         first = _room(first, base + core.configs, none)
         np.minimum.at(first, keys, inputs)
         earliest = first.take(keys)
@@ -530,6 +589,17 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000
             return n, lo + i, "exact" if ids[n] == window[i] else "protected"
         lo = hi
     return None
+
+
+def _pair_and_source(m: Dpao, n_max: int, source_id: str
+                     ) -> tuple[tuple[int, int, str] | None, SequenceSource]:
+    """find_equivalent_pair(m, n_max), and m's output sequence named
+    source_id, which reads on the search's core, without stepping its
+    levels again, when its first read numbers ids there as on a fresh
+    core."""
+    core = _Core(m)
+    return (find_equivalent_pair(m, n_max, core=core),
+            _source(m, source_id, core))
 
 
 @dataclass(frozen=True)
@@ -565,8 +635,7 @@ def bounded_distinguish(m: Dpao, n: int, n_prime: int, depth: int
     pairs, seen = np.array([start]), {start}
     words = np.zeros((1, 0), dtype=np.int64)
     for level in range(depth + 1):
-        state, node = core.config_of(pairs)
-        out = core.out[state, core.sym.take(node)]
+        out = core.out[core.row[pairs]]
         first = int(np.argmax(np.append(out[:, 0] != out[:, 1], True)))
         if level < depth:
             # the pairs before the first distinguished one read every

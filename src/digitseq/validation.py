@@ -1,10 +1,11 @@
 """Validation reports: accumulated errors and warnings with short kind
-tags, and the one reachability search the machine models share."""
+tags, and the reachability search and alphabet check the machine models
+share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -61,3 +62,12 @@ def _reach(rules: Mapping[str, Iterable[str]], start: str,
                 reached.add(b)
                 frontier.append(b)
     return reached
+
+
+def _check_alphabet(report: ValidationReport, symbols: Collection[str],
+                    what: str) -> None:
+    """An invalid-alphabet error unless the symbols can make an Alphabet:
+    each non-empty, and at most 256 of them."""
+    if "" in symbols or len(symbols) > 256:
+        report.error("invalid-alphabet", f"{what} must be non-empty, and at "
+                     "most 256 of them")

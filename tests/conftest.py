@@ -25,11 +25,17 @@ morphic growth report, `growth_report_oracle`, is the iterative Tarjan
 condensation with a closure per component that per-letter reach sets
 replaced. The imitation index has the enumeration of every canonical
 transition table, each simulated from n = 0, that the depth-first search
-replaced (`imitation_oracle`).
+replaced (`imitation_oracle`). The step core's configuration ids have
+the one-configuration loop that numbers them batch by batch
+(`config_ids`), and certificate JSON has json's own indenting encoder
+and one Fraction per witness ratio, which the direct writer and the
+cross-multiplied bounds replaced (`certificate_json_oracle`,
+`witness_bounds_oracle`).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -40,6 +46,7 @@ import numpy as np
 import pytest
 
 from digitseq import catalog
+from digitseq.certify import Certificate, _document
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.morphic import GrowthReport, LetterGrowth, MorphicSpec
@@ -273,6 +280,21 @@ def distinguish_loop(m: Dpao, n: int, n_prime: int, depth: int
     return DistinguishResult(False, None, depth)
 
 
+# --- certificate oracles ---------------------------------------------------
+
+def certificate_json_oracle(cert: Certificate) -> str:
+    """certificate_to_json as json's own indenting encoder writes it."""
+    return json.dumps(_document(cert), indent=2, sort_keys=True) + "\n"
+
+
+def witness_bounds_oracle(witnesses) -> tuple[Fraction, Fraction]:
+    """The least witness ratio and the largest growth of u + v between
+    consecutive witnesses (1 for fewer than two), one Fraction each."""
+    return (min(w.ratio for w in witnesses),
+            max([Fraction(b.u + b.v, a.u + a.v)
+                 for a, b in zip(witnesses, witnesses[1:])] or [Fraction(1)]))
+
+
 # --- generation oracles ----------------------------------------------------
 
 def state_table(m: Dfao, count: int) -> list[str]:
@@ -300,6 +322,62 @@ def dpao_prefix(m: Dpao, count: int) -> bytes:
     alphabet = m.output_alphabet()
     return bytes(alphabet.index(output_of_config(m, c))
                  for c in config_table(m, count))
+
+
+def fill_ids(core, count: int) -> list[int]:
+    """The ids a step core's fill yields for n < count, up to the first
+    input that reads a digit with no move."""
+    filled = []
+    try:
+        for hi, ids in core.fill(count):
+            filled = ids[:hi].tolist()
+    except ValidationError:
+        pass
+    return filled
+
+
+def config_ids(m: Dpao, count: int) -> list[int]:
+    """The configuration id of each n < count as a fresh step core numbers
+    them, one configuration and one digit at a time; the list stops at
+    the first n that reads a digit with no move.
+
+    Id 0 stands for n = 0 alone: it reads 1 in place of 0, and the initial
+    configuration reached at any other n gets an id of its own. Before
+    each base-k level, the ids it reads that no level read before are
+    stepped as one batch, in ascending order and each reading its digits
+    in order: for a level the count cuts, those up to the largest id among
+    the parents it reads. The configurations a batch reaches first take
+    the next ids in the order of their last occurrence in the batch, so a
+    cut batch can number its configurations apart from a whole one.
+    """
+    configs, index, succ = [initial_config(m)], {}, []
+    ids = [0] * min(count, 1)
+    lo = 1
+    while lo < count:
+        hi = min(count, lo * m.k)
+        stop = max(ids[lo // m.k:-(-hi // m.k)]) + 1
+        last = {}
+        for i in range(len(succ), stop):
+            row = []
+            for d in range(m.k):
+                try:
+                    c = step_input(m, configs[i], d or int(not i))
+                except ValidationError:
+                    c = None
+                row.append(c)
+                last[c] = i * m.k + d
+            succ.append(row)
+        for c in sorted(last, key=last.get):
+            if c is not None and c not in index:
+                index[c] = len(configs)
+                configs.append(c)
+        for i in range(lo, hi):
+            c = succ[ids[i // m.k]][i % m.k]
+            if c is None:
+                return ids
+            ids.append(index[c])
+        lo = hi
+    return ids
 
 
 def xi3_prefix(count: int) -> bytes:

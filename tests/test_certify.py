@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import iterated_lengths_loop, periodic_source, random_morphic
+from conftest import (certificate_json_oracle, iterated_lengths_loop,
+                      periodic_source, random_dfao, random_dpao,
+                      random_morphic, witness_bounds_oracle)
 from digitseq import catalog, dfao, numbers, pda
 from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
                               certificate_from_json, certificate_from_pair,
@@ -496,6 +498,51 @@ class TestVerification:
         report = verify_certificate(xi2_source, cert)
         assert any("2^1*(2^4-1)" in note
                    for note in report.notes)
+
+
+def _random_certificates():
+    """Certificates of seeded random dfao, dpao and morphic machines at
+    depths 0..12, with refs that json must escape."""
+    rng = random.Random(4200)
+    refs = ["m", 'q"uote\\back', "tab\tnew\nline", "caf\u00e9 \u2603", "\x01"]
+    certs = []
+    while len(certs) < 240:
+        ref, depth = rng.choice(refs), rng.randrange(13)
+        kind = len(certs) % 3
+        try:
+            if kind == 0:
+                certs.append(certify_dfao(random_dfao(rng, rng.choice((2, 3))),
+                                          depth, ref))
+            elif kind == 1:
+                certs.append(certify_pda(random_dpao(rng), depth=depth,
+                                         machine_ref=ref))
+            else:
+                certs.append(certify_morphic(random_morphic(rng), depth,
+                                             machine_ref=ref))
+        except (ValueError, BudgetExceededError):
+            continue
+    return certs
+
+
+class TestJsonWriter:
+    def test_bytes_equal_the_indenting_encoder(self):
+        certs = [cert for cert, _, _ in _catalogue_certificates()]
+        certs += _random_certificates()
+        assert {c.kind for c in certs} == {
+            "sequence-pair", "dfao-pigeonhole", "pda-pair", "morphic-witness"}
+        for cert in certs:
+            assert certificate_to_json(cert) == certificate_json_oracle(cert)
+            assert certificate_from_json(certificate_to_json(cert)) == cert
+
+    def test_morphic_bounds_are_the_witness_extremes(self):
+        """The bounds compare witness ratios by cross-multiplication and
+        build one Fraction each: the same values as a Fraction per
+        witness."""
+        certs = [c for c in _random_certificates() if c.pair is None]
+        assert len(certs) > 50
+        for cert in certs:
+            assert (cert.dio_lower_bound, cert.ratio_growth_bound) == \
+                witness_bounds_oracle(cert.witnesses)
 
 
 class TestJsonRoundTrip:

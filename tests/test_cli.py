@@ -1132,6 +1132,43 @@ class TestErrorTable:
             f"external letters must be non-empty, and at most 256 of them\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "dfao", "k": 2, "states": [f"s{i}" for i in range(257)],
+         "initial": "s0",
+         "delta": {f"s{i}": {"0": "s0", "1": "s0"} for i in range(257)},
+         "output": {f"s{i}": f"o{i}" for i in range(257)}},
+        {"kind": "dfao", "k": 2, "states": ["s0", "s1"], "initial": "s0",
+         "delta": {"s0": {"0": "s0", "1": "s1"},
+                   "s1": {"0": "s1", "1": "s0"}},
+         "output": {"s0": "a", "s1": ""}},
+        {"kind": "dpao", "k": 2, "states": [f"s{i}" for i in range(257)],
+         "initial": "s0", "stack": [],
+         "transitions": [{"state": f"s{i}", "top": "#", "input": d,
+                          "to": "s0", "push": ""}
+                         for i in range(257) for d in "01"],
+         "output": {f"s{i}": {"#": f"o{i}"} for i in range(257)}},
+        {"kind": "dpao", "k": 2, "states": ["p"], "initial": "p",
+         "stack": ["X"],
+         "transitions": [{"state": "p", "top": a, "input": d, "to": "p",
+                          "push": "X"} for a in "X#" for d in "01"],
+         "output": {"p": {"X": "1", "#": ""}}},
+    ], ids=["dfao-257-outputs", "dfao-empty-output", "dpao-257-outputs",
+            "dpao-empty-output"])
+    @pytest.mark.parametrize("args", [
+        ["digits"], ["certify"], ["convert", "--output", "out.json"],
+        ["equiv", "--pair", "1,2"]], ids=lambda args: args[0])
+    def test_output_alphabet_is_checked_at_load(self, runner, tmp_path, doc,
+                                                args):
+        path, out = tmp_path / "wide.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = [str(out) if a == "out.json" else a for a in args]
+        r = run_cli(runner, [args[0], "--machine", str(path), *args[1:]])
+        assert r.exit_code == 2
+        assert r.output == (
+            f"error: machine {path} invalid:\nerror[invalid-alphabet]: "
+            f"output symbols must be non-empty, and at most 256 of them\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, edit", [
         ("thue-morse", lambda d: d.update(states=5)),
         ("xi2", lambda d: d.update(transitions=[5])),
@@ -1377,6 +1414,22 @@ class TestEnginesThroughModules:
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
         assert run_cli(runner, args).exit_code == 0
         assert calls == expected
+
+    def test_a_pushdown_certify_compiles_one_core(self, runner, machines,
+                                                  monkeypatch):
+        """The source the command opens, the pair search and the
+        certificate prefix share the machine's one step core."""
+        compiled = []
+        init = pda._Core.__init__
+
+        def counted(core, m):
+            compiled.append(m)
+            init(core, m)
+
+        monkeypatch.setattr(pda._Core, "__init__", counted)
+        args = ["certify", "--machine", str(machines / "xi2.json")]
+        assert run_cli(runner, args).exit_code == 0
+        assert len(compiled) == 1
 
 
 class TestDeterminism:

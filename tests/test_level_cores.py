@@ -13,9 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (config_table, dfao_prefix, dpao_prefix, long_division,
-                      random_dfao, random_deep_dpao, random_dpao,
-                      with_dead_rows, xi3_prefix, xi3_value)
+from conftest import (config_ids, config_table, dfao_prefix, dpao_prefix,
+                      fill_ids, long_division, random_dfao, random_deep_dpao,
+                      random_dpao, with_dead_rows, xi3_prefix, xi3_value)
 from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
@@ -143,6 +143,21 @@ def spelling_machine() -> Dpao:
     return Dpao(k=2, states=("p",), initial="p", stack_symbols=("X", "Y"),
                 transitions=t,
                 output={("p", "X"): "1", ("p", "Y"): "0", ("p", BOTTOM): "0"})
+
+
+def test_fill_numbers_configurations_like_the_loop(xi2):
+    """Not only the symbols: every id the fill gives equals the loop's,
+    at the level edges, where a level is whole or cut."""
+    rng = random.Random(8300)
+    machines = [(xi2, 12), (spelling_machine(), 12)]
+    machines += [(random_dpao(rng), 9) for _ in range(40)]
+    machines += [(random_deep_dpao(rng, k), top)
+                 for k, top in ((2, 9), (3, 6)) for _ in range(20)]
+    machines += [(with_dead_rows(random_deep_dpao(rng, k), rng), top)
+                 for k, top in ((2, 9), (3, 6)) for _ in range(20)]
+    for m, top in machines:
+        for count in edge_counts(m.k, top):
+            assert fill_ids(_Core(m), count) == config_ids(m, count)
 
 
 @pytest.mark.parametrize("count, dtype", [

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from conftest import (config_of, config_table, distinguish_loop, dpao_prefix,
-                      output_of_config, pair_search_loop, pigeonhole_pair,
-                      random_deep_dpao, random_dfao, random_dpao, step_input,
-                      with_dead_rows)
+                      fill_ids, output_of_config, pair_search_loop,
+                      pigeonhole_pair, random_deep_dpao, random_dfao,
+                      random_dpao, step_input, with_dead_rows)
 from digitseq import catalog
 from digitseq.certify import (certificate_from_pair, certificate_to_json,
-                              certify_dfao)
+                              certify_dfao, certify_pda)
 from digitseq.dfao import Dfao
-from digitseq.errors import ValidationError
+from digitseq.errors import BudgetExceededError, ValidationError
 from digitseq.pda import (BOTTOM, Dpao, _Core, bounded_distinguish,
                           find_equivalent_pair, from_dfao)
 
@@ -363,6 +364,37 @@ class TestHashConsing:
         # a pushed node per symbol would make thousands
         assert core.nodes == len(set(node.tolist())) == len(stacks)
         assert len(stacks) == 12
+
+
+class TestSharedCore:
+    def test_certify_reads_the_ids_of_a_fresh_core(self, monkeypatch):
+        """`certify_pda` reads its prefix on the pair search's core when the
+        search stepped whole levels only and the prefix fills past them,
+        and on a core of its own otherwise: at depth 0, where the prefix
+        ends inside the search's last level, and when the budget cuts the
+        level of the pair. Either way the prefix's ids are those of a fresh
+        core."""
+        fills = []
+        fill = _Core.fill
+
+        def recorded(core, count):
+            fills.append((core, count))
+            return fill(core, count)
+
+        monkeypatch.setattr(_Core, "fill", recorded)
+        shared = own = 0
+        for m in [catalog.xi2_dpao()] + corpus(9950):
+            for depth, n_max in product((0, 1, 4), (3, 10, 30, 100, 10_000)):
+                fills.clear()
+                try:
+                    certify_pda(m, n_max=n_max, depth=depth)
+                except (ValidationError, BudgetExceededError):
+                    continue
+                (searched, _), (core, count) = fills[0], fills[-1]
+                assert fill_ids(core, count) == fill_ids(_Core(m), count)
+                shared += core is searched
+                own += core is not searched
+        assert shared > 300 and own > 100
 
 
 class TestCertifyDfao:
