@@ -22,10 +22,10 @@ one body: the pair search on the model's pushdown view.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 
 from . import morphic as morphic_mod
 from . import pda as pda_mod
@@ -237,15 +237,21 @@ def _morphic_family(spec: morphic_mod.MorphicSpec,
     """The certificate the seed U b V b determines, touching no prefix.
 
     The level-l witness is u = |sigma^l(U)|, v = |sigma^l(bV)|, ext =
-    v + |sigma^l(b)| for l = 0..depth: the letter counts of U, bV and b
-    step one level at a time under the incidence matrix.
+    v + |sigma^l(b)| for l = 0..depth, from one table of letter lengths
+    |sigma^l(a)|: it starts at 1, one pass over the rules takes it a
+    level up, and u and v are its sums over the letter counts of U and bV.
     """
-    lengths = zip(*(morphic_mod._iterated_lengths(spec, word) for word in
-                    (seed.u, (seed.letter,) + seed.v, (seed.letter,))))
-    witnesses = tuple(RepetitionWitness(u=u, v=bv, ext=bv + b)
-                      for (u, bv, b), _ in zip(lengths, range(depth + 1)))
+    counts = [Counter(word) for word in (seed.u, (seed.letter,) + seed.v)]
+    size = dict.fromkeys(spec.internal, 1)
+    witnesses = []
+    for _ in range(depth + 1):
+        u, bv = (sum(size[a] * c for a, c in count.items())
+                 for count in counts)
+        witnesses.append(RepetitionWitness(u=u, v=bv,
+                                           ext=bv + size[seed.letter]))
+        size = {a: sum(size[b] for b in img) for a, img in spec.rules.items()}
     return Certificate(kind="morphic-witness", machine_ref=machine_ref,
-                       witnesses=witnesses, seed_letter=seed.letter)
+                       witnesses=tuple(witnesses), seed_letter=seed.letter)
 
 
 def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
@@ -339,10 +345,11 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     Construction has checked all the certificate determines alone; the
     checks here need the source or the machine. A negative extra_depth
     raises ValueError. Given the machine the source comes from, the kind
-    must be the one its model certifies. A pair family is extended
-    extra_depth levels past its depth. Given a morphic machine, the seed
-    is re-derived and the witnesses must be its family; without it the
-    report notes that the seed was not checked. Stored and extended
+    must be the one its model certifies. A pair certificate is checked as
+    its family to extra_depth levels past its depth: construction made
+    the stored witnesses that family's first levels. Given a morphic
+    machine, the seed is re-derived and the witnesses must be its family;
+    without it the report notes that the seed was not checked. The
     witnesses are then checked on one prefix. The report lists, per
     witness, the rational-approximation statement it implies for the
     number whose digit stream the source is; the statement is symbolic
@@ -356,12 +363,10 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     if kind not in (None, cert.kind):
         failures.append(f"kind {cert.kind} is not {kind}, the kind its "
                         f"machine certifies")
-    checked = tuple(cert.witnesses)
-    extended = None
+    checked, extended = tuple(cert.witnesses), None
     if cert.pair is not None:
         extended = cert.verified_depth + extra_depth
-        checked += tuple(islice(_pair_witnesses(*cert.pair, cert.k, extended),
-                                len(checked), None))
+        checked = tuple(_pair_witnesses(*cert.pair, cert.k, extended))
     try:
         prefix = source.prefix(_extent(checked))
     except MemoryError as exc:  # cannot even materialize the data
@@ -422,8 +427,6 @@ def _indented(value, pad: str = "\n") -> str:
     holds (dicts, lists, strings and ints), written without the
     pure-Python encoder that an indent selects in json: each string goes
     through json's C escaper, each int through its repr."""
-    if type(value) is int:
-        return repr(value)
     if type(value) is str:
         return _escape(value)
     inner = pad + "  "

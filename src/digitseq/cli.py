@@ -68,7 +68,8 @@ def _die(code: int, message: str) -> None:
 
 def _parse_number(token: str) -> int:
     """A nonnegative integer or a power such as 2^14, below 2^64; anything
-    else exits 2, before a power is computed."""
+    else exits 2. A power is computed only once its bit length is bounded
+    below 128."""
     base_s, caret, exp_s = token.strip().partition("^")
     try:
         base, exp = int(base_s), int(exp_s) if caret else 1
@@ -77,9 +78,9 @@ def _parse_number(token: str) -> int:
     if base < 0 or exp < 0:
         _die(EXIT_INVALID,
              f"not a nonnegative integer or a power b^e: {token!r}")
-    if exp * (base.bit_length() - 1) >= 64:
+    if exp * (base.bit_length() - 1) >= 64 or (value := base ** exp) >> 64:
         _die(EXIT_INVALID, f"number too large: {token!r} is 2^64 or more")
-    return base ** exp
+    return value
 
 
 def _parse_lengths(expr: str) -> list[int]:

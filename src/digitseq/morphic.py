@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -398,19 +398,6 @@ def fixed_point_prefix(spec: MorphicSpec, count: int) -> SequencePrefix:
     return SequencePrefix(f"morphic:{spec.start}:internal",
                           Alphabet(spec.internal),
                           _expand_indices(spec, count))
-
-
-def _iterated_lengths(spec: MorphicSpec, letters) -> Iterator[int]:
-    """|sigma^l(w)| for l = 0, 1, 2, ... and the word w given as an
-    iterable of letters, one incidence-matrix step per level."""
-    idx = {a: i for i, a in enumerate(spec.internal)}
-    counts = [0] * len(spec.internal)
-    for a in letters:
-        counts[idx[a]] += 1
-    m = incidence(spec)
-    while True:
-        yield sum(counts)
-        counts = [sum(x * c for x, c in zip(row, counts)) for row in m]
 
 
 @dataclass(frozen=True)

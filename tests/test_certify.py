@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (certificate_json_oracle, iterated_lengths_loop,
-                      periodic_source, random_dfao, random_dpao,
-                      random_morphic, witness_bounds_oracle)
+from conftest import (certificate_json_oracle, expand_word,
+                      iterated_lengths_loop, periodic_source, random_dfao,
+                      random_dpao, random_morphic, witness_bounds_oracle)
 from digitseq import catalog, dfao, numbers, pda
 from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
                               certificate_from_json, certificate_from_pair,
@@ -148,6 +148,17 @@ class TestMorphicCertificates:
             assert [(w.u, w.v, w.ext) for w in cert.witnesses] == [
                 (u[level], bv[level], bv[level] + b[level])
                 for level in range(21)], spec
+            # the words themselves, by explicit substitution, at levels
+            # 0..8 while they stay short: an oracle that shares no
+            # recurrence with the family
+            words = (seed.u, (seed.letter,) + seed.v, (seed.letter,))
+            for w in cert.witnesses[:9]:
+                if max(map(len, words)) > 10 ** 5:
+                    break
+                u_word, bv_word, b_word = words
+                assert (w.u, w.v, w.ext) == (
+                    len(u_word), len(bv_word), len(bv_word) + len(b_word)), spec
+                words = tuple(expand_word(spec, word, 1) for word in words)
 
     def test_witnesses_hold_on_coded_word_too(self, xi1):
         cert = certify_morphic(xi1, depth=6)

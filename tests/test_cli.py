@@ -301,6 +301,11 @@ class TestAnalyze:
         assert r.output == \
             f"error: number too large: '{token}' is 2^64 or more\n"
 
+    @pytest.mark.parametrize("token, value", [
+        ("3^40", 3 ** 40), ("18446744073709551615", 2 ** 64 - 1)])
+    def test_largest_numbers_still_parse(self, token, value):
+        assert cli._parse_number(token) == value
+
     def test_full_byte_alphabet_stream(self, runner, tmp_path):
         # 256 distinct tokens use every byte value: the window index's
         # sentinel lies above them
@@ -1012,6 +1017,15 @@ class TestBadCounts:
          "--dilation/--growth need a morphic or tag machine\n"),
         (["analyze", "--stream", "xi3", "--dilation", "8"],
          "--dilation/--growth need a morphic or tag machine\n"),
+        # powers whose bit-length bound passes, but whose value does not
+        (["digits", "--stream", "rational:1/7", "--base", "10", "--count",
+          "10^20"], "number too large: '10^20' is 2^64 or more\n"),
+        (["digits", "--stream", "rational:1/7", "--base", "10", "--count",
+          "3^41"], "number too large: '3^41' is 2^64 or more\n"),
+        (["analyze", "--machine", "thue-morse.json", "--dio", "10^19..10^20"],
+         "number too large: '10^20' is 2^64 or more\n"),
+        (["analyze", "--machine", "xi1.json", "--dilation", "10^20"],
+         "number too large: '10^20' is 2^64 or more\n"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
