@@ -185,7 +185,9 @@ def _pair_certificate(m, n_max: int, depth: int,
     """The family of the first pair n < n' <= n_max on m's pushdown view,
     verified on m's own output, as the certificate kind of m's row. A
     pushdown machine is its own view, so the prefix may read the levels
-    the search stepped."""
+    the search stepped. A negative depth raises before the search."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     row = MODELS[type(m)]
     ref, pushdown = machine_ref or row.kind, row.pushdown(m)
     if pushdown is m:
@@ -347,7 +349,9 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     raises ValueError. Given the machine the source comes from, the kind
     must be the one its model certifies. A pair certificate is checked as
     its family to extra_depth levels past its depth: construction made
-    the stored witnesses that family's first levels. Given a morphic
+    the stored witnesses that family's first levels. A family whose top
+    witness ends at 2^63 symbols or more raises ValueError, before any
+    witness is built. Given a morphic
     machine, the seed is re-derived and the witnesses must be its family;
     without it the report notes that the seed was not checked. The
     witnesses are then checked on one prefix. The report lists, per
@@ -365,8 +369,13 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                         f"machine certifies")
     checked, extended = tuple(cert.witnesses), None
     if cert.pair is not None:
-        extended = cert.verified_depth + extra_depth
-        checked = tuple(_pair_witnesses(*cert.pair, cert.k, extended))
+        extended, k = cert.verified_depth + extra_depth, cert.k
+        # the top witness ends at k^extended * (n' + 1)
+        if extended * (k.bit_length() - 1) >= 63 or (
+                k ** extended * (cert.pair[1] + 1)) >> 63:
+            raise ValueError(f"pair identities extended to depth {extended} "
+                             "need 2^63 or more symbols")
+        checked = tuple(_pair_witnesses(*cert.pair, k, extended))
     try:
         prefix = source.prefix(_extent(checked))
     except MemoryError as exc:  # cannot even materialize the data

@@ -12,9 +12,11 @@ command's docstring and options from the same table.
 
 Exit codes: 0 success, 1 search budget exhausted (or pair refuted) or an
 internal error, 2 invalid input, 3 insufficient data, 4 search cap
-refusal, 141 a closed output pipe (128 + SIGPIPE). `_run` decides
-them: every error a command raises leaves through it and prints one
-`error:` line, except a closed pipe, which ends quietly. A usage error
+refusal, 141 a closed output pipe (128 + SIGPIPE). The parser, the
+helpers and the commands report a failure by raising, and `_run` alone
+maps each exception to its exit code and writes the one `error:` line;
+a closed pipe ends quietly. The one exit outside `_run` is `verify`'s
+INVALID report: the report on stdout, then exit 2. A usage error
 (an unknown command or option, a missing or malformed value, an extra
 argument) exits 2; an exception from outside the package exits 1 with
 `error: internal error: <Type>: <message>`, not a traceback.
@@ -68,18 +70,18 @@ def _die(code: int, message: str) -> None:
 
 def _parse_number(token: str) -> int:
     """A nonnegative integer or a power such as 2^14, below 2^64; anything
-    else exits 2. A power is computed only once its bit length is bounded
-    below 128."""
+    else raises ValueError. A power is computed only once its bit length
+    is bounded below 128."""
     base_s, caret, exp_s = token.strip().partition("^")
     try:
         base, exp = int(base_s), int(exp_s) if caret else 1
     except ValueError:
         base = -1
     if base < 0 or exp < 0:
-        _die(EXIT_INVALID,
-             f"not a nonnegative integer or a power b^e: {token!r}")
+        raise ValueError(
+            f"not a nonnegative integer or a power b^e: {token!r}")
     if exp * (base.bit_length() - 1) >= 64 or (value := base ** exp) >> 64:
-        _die(EXIT_INVALID, f"number too large: {token!r} is 2^64 or more")
+        raise ValueError(f"number too large: {token!r} is 2^64 or more")
     return value
 
 
@@ -87,63 +89,61 @@ def _parse_lengths(expr: str) -> list[int]:
     """"1..64" is an arithmetic range; "2^4..2^14" steps by the power base.
 
     Lengths are positive and a range ascends; a power base below 2 never
-    reaches the upper end. Each of these exits 2.
+    reaches the upper end. Each of these raises ValueError.
     """
     lo_s, dots, hi_s = expr.partition("..")
     lo = _parse_number(lo_s)
     hi = _parse_number(hi_s) if dots else lo
     if not 1 <= lo <= hi:
-        _die(EXIT_INVALID, f"lengths must be positive and ascending: {expr!r}")
+        raise ValueError(f"lengths must be positive and ascending: {expr!r}")
     if not dots or "^" not in expr:
         return list(range(lo, hi + 1))
     step = int((lo_s if "^" in lo_s else hi_s).partition("^")[0])
     if step < 2:
-        _die(EXIT_INVALID, f"power base must be at least 2: {expr!r}")
-    vals = []
-    v = lo
-    while v <= hi:
-        vals.append(v)
-        v *= step
+        raise ValueError(f"power base must be at least 2: {expr!r}")
+    vals = [lo]
+    while vals[-1] * step <= hi:
+        vals.append(vals[-1] * step)
     return vals
 
 
-def _load_machine_or_die(path: str):
+def _load(path: str):
     """The machine in file `path` and the sha256 hex digest of the bytes
-    it was parsed from."""
+    it was parsed from; a file that does not load raises ValueError."""
     try:
         return load_machine(path, with_digest=True)
     except FileNotFoundError:
-        _die(EXIT_INVALID, f"machine file not found: {path}")
+        raise ValueError(f"machine file not found: {path}")
     except ValidationError as exc:
-        _die(EXIT_INVALID, f"machine {path} invalid:\n{exc.report.summary()}")
+        raise ValueError(f"machine {path} invalid:\n{exc.report.summary()}")
     except (ValueError, OSError) as exc:
-        _die(EXIT_INVALID, f"cannot load machine {path}: {exc}")
+        raise ValueError(f"cannot load machine {path}: {exc}")
 
 
 def _parse_pair(pair: str) -> tuple[int, int]:
-    """"n,n'" as two integers; anything else exits 2."""
+    """"n,n'" as two integers; anything else raises ValueError."""
     try:
         n, n_prime = map(int, pair.split(","))
     except ValueError:
-        _die(EXIT_INVALID, f"--pair takes two integers n,n', got {pair!r}")
+        raise ValueError(f"--pair takes two integers n,n', got {pair!r}")
     return n, n_prime
 
 
-def _stream_or_die(spec: str, base: int | None, expansion: bool = False):
+def _open_stream(spec: str, base: int | None, expansion: bool = False):
     try:
         return numbers_mod.parse_stream_spec(spec, base, expansion=expansion)
     except (ValueError, OSError) as exc:
-        _die(EXIT_INVALID, f"cannot open stream {spec!r}: {exc}")
+        raise ValueError(f"cannot open stream {spec!r}: {exc}")
 
 
 def _resolve_source(machine_path: str | None, stream: str | None,
                     base: int | None):
     if (machine_path is None) == (stream is None):
-        _die(EXIT_INVALID, "exactly one of --machine or --stream is required")
+        raise ValueError("exactly one of --machine or --stream is required")
     if machine_path is not None:
-        machine, digest = _load_machine_or_die(machine_path)
+        machine, digest = _load(machine_path)
         return machine, machine.source(digest)
-    return None, _stream_or_die(stream, base)
+    return None, _open_stream(stream, base)
 
 
 def _output_path(path: str) -> str:
@@ -195,7 +195,7 @@ def _fmt_approx(f: Fraction) -> str:
 def digits(machine_path, stream, base, count, output):
     """Print the first COUNT symbols of a source."""
     if count.strip().startswith("-"):
-        _die(EXIT_INVALID, f"--count must be nonnegative, got {count}")
+        raise ValueError(f"--count must be nonnegative, got {count}")
     count = _parse_number(count)
     _, source = _resolve_source(machine_path, stream, base)
     _emit(_render_prefix(source.prefix(count)), output)
@@ -207,6 +207,12 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     machine, source = _resolve_source(machine_path, stream, base)
     doc: dict = {"source": source.source_id}
     lines: list[str] = [f"source: {source.source_id}"]
+
+    def section(key: str, value, title: str, *rows: str) -> None:
+        """One section: its JSON value and its text lines."""
+        doc[key] = value
+        lines.extend((title,) + rows)
+
     lengths = _parse_lengths(dio_range) if dio_range else []
     p_ns = _parse_lengths(complexity_range) if complexity_range else []
     rs_ns = _parse_lengths(rs_range) if rs_range else []
@@ -215,83 +221,65 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
         need = p_ns + [n + 1 for n in rs_ns]
         plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
         if plen < max(need):
-            _die(EXIT_INSUFFICIENT,
-                 f"--prefix-length {plen} is too short for the "
-                 f"requested block lengths")
+            raise InsufficientDataError(
+                f"--prefix-length {plen} is too short for the requested "
+                f"block lengths")
     # the source caches what it generates: asking for the longer of the
     # two prefixes first generates once for both profiles
     source.prefix(max(lengths + [plen]))
     if lengths:
         profile = words_mod.dio_profile(source, lengths)
-        doc["dio"] = [
-            {"length": n, "ratio": _fraction_str(r)} for n, r in profile
-        ]
-        lines.append("repetition-ratio profile (exact, per target length):")
-        for n, r in profile:
-            lines.append(f"  length {n}: best ratio {_fmt_approx(r)}")
-    if p_ns or rs_ns:
-        prefix = source.prefix(plen)
-        if p_ns:
-            doc["complexity"] = []
-            lines.append(f"factor complexity p(n) on a prefix of {plen}:")
-            # the widest block either table needs: rs reads the same index
-            profile = words_mod.factor_complexity_profile(prefix, max(need))
-            for n in p_ns:
-                doc["complexity"].append({"n": n, "p": profile[n - 1]})
-                lines.append(f"  p({n}) = {profile[n - 1]}")
-        if rs_ns:
-            doc["rightSpecial"] = []
-            lines.append("right-special factor counts:")
-            counts = words_mod.right_special_count(prefix, max(rs_ns))
-            for n in rs_ns:
-                c = counts[n - 1]
-                doc["rightSpecial"].append({"n": n, "count": c})
-                lines.append(f"  rs({n}) = {c}")
-    if dilation_n or want_growth:
-        if machine is None or not MODELS[type(machine)].growth:
-            _die(EXIT_INVALID,
-                 "--dilation/--growth need a morphic or tag machine")
-        if dilation_n:
-            prof = tag_mod.dilation_profile(machine, _parse_number(dilation_n))
-            doc["dilation"] = {
-                "minRatio": _fraction_str(prof.min_ratio),
-                "argmin": prof.argmin,
-                "exceedsOne": prof.exceeds_one,
-                "samples": [
-                    {"n": n, "ratio": _fraction_str(r)}
-                    for n, r in prof.samples
-                ],
-            }
-            lines.append("dilation profile W(n)/n:")
-            for n, r in prof.samples:
-                lines.append(f"  n={n}: {_fmt_approx(r)}")
-            lines.append(
-                f"  minimum {_fmt_approx(prof.min_ratio)} at n={prof.argmin}; "
-                f"stays above 1: {prof.exceeds_one}"
-            )
-        if want_growth:
-            report = morphic_mod.growth_report(machine)
-            radius = report.radius
-            letters = sorted(report.per_letter.items())
-            doc["growth"] = {
-                "radiusEstimate": radius,
-                "exponential": report.global_exponential,
-                "maximalGrowth": list(report.maximal),
-                "perLetter": {
-                    a: {"theta": g.theta, "polyDegree": g.poly_degree,
-                        "exponential": g.exponential} for a, g in letters
-                },
-            }
-            lines += [
-                "growth report:",
-                f"  spectral radius estimate {radius:.9f} (approximate)",
-                f"  exponential growth: {report.global_exponential}",
-                f"  maximal-growth letters: {', '.join(report.maximal)}",
-            ] + [
-                f"  letter {a}: theta ~ {g.theta:.6f}, polynomial degree "
-                f"{g.poly_degree}, exponential {g.exponential}"
-                for a, g in letters
-            ]
+        section("dio", [{"length": n, "ratio": _fraction_str(r)}
+                        for n, r in profile],
+                "repetition-ratio profile (exact, per target length):",
+                *(f"  length {n}: best ratio {_fmt_approx(r)}"
+                  for n, r in profile))
+    # both tables read one prefix, so rs reuses the index p builds
+    prefix = source.prefix(plen) if plen else None
+    if p_ns:
+        # the widest block either table needs
+        profile = words_mod.factor_complexity_profile(prefix, max(need))
+        section("complexity", [{"n": n, "p": profile[n - 1]} for n in p_ns],
+                f"factor complexity p(n) on a prefix of {plen}:",
+                *(f"  p({n}) = {profile[n - 1]}" for n in p_ns))
+    if rs_ns:
+        counts = words_mod.right_special_count(prefix, max(rs_ns))
+        section("rightSpecial",
+                [{"n": n, "count": counts[n - 1]} for n in rs_ns],
+                "right-special factor counts:",
+                *(f"  rs({n}) = {counts[n - 1]}" for n in rs_ns))
+    if (dilation_n or want_growth) and (
+            machine is None or not MODELS[type(machine)].growth):
+        raise ValueError("--dilation/--growth need a morphic or tag machine")
+    if dilation_n:
+        prof = tag_mod.dilation_profile(machine, _parse_number(dilation_n))
+        section("dilation", {
+            "minRatio": _fraction_str(prof.min_ratio),
+            "argmin": prof.argmin,
+            "exceedsOne": prof.exceeds_one,
+            "samples": [{"n": n, "ratio": _fraction_str(r)}
+                        for n, r in prof.samples],
+        }, "dilation profile W(n)/n:",
+            *(f"  n={n}: {_fmt_approx(r)}" for n, r in prof.samples),
+            f"  minimum {_fmt_approx(prof.min_ratio)} at n={prof.argmin}; "
+            f"stays above 1: {prof.exceeds_one}")
+    if want_growth:
+        report = morphic_mod.growth_report(machine)
+        letters = sorted(report.per_letter.items())
+        section("growth", {
+            "radiusEstimate": report.radius,
+            "exponential": report.global_exponential,
+            "maximalGrowth": list(report.maximal),
+            "perLetter": {a: {"theta": g.theta, "polyDegree": g.poly_degree,
+                              "exponential": g.exponential}
+                          for a, g in letters},
+        }, "growth report:",
+            f"  spectral radius estimate {report.radius:.9f} (approximate)",
+            f"  exponential growth: {report.global_exponential}",
+            f"  maximal-growth letters: {', '.join(report.maximal)}",
+            *(f"  letter {a}: theta ~ {g.theta:.6f}, polynomial degree "
+              f"{g.poly_degree}, exponential {g.exponential}"
+              for a, g in letters))
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" \
         else "\n".join(lines) + "\n"
     _emit(text.encode("utf-8"), output)
@@ -301,14 +289,14 @@ def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
             output):
     """Build a repetition certificate for a machine or a stream pair."""
     if pair is not None and machine_path is not None:
-        _die(EXIT_INVALID, "--pair certificates take --stream, not --machine")
+        raise ValueError("--pair certificates take --stream, not --machine")
     machine, source = _resolve_source(machine_path, stream, base)
     ref = source.source_id
     if pair is not None:
         n, n_prime = _parse_pair(pair)
         cert = certify_mod.certificate_from_pair(source, n, n_prime, k, depth)
     elif machine is None:
-        _die(EXIT_INVALID, "--stream certificates need --pair")
+        raise ValueError("--stream certificates need --pair")
     else:
         engine, options = MODELS[type(machine)].certify
         given = {"scan_len": scan_len, "n_max": budget}
@@ -320,45 +308,34 @@ def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
 
 
 def _cert_summary(cert) -> str:
-    lines = [
-        f"kind: {cert.kind}",
-        f"machine: {cert.machine_ref}",
-    ]
+    lines = [f"kind: {cert.kind}", f"machine: {cert.machine_ref}"]
     if cert.pair:
-        lines.append(
-            f"equivalent pair: n={cert.pair[0]}, n'={cert.pair[1]}"
-            + (f" (method {cert.method})" if cert.method else "")
-        )
+        lines.append(f"equivalent pair: n={cert.pair[0]}, n'={cert.pair[1]}"
+                     + (f" (method {cert.method})" if cert.method else ""))
     if cert.seed_letter:
-        lines.append(
-            f"seed letter {cert.seed_letter!r} at positions "
-            f"{cert.seed_positions[0]} and {cert.seed_positions[1]}"
-        )
-    lines.append(
-        f"repetition exponent lower bound {_fraction_str(cert.dio_lower_bound)} "
-        f"(> 1), verified to depth {cert.verified_depth}; consecutive witness "
-        f"lengths grow by at most {_fraction_str(cert.ratio_growth_bound)}"
-    )
-    lines.append(
+        lines.append(f"seed letter {cert.seed_letter!r} at positions "
+                     f"{cert.seed_positions[0]} and {cert.seed_positions[1]}")
+    return "\n".join(lines + [
+        f"repetition exponent lower bound "
+        f"{_fraction_str(cert.dio_lower_bound)} (> 1), verified to depth "
+        f"{cert.verified_depth}; consecutive witness lengths grow by at most "
+        f"{_fraction_str(cert.ratio_growth_bound)}",
         "consequence: a number whose digit stream repeats this strongly is "
-        "rational or transcendental; no algebraic irrational expands this way"
-    )
-    return "\n".join(lines)
+        "rational or transcendental; no algebraic irrational expands this "
+        "way"])
 
 
 def verify(cert_path, machine_path, stream, base, extra_depth):
     """Re-check a certificate against its source; exit 0 only if valid."""
     try:
         cert = certify_mod.certificate_from_json(
-            Path(cert_path).read_text(encoding="utf-8")
-        )
+            Path(cert_path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        _die(EXIT_INVALID, f"cannot load certificate: {exc}")
+        raise ValueError(f"cannot load certificate: {exc}")
     machine, source = _resolve_source(machine_path, stream, base)
     if machine_path is not None and cert.machine_ref != source.source_id:
-        _die(EXIT_INVALID,
-             f"certificate is bound to machine {cert.machine_ref}, "
-             f"file hashes to {source.source_id}")
+        raise ValueError(f"certificate is bound to machine {cert.machine_ref}"
+                         f", file hashes to {source.source_id}")
     report = certify_mod.verify_certificate(source, cert, extra_depth,
                                             machine=machine)
     _say(report.summary())
@@ -368,20 +345,20 @@ def verify(cert_path, machine_path, stream, base, extra_depth):
 
 def convert(machine_path, output):
     """Convert between a k-uniform morphic spec and its automaton."""
-    machine, _ = _load_machine_or_die(machine_path)
+    machine, _ = _load(machine_path)
     conversion = MODELS[type(machine)].convert
     if conversion is None:
-        _die(EXIT_INVALID, "only dfao and morphic machines convert")
+        raise ValueError("only dfao and morphic machines convert")
     save_machine(conversion(machine), output)
     _say(f"wrote {output}")
 
 
 def equiv(machine_path, pair, depth):
     """Bounded output comparison of the configurations after n and n'."""
-    machine, _ = _load_machine_or_die(machine_path)
+    machine, _ = _load(machine_path)
     pushdown = MODELS[type(machine)].pushdown
     if pushdown is None:
-        _die(EXIT_INVALID, "equiv needs a dpao or dfao machine")
+        raise ValueError("equiv needs a dpao or dfao machine")
     n, n_prime = _parse_pair(pair)
     result = pda_mod.bounded_distinguish(pushdown(machine), n, n_prime, depth)
     _say(result.describe())
@@ -393,11 +370,10 @@ def imitate(stream, base, k, states, max_len, output):
     """Longest digit-stream prefix reachable by a small automaton."""
     for option, radix in (("--base", base), ("--k", k)):
         if radix is not None and radix < 2:
-            _die(EXIT_INVALID, f"{option} must be at least 2, got {radix}")
-    source = _stream_or_die(stream, base, expansion=True)
+            raise ValueError(f"{option} must be at least 2, got {radix}")
+    source = _open_stream(stream, base, expansion=True)
     agree, censored, best = numbers_mod.imitation_index(
-        source, base if k is None else k, states, max_len
-    )
+        source, base if k is None else k, states, max_len)
     suffix = " (censored: no disagreement found)" if censored else ""
     _say(f"imitation index: {agree}{suffix}")
     if output:
@@ -469,15 +445,15 @@ def _parse(tokens: list[str], node: _Command) -> tuple[dict, list[str]]:
         flag, eq, value = token.partition("=")
         option = node.flags.get(flag)
         if option is None:
-            _die(EXIT_INVALID, f"No such option '{flag}'.")
+            raise ValueError(f"No such option '{flag}'.")
         if option.convert is bool:
             if eq:
-                _die(EXIT_INVALID, f"Option '{flag}' does not take a value.")
+                raise ValueError(f"Option '{flag}' does not take a value.")
             value = True
         elif not eq:
             value = next(tokens, None)
             if value is None:
-                _die(EXIT_INVALID, f"Option '{flag}' requires an argument.")
+                raise ValueError(f"Option '{flag}' requires an argument.")
         values[option.dest] = value
     return values, rest
 
@@ -486,19 +462,19 @@ def _value(option: _Option, values: dict):
     """The converted value of `option`, or its default when absent."""
     if option.dest not in values:
         if option.required:
-            _die(EXIT_INVALID, f"Missing option '{option.flag}'.")
+            raise ValueError(f"Missing option '{option.flag}'.")
         return option.default
     value, convert = values[option.dest], option.convert
     if convert is int:
         try:
             return int(value)
         except ValueError:
-            _die(EXIT_INVALID, f"Invalid value for '{option.flag}': "
-                 f"{value!r} is not a valid integer.")
+            raise ValueError(f"Invalid value for '{option.flag}': {value!r} "
+                             "is not a valid integer.")
     if isinstance(convert, tuple):
         if value not in convert:
-            _die(EXIT_INVALID, f"Invalid value for '{option.flag}': "
-                 f"{value!r} is not one of {', '.join(map(repr, convert))}.")
+            raise ValueError(f"Invalid value for '{option.flag}': {value!r} "
+                             f"is not one of {', '.join(map(repr, convert))}.")
         return value
     return value if convert is bool else convert(value)
 
@@ -621,14 +597,14 @@ def _dispatch(tokens: list[str], prog: str) -> None:
         if node.run is not None:
             break
         if not rest:
-            _die(EXIT_INVALID, "Missing command.")
+            raise ValueError("Missing command.")
         name, tokens = rest[0], rest[1:]
         if name not in node.commands:
-            _die(EXIT_INVALID, f"No such command '{name}'.")
+            raise ValueError(f"No such command '{name}'.")
         node, path = node.commands[name], f"{path} {name}"
     if rest:
-        _die(EXIT_INVALID, "Got unexpected extra argument"
-             f"{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+        raise ValueError("Got unexpected extra argument"
+                         f"{'s' * (len(rest) > 1)} ({' '.join(rest)})")
     node.run(**{option.dest: _value(option, values)
                 for option in node.options})
 

@@ -366,7 +366,12 @@ class TestCertifyVerify:
                          "--depth", "4", "--output", str(cert)])
         v = run_cli(runner, ["verify", "--certificate", str(cert),
                              "--machine", str(machines / "thue-morse.json")])
-        assert v.exit_code == 2
+        bound, other = (hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (machines / "xi2.json",
+                                     machines / "thue-morse.json"))
+        assert (v.exit_code, v.output) == (
+            2, f"error: certificate is bound to machine {bound}, file hashes "
+               f"to {other}\n")
 
     def test_pair_stream_certificate(self, runner, tmp_path):
         cert = tmp_path / "xi3.json"
@@ -470,6 +475,23 @@ class TestCertifyVerify:
                              "--stream", "xi3", "--extra-depth", "-3"])
         assert v.exit_code == 2
         assert v.output == "error: extra depth must be nonnegative\n"
+
+    def test_extra_depth_past_the_index_range_exits_2_at_once(
+            self, runner, tmp_path):
+        # the top witness of the xi3 (10, 20) family at depth 8 + extra
+        # ends at 21 * 2^(8 + extra): refused before any witness is built
+        cert = tmp_path / "xi3.json"
+        run_cli(runner, ["certify", "--pair", "10,20", "--stream", "xi3",
+                         "--depth", "8", "--output", str(cert)])
+        for extra, depth in (("1000000000", 1000000008), ("60", 68),
+                             ("55", 63), ("51", 59)):
+            start = time.perf_counter()
+            v = run_cli(runner, ["verify", "--certificate", str(cert),
+                                 "--stream", "xi3", "--extra-depth", extra])
+            assert time.perf_counter() - start < 1
+            assert (v.exit_code, v.output) == (
+                2, f"error: pair identities extended to depth {depth} need "
+                   f"2^63 or more symbols\n")
 
     def test_pair_certificate_without_k_exits_2(self, runner, tmp_path):
         cert = tmp_path / "xi3.json"
@@ -720,6 +742,23 @@ class TestCertifyVerify:
                              *args[1:], "--depth", "2"])
         assert r.exit_code == 1
         assert r.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("machine", ["xi2.json", "thue-morse.json"])
+    def test_negative_depth_exits_2_before_the_search(
+            self, runner, machines, monkeypatch, machine):
+        calls, search = [], pda.find_equivalent_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pda, "find_equivalent_pair", counted)
+        # a budget the search would refuse: the depth is reported first
+        r = run_cli(runner, ["certify", "--machine", str(machines / machine),
+                             "--depth", "-1", "--budget", "-1"])
+        assert (r.exit_code, r.output) == (
+            2, "error: depth must be nonnegative\n")
+        assert calls == []
 
     def test_polynomial_morphic_exits_2(self, runner, machines):
         r = run_cli(runner, ["certify", "--machine",
@@ -1026,6 +1065,10 @@ class TestBadCounts:
          "number too large: '10^20' is 2^64 or more\n"),
         (["analyze", "--machine", "xi1.json", "--dilation", "10^20"],
          "number too large: '10^20' is 2^64 or more\n"),
+        (["analyze", "--machine", "thue-morse.json", "--dio", "1^2..1^3"],
+         "power base must be at least 2: '1^2..1^3'\n"),
+        (["analyze", "--machine", "thue-morse.json", "--complexity", "5..1"],
+         "lengths must be positive and ascending: '5..1'\n"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
@@ -1034,6 +1077,15 @@ class TestBadCounts:
         # one line: "error: " and the message
         assert r.output.startswith(f"error: {message}")
         assert r.output.count("\n") == 1
+
+    @pytest.mark.parametrize("parse, text", [
+        (cli._parse_number, "-5"), (cli._parse_number, "10^20"),
+        (cli._parse_lengths, "5..1"), (cli._parse_lengths, "1^2..1^3"),
+        (cli._parse_pair, "1,2,3"),
+    ])
+    def test_parsers_raise_and_leave_the_exit_to_run(self, parse, text):
+        with pytest.raises(ValueError):
+            parse(text)
 
     def test_zero_count_prints_an_empty_line(self, runner, machines):
         r = run_cli(runner, ["digits", "--machine",
