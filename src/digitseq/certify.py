@@ -184,8 +184,8 @@ def _pair_certificate(m, n_max: int, depth: int,
                       machine_ref: str | None) -> Certificate:
     """The family of the first pair n < n' <= n_max on m's pushdown view,
     verified on m's own output, as the certificate kind of m's row. A
-    pushdown machine is its own view, so the prefix may read the levels
-    the search stepped. A negative depth raises before the search."""
+    pushdown machine is its own view, so its prefix reads the search's
+    core. A negative depth raises before the search."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     row = MODELS[type(m)]
@@ -351,7 +351,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     its family to extra_depth levels past its depth: construction made
     the stored witnesses that family's first levels. A family whose top
     witness ends at 2^63 symbols or more raises ValueError, before any
-    witness is built. Given a morphic
+    witness is built. A morphic certificate is checked at its own depth,
+    with a note when extra_depth asks for more. Given a morphic
     machine, the seed is re-derived and the witnesses must be its family;
     without it the report notes that the seed was not checked. The
     witnesses are then checked on one prefix. The report lists, per
@@ -382,6 +383,9 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
         return VerificationReport(False, 0, extended, (
             f"prefix generation failed: {exc}",), ())
     if cert.kind == "morphic-witness":
+        if extra_depth:
+            notes.append("note: extra depth extends pair families only; "
+                         "these witnesses were checked at their own depth")
         if kind != cert.kind:
             notes.append("note: seed not checked: no morphic machine given")
         else:

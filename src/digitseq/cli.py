@@ -30,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,10 +85,12 @@ def _parse_number(token: str) -> int:
     return value
 
 
-def _parse_lengths(expr: str) -> list[int]:
+def _parse_lengths(expr: str) -> Sequence[int]:
     """"1..64" is an arithmetic range; "2^4..2^14" steps by the power base.
 
-    Lengths are positive and a range ascends; a power base below 2 never
+    Lengths are positive and a range ascends, so its last length is its
+    largest; an arithmetic range is a `range`, so a top too large to read
+    can be checked before any length is made. A power base below 2 never
     reaches the upper end. Each of these raises ValueError.
     """
     lo_s, dots, hi_s = expr.partition("..")
@@ -97,7 +99,7 @@ def _parse_lengths(expr: str) -> list[int]:
     if not 1 <= lo <= hi:
         raise ValueError(f"lengths must be positive and ascending: {expr!r}")
     if not dots or "^" not in expr:
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     step = int((lo_s if "^" in lo_s else hi_s).partition("^")[0])
     if step < 2:
         raise ValueError(f"power base must be at least 2: {expr!r}")
@@ -218,15 +220,15 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     rs_ns = _parse_lengths(rs_range) if rs_range else []
     plen = 0
     if p_ns or rs_ns:
-        need = p_ns + [n + 1 for n in rs_ns]
+        need = max([*p_ns[-1:], *(n + 1 for n in rs_ns[-1:])])
         plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
-        if plen < max(need):
+        if plen < need:
             raise InsufficientDataError(
                 f"--prefix-length {plen} is too short for the requested "
                 f"block lengths")
     # the source caches what it generates: asking for the longer of the
     # two prefixes first generates once for both profiles
-    source.prefix(max(lengths + [plen]))
+    source.prefix(max([*lengths[-1:], plen]))
     if lengths:
         profile = words_mod.dio_profile(source, lengths)
         section("dio", [{"length": n, "ratio": _fraction_str(r)}
@@ -238,7 +240,7 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
     prefix = source.prefix(plen) if plen else None
     if p_ns:
         # the widest block either table needs
-        profile = words_mod.factor_complexity_profile(prefix, max(need))
+        profile = words_mod.factor_complexity_profile(prefix, need)
         section("complexity", [{"n": n, "p": profile[n - 1]} for n in p_ns],
                 f"factor complexity p(n) on a prefix of {plen}:",
                 *(f"  p({n}) = {profile[n - 1]}" for n in p_ns))

@@ -28,18 +28,17 @@ of successor ids; the whole block [k^l, k^(l+1)) is one row gather of
 that table by the block below, and a digit with no move leaves id 0
 there, which is no input's child. A prefix therefore costs steps in
 proportion to its distinct configurations, not to its length. A source
-compiles its core on its first read; a certificate's prefix reads the
-core of the pair search before it when the levels the search stepped
-are numbered as a fresh core numbers them. The core owns one numbering:
-the walk to one input and the distinguishing search, over pairs of ids,
-read and step the same table, on a core of their own.
+reads the core it is given, else one it compiles on its first read, so a
+certificate's prefix reads the pair search's core: no output reads an
+id. The core owns one numbering: the walk to one input and the
+distinguishing search, over pairs of ids, read and step the same table,
+on a core of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import inf
 from typing import Mapping
 
 import numpy as np
@@ -186,18 +185,14 @@ class Dpao:
         return _source(self, source_id)
 
 
-def _source(m: Dpao, source_id: str, searched: _Core | None = None
+def _source(m: Dpao, source_id: str, core: _Core | None = None
             ) -> SequenceSource:
-    """m's output sequence on a step core compiled on the first read, or
-    on `searched`, a core a pair search filled, when the first read's
-    count numbers its ids there as on a fresh core."""
-    core = None
+    """m's output sequence on `core`, or on a step core compiled on the
+    first read when none is given."""
 
     def gen(n: int) -> bytes:
         nonlocal core
-        if core is None:
-            fresh = searched is not None and searched.whole <= n
-            core = searched if fresh else _Core(m)
+        core = _Core(m) if core is None else core
         for _, ids in core.fill(n):
             pass
         return _symbols(core.out[core.row[:core.configs]], ids)
@@ -239,14 +234,11 @@ class _Core:
     of its own. Row i of `succ` holds the ids one digit step from id i,
     and 0 for a digit with no move, as id 0 is no input's child. Fills
     step ids in ascending order up to `stepped`, walks and searches the
-    ids they read. A step numbers the configurations it reaches first in
-    the order of their last occurrence, so the ids depend on where fills
-    cut levels: a fill of any count from `whole`, the end of the last
-    level stepped, numbers them as a fresh core does; once a fill steps a
-    level it cuts, or a walk steps, `whole` is infinite. Every table
-    doubles its length when full; `nodes` and `configs` count the entries
-    in use. The strides `width` and `span` are numpy integers, which
-    numpy multiplies by faster than by a Python int.
+    ids they read. No output reads an id, only its row, so a reader may
+    read a core others filled. Every table doubles its length when full;
+    `nodes` and `configs` count the entries in use. The strides `width`
+    and `span` are numpy integers, which numpy multiplies by faster than
+    by a Python int.
     """
 
     def __init__(self, m: Dpao):
@@ -303,7 +295,7 @@ class _Core:
         self.child = np.full(room * len(tops), -1, dtype=np.intp)
         self.child[bottom::len(tops)] = np.arange(room)
         # id 0 is the initial configuration at n = 0, on the last row
-        self.configs, self.stepped, self.holey, self.whole = 1, 0, False, 0
+        self.configs, self.stepped, self.holey = 1, 0, False
         self.config_id = np.full(room * len(m.states), -1, dtype=np.intp)
         self.row = np.full(room, rows, dtype=np.intp)
         self.node = np.zeros(room, dtype=np.intp)
@@ -413,7 +405,6 @@ class _Core:
         to = self.succ[ids, digits]
         if not to.all():
             self._expand(np.unique(ids[to == 0]))
-            self.whole = inf
             to = self.succ[ids, digits]
         if not to.all():
             i = int(to.argmin())
@@ -444,7 +435,6 @@ class _Core:
             if self.stepped < stop:
                 self._expand(slice(self.stepped, stop))
                 self.stepped = stop
-                self.whole = max(self.whole, hi if hi == lo * k else inf)
             ids = np.concatenate(
                 (ids, self.succ.take(below, axis=0).ravel()[cut]))
             if self.holey:
@@ -594,9 +584,7 @@ def find_equivalent_pair(m: Dpao, n_max: int = 10_000, *,
 def _pair_and_source(m: Dpao, n_max: int, source_id: str
                      ) -> tuple[tuple[int, int, str] | None, SequenceSource]:
     """find_equivalent_pair(m, n_max), and m's output sequence named
-    source_id, which reads on the search's core, without stepping its
-    levels again, when its first read numbers ids there as on a fresh
-    core."""
+    source_id, read on the search's core."""
     core = _Core(m)
     return (find_equivalent_pair(m, n_max, core=core),
             _source(m, source_id, core))

@@ -250,6 +250,20 @@ class TestAnalyze:
         assert r.output == ("error: --prefix-length 32 is too short for the "
                             "requested block lengths\n")
 
+    @pytest.mark.parametrize("option", ["--complexity", "--right-special"])
+    def test_a_range_too_long_to_build_exits_3(self, runner, machines,
+                                                option):
+        """The top of an arithmetic range is checked against the prefix
+        before any length is made, so a range of 10^18 lengths fails as
+        one of 70000 does."""
+        for top in ("70000", "1000000000000000000"):
+            r = run_cli(runner, ["analyze", "--machine",
+                                 str(machines / "thue-morse.json"), option,
+                                 f"1..{top}"])
+            assert (r.exit_code, r.output) == (
+                3, "error: --prefix-length 65536 is too short for the "
+                   "requested block lengths\n")
+
     def test_prefix_exactly_as_long_as_the_blocks_need(self, runner):
         # p(n) reads n symbols and rs(n) reads n + 1: four symbols give
         # p(1..4) and rs(1..3), and three do not
@@ -492,6 +506,24 @@ class TestCertifyVerify:
             assert (v.exit_code, v.output) == (
                 2, f"error: pair identities extended to depth {depth} need "
                    f"2^63 or more symbols\n")
+
+    def test_extra_depth_on_a_morphic_certificate_is_noted(
+            self, runner, machines, tmp_path):
+        """A morphic certificate has no family to extend: the witnesses
+        are checked at their own depth, and a note says so after the
+        verdict."""
+        cert, xi1 = tmp_path / "xi1c.json", str(machines / "xi1.json")
+        run_cli(runner, ["certify", "--machine", xi1, "--depth", "4",
+                         "--output", str(cert)])
+        note = ("note: extra depth extends pair families only; these "
+                "witnesses were checked at their own depth")
+        for extra, noted in (("0", False), ("3", True)):
+            v = run_cli(runner, ["verify", "--certificate", str(cert),
+                                 "--machine", xi1, "--extra-depth", extra])
+            lines = v.output.splitlines()
+            assert v.exit_code == 0
+            assert lines[0] == "certificate valid: 5 witnesses re-checked"
+            assert lines[1:].count(note) == noted
 
     def test_pair_certificate_without_k_exits_2(self, runner, tmp_path):
         cert = tmp_path / "xi3.json"
@@ -1481,10 +1513,15 @@ class TestEnginesThroughModules:
         assert run_cli(runner, args).exit_code == 0
         assert calls == expected
 
+    @pytest.mark.parametrize("extra", [
+        [], ["--depth", "0"], ["--budget", "5", "--depth", "3"],
+    ], ids=["default", "depth-0", "budget-cuts-the-level"])
     def test_a_pushdown_certify_compiles_one_core(self, runner, machines,
-                                                  monkeypatch):
+                                                  monkeypatch, extra):
         """The source the command opens, the pair search and the
-        certificate prefix share the machine's one step core."""
+        certificate prefix share the machine's one step core, also where
+        the prefix ends inside the search's last level or the budget cuts
+        the level of the pair."""
         compiled = []
         init = pda._Core.__init__
 
@@ -1493,7 +1530,7 @@ class TestEnginesThroughModules:
             init(core, m)
 
         monkeypatch.setattr(pda._Core, "__init__", counted)
-        args = ["certify", "--machine", str(machines / "xi2.json")]
+        args = ["certify", "--machine", str(machines / "xi2.json"), *extra]
         assert run_cli(runner, args).exit_code == 0
         assert len(compiled) == 1
 

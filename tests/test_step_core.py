@@ -16,10 +16,10 @@ from itertools import product
 import pytest
 
 from conftest import (config_of, config_table, distinguish_loop, dpao_prefix,
-                      fill_ids, output_of_config, pair_search_loop,
+                      output_of_config, pair_search_loop,
                       pigeonhole_pair, random_deep_dpao, random_dfao,
                       random_dpao, step_input, with_dead_rows)
-from digitseq import catalog
+from digitseq import catalog, pda
 from digitseq.certify import (certificate_from_pair, certificate_to_json,
                               certify_dfao, certify_pda)
 from digitseq.dfao import Dfao
@@ -367,34 +367,44 @@ class TestHashConsing:
 
 
 class TestSharedCore:
-    def test_certify_reads_the_ids_of_a_fresh_core(self, monkeypatch):
-        """`certify_pda` reads its prefix on the pair search's core when the
-        search stepped whole levels only and the prefix fills past them,
-        and on a core of its own otherwise: at depth 0, where the prefix
-        ends inside the search's last level, and when the budget cuts the
-        level of the pair. Either way the prefix's ids are those of a fresh
-        core."""
-        fills = []
-        fill = _Core.fill
+    def test_certify_compiles_one_core(self, monkeypatch):
+        """Every `certify_pda` compiles one step core, which its pair
+        search and its prefix read, at depth 0 and when the budget cuts
+        the pair's level too; a certificate is the pair's family checked
+        on a fresh source."""
+        compiled, found = [], []
+        init, search = _Core.__init__, pda.find_equivalent_pair
 
-        def recorded(core, count):
-            fills.append((core, count))
-            return fill(core, count)
+        def counted(core, m):
+            compiled.append(m)
+            init(core, m)
 
-        monkeypatch.setattr(_Core, "fill", recorded)
-        shared = own = 0
+        def recorded(*args, **kwargs):
+            found.append(search(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(_Core, "__init__", counted)
+        monkeypatch.setattr(pda, "find_equivalent_pair", recorded)
+        certified = 0
         for m in [catalog.xi2_dpao()] + corpus(9950):
             for depth, n_max in product((0, 1, 4), (3, 10, 30, 100, 10_000)):
-                fills.clear()
+                compiled.clear()
+                found.clear()
                 try:
-                    certify_pda(m, n_max=n_max, depth=depth)
+                    cert = certify_pda(m, n_max=n_max, depth=depth,
+                                       machine_ref="ref")
                 except (ValidationError, BudgetExceededError):
+                    cert = None
+                assert len(compiled) == 1
+                if cert is None:
                     continue
-                (searched, _), (core, count) = fills[0], fills[-1]
-                assert fill_ids(core, count) == fill_ids(_Core(m), count)
-                shared += core is searched
-                own += core is not searched
-        assert shared > 300 and own > 100
+                (n, n_prime, method), = found
+                want = certificate_from_pair(m.source("ref"), n, n_prime,
+                                             m.k, depth, kind="pda-pair",
+                                             method=method)
+                assert certificate_to_json(cert) == certificate_to_json(want)
+                certified += 1
+        assert certified > 400
 
 
 class TestCertifyDfao:
