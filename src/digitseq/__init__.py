@@ -7,29 +7,29 @@ word combinatorics (repetition search, factor complexity) and a
 certificate layer that turns structural coincidences (state pigeonhole,
 morphic self-similarity, stack-configuration equivalence) into verified
 lower bounds on the Diophantine exponent of the output.
+
+Submodules load on first use (PEP 562), so `import digitseq` costs the
+exception types alone, and only the engines (`words`, `pda`, `numbers`,
+`tag`, `certify` and `cli`) load numpy: `digitseq.words` and
+`from digitseq import catalog` work as for any package attribute.
 """
 
-from . import catalog, certify, dfao, machinefile, morphic, numbers, pda, tag, words
 from .errors import (BudgetExceededError, DigitSeqError, EnumerationCapError,
                      InsufficientDataError, PairRefutedError, ValidationError)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "catalog",
-    "certify",
-    "dfao",
-    "machinefile",
-    "morphic",
-    "numbers",
-    "pda",
-    "tag",
-    "words",
-    "DigitSeqError",
-    "ValidationError",
-    "InsufficientDataError",
-    "BudgetExceededError",
-    "EnumerationCapError",
-    "PairRefutedError",
-    "__version__",
-]
+# loaded on first use, by `__getattr__`
+_SUBMODULES = ("catalog", "certify", "dfao", "machinefile", "morphic",
+               "numbers", "pda", "tag", "words")
+__all__ = [*_SUBMODULES, "DigitSeqError", "ValidationError",
+           "InsufficientDataError", "BudgetExceededError",
+           "EnumerationCapError", "PairRefutedError", "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # through __import__, which `python -X importtime` reports
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

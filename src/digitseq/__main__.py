@@ -1,3 +1,3 @@
-from .cli import main
+from .console import main
 
 main.main(prog_name="python -m digitseq")

@@ -14,9 +14,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from .dfao import Dfao
+from .dpao import BOTTOM, Dpao
 from .machinefile import save_machine
 from .morphic import MorphicSpec
-from .pda import BOTTOM, Dpao
 
 __all__ = [
     "three_squares_dfao",

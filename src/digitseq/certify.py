@@ -15,8 +15,9 @@ those are sequence positions k^l*n + i + 1 and k^l*n' + i + 1. The
 witness at level l is then u = k^l*n, v = k^l*(n'-n), ext = v + k^l.
 
 The kind a model's certificate has, and the engine that builds it, are
-the model's row in machinefile.MODELS. The dfao and dpao engines share
-one body: the pair search on the model's pushdown view.
+the model's row in machinefile.MODELS. An automaton's pair is the first
+repeated state of its own table of states; a pushdown machine's is the
+pair search's, and its prefix reads the search's step core.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from . import morphic as morphic_mod
 from . import pda as pda_mod
 from .errors import BudgetExceededError, PairRefutedError
 from .machinefile import MODELS
-from .words import RepetitionWitness, SequenceSource, verify_repetition
+from .words import (RepetitionWitness, SequenceSource, _table_fill,
+                    verify_repetition)
 
 __all__ = [
     "Certificate",
@@ -180,27 +182,16 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     return cert
 
 
-def _pair_certificate(m, n_max: int, depth: int,
-                      machine_ref: str | None) -> Certificate:
-    """The family of the first pair n < n' <= n_max on m's pushdown view,
-    verified on m's own output, as the certificate kind of m's row. A
-    pushdown machine is its own view, so its prefix reads the search's
-    core. A negative depth raises before the search."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    row = MODELS[type(m)]
-    ref, pushdown = machine_ref or row.kind, row.pushdown(m)
-    if pushdown is m:
-        found, source = pda_mod._pair_and_source(m, n_max, ref)
-    else:
-        found = pda_mod.find_equivalent_pair(pushdown, n_max=n_max)
-        source = m.source(ref)
-    if found is None:
-        raise BudgetExceededError(f"no equivalent pair within n <= {n_max}; "
-                                  "raising the budget may still find one")
-    n, n_prime, method = found
-    return certificate_from_pair(source, n, n_prime, m.k, depth,
-                                 kind=row.certificate, method=method)
+def _state_pair(m) -> tuple[int, int]:
+    """The first n < n' among n = 1 .. |Q| + 1 whose inputs reach one
+    state of automaton m, read off its own table of states; by the
+    pigeonhole principle there is one."""
+    states = _table_fill(*m.table(), m.state_count() + 2).tolist()
+    first: dict[int, int] = {}
+    for n_prime in range(1, len(states)):
+        n = first.setdefault(states[n_prime], n_prime)
+        if n < n_prime:
+            return n, n_prime
 
 
 def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certificate:
@@ -208,10 +199,17 @@ def certify_dfao(m, depth: int = 10, machine_ref: str | None = None) -> Certific
 
     Scanning n = 1, 2, ... the reached state repeats within |Q| + 1 steps;
     equal states mean equal configurations, so the pair is output-
-    equivalent and the identity family holds at every level. The scan is
-    the pushdown pair search on the stack-free recast.
+    equivalent and the identity family holds at every level. The states
+    come from the automaton's own table. A negative depth raises before
+    the table is read.
     """
-    return _pair_certificate(m, m.state_count() + 1, depth, machine_ref)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    row = MODELS[type(m)]
+    n, n_prime = _state_pair(m)
+    return certificate_from_pair(m.source(machine_ref or row.kind), n,
+                                 n_prime, m.k, depth, kind=row.certificate,
+                                 method="exact")
 
 
 def _least(ratios) -> tuple[int, int]:
@@ -281,8 +279,21 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
 
 def certify_pda(m, n_max: int = 10_000, depth: int = 12,
                 machine_ref: str | None = None) -> Certificate:
-    """Configuration-equivalence certificate for a pushdown transducer."""
-    return _pair_certificate(m, n_max, depth, machine_ref)
+    """Configuration-equivalence certificate for a pushdown transducer:
+    the family of the first pair n < n' <= n_max that the pair search
+    finds, verified on m's own output, which reads the search's core. A
+    negative depth raises before the search."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    row = MODELS[type(m)]
+    found, source = pda_mod._pair_and_source(m, n_max,
+                                             machine_ref or row.kind)
+    if found is None:
+        raise BudgetExceededError(f"no equivalent pair within n <= {n_max}; "
+                                  "raising the budget may still find one")
+    n, n_prime, method = found
+    return certificate_from_pair(source, n, n_prime, m.k, depth,
+                                 kind=row.certificate, method=method)
 
 
 @dataclass(frozen=True)

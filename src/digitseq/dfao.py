@@ -8,8 +8,10 @@ output, and sequence position p (1-based) corresponds to n = p - 1.
 Sources generate level by level: the expansion of n is the expansion of
 n // k followed by n % k, so the states of a whole block [k^l, k^(l+1))
 are the successor-table rows of the block below, gathered in order and
-laid end to end. That is the one way a machine runs here; searches over
-inputs recast it as a stack-free pushdown transducer (`pda.from_dfao`).
+laid end to end. That is the one way a machine runs here: `certify`
+reads its pigeonhole pair off the same table, and `equiv` recasts the
+machine as a stack-free pushdown transducer (`dpao.from_dfao`). The
+model loads no numpy; a source loads it, and the fill, when it is made.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
+from .sequences import Alphabet, SequenceSource
 from .validation import ValidationReport, _check_alphabet, _reach
-from .words import Alphabet, SequenceSource, _symbols, _table_fill
 
 __all__ = ["Dfao"]
 
@@ -100,18 +100,26 @@ class Dfao:
                     report.warn("unreachable-state", f"state {q!r} is unreachable")
         return report
 
+    def table(self) -> tuple[list[list[int]], int]:
+        """The successor table, a row of state indices by digit for each
+        state in order, and the index of the initial state."""
+        index = {q: i for i, q in enumerate(self.states)}
+        return ([[index[t] for t in self.delta[q]] for q in self.states],
+                index[self.initial])
+
     def source(self, source_id: str) -> SequenceSource:
         """The output sequence, n = 0, 1, 2, ...
 
         The machine compiles once to a states x k table of state indices,
         and the table of states fills one base-k level at a time.
         """
+        import numpy as np
+
+        from .words import _symbols, _table_fill
         alphabet = self.output_alphabet()
-        index = {q: i for i, q in enumerate(self.states)}
-        delta = np.array([[index[t] for t in self.delta[q]]
-                          for q in self.states])
+        table, initial = self.table()
+        delta = np.array(table)
         out = np.array([alphabet.index(self.output[q]) for q in self.states],
                        dtype=np.uint8)
-        initial = index[self.initial]
         return SequenceSource(source_id, alphabet, lambda n: _symbols(
             out, _table_fill(delta, initial, n)))

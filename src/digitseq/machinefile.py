@@ -9,6 +9,8 @@ integer, and a digit d < k is written exactly as str(d). Unknown fields
 are rejected so that typos fail loudly instead of silently changing a
 machine; any malformed document raises ValueError (a document nested
 too deeply to parse too), and an invalid machine ValidationError.
+Files and the table load no numpy: the models come from the numpy-free
+`dfao`, `morphic` and `dpao`, and each engine is named, not imported.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import json
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import morphic, pda
+from . import dpao, morphic
 from .dfao import Dfao
+from .dpao import BOTTOM, Dpao
 from .errors import ValidationError
 from .morphic import MorphicSpec
-from .pda import BOTTOM, Dpao
 from .validation import ValidationReport
 
 __all__ = ["MODELS", "Model", "load_machine", "loads_machine",
@@ -201,7 +203,7 @@ class Model(NamedTuple):
 
 MODELS = {
     Dfao: Model("dfao", _dfao_from_dict, _dfao_to_dict, "dfao-pigeonhole",
-                ("certify_dfao", ()), morphic.from_dfao, pda.from_dfao, False),
+                ("certify_dfao", ()), morphic.from_dfao, dpao.from_dfao, False),
     MorphicSpec: Model("morphic", _morphic_from_dict, _morphic_to_dict,
                        "morphic-witness", ("certify_morphic", ("scan_len",)),
                        morphic.to_dfao, None, True),

@@ -14,7 +14,8 @@ components of the incidence multigraph. Exponential growth is purely
 combinatorial, because certificates depend on it: some letter has two
 letters of its image, counted with multiplicity, in its own component.
 The spectral radius, shown only for display, is the largest component
-radius (Perron-Frobenius), so the whole matrix is never eigensolved.
+radius (Perron-Frobenius), so the whole matrix is never eigensolved;
+that eigensolve is the one place the module loads numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .dfao import Dfao
 from .errors import BudgetExceededError
+from .sequences import Alphabet, SequencePrefix, SequenceSource
 from .validation import ValidationReport, _check_alphabet, _reach
-from .words import Alphabet, SequencePrefix, SequenceSource
 
 __all__ = [
     "MorphicSpec",
@@ -215,6 +214,7 @@ def _radius(members: tuple[str, ...], spec: MorphicSpec,
     most = max(inside[a] for a in members)
     if most < 2:
         return float(most)  # no cycle, or a single cycle exactly
+    import numpy as np
     idx = {a: i for i, a in enumerate(members)}
     sub = np.zeros((len(members), len(members)))
     for a in members:

@@ -2,13 +2,19 @@
 
 Every exported name must resolve, and the benchmark's traced run, which
 wraps module functions from outside the package, must still find every
-name it wraps.
+name it wraps. The models, the machine files and the console load no
+numpy, and once `digitseq.cli` is loaded no command imports anything.
 """
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import digitseq
@@ -16,6 +22,7 @@ from digitseq import catalog
 from digitseq.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_exported_name_resolves():
@@ -52,3 +59,64 @@ def test_traced_benchmark_wraps_every_layer(monkeypatch, tmp_path):
         assert tracer.stats[span]["calls"] > 0, span
     # one sorted-window index serves the whole --right-special range
     assert tracer.stats["words.right_special"]["calls"] == 1
+
+
+def _fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter on the package sources."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("module", ["machinefile", "catalog", "console"])
+def test_models_files_and_console_load_no_numpy(module):
+    r = _fresh(f"import sys, digitseq.{module}\n"
+               "print('numpy' in sys.modules)\n")
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
+def test_commands_import_nothing_once_cli_is_loaded(tmp_path):
+    """A process that imports `digitseq.cli` first, as a profiler or a
+    benchmark does, runs every command with no import left to do, so no
+    import lands inside a timed command."""
+    catalog.export_all(tmp_path)
+    commands = [
+        ["catalog", "export", "--dir", "out"], ["catalog", "list"],
+        ["convert", "--machine", "thue-morse.json", "--output", "tm.json"],
+        ["digits", "--machine", "xi2.json", "--count", "64"],
+        ["digits", "--machine", "thue-morse.json", "--count", "64"],
+        ["digits", "--machine", "xi1.json", "--count", "64"],
+        ["digits", "--stream", "surd:2", "--base", "10", "--count", "64"],
+        ["digits", "--stream", "rational:1/7", "--base", "3", "--count", "9"],
+        ["analyze", "--stream", "xi3", "--dio", "2^2..2^8", "--complexity",
+         "1..8", "--right-special", "1..4", "--prefix-length", "2^10"],
+        ["analyze", "--machine", "xi1.json", "--growth", "--dilation", "64",
+         "--format", "json"],
+        ["certify", "--machine", "thue-morse.json", "--output", "tm-c.json"],
+        ["certify", "--machine", "xi1.json", "--output", "xi1-c.json"],
+        ["certify", "--machine", "xi2.json", "--output", "xi2-c.json"],
+        ["certify", "--pair", "10,20", "--stream", "xi3", "--depth", "4"],
+        ["verify", "--certificate", "xi2-c.json", "--machine", "xi2.json"],
+        ["verify", "--certificate", "xi1-c.json", "--machine", "xi1.json"],
+        ["equiv", "--machine", "xi2.json", "--pair", "1,5", "--depth", "6"],
+        ["equiv", "--machine", "three-squares.json", "--pair", "0,1"],
+        ["imitate", "--stream", "surd:2", "--base", "2", "--states", "2",
+         "--len", "16", "--output", "best.json"],
+        ["digits", "--machine", "missing.json"],
+    ]
+    code = ("import io, json, sys\n"
+            "from digitseq import cli\n"
+            "before, codes = set(sys.modules), []\n"
+            f"for args in {commands!r}:\n"
+            "    sys.stdout = sys.stderr = io.TextIOWrapper(io.BytesIO())\n"
+            "    try:\n"
+            "        cli.main.main(args=args, prog_name='digitseq')\n"
+            "    except SystemExit as stop:\n"
+            "        codes.append(stop.code)\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n")
+    r = _fresh(code, tmp_path)
+    assert r.returncode == 0, r.stderr
+    codes, imported = json.loads(r.stdout)
+    assert codes == [0] * (len(commands) - 1) + [2]
+    assert imported == []

@@ -1101,6 +1101,14 @@ class TestBadCounts:
          "power base must be at least 2: '1^2..1^3'\n"),
         (["analyze", "--machine", "thue-morse.json", "--complexity", "5..1"],
          "lengths must be positive and ascending: '5..1'\n"),
+        # the scan's own limit, checked on the top of the range before the
+        # range is listed or anything is generated
+        (["analyze", "--machine", "thue-morse.json", "--dio", "1..10^18"],
+         "--dio lengths must be below 2^31, got 1000000000000000000\n"),
+        (["analyze", "--machine", "thue-morse.json", "--dio", "2^4..2^40"],
+         "--dio lengths must be below 2^31, got 1099511627776\n"),
+        (["analyze", "--machine", "thue-morse.json", "--dio", "2^31"],
+         "--dio lengths must be below 2^31, got 2147483648\n"),
     ])
     def test_exit_2_with_message(self, runner, machines, args, message):
         args = [str(machines / a) if a.endswith(".json") else a for a in args]
@@ -1456,9 +1464,9 @@ class TestValidateOnce:
         (["certify", "--machine", "xi2.json", "--depth", "6"], {"Dpao": 1}),
         (["certify", "--machine", "xi1.json", "--depth", "6"],
          {"MorphicSpec": 1}),
-        # the automaton, and its stack-free recast for the pair search
+        # the automaton alone: its pair is read off its own state table
         (["certify", "--machine", "three-squares.json", "--depth", "6"],
-         {"Dfao": 1, "Dpao": 1}),
+         {"Dfao": 1}),
         (["analyze", "--machine", "xi1.json", "--growth"],
          {"MorphicSpec": 1}),
     ])
@@ -1492,8 +1500,7 @@ class TestEnginesThroughModules:
                (morphic, "growth_report"), (tag, "dilation_profile"))
 
     @pytest.mark.parametrize("args, expected", [
-        (["certify", "--machine", "thue-morse.json"],
-         {"certify_dfao": 1, "find_equivalent_pair": 1}),
+        (["certify", "--machine", "thue-morse.json"], {"certify_dfao": 1}),
         (["certify", "--machine", "xi1.json"],
          {"certify_morphic": 1, "growth_report": 1}),
         (["certify", "--machine", "xi2.json"],
@@ -1693,6 +1700,37 @@ class TestCommandLine:
         assert (r.returncode, r.stdout) == (
             0, f"python -m digitseq, version {__version__}\n")
 
+    def test_commands_without_an_engine_run_without_numpy(self, machines,
+                                                          tmp_path):
+        """`--help`, `--version`, `catalog` and `convert` print the same
+        bytes and write the same files in a process where numpy cannot
+        be imported."""
+        blocked = ("import runpy, sys\n"
+                   "sys.modules['numpy'] = None\n"
+                   "runpy.run_module('digitseq', run_name='__main__', "
+                   "alter_sys=True)\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        tm = str(machines / "thue-morse.json")
+        commands = (["catalog", "export", "--dir", "m"], ["catalog", "list"],
+                    ["convert", "--machine", tm, "--output", "tm.json"],
+                    ["--help"], ["digits", "--help"], ["--version"])
+        runs = {}
+        for side, head in (("plain", ["-m", "digitseq"]),
+                           ("blocked", ["-c", blocked])):
+            (tmp_path / side).mkdir()
+            runs[side] = [subprocess.run(
+                [sys.executable, *head, *args], capture_output=True,
+                env=env, cwd=tmp_path / side, timeout=120)
+                for args in commands]
+            written = (tmp_path / side).rglob("*.json")
+            runs[side].append({path.relative_to(tmp_path / side):
+                               path.read_bytes() for path in written})
+        for plain, blocked in zip(runs["plain"][:-1], runs["blocked"][:-1]):
+            assert blocked.returncode == plain.returncode == 0, blocked.stderr
+            assert (blocked.stdout, blocked.stderr) == (plain.stdout,
+                                                        plain.stderr)
+        assert runs["blocked"][-1] == runs["plain"][-1]
+        assert len(runs["plain"][-1]) == len(catalog.names()) + 1
 
     @pytest.mark.parametrize("args", [
         ["catalog", "list"],

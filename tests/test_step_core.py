@@ -1,10 +1,11 @@
 """The hash-consed `Dpao` step core against the one-input-at-a-time
 oracles.
 
-`find_equivalent_pair`, `bounded_distinguish` and `certify_dfao` each run
-on the step core; the oracles in conftest step tuples one input and one
-digit at a time. Both must give the same result, or raise the same
-incompleteness message at the same input.
+`find_equivalent_pair` and `bounded_distinguish` each run on the step
+core, and `certify_dfao` agrees with the pair search on the recast; the
+oracles in conftest step tuples one input and one digit at a time. Both
+must give the same result, or raise the same incompleteness message at
+the same input.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from conftest import (config_of, config_table, distinguish_loop, dpao_prefix,
                       pigeonhole_pair, random_deep_dpao, random_dfao,
                       random_dpao, step_input, with_dead_rows)
 from digitseq import catalog, pda
-from digitseq.certify import (certificate_from_pair, certificate_to_json,
-                              certify_dfao, certify_pda)
+from digitseq.certify import (_state_pair, certificate_from_pair,
+                              certificate_to_json, certify_dfao, certify_pda)
 from digitseq.dfao import Dfao
 from digitseq.errors import BudgetExceededError, ValidationError
 from digitseq.pda import (BOTTOM, Dpao, _Core, bounded_distinguish,
@@ -408,6 +409,16 @@ class TestSharedCore:
 
 
 class TestCertifyDfao:
+    def test_state_table_pair_is_the_pair_search_on_the_recast(self):
+        """The first repeated state of the table is the pair that the
+        pushdown pair search finds on the stack-free recast, which is
+        always exact."""
+        rng = random.Random(4100)
+        for _ in range(240):
+            m = random_dfao(rng, rng.choice((2, 3, 4)), rng.randint(1, 12))
+            assert find_equivalent_pair(from_dfao(m), m.state_count() + 1) \
+                == _state_pair(m) + ("exact",)
+
     def test_same_certificate_as_the_pigeonhole_loop(self):
         rng = random.Random(9900)
         machines = [catalog.get(name) for name in catalog.names()]
