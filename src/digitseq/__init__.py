@@ -10,8 +10,9 @@ lower bounds on the Diophantine exponent of the output.
 
 Submodules load on first use (PEP 562), so `import digitseq` costs the
 exception types alone, and only the engines (`words`, `pda`, `numbers`,
-`tag`, `certify` and `cli`) load numpy: `digitseq.words` and
-`from digitseq import catalog` work as for any package attribute.
+`tag`, `certify` and `cli`) load numpy. Every submodule is served as
+an attribute: `digitseq.words` and `from digitseq import catalog` work
+as for any package attribute.
 """
 
 from .errors import (BudgetExceededError, DigitSeqError, EnumerationCapError,
@@ -20,8 +21,9 @@ from .errors import (BudgetExceededError, DigitSeqError, EnumerationCapError,
 __version__ = "0.1.0"
 
 # loaded on first use, by `__getattr__`
-_SUBMODULES = ("catalog", "certify", "dfao", "machinefile", "morphic",
-               "numbers", "pda", "tag", "words")
+_SUBMODULES = ("catalog", "certify", "cli", "console", "dfao", "dpao",
+               "machinefile", "morphic", "numbers", "pda", "sequences", "tag",
+               "validation", "words")
 __all__ = [*_SUBMODULES, "DigitSeqError", "ValidationError",
            "InsufficientDataError", "BudgetExceededError",
            "EnumerationCapError", "PairRefutedError", "__version__"]

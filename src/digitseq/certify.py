@@ -138,12 +138,23 @@ class Certificate:
 def _pair_witnesses(n: int, n_prime: int, k: int, depth: int):
     """The witnesses of the pair n < n' at levels 0..depth, lazily, so
     that a comparison which stops early computes no further power of k:
-    u = k^l*n, v = k^l*(n'-n), ext = v + k^l."""
+    u = k^l*n, v = k^l*(n'-n), ext = v + k^l. An invalid pair raises
+    ValueError at the call, before any witness is asked for."""
     if not (0 < n < n_prime) or k < 2:
         raise ValueError("a pair certificate needs 0 < n < n' and k >= 2")
     return (RepetitionWitness(u=s * n, v=s * (n_prime - n),
                               ext=s * (n_prime - n + 1))
             for s in (k ** level for level in range(depth + 1)))
+
+
+def _check_reach(n_prime: int, k: int, depth: int, what: str) -> None:
+    """Raise ValueError when the family of a pair n < n' to `depth` needs
+    2^63 or more symbols: its top witness ends at k^depth * (n' + 1). No
+    power of k at or past 2^63 is built."""
+    if depth * (k.bit_length() - 1) >= 63 or (
+            k ** depth * (n_prime + 1)) >> 63:
+        raise ValueError(f"{what} to depth {depth} need 2^63 or more "
+                         "symbols")
 
 
 def _failing(prefix, witnesses):
@@ -165,13 +176,16 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     For each level l = 0..depth, the level-l witness checks position
     k^l*n + i + 1 against k^l*n' + i + 1 for all 0 <= i < k^l through the
     generic repetition verifier. A single mismatch refutes this pair (and
-    only this pair) and is reported at its first offset i.
+    only this pair) and is reported at its first offset i. A family that
+    needs 2^63 or more symbols raises ValueError before any witness is
+    built.
     """
-    witnesses = tuple(_pair_witnesses(n, n_prime, k, depth))
+    family = _pair_witnesses(n, n_prime, k, depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    _check_reach(n_prime, k, depth, "pair identities")
     cert = Certificate(kind=kind, machine_ref=source.source_id,
-                       witnesses=witnesses, k=k, pair=(n, n_prime),
+                       witnesses=tuple(family), k=k, pair=(n, n_prime),
                        method=method)
     prefix = source.prefix(_extent(cert.witnesses))
     for level, w in _failing(prefix, cert.witnesses):
@@ -240,15 +254,20 @@ def _morphic_family(spec: morphic_mod.MorphicSpec,
     v + |sigma^l(b)| for l = 0..depth, from one table of letter lengths
     |sigma^l(a)|: it starts at 1, one pass over the rules takes it a
     level up, and u and v are its sums over the letter counts of U and bV.
+    The first level whose witness ends at 2^63 symbols or more raises
+    ValueError.
     """
     counts = [Counter(word) for word in (seed.u, (seed.letter,) + seed.v)]
     size = dict.fromkeys(spec.internal, 1)
     witnesses = []
-    for _ in range(depth + 1):
+    for level in range(depth + 1):
         u, bv = (sum(size[a] * c for a, c in count.items())
                  for count in counts)
-        witnesses.append(RepetitionWitness(u=u, v=bv,
-                                           ext=bv + size[seed.letter]))
+        w = RepetitionWitness(u=u, v=bv, ext=bv + size[seed.letter])
+        if (w.u + w.ext) >> 63:
+            raise ValueError(f"morphic witnesses to depth {depth} need 2^63 "
+                             f"or more symbols from level {level} on")
+        witnesses.append(w)
         size = {a: sum(size[b] for b in img) for a, img in spec.rules.items()}
     return Certificate(kind="morphic-witness", machine_ref=machine_ref,
                        witnesses=tuple(witnesses), seed_letter=seed.letter)
@@ -381,13 +400,10 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                         f"machine certifies")
     checked, extended = tuple(cert.witnesses), None
     if cert.pair is not None:
-        extended, k = cert.verified_depth + extra_depth, cert.k
-        # the top witness ends at k^extended * (n' + 1)
-        if extended * (k.bit_length() - 1) >= 63 or (
-                k ** extended * (cert.pair[1] + 1)) >> 63:
-            raise ValueError(f"pair identities extended to depth {extended} "
-                             "need 2^63 or more symbols")
-        checked = tuple(_pair_witnesses(*cert.pair, k, extended))
+        extended = cert.verified_depth + extra_depth
+        _check_reach(cert.pair[1], cert.k, extended,
+                     "pair identities extended")
+        checked = tuple(_pair_witnesses(*cert.pair, cert.k, extended))
     try:
         prefix = source.prefix(_extent(checked))
     except MemoryError as exc:  # cannot even materialize the data

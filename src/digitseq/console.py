@@ -13,9 +13,13 @@ the same table.
 
 This module and what it imports load no numpy, so `--help`,
 `--version`, `catalog list`, `catalog export` and `convert`, whose bodies
-are here, start without it. Every other command is named by its
-attribute in `digitseq.cli`, the engine-backed command layer, which is
-imported when such a command runs and loads numpy and the engines.
+are here, start without it. It imports no model either: `machinefile`
+and the models load when `_load`, `convert` or `catalog.get` runs, so
+`--help`, `--version` and `catalog export` load only this module, the
+catalogue's documents and the exception types. Every other command is
+named by its attribute in `digitseq.cli`, the engine-backed command
+layer, which is imported when such a command runs and loads numpy and
+the engines.
 
 Exit codes: 0 success, 1 search budget exhausted (or pair refuted) or an
 internal error, 2 invalid input, 3 insufficient data, 4 search cap
@@ -39,7 +43,6 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from . import catalog as catalog_mod
-from . import machinefile
 from .errors import (BudgetExceededError, EnumerationCapError,
                      InsufficientDataError, PairRefutedError, ValidationError)
 
@@ -69,6 +72,7 @@ def _load(path: str):
     it was parsed from; a file that does not load raises ValueError. The
     loader is read off its module when it runs, so a wrapper set there
     sees every load."""
+    from . import machinefile
     try:
         return machinefile.load_machine(path, with_digest=True)
     except FileNotFoundError:
@@ -90,6 +94,7 @@ def _output_path(path: str) -> str:
 
 
 def convert(machine_path, output):
+    from . import machinefile
     machine, _ = _load(machine_path)
     conversion = machinefile.MODELS[type(machine)].convert
     if conversion is None:

@@ -1018,32 +1018,32 @@ def simulate_pop_states(m: Dpao, state: str, symbol: str, depth: int
 
 @pytest.fixture(scope="session")
 def tm_dfao():
-    return catalog.thue_morse_dfao()
+    return catalog.get("thue-morse")
 
 
 @pytest.fixture(scope="session")
 def three_squares():
-    return catalog.three_squares_dfao()
+    return catalog.get("three-squares")
 
 
 @pytest.fixture(scope="session")
 def tm_morphic():
-    return catalog.thue_morse_morphic()
+    return catalog.get("thue-morse-morphic")
 
 
 @pytest.fixture(scope="session")
 def xi1():
-    return catalog.xi1_morphic()
+    return catalog.get("xi1")
 
 
 @pytest.fixture(scope="session")
 def squares():
-    return catalog.squares_morphic()
+    return catalog.get("squares")
 
 
 @pytest.fixture(scope="session")
 def xi2():
-    return catalog.xi2_dpao()
+    return catalog.get("xi2")
 
 
 @pytest.fixture(scope="session")

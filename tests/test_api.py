@@ -2,8 +2,10 @@
 
 Every exported name must resolve, and the benchmark's traced run, which
 wraps module functions from outside the package, must still find every
-name it wraps. The models, the machine files and the console load no
-numpy, and once `digitseq.cli` is loaded no command imports anything.
+name it wraps. Every submodule is an attribute of the package. The
+models, the machine files and the console load no numpy; `catalog
+export`, `--help` and `--version` load no model either; and once
+`digitseq.cli` is loaded no command imports anything.
 """
 
 import importlib
@@ -42,7 +44,7 @@ def test_traced_benchmark_wraps_every_layer(monkeypatch, tmp_path):
     tracer = spans.Tracer()
     uninstall = spans.install(tracer)
     try:
-        catalog.thue_morse_dfao().source("traced").prefix(64)
+        catalog.get("thue-morse").source("traced").prefix(64)
         gen = dict(tracer.stats["numbers.gen"])
         catalog.export_all(tmp_path)
         r = CliRunner().invoke(main, [
@@ -73,6 +75,38 @@ def test_models_files_and_console_load_no_numpy(module):
     r = _fresh(f"import sys, digitseq.{module}\n"
                "print('numpy' in sys.modules)\n")
     assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
+@pytest.mark.parametrize("args", [["catalog", "export", "--dir", "out"],
+                                  ["--help"], ["--version"]])
+def test_commands_without_a_model_load_no_model(args, tmp_path):
+    """`catalog export` writes the catalogue's documents as they are, and
+    `--help` and `--version` read the command table alone: none of them
+    imports `machinefile` or a model."""
+    r = _fresh("import json, runpy, sys\n"
+               f"sys.argv = ['digitseq', *{args!r}]\n"
+               "try:\n"
+               "    runpy.run_module('digitseq', run_name='__main__', "
+               "alter_sys=True)\n"
+               "except SystemExit as stop:\n"
+               "    print(json.dumps([stop.code, sorted(\n"
+               "        m for m in sys.modules if m.startswith('digitseq'))]))\n",
+               tmp_path)
+    code, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert code == 0, r.stderr
+    assert set(loaded) <= {"digitseq", "digitseq.errors", "digitseq.console",
+                           "digitseq.catalog", "digitseq.__main__"}, loaded
+
+
+def test_every_submodule_is_an_attribute_of_the_package():
+    r = _fresh("import pkgutil, sys, digitseq\n"
+               "for info in pkgutil.iter_modules(digitseq.__path__):\n"
+               "    if info.name != '__main__':  # importing it runs the CLI\n"
+               "        module = getattr(digitseq, info.name)\n"
+               "        assert module is sys.modules[module.__name__]\n"
+               "        assert module.__name__ == f'digitseq.{info.name}'\n"
+               "print('ok')\n")
+    assert (r.returncode, r.stdout) == (0, "ok\n"), r.stderr
 
 
 def test_commands_import_nothing_once_cli_is_loaded(tmp_path):

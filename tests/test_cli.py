@@ -1068,15 +1068,15 @@ class TestBadCounts:
          "No such option"),
         (["certify", "--machine", "xi1.json", "--scan-len", "-1"],
          "scan length must be nonnegative, got -1\n"),
-        # counts of 2^64 or more are refused as they are parsed; a depth
-        # past the index range of numpy and bytes fails when it is used
+        # counts of 2^64 or more are refused as they are parsed, and a
+        # pair family that needs 2^63 or more symbols before it is built
         (["digits", "--stream", "rational:1/7", "--base", "10", "--count",
           str(10 ** 30)], f"number too large: '{10 ** 30}' is 2^64 or more\n"),
         (["analyze", "--stream", "rational:1/7", "--base", "10", "--dio",
           "10^30"], "number too large: '10^30' is 2^64 or more\n"),
         (["certify", "--pair", "1,7", "--stream", "rational:1/7", "--base",
           "10", "--depth", "100"],
-         "cannot fit 'int' into an index-sized integer\n"),
+         "pair identities to depth 100 need 2^63 or more symbols\n"),
         (["analyze", "--stream", "xi3", "--complexity", "1..4",
           "--prefix-length", "-5"],
          "not a nonnegative integer or a power b^e: '-5'\n"),
@@ -1586,6 +1586,50 @@ class TestBudgetMemory:
             capture_output=True, text=True, env=env, timeout=300)
         assert r.returncode == 0, r.stderr[-400:]
         assert "equivalent pair: n=1, n'=5 (method exact)" in r.stderr
+
+    def test_certify_past_the_index_range_exits_2_at_once(self, machines):
+        """A family whose top witness would end at 2^63 symbols or more is
+        refused before any witness or prefix is built. The commands run in
+        a child that caps its own address space, each timed after the
+        package is loaded."""
+        cases = [
+            ("thue-morse", "70", "pair identities to depth 70 need 2^63 or "
+             "more symbols"),
+            ("three-squares", "70", "pair identities to depth 70 need 2^63 "
+             "or more symbols"),
+            ("thue-morse", "1000000000", "pair identities to depth "
+             "1000000000 need 2^63 or more symbols"),
+            ("xi2", "70", "pair identities to depth 70 need 2^63 or more "
+             "symbols"),
+            ("xi1", "70", "morphic witnesses to depth 70 need 2^63 or more "
+             "symbols from level 61 on"),
+            ("thue-morse-morphic", "1000000000", "morphic witnesses to depth "
+             "1000000000 need 2^63 or more symbols from level 61 on"),
+        ]
+        commands = [["certify", "--machine", str(machines / f"{name}.json"),
+                     "--depth", depth] for name, depth, _ in cases]
+        code = ("import io, json, resource, sys, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                "from digitseq import cli\n"
+                "out = []\n"
+                f"for args in {commands!r}:\n"
+                "    sys.stderr = io.StringIO()\n"
+                "    start = time.perf_counter()\n"
+                "    try:\n"
+                "        cli.main.main(args=args, prog_name='digitseq')\n"
+                "    except SystemExit as stop:\n"
+                "        out.append([stop.code, sys.stderr.getvalue(),\n"
+                "                    time.perf_counter() - start])\n"
+                "sys.stderr = sys.__stderr__\n"
+                "print(json.dumps(out))\n")
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=300)
+        assert r.returncode == 0, r.stderr[-400:]
+        for (exit_code, err, seconds), (_, _, message) in zip(
+                json.loads(r.stdout), cases, strict=True):
+            assert (exit_code, err) == (2, f"error: {message}\n")
+            assert seconds < 1
 
 
 class TestCommandLine:

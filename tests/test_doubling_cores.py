@@ -280,14 +280,14 @@ def test_dilation_blocks_carry_the_sum_and_the_first_minimum(monkeypatch):
             assert (prof.samples, prof.min_ratio, prof.argmin) == \
                 dilation_loop(s, n_limit), (s.rules, n_limit)
     # Thue-Morse: every ratio is 2, so the first block keeps the tie
-    assert dilation_profile(catalog.thue_morse_morphic(), 100).argmin == 1
+    assert dilation_profile(catalog.get("thue-morse-morphic"), 100).argmin == 1
 
 
 def test_dilation_argmin_is_the_first_least_ratio():
     # squares: W(n) = n + 1 + 2 floor(sqrt(n - 1)), a ratio that sinks
     # toward 1 through long runs of near-ties
-    prof = dilation_profile(catalog.squares_morphic(), 2 ** 16 + 3)
+    prof = dilation_profile(catalog.get("squares"), 2 ** 16 + 3)
     assert (prof.samples, prof.min_ratio, prof.argmin) == \
-        dilation_loop(catalog.squares_morphic(), 2 ** 16 + 3)
+        dilation_loop(catalog.get("squares"), 2 ** 16 + 3)
     # Thue-Morse: every ratio is 2, so the first n wins the tie
-    assert dilation_profile(catalog.thue_morse_morphic(), 5000).argmin == 1
+    assert dilation_profile(catalog.get("thue-morse-morphic"), 5000).argmin == 1

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from digitseq import catalog, dfao, morphic
+from digitseq.dpao import Dpao
 from digitseq.errors import ValidationError
 from digitseq.machinefile import (load_machine, loads_machine,
                                   machine_to_dict, save_machine)
@@ -21,6 +22,43 @@ class TestRoundTrips:
             assert load_machine(path) == machine
             assert load_machine(path, with_digest=True) == (
                 machine, hashlib.sha256(path.read_bytes()).hexdigest())
+
+    # sha256 of each exported catalogue file: the bytes the catalogue
+    # wrote when it built each model and saved it
+    CATALOGUE_SHA256 = {
+        "three-squares": "3d8681b88eac2fcecb9bc02c08bec6ada971fb0f34f531cdf2a928deffafd6ba",
+        "thue-morse": "2c3364bf22175adb134ff8626f2863a3b4df4f2a8452192584e0373ae5b8aa72",
+        "thue-morse-morphic": "467de4766634b0a2c57b4ff3f25f02e2a4093e2661e2835b6c27ebbe550877f5",
+        "xi1": "3dc91862390d1b18909fd97bfa7bdf20075a36c9fb75a69eef1e2497d63949ed",
+        "squares": "864cf3f690d923be516604c79b2e8ac403215415fc090494ea830806948cd035",
+        "xi2": "994810972a81bd20df741e726cc9c112cc2c07ab23d82c2cb29ef6cd18701d55",
+    }
+
+    def test_catalogue_documents_are_valid_models(self):
+        kinds = {"three-squares": dfao.Dfao, "thue-morse": dfao.Dfao,
+                 "thue-morse-morphic": morphic.MorphicSpec,
+                 "xi1": morphic.MorphicSpec, "squares": morphic.MorphicSpec,
+                 "xi2": Dpao}
+        assert catalog.names() == tuple(kinds)
+        for name, model in kinds.items():
+            machine = catalog.get(name)
+            assert type(machine) is model
+            assert machine.validate().ok, name
+        with pytest.raises(ValueError, match="unknown catalog machine"):
+            catalog.get("thue_morse")
+
+    def test_catalogue_export_is_the_saved_models_byte_for_byte(
+            self, tmp_path):
+        written = catalog.export_all(tmp_path / "export")
+        assert written == [str(tmp_path / "export" / f"{name}.json")
+                           for name in catalog.names()]
+        for name in catalog.names():
+            saved = tmp_path / f"{name}.json"
+            save_machine(catalog.get(name), saved)
+            data = (tmp_path / "export" / f"{name}.json").read_bytes()
+            assert data == saved.read_bytes(), name
+            assert (hashlib.sha256(data).hexdigest()
+                    == self.CATALOGUE_SHA256[name]), name
 
     def test_dfao_document_shape(self, tm_dfao):
         doc = machine_to_dict(tm_dfao)

@@ -387,7 +387,7 @@ class TestSharedCore:
         monkeypatch.setattr(_Core, "__init__", counted)
         monkeypatch.setattr(pda, "find_equivalent_pair", recorded)
         certified = 0
-        for m in [catalog.xi2_dpao()] + corpus(9950):
+        for m in [catalog.get("xi2")] + corpus(9950):
             for depth, n_max in product((0, 1, 4), (3, 10, 30, 100, 10_000)):
                 compiled.clear()
                 found.clear()

@@ -232,7 +232,7 @@ class TestBackwardScan:
 
     def test_thue_morse_and_xi3_prefixes(self):
         rng = random.Random(5)
-        for pre in (catalog.thue_morse_dfao().source("t").prefix(2 ** 12),
+        for pre in (catalog.get("thue-morse").source("t").prefix(2 ** 12),
                     xi3_source().prefix(2 ** 12)):
             lengths = [2 ** j for j in range(1, 13)]
             lengths += [rng.randint(1, 2 ** 12) for _ in range(10)]
@@ -248,7 +248,7 @@ class TestBackwardScan:
         if word == "constant":
             p = SequencePrefix("c", Alphabet(("a",)), bytes(ell))
         elif word == "thue-morse":
-            p = catalog.thue_morse_dfao().source("t").prefix(ell)
+            p = catalog.get("thue-morse").source("t").prefix(ell)
         else:
             m = 2 ** 14
             ell = 2 * m + 1
@@ -327,8 +327,8 @@ class TestOneScan:
 
     def test_catalogue_prefixes(self):
         rng = random.Random(6)
-        for pre in (catalog.thue_morse_dfao().source("t").prefix(2 ** 12),
-                    catalog.three_squares_dfao().source("s").prefix(2 ** 12),
+        for pre in (catalog.get("thue-morse").source("t").prefix(2 ** 12),
+                    catalog.get("three-squares").source("s").prefix(2 ** 12),
                     xi3_source().prefix(2 ** 12)):
             lengths = sorted({2 ** j for j in range(13)}
                              | {rng.randint(1, 2 ** 12) for _ in range(10)})
