@@ -8,8 +8,9 @@ for the characteristic word of the squares; xi2 is the one-stack
 transducer for the digit-balance word. Each is a dict in the machine-file
 format, `kind` included: `export_all` writes it as the file that
 `machinefile.save_machine` would write, and `get` reads it through
-`machinefile`'s reader, which validates it. Exporting imports no model,
-so `catalog export` loads only this module and the console.
+`machinefile`'s reader, which validates it. Exporting and listing
+import no model, so `catalog export` and `catalog list` load only this
+module and the console.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ the same table.
 This module and what it imports load no numpy, so `--help`,
 `--version`, `catalog list`, `catalog export` and `convert`, whose bodies
 are here, start without it. It imports no model either: `machinefile`
-and the models load when `_load`, `convert` or `catalog.get` runs, so
-`--help`, `--version` and `catalog export` load only this module, the
+and the models load when `_load` or `convert` runs, so `--help`,
+`--version` and both `catalog` commands load only this module, the
 catalogue's documents and the exception types. Every other command is
 named by its attribute in `digitseq.cli`, the engine-backed command
 layer, which is imported when such a command runs and loads numpy and
@@ -104,9 +104,8 @@ def convert(machine_path, output):
 
 
 def catalog_list():
-    for name in catalog_mod.names():
-        kind = type(catalog_mod.get(name)).__name__
-        _say(f"{name} ({kind})")
+    for name, doc in catalog_mod._DOCS.items():
+        _say(f"{name} ({doc['kind']})")
 
 
 def catalog_export(directory):

@@ -429,12 +429,9 @@ def repetition_seed(spec: MorphicSpec, scan_len: int = 4096) -> RepetitionSeed:
             "morphic certificates require exponential growth; this spec grows "
             "polynomially, so the self-similarity argument does not apply"
         )
-    maximal = set(report.maximal)
     word = fixed_point_prefix(spec, scan_len).data
     letters = spec.internal
-    for b in spec.internal:
-        if b not in maximal:
-            continue
+    for b in report.maximal:
         bi = letters.index(b)
         first = word.find(bi)
         if first < 0:

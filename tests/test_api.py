@@ -78,11 +78,12 @@ def test_models_files_and_console_load_no_numpy(module):
 
 
 @pytest.mark.parametrize("args", [["catalog", "export", "--dir", "out"],
-                                  ["--help"], ["--version"]])
+                                  ["--help"], ["--version"],
+                                  ["catalog", "list"]])
 def test_commands_without_a_model_load_no_model(args, tmp_path):
-    """`catalog export` writes the catalogue's documents as they are, and
-    `--help` and `--version` read the command table alone: none of them
-    imports `machinefile` or a model."""
+    """`catalog export` and `catalog list` read the catalogue's documents
+    as they are, and `--help` and `--version` read the command table
+    alone: none of them imports `machinefile` or a model."""
     r = _fresh("import json, runpy, sys\n"
                f"sys.argv = ['digitseq', *{args!r}]\n"
                "try:\n"

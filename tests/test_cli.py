@@ -1031,8 +1031,13 @@ class TestOtherCommands:
 
     def test_catalog_list(self, runner):
         r = run_cli(runner, ["catalog", "list"])
-        for name in ("xi1", "xi2", "squares", "three-squares"):
-            assert name in r.output
+        assert r.exit_code == 0
+        assert r.output == ("three-squares (dfao)\n"
+                            "thue-morse (dfao)\n"
+                            "thue-morse-morphic (morphic)\n"
+                            "xi1 (morphic)\n"
+                            "squares (morphic)\n"
+                            "xi2 (dpao)\n")
 
 
 class TestBadCounts:

@@ -94,20 +94,27 @@ class TestValidation:
             tiny(t, states=states, symbols=symbols)
         assert exc.value.report.error_kinds() == {kind}
 
-    @pytest.mark.parametrize("k, symbols, rows, outputs, kind", [
-        (1, ("X",), {}, {}, "invalid-base"),
-        (2, ("X", BOTTOM), {}, {}, "unknown-symbol"),
-        (2, ("X",), {("p", "Z", 0): ("p", ())}, {}, "unknown-symbol"),
-        (2, ("X",), {("p", "X", 2): ("p", ())}, {}, "invalid-digit"),
-        (2, ("X",), {}, {("p", "Z"): "0"}, "unknown-symbol"),
-        (2, ("X",), {}, {("r", BOTTOM): "0"}, "unknown-symbol"),
-    ])
-    def test_rejected_fields(self, k, symbols, rows, outputs, kind):
+    REJECTED = [
+        (1, ("X",), {}, {}, "p", "invalid-base"),
+        (2, ("X", BOTTOM), {}, {}, "p", "unknown-symbol"),
+        (2, ("X",), {("p", "Z", 0): ("p", ())}, {}, "p", "unknown-symbol"),
+        (2, ("X",), {("p", "X", 2): ("p", ())}, {}, "p", "invalid-digit"),
+        (2, ("X",), {}, {("p", "Z"): "0"}, "p", "unknown-symbol"),
+        (2, ("X",), {}, {("r", BOTTOM): "0"}, "p", "unknown-symbol"),
+        (2, ("X",), {}, {}, "r", "unknown-state"),
+    ]
+
+    # the ids leave out `initial`, which only the unknown-state case sets
+    @pytest.mark.parametrize(
+        "k, symbols, rows, outputs, initial, kind", REJECTED,
+        ids=[f"{k}-symbols{i}-rows{i}-outputs{i}-{kind}"
+             for i, (k, *_, kind) in enumerate(REJECTED)])
+    def test_rejected_fields(self, k, symbols, rows, outputs, initial, kind):
         """A one-state machine, complete in base k, with rows and outputs
-        added to its own."""
+        added to its own and the initial state given."""
         t = {("p", a, d): ("p", ()) for a in ("X", BOTTOM) for d in range(k)}
         with pytest.raises(ValidationError) as exc:
-            Dpao(k=k, states=("p",), initial="p", stack_symbols=symbols,
+            Dpao(k=k, states=("p",), initial=initial, stack_symbols=symbols,
                  transitions={**t, **rows},
                  output={("p", "X"): "0", ("p", BOTTOM): "0", **outputs})
         assert exc.value.report.error_kinds() == {kind}
