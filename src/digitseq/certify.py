@@ -23,6 +23,7 @@ pair search's, and its prefix reads the search's step core.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,9 +340,13 @@ class VerificationReport:
 def _approximation_note(w: RepetitionWitness, base: int) -> str:
     # each witness pins the first u+ext digits against an eventually
     # periodic tail, i.e. a rational with denominator b^u (b^v - 1)
+    num, den = w.u + w.ext, w.u + w.v
+    common = math.gcd(num, den)
+    ratio = (f"{num // common}" if den == common
+             else f"{num // common}/{den // common}")
     return (
         f"witness u={w.u} v={w.v} ext={w.ext}: some p has "
-        f"|x - p/q| < q^(-{w.ratio}) with q = {base}^{w.u}*({base}^{w.v}-1)"
+        f"|x - p/q| < q^(-{ratio}) with q = {base}^{w.u}*({base}^{w.v}-1)"
     )
 
 
@@ -484,7 +489,19 @@ def _indented(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
-# one JSON text per value: 1 is not true, and 2 is not 2.0
+def _same(a, b) -> bool:
+    """Whether two JSON values are the same, type for type: 1 is not
+    true, 2 is not 2.0 or "2", and a dict holds the same keys."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+# one JSON text per value, for the error message
 _canonical = partial(json.dumps, sort_keys=True)
 _escape = json.encoder.encode_basestring_ascii
 
@@ -511,13 +528,12 @@ def certificate_from_json(text: str) -> Certificate:
                             for w in doc["witnesses"]),
             method=None if None in methods else doc.get("method"), **fields)
         want = _document(cert)
-        if _canonical(doc) != _canonical(want):
+        if not _same(doc, want):
             foreign = sorted(doc.keys() - want.keys())
             if foreign:
                 raise ValueError(f"a {cert.kind} certificate has no fields "
                                  f"{foreign}")
-            key = min(key for key in want
-                      if _canonical(doc[key]) != _canonical(want[key]))
+            key = min(key for key in want if not _same(doc[key], want[key]))
             raise ValueError(f"{key!r} is {_canonical(doc[key])} in the file, "
                              f"but certify writes {_canonical(want[key])}")
         return cert

@@ -9,13 +9,15 @@ integer ranks, several rank digits to one tagged 64-bit sort a round,
 with their start positions and the common-prefix length of each
 adjacent pair, which is lifted only where the last round's groups
 change. The index holds one copy of the windows of each repeated
-aligned block of the prefix, which is exact because equal blocks,
-extended by the index width, hold equal windows; on an automatic or
-morphic word that is a few percent of the prefix. The prefix keeps the widest index built for it, so one sort
+aligned block of the prefix, when those blocks are under half of it,
+which is exact because equal blocks, extended by the index width, hold
+equal windows; on an automatic or morphic word that is a few percent of
+the prefix. The prefix keeps the widest index built for it, so one sort
 serves every block length of both profiles. The repetition search is
-one scan for every target length of a profile: each (length, period)
-row walks back from its length, comparing packed 64-bit keys of many
-symbols at a time, in numpy blocks of bounded size.
+one scan for every target length of a profile: a screen compares the
+last packed 64-bit window of every (length, period) row in one numpy
+pass a block, and only the rows whose last windows agree walk back,
+many symbols at a time, in numpy blocks of bounded size.
 
 Positions in every public contract are 1-based (the mathematics reads
 a_1 a_2 a_3 ...); storage is 0-based. Ratios and exponents are exact
@@ -128,55 +130,95 @@ def best_repetition_at(prefix: SequencePrefix, lengths: Sequence[int],
 
     For a period v the best u is last_bad(v) - v, where last_bad(v) is the
     last 1-based position i with s_i != s_(i-v), so the cost u + v is
-    max(v, last_bad(v)). A row is one (ell, v) pair. It walks back from
-    ell comparing the packed key of the `chunk` symbols before a position
-    e with the key before e - v (see `_pack`), in blocks of windows that
-    double in number, and the lowest differing symbol of the first XOR
-    that is not 0 is its last mismatch. Positions before the word hold a
-    sentinel, so position v always differs and ends the row at cost v at
-    the latest. Each length keeps its best as one integer, cost << 32 | v,
-    whose minimum is the witness. Periods enter in ascending chunks that
-    grow fourfold, for every length at once, and a length's periods at or
-    above its cheapest cost so far cannot win and are dropped, so a
-    periodic word stops soon after its period. Memory is the packed keys,
-    12 bytes a symbol of max(lengths) while they are built and 8 after,
-    and blocks of at most _SCAN_CELLS comparisons.
+    max(v, last_bad(v)). A row is one (ell, v) pair; each length keeps its
+    best as one integer, cost << 32 | v, whose minimum is the witness. The
+    scan is a screen and a walk. The screen compares the last packed
+    window of every row, `chunk` symbols ending at ell, with the one
+    ending at ell - v (see `_pack`, here on the reversed prefix, so the
+    last symbol is in the top bits), in one pass per block of at most
+    _SCAN_CELLS rows: period 1 alone, then blocks that end at the periods
+    _SCREEN_GROWTH^k. The highest differing symbol of the XOR is the
+    row's last mismatch, so most rows end there. The rest walk back
+    (`_scan_rows`), admitted in chunks of ascending periods that grow
+    fourfold. Before each block, chunk and walk step, a length's periods
+    at or above its cheapest cost so far are dropped, as they cannot win:
+    a constant word stops after period 1, and a periodic word soon after
+    its period. Memory is the packed keys, 12 bytes a symbol of
+    max(lengths) while they are built and 8 after, and blocks of at most
+    _SCAN_CELLS comparisons.
     """
     lengths = _check_lengths(lengths)
     if not lengths:
         return []
-    if lengths[-1] > len(prefix):
+    total = lengths[-1]
+    if total > len(prefix):
         raise InsufficientDataError(
-            f"target length {lengths[-1]} exceeds prefix of length "
-            f"{len(prefix)}"
+            f"target length {total} exceeds prefix of length {len(prefix)}"
         )
     ells = np.array(lengths, dtype=np.int64)
-    caps = ells // 2 if v_max is None else np.minimum(
-        ells, min(v_max, lengths[-1]))
+    caps = ells // 2 if v_max is None else np.minimum(ells, min(v_max, total))
     letters = prefix.alphabet.size
     bits = letters.bit_length()
     chunk = 1 << ((64 // bits).bit_length() - 1)
-    # keys[e] holds the chunk symbols before 0-based position e; positions
-    # below 0 hold the sentinel, which differs from every letter
-    keys = _pack(memoryview(prefix.data)[:lengths[-1]], letters, chunk,
-                 lead=chunk)
+    # keys[f] holds the chunk symbols that end at position total - f, the
+    # last in the top bits; positions below 1 hold the sentinel, which
+    # differs from every letter
+    keys = _pack(np.frombuffer(prefix.data, np.uint8, total)[::-1], letters,
+                 chunk)
+    # an XOR x >= 1 is at least 2^(bits j) exactly when the keys differ in
+    # their symbol j or one above it, counted from the first, so the
+    # thresholds below x, searched as x - 1, count the symbols from the
+    # first one to the last mismatch; x = 0 wraps to count them all
+    below = np.left_shift(np.uint64(1), np.arange(
+        0, chunk * bits, bits, dtype=np.uint64)) - np.uint64(1)
     # a witness needs cost u + v < ell, and (ell, 0) is the start: ratio 1
     # is none
     best = ells << 32
-    first, size = 1, 1
+    # the last window of each length, and what turns a block cell's count
+    # j << 32 | f + v into its cost << 32 | v: cost = ell - chunk + j
+    ends = total - ells
+    last = keys[ends]
+    shift = ((ells - chunk) << 32) - ends
+    # walk chunks start at the periods 1, 2, 6, 22, ...: 4^c periods each
+    edges = [1]
+    while edges[-1] <= total:
+        edges.append(4 * edges[-1] - 2)
+    first = 1
     while True:
-        top = np.minimum(caps, (best >> 32) - 1)
-        live = np.flatnonzero(top >= first)
+        left = np.minimum(caps, (best >> 32) - 1) - (first - 1)
+        live = np.flatnonzero(left > 0)
         if not live.size:
             break
-        size = min(size, max(1, _SCAN_CELLS // live.size))
-        counts = np.minimum(top[live], first + size - 1) - (first - 1)
-        rows = np.repeat(live, counts)
-        vs = np.arange(first, first + len(rows)) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        _scan_rows(keys, bits, chunk, best, rows, ells[rows], vs)
-        first += size
-        size *= 4
+        left = left[live]
+        # period 1 alone first, then blocks that end at the periods
+        # _SCREEN_GROWTH^k, of at most _SCAN_CELLS rows
+        per = (_SCREEN_GROWTH - 1) * (first - 1) or 1
+        if int(np.minimum(left, per).sum()) > _SCAN_CELLS:
+            per = _per_length(left)
+        counts = np.minimum(left, per)
+        offsets = np.cumsum(counts) - counts
+        at = np.arange(first, first + int(offsets[-1] + counts[-1]))
+        at += np.repeat(ends[live] - offsets, counts)
+        diff = keys.take(at)
+        diff ^= np.repeat(last[live], counts)
+        diff -= np.uint64(1)
+        cost = np.searchsorted(below, diff, side="right")
+        cost <<= 32
+        cost += at
+        best[live] = np.minimum(best[live], np.minimum.reduceat(
+            cost, offsets) + shift[live])
+        # the rows whose last windows agree walk back, in ascending periods
+        hold = np.flatnonzero(diff == (1 << 64) - 1)
+        rows = live[np.searchsorted(offsets, hold, side="right") - 1]
+        vs = at[hold] - ends[rows]
+        order = np.argsort(vs, kind="stable")
+        rows, vs = rows[order], vs[order]
+        cuts = np.searchsorted(vs, edges).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo < hi:
+                _scan_rows(keys, below, best, rows[lo:hi], vs[lo:hi],
+                           ends[rows[lo:hi]] + chunk)
+        first += int(counts.max())
     out = []
     for ell, cost_v in zip(lengths, best.tolist()):
         cost, v = cost_v >> 32, cost_v & 0xFFFFFFFF
@@ -185,59 +227,66 @@ def best_repetition_at(prefix: SequencePrefix, lengths: Sequence[int],
     return out
 
 
-def _scan_rows(keys: np.ndarray, bits: int, chunk: int, best: np.ndarray,
-               rows: np.ndarray, ends: np.ndarray, vs: np.ndarray) -> None:
-    """Walk each row (ell, v) back from its window ending at ell, and fold
-    its cost into best[row] as cost << 32 | v.
+# the screening blocks after period 1 end at the periods _SCREEN_GROWTH^k,
+# so a periodic word screens at most that factor past its period
+_SCREEN_GROWTH = 1 << 12
+# a walk step gives its rows at least _WALK_CELLS windows in all, so a
+# few rows left walk far in one step
+_WALK_CELLS = 1 << 9
+# the fold's value for a row whose windows all agree: above every cost
+_NO_COST = (1 << 63) - 1
 
-    A block gives each row `width` windows of `chunk` positions ending at
-    e, e - chunk, ..., none ending below v. In the first window with a
-    difference, the last mismatch is at the 1-based position e - j, where
-    j is the number of whole symbols below the lowest set bit of the XOR.
+
+def _per_length(left: np.ndarray) -> int:
+    """The most periods p a length, at least 1, whose block of
+    sum(min(left, p)) rows holds at most _SCAN_CELLS."""
+    left = np.sort(left)
+    room = _SCAN_CELLS - (np.cumsum(left) - left)
+    shares = np.arange(left.size, 0, -1)
+    short = int(np.argmax(left * shares > room))
+    return max(1, int(room[short]) // int(shares[short]))
+
+
+def _scan_rows(keys: np.ndarray, below: np.ndarray, best: np.ndarray,
+               rows: np.ndarray, vs: np.ndarray, starts: np.ndarray) -> None:
+    """Walk each row (ell, v) back from its window at `start`, comparing
+    the window at f with the one at f + v, and fold its cost into
+    best[row] as cost << 32 | v.
+
+    A step gives each row `width` windows, at f = start, start + chunk,
+    ..., which hold the positions total - f - chunk + 1 to total - f. In
+    the first with a difference, the last mismatch is at
+    total - f - chunk + j, where j counts the thresholds below the XOR.
     That is the cost: position v, compared with the sentinel before the
-    word, always differs, so the last mismatch is never below v.
+    word, always differs, so the last mismatch is never below v, and the
+    windows past it, clipped to the last key, which holds only the
+    sentinel, are never the first to differ. A row whose period reaches
+    its length's cheapest cost so far is dropped.
     """
-    # the lowest set bit of an XOR is at least 2^(bits j) exactly when the
-    # keys agree on their last j symbols, so the thresholds at or below it
-    # count the symbols from the last difference to the end of the key
-    thresholds = np.left_shift(np.uint64(1), np.arange(
-        0, chunk * bits, bits, dtype=np.uint64))
+    chunk = len(below)
+    base = len(keys) - 1 - chunk
     width = 1
-    while rows.size:
-        if width == 1:
-            block = last = ends
-            diff = keys[block]
-            diff ^= keys[block - vs]
-            hit = np.flatnonzero(diff)
-            at = hit
-            rest = np.flatnonzero(diff == 0)
-        else:
-            block = ends[:, None] - np.arange(0, width * chunk, chunk)
-            np.maximum(block, vs[:, None], out=block)
-            last = block[:, -1]
-            diff = keys[block]
-            diff ^= keys[block - vs[:, None]]
-            # the first differing window of each row, in the row-major
-            # order of the block
-            hit = np.flatnonzero(diff)
-            at = hit // width
-            first = np.empty(len(at), dtype=bool)
-            first[:1] = True
-            np.not_equal(at[1:], at[:-1], out=first[1:])
-            hit, at = hit[first], at[first]
-            found = np.zeros(len(rows), dtype=bool)
-            found[at] = True
-            rest = np.flatnonzero(~found)
-        low = diff.ravel()[hit]
-        low &= -low
-        cost = block.ravel()[hit] + 1 - np.searchsorted(
-            thresholds, low, side="right")
-        np.minimum.at(best, rows[at], cost << 32 | vs[at])
-        rows, vs, ends = rows[rest], vs[rest], last[rest] - chunk
-        keep = vs < best[rows] >> 32
-        rows, vs, ends = rows[keep], vs[keep], ends[keep]
-        if rows.size:
-            width = min(2 * width, max(1, _SCAN_CELLS // rows.size))
+    alive = vs < best[rows] >> 32
+    while True:
+        keep = np.flatnonzero(alive)
+        if not keep.size:
+            return
+        rows, vs, starts = rows[keep], vs[keep], starts[keep]
+        width = max(1, min(_SCAN_CELLS // rows.size,
+                           max(2 * width, _WALK_CELLS // rows.size)))
+        block = starts[:, None] + np.arange(0, width * chunk, chunk)
+        diff = keys.take(block, mode="clip")
+        diff ^= keys.take(block + vs[:, None], mode="clip")
+        at = diff.astype(bool).argmax(axis=1)
+        at += np.arange(0, diff.size, width)
+        found = diff.take(at)
+        cost = np.searchsorted(below, found - np.uint64(1), side="right")
+        cost += base
+        cost -= block.take(at)
+        np.minimum.at(best, rows, np.where(found, cost << 32 | vs, _NO_COST))
+        alive = found == 0
+        alive &= vs < best[rows] >> 32
+        starts = block[:, -1] + chunk
 
 
 def dio_profile(source: SequenceSource, lengths: Sequence[int],
@@ -278,18 +327,16 @@ class _WindowIndex:
     lcp: np.ndarray
 
 
-def _pack(data: bytes, letters: int, chunk: int, lead: int = 0
-          ) -> np.ndarray:
-    """packed[i] holds the symbols i..i+chunk-1 of `lead` copies of the
-    sentinel `letters`, then data, then the sentinel again, the first in
-    the top bits, for i = 0..lead + len(data), as uint64. chunk is a power
-    of two. Each pass doubles the symbols held into a new array of the
+def _pack(data: np.ndarray, letters: int, chunk: int) -> np.ndarray:
+    """packed[i] holds the symbols i..i+chunk-1 of data, a uint8 array,
+    followed by the sentinel `letters`, the first in the top bits, for
+    i = 0..len(data), as uint64. chunk is a power of two. Each pass doubles the symbols held into a new array of the
     narrowest type that holds them, the last into uint64, so the build
     peaks at 12 bytes a symbol."""
     bits = letters.bit_length()
-    size = lead + len(data)
+    size = len(data)
     packed = np.full(size + chunk, letters, dtype=np.min_scalar_type(letters))
-    packed[lead:size] = np.frombuffer(data, dtype=np.uint8)
+    packed[:size] = data
     span = 1
     while span < chunk:
         wide = (np.uint64 if 2 * span == chunk
@@ -383,7 +430,9 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
     bits = letters.bit_length()
     posbits = (total - 1).bit_length()
     chunk = 1 << (((64 - posbits) // bits).bit_length() - 1)
-    order, ranks, step = _rank(_pack(data, letters, chunk)[:total], posbits)
+    symbols = np.frombuffer(data, dtype=np.uint8)
+    order, ranks, step = _rank(_pack(symbols, letters, chunk)[:total],
+                               posbits)
     levels = []  # (ranks at width h, h, the digits m of the round after)
     h = chunk
     while h < width and ranks[-1] < total:
@@ -418,7 +467,7 @@ def _build_index(data: bytes, letters: int, width: int) -> _WindowIndex:
                 break
             np.add(common, h, out=common, where=same)
         del ranks, same
-    packed = _pack(data, letters, chunk)
+    packed = _pack(symbols, letters, chunk)
     # the XOR is at least 2^(bits j) exactly when the keys differ in one of
     # their last j + 1 symbols, so the thresholds at or below it count the
     # symbols from the first difference to the end of the key
@@ -453,8 +502,8 @@ def _window_index(prefix: SequencePrefix, width: int) -> _WindowIndex:
     extended by width - 1 symbols so that it holds every window that
     starts in it. The text is one copy of each distinct extended block,
     then the tail from the first block whose extension runs past the
-    end; when it is shorter than the prefix, the index is built on it
-    instead. That is exact: equal extended blocks hold equal windows;
+    end; when its blocks are under half the prefix's, the index is built
+    on it instead. That is exact: equal extended blocks hold equal windows;
     lcp stops at width, so the symbols past a block's end can only
     reorder windows that agree on all `width` of theirs; and the tail
     comes last, so the sentinel still follows the true end of the
@@ -474,7 +523,9 @@ def _window_index(prefix: SequencePrefix, width: int) -> _WindowIndex:
     first = {}
     for start in range(0, cut, block):
         first.setdefault(data[start:start + span], start)
-    if len(first) * span >= cut:
+    if 2 * len(first) * span >= cut:
+        # copying the extended blocks and mapping the starts back cost
+        # more than they save past about half the prefix
         del first  # it would add 1.6 bytes a symbol to the build's peak
         index = _build_index(data, prefix.alphabet.size, width)
     else:

@@ -634,6 +634,30 @@ class TestJsonRoundTrip:
                            "'dioLowerBound' is .* but certify writes"):
             certificate_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind", ["pair", "morphic"])
+    def test_integer_fields_take_only_integers(self, xi1, xi2_source, kind):
+        # a float, a string, and true or false for 1 or 0 each read back as
+        # the same integer; only the integer itself is what certify writes
+        cert = (certificate_from_pair(xi2_source, 1, 5, 2, depth=3)
+                if kind == "pair" else certify_morphic(xi1, depth=3))
+        doc = json.loads(certificate_to_json(cert))
+        fields = [(doc, key) for key, value in doc.items()
+                  if type(value) is int]
+        fields += [(w, key) for w in doc["witnesses"][:2] for key in w]
+        fields += [(doc.get("seedPositions", []), 0)]
+        fields = [(holder, key) for holder, key in fields if holder]
+        assert len(fields) >= 6
+        for holder, key in fields:
+            value = holder[key]
+            spellings = [float(value), str(value)]
+            spellings += [bool(value)] if value in (0, 1) else []
+            for spelling in spellings:
+                holder[key] = spelling
+                with pytest.raises(ValueError):
+                    certificate_from_json(json.dumps(doc))
+            holder[key] = value
+        assert certificate_from_json(json.dumps(doc)) == cert
+
     @pytest.mark.parametrize("witnesses", [{}, ""])
     def test_witnesses_must_be_an_array(self, xi2_source, witnesses):
         doc = json.loads(certificate_to_json(

@@ -1,9 +1,11 @@
 """Command lines drawn from the command table end in an exit code 0-4 and,
 when they fail, in one `error:` line, never in a traceback.
 
-The grammar is `console._ROOT`: each example takes one command and, for
-each of its options, leaves the option out or draws a value from the pool
-of its destination. The pools hold mostly valid values, and also negative
+The grammar is `console._ROOT`: each example first draws a cell, one
+command with at most one of its options and one invalid value for it,
+and then leaves each other option out or draws it from the valid pool of
+its destination. Drawing the cell first reaches each (command, option,
+invalid value) about equally often. The invalid pools hold negative
 numbers, `x`, reversed ranges, 2^31, `rational:1/0`, an unknown stream, a
 missing file and a missing output directory. Every pool is bounded so that
 no example reads more than about 2^16 symbols: a pair family's top witness
@@ -75,17 +77,31 @@ CERTIFIED = ["three-squares", "thue-morse", "thue-morse-morphic", "xi1",
 SOURCES = {"machine_path", "stream"}
 
 
+# per command, (option to corrupt, its invalid value): every invalid value
+# of every option, and once None, with every value valid
+CELLS = [(words, command, [(None, None)] + [
+    (option.dest, bad) for option in command.options
+    if option.convert is not bool for bad in POOLS[option.dest][1]])
+    for words, command in COMMANDS]
+
+
 @st.composite
 def command_lines(draw):
     """(argument vector, machine and depth of the certificate in place)."""
-    words, command = draw(st.sampled_from(COMMANDS))
+    # the command, then the option to corrupt and its value, are drawn
+    # first, so that each (command, option, invalid value) cell is reached
+    # about as often as any other of its command
+    words, command, cells = draw(st.sampled_from(CELLS))
+    corrupt, bad = draw(st.sampled_from(cells))
     options = {option.dest: option for option in command.options}
     # most examples give exactly one of --machine and --stream
     sources = draw(st.sampled_from(["machine_path", "stream"] * 4
                                    + ["both", "neither"]))
     values = {}
     for dest, option in options.items():
-        if SOURCES <= options.keys() and dest in SOURCES:
+        if dest == corrupt:
+            present = True
+        elif SOURCES <= options.keys() and dest in SOURCES:
             present = sources in (dest, "both")
         else:
             # a required option is mostly given, any other mostly left out
@@ -95,9 +111,8 @@ def command_lines(draw):
         if present and option.convert is bool:
             values[dest] = None
         elif present:
-            valid, invalid = POOLS[dest]
-            pool = draw(st.sampled_from([valid, valid, valid, invalid]))
-            values[dest] = draw(st.sampled_from(pool))
+            values[dest] = (bad if dest == corrupt
+                            else draw(st.sampled_from(POOLS[dest][0])))
     if ("depth" in options and values.get("k") == "3"
             and values.get("depth", "12") in ("8", "12")):
         values["depth"] = "4"  # a radix-3 pair family stays at depth 4

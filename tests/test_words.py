@@ -840,6 +840,30 @@ class TestDistinctBlocks:
             for width in (1, 3, 64, 129, total // 2, total):
                 _assert_route_exact(data, letters, width)
 
+    @pytest.mark.parametrize("name, total, width, route", [
+        # extended blocks of 81%, 97% and 99% of the prefix: sorting the
+        # whole prefix is faster; 47% on xi2: the blocks are. Either way
+        # the counts are those of a plain index of the whole prefix
+        ("squares", 18074, 64, "prefix"), ("squares", 39993, 78, "prefix"),
+        ("squares", 48743, 116, "prefix"), ("xi2", 18043, 52, "blocks"),
+        ("random", 18000, 64, "prefix"), ("random", 4096, 9, "prefix"),
+    ])
+    def test_block_route_only_below_half(self, squares, xi2, monkeypatch,
+                                          name, total, width, route):
+        texts = []
+        build = words._build_index
+        monkeypatch.setattr(words, "_build_index", lambda data, *args: (
+            texts.append(len(data)) or build(data, *args)))
+        if name == "random":
+            data = np.random.default_rng(total + width).integers(
+                0, 3, total, dtype=np.uint8).tobytes()
+            letters = 3
+        else:
+            source = (squares if name == "squares" else xi2).source("t")
+            data, letters = source.prefix(total).data, source.alphabet.size
+        _assert_route_exact(data, letters, width)
+        assert (texts[0] < total) == (route == "blocks")
+
     def test_repeats_shrink_the_index(self, three_squares, monkeypatch):
         # 2^16 symbols at width 129 are 127 blocks of 512: three-squares
         # repeats all but a few, a random binary word none, and its index
