@@ -1,10 +1,10 @@
 """The engine-backed commands: `digits`, `analyze`, `certify`, `verify`,
 `equiv` and `imitate`, which `digitseq.console` names in its table and
-looks up here when one runs. This module loads numpy and every engine
-when it is imported, so a process that imports it first (a profiler, a
-benchmark) runs every command with no import left to do. Engines are
-called through their modules, so a wrapper set on a module attribute
-sees every call.
+calls here with the values it converted. This module loads numpy and
+every engine when it is imported, so a process that imports it first (a
+profiler, a benchmark) runs every command with no import left to do.
+Engines are called through their modules, so a wrapper set on a module
+attribute sees every call.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -28,56 +27,6 @@ from .console import EXIT_INVALID, _load, _say, main
 from .errors import InsufficientDataError
 # `load_machine` stays a name here: profilers wrap it on this module too
 from .machinefile import MODELS, load_machine, save_machine  # noqa: F401
-
-
-def _parse_number(token: str) -> int:
-    """A nonnegative integer or a power such as 2^14, below 2^64; anything
-    else raises ValueError. A power is computed only once its bit length
-    is bounded below 128."""
-    base_s, caret, exp_s = token.strip().partition("^")
-    try:
-        base, exp = int(base_s), int(exp_s) if caret else 1
-    except ValueError:
-        base = -1
-    if base < 0 or exp < 0:
-        raise ValueError(
-            f"not a nonnegative integer or a power b^e: {token!r}")
-    if exp * (base.bit_length() - 1) >= 64 or (value := base ** exp) >> 64:
-        raise ValueError(f"number too large: {token!r} is 2^64 or more")
-    return value
-
-
-def _parse_lengths(expr: str) -> Sequence[int]:
-    """"1..64" is an arithmetic range; "2^4..2^14" steps by the power base.
-
-    Lengths are positive and a range ascends, so its last length is its
-    largest; an arithmetic range is a `range`, so a top too large to read
-    can be checked before any length is made. A power base below 2 never
-    reaches the upper end. Each of these raises ValueError.
-    """
-    lo_s, dots, hi_s = expr.partition("..")
-    lo = _parse_number(lo_s)
-    hi = _parse_number(hi_s) if dots else lo
-    if not 1 <= lo <= hi:
-        raise ValueError(f"lengths must be positive and ascending: {expr!r}")
-    if not dots or "^" not in expr:
-        return range(lo, hi + 1)
-    step = int((lo_s if "^" in lo_s else hi_s).partition("^")[0])
-    if step < 2:
-        raise ValueError(f"power base must be at least 2: {expr!r}")
-    vals = [lo]
-    while vals[-1] * step <= hi:
-        vals.append(vals[-1] * step)
-    return vals
-
-
-def _parse_pair(pair: str) -> tuple[int, int]:
-    """"n,n'" as two integers; anything else raises ValueError."""
-    try:
-        n, n_prime = map(int, pair.split(","))
-    except ValueError:
-        raise ValueError(f"--pair takes two integers n,n', got {pair!r}")
-    return n, n_prime
 
 
 def _open_stream(spec: str, base: int | None, expansion: bool = False):
@@ -134,9 +83,6 @@ def _fmt_approx(f: Fraction) -> str:
 
 
 def digits(machine_path, stream, base, count, output):
-    if count.strip().startswith("-"):
-        raise ValueError(f"--count must be nonnegative, got {count}")
-    count = _parse_number(count)
     _, source = _resolve_source(machine_path, stream, base)
     _emit(_render_prefix(source.prefix(count)), output)
 
@@ -152,17 +98,12 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
         doc[key] = value
         lines.extend((title,) + rows)
 
-    lengths = _parse_lengths(dio_range) if dio_range else []
-    if lengths and lengths[-1] >> 31:
-        # the scan packs cost << 32 | v into an int64
-        raise ValueError(f"--dio lengths must be below 2^31, got "
-                         f"{lengths[-1]}")
-    p_ns = _parse_lengths(complexity_range) if complexity_range else []
-    rs_ns = _parse_lengths(rs_range) if rs_range else []
+    lengths, p_ns, rs_ns = dio_range or [], complexity_range or [], \
+        rs_range or []
     plen = 0
     if p_ns or rs_ns:
         need = max([*p_ns[-1:], *(n + 1 for n in rs_ns[-1:])])
-        plen = _parse_number(prefix_length) if prefix_length else 2 ** 16
+        plen = 2 ** 16 if prefix_length is None else prefix_length
         if plen < need:
             raise InsufficientDataError(
                 f"--prefix-length {plen} is too short for the requested "
@@ -191,11 +132,11 @@ def analyze(machine_path, stream, base, dio_range, complexity_range, rs_range,
                 [{"n": n, "count": counts[n - 1]} for n in rs_ns],
                 "right-special factor counts:",
                 *(f"  rs({n}) = {counts[n - 1]}" for n in rs_ns))
-    if (dilation_n or want_growth) and (
+    if (dilation_n is not None or want_growth) and (
             machine is None or not MODELS[type(machine)].growth):
         raise ValueError("--dilation/--growth need a morphic or tag machine")
-    if dilation_n:
-        prof = tag_mod.dilation_profile(machine, _parse_number(dilation_n))
+    if dilation_n is not None:
+        prof = tag_mod.dilation_profile(machine, dilation_n)
         section("dilation", {
             "minRatio": _fraction_str(prof.min_ratio),
             "argmin": prof.argmin,
@@ -233,17 +174,15 @@ def certify(machine_path, pair, k, stream, base, budget, depth, scan_len,
     if pair is not None and machine_path is not None:
         raise ValueError("--pair certificates take --stream, not --machine")
     machine, source = _resolve_source(machine_path, stream, base)
-    ref = source.source_id
     if pair is not None:
-        n, n_prime = _parse_pair(pair)
-        cert = certify_mod.certificate_from_pair(source, n, n_prime, k, depth)
+        cert = certify_mod.certificate_from_pair(source, *pair, k, depth)
     elif machine is None:
         raise ValueError("--stream certificates need --pair")
     else:
         engine, options = MODELS[type(machine)].certify
         given = {"scan_len": scan_len, "n_max": budget}
         cert = getattr(certify_mod, engine)(
-            machine, depth=depth, machine_ref=ref,
+            machine, depth=depth, machine_ref=source.source_id,
             **{option: given[option] for option in options})
     _emit(certify_mod.certificate_to_json(cert).encode("utf-8"), output)
     _say(_cert_summary(cert), err=True)
@@ -289,8 +228,7 @@ def equiv(machine_path, pair, depth):
     pushdown = MODELS[type(machine)].pushdown
     if pushdown is None:
         raise ValueError("equiv needs a dpao or dfao machine")
-    n, n_prime = _parse_pair(pair)
-    result = pda_mod.bounded_distinguish(pushdown(machine), n, n_prime, depth)
+    result = pda_mod.bounded_distinguish(pushdown(machine), *pair, depth)
     _say(result.describe())
     if not result.distinguished:
         _say("note: exhausting the depth proves nothing by itself")

@@ -3,23 +3,23 @@
 Every command is deterministic: given the same options and input files it
 produces byte-identical output. No command accepts or uses randomness.
 
-The commands and their options are one table, `_ROOT`, built at import.
-Each command is declared once, with its help text and its options; each
-option with its flag, destination, converter, default, help text and
-whether it is required. `_parse` reads an argument vector against it
-(`--opt value`, `--opt=value` and flags, the last value given for an
-option winning), and `--help` prints a command's help and options from
-the same table.
+The commands and their options are one table, `_ROOT`, built at import:
+each command with its help text and options, each option with its flag,
+destination, converter, default, help text and whether it is required.
+`_parse` reads an argument vector against it (`--opt value`,
+`--opt=value` and flags, the last value given winning), `--help` prints
+from it, and every converter (`int`, a choice, `_output_path`, a
+`_parse_*` reader) runs before a command's module is imported: commands
+take values, and a malformed one exits 2 before numpy or an engine loads.
 
-This module and what it imports load no numpy, so `--help`,
-`--version`, `catalog list`, `catalog export` and `convert`, whose bodies
-are here, start without it. It imports no model either: `machinefile`
-and the models load when `_load` or `convert` runs, so `--help`,
-`--version` and both `catalog` commands load only this module, the
-catalogue's documents and the exception types. Every other command is
-named by its attribute in `digitseq.cli`, the engine-backed command
-layer, which is imported when such a command runs and loads numpy and
-the engines.
+This module and what it imports load no numpy, so `--help`, `--version`,
+`catalog list`, `catalog export` and `convert`, whose bodies are here,
+start without it. It imports no model either: `machinefile` and the
+models load when `_load` or `convert` runs, so `--help`, `--version` and
+both `catalog` commands load only this module, the catalogue's documents
+and the exception types. Every other command is named by its attribute
+in `digitseq.cli`, the engine-backed command layer, which is imported
+when such a command runs and loads numpy and the engines.
 
 Exit codes: 0 success, 1 search budget exhausted (or pair refuted) or an
 internal error, 2 invalid input, 3 insufficient data, 4 search cap
@@ -39,7 +39,7 @@ import errno
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from . import catalog as catalog_mod
@@ -85,12 +85,71 @@ def _load(path: str):
 
 def _output_path(path: str) -> str:
     """An --output path, checked when the options are read: a missing
-    directory raises, before any work, the OSError that writing the file
-    at the end would raise."""
-    if path and not Path(path).parent.is_dir():
+    directory, or a directory as the file, raises before any work the
+    OSError, file name and all, that the write at the end would raise."""
+    if path and Path(path).is_dir():
+        code, path = errno.EISDIR, str(Path(path))
+    elif path and not Path(path).parent.is_dir():
         code = errno.ENOTDIR if Path(path).parent.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), path)
-    return path
+    else:
+        return path
+    raise OSError(code, os.strerror(code), path)
+
+
+def _parse_number(token: str) -> int:
+    """A nonnegative integer or a power such as 2^14, below 2^64; anything
+    else raises ValueError. A power is computed only once its bit length
+    is bounded below 128."""
+    base_s, caret, exp_s = token.strip().partition("^")
+    try:
+        base, exp = int(base_s), int(exp_s) if caret else 1
+    except ValueError:
+        base = -1
+    if base < 0 or exp < 0:
+        raise ValueError(
+            f"not a nonnegative integer or a power b^e: {token!r}")
+    if exp * (base.bit_length() - 1) >= 64 or (value := base ** exp) >> 64:
+        raise ValueError(f"number too large: {token!r} is 2^64 or more")
+    return value
+
+
+def _parse_lengths(expr: str) -> Sequence[int]:
+    """"1..64" is an arithmetic range; "2^4..2^14" steps by the power base.
+    Lengths are positive and a range ascends, so its last length is its
+    largest; an arithmetic range is a `range`, so a top too large to read
+    can be checked before any length is made. Anything else, and a power
+    base below 2, which never reaches the upper end, raises ValueError."""
+    lo_s, dots, hi_s = expr.partition("..")
+    lo = _parse_number(lo_s)
+    hi = _parse_number(hi_s) if dots else lo
+    if not 1 <= lo <= hi:
+        raise ValueError(f"lengths must be positive and ascending: {expr!r}")
+    if not dots or "^" not in expr:
+        return range(lo, hi + 1)
+    step = int((lo_s if "^" in lo_s else hi_s).partition("^")[0])
+    if step < 2:
+        raise ValueError(f"power base must be at least 2: {expr!r}")
+    vals = [lo]
+    while vals[-1] * step <= hi:
+        vals.append(vals[-1] * step)
+    return vals
+
+
+def _parse_dio(expr: str) -> Sequence[int]:
+    """Lengths below 2^31: the scan packs cost << 32 | v into an int64."""
+    lengths = _parse_lengths(expr)
+    if (top := lengths[-1]) >> 31:
+        raise ValueError(f"--dio lengths must be below 2^31, got {top}")
+    return lengths
+
+
+def _parse_pair(pair: str) -> tuple[int, int]:
+    """"n,n'" as two integers; anything else raises ValueError."""
+    try:
+        n, n_prime = map(int, pair.split(","))
+    except ValueError:
+        raise ValueError(f"--pair takes two integers n,n', got {pair!r}")
+    return n, n_prime
 
 
 def convert(machine_path, output):
@@ -242,30 +301,31 @@ _ROOT = _command(
     commands={
         "digits": _command(
             "Print the first COUNT symbols of a source.", "digits", *_SOURCE,
-            _Option("--count", "count", default="64"),
+            _Option("--count", "count", _parse_number, 64),
             _Option("--output", "output", _output_path,
                    help="Write here instead of stdout.")),
         "analyze": _command(
             "Profiles of a source: repetition ratios, complexity, dilation, "
             "growth.", "analyze", *_SOURCE,
-            _Option("--dio", "dio_range", help="Lengths for the "
-                   "repetition-ratio profile, e.g. 2^4..2^14."),
-            _Option("--complexity", "complexity_range", help="Block lengths "
-                   "for the factor-complexity table, e.g. 1..64."),
-            _Option("--right-special", "rs_range",
+            _Option("--dio", "dio_range", _parse_dio, help="Lengths for "
+                   "the repetition-ratio profile, e.g. 2^4..2^14."),
+            _Option("--complexity", "complexity_range", _parse_lengths,
+                   help="Block lengths for the factor-complexity table, "
+                   "e.g. 1..64."),
+            _Option("--right-special", "rs_range", _parse_lengths,
                    help="Block lengths for the right-special-factor table."),
-            _Option("--dilation", "dilation_n", help="Read-head depth for "
-                   "the dilation profile (morphic only)."),
+            _Option("--dilation", "dilation_n", _parse_number, help="Read-head"
+                   " depth for the dilation profile (morphic only)."),
             _Option("--growth", "want_growth", bool, False, help="Include the "
                    "per-letter growth report (morphic only)."),
-            _Option("--prefix-length", "prefix_length", help="Prefix length "
-                   "for complexity tables (default 2^16)."),
+            _Option("--prefix-length", "prefix_length", _parse_number,
+                   help="Prefix length for complexity tables (default 2^16)."),
             _Option("--format", "fmt", ("text", "json"), "text"),
             _Option("--output", "output", _output_path)),
         "certify": _command(
             "Build a repetition certificate for a machine or a stream pair.",
             "certify", *_SOURCE,
-            _Option("--pair", "pair",
+            _Option("--pair", "pair", _parse_pair,
                    help="Certify a raw index pair n,n' against a stream."),
             _Option("--k", "k", int, 2, help="Radix of the identity family "
                    "for --pair certificates."),
@@ -289,7 +349,8 @@ _ROOT = _command(
             "Bounded output comparison of the configurations after n and "
             "n'.", "equiv",
             _Option("--machine", "machine_path", required=True),
-            _Option("--pair", "pair", help="n,n'", required=True),
+            _Option("--pair", "pair", _parse_pair, help="n,n'",
+                   required=True),
             _Option("--depth", "depth", int, 12)),
         "imitate": _command(
             "Longest digit-stream prefix reachable by a small automaton.",
@@ -334,11 +395,11 @@ def _dispatch(tokens: list[str], prog: str) -> None:
     if rest:
         raise ValueError("Got unexpected extra argument"
                          f"{'s' * (len(rest) > 1)} ({' '.join(rest)})")
-    run = node.run
-    if isinstance(run, str):
+    kwargs = {option.dest: _value(option, values) for option in node.options}
+    if isinstance(node.run, str):
         from . import cli
-        run = getattr(cli, run)
-    run(**{option.dest: _value(option, values) for option in node.options})
+        return getattr(cli, node.run)(**kwargs)
+    node.run(**kwargs)
 
 
 def _run(tokens: list[str], prog: str) -> None:

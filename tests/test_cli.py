@@ -14,8 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import naive_complexity, naive_right_special
-from digitseq import (__version__, catalog, certify, cli, morphic, numbers,
-                      pda, tag)
+from digitseq import (__version__, catalog, certify, cli, console, morphic,
+                      numbers, pda, tag)
 from digitseq.cli import main
 from digitseq.dfao import Dfao
 from digitseq.machinefile import machine_to_dict
@@ -318,7 +318,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("token, value", [
         ("3^40", 3 ** 40), ("18446744073709551615", 2 ** 64 - 1)])
     def test_largest_numbers_still_parse(self, token, value):
-        assert cli._parse_number(token) == value
+        assert console._parse_number(token) == value
 
     def test_full_byte_alphabet_stream(self, runner, tmp_path):
         # 256 distinct tokens use every byte value: the window index's
@@ -1051,9 +1051,9 @@ class TestBadCounts:
         (["imitate", "--stream", "surd:2", "--base", "2", "--states", "1",
           "--len", "-3"], "prefix length must be nonnegative"),
         (["digits", "--machine", "xi1.json", "--count", "-5"],
-         "--count must be nonnegative"),
+         "not a nonnegative integer or a power b^e: '-5'\n"),
         (["digits", "--stream", "xi3", "--count", "-1"],
-         "--count must be nonnegative"),
+         "not a nonnegative integer or a power b^e: '-1'\n"),
         (["imitate", "--stream", "rational:1/0", "--base", "10", "--states",
           "1"], "cannot open stream 'rational:1/0': need p >= 0, q >= 1"),
         (["certify", "--machine", "xi1.json", "--depth", "-1"],
@@ -1124,9 +1124,9 @@ class TestBadCounts:
         assert r.output.count("\n") == 1
 
     @pytest.mark.parametrize("parse, text", [
-        (cli._parse_number, "-5"), (cli._parse_number, "10^20"),
-        (cli._parse_lengths, "5..1"), (cli._parse_lengths, "1^2..1^3"),
-        (cli._parse_pair, "1,2,3"),
+        (console._parse_number, "-5"), (console._parse_number, "10^20"),
+        (console._parse_lengths, "5..1"),
+        (console._parse_lengths, "1^2..1^3"), (console._parse_pair, "1,2,3"),
     ])
     def test_parsers_raise_and_leave_the_exit_to_run(self, parse, text):
         with pytest.raises(ValueError):
@@ -1365,11 +1365,23 @@ class TestErrorTable:
         ["catalog", "export", "--dir", "MACHINES/xi1.json"],
         ["digits", "--machine", "MACHINES"],
         ["analyze", "--stream", "xi3", "--dio", "2^4", "--output", "MISSING"],
+        ["digits", "--stream", "xi3", "--count", "5", "--output", "MACHINES"],
+        ["certify", "--pair", "10,20", "--stream", "xi3", "--depth", "2",
+         "--output", "MACHINES"],
+        ["convert", "--machine", "MACHINES/thue-morse.json",
+         "--output", "MACHINES"],
+        ["imitate", "--stream", "rational:1/3", "--base", "2", "--states",
+         "1", "--len", "8", "--output", "MACHINES"],
+        ["analyze", "--stream", "xi3", "--dio", "2^4", "--output", "MACHINES"],
     ], ids=["digits-output", "certify-output", "convert-output",
             "imitate-output", "catalog-export-dir", "machine-directory",
-            "analyze-output"])
+            "analyze-output", "digits-output-dir", "certify-output-dir",
+            "convert-output-dir", "imitate-output-dir", "analyze-output-dir"])
     def test_file_errors_exit_2(self, runner, machines, tmp_path, args):
+        # an --output in a missing directory, or one that is a directory
         missing = str(tmp_path / "no" / "such" / "dir" / "x")
+        reasons = {missing: "[Errno 2] No such file or directory",
+                   str(machines): "[Errno 21] Is a directory"}
         args = [a.replace("MISSING", missing).replace("MACHINES",
                                                       str(machines))
                 for a in args]
@@ -1379,8 +1391,8 @@ class TestErrorTable:
         assert len(r.output.splitlines()) == 1
         assert r.output.startswith("error: ")
         if "--output" in args:
-            assert r.output == ("error: [Errno 2] No such file or "
-                                f"directory: '{missing}'\n")
+            output = args[args.index("--output") + 1]
+            assert r.output == f"error: {reasons[output]}: '{output}'\n"
         assert not Path(missing).parent.exists()
 
     def test_output_directory_is_checked_before_the_search(
@@ -1390,12 +1402,13 @@ class TestErrorTable:
 
         monkeypatch.setattr(pda, "find_equivalent_pair", search)
         missing = tmp_path / "no" / "x"
-        r = run_cli(runner, ["certify", "--machine",
-                             str(machines / "xi2.json"), "--depth", "18",
-                             "--output", str(missing)])
-        assert r.exit_code == 2
-        assert r.output == ("error: [Errno 2] No such file or directory: "
-                            f"'{missing}'\n")
+        for output, reason in ((missing, "[Errno 2] No such file or directory"),
+                               (tmp_path, "[Errno 21] Is a directory")):
+            r = run_cli(runner, ["certify", "--machine",
+                                 str(machines / "xi2.json"), "--depth", "18",
+                                 "--output", str(output)])
+            assert r.exit_code == 2
+            assert r.output == f"error: {reason}: '{output}'\n"
 
     def test_machine_directory_keeps_the_load_message(self, runner,
                                                       machines):
@@ -1780,6 +1793,53 @@ class TestCommandLine:
                                                         plain.stderr)
         assert runs["blocked"][-1] == runs["plain"][-1]
         assert len(runs["plain"][-1]) == len(catalog.names()) + 1
+
+    def test_usage_errors_exit_before_an_engine_loads(self, runner,
+                                                      machines, monkeypatch):
+        """A malformed value of every converted option and of an integer
+        option, an unknown choice, a missing required option and a
+        directory as --output exit 2, with the stderr of a normal run, in
+        a process where neither numpy nor `digitseq.cli` can be imported."""
+        commands = [
+            ["digits", "--stream", "xi3", "--count", "x"],
+            ["analyze", "--stream", "xi3", "--dio", "8..1"],
+            ["analyze", "--stream", "xi3", "--dio", "2^31"],
+            ["analyze", "--stream", "xi3", "--complexity", "0..4"],
+            ["analyze", "--stream", "xi3", "--right-special", "1^2..1^3"],
+            ["analyze", "--machine", "xi1.json", "--dilation", "-1"],
+            ["analyze", "--stream", "xi3", "--complexity", "1..4",
+             "--prefix-length", "10^20"],
+            ["certify", "--stream", "xi3", "--pair", "1"],
+            ["equiv", "--machine", "xi2.json", "--pair", "1,5,7"],
+            ["certify", "--stream", "xi3", "--depth", "x"],
+            ["analyze", "--stream", "xi3", "--format", "xml"],
+            ["equiv", "--machine", "xi2.json"],
+            ["digits", "--stream", "xi3", "--count", "3", "--output", "."],
+        ]
+        code = ("import contextlib, io, json, sys\n"
+                "sys.modules['numpy'] = sys.modules['digitseq.cli'] = None\n"
+                "from digitseq import console\n"
+                "runs = []\n"
+                f"for args in {commands!r}:\n"
+                "    err = io.StringIO()\n"
+                "    with contextlib.redirect_stderr(err):\n"
+                "        try:\n"
+                "            console.main(args, 'digitseq')\n"
+                "        except SystemExit as stop:\n"
+                "            runs.append([stop.code, err.getvalue()])\n"
+                "print(json.dumps(runs))\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, cwd=machines, timeout=120,
+                           env={**os.environ, "PYTHONPATH": SRC})
+        assert r.returncode == 0, r.stderr
+        monkeypatch.chdir(machines)
+        for args, (blocked_code, blocked_err) in zip(commands,
+                                                     json.loads(r.stdout)):
+            normal = run_cli(runner, args)
+            assert (blocked_code, blocked_err) == (2, normal.stderr), args
+            assert normal.exit_code == 2
+            assert blocked_err.startswith("error: ")
+            assert blocked_err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
         ["catalog", "list"],

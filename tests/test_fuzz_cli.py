@@ -14,12 +14,18 @@ to depth 4; `--dio` and `--prefix-length` stay at 2^14 or below (2^16 by
 default), `--extra-depth` at 2, and `imitate` at 3 states and 64 digits.
 Each example runs in process, in a directory of its own that holds the
 exported catalogue, a short stream file and one certificate.
+
+The draws are derandomized from a digest of the drawn test's source, so
+an edit to its body moves what it reaches. A second test runs every
+(command, option, invalid value) cell once, in a valid command line of
+that command, so each invalid value is reached whatever the draw.
 """
 
 import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +152,96 @@ def test_every_command_line_ends_in_an_exit_code(case):
             r = run_cli(argv)
         finally:
             os.chdir(cwd)
+    assert r.exit_code in range(5), (argv, r.output)
+    assert "Traceback" not in r.stderr, (argv, r.stderr)
+    assert "internal error" not in r.stderr, (argv, r.stderr)
+    invalid_report = (argv[0] == "verify" and r.exit_code == 2
+                      and r.stdout.startswith("certificate INVALID")
+                      and not r.stderr)
+    if r.exit_code and not invalid_report:
+        first, *rest = r.stderr.splitlines()
+        assert first.startswith("error: "), (argv, r.stderr)
+        assert all(line.startswith(("error[", "warning["))
+                   for line in rest), (argv, r.stderr)
+
+
+# per command, valid command lines that together give every option with
+# a value, on the catalogue machine, stream or certificate it needs; None
+# gives a flag. A cell takes the first line that gives its option.
+LINES = {
+    ("digits",): [{"machine_path": "xi1.json", "count": "64",
+                   "output": "out.json"},
+                  {"stream": "rational:1/7", "base": "10"}],
+    ("analyze",): [{"machine_path": "xi1.json", "dio_range": "2^4..2^10",
+                    "complexity_range": "1..8", "rs_range": "1..8",
+                    "dilation_n": "64", "want_growth": None,
+                    "prefix_length": "2^10", "fmt": "json",
+                    "output": "out.json"},
+                   {"stream": "surd:2", "base": "3", "dio_range": "1..64"}],
+    ("certify",): [{"machine_path": "xi1.json", "depth": "4",
+                    "scan_len": "64", "output": "out.json"},
+                   {"machine_path": "xi2.json", "budget": "100"},
+                   {"stream": "rational:1/7", "base": "10", "pair": "1,7",
+                    "k": "2", "depth": "4"}],
+    ("verify",): [{"cert_path": "cert.json",
+                   "machine_path": "thue-morse.json", "extra_depth": "1"},
+                  {"cert_path": "cert.json", "stream": "file:digits.txt",
+                   "base": "2"}],
+    ("convert",): [{"machine_path": "thue-morse.json",
+                    "output": "out.json"}],
+    ("equiv",): [{"machine_path": "xi2.json", "pair": "1,5", "depth": "4"}],
+    ("imitate",): [{"stream": "surd:2", "base": "2", "k": "2",
+                    "states": "2", "max_len": "16", "output": "out.json"}],
+    ("catalog", "list"): [{}],
+    ("catalog", "export"): [{"directory": "exported"}],
+}
+
+
+def fixed_lines():
+    """Every line of `LINES`, valid, then every cell once, each in the
+    first line of its command that gives its option."""
+    for words, command, cells in CELLS:
+        flags = {option.dest: option.flag for option in command.options}
+        name = "-".join(words)
+        for corrupt, bad in cells:
+            lines = (LINES[words] if corrupt is None else
+                     [{**next(line for line in LINES[words]
+                               if corrupt in line), corrupt: bad}])
+            for i, line in enumerate(lines):
+                argv = list(words)
+                for dest, value in line.items():
+                    argv.append(flags[dest])
+                    if value is not None:
+                        argv.append(value)
+                yield pytest.param(argv, corrupt is None, id=(
+                    f"{name}:line{i}" if corrupt is None
+                    else f"{name}:{flags[corrupt]}={bad}"))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """The exported catalogue, and the Thue-Morse certificate at depth 4
+    with the 128 symbols it reads; no fixed line overwrites any of them."""
+    d = tmp_path_factory.mktemp("fixed")
+    catalog.export_all(d)
+    machine = str(d / "thue-morse.json")
+    for args in (["digits", "--machine", machine, "--count", "128",
+                  "--output", str(d / "digits.txt")],
+                 ["certify", "--machine", machine, "--depth", "4",
+                  "--output", str(d / "cert.json")]):
+        made = run_cli(args)
+        assert made.exit_code == 0, made.output
+    return d
+
+
+@pytest.mark.parametrize("argv, valid", fixed_lines())
+def test_each_invalid_value_once(argv, valid, workdir, monkeypatch):
+    # the drawn test's assertions; its body stays as it is, because its
+    # examples are drawn from a digest of it
+    monkeypatch.chdir(workdir)
+    r = run_cli(argv)
+    if valid:
+        assert r.exit_code == 0, (argv, r.output)
     assert r.exit_code in range(5), (argv, r.output)
     assert "Traceback" not in r.stderr, (argv, r.stderr)
     assert "internal error" not in r.stderr, (argv, r.stderr)
