@@ -137,25 +137,28 @@ class Certificate:
 
 
 def _pair_witnesses(n: int, n_prime: int, k: int, depth: int):
-    """The witnesses of the pair n < n' at levels 0..depth, lazily, so
-    that a comparison which stops early computes no further power of k:
-    u = k^l*n, v = k^l*(n'-n), ext = v + k^l. An invalid pair raises
-    ValueError at the call, before any witness is asked for."""
+    """The witnesses of the pair n < n' at levels 0..depth, lazily through
+    _within_reach, so that a comparison which stops early computes no
+    further power of k: u = k^l*n, v = k^l*(n'-n), ext = v + k^l. An
+    invalid pair raises ValueError at the call, and the first witness to
+    end at k^l*(n'+1) >= 2^63 symbols when it is asked for."""
     if not (0 < n < n_prime) or k < 2:
         raise ValueError("a pair certificate needs 0 < n < n' and k >= 2")
-    return (RepetitionWitness(u=s * n, v=s * (n_prime - n),
-                              ext=s * (n_prime - n + 1))
-            for s in (k ** level for level in range(depth + 1)))
+    return _within_reach((RepetitionWitness(u=s * n, v=s * (n_prime - n),
+                                            ext=s * (n_prime - n + 1))
+                          for s in (k ** level for level in range(depth + 1))),
+                         depth, "pair identities")
 
 
-def _check_reach(n_prime: int, k: int, depth: int, what: str) -> None:
-    """Raise ValueError when the family of a pair n < n' to `depth` needs
-    2^63 or more symbols: its top witness ends at k^depth * (n' + 1). No
-    power of k at or past 2^63 is built."""
-    if depth * (k.bit_length() - 1) >= 63 or (
-            k ** depth * (n_prime + 1)) >> 63:
-        raise ValueError(f"{what} to depth {depth} need 2^63 or more "
-                         "symbols")
+def _within_reach(witnesses, depth: int, what: str):
+    """A family's witnesses to `depth`, lazily, each checked as it is
+    made: the first that ends at 2^63 symbols or more raises ValueError,
+    so no level past it is built."""
+    for level, w in enumerate(witnesses):
+        if (w.u + w.ext) >> 63:
+            raise ValueError(f"{what} to depth {depth} need 2^63 or more "
+                             f"symbols from level {level} on")
+        yield w
 
 
 def _failing(prefix, witnesses):
@@ -178,13 +181,12 @@ def certificate_from_pair(source: SequenceSource, n: int, n_prime: int,
     k^l*n + i + 1 against k^l*n' + i + 1 for all 0 <= i < k^l through the
     generic repetition verifier. A single mismatch refutes this pair (and
     only this pair) and is reported at its first offset i. A family that
-    needs 2^63 or more symbols raises ValueError before any witness is
-    built.
+    needs 2^63 or more symbols raises ValueError as it is derived, at
+    the first level that reaches it and before any prefix is read.
     """
     family = _pair_witnesses(n, n_prime, k, depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    _check_reach(n_prime, k, depth, "pair identities")
     cert = Certificate(kind=kind, machine_ref=source.source_id,
                        witnesses=tuple(family), k=k, pair=(n, n_prime),
                        method=method)
@@ -255,21 +257,21 @@ def _morphic_family(spec: morphic_mod.MorphicSpec,
     v + |sigma^l(b)| for l = 0..depth, from one table of letter lengths
     |sigma^l(a)|: it starts at 1, one pass over the rules takes it a
     level up, and u and v are its sums over the letter counts of U and bV.
-    The first level whose witness ends at 2^63 symbols or more raises
-    ValueError.
+    The family goes through _within_reach, so the first level whose
+    witness ends at 2^63 symbols or more raises ValueError.
     """
     counts = [Counter(word) for word in (seed.u, (seed.letter,) + seed.v)]
-    size = dict.fromkeys(spec.internal, 1)
-    witnesses = []
-    for level in range(depth + 1):
-        u, bv = (sum(size[a] * c for a, c in count.items())
-                 for count in counts)
-        w = RepetitionWitness(u=u, v=bv, ext=bv + size[seed.letter])
-        if (w.u + w.ext) >> 63:
-            raise ValueError(f"morphic witnesses to depth {depth} need 2^63 "
-                             f"or more symbols from level {level} on")
-        witnesses.append(w)
-        size = {a: sum(size[b] for b in img) for a, img in spec.rules.items()}
+
+    def levels():
+        size = dict.fromkeys(spec.internal, 1)
+        for _ in range(depth + 1):
+            u, bv = (sum(size[a] * c for a, c in count.items())
+                     for count in counts)
+            yield RepetitionWitness(u=u, v=bv, ext=bv + size[seed.letter])
+            size = {a: sum(size[b] for b in img)
+                    for a, img in spec.rules.items()}
+
+    witnesses = _within_reach(levels(), depth, "morphic witnesses")
     return Certificate(kind="morphic-witness", machine_ref=machine_ref,
                        witnesses=tuple(witnesses), seed_letter=seed.letter)
 
@@ -384,16 +386,17 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     raises ValueError. Given the machine the source comes from, the kind
     must be the one its model certifies. A pair certificate is checked as
     its family to extra_depth levels past its depth: construction made
-    the stored witnesses that family's first levels. A family whose top
-    witness ends at 2^63 symbols or more raises ValueError, before any
-    witness is built. A morphic certificate is checked at its own depth,
-    with a note when extra_depth asks for more. Given a morphic
-    machine, the seed is re-derived and the witnesses must be its family;
-    without it the report notes that the seed was not checked. The
-    witnesses are then checked on one prefix. The report lists, per
-    witness, the rational-approximation statement it implies for the
-    number whose digit stream the source is; the statement is symbolic
-    (the denominators are astronomically large) and nothing
+    the stored witnesses that family's first levels. It is derived before
+    any prefix is read, and one that needs 2^63 or more symbols raises
+    ValueError at its first level that does. A morphic certificate is
+    checked at its own depth, with a note when extra_depth asks for
+    more. Given a morphic machine, the seed is re-derived and the
+    witnesses must be its family; without it the report notes that the
+    seed was not checked. The witnesses are then checked on one prefix.
+    The report lists, per witness, the rational-approximation statement
+    it implies for the number whose digit stream the source is; the
+    statement is symbolic (the denominators are astronomically large)
+    and nothing
     floating-point is asserted.
     """
     if extra_depth < 0:
@@ -406,8 +409,6 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
     checked, extended = tuple(cert.witnesses), None
     if cert.pair is not None:
         extended = cert.verified_depth + extra_depth
-        _check_reach(cert.pair[1], cert.k, extended,
-                     "pair identities extended")
         checked = tuple(_pair_witnesses(*cert.pair, cert.k, extended))
     try:
         prefix = source.prefix(_extent(checked))

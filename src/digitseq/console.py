@@ -85,10 +85,13 @@ def _load(path: str):
 
 def _output_path(path: str) -> str:
     """An --output path, checked when the options are read: a missing
-    directory, or a directory as the file, raises before any work the
-    OSError, file name and all, that the write at the end would raise."""
+    directory, a directory as the file, or a path that ends in a
+    separator raises before any work the OSError, file name and all,
+    that opening it to write would raise."""
     if path and Path(path).is_dir():
         code, path = errno.EISDIR, str(Path(path))
+    elif path[-1:] in (os.sep, os.altsep):
+        code = errno.EISDIR
     elif path and not Path(path).parent.is_dir():
         code = errno.ENOTDIR if Path(path).parent.exists() else errno.ENOENT
     else:

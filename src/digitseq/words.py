@@ -137,15 +137,16 @@ def best_repetition_at(prefix: SequencePrefix, lengths: Sequence[int],
     ending at ell - v (see `_pack`, here on the reversed prefix, so the
     last symbol is in the top bits), in one pass per block of at most
     _SCAN_CELLS rows: period 1 alone, then blocks that end at the periods
-    _SCREEN_GROWTH^k. The highest differing symbol of the XOR is the
-    row's last mismatch, so most rows end there. The rest walk back
-    (`_scan_rows`), admitted in chunks of ascending periods that grow
-    fourfold. Before each block, chunk and walk step, a length's periods
-    at or above its cheapest cost so far are dropped, as they cannot win:
-    a constant word stops after period 1, and a periodic word soon after
-    its period. Memory is the packed keys, 12 bytes a symbol of
-    max(lengths) while they are built and 8 after, and blocks of at most
-    _SCAN_CELLS comparisons.
+    _SCREEN_GROWTH^k, or sooner where the lengths left in play each take
+    an even share of _SCAN_CELLS, at least one period. The highest
+    differing symbol of the XOR is the row's last mismatch, so most rows
+    end there. The rest walk back (`_scan_rows`), admitted in chunks of
+    ascending periods that grow fourfold. Before each block, chunk and
+    walk step, a length's periods at or above its cheapest cost so far
+    are dropped, as they cannot win: a constant word stops after period
+    1, and a periodic word soon after its period. Memory is the packed
+    keys, 12 bytes a symbol of max(lengths) while they are built and 8
+    after, and blocks of at most _SCAN_CELLS comparisons.
     """
     lengths = _check_lengths(lengths)
     if not lengths:
@@ -191,10 +192,10 @@ def best_repetition_at(prefix: SequencePrefix, lengths: Sequence[int],
             break
         left = left[live]
         # period 1 alone first, then blocks that end at the periods
-        # _SCREEN_GROWTH^k, of at most _SCAN_CELLS rows
-        per = (_SCREEN_GROWTH - 1) * (first - 1) or 1
-        if int(np.minimum(left, per).sum()) > _SCAN_CELLS:
-            per = _per_length(left)
+        # _SCREEN_GROWTH^k, each length taking an even share of at most
+        # _SCAN_CELLS rows
+        per = min((_SCREEN_GROWTH - 1) * (first - 1) or 1,
+                  max(1, _SCAN_CELLS // live.size))
         counts = np.minimum(left, per)
         offsets = np.cumsum(counts) - counts
         at = np.arange(first, first + int(offsets[-1] + counts[-1]))
@@ -235,16 +236,6 @@ _SCREEN_GROWTH = 1 << 12
 _WALK_CELLS = 1 << 9
 # the fold's value for a row whose windows all agree: above every cost
 _NO_COST = (1 << 63) - 1
-
-
-def _per_length(left: np.ndarray) -> int:
-    """The most periods p a length, at least 1, whose block of
-    sum(min(left, p)) rows holds at most _SCAN_CELLS."""
-    left = np.sort(left)
-    room = _SCAN_CELLS - (np.cumsum(left) - left)
-    shares = np.arange(left.size, 0, -1)
-    short = int(np.argmax(left * shares > room))
-    return max(1, int(room[short]) // int(shares[short]))
 
 
 def _scan_rows(keys: np.ndarray, below: np.ndarray, best: np.ndarray,

@@ -18,7 +18,8 @@ from digitseq.certify import (Certificate, _fraction_str, _morphic_family,
                               verify_certificate)
 from digitseq.errors import BudgetExceededError, PairRefutedError
 from digitseq.morphic import MorphicSpec, RepetitionSeed, repetition_seed
-from digitseq.words import RepetitionWitness, verify_repetition
+from digitseq.words import (RepetitionWitness, SequenceSource,
+                            digit_alphabet, verify_repetition)
 
 
 @pytest.fixture(scope="module")
@@ -324,10 +325,56 @@ class TestConstruction:
                                "certificate takes no pair n < n' and radix k$"):
                 dataclasses.replace(cert, **changes)
 
+    def test_pair_refusals_are_the_closed_form(self):
+        """A pair family to depth d is refused, before its source is read,
+        exactly when its top witness ends at k^d * (n' + 1) >= 2^63, by
+        construction and by verify's extension alike, and the message
+        names the first level that does. Every n' up to 64 is checked at
+        every depth 0..70 with n = n' - 1, and every n at the last depth
+        kept and the first refused; every n at every depth would take
+        over ten times as long."""
+        class Read(Exception):
+            pass
+
+        def generate(n):
+            raise Read
+
+        def refusal(call):
+            try:
+                call()
+            except Read:
+                return None
+            except ValueError as exc:
+                return str(exc)
+            raise AssertionError("neither refused nor read")
+
+        source = SequenceSource("s", digit_alphabet(2), generate)
+        for k, n_prime in itertools.product((2, 3, 10), range(2, 65)):
+            first = next(level for level in itertools.count()
+                         if k ** level * (n_prime + 1) >= 2 ** 63)
+            for n in range(1, n_prime):
+                cert = Certificate(
+                    kind="sequence-pair", machine_ref="s", k=k,
+                    pair=(n, n_prime), witnesses=(RepetitionWitness(
+                        n, n_prime - n, n_prime - n + 1),))
+                for depth in (range(71) if n == n_prime - 1
+                              else (first - 1, first)):
+                    want = (f"pair identities to depth {depth} need 2^63 "
+                            f"or more symbols from level {first} on"
+                            if k ** depth * (n_prime + 1) >= 2 ** 63
+                            else None)
+                    for call in (
+                            lambda: certificate_from_pair(source, n, n_prime,
+                                                          k, depth),
+                            lambda: verify_certificate(source, cert, depth)):
+                        start = time.perf_counter()
+                        assert refusal(call) == want, (k, n, n_prime, depth)
+                        assert time.perf_counter() - start < 1
+
     def test_huge_radix_pair_file_is_rejected_in_time_bounded_by_the_file(
             self):
-        # level 1 would need k^200 * 20, an 800,000-digit number; the
-        # comparison stops at level 1, the first level the file gets wrong
+        # level 200 would need k^200 * 21, an 800,000-digit number; the
+        # family stops at level 1, whose witness already ends past 2^63
         k = 10 ** 4000
         text = json.dumps({
             "kind": "sequence-pair", "machine": "xi3", "k": k, "n": 10,
@@ -335,8 +382,8 @@ class TestConstruction:
             "witnesses": [{"u": 10, "v": 10, "ext": 11}] * 201,
             "dioLowerBound": "20/19", "ratioGrowthBound": f"{k}/1"})
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="^level-1 witness is not the "
-                                             "one the pair 10, 20 gives$"):
+        with pytest.raises(ValueError, match="^pair identities to depth 200 "
+                           "need 2\\^63 or more symbols from level 1 on$"):
             certificate_from_json(text)
         assert time.perf_counter() - start < 1
 

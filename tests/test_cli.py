@@ -21,7 +21,8 @@ from digitseq.dfao import Dfao
 from digitseq.machinefile import machine_to_dict
 from digitseq.morphic import MorphicSpec
 from digitseq.pda import Dpao
-from digitseq.words import Alphabet, SequencePrefix, digit_alphabet
+from digitseq.words import (Alphabet, SequencePrefix, SequenceSource,
+                            digit_alphabet)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -492,8 +493,8 @@ class TestCertifyVerify:
 
     def test_extra_depth_past_the_index_range_exits_2_at_once(
             self, runner, tmp_path):
-        # the top witness of the xi3 (10, 20) family at depth 8 + extra
-        # ends at 21 * 2^(8 + extra): refused before any witness is built
+        # the level-l witness of the xi3 (10, 20) family ends at 21 * 2^l,
+        # past 2^63 from level 59 on: refused there, before any prefix
         cert = tmp_path / "xi3.json"
         run_cli(runner, ["certify", "--pair", "10,20", "--stream", "xi3",
                          "--depth", "8", "--output", str(cert)])
@@ -504,8 +505,29 @@ class TestCertifyVerify:
                                  "--stream", "xi3", "--extra-depth", extra])
             assert time.perf_counter() - start < 1
             assert (v.exit_code, v.output) == (
-                2, f"error: pair identities extended to depth {depth} need "
-                   f"2^63 or more symbols\n")
+                2, f"error: pair identities to depth {depth} need 2^63 or "
+                   f"more symbols from level 59 on\n")
+
+    def test_prefix_out_of_memory_is_an_invalid_report(
+            self, runner, tmp_path, monkeypatch):
+        # a source whose prefix cannot be materialized: the report on
+        # stdout, exit 2, and no error line
+        cert = tmp_path / "xi3.json"
+        run_cli(runner, ["certify", "--pair", "10,20", "--stream", "xi3",
+                         "--depth", "4", "--output", str(cert)])
+
+        def generate(n):
+            raise MemoryError(f"cannot hold {n} symbols")
+
+        monkeypatch.setattr(cli, "_open_stream", lambda *args: SequenceSource(
+            "xi3", digit_alphabet(3), generate))
+        v = run_cli(runner, ["verify", "--certificate", str(cert),
+                             "--stream", "xi3"])
+        assert (v.exit_code, v.stderr) == (2, "")
+        assert v.stdout == ("certificate INVALID: 0 witnesses re-checked\n"
+                            "pair identities extended to depth 4\n"
+                            "failure: prefix generation failed: cannot hold "
+                            "336 symbols\n")
 
     def test_extra_depth_on_a_morphic_certificate_is_noted(
             self, runner, machines, tmp_path):
@@ -1081,7 +1103,8 @@ class TestBadCounts:
           "10^30"], "number too large: '10^30' is 2^64 or more\n"),
         (["certify", "--pair", "1,7", "--stream", "rational:1/7", "--base",
           "10", "--depth", "100"],
-         "pair identities to depth 100 need 2^63 or more symbols\n"),
+         "pair identities to depth 100 need 2^63 or more symbols from "
+         "level 60 on\n"),
         (["analyze", "--stream", "xi3", "--complexity", "1..4",
           "--prefix-length", "-5"],
          "not a nonnegative integer or a power b^e: '-5'\n"),
@@ -1157,6 +1180,22 @@ def edited(doc: dict, edit) -> dict:
     doc = json.loads(json.dumps(doc))
     edit(doc)
     return doc
+
+
+# each command that writes --output, and what its output is: a path
+# in a missing directory, a directory, a missing directory with a
+# trailing separator, and an existing file with one
+_WRITERS = {
+    "digits": ["digits", "--stream", "xi3", "--count", "5"],
+    "certify": ["certify", "--pair", "10,20", "--stream", "xi3",
+                "--depth", "2"],
+    "convert": ["convert", "--machine", "MACHINES/thue-morse.json"],
+    "imitate": ["imitate", "--stream", "rational:1/3", "--base", "2",
+                "--states", "1", "--len", "8"],
+    "analyze": ["analyze", "--stream", "xi3", "--dio", "2^4"],
+}
+_OUTPUTS = {"": "MISSING", "-dir": "MACHINES", "-nodir": "NODIR/",
+            "-file-slash": "FILE/"}
 
 
 class TestErrorTable:
@@ -1355,35 +1394,24 @@ class TestErrorTable:
         assert len(v.output.splitlines()) == 1
 
     @pytest.mark.parametrize("args", [
-        ["digits", "--stream", "xi3", "--count", "5", "--output", "MISSING"],
-        ["certify", "--pair", "10,20", "--stream", "xi3", "--depth", "2",
-         "--output", "MISSING"],
-        ["convert", "--machine", "MACHINES/thue-morse.json",
-         "--output", "MISSING"],
-        ["imitate", "--stream", "rational:1/3", "--base", "2", "--states",
-         "1", "--len", "8", "--output", "MISSING"],
-        ["catalog", "export", "--dir", "MACHINES/xi1.json"],
-        ["digits", "--machine", "MACHINES"],
-        ["analyze", "--stream", "xi3", "--dio", "2^4", "--output", "MISSING"],
-        ["digits", "--stream", "xi3", "--count", "5", "--output", "MACHINES"],
-        ["certify", "--pair", "10,20", "--stream", "xi3", "--depth", "2",
-         "--output", "MACHINES"],
-        ["convert", "--machine", "MACHINES/thue-morse.json",
-         "--output", "MACHINES"],
-        ["imitate", "--stream", "rational:1/3", "--base", "2", "--states",
-         "1", "--len", "8", "--output", "MACHINES"],
-        ["analyze", "--stream", "xi3", "--dio", "2^4", "--output", "MACHINES"],
-    ], ids=["digits-output", "certify-output", "convert-output",
-            "imitate-output", "catalog-export-dir", "machine-directory",
-            "analyze-output", "digits-output-dir", "certify-output-dir",
-            "convert-output-dir", "imitate-output-dir", "analyze-output-dir"])
+        *(pytest.param([*args, "--output", output],
+                       id=f"{command}-output{suffix}")
+          for command, args in _WRITERS.items()
+          for suffix, output in _OUTPUTS.items()),
+        pytest.param(["catalog", "export", "--dir", "MACHINES/xi1.json"],
+                     id="catalog-export-dir"),
+        pytest.param(["digits", "--machine", "MACHINES"],
+                     id="machine-directory"),
+    ])
     def test_file_errors_exit_2(self, runner, machines, tmp_path, args):
-        # an --output in a missing directory, or one that is a directory
+        # an --output in a missing directory, one that is a directory, or
+        # one that ends in a separator: refused, and nothing is written
         missing = str(tmp_path / "no" / "such" / "dir" / "x")
-        reasons = {missing: "[Errno 2] No such file or directory",
-                   str(machines): "[Errno 21] Is a directory"}
-        args = [a.replace("MISSING", missing).replace("MACHINES",
-                                                      str(machines))
+        nodir, existing = tmp_path / "nodir", tmp_path / "existing.txt"
+        existing.write_bytes(b"kept\n")
+        places = {"MISSING": missing, "NODIR/": f"{nodir}{os.sep}",
+                  "FILE/": f"{existing}{os.sep}"}
+        args = [places.get(a, a).replace("MACHINES", str(machines))
                 for a in args]
         r = run_cli(runner, args)
         assert r.exit_code == 2
@@ -1392,8 +1420,11 @@ class TestErrorTable:
         assert r.output.startswith("error: ")
         if "--output" in args:
             output = args[args.index("--output") + 1]
-            assert r.output == f"error: {reasons[output]}: '{output}'\n"
-        assert not Path(missing).parent.exists()
+            reason = ("[Errno 2] No such file or directory"
+                      if output == missing else "[Errno 21] Is a directory")
+            assert r.output == f"error: {reason}: '{output}'\n"
+        assert sorted(tmp_path.iterdir()) == [existing, machines]
+        assert existing.read_bytes() == b"kept\n"
 
     def test_output_directory_is_checked_before_the_search(
             self, runner, machines, tmp_path, monkeypatch):
@@ -1607,18 +1638,19 @@ class TestBudgetMemory:
 
     def test_certify_past_the_index_range_exits_2_at_once(self, machines):
         """A family whose top witness would end at 2^63 symbols or more is
-        refused before any witness or prefix is built. The commands run in
+        refused at the first level that does, before any prefix is built,
+        and the message names that level. The commands run in
         a child that caps its own address space, each timed after the
         package is loaded."""
         cases = [
             ("thue-morse", "70", "pair identities to depth 70 need 2^63 or "
-             "more symbols"),
+             "more symbols from level 62 on"),
             ("three-squares", "70", "pair identities to depth 70 need 2^63 "
-             "or more symbols"),
+             "or more symbols from level 61 on"),
             ("thue-morse", "1000000000", "pair identities to depth "
-             "1000000000 need 2^63 or more symbols"),
+             "1000000000 need 2^63 or more symbols from level 62 on"),
             ("xi2", "70", "pair identities to depth 70 need 2^63 or more "
-             "symbols"),
+             "symbols from level 61 on"),
             ("xi1", "70", "morphic witnesses to depth 70 need 2^63 or more "
              "symbols from level 61 on"),
             ("thue-morse-morphic", "1000000000", "morphic witnesses to depth "
@@ -1858,6 +1890,14 @@ class TestCommandLine:
         finally:
             os.close(write_end)
         assert (r.returncode, r.stderr) == (141, b"")
+
+    def test_interrupt_exits_1(self, runner, monkeypatch):
+        def interrupted(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "digits", interrupted)
+        r = run_cli(runner, ["digits", "--stream", "xi3", "--count", "5"])
+        assert (r.exit_code, r.output) == (1, "error: interrupted\n")
 
 
 class TestVersion:

@@ -57,7 +57,7 @@ POOLS = {
                ["rational:1/0", "nosuch:1", "file:missing.txt"]),
     "base": (["2", "3", "10"], ["1", "-2", "x", "2^31"]),
     "count": (["0", "1", "64", "2^10", "2^16"], ["-5", "x", "2^64"]),
-    "output": (["out.json"], ["nodir/out.json"]),
+    "output": (["out.json"], ["nodir/out.json", "nodir/"]),
     "dio_range": (["2^4..2^10", "1..64", "2^14"],
                   ["2^10..2^4", "2^31", "1..2^31", "0..4", "x"]),
     "complexity_range": RANGES,

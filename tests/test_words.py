@@ -357,6 +357,18 @@ class TestOneScan:
             self.check(p, lengths, (None, lengths[-1]),
                        oracles=(backward_scan_best,))
 
+    @pytest.mark.parametrize("letters", [2, 256])
+    def test_blocks_share_the_row_cap(self, letters):
+        # on a random word every period runs, so 20 lengths above 2^13
+        # would give the second block more than _SCAN_CELLS rows: each
+        # length takes its even share of the block instead
+        rng = random.Random(46 + letters)
+        n = 2 ** 14
+        p = _word_prefix(letters, bytes(rng.randrange(letters)
+                                        for _ in range(n)))
+        lengths = sorted(rng.sample(range(2 ** 13 + 1, n + 1), 20))
+        self.check(p, lengths, (None, n), oracles=(backward_scan_best,))
+
     def test_lengths_must_increase(self):
         p = str_prefix("aaaa")
         assert best_repetition_at(p, []) == []
@@ -747,6 +759,16 @@ class TestRankDigitRounds:
                 width = rng.randint(1, len(data) + 1)
                 _assert_same_index(data, letters, width,
                                    words._build_index(data, letters, width))
+
+    def test_more_than_2_30_windows_are_refused_before_any_work(self):
+        # only the length is read, so nothing of 2^30 symbols is allocated
+        class Huge(bytes):
+            def __len__(self):
+                return 2 ** 30 + 1
+
+        with pytest.raises(ValueError, match="^the window index holds at "
+                                             "most 2\\^30 windows$"):
+            words._build_index(Huge(), 2, 8)
 
     @pytest.mark.parametrize("name, width, bytes_per_symbol", [
         # the stable two-pass doubling peaked at 41.0 and 49.0 bytes a
