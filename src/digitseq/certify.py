@@ -249,16 +249,15 @@ def _witness_growth(witnesses) -> Fraction:
 
 
 def _morphic_family(spec: morphic_mod.MorphicSpec,
-                    seed: morphic_mod.RepetitionSeed, depth: int,
-                    machine_ref: str) -> Certificate:
-    """The certificate the seed U b V b determines, touching no prefix.
+                    seed: morphic_mod.RepetitionSeed, depth: int):
+    """The witnesses the seed U b V b determines at levels 0..depth,
+    lazily through _within_reach, touching no prefix.
 
     The level-l witness is u = |sigma^l(U)|, v = |sigma^l(bV)|, ext =
-    v + |sigma^l(b)| for l = 0..depth, from one table of letter lengths
-    |sigma^l(a)|: it starts at 1, one pass over the rules takes it a
-    level up, and u and v are its sums over the letter counts of U and bV.
-    The family goes through _within_reach, so the first level whose
-    witness ends at 2^63 symbols or more raises ValueError.
+    v + |sigma^l(b)|, from one table of letter lengths |sigma^l(a)|: it
+    starts at 1, one pass over the rules takes it a level up, and u and
+    v are its sums over the letter counts of U and bV. The first witness
+    to end at 2^63 symbols or more raises ValueError when it is asked for.
     """
     counts = [Counter(word) for word in (seed.u, (seed.letter,) + seed.v)]
 
@@ -271,9 +270,7 @@ def _morphic_family(spec: morphic_mod.MorphicSpec,
             size = {a: sum(size[b] for b in img)
                     for a, img in spec.rules.items()}
 
-    witnesses = _within_reach(levels(), depth, "morphic witnesses")
-    return Certificate(kind="morphic-witness", machine_ref=machine_ref,
-                       witnesses=tuple(witnesses), seed_letter=seed.letter)
+    return _within_reach(levels(), depth, "morphic witnesses")
 
 
 def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
@@ -288,8 +285,10 @@ def certify_morphic(spec, depth: int = 8, scan_len: int = 4096,
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     seed = morphic_mod.repetition_seed(spec, scan_len)
-    cert = _morphic_family(spec, seed, depth,
-                           machine_ref or f"morphic:{spec.start}")
+    cert = Certificate(kind="morphic-witness",
+                       machine_ref=machine_ref or f"morphic:{spec.start}",
+                       witnesses=tuple(_morphic_family(spec, seed, depth)),
+                       seed_letter=seed.letter)
     internal = morphic_mod.fixed_point_prefix(spec, _extent(cert.witnesses))
     for level, _ in _failing(internal, cert.witnesses):
         raise AssertionError(
@@ -352,10 +351,12 @@ def _approximation_note(w: RepetitionWitness, base: int) -> str:
     )
 
 
-def _seed_family(spec: morphic_mod.MorphicSpec,
-                 cert: Certificate) -> Certificate | str:
-    """The family of the seed re-derived from the spec, or why the
-    declared seed is not that seed.
+def _seed_failure(spec: morphic_mod.MorphicSpec,
+                  cert: Certificate) -> str | None:
+    """Why a morphic certificate is not the family of the seed re-derived
+    from the spec, or None when it is: the seed is not re-derived, the
+    declared seed is not that seed, or the stored witnesses are not its
+    family.
 
     The seed is the first maximal-growth letter, in alphabet order, that
     occurs twice within the scan window, so a window of exactly p2
@@ -373,7 +374,10 @@ def _seed_family(spec: morphic_mod.MorphicSpec,
         return (f"declared seed {cert.seed_letter!r} at {p1}, {p2} is not "
                 f"the re-derived seed {seed.letter!r} at {seed.p1}, "
                 f"{seed.p2}")
-    return _morphic_family(spec, seed, cert.verified_depth, cert.machine_ref)
+    family = _morphic_family(spec, seed, cert.verified_depth)
+    if tuple(family) != tuple(cert.witnesses):
+        return "stored witnesses do not match the re-derived seed"
+    return None
 
 
 def verify_certificate(source: SequenceSource, cert: Certificate,
@@ -421,13 +425,8 @@ def verify_certificate(source: SequenceSource, cert: Certificate,
                          "these witnesses were checked at their own depth")
         if kind != cert.kind:
             notes.append("note: seed not checked: no morphic machine given")
-        else:
-            family = _seed_family(machine, cert)
-            if isinstance(family, str):
-                failures.append(family)
-            elif checked != family.witnesses:
-                failures.append(
-                    "stored witnesses do not match the re-derived seed")
+        elif failure := _seed_failure(machine, cert):
+            failures.append(failure)
     failures.extend(
         f"witness u={w.u} v={w.v} ext={w.ext}: prefix identity fails"
         for _, w in _failing(prefix, checked))

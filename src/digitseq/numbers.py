@@ -249,41 +249,41 @@ def imitation_index(target: SequenceSource, k: int, max_states: int,
 
 def parse_stream_spec(spec: str, base: int | None = None,
                       expansion: bool = False) -> SequenceSource:
-    """CLI stream specs: rational:p/q, surd:d, xi3, file:<path>.
+    """CLI stream specs, one grammar: xi3 bare, and rational:p/q, surd:d
+    and file:<path> with their colons; anything else is refused.
 
-    With expansion=True the rational and surd kinds stream the full
-    base-b digit string (integer part included) instead of the fractional
-    digits alone; the imitation game compares against that form. The
-    fractional digits come from the same generator either way, and each
-    source checks its own arguments.
+    Rational and surd streams need a base. With expansion=True they
+    stream the full base-b digit string (integer part included) instead
+    of the fractional digits alone; the imitation game compares against
+    that form. Each kind gives its fractional source, its number and its
+    integer part, so the fractional digits come from the same generator
+    either way, and each source checks its own arguments.
     """
-    kind, _, rest = spec.partition(":")
+    if spec == "xi3":
+        return xi3_source()
+    kind, colon, rest = spec.partition(":")
+    if colon and kind == "file":
+        return _file_source(rest)
+    if not colon or kind not in ("rational", "surd"):
+        raise ValueError(f"unknown stream spec {spec!r}")
+    if base is None:
+        raise ValueError(f"{kind} streams need --base")
     if kind == "rational":
         p_str, _, q_str = rest.partition("/")
-        if base is None:
-            raise ValueError("rational streams need --base")
         p, q = int(p_str), int(q_str)
-        if not expansion:
-            return rational_source(p, q, base)
         # checked before divmod, so q = 0 never divides
-        if q < 1 or p < 0:
+        if expansion and (q < 1 or p < 0):
             raise ValueError("need p >= 0, q >= 1")
-        whole, r = divmod(p, q)
-        return expansion_stream(f"rational:{p}/{q}", whole,
-                                rational_source(r, q, base))
-    if kind == "surd":
-        if base is None:
-            raise ValueError("surd streams need --base")
+        whole, r = divmod(p, q) if expansion else (0, p)
+        number, fraction = f"{p}/{q}", rational_source(r, q, base)
+    else:
         d = int(rest)
-        fraction = surd_source(d, base)
-        if not expansion:
-            return fraction
-        return expansion_stream(f"surd:{d}", math.isqrt(d), fraction)
-    if kind == "xi3":
-        return xi3_source()
-    if kind == "file":
-        return _file_source(rest)
-    raise ValueError(f"unknown stream spec {spec!r}")
+        # the source refuses d < 2 before the square root reads it
+        number, fraction = str(d), surd_source(d, base)
+        whole = math.isqrt(d)
+    if not expansion:
+        return fraction
+    return expansion_stream(f"{kind}:{number}", whole, fraction)
 
 
 def _file_source(path: str) -> SequenceSource:

@@ -25,6 +25,9 @@ from digitseq.words import (Alphabet, SequencePrefix, SequenceSource,
                             digit_alphabet)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# xi3 takes nothing after it, and every other stream kind needs its colon
+UNKNOWN_STREAMS = tuple((spec, f"unknown stream spec {spec!r}") for spec in
+                        ("xi3:junk", "xi3:", "rational", "surd", "file"))
 
 
 @pytest.fixture()
@@ -77,6 +80,7 @@ class TestDigits:
         ("rational:1/0", "denominator must be positive"),
         ("surd:4", "4 is a perfect square"),
         ("surd:-3", "surd radicand must be at least 2"),
+        *UNKNOWN_STREAMS,
     ])
     def test_bad_number_stream_exits_2(self, runner, spec, message):
         r = run_cli(runner, ["digits", "--stream", spec, "--base", "10"])
@@ -88,6 +92,7 @@ class TestDigits:
         ("rational:1/7", "rational streams need --base"),
         ("surd:2", "surd streams need --base"),
         ("file:empty.txt", "stream file 'empty.txt' is empty"),
+        *UNKNOWN_STREAMS,
     ])
     def test_stream_that_cannot_open_exits_2(self, runner, tmp_path,
                                              monkeypatch, spec, message):

@@ -54,7 +54,8 @@ POOLS = {
     "machine_path": ([f"{name}.json" for name in catalog.names()],
                      ["cert.json", "missing.json"]),
     "stream": (["xi3", "rational:1/7", "surd:2", "file:digits.txt"],
-               ["rational:1/0", "nosuch:1", "file:missing.txt"]),
+               ["rational:1/0", "nosuch:1", "file:missing.txt",
+                "xi3:junk"]),
     "base": (["2", "3", "10"], ["1", "-2", "x", "2^31"]),
     "count": (["0", "1", "64", "2^10", "2^16"], ["-5", "x", "2^64"]),
     "output": (["out.json"], ["nodir/out.json", "nodir/"]),

@@ -270,6 +270,26 @@ class TestStreamSpecs:
         with pytest.raises(ValueError, match="need p >= 0, q >= 1"):
             parse_stream_spec(spec, 10, expansion=True)
 
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    def test_spec_is_the_source_built_by_hand(self, base):
+        hand = {
+            ("rational:3/7", False): rational_source(3, 7, base),
+            ("rational:3/7", True): expansion_stream(
+                "rational:3/7", 0, rational_source(3, 7, base)),
+            ("rational:22/7", True): expansion_stream(
+                "rational:22/7", 3, rational_source(1, 7, base)),
+            ("surd:2", False): surd_source(2, base),
+            ("surd:2", True): expansion_stream("surd:2", 1,
+                                               surd_source(2, base)),
+            ("surd:10", False): surd_source(10, base),
+            ("surd:10", True): expansion_stream("surd:10", 3,
+                                                surd_source(10, base)),
+        }
+        for (spec, expansion), want in hand.items():
+            got = parse_stream_spec(spec, base, expansion=expansion)
+            assert got.source_id == want.source_id, spec
+            assert got.prefix(256).data == want.prefix(256).data, spec
+
     def test_file_spec(self, tmp_path):
         path = tmp_path / "digits.txt"
         path.write_text("0110\n", encoding="utf-8")

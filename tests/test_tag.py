@@ -47,6 +47,23 @@ class TestProfile:
             prof = dilation_profile(spec, 512)
             assert all(r == k for _, r in prof.samples)
 
+    def test_products_past_int64_are_compared_exactly(self):
+        # a -> a b^65534, b -> b^32768: the fixed point is a b b b ..., so
+        # W(n) = 65535 + 32768 (n - 1), and the last blocks' W * n passes
+        # 2^63, where the shortlist is compared as Python integers
+        spec = MorphicSpec(internal=("a", "b"),
+                           rules={"a": ("a",) + ("b",) * 65534,
+                                  "b": ("b",) * 32768},
+                           start="a", external=("a", "b"),
+                           coding={"a": "a", "b": "b"})
+        n_limit = 2 ** 24 + 2 ** 16
+        assert (32767 + 32768 * n_limit) * n_limit >= 2 ** 63
+        prof = dilation_profile(spec, n_limit)
+        assert prof.min_ratio == Fraction(32767 + 32768 * n_limit, n_limit)
+        assert prof.argmin == n_limit
+        assert all(r == Fraction(32767 + 32768 * n, n)
+                   for n, r in prof.samples)
+
 
 class TestExceedsOne:
     def test_catalog(self, xi1, squares, tm_morphic):
