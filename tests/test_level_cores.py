@@ -1,8 +1,10 @@
 """The level-by-level generation cores against the one-step loops.
 
-Each core fills a table indexed by n one base-k level at a time; the
-oracles in conftest step once per n. Counts sit on the level edges,
-where a block of the core starts or is cut short.
+The pushdown core fills a table indexed by n one base-k level at a time;
+the automaton fill reads two levels a gather, from the squared successor
+table, in blocks of bounded size. The oracles in conftest step once per
+n. Counts sit on the level and block edges, where a gather of the core
+starts or is cut short.
 """
 
 from __future__ import annotations
@@ -15,19 +17,31 @@ import pytest
 
 from conftest import (config_ids, config_table, dfao_prefix, dpao_prefix,
                       fill_ids, long_division, random_dfao, random_deep_dpao,
-                      random_dpao, with_dead_rows, xi3_prefix, xi3_value)
+                      random_dpao, state_table, with_dead_rows, xi3_prefix,
+                      xi3_value)
 from digitseq import catalog
 from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.numbers import rational_source, xi3_source
 from digitseq.pda import BOTTOM, Dpao, _Core
-from digitseq.words import _table_fill
+from digitseq.words import _FILL_BLOCK, _table_fill
 
 
 def edge_counts(k: int, top: int) -> list[int]:
     counts = {0, 1, k - 1, k, k + 1}
     for level in range(2, top + 1):
         counts |= {k ** level - 1, k ** level, k ** level + 1}
+    return sorted(counts)
+
+
+def gather_edges(k: int, width: int, top: int) -> list[int]:
+    """The counts around each n < top where `_table_fill` starts a gather
+    that reads `width` digits of n: n = k, and then each start is `width`
+    times the last or _FILL_BLOCK past it, whichever is less."""
+    counts, lo = set(), k
+    while lo < top:
+        counts |= {lo - 1, lo, lo + 1}
+        lo = min(lo * width, lo + _FILL_BLOCK)
     return sorted(counts)
 
 
@@ -60,6 +74,30 @@ def test_dfaos_at_the_state_type_and_base_edges(size, k, top):
     assert states.dtype == (np.uint8 if size <= 256 else np.uint16)
     for count in edge_counts(k, top):
         assert m.source("t").prefix(count).data == dfao_prefix(m, count)
+
+
+@pytest.mark.parametrize("k, size, width", [
+    (2, 256, 4), (2, 300, 4), (3, 256, 9), (3, 300, 9), (10, 256, 100),
+    (10, 300, 100), (2, 16_384, 4), (2, 16_385, 2), (10, 1000, 10),
+])
+def test_dfaos_at_the_gather_edges(k, size, width):
+    """Two levels a gather while the squared table has at most 2^16
+    entries (`width` = k^2), one level past that, in uint8 and uint16
+    states: the states and the symbols equal the loop's on every level
+    edge that starts a gather and on every block edge below 655,361."""
+    rng = random.Random(7200 + size + k)
+    m = random_dfao(rng, k, size, initial=-1)
+    top = 655_361
+    index = {q: i for i, q in enumerate(m.states)}
+    states = [index[q] for q in state_table(m, top)]
+    symbols = dfao_prefix(m, top)
+    table, initial = m.table()
+    source = m.source("t")
+    for count in edge_counts(k, 2) + gather_edges(k, width, top):
+        filled = _table_fill(table, initial, count)
+        assert filled.dtype == (np.uint8 if size <= 256 else np.uint16)
+        assert filled.tolist() == states[:count]
+        assert source.prefix(count).data == symbols[:count]
 
 
 @pytest.mark.parametrize("k, top", [(2, 9), (3, 6)])
@@ -238,6 +276,12 @@ def test_xi3_matches_value_by_value():
         assert xi3_source().prefix(count).data == xi3_prefix(count)
 
 
+def test_xi3_matches_at_the_largest_certified_prefix():
+    """The xi3 (10, 20) family verified to depth 16 reads 1,376,256
+    symbols, past four block edges of the parity fill."""
+    assert xi3_source().prefix(1_376_256).data == xi3_prefix(1_376_256)
+
+
 @pytest.mark.parametrize("p, q, b", [
     (1, 6, 10), (1, 12, 2), (5, 12, 10), (1, 7, 10), (3, 8, 2), (0, 5, 3),
     (22, 23, 7), (4, 6, 10), (9, 10, 10), (1, 97, 2), (123, 4000, 10),
@@ -267,24 +311,46 @@ def traced_peak(make) -> int:
 
 def test_three_squares_symbols_skip_the_index_copy(three_squares):
     """One-byte states map to symbols through bytes.translate: 2^20
-    symbols peak near 3.5 MiB, where a gather's intp copy of the index
+    symbols peak near 3 MiB, where a gather's intp copy of the index
     took 10."""
     source = three_squares.source("t")
     assert traced_peak(lambda: source.prefix(2 ** 20)) < 6 * 2 ** 20
 
 
 def test_three_squares_prefix_memory_stays_bounded(three_squares):
-    """2^20 symbols peak near 10 MiB: one byte of state per n, plus the
+    """2^20 symbols peak near 3 MiB: one byte of state per n, plus the
     index casts of the gathers; int32 states and parent arrays took 20."""
     source = three_squares.source("t")
     assert traced_peak(lambda: source.prefix(2 ** 20)) < 14 * 2 ** 20
 
 
 def test_xi3_prefix_memory_stays_bounded():
-    """2^20 values peak near 4 MiB; the parent and digit arrays of each
+    """2^20 values peak near 2 MiB; the parent and digit arrays of each
     level took 17."""
     source = xi3_source()
     assert traced_peak(lambda: source.prefix(2 ** 20)) < 6 * 2 ** 20
+
+
+def test_largest_certified_xi3_prefix_memory():
+    """1,376,256 values peak near 2.6 MiB: the states and the symbols'
+    bytes, and one block's index of at most 2^16 grandparents; one gather
+    a level, by a whole level's parents, peaked at 3.8."""
+    source = xi3_source()
+    assert traced_peak(lambda: source.prefix(1_376_256)) < 3 * 2 ** 20
+
+
+def test_a_huge_base_fills_without_the_squared_table():
+    """100 states in base 1024 would square to 10^8 entries, so they fill
+    one level a gather: 5,000 states peak near 0.1 MiB."""
+    rng = random.Random(7300)
+    m = random_dfao(rng, 1024, 100)
+    table, initial = m.table()
+    index = {q: i for i, q in enumerate(m.states)}
+    filled = []
+    peak = traced_peak(
+        lambda: filled.append(_table_fill(table, initial, 5000)))
+    assert peak < 2 * 2 ** 20
+    assert filled[0].tolist() == [index[q] for q in state_table(m, 5000)]
 
 
 def test_xi2_prefix_memory_stays_bounded(xi2):
