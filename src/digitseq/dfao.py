@@ -111,8 +111,8 @@ class Dfao:
         """The output sequence, n = 0, 1, 2, ...
 
         The machine compiles once to a states x k table of state indices,
-        and the table of states fills two base-k levels a gather, from the
-        squared table, in blocks of bounded size (see `words._table_fill`).
+        and the table of states fills one base-k level at a time, in
+        blocks of bounded size (see `words._table_fill`).
         """
         import numpy as np
 

@@ -162,7 +162,7 @@ def xi3_source() -> SequenceSource:
     """The xi3 word; position p holds the value for n = p.
 
     The parity of the number of ones is the two-state automaton that
-    flips on a 1, filled two levels a gather like any other; the value 2
+    flips on a 1, filled level by level like any other; the value 2
     sits only at the O(log count) indices (2^j - 1)(2^(2j) + 1), whose
     binary expansion is ones^j zeros^j ones^j.
     """

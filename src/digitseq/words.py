@@ -51,11 +51,13 @@ __all__ = [
 ]
 
 
-def _levels(k: int, count: int, lo: int = 1, most: int | None = None):
-    """Blocks [lo, hi) of n in [lo, count), each ending by lo * k and
-    holding at most `most` of them: from lo = 1, [1, k) and then
-    [k^l, k^(l+1)). Each is `cut` from the children n = p * k + d,
-    d = 0..k-1, of the `parents` slice of p, laid end to end."""
+def _levels(k: int, count: int, most: int | None = None):
+    """Blocks [lo, hi) of n in [1, count), each ending by lo * k, so that
+    every parent n // k comes before it, and holding at most `most`
+    (unbounded: [1, k), then [k^l, k^(l+1))). Each is `cut` from the
+    children n = p * k + d, d = 0..k-1, of the `parents` slice of p, laid
+    end to end."""
+    lo = 1
     while lo < count:
         hi, start = min(count, lo * k, lo + (most or count)), lo // k
         yield lo, hi, slice(start, -(-hi // k)), slice(lo % k, hi - start * k)
@@ -63,27 +65,19 @@ def _levels(k: int, count: int, lo: int = 1, most: int | None = None):
 
 
 # one gather of _table_fill fills at most _FILL_BLOCK states, so the intp
-# index it casts its parents to stays near 512 KiB in base 2
-_FILL_BLOCK = 1 << 18
+# index it casts its parents to stays within 512 KiB (2^16 parents in base 2)
+_FILL_BLOCK = 1 << 17
 
 
 def _table_fill(table, initial: int, count: int) -> np.ndarray:
-    """States after n in [0, count), in the smallest type that holds them.
-    The table is a state's successors by digit, an array or nested lists.
-    Past the one-digit inputs n < k, each block is one gather of the
-    squared table's rows, square[q, d1 * k + d2], by the grandparents
-    n // k^2, laid end to end. A block [lo, hi) holds at most _FILL_BLOCK
-    states and keeps hi <= lo * k^2, so no grandparent is read before it
-    is filled. Past 2^16 squared entries, the blocks gather the plain
-    table's rows by parents n // k instead."""
+    """States after n in [0, count), in the smallest type that holds them:
+    each block of at most _FILL_BLOCK states is the successor-table rows
+    of its parents, end to end. The table is a state's successors by
+    digit, an array or nested lists."""
     states = np.full(count, initial, np.min_scalar_type(len(table) - 1))
     table = np.asarray(table, states.dtype)
-    k = table.shape[1]
-    states[1:k] = table[initial, 1:count]
-    if count > k and table.size * k <= 1 << 16:
-        table = table[table].reshape(len(table), -1)
-    for lo, hi, below, cut in _levels(table.shape[1], count, k, _FILL_BLOCK):
-        states[lo:hi] = table.take(states[below], axis=0).ravel()[cut]
+    for lo, hi, parents, cut in _levels(table.shape[1], count, _FILL_BLOCK):
+        states[lo:hi] = table.take(states[parents], axis=0).ravel()[cut]
     return states
 
 

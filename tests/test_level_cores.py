@@ -1,10 +1,9 @@
 """The level-by-level generation cores against the one-step loops.
 
-The pushdown core fills a table indexed by n one base-k level at a time;
-the automaton fill reads two levels a gather, from the squared successor
-table, in blocks of bounded size. The oracles in conftest step once per
-n. Counts sit on the level and block edges, where a gather of the core
-starts or is cut short.
+Each core fills a table indexed by n one base-k level at a time, and
+the automaton fill cuts a level into blocks of bounded size; the oracles
+in conftest step once per n. Counts sit on the level and block edges,
+where a block of the core starts or is cut short.
 """
 
 from __future__ import annotations
@@ -34,14 +33,14 @@ def edge_counts(k: int, top: int) -> list[int]:
     return sorted(counts)
 
 
-def gather_edges(k: int, width: int, top: int) -> list[int]:
-    """The counts around each n < top where `_table_fill` starts a gather
-    that reads `width` digits of n: n = k, and then each start is `width`
-    times the last or _FILL_BLOCK past it, whichever is less."""
-    counts, lo = set(), k
+def block_edges(k: int, top: int) -> list[int]:
+    """The counts around each n < top where `_table_fill` starts a block:
+    n = 1, and then each start is k times the last or _FILL_BLOCK past
+    it, whichever is less."""
+    counts, lo = set(), 1
     while lo < top:
         counts |= {lo - 1, lo, lo + 1}
-        lo = min(lo * width, lo + _FILL_BLOCK)
+        lo = min(lo * k, lo + _FILL_BLOCK)
     return sorted(counts)
 
 
@@ -76,15 +75,13 @@ def test_dfaos_at_the_state_type_and_base_edges(size, k, top):
         assert m.source("t").prefix(count).data == dfao_prefix(m, count)
 
 
-@pytest.mark.parametrize("k, size, width", [
-    (2, 256, 4), (2, 300, 4), (3, 256, 9), (3, 300, 9), (10, 256, 100),
-    (10, 300, 100), (2, 16_384, 4), (2, 16_385, 2), (10, 1000, 10),
-])
-def test_dfaos_at_the_gather_edges(k, size, width):
-    """Two levels a gather while the squared table has at most 2^16
-    entries (`width` = k^2), one level past that, in uint8 and uint16
-    states: the states and the symbols equal the loop's on every level
-    edge that starts a gather and on every block edge below 655,361."""
+@pytest.mark.parametrize("size", [256, 300])
+@pytest.mark.parametrize("k, levels", [(2, 19), (3, 12), (10, 5)])
+def test_dfaos_at_the_block_edges(k, levels, size):
+    """In uint8 and uint16 states, the states and the symbols equal the
+    loop's on every level and block edge below 655,361: at k = 2 the
+    blocks of 2^17 states cut the levels 2^18 and 2^19, and at k = 3 the
+    block from 439,291 straddles the level edge 3^12."""
     rng = random.Random(7200 + size + k)
     m = random_dfao(rng, k, size, initial=-1)
     top = 655_361
@@ -93,7 +90,7 @@ def test_dfaos_at_the_gather_edges(k, size, width):
     symbols = dfao_prefix(m, top)
     table, initial = m.table()
     source = m.source("t")
-    for count in edge_counts(k, 2) + gather_edges(k, width, top):
+    for count in sorted(set(edge_counts(k, levels) + block_edges(k, top))):
         filled = _table_fill(table, initial, count)
         assert filled.dtype == (np.uint8 if size <= 256 else np.uint16)
         assert filled.tolist() == states[:count]
@@ -333,15 +330,15 @@ def test_xi3_prefix_memory_stays_bounded():
 
 def test_largest_certified_xi3_prefix_memory():
     """1,376,256 values peak near 2.6 MiB: the states and the symbols'
-    bytes, and one block's index of at most 2^16 grandparents; one gather
-    a level, by a whole level's parents, peaked at 3.8."""
+    bytes, and one block's index of at most 2^16 parents; one gather a
+    level, by a whole level's parents, peaked at 3.8."""
     source = xi3_source()
     assert traced_peak(lambda: source.prefix(1_376_256)) < 3 * 2 ** 20
 
 
-def test_a_huge_base_fills_without_the_squared_table():
-    """100 states in base 1024 would square to 10^8 entries, so they fill
-    one level a gather: 5,000 states peak near 0.1 MiB."""
+def test_a_huge_base_fills_in_the_table_s_memory():
+    """100 states in base 1024 fill 5,000 states near 0.1 MiB: the
+    table, the states and one block's rows, nothing of size S * k^2."""
     rng = random.Random(7300)
     m = random_dfao(rng, 1024, 100)
     table, initial = m.table()
