@@ -5,13 +5,16 @@ the output symbol of the state it lands in. Output indexing starts at
 n = 0: the empty input (the expansion of 0) yields the initial state's
 output, and sequence position p (1-based) corresponds to n = p - 1.
 
-Sources generate level by level: the expansion of n is the expansion of
-n // k followed by n % k, so the states of a whole block [k^l, k^(l+1))
-are the successor-table rows of the block below, gathered in order and
-laid end to end. That is the one way a machine runs here: `certify`
-reads its pigeonhole pair off the same table, and `equiv` recasts the
-machine as a stack-free pushdown transducer (`dpao.from_dfao`). The
-model loads no numpy; a source loads it, and the fill, when it is made.
+Sources generate from one successor table. The expansion of n is the
+expansion of n // k followed by n % k, so the states of a whole block
+[k^l, k^(l+1)) are the table rows of the block below, gathered in order
+and laid end to end. The expansion of n is also that of n // k^m
+followed by m digits, so past a crossover a prefix is the output blocks
+of the m-th power of the table, one row for each n // k^m, whose states
+fill level by level. `certify` reads its pigeonhole pair off the same
+table, level by level, and `equiv` recasts the machine as a stack-free
+pushdown transducer (`dpao.from_dfao`). The model loads no numpy; a
+source loads it, and the fill, when it is made.
 """
 
 from __future__ import annotations
@@ -110,17 +113,19 @@ class Dfao:
     def source(self, source_id: str) -> SequenceSource:
         """The output sequence, n = 0, 1, 2, ...
 
-        The machine compiles once to a states x k table of state indices,
-        and the table of states fills one base-k level at a time, in
-        blocks of bounded size (see `words._table_fill`).
+        The machine compiles once to a states x k table of state indices.
+        A prefix is one row gather of the output blocks of a power of that
+        table, by the states of its block roots, which fill one base-k
+        level at a time; short prefixes fill every state that way (see
+        `words._power_fill`).
         """
         import numpy as np
 
-        from .words import _symbols, _table_fill
+        from .words import _power_fill
         alphabet = self.output_alphabet()
         table, initial = self.table()
         delta = np.array(table)
         out = np.array([alphabet.index(self.output[q]) for q in self.states],
                        dtype=np.uint8)
-        return SequenceSource(source_id, alphabet, lambda n: _symbols(
-            out, _table_fill(delta, initial, n)))
+        return SequenceSource(source_id, alphabet, lambda n: _power_fill(
+            delta, out, initial, n))

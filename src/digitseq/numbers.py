@@ -4,10 +4,11 @@ Everything here runs on arbitrary-precision integers; floating point is
 banned in this module so that fixtures and certificates stay exact.
 Each number stream is one source, whose generator is reached only
 through it: rational digits come from one period of long division,
-tiled; surd digits from one integer square root, split by divide and
-conquer; the xi3 word from a level-by-level parity table. A number's
-full expansion, as the imitation game reads it, is its fractional
-source's generator with the integer part's digits put in front.
+tiled; surd digits from one integer square root, read off its bytes in
+a power-of-two base and split by divide and conquer in any other; the
+xi3 word from the power table of a parity automaton. A number's full
+expansion, as the imitation game reads it, is its fractional source's
+generator with the integer part's digits put in front.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dfao import Dfao
 from .errors import EnumerationCapError
-from .words import (Alphabet, SequenceSource, _table_fill, digit_alphabet,
+from .words import (Alphabet, SequenceSource, _power_fill, digit_alphabet,
                     encode_base_k)
 
 __all__ = [
@@ -77,12 +78,23 @@ def rational_source(p: int, q: int, b: int) -> SequenceSource:
 def _fixed_digits(x: int, b: int, count: int) -> bytes:
     """The `count` base-b digits of 0 <= x < b^count, leading zeros kept.
 
-    Divide and conquer: divmod by b^(L*h) splits a run of chunks of L
-    digits into its low h chunks and the rest, down to single chunks
-    below 2^63, whose digits are then peeled off all at once in int64
-    arrays, L vectorised divmods by b. Exact integers throughout, and no
-    str(int), which refuses values of more than 4300 decimal digits.
+    In a base b = 2^j they are the bits of x.to_bytes, j at a time, with
+    no division. In any other base, divide and conquer: divmod by
+    b^(L*h) splits a run of chunks of L digits into its low h chunks and
+    the rest, down to single chunks below 2^63, whose digits are then
+    peeled off all at once in int64 arrays, L vectorised divmods by b.
+    Exact integers throughout, and no str(int), which refuses values of
+    more than 4300 decimal digits.
     """
+    j = b.bit_length() - 1
+    if b == 1 << j:
+        size = -(-j * count // 8)
+        bits = np.unpackbits(np.frombuffer(x.to_bytes(size, "big"), np.uint8))
+        digits = np.zeros(count, dtype=np.uint8)
+        for column in bits[8 * size - j * count:].reshape(count, j).T:
+            digits <<= 1
+            digits |= column
+        return digits.tobytes()
     width = 1
     while b ** (width + 1) < 2 ** 63:
         width += 1
@@ -162,18 +174,20 @@ def xi3_source() -> SequenceSource:
     """The xi3 word; position p holds the value for n = p.
 
     The parity of the number of ones is the two-state automaton that
-    flips on a 1, filled level by level like any other; the value 2
-    sits only at the O(log count) indices (2^j - 1)(2^(2j) + 1), whose
-    binary expansion is ones^j zeros^j ones^j.
+    flips on a 1, filled like any other, from a power of its table past
+    the crossover of `words._power_fill`; the value 2 sits only at the
+    O(log count) indices (2^j - 1)(2^(2j) + 1), whose binary expansion
+    is ones^j zeros^j ones^j, and is set in the one copy that drops n = 0.
     """
+    flip, out = np.array([[0, 1], [1, 0]]), np.arange(2, dtype=np.uint8)
 
     def values(count: int) -> bytes:
-        parity = _table_fill(np.array([[0, 1], [1, 0]]), 0, count + 1)
-        j = 1
+        parity = memoryview(_power_fill(flip, out, 0, count + 1))
+        pieces, last, j = [], 1, 1
         while (n := (2 ** j - 1) * (2 ** (2 * j) + 1)) <= count:
-            parity[n] = 2
-            j += 1
-        return parity[1:].tobytes()
+            pieces += [parity[last:n], b"\2"]
+            last, j = n + 1, j + 1
+        return b"".join(pieces + [parity[last:]])
 
     return SequenceSource("xi3", Alphabet(("0", "1", "2")), values)
 

@@ -3,7 +3,9 @@ dilation profile against the loops they replaced.
 
 The morphic counts sit on the level edges |sigma^j(start)| and one off
 them, where a doubling round ends or is cut short; the surd counts sit
-on the edges of the 64-bit digit chunks and on powers of two.
+on the edges of the 64-bit digit chunks and on powers of two, and in a
+power-of-two base, whose digits are bits of the root's bytes, on the
+byte edges.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from conftest import (dilation_loop, fixed_point_loop, random_morphic,
                       surd_digit_loop)
 from digitseq import catalog, tag
 from digitseq.morphic import MorphicSpec, fixed_point_prefix
-from digitseq.numbers import parse_stream_spec, surd_source
+from digitseq.numbers import _fixed_digits, parse_stream_spec, surd_source
 from digitseq.tag import dilation_profile
 from digitseq.words import encode_base_k
 
@@ -260,6 +262,26 @@ def test_long_surd_expansions_match_the_divmod_loop(d, b, count):
     head = bytes(encode_base_k(whole, b))
     stream = parse_stream_spec(f"surd:{d}", b, expansion=True)
     assert stream.prefix(len(head) + count).data == head + digits
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_power_of_two_bases_read_the_bytes(j):
+    """In base 2^j the digits are the bits of the root's bytes, j at a
+    time: they equal the one-divmod-a-digit loop on the surds, counts on
+    every byte edge included, and spell x back on random and extreme x."""
+    b = 2 ** j
+    counts = set(range(0, 70)) | {511, 512, 513, 4095, 4096, 4097}
+    for d in (2, 3, 11):
+        want = surd_digit_loop(d, b, max(counts))[1]
+        for count in sorted(counts):
+            assert surd_source(d, b).prefix(count).data == want[:count]
+    rng = random.Random(9000 + j)
+    for count in (1, 2, 7, 8, 9, 333, 1000):
+        for x in (0, 1, b ** count - 1, rng.randrange(b ** count)):
+            digits = _fixed_digits(x, b, count)
+            assert len(digits) == count and max(digits) < b
+            assert sum(v * b ** i for i, v in enumerate(reversed(digits))) == x
+    assert _fixed_digits(0, b, 0) == b""
 
 
 def test_dilation_profile_matches_the_fraction_loop():

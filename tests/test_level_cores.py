@@ -3,7 +3,11 @@
 Each core fills a table indexed by n one base-k level at a time, and
 the automaton fill cuts a level into blocks of bounded size; the oracles
 in conftest step once per n. Counts sit on the level and block edges,
-where a block of the core starts or is cut short.
+where a block of the core starts or is cut short. Past its crossover an
+automaton's prefix is one row gather of the output blocks of a power of
+its table, k^m symbols a row: counts also sit on those row edges, on the
+crossover, and on the table's size bound, for machines whose digit 0
+moves the initial state, whose first row is then not a row of the table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.numbers import rational_source, xi3_source
 from digitseq.pda import BOTTOM, Dpao, _Core
-from digitseq.words import _FILL_BLOCK, _table_fill
+from digitseq.words import (_FILL_BLOCK, _POWER_CELLS, _POWER_FROM,
+                            _power_depth, _table_fill)
 
 
 def edge_counts(k: int, top: int) -> list[int]:
@@ -95,6 +100,86 @@ def test_dfaos_at_the_block_edges(k, levels, size):
         assert filled.dtype == (np.uint8 if size <= 256 else np.uint16)
         assert filled.tolist() == states[:count]
         assert source.prefix(count).data == symbols[:count]
+
+
+def power_edges(size: int, k: int, anchors) -> list[int]:
+    """Counts around the crossover, and around the row edges j * k^m of
+    the power table taken at each anchor count: the first rows, the last
+    whole one and the one the anchor cuts."""
+    counts = {_POWER_FROM - 1, _POWER_FROM, _POWER_FROM + 1}
+    for anchor in anchors:
+        width = k ** _power_depth(size, k, anchor)
+        for j in (1, 2, anchor // width - 1, anchor // width):
+            counts |= {j * width - 1, j * width, j * width + 1}
+    return sorted(counts)
+
+
+def moving_zero(rng: random.Random, k: int, size: int) -> Dfao:
+    """A random machine whose digit 0 leads the initial state elsewhere,
+    so n = 0 and the leading zeros of a row's digits part ways."""
+    m = random_dfao(rng, k, size, initial=-1)
+    delta = dict(m.delta)
+    delta[m.initial] = (m.states[0],) + delta[m.initial][1:]
+    return Dfao(k=k, states=m.states, initial=m.initial, delta=delta,
+                output=m.output)
+
+
+@pytest.mark.parametrize("size", [3, 40, 300])
+@pytest.mark.parametrize("k", [2, 3, 10, 16])
+def test_power_rows_match_the_state_loop(k, size):
+    """Up to 300,001 symbols, in uint8 and uint16 states, on the row edges
+    of every power the fill takes from the crossover on."""
+    rng = random.Random(7400 + 17 * k + size)
+    m = moving_zero(rng, k, size)
+    anchors = (_POWER_FROM, 3 * _POWER_FROM, 2 ** 16 + 1, 300_001)
+    assert max(_power_depth(size, k, a) for a in anchors) > 0
+    counts = power_edges(size, k, anchors)
+    symbols = dfao_prefix(m, max(counts))
+    source = m.source("t")
+    for count in counts:
+        assert source.prefix(count).data == symbols[:count], count
+
+
+@pytest.mark.parametrize("size, k, m, top", [(256, 2, 8, 2 ** 20),
+                                             (512, 2, 7, 2 ** 19)])
+def test_power_tables_at_their_size_bound(size, k, m, top):
+    """A table of size * k^m = 2^16 entries, the most the fill takes, in
+    uint8 and in uint16 states, from the first count that takes it."""
+    assert size * k ** m == _POWER_CELLS
+    assert _power_depth(size, k, top - 1) == m - 1
+    assert _power_depth(size, k, top) == _power_depth(size, k, 4 * top) == m
+    rng = random.Random(7500 + size)
+    machine = moving_zero(rng, k, size)
+    counts = {top - 1, top, top + 1, top - k ** m + 1, k ** m + 1}
+    symbols = dfao_prefix(machine, max(counts))
+    for count in sorted(counts):
+        assert machine.source("t").prefix(count).data == symbols[:count]
+
+
+def test_a_moving_zero_in_base_three_past_a_row_edge():
+    """0 leads a to b: the first row of the power table of a is not the
+    prefix, and 3^12 + 1 symbols end one past the 729th row edge."""
+    m = Dfao(k=3, states=("a", "b", "c"), initial="a",
+             delta={"a": ("b", "c", "a"), "b": ("c", "a", "b"),
+                    "c": ("a", "c", "b")},
+             output={"a": "0", "b": "1", "c": "2"})
+    count = 3 ** 12 + 1
+    assert count % 3 ** _power_depth(3, 3, count) == 1
+    assert m.source("t").prefix(count).data == dfao_prefix(m, count)
+
+
+def test_xi3_twos_in_the_first_row_and_past_it():
+    """The value 2 at n = 5, 51, 455 lies in the parity's first row, of
+    2^11 symbols at 2^20, and at 3855, 31775 and 258111 past it; each is
+    the last symbol of a prefix, and the one before or after it."""
+    count = 2 ** 20
+    assert 2 ** _power_depth(2, 2, count + 1) == 2 ** 11
+    want = xi3_prefix(count)
+    for n in (5, 51, 455, 3855, 31775, 258111):
+        assert want[n - 1] == 2
+        for c in (n - 1, n, n + 1, n + _POWER_FROM):
+            assert xi3_source().prefix(c).data == want[:c]
+    assert xi3_source().prefix(count).data == want
 
 
 @pytest.mark.parametrize("k, top", [(2, 9), (3, 6)])
@@ -307,16 +392,17 @@ def traced_peak(make) -> int:
 
 
 def test_three_squares_symbols_skip_the_index_copy(three_squares):
-    """One-byte states map to symbols through bytes.translate: 2^20
-    symbols peak near 3 MiB, where a gather's intp copy of the index
+    """2^20 symbols are one row gather of the power table's output
+    blocks, and peak near 2 MiB; through bytes.translate of one-byte
+    states they peaked near 3, and a gather's intp copy of the index
     took 10."""
     source = three_squares.source("t")
     assert traced_peak(lambda: source.prefix(2 ** 20)) < 6 * 2 ** 20
 
 
 def test_three_squares_prefix_memory_stays_bounded(three_squares):
-    """2^20 symbols peak near 3 MiB: one byte of state per n, plus the
-    index casts of the gathers; int32 states and parent arrays took 20."""
+    """2^20 symbols peak near 2 MiB: the symbols and their bytes; one
+    byte of state per n took 3, and int32 states and parent arrays 20."""
     source = three_squares.source("t")
     assert traced_peak(lambda: source.prefix(2 ** 20)) < 14 * 2 ** 20
 
@@ -329,9 +415,9 @@ def test_xi3_prefix_memory_stays_bounded():
 
 
 def test_largest_certified_xi3_prefix_memory():
-    """1,376,256 values peak near 2.6 MiB: the states and the symbols'
-    bytes, and one block's index of at most 2^16 parents; one gather a
-    level, by a whole level's parents, peaked at 3.8."""
+    """1,376,256 values peak near 2.7 MiB: the parity's bytes and the
+    copy that sets the 2s; one gather a level, by a whole level's
+    parents, peaked at 3.8."""
     source = xi3_source()
     assert traced_peak(lambda: source.prefix(1_376_256)) < 3 * 2 ** 20
 
