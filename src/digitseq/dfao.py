@@ -9,9 +9,9 @@ Sources generate from one successor table. The expansion of n is the
 expansion of n // k followed by n % k, so the states of a whole block
 [k^l, k^(l+1)) are the table rows of the block below, gathered in order
 and laid end to end. The expansion of n is also that of n // k^m
-followed by m digits, so past a crossover a prefix is the output blocks
-of the m-th power of the table, one row for each n // k^m, whose states
-fill level by level. `certify` reads its pigeonhole pair off the same
+followed by m digits, so a prefix is the output blocks of the m-th
+power of the table, m >= 1, one row for each n // k^m, whose states fill
+level by level. `certify` reads its pigeonhole pair off the same
 table, level by level, and `equiv` recasts the machine as a stack-free
 pushdown transducer (`dpao.from_dfao`). The model loads no numpy; a
 source loads it, and the fill, when it is made.
@@ -116,8 +116,7 @@ class Dfao:
         The machine compiles once to a states x k table of state indices.
         A prefix is one row gather of the output blocks of a power of that
         table, by the states of its block roots, which fill one base-k
-        level at a time; short prefixes fill every state that way (see
-        `words._power_fill`).
+        level at a time (see `words._power_fill`).
         """
         import numpy as np
 

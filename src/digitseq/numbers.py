@@ -174,10 +174,10 @@ def xi3_source() -> SequenceSource:
     """The xi3 word; position p holds the value for n = p.
 
     The parity of the number of ones is the two-state automaton that
-    flips on a 1, filled like any other, from a power of its table past
-    the crossover of `words._power_fill`; the value 2 sits only at the
-    O(log count) indices (2^j - 1)(2^(2j) + 1), whose binary expansion
-    is ones^j zeros^j ones^j, and is set in the one copy that drops n = 0.
+    flips on a 1, filled like any other, from a power of its table by
+    `words._power_fill`; the value 2 sits only at the O(log count)
+    indices (2^j - 1)(2^(2j) + 1), whose binary expansion is ones^j
+    zeros^j ones^j, and is set in the one copy that drops n = 0.
     """
     flip, out = np.array([[0, 1], [1, 0]]), np.arange(2, dtype=np.uint8)
 

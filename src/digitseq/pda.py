@@ -49,7 +49,7 @@ import numpy as np
 from .dpao import BOTTOM, Dpao, from_dfao
 from .errors import ValidationError
 from .validation import ValidationReport
-from .words import SequenceSource, _levels, _symbols, encode_base_k
+from .words import SequenceSource, _levels, encode_base_k
 
 __all__ = [
     "BOTTOM",
@@ -65,14 +65,21 @@ __all__ = [
 def _source(m: Dpao, source_id: str, core: _Core | None = None
             ) -> SequenceSource:
     """m's output sequence on `core`, or on a step core compiled on the
-    first read when none is given."""
+    first read when none is given. One-byte ids map to their outputs
+    through `bytes.translate`, without the intp copy of an index that
+    numpy's gathers make; a core kept from a longer fill may hold more
+    than 256 ids, of which they read the first."""
 
     def gen(n: int) -> bytes:
         nonlocal core
         core = _Core(m) if core is None else core
         for _, ids in core.fill(n):
             pass
-        return _symbols(core.out[core.row[:core.configs]], ids)
+        out = core.out[core.row[:core.configs]]
+        if ids.dtype == np.uint8:
+            lut = out[:256].tobytes().ljust(256, b"\0")
+            return ids.tobytes().translate(lut)
+        return out.take(ids).tobytes()
 
     return SequenceSource(source_id, m.output_alphabet(), gen)
 

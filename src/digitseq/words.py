@@ -51,57 +51,45 @@ __all__ = [
 ]
 
 
-def _levels(k: int, count: int, most: int | None = None):
-    """Blocks [lo, hi) of n in [1, count), each ending by lo * k, so that
-    every parent n // k comes before it, and holding at most `most`
-    (unbounded: [1, k), then [k^l, k^(l+1))). Each is `cut` from the
-    children n = p * k + d, d = 0..k-1, of the `parents` slice of p, laid
-    end to end."""
+def _levels(k: int, count: int):
+    """Blocks [lo, hi) of n in [1, count): [1, k), then [k^l, k^(l+1)),
+    the last cut at count, so that every parent n // k comes before its
+    block. Each is `cut` from the children n = p * k + d, d = 0..k-1, of
+    the `parents` slice of p, laid end to end."""
     lo = 1
     while lo < count:
-        hi, start = min(count, lo * k, lo + (most or count)), lo // k
+        hi, start = min(count, lo * k), lo // k
         yield lo, hi, slice(start, -(-hi // k)), slice(lo % k, hi - start * k)
         lo = hi
 
 
-# one gather of _table_fill fills at most _FILL_BLOCK states, so the intp
-# index it casts its parents to stays within 512 KiB (2^16 parents in base 2)
-_FILL_BLOCK = 1 << 17
-
-
 def _table_fill(table, initial: int, count: int) -> np.ndarray:
     """States after n in [0, count), in the smallest type that holds them:
-    each block of at most _FILL_BLOCK states is the successor-table rows
-    of its parents, end to end. The table is a state's successors by
-    digit, an array or nested lists. It serves the prefixes of
-    `_power_fill` below its crossover, and the block roots above it."""
+    each level is the successor-table rows of its parents, end to end.
+    The table is a state's successors by digit, an array or nested lists.
+    It fills the block roots of `_power_fill`, at most count / k states,
+    and the |Q| + 2 states of `certify._state_pair`."""
     states = np.full(count, initial, np.min_scalar_type(len(table) - 1))
     table = np.asarray(table, states.dtype)
-    for lo, hi, parents, cut in _levels(table.shape[1], count, _FILL_BLOCK):
+    for lo, hi, parents, cut in _levels(table.shape[1], count):
         states[lo:hi] = table.take(states[parents], axis=0).ravel()[cut]
     return states
 
 
-# prefixes shorter than this fill every state (see _power_depth)
-_POWER_FROM = 1 << 13
 # entries of a power table: its 8-byte states stay within 512 KiB
 _POWER_CELLS = 1 << 16
 
 
 def _power_depth(size: int, k: int, count: int) -> int:
     """The m of the power table `_power_fill` takes for `count` symbols of
-    a machine of `size` states in base k: the largest with size * k^m <=
+    a machine of `size` states in base k: at least 1, since the table is
+    its own first power, and then the largest with size * k^m <=
     _POWER_CELLS and size * k^(2m) <= 16 * count, where the table costs
-    about what the fill of the roots does, and 0 below _POWER_FROM.
-
-    That crossover is measured, in process on a 2-vCPU Xeon VM (medians
-    of 301 interleaved runs): at 4,096 symbols, machines of 30 states in
-    base 10, 10 in base 16 and 300 in base 3 filled 4-9% slower through
-    the table than through `_table_fill` alone, and at 8,192 every one of
-    eight machines of 2-300 states in bases 2, 3, 10 and 16 filled
-    faster. Above it, this m was the best or within 16% of the best."""
-    m = 0
-    while (count >= _POWER_FROM and size * k ** (m + 1) <= _POWER_CELLS
+    about what the fill of the roots does. In process on a 2-vCPU Xeon
+    VM, this m was the best or within 16% of the best on eight machines
+    of 2-300 states in bases 2, 3, 10 and 16, from 2^11 to 2^21 symbols."""
+    m = 1
+    while (size * k ** (m + 1) <= _POWER_CELLS
            and size * k ** (2 * m + 2) <= 16 * count):
         m += 1
     return m
@@ -118,41 +106,24 @@ def _power_fill(table, out: np.ndarray, initial: int, count: int) -> bytes:
     outputs of the first k^m states of that fill, since digit 0 may move
     the initial state. st is built by doubling m, composing the table
     with itself (st.take(st)), and adding one digit (table.take(st))
-    where m has a one bit. Below the crossover of `_power_depth`, 8,192
-    symbols, m = 0 and the prefix is `_symbols` of `_table_fill`; 2^20
-    symbols of Thue-Morse, at m = 11, took 0.22 ms against 1.5 ms.
+    where m has a one bit; at m = 1 it is the table. 2^20 symbols of
+    Thue-Morse, at m = 11, took 0.22 ms against 1.5 ms filling every
+    state.
     """
     table = np.asarray(table)
     size, k = table.shape
     m = _power_depth(size, k, count)
     width = k ** m
     roots = -(-count // width)
-    states = _table_fill(table, initial, max(roots, width) if m else count)
-    if not m:
-        return _symbols(out, states)
+    states = _table_fill(table, initial, max(roots, width))
     power = table
     for bit in bin(m)[3:]:
         power = power.take(power, axis=0).reshape(size, -1)
         if bit == "1":
             power = table.take(power, axis=0).reshape(size, -1)
     blocks = out.take(power).take(states[:roots], axis=0)
-    blocks[0] = out.take(states[:width])
+    blocks[:1] = out.take(states[:width])
     return blocks.ravel()[:count].tobytes()
-
-
-_IDENTITY = bytes(range(256))
-
-
-def _symbols(out: np.ndarray, index: np.ndarray) -> bytes:
-    """The uint8 outputs out[index] as bytes. A one-byte index maps
-    through `bytes.translate`, without the intp copy of an index that
-    numpy's gathers make, and is its own output where out[i] = i."""
-    if index.dtype == np.uint8:
-        lut = out[:256].tobytes()
-        if lut == _IDENTITY[:len(lut)]:
-            return index.tobytes()
-        return index.tobytes().translate(lut.ljust(256, b"\0"))
-    return out.take(index).tobytes()
 
 
 def verify_repetition(prefix: SequencePrefix, witness: RepetitionWitness) -> bool:

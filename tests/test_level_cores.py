@@ -1,13 +1,14 @@
 """The level-by-level generation cores against the one-step loops.
 
-Each core fills a table indexed by n one base-k level at a time, and
-the automaton fill cuts a level into blocks of bounded size; the oracles
-in conftest step once per n. Counts sit on the level and block edges,
-where a block of the core starts or is cut short. Past its crossover an
-automaton's prefix is one row gather of the output blocks of a power of
-its table, k^m symbols a row: counts also sit on those row edges, on the
-crossover, and on the table's size bound, for machines whose digit 0
-moves the initial state, whose first row is then not a row of the table.
+Each core fills a table indexed by n one base-k level at a time; the
+oracles in conftest step once per n. Counts sit on the level edges,
+where a level of the core starts or is cut short, and at steps of 2^17
+inside the long levels. An automaton's prefix, of any length, is one
+row gather of the output blocks of a power of its table, k^m symbols a
+row, m >= 1: counts also sit on those row edges from 16 symbols on, and
+on the table's size bound, for machines whose digit 0 moves the initial
+state, whose first row is then not a row of the table, and for a table
+past that bound, which is its own power.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from digitseq.dfao import Dfao
 from digitseq.errors import ValidationError
 from digitseq.numbers import rational_source, xi3_source
 from digitseq.pda import BOTTOM, Dpao, _Core
-from digitseq.words import (_FILL_BLOCK, _POWER_CELLS, _POWER_FROM,
-                            _power_depth, _table_fill)
+from digitseq.words import _POWER_CELLS, _power_depth, _table_fill
 
 
 def edge_counts(k: int, top: int) -> list[int]:
@@ -38,14 +38,14 @@ def edge_counts(k: int, top: int) -> list[int]:
     return sorted(counts)
 
 
-def block_edges(k: int, top: int) -> list[int]:
-    """The counts around each n < top where `_table_fill` starts a block:
-    n = 1, and then each start is k times the last or _FILL_BLOCK past
-    it, whichever is less."""
+def block_edges(k: int, top: int, step: int) -> list[int]:
+    """The counts around n = 1 and each later start below top, which is
+    k times the last or `step` past it, whichever is less: the level
+    edges, and cuts at every `step` inside a level."""
     counts, lo = set(), 1
     while lo < top:
         counts |= {lo - 1, lo, lo + 1}
-        lo = min(lo * k, lo + _FILL_BLOCK)
+        lo = min(lo * k, lo + step)
     return sorted(counts)
 
 
@@ -84,9 +84,9 @@ def test_dfaos_at_the_state_type_and_base_edges(size, k, top):
 @pytest.mark.parametrize("k, levels", [(2, 19), (3, 12), (10, 5)])
 def test_dfaos_at_the_block_edges(k, levels, size):
     """In uint8 and uint16 states, the states and the symbols equal the
-    loop's on every level and block edge below 655,361: at k = 2 the
-    blocks of 2^17 states cut the levels 2^18 and 2^19, and at k = 3 the
-    block from 439,291 straddles the level edge 3^12."""
+    loop's on every level edge below 655,361 and at every 2^17 inside a
+    level: at k = 2 inside the levels 2^18 and 2^19, and at k = 3 at
+    439,291 and 570,363, on either side of the level edge 3^12."""
     rng = random.Random(7200 + size + k)
     m = random_dfao(rng, k, size, initial=-1)
     top = 655_361
@@ -95,7 +95,8 @@ def test_dfaos_at_the_block_edges(k, levels, size):
     symbols = dfao_prefix(m, top)
     table, initial = m.table()
     source = m.source("t")
-    for count in sorted(set(edge_counts(k, levels) + block_edges(k, top))):
+    edges = block_edges(k, top, 2 ** 17)
+    for count in sorted(set(edge_counts(k, levels) + edges)):
         filled = _table_fill(table, initial, count)
         assert filled.dtype == (np.uint8 if size <= 256 else np.uint16)
         assert filled.tolist() == states[:count]
@@ -103,15 +104,15 @@ def test_dfaos_at_the_block_edges(k, levels, size):
 
 
 def power_edges(size: int, k: int, anchors) -> list[int]:
-    """Counts around the crossover, and around the row edges j * k^m of
-    the power table taken at each anchor count: the first rows, the last
+    """Counts 8,191 to 8,193, and around the row edges j * k^m of the
+    power table taken at each anchor count: the first rows, the last
     whole one and the one the anchor cuts."""
-    counts = {_POWER_FROM - 1, _POWER_FROM, _POWER_FROM + 1}
+    counts = {8191, 8192, 8193}
     for anchor in anchors:
         width = k ** _power_depth(size, k, anchor)
         for j in (1, 2, anchor // width - 1, anchor // width):
             counts |= {j * width - 1, j * width, j * width + 1}
-    return sorted(counts)
+    return sorted(c for c in counts if c >= 0)
 
 
 def moving_zero(rng: random.Random, k: int, size: int) -> Dfao:
@@ -128,15 +129,38 @@ def moving_zero(rng: random.Random, k: int, size: int) -> Dfao:
 @pytest.mark.parametrize("k", [2, 3, 10, 16])
 def test_power_rows_match_the_state_loop(k, size):
     """Up to 300,001 symbols, in uint8 and uint16 states, on the row edges
-    of every power the fill takes from the crossover on."""
+    of the power the fill takes at each anchor, from 16 symbols on."""
     rng = random.Random(7400 + 17 * k + size)
     m = moving_zero(rng, k, size)
-    anchors = (_POWER_FROM, 3 * _POWER_FROM, 2 ** 16 + 1, 300_001)
-    assert max(_power_depth(size, k, a) for a in anchors) > 0
+    anchors = (16, 100, 1024, 4096, 8192, 24_576, 2 ** 16 + 1, 300_001)
     counts = power_edges(size, k, anchors)
     symbols = dfao_prefix(m, max(counts))
     source = m.source("t")
     for count in counts:
+        assert source.prefix(count).data == symbols[:count], count
+
+
+def test_every_count_takes_a_power_of_the_table():
+    """The table is its own first power and costs no entries, so m >= 1
+    at 0, 1 and 2 symbols, and for tables of more than _POWER_CELLS
+    entries, in base 1024 and in base 2."""
+    for count in (0, 1, 2):
+        assert _power_depth(3, 2, count) == 1
+    for size, k in ((100, 1024), (2 ** 15 + 1, 2)):
+        assert size * k > _POWER_CELLS
+        assert _power_depth(size, k, 2 ** 20) == 1
+
+
+def test_a_table_past_the_size_bound_is_its_own_power():
+    """100 states in base 1024, S * k = 102,400 entries: 2^20 symbols are
+    the table's output rows gathered by 1,024 roots, and peak near 2 MiB,
+    the rows and their bytes; filling every state first peaked at 3."""
+    rng = random.Random(7600)
+    m = moving_zero(rng, 1024, 100)
+    source = m.source("t")
+    assert traced_peak(lambda: source.prefix(2 ** 20)) < 2.5 * 2 ** 20
+    symbols = dfao_prefix(m, 2 ** 17 + 1)
+    for count in (0, 1, 10, 1025, 2 ** 17 + 1):
         assert source.prefix(count).data == symbols[:count], count
 
 
@@ -177,7 +201,7 @@ def test_xi3_twos_in_the_first_row_and_past_it():
     want = xi3_prefix(count)
     for n in (5, 51, 455, 3855, 31775, 258111):
         assert want[n - 1] == 2
-        for c in (n - 1, n, n + 1, n + _POWER_FROM):
+        for c in (n - 1, n, n + 1, n + 8192):
             assert xi3_source().prefix(c).data == want[:c]
     assert xi3_source().prefix(count).data == want
 
@@ -360,7 +384,8 @@ def test_xi3_matches_value_by_value():
 
 def test_xi3_matches_at_the_largest_certified_prefix():
     """The xi3 (10, 20) family verified to depth 16 reads 1,376,256
-    symbols, past four block edges of the parity fill."""
+    symbols, 673 rows of 2^11 of the parity's power table, the last cut
+    one symbol in, as xi3 reads one more parity than it gives."""
     assert xi3_source().prefix(1_376_256).data == xi3_prefix(1_376_256)
 
 
@@ -424,7 +449,7 @@ def test_largest_certified_xi3_prefix_memory():
 
 def test_a_huge_base_fills_in_the_table_s_memory():
     """100 states in base 1024 fill 5,000 states near 0.1 MiB: the
-    table, the states and one block's rows, nothing of size S * k^2."""
+    table, the states and one level's rows, nothing of size S * k^2."""
     rng = random.Random(7300)
     m = random_dfao(rng, 1024, 100)
     table, initial = m.table()
